@@ -40,6 +40,12 @@ EXPERIMENT=E11 MICRO=0 dune exec --profile release bench/main.exe
 # reconciles with its counters (statics must issue zero requests).
 EXPERIMENT=E13 MICRO=0 dune exec --profile release bench/main.exe
 
+# Repository benchmark, once on the flood path with per-layer tracing:
+# exits nonzero unless the run passes its own checks — agreement,
+# traced-vs-untraced reproduction and the flood wire-decode run.
+python3 perfbench/run.py --workload flood_under_attack --seed 9001 \
+  --seconds 10 --trace 1 > /dev/null
+
 # Perf trajectory (telemetry disabled, as in production hot paths):
 # regenerates BENCH_PERF.json and fails if E3 events/sec or the E12
 # fleet confirmed-event rate falls below the floors recorded in the file.

@@ -7,19 +7,31 @@
    replaced by the dispatcher's shifted argv (args.(0) is the case
    name, so positional indices are unchanged). *)
 
+(* Positional integer argument [i] ([default] when absent). A missing
+   required argument or a non-integer exits 2 with the case's usage
+   line, like the bench env knobs. *)
+let int_arg ?default ~usage args i =
+  let fail why =
+    Printf.eprintf "%s\nusage: debug.exe %s\n" why usage;
+    exit 2
+  in
+  if i >= Array.length args then
+    match default with Some v -> v | None -> fail "missing argument"
+  else
+    match int_of_string_opt args.(i) with
+    | Some v -> v
+    | None -> fail (Printf.sprintf "not an integer: %S" args.(i))
+
 module Case_chaos = struct
   (* Quick chaos-harness driver: run N seeded soaks, print every report
      that is not clean (plus the first clean one for eyeballing). Usage:
        dune exec dev/debug.exe -- chaos [count] [first_seed]   *)
   
+  let usage = "chaos [count] [first_seed]"
+
   let run (args : string array) =
-      ignore (args : string array);
-    let count =
-      if Array.length args > 1 then int_of_string args.(1) else 10
-    in
-    let first =
-      if Array.length args > 2 then int_of_string args.(2) else 1
-    in
+    let count = int_arg ~default:10 ~usage args 1 in
+    let first = int_arg ~default:1 ~usage args 2 in
     let t0 = Unix.gettimeofday () in
     let dirty = ref 0 in
     for i = first to first + count - 1 do
@@ -46,10 +58,7 @@ module Case_chaos2 = struct
      Usage: dune exec dev/debug.exe -- chaos2 <seed-int> *)
   
   let run (args : string array) =
-      ignore (args : string array);
-    let seed_int =
-      if Array.length args > 1 then int_of_string args.(1) else 9000027
-    in
+    let seed_int = int_arg ~default:9000027 ~usage:"chaos2 [seed]" args 1 in
     let seed = Int64.of_int seed_int in
     let full = Chaos.Harness.soak ~seed () in
     Format.printf "full run:@.%a@." Chaos.Harness.pp_report full;
@@ -581,8 +590,7 @@ module Case_stress = struct
     }
   
   let run (args : string array) =
-      ignore (args : string array);
-    let seed = int_of_string args.(1) in
+    let seed = int_arg ~usage:"stress <seed>" args 1 in
     let engine = Sim.Engine.create ~seed:(Int64.of_int seed) () in
     let rng = Sim.Engine.rng engine in
     let n = 6 in
@@ -675,10 +683,9 @@ module Case_par = struct
        dune exec dev/debug.exe -- par [domains] [seconds]   *)
 
   let run (args : string array) =
-    let domains =
-      if Array.length args > 1 then int_of_string args.(1) else 4
-    in
-    let seconds = if Array.length args > 2 then int_of_string args.(2) else 10 in
+    let usage = "par [domains] [seconds]" in
+    let domains = int_arg ~default:4 ~usage args 1 in
+    let seconds = int_arg ~default:10 ~usage args 2 in
     let cfg =
       { (Spire.System.default_config ()) with Spire.System.intra_domains = domains }
     in
@@ -729,7 +736,9 @@ module Case_adapt = struct
     let attack_name =
       if Array.length args > 1 then args.(1) else "delay"
     in
-    let seconds = if Array.length args > 2 then int_of_string args.(2) else 40 in
+    let seconds =
+      int_arg ~default:40 ~usage:"adapt [leader|delay] [seconds]" args 2
+    in
     let attack =
       match attack_name with
       | "leader" -> Spire.Scenarios.Leader_slowdown 1_000_000

@@ -18,6 +18,10 @@ val create : ?generation_size:int -> unit -> t
     generations. *)
 val mem : t -> int -> bool
 
+(** [seen t id] is [mem t id]; when [false], it also records [id] — the
+    one-lookup check-and-insert of the flood and delivery hot paths. *)
+val seen : t -> int -> bool
+
 (** [add t id] records [id] (rotating generations when full). *)
 val add : t -> int -> unit
 

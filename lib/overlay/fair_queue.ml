@@ -21,7 +21,9 @@ let ring_push r v =
   r.buf.((r.head + r.len) mod Array.length r.buf) <- v;
   r.len <- r.len + 1
 
-(* Precondition: [r.len > 0]. *)
+(* Precondition of both: [r.len > 0]. *)
+let ring_peek r = r.buf.(r.head)
+
 let ring_pop r =
   let v = r.buf.(r.head) in
   r.head <- (r.head + 1) mod Array.length r.buf;
@@ -29,7 +31,7 @@ let ring_pop r =
   v
 
 type 'a class_state = {
-  queues : (int, 'a Queue.t) Hashtbl.t;
+  queues : 'a Queue.t Int_table.t;
   rotation : ring; (* sources with pending items, service order *)
   mutable count : int;
 }
@@ -42,7 +44,7 @@ type 'a t = {
 }
 
 let empty_class () =
-  { queues = Hashtbl.create 17; rotation = ring_create (); count = 0 }
+  { queues = Int_table.create 17; rotation = ring_create (); count = 0 }
 
 let create ~per_source_cap =
   if per_source_cap <= 0 then invalid_arg "Fair_queue.create: cap <= 0";
@@ -51,11 +53,11 @@ let create ~per_source_cap =
 let class_of t = function Control -> t.control | Bulk -> t.bulk
 
 let queue_of cls source =
-  match Hashtbl.find_opt cls.queues source with
-  | Some q -> q
-  | None ->
+  match Int_table.find cls.queues source with
+  | q -> q
+  | exception Not_found ->
     let q = Queue.create () in
-    Hashtbl.add cls.queues source q;
+    Int_table.add cls.queues source q;
     q
 
 let push t ~source ~priority item =
@@ -72,31 +74,38 @@ let push t ~source ~priority item =
     true
   end
 
-let pop_class cls =
-  if cls.rotation.len = 0 then None
-  else begin
-    let source = ring_pop cls.rotation in
-    let q = queue_of cls source in
-    let item = Queue.pop q in
-    cls.count <- cls.count - 1;
-    if not (Queue.is_empty q) then ring_push cls.rotation source;
-    Some (source, item)
-  end
-
-let pop t =
-  match pop_class t.control with
-  | Some (source, item) -> Some (source, Control, item)
-  | None -> (
-    match pop_class t.bulk with
-    | Some (source, item) -> Some (source, Bulk, item)
-    | None -> None)
-
 let length t = t.control.count + t.bulk.count
 let is_empty t = length t = 0
+
+(* Precondition: [cls.count > 0]. The source is in the table: it was
+   pushed before it entered the rotation. *)
+let take_class cls =
+  let source = ring_pop cls.rotation in
+  let q = Int_table.find cls.queues source in
+  let item = Queue.pop q in
+  cls.count <- cls.count - 1;
+  if not (Queue.is_empty q) then ring_push cls.rotation source;
+  item
+
+let take t =
+  if t.control.count > 0 then take_class t.control
+  else if t.bulk.count > 0 then take_class t.bulk
+  else invalid_arg "Fair_queue.take: empty queue"
+
+let pop t =
+  if is_empty t then None
+  else begin
+    let priority, cls =
+      if t.control.count > 0 then (Control, t.control) else (Bulk, t.bulk)
+    in
+    let source = ring_peek cls.rotation in
+    Some (source, priority, take t)
+  end
+
 let dropped t = t.dropped
 
 let backlog_of t ~source ~priority =
   let cls = class_of t priority in
-  match Hashtbl.find_opt cls.queues source with
+  match Int_table.find_opt cls.queues source with
   | Some q -> Queue.length q
   | None -> 0

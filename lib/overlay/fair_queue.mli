@@ -23,8 +23,13 @@ val create : per_source_cap:int -> 'a t
     if the source's backlog for that class is full. *)
 val push : 'a t -> source:int -> priority:priority -> 'a -> bool
 
-(** [pop t] dequeues the next item by (priority, round-robin source)
-    order, or [None] if empty. *)
+(** [take t] dequeues the next item by (priority, round-robin source)
+    order, allocating nothing — the per-hop transmit path.
+    @raise Invalid_argument if [t] is empty; check {!is_empty} first. *)
+val take : 'a t -> 'a
+
+(** [pop t] is {!take} with the item's source and class, or [None] if
+    empty. Allocates the option and tuple. *)
 val pop : 'a t -> (int * priority * 'a) option
 
 (** [length t] is the number of queued items across classes. *)

@@ -30,7 +30,14 @@ type stats = {
 type 'a content = Payload of 'a | Junk of string
 
 (* Routing instructions carried by a frame. *)
-type route = Path of Topology.node list (* remaining hops, next first *) | Flooding
+type route =
+  | Path of Topology.node list (* remaining hops, next first *)
+  | Flooding of int array
+      (* per node: hops traversed by the copy that reached it first.
+         Every flooded copy shares one frame record, and only first
+         arrivals are forwarded, so a copy leaving [u] has crossed
+         [first_hops.(u)] links. Cell [v] is written once, by [v]'s own
+         shard, on [v]'s first arrival. *)
 
 type 'a frame = {
   id : int;
@@ -40,7 +47,7 @@ type 'a frame = {
   size_bytes : int;
   content : 'a content;
   sent_us : int;
-  mutable hops : int;
+  hops : int; (* links crossed so far; single-path frames only *)
   route : route;
   dedup : bool;
       (* only flooded / redundantly-routed frames can arrive more than
@@ -86,6 +93,11 @@ type 'a t = {
      tuple-keyed hashtables there cost a key allocation plus hashing
      per access. *)
   links : 'a link_state option array Sim.Shard.owned; (* row.(v) = u -> v *)
+  neighbours : int array array;
+      (* node -> its topology neighbours, ascending. Built once: links
+         are never added after [create], so the flood paths iterate
+         this instead of rebuilding the sorted list per frame. Shared
+         read-only state, like [link_up]. *)
   link_up : bool array; (* undirected, normalised [a * nodes + b] *)
   node_up : bool array;
   (* link_up/node_up/retired stay flat and unsharded deliberately: they
@@ -171,6 +183,8 @@ let create ?(per_source_cap = 64) ?partition engine topo () =
       part;
       boundary = Sim.Shard.boundary part;
       links = Sim.Shard.init part (fun _ -> Array.make n None);
+      neighbours =
+        Array.init n (fun v -> Array.of_list (Topology.neighbors topo v));
       link_up = Array.make (n * n) false;
       node_up = Array.make n true;
       retired = Array.make n false;
@@ -262,21 +276,19 @@ let link_state t a b =
    source was retired while the frame was in flight is dropped here:
    stale-site traffic must neither reach handlers nor fault on the
    flattened per-node arrays. *)
-let deliver t node frame =
+let deliver t node frame ~hops =
   if frame.src < 0 || frame.src >= t.nodes || t.retired.(frame.src) then begin
     let c = ctrs t in
     c.c_dropped_retired_src <- c.c_dropped_retired_src + 1;
     c.c_dropped_bytes <- c.c_dropped_bytes + frame.size_bytes
   end
   else if
-    frame.dedup && Dedup_cache.mem (Sim.Shard.get t.delivered_ids node) frame.id
+    frame.dedup && Dedup_cache.seen (Sim.Shard.get t.delivered_ids node) frame.id
   then begin
     let c = ctrs t in
     c.c_duplicates_suppressed <- c.c_duplicates_suppressed + 1
   end
   else begin
-    if frame.dedup then
-      Dedup_cache.add (Sim.Shard.get t.delivered_ids node) frame.id;
     match frame.content with
     | Junk _ -> ()
     | Payload payload ->
@@ -293,7 +305,7 @@ let deliver t node frame =
             payload;
             sent_us = frame.sent_us;
             delivered_us = Sim.Engine.now t.engine;
-            hops = frame.hops;
+            hops;
           })
   end
 
@@ -308,19 +320,17 @@ let max_retransmissions = 8
 
 let rec maybe_transmit t u v =
   let ls = link_state t u v in
-  if not ls.busy then begin
-    match Fair_queue.pop ls.queue with
-    | None -> ()
-    | Some (_, _, frame) ->
-      if traced t frame then begin
-        let key = qspan_key t u v frame.id in
-        match Hashtbl.find_opt t.queue_spans key with
-        | Some sid ->
-          Hashtbl.remove t.queue_spans key;
-          close_hop_span t sid
-        | None -> ()
-      end;
-      transmit_frame t u v ls frame 0
+  if not (ls.busy || Fair_queue.is_empty ls.queue) then begin
+    let frame = Fair_queue.take ls.queue in
+    if traced t frame then begin
+      let key = qspan_key t u v frame.id in
+      match Hashtbl.find_opt t.queue_spans key with
+      | Some sid ->
+        Hashtbl.remove t.queue_spans key;
+        close_hop_span t sid
+      | None -> ()
+    end;
+    transmit_frame t u v ls frame 0
   end
 
 and transmit_frame t u v ls frame attempt =
@@ -394,11 +404,9 @@ and transmit_frame t u v ls frame attempt =
              (* Ledger the observed cross-shard hop delay: the
                 conservative lookahead is only sound while this never
                 undercuts the advertised per-link latency floor. *)
-             (match Sim.Shard.locality t.part ~src:u ~dst:v with
-             | Sim.Shard.Local _ -> ()
-             | Sim.Shard.Cross { src_shard; dst_shard } ->
-               Sim.Shard.record_delay t.boundary ~src_shard ~dst_shard
-                 ~delay_us:prop);
+             Sim.Shard.record_delay t.boundary
+               ~src_shard:(Sim.Shard.owner_of t.part u)
+               ~dst_shard:(Sim.Shard.owner_of t.part v) ~delay_us:prop;
              let prop_sid =
                if traced t frame then
                  open_hop_span t ~phase:Telemetry.Span.Net_propagate ~node:u
@@ -423,29 +431,38 @@ and arrive t u v frame =
     c.c_dropped_link_down <- c.c_dropped_link_down + 1;
     c.c_dropped_bytes <- c.c_dropped_bytes + frame.size_bytes
   end
-  else begin
-    frame.hops <- frame.hops + 1;
+  else
     match frame.route with
-    | Flooding ->
-      if not (Dedup_cache.mem (Sim.Shard.get t.seen v) frame.id) then begin
-        Dedup_cache.add (Sim.Shard.get t.seen v) frame.id;
-        if v = frame.dst then deliver t v frame;
+    | Flooding first_hops ->
+      if Dedup_cache.seen (Sim.Shard.get t.seen v) frame.id then begin
+        (* A later copy of a frame [v] already has: constrained
+           flooding drops it here, before [deliver]. *)
+        let c = ctrs t in
+        c.c_duplicates_suppressed <- c.c_duplicates_suppressed + 1
+      end
+      else begin
+        let hops = first_hops.(u) + 1 in
+        first_hops.(v) <- hops;
+        if v = frame.dst then deliver t v frame ~hops;
         (* Constrained flooding: forward on all usable links except the
            one the frame came in on. *)
-        List.iter
-          (fun w -> if w <> u && usable t v w then enqueue t v w frame)
-          (Topology.neighbors t.topo v)
+        let nbrs = t.neighbours.(v) in
+        for i = 0 to Array.length nbrs - 1 do
+          let w = nbrs.(i) in
+          if w <> u && usable t v w then enqueue t v w frame
+        done
       end
     | Path remaining -> (
-      if v = frame.dst then deliver t v frame
+      let hops = frame.hops + 1 in
+      if v = frame.dst then deliver t v frame ~hops
       else
         match remaining with
         | next :: rest when next = v -> (
           match rest with
-          | [] -> if v = frame.dst then deliver t v frame
+          | [] -> ()
           | hop :: _ ->
             if usable t v hop then
-              enqueue t v hop { frame with route = Path rest }
+              enqueue t v hop { frame with route = Path rest; hops }
             else begin
               let c = ctrs t in
               c.c_dropped_link_down <- c.c_dropped_link_down + 1;
@@ -455,7 +472,6 @@ and arrive t u v frame =
           let c = ctrs t in
           c.c_dropped_link_down <- c.c_dropped_link_down + 1;
           c.c_dropped_bytes <- c.c_dropped_bytes + frame.size_bytes)
-  end
 
 and enqueue t u v frame =
   let ls = link_state t u v in
@@ -463,10 +479,9 @@ and enqueue t u v frame =
   then begin
     (* A hop between nodes owned by different shards crosses the
        inter-site (WAN) boundary — ledger each admitted copy. *)
-    (match Sim.Shard.locality t.part ~src:u ~dst:v with
-    | Sim.Shard.Local _ -> ()
-    | Sim.Shard.Cross { src_shard; dst_shard } ->
-      Sim.Shard.record t.boundary ~src_shard ~dst_shard ~bytes:frame.size_bytes);
+    Sim.Shard.record t.boundary
+      ~src_shard:(Sim.Shard.owner_of t.part u)
+      ~dst_shard:(Sim.Shard.owner_of t.part v) ~bytes:frame.size_bytes;
     (* Open the queue-wait span before [maybe_transmit]: an idle link
        pops the frame straight back out and closes it at zero width. *)
     if traced t frame then begin
@@ -556,17 +571,19 @@ let submit t ~priority ~size_bytes ~src ~dst ~mode ~trace content =
         (Sim.Engine.schedule
            ~shard:(Sim.Shard.engine_shard t.part src)
            t.engine ~delay_us:0
-           (fun () -> if t.node_up.(src) then deliver t src frame)
+           (fun () -> if t.node_up.(src) then deliver t src frame ~hops:0)
           : Sim.Engine.timer)
     end
     else
       match mode with
       | Flood ->
-        let frame = base_frame ~dedup:true Flooding in
+        let frame = base_frame ~dedup:true (Flooding (Array.make t.nodes 0)) in
         Dedup_cache.add (Sim.Shard.get t.seen src) frame.id;
-        List.iter
-          (fun w -> if usable t src w then enqueue t src w frame)
-          (Topology.neighbors t.topo src)
+        let nbrs = t.neighbours.(src) in
+        for i = 0 to Array.length nbrs - 1 do
+          let w = nbrs.(i) in
+          if usable t src w then enqueue t src w frame
+        done
       | Shortest -> (
         match cached_shortest t ~src ~dst with
         | None ->
@@ -576,7 +593,7 @@ let submit t ~priority ~size_bytes ~src ~dst ~mode ~trace content =
           let frame = base_frame (Path rest) in
           (match rest with
           | hop :: _ -> enqueue t src hop frame
-          | [] -> deliver t src frame)
+          | [] -> deliver t src frame ~hops:0)
         | Some [] ->
           c.c_dropped_no_route <- c.c_dropped_no_route + 1;
           c.c_dropped_bytes <- c.c_dropped_bytes + size_bytes)

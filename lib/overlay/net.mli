@@ -27,7 +27,9 @@ type 'a delivery = {
   payload : 'a;
   sent_us : int;  (** virtual time the frame entered the overlay *)
   delivered_us : int;
-  hops : int;  (** overlay hops traversed by the delivered copy *)
+  hops : int;
+      (** overlay hops traversed by the delivered copy (for [Flood], the
+          first copy to reach the destination) *)
 }
 
 type 'a t
@@ -36,6 +38,10 @@ type stats = {
   submitted : int;
   delivered : int;
   duplicates_suppressed : int;
+      (** redundant copies dropped by duplicate suppression: in [Flood]
+          mode, every copy reaching a node that already has the frame
+          (each node forwards only its first copy); in [Redundant k]
+          mode, every copy reaching the destination after the first *)
   dropped_queue_full : int;
   dropped_link_down : int;
   dropped_no_route : int;

@@ -22,47 +22,61 @@ let create () =
     hi_water = 0;
   }
 
-let earlier t i j =
-  t.times.(i) < t.times.(j)
-  || (t.times.(i) = t.times.(j) && t.seqs.(i) < t.seqs.(j))
+(* Hole-based sifting: the moving entry is held in locals while the
+   entries it passes shift one level into the hole, and it is written
+   once, at its final slot — one move per level rather than a swap,
+   since every write to the boxed events array is a [caml_modify]. *)
 
-let swap t i j =
-  let tm = t.times.(i) in
-  t.times.(i) <- t.times.(j);
-  t.times.(j) <- tm;
-  let sq = t.seqs.(i) in
-  t.seqs.(i) <- t.seqs.(j);
-  t.seqs.(j) <- sq;
-  let ev = t.events.(i) in
-  t.events.(i) <- t.events.(j);
-  t.events.(j) <- ev
-
-let sift_up t start =
+(* Place [(time, seq, ev)] at or above slot [start], whose current
+   contents are dead. *)
+let sift_up t start ~time ~seq ev =
   let i = ref start in
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if earlier t !i parent then begin
-      swap t !i parent;
+    let pt = t.times.(parent) in
+    if time < pt || (time = pt && seq < t.seqs.(parent)) then begin
+      t.times.(!i) <- pt;
+      t.seqs.(!i) <- t.seqs.(parent);
+      t.events.(!i) <- t.events.(parent);
       i := parent
     end
     else continue := false
-  done
+  done;
+  t.times.(!i) <- time;
+  t.seqs.(!i) <- seq;
+  t.events.(!i) <- ev
 
-let sift_down t start =
+(* Place [(time, seq, ev)] at or below slot [start], whose current
+   contents are dead, among the first [t.len] slots. *)
+let sift_down t start ~time ~seq ev =
   let i = ref start in
   let continue = ref true in
   while !continue do
-    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-    let smallest = ref !i in
-    if l < t.len && earlier t l !smallest then smallest := l;
-    if r < t.len && earlier t r !smallest then smallest := r;
-    if !smallest <> !i then begin
-      swap t !i !smallest;
-      i := !smallest
+    let l = (2 * !i) + 1 in
+    if l >= t.len then continue := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if r < t.len
+           && (t.times.(r) < t.times.(l)
+              || (t.times.(r) = t.times.(l) && t.seqs.(r) < t.seqs.(l)))
+        then r
+        else l
+      in
+      let ct = t.times.(c) in
+      if ct < time || (ct = time && t.seqs.(c) < seq) then begin
+        t.times.(!i) <- ct;
+        t.seqs.(!i) <- t.seqs.(c);
+        t.events.(!i) <- t.events.(c);
+        i := c
+      end
+      else continue := false
     end
-    else continue := false
-  done
+  done;
+  t.times.(!i) <- time;
+  t.seqs.(!i) <- seq;
+  t.events.(!i) <- ev
 
 let grow t witness =
   let cap = max 64 (2 * Array.length t.times) in
@@ -79,15 +93,12 @@ let grow t witness =
 let push_keyed t ~time ~seq event =
   if t.len >= Array.length t.times then grow t event;
   let i = t.len in
-  t.times.(i) <- time;
-  t.seqs.(i) <- seq;
-  t.events.(i) <- event;
   (* Keep the internal counter ahead of caller-supplied keys so mixing
      [push] and [push_keyed] on one heap cannot produce duplicate keys. *)
   if seq >= t.next_seq then t.next_seq <- seq + 1;
   t.len <- t.len + 1;
   if t.len > t.hi_water then t.hi_water <- t.len;
-  sift_up t i
+  sift_up t i ~time ~seq event
 
 let push t ~time event =
   let seq = t.next_seq in
@@ -109,12 +120,10 @@ let pop_min t =
   let ev = t.events.(0) in
   t.len <- t.len - 1;
   if t.len > 0 then begin
-    t.times.(0) <- t.times.(t.len);
-    t.seqs.(0) <- t.seqs.(t.len);
-    t.events.(0) <- t.events.(t.len);
+    let last = t.len in
+    sift_down t 0 ~time:t.times.(last) ~seq:t.seqs.(last) t.events.(last);
     (* Drop the vacated slot's reference so the GC can reclaim it. *)
-    t.events.(t.len) <- t.events.(0);
-    sift_down t 0
+    t.events.(last) <- t.events.(0)
   end;
   ev
 
@@ -170,5 +179,5 @@ let compact t ~keep =
      of surviving entries is exactly what it would have been — keys are
      unique, making heap-internal layout unobservable. *)
   for i = (t.len / 2) - 1 downto 0 do
-    sift_down t i
+    sift_down t i ~time:t.times.(i) ~seq:t.seqs.(i) t.events.(i)
   done

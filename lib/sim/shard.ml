@@ -41,12 +41,6 @@ let nodes p = p.node_count
 let owner_of p node = p.owner.(node)
 let members p shard = p.member_rows.(shard)
 
-type locality = Local of int | Cross of { src_shard : int; dst_shard : int }
-
-let locality p ~src ~dst =
-  let s = p.owner.(src) and d = p.owner.(dst) in
-  if s = d then Local s else Cross { src_shard = s; dst_shard = d }
-
 type 'a owned = {
   o_owner : int array; (* shared with the partition *)
   o_local : int array;

@@ -41,14 +41,6 @@ val owner_of : partition -> int -> int
     returned array is the partition's own — do not mutate. *)
 val members : partition -> int -> int array
 
-(** Whether a [src -> dst] hop stays inside one shard or crosses the
-    inter-site (WAN) boundary. *)
-type locality =
-  | Local of int  (** both endpoints owned by this shard *)
-  | Cross of { src_shard : int; dst_shard : int }
-
-val locality : partition -> src:int -> dst:int -> locality
-
 (** {1 Shard-owned per-node state}
 
     A ['a owned] holds one ['a] per node, stored as one row-array per

@@ -187,53 +187,75 @@ let test_fair_queue_exact_rotation () =
    list rotated with [rest @ [src]]. Arbitrary interleaving of pushes
    and pops must give the ring implementation the same observable
    behaviour (accepted pushes and popped values alike). *)
+(* Model: per class, per-source FIFOs plus a list rotation; Control is
+   always served before Bulk. Steps mix both classes and both dequeues
+   ([pop] and the allocation-free [take]), so class order and rotation
+   are checked on the path the overlay actually uses. *)
 let prop_fair_queue_matches_list_model =
   QCheck.Test.make ~count:300 ~name:"fair queue: ring matches list-rotation model"
     QCheck.(
       list
-        (pair bool (pair (int_bound 5) (int_bound 1000)) (* push / pop steps *)))
+        (pair (int_bound 3) (* push Control / push Bulk / pop / take *)
+           (pair (int_bound 5) (int_bound 1000))))
     (fun steps ->
       let cap = 3 in
       let q = FQ.create ~per_source_cap:cap in
-      let model_queues : (int, int Queue.t) Hashtbl.t = Hashtbl.create 7 in
-      let model_rotation = ref [] in
-      let model_q src =
-        match Hashtbl.find_opt model_queues src with
+      let model_class () = (Hashtbl.create 7, ref []) in
+      let control = model_class () and bulk = model_class () in
+      let model_q (queues, _) src =
+        match Hashtbl.find_opt queues src with
         | Some mq -> mq
         | None ->
           let mq = Queue.create () in
-          Hashtbl.add model_queues src mq;
+          Hashtbl.add queues src mq;
           mq
       in
-      let model_push src v =
-        let mq = model_q src in
+      let model_push ((_, rotation) as cls) src v =
+        let mq = model_q cls src in
         if Queue.length mq >= cap then false
         else begin
-          if Queue.is_empty mq then model_rotation := !model_rotation @ [ src ];
+          if Queue.is_empty mq then rotation := !rotation @ [ src ];
           Queue.push v mq;
           true
         end
       in
-      let model_pop () =
-        match !model_rotation with
+      let model_pop_class ((_, rotation) as cls) =
+        match !rotation with
         | [] -> None
         | src :: rest ->
-          let mq = model_q src in
+          let mq = model_q cls src in
           let v = Queue.pop mq in
-          model_rotation :=
-            (if Queue.is_empty mq then rest else rest @ [ src ]);
+          rotation := if Queue.is_empty mq then rest else rest @ [ src ];
           Some (src, v)
       in
+      let model_pop () =
+        match model_pop_class control with
+        | Some (src, v) -> Some (src, FQ.Control, v)
+        | None -> (
+          match model_pop_class bulk with
+          | Some (src, v) -> Some (src, FQ.Bulk, v)
+          | None -> None)
+      in
       List.for_all
-        (fun (is_push, (src, v)) ->
-          if is_push then
-            FQ.push q ~source:src ~priority:FQ.Control v = model_push src v
-          else
-            match (FQ.pop q, model_pop ()) with
-            | None, None -> true
-            | Some (s, FQ.Control, x), Some (s', x') -> s = s' && x = x'
-            | _ -> false)
-        steps)
+        (fun (op, (src, v)) ->
+          match op with
+          | 0 ->
+            FQ.push q ~source:src ~priority:FQ.Control v
+            = model_push control src v
+          | 1 ->
+            FQ.push q ~source:src ~priority:FQ.Bulk v = model_push bulk src v
+          | 2 -> FQ.pop q = model_pop ()
+          | _ -> (
+            match model_pop () with
+            | Some (_, _, v') -> FQ.take q = v'
+            | None -> (
+              FQ.is_empty q
+              &&
+              match FQ.take q with
+              | _ -> false
+              | exception Invalid_argument _ -> true)))
+        steps
+      && FQ.is_empty q = (model_pop () = None))
 
 (* The rotation ring starts at capacity 16; exceed it to cover growth. *)
 let test_fair_queue_many_sources () =
@@ -326,6 +348,49 @@ let test_net_flood_reaches_all () =
   N.send net ~src:0 ~dst:9 ~size_bytes:256 ~mode:N.Flood (Ping 1);
   Sim.Engine.run_until_quiescent engine;
   Alcotest.(check int) "flood delivers once" 1 !received
+
+(* Every flooded copy shares one frame record; the reported hop count
+   must still be the delivered copy's own path length, not a tally of
+   every arriving copy. Triangle 0-1 (1 ms), 0-2 (direct), 1-2 (10 ms),
+   flooded 0 -> 2: a 5 ms direct link wins with one hop (the relayed
+   copy arrives later and is suppressed); a 50 ms one loses to the
+   two-hop relay. *)
+let test_net_flood_hops_of_delivered_copy () =
+  List.iter
+    (fun (direct_us, expect_at, expect_hops) ->
+      let topo = T.create ~nodes:3 in
+      let link a b latency_us =
+        T.add_link topo ~a ~b ~latency_us ~bandwidth_bps:1_000_000_000
+      in
+      link 0 1 1_000;
+      link 0 2 direct_us;
+      link 1 2 10_000;
+      let engine, net = make_net topo in
+      let received = ref [] in
+      N.set_handler net 2 (fun d -> received := d :: !received);
+      N.send net ~src:0 ~dst:2 ~size_bytes:100 ~mode:N.Flood (Ping 1);
+      Sim.Engine.run_until_quiescent engine;
+      match !received with
+      | [ d ] ->
+        Alcotest.(check int) "delivered at" expect_at d.N.delivered_us;
+        Alcotest.(check int) "hops of the delivered copy" expect_hops d.N.hops
+      | l -> Alcotest.failf "expected 1 delivery, got %d" (List.length l))
+    [ (5_000, 5_001, 1); (50_000, 11_002, 2) ]
+
+(* Flooded duplicates are dropped at the per-node seen check, before
+   [deliver]; they must still be counted. Full mesh of 4, flood 0 -> 3:
+   0 sends 3 copies, each of 1, 2, 3 forwards its first copy to the two
+   nodes other than 0 — 9 copies for 3 first arrivals, 6 duplicates. *)
+let test_net_flood_counts_duplicates () =
+  let topo = T.full_mesh ~nodes:4 ~latency_us:100 ~bandwidth_bps:1_000_000 in
+  let engine, net = make_net topo in
+  let received = ref 0 in
+  N.set_handler net 3 (fun _ -> incr received);
+  N.send net ~src:0 ~dst:3 ~size_bytes:100 ~mode:N.Flood (Ping 1);
+  Sim.Engine.run_until_quiescent engine;
+  Alcotest.(check int) "delivered once" 1 !received;
+  Alcotest.(check int) "duplicates suppressed" 6
+    (N.stats net).N.duplicates_suppressed
 
 let test_net_flood_survives_heavy_link_loss () =
   let topo, _ = T.wide_area_east_coast () in
@@ -743,6 +808,10 @@ let () =
             test_net_redundant_survives_path_kill_in_flight;
           Alcotest.test_case "redundant dedups" `Quick test_net_redundant_dedups;
           Alcotest.test_case "flood reaches" `Quick test_net_flood_reaches_all;
+          Alcotest.test_case "flood hops of delivered copy" `Quick
+            test_net_flood_hops_of_delivered_copy;
+          Alcotest.test_case "flood duplicates counted" `Quick
+            test_net_flood_counts_duplicates;
           Alcotest.test_case "flood survives link loss" `Quick
             test_net_flood_survives_heavy_link_loss;
           Alcotest.test_case "node down" `Quick test_net_node_down_no_delivery;

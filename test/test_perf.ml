@@ -182,6 +182,110 @@ let test_batched_phase_reconciliation () =
     "batch-wait is non-zero for deadline-flushed batches" true
     (!batch_waits > 0)
 
+(* The E2 golden never floods: it is shortest-path only, so it never
+   runs the [Flooding] branch of the hop path or the per-node dedup
+   caches. These two E6-shape goldens pin that path — constrained
+   flooding under the 20x WAN delay attack, and flooding over lossy WAN
+   links, which adds the hop-by-hop ARQ leg — with the same contract:
+   confirmed count, engine event count, per-kind wire ledger, WAN
+   boundary ledger, overlay deliveries and ARQ retransmissions are
+   bit-identical to the values recorded before the hop path was made
+   allocation-lean. *)
+type flood_snapshot = {
+  f_confirmed : int;
+  f_events : int;
+  f_ledger : (string * int * int) list;
+  f_wan_frames : int;
+  f_wan_bytes : int;
+  f_delivered : int;
+  f_retransmissions : int;
+}
+
+let flood_snapshot (sys, (r : Spire.Scenarios.latency_result)) =
+  let net = Spire.System.net sys in
+  {
+    f_confirmed = r.Spire.Scenarios.confirmed;
+    f_events = Sim.Engine.processed (Spire.System.engine sys);
+    f_ledger = Spire.System.wire_traffic sys;
+    f_wan_frames = Overlay.Net.wan_frames net;
+    f_wan_bytes = Overlay.Net.wan_bytes net;
+    f_delivered = (Overlay.Net.stats net).Overlay.Net.delivered;
+    f_retransmissions = Overlay.Net.retransmissions net;
+  }
+
+let check_flood_golden expected s =
+  Alcotest.(check int) "confirmed" expected.f_confirmed s.f_confirmed;
+  Alcotest.(check int) "events processed" expected.f_events s.f_events;
+  Alcotest.check ledger_testable "per-kind wire ledger" expected.f_ledger
+    s.f_ledger;
+  Alcotest.(check int) "WAN frames" expected.f_wan_frames s.f_wan_frames;
+  Alcotest.(check int) "WAN bytes" expected.f_wan_bytes s.f_wan_bytes;
+  Alcotest.(check int) "delivered" expected.f_delivered s.f_delivered;
+  Alcotest.(check int)
+    "retransmissions" expected.f_retransmissions s.f_retransmissions
+
+let flood_duration_us = 4_000_000
+
+let golden_flood_attack =
+  {
+    f_confirmed = 386;
+    f_events = 1_685_086;
+    f_ledger =
+      [
+        ("replica_reply", 2303, 409934);
+        ("prime/po_aru", 4150, 298800);
+        ("prime/prepare", 4220, 261640);
+        ("prime/commit", 4215, 261330);
+        ("prime/po_request", 2415, 258405);
+        ("prime/preprepare", 715, 151580);
+        ("client_update", 400, 128800);
+        ("prime/checkpoint", 85, 4930);
+        ("prime/suspect", 10, 500);
+      ];
+    f_wan_frames = 800_738;
+    f_wan_bytes = 76_833_069;
+    f_delivered = 18_152;
+    f_retransmissions = 0;
+  }
+
+let golden_flood_loss =
+  {
+    f_confirmed = 388;
+    f_events = 1_843_833;
+    f_ledger =
+      [
+        ("prime/po_request", 3780, 404460);
+        ("prime/po_aru", 4850, 349200);
+        ("prime/prepare", 5135, 318370);
+        ("prime/commit", 5065, 314030);
+        ("replica_reply", 1614, 287292);
+        ("prime/preprepare", 1105, 234260);
+        ("prime/slot_reply", 819, 170352);
+        ("client_update", 400, 128800);
+        ("prime/recon_request", 135, 7020);
+        ("prime/slot_request", 140, 7000);
+        ("prime/checkpoint", 60, 3480);
+        ("prime/suspect", 15, 750);
+        ("transfer_chunk", 1, 446);
+      ];
+    f_wan_frames = 879_374;
+    f_wan_bytes = 84_992_425;
+    f_delivered = 18_834;
+    f_retransmissions = 6_893;
+  }
+
+let test_flood_attack_golden () =
+  check_flood_golden golden_flood_attack
+    (flood_snapshot
+       (Spire.Scenarios.link_degradation ~mode:Overlay.Net.Flood ~factor:20.
+          ~attack_from_us:1_500_000 ~duration_us:flood_duration_us ()))
+
+let test_flood_loss_golden () =
+  check_flood_golden golden_flood_loss
+    (flood_snapshot
+       (Spire.Scenarios.packet_loss ~mode:Overlay.Net.Flood ~loss:0.05
+          ~duration_us:flood_duration_us ()))
+
 let () =
   Alcotest.run "perf"
     [
@@ -195,6 +299,10 @@ let () =
             test_singleton_batching_identical;
           Alcotest.test_case "intra_domains=4 ledger bit-identical" `Slow
             test_intra_parallel_identical;
+          Alcotest.test_case "E6 flood-under-attack golden" `Slow
+            test_flood_attack_golden;
+          Alcotest.test_case "E6b flood-over-loss golden" `Slow
+            test_flood_loss_golden;
         ] );
       ( "batching",
         [

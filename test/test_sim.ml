@@ -288,16 +288,6 @@ let test_shard_boundary_ledger () =
          ((c.src_shard, c.dst_shard), (c.frames, c.bytes)))
        (Sim.Shard.crossings b))
 
-let test_shard_locality () =
-  let p = shard_fixture () in
-  (match Sim.Shard.locality p ~src:2 ~dst:3 with
-  | Sim.Shard.Local s -> Alcotest.(check int) "local shard" 1 s
-  | Sim.Shard.Cross _ -> Alcotest.fail "same-site link reported Cross");
-  match Sim.Shard.locality p ~src:1 ~dst:4 with
-  | Sim.Shard.Local _ -> Alcotest.fail "WAN link reported Local"
-  | Sim.Shard.Cross { src_shard; dst_shard } ->
-    Alcotest.(check (pair int int)) "cross shards" (0, 2) (src_shard, dst_shard)
-
 (* ------------------------------------------------------------------ *)
 (* Multi-heap engine: shard tags partition storage, never order *)
 
@@ -566,6 +556,99 @@ let prop_heap_compact_preserves_order =
       && List.for_all (fun (_, v) -> keep v) popped
       && ordered popped)
 
+(* Model check of the whole heap API against a list sorted by
+   [(time, seq)]: random interleavings of [push], [push_keyed] (seqs
+   past every key so far, with gaps), [pop_min], [compact] and a
+   monotone [rekey] of the upper seqs, over few distinct times so most
+   comparisons fall through to the tie-break. Events are unique ids;
+   after every step the min key and size must agree with the model. *)
+type heap_op = Push | Push_keyed | Pop | Compact | Rekey
+
+let prop_heap_matches_sorted_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, return Push); (3, return Push_keyed); (4, return Pop);
+          (1, return Compact); (1, return Rekey);
+        ])
+  in
+  QCheck.Test.make ~count:300 ~name:"event heap matches sorted (time, seq) model"
+    QCheck.(
+      make
+        Gen.(list_size (0 -- 300) (triple op (int_bound 4) (int_bound 3))))
+    (fun steps ->
+      let h = Sim.Event_heap.create () in
+      let model = ref [] (* (time, seq, id), ascending *) in
+      let next_seq = ref 0 and next_id = ref 0 in
+      let insert time seq =
+        let id = !next_id in
+        incr next_id;
+        model := List.merge compare !model [ (time, seq, id) ];
+        if seq >= !next_seq then next_seq := seq + 1;
+        id
+      in
+      let agrees () =
+        Sim.Event_heap.size h = List.length !model
+        &&
+        match !model with
+        | [] -> Sim.Event_heap.is_empty h
+        | (time, seq, _) :: _ ->
+          Sim.Event_heap.min_time h = time && Sim.Event_heap.min_seq h = seq
+      in
+      let step (op, time, k) =
+        let popped_in_order =
+          match op with
+          | Push ->
+            let id = insert time !next_seq in
+            Sim.Event_heap.push h ~time id;
+            true
+          | Push_keyed ->
+            let seq = !next_seq + k in
+            Sim.Event_heap.push_keyed h ~time ~seq (insert time seq);
+            true
+          | Pop -> (
+            match !model with
+            | [] -> true
+            | (_, _, id) :: rest ->
+              model := rest;
+              Sim.Event_heap.pop_min h = id)
+          | Compact ->
+            let keep id = (id + k) mod 3 <> 0 in
+            Sim.Event_heap.compact h ~keep;
+            model := List.filter (fun (_, _, id) -> keep id) !model;
+            true
+          | Rekey ->
+            (* Shift every seq at or above the median up by [k + 1]:
+               strictly monotone, so no pairwise order changes. *)
+            let seqs = List.sort compare (List.map (fun (_, s, _) -> s) !model) in
+            let threshold =
+              match seqs with
+              | [] -> 0
+              | _ -> List.nth seqs (List.length seqs / 2)
+            in
+            let shift s = if s >= threshold then s + k + 1 else s in
+            let seq_of id =
+              let _, s, _ = List.find (fun (_, _, i) -> i = id) !model in
+              shift s
+            in
+            Sim.Event_heap.rekey h ~threshold ~seq_of;
+            model :=
+              List.sort compare
+                (List.map (fun (t, s, i) -> (t, shift s, i)) !model);
+            List.iter
+              (fun (_, s, _) -> if s >= !next_seq then next_seq := s + 1)
+              !model;
+            true
+        in
+        popped_in_order && agrees ()
+      in
+      List.for_all step steps
+      && List.for_all
+           (fun (_, _, id) -> Sim.Event_heap.pop_min h = id)
+           !model
+      && Sim.Event_heap.is_empty h)
+
 (* Provisional-seq resolution: rekeying entries above the threshold to
    their final seqs must preserve pop order without a re-sift, and bump
    the internal counter past every resolved seq. *)
@@ -679,7 +762,6 @@ let () =
           Alcotest.test_case "owned get/set/iter" `Quick
             test_shard_owned_roundtrip;
           Alcotest.test_case "boundary ledger" `Quick test_shard_boundary_ledger;
-          Alcotest.test_case "locality" `Quick test_shard_locality;
         ] );
       ( "sharded_engine",
         [
@@ -704,6 +786,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_heap_sorted;
           QCheck_alcotest.to_alcotest prop_heap_stable_at_equal_times;
           QCheck_alcotest.to_alcotest prop_heap_compact_preserves_order;
+          QCheck_alcotest.to_alcotest prop_heap_matches_sorted_model;
           Alcotest.test_case "rekey resolves provisional seqs" `Quick
             test_heap_rekey;
           Alcotest.test_case "hi-water occupancy" `Quick test_heap_hi_water;
