@@ -96,19 +96,6 @@ let par_domains =
   Option.value ~default:1
     (env_knob "PAR" ~valid:"a positive integer (e.g. PAR=4)" positive_int)
 
-(* INTRA_PAR=N — run *one* instance's site shards concurrently on N
-   OCaml domains via the conservative window scheduler
-   (Sim.Conservative); orthogonal to PAR=, which farms independent
-   instances. Applies to E2 and E3. Setting it (any value, including 1)
-   also switches E2's telemetry off, so the experiment output is
-   byte-comparable across INTRA_PAR values — the trajectory itself is
-   bit-identical by construction, which CI checks by diffing the
-   INTRA_PAR=1 and INTRA_PAR=4 E2 outputs. *)
-let intra_par =
-  Option.value ~default:1
-    (env_knob "INTRA_PAR" ~valid:"a positive integer (e.g. INTRA_PAR=4)"
-       positive_int)
-
 (* ADAPT=leader|delay|both — which attack(s) experiment E13 replays
    against the adaptive controller (default: both). *)
 let adapt_choice =
@@ -119,8 +106,6 @@ let adapt_choice =
          | "delay" -> Some `Delay
          | "both" -> Some `Both
          | _ -> None))
-
-let intra_par_set = Sys.getenv_opt "INTRA_PAR" <> None
 
 let sec s = s * 1_000_000
 let minutes m = m * 60 * 1_000_000
@@ -213,11 +198,7 @@ let e1 () =
     "flagship f=1,k=1 over 4 sites needs exactly 6 replicas (2cc+2cc+1dc+1dc)"
 
 (* Per-shard execution summary (E2/E3): how the event load and heap
-   pressure spread over the control heap and the site/field stripes.
-   Event counts are part of the deterministic trajectory; heap
-   high-water marks depend on push/pop interleaving and therefore on
-   whether the windowed scheduler ran, so CI's byte-diff filters that
-   line (and the scheduler-stats line) out alongside wall time. *)
+   pressure spread over the control heap and the site/field heaps. *)
 let shard_summary sys =
   let engine = Spire.System.engine sys in
   let k = Sim.Engine.shards engine in
@@ -231,11 +212,6 @@ let shard_summary sys =
   Printf.printf "  shard events: %s\n" (fmt (Sim.Engine.processed_of engine));
   Printf.printf "  shard heap hi-water: %s\n"
     (fmt (Sim.Engine.heap_hi_water engine));
-  (match Spire.System.intra_stats sys with
-  | None -> ()
-  | Some st ->
-    Printf.printf "  intra-par: %s\n"
-      (Format.asprintf "%a" Sim.Conservative.pp_stats st));
   Printf.printf "%!"
 
 (* ------------------------------------------------------------------ *)
@@ -244,15 +220,7 @@ let shard_summary sys =
 let e2 () =
   section "E2" "Fault-free wide-area deployment: update latency CDF";
   let duration = if scale_full then hours 1 else minutes 5 in
-  let cfg =
-    if intra_par_set then
-      {
-        (Spire.System.default_config ()) with
-        Spire.System.intra_domains = intra_par;
-      }
-    else
-      { (Spire.System.default_config ()) with Spire.System.telemetry = true }
-  in
+  let cfg = { (Spire.System.default_config ()) with Spire.System.telemetry = true } in
   let sys, r = Spire.Scenarios.fault_free ~config:cfg ~duration_us:duration () in
   let table = Stats.Table.create ~title:"latency distribution" ~columns:latency_columns in
   Stats.Table.add_row table (latency_row "wide-area fault-free" r);
@@ -275,12 +243,10 @@ let e2 () =
     r.Spire.Scenarios.confirmed
     (100. *. float_of_int r.Spire.Scenarios.confirmed
     /. float_of_int (max 1 r.Spire.Scenarios.submitted));
-  if cfg.Spire.System.telemetry then begin
-    let sink = Spire.System.telemetry sys in
-    Telemetry.Attribution.print
-      ~title:"latency attribution, fault-free (µs, virtual)" sink;
-    Telemetry.Attribution.print_net sink
-  end;
+  let sink = Spire.System.telemetry sys in
+  Telemetry.Attribution.print
+    ~title:"latency attribution, fault-free (µs, virtual)" sink;
+  Telemetry.Attribution.print_net sink;
   shard_summary sys;
   shape "nearly all updates within 100 ms over the wide area; no view changes"
 
@@ -290,13 +256,7 @@ let e2 () =
 let e3 () =
   section "E3" "Continuous operation (paper: 30 h); latency over time";
   let duration = if scale_full then hours 30 else minutes 30 in
-  let cfg =
-    {
-      (Spire.System.default_config ()) with
-      Spire.System.intra_domains = (if intra_par_set then intra_par else 1);
-    }
-  in
-  let sys, r = Spire.Scenarios.fault_free ~config:cfg ~duration_us:duration () in
+  let sys, r = Spire.Scenarios.fault_free ~duration_us:duration () in
   let bucket = duration / 10 in
   let table =
     Stats.Table.create ~title:"per-interval latency (time buckets)"

@@ -248,15 +248,16 @@ let e13_sweep ~scale_full () =
    - the merged digest, which must be byte-identical at every domain
      count (the pool's determinism contract: index-addressed results,
      per-instance seeds from Rng.derive) — a mismatch fails the run;
-   - instances/sec per domain count, the scaling curve. The >= 3x
-     speedup gate at 4 domains only fires when the machine actually
-     has >= 4 cores; on smaller hosts the curve is recorded but the
-     assertion is vacuous (domains can't beat cores). *)
+   - instances/sec per domain count, the scaling curve. A domain count
+     above the host's cores is still run (its digest is checked) but its
+     timing is recorded as "not_measured": oversubscribed domains
+     measure the host, not the runner. The >= 3x speedup gate at 4
+     domains only fires when the machine actually has >= 4 cores. *)
 
 type par_point = {
   par_domains : int;
-  par_wall_s : float;
-  instances_per_sec : float;
+  par_wall_s : float option; (* None when [par_domains > cores] *)
+  instances_per_sec : float option;
   par_digest : string;
 }
 
@@ -296,17 +297,24 @@ let e8_par_sweep () =
             (Cryptosim.Digest.of_string
                (String.concat ";" (Array.to_list results)))
         in
+        let measured = domains <= cores in
         let p =
           {
             par_domains = domains;
-            par_wall_s = wall;
-            instances_per_sec = float_of_int jobs /. wall;
+            par_wall_s = (if measured then Some wall else None);
+            instances_per_sec =
+              (if measured then Some (float_of_int jobs /. wall) else None);
             par_digest = digest;
           }
         in
-        Printf.printf
-          "    domains=%d wall=%6.2fs instances/sec=%5.2f digest=%s\n%!"
-          domains wall p.instances_per_sec digest;
+        if measured then
+          Printf.printf
+            "    domains=%d wall=%6.2fs instances/sec=%5.2f digest=%s\n%!"
+            domains wall (float_of_int jobs /. wall) digest
+        else
+          Printf.printf
+            "    domains=%d wall=not_measured (> %d cores) digest=%s\n%!"
+            domains cores digest;
         p)
       [ 1; 2; 4; 8 ]
   in
@@ -326,8 +334,10 @@ let e8_par_sweep () =
     Printf.printf "  merged digests identical across 1/2/4/8 domains\n%!");
   let gate =
     if cores >= 4 then begin
-      let at n = List.find (fun p -> p.par_domains = n) points in
-      let speedup = (at 4).instances_per_sec /. (at 1).instances_per_sec in
+      let at n =
+        Option.get (List.find (fun p -> p.par_domains = n) points).instances_per_sec
+      in
+      let speedup = at 4 /. at 1 in
       Printf.printf "  par speedup at 4 domains: %.2fx\n%!" speedup;
       if speedup < 3. then begin
         Printf.printf
@@ -346,128 +356,6 @@ let e8_par_sweep () =
     end
   in
   (cores, gate, points)
-
-(* ------------------------------------------------------------------ *)
-(* Intra-instance scaling curve: ONE E2 instance with its site shards
-   executed by the conservative window scheduler on 1/2/4/8 domains
-   (1 = the plain sequential engine, the speedup baseline). Recorded:
-
-   - a digest over confirmed count / view / engine event count /
-     per-kind wire ledger / WAN crossing ledger, which must be
-     byte-identical at every domain count — the scheduler's
-     bit-identical-trajectory contract; a mismatch hard-fails the run;
-   - events/sec per domain count. The >= 2x speedup gate at 4 domains
-     only fires when the machine has >= 4 cores; smaller hosts record
-     the curve with the gate marked "skipped". *)
-
-type intra_point = {
-  i_domains : int;
-  i_wall_s : float;
-  i_events_per_sec : float;
-  i_windows : int;
-  i_digest : string;
-}
-
-let e2_intra_par ~scale_full () =
-  let cores = Sim.Parallel.default_domains () in
-  let duration = if scale_full then hours 1 else minutes 5 in
-  Printf.printf
-    "  E2 intra-par curve: one instance, site shards on 1/2/4/8 domains, \
-     cores=%d\n%!"
-    cores;
-  let points =
-    List.map
-      (fun domains ->
-        let cfg =
-          {
-            (Spire.System.default_config ()) with
-            Spire.System.intra_domains = domains;
-          }
-        in
-        let t0 = Unix.gettimeofday () in
-        let sys, r = Spire.Scenarios.fault_free ~config:cfg ~duration_us:duration () in
-        let wall = Unix.gettimeofday () -. t0 in
-        let events = Sim.Engine.processed (Spire.System.engine sys) in
-        let ledger =
-          String.concat ";"
-            (List.map
-               (fun (kind, frames, bytes) ->
-                 Printf.sprintf "%s=%d/%d" kind frames bytes)
-               (Spire.System.wire_traffic sys))
-        in
-        let wan =
-          String.concat ";"
-            (List.map
-               (fun (c : Sim.Shard.crossing) ->
-                 Printf.sprintf "%d>%d=%d/%d" c.Sim.Shard.src_shard
-                   c.Sim.Shard.dst_shard c.Sim.Shard.frames c.Sim.Shard.bytes)
-               (Overlay.Net.wan_crossings (Spire.System.net sys)))
-        in
-        let digest =
-          Cryptosim.Digest.to_hex
-            (Cryptosim.Digest.of_string
-               (Printf.sprintf "confirmed=%d;views=%d;events=%d;%s;%s"
-                  r.Spire.Scenarios.confirmed r.Spire.Scenarios.max_view events
-                  ledger wan))
-        in
-        let windows =
-          match Spire.System.intra_stats sys with
-          | Some st -> st.Sim.Conservative.windows
-          | None -> 0
-        in
-        let p =
-          {
-            i_domains = domains;
-            i_wall_s = wall;
-            i_events_per_sec =
-              (if wall <= 0. then 0. else float_of_int events /. wall);
-            i_windows = windows;
-            i_digest = digest;
-          }
-        in
-        Printf.printf
-          "    domains=%d wall=%6.2fs events/sec=%9.0f windows=%d digest=%s\n%!"
-          domains wall p.i_events_per_sec windows digest;
-        p)
-      [ 1; 2; 4; 8 ]
-  in
-  (match points with
-  | [] -> ()
-  | first :: rest ->
-    List.iter
-      (fun p ->
-        if not (String.equal p.i_digest first.i_digest) then begin
-          Printf.printf
-            "PERF FAIL: E2 trajectory digest diverges at intra domains=%d (%s \
-             vs %s) — conservative scheduler broke bit-identity\n%!"
-            p.i_domains p.i_digest first.i_digest;
-          exit 1
-        end)
-      rest;
-    Printf.printf "  trajectory digests identical across 1/2/4/8 domains\n%!");
-  let gate =
-    if cores >= 4 then begin
-      let at n = List.find (fun p -> p.i_domains = n) points in
-      let speedup = (at 4).i_events_per_sec /. (at 1).i_events_per_sec in
-      Printf.printf "  intra-par speedup at 4 domains: %.2fx\n%!" speedup;
-      if speedup < 2. then begin
-        Printf.printf
-          "PERF FAIL: 4-domain intra speedup %.2fx below the 2x floor \
-           (cores=%d)\n%!"
-          speedup cores;
-        exit 1
-      end;
-      "passed"
-    end
-    else begin
-      Printf.printf
-        "  intra-par speedup gate skipped: %d core(s), need >= 4 — curve \
-         recorded, assertion vacuous\n%!"
-        cores;
-      "skipped"
-    end
-  in
-  (gate, points)
 
 (* ------------------------------------------------------------------ *)
 (* Codec microbenches: full encode vs measured size, manual loops.     *)
@@ -556,7 +444,7 @@ let existing_float key =
   end
 
 let write_json ~scale ~floor ~e12_floor ~cores ~e2 ~e3 ~e6 ~e8 ~e12 ~e13
-    ~par_gate ~par ~intra_gate ~intra ~micros =
+    ~par_gate ~par ~micros =
   let oc = open_out json_path in
   let p fmt = Printf.fprintf oc fmt in
   p "{\n";
@@ -633,30 +521,19 @@ let write_json ~scale ~floor ~e12_floor ~cores ~e2 ~e3 ~e6 ~e8 ~e12 ~e13
   let rec par_lines = function
     | [] -> ()
     | (pt : par_point) :: rest ->
+      let num fmt = function
+        | Some v -> Printf.sprintf fmt v
+        | None -> "\"not_measured\""
+      in
       p
-        "      { \"domains\": %d, \"wall_s\": %.2f, \"instances_per_sec\": \
-         %.2f, \"digest\": \"%s\" }%s\n"
-        pt.par_domains pt.par_wall_s pt.instances_per_sec pt.par_digest
+        "      { \"domains\": %d, \"wall_s\": %s, \"instances_per_sec\": \
+         %s, \"digest\": \"%s\" }%s\n"
+        pt.par_domains (num "%.2f" pt.par_wall_s)
+        (num "%.2f" pt.instances_per_sec) pt.par_digest
         (if rest = [] then "" else ",");
       par_lines rest
   in
   par_lines par;
-  p "    ]\n";
-  p "  },\n";
-  p "  \"e2_intra_par\": {\n";
-  p "    \"gate\": \"%s\",\n" intra_gate;
-  p "    \"points\": [\n";
-  let rec intra_lines = function
-    | [] -> ()
-    | (pt : intra_point) :: rest ->
-      p
-        "      { \"domains\": %d, \"wall_s\": %.2f, \"events_per_sec\": %.0f, \
-         \"windows\": %d, \"digest\": \"%s\" }%s\n"
-        pt.i_domains pt.i_wall_s pt.i_events_per_sec pt.i_windows pt.i_digest
-        (if rest = [] then "" else ",");
-      intra_lines rest
-  in
-  intra_lines intra;
   p "    ]\n";
   p "  },\n";
   p "  \"speedup_e3_wall_vs_pre_pr\": %.2f,\n" (pre_pr_e3_wall_s /. e3.wall_s);
@@ -682,7 +559,6 @@ let run ~scale_full () =
   let e12 = e12_fleet_sweep ~scale_full () in
   let e13 = e13_sweep ~scale_full () in
   let cores, par_gate, par = e8_par_sweep () in
-  let intra_gate, intra = e2_intra_par ~scale_full () in
   let micros = microbenches () in
   let floor =
     match existing_float "floor_events_per_sec" with
@@ -717,7 +593,7 @@ let run ~scale_full () =
       f
   in
   write_json ~scale:(if scale_full then "full" else "quick") ~floor ~e12_floor
-    ~cores ~e2 ~e3 ~e6 ~e8 ~e12 ~e13 ~par_gate ~par ~intra_gate ~intra ~micros;
+    ~cores ~e2 ~e3 ~e6 ~e8 ~e12 ~e13 ~par_gate ~par ~micros;
   Printf.printf "  wrote %s (E3 speedup vs pre-PR: %.2fx)\n%!" json_path
     (pre_pr_e3_wall_s /. e3.wall_s);
   (* The floors were measured at quick scale; only enforce them there. *)

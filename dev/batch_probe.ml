@@ -1,10 +1,11 @@
 (* One-point throughput probe for tuning the E8 batch sweep:
    SUBS=<n> BATCH=<b> DUR_S=<s> dune exec dev/batch_probe.exe *)
 
-let getenv_int name default =
-  match Sys.getenv_opt name with
-  | Some v -> (match int_of_string_opt v with Some i -> i | None -> default)
-  | None -> default
+let getenv_int =
+  Cli.env_int
+    ~usage:
+      "[SUBS=n] [BATCH=n] [DUR_S=n] [POLL_US=n] [WAN_BPS=n] [LAN_BPS=n] \
+       [MODE=flood] batch_probe.exe"
 
 let () =
   let substations = getenv_int "SUBS" 640 in

@@ -28,6 +28,14 @@ dune exec dev/telemetry_smoke.exe
 # cutover windows; agreement / epoch-safety / progress must stay green.
 dune exec dev/reconfig_soak.exe -- 3 7100
 
+# Dev probes reject garbage arguments: exit 2 with a usage line, never
+# an uncaught exception or a silent fall-back to the default.
+rc=0
+dune exec dev/reconfig_soak.exe -- x 2> /dev/null || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "reconfig_soak.exe -- x exited $rc, expected 2" && exit 1
+fi
+
 dune build --profile release
 EXPERIMENT=E2 MICRO=0 dune exec --profile release bench/main.exe
 EXPERIMENT=E6 MICRO=0 dune exec --profile release bench/main.exe

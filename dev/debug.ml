@@ -7,20 +7,10 @@
    replaced by the dispatcher's shifted argv (args.(0) is the case
    name, so positional indices are unchanged). *)
 
-(* Positional integer argument [i] ([default] when absent). A missing
-   required argument or a non-integer exits 2 with the case's usage
-   line, like the bench env knobs. *)
+(* Positional integer argument [i] ([default] when absent); garbage
+   exits 2 with the case's usage line. *)
 let int_arg ?default ~usage args i =
-  let fail why =
-    Printf.eprintf "%s\nusage: debug.exe %s\n" why usage;
-    exit 2
-  in
-  if i >= Array.length args then
-    match default with Some v -> v | None -> fail "missing argument"
-  else
-    match int_of_string_opt args.(i) with
-    | Some v -> v
-    | None -> fail (Printf.sprintf "not an integer: %S" args.(i))
+  Cli.int_arg ?default ~usage:("debug.exe " ^ usage) args i
 
 module Case_chaos = struct
   (* Quick chaos-harness driver: run N seeded soaks, print every report
@@ -230,9 +220,16 @@ module Case_loss2 = struct
     }
   
   let run (args : string array) =
-      ignore (args : string array);
-    let seed = try Int64.of_string args.(1) with _ -> 99L in
-    let loss = try float_of_string args.(2) with _ -> 0.10 in
+    let usage = "debug.exe loss2 [seed] [loss]" in
+    let seed = Cli.int64_arg ~default:99L ~usage args 1 in
+    let loss =
+      Cli.arg ~default:0.10 ~usage ~what:"a loss probability in [0, 1)"
+        (fun s ->
+          match float_of_string_opt s with
+          | Some p when p >= 0. && p < 1. -> Some p
+          | _ -> None)
+        args 2
+    in
     let engine = Sim.Engine.create ~seed () in
     let drop_rng = Sim.Engine.rng engine in
     let n = 6 in
@@ -675,58 +672,6 @@ module Case_system = struct
     done
 end
 
-module Case_par = struct
-  (* Conservative-lookahead parallel execution probe: one E2 instance
-     with its site shards on N domains, dumping per-shard processed
-     counts, heap high-water marks and the window scheduler's stall
-     statistics. Usage:
-       dune exec dev/debug.exe -- par [domains] [seconds]   *)
-
-  let run (args : string array) =
-    let usage = "par [domains] [seconds]" in
-    let domains = int_arg ~default:4 ~usage args 1 in
-    let seconds = int_arg ~default:10 ~usage args 2 in
-    let cfg =
-      { (Spire.System.default_config ()) with Spire.System.intra_domains = domains }
-    in
-    let t0 = Unix.gettimeofday () in
-    let sys, r =
-      Spire.Scenarios.fault_free ~config:cfg
-        ~duration_us:(seconds * 1_000_000) ()
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    let engine = Spire.System.engine sys in
-    let k = Sim.Engine.shards engine in
-    Printf.printf
-      "E2 %ds virtual on %d domain(s): confirmed=%d views=%d events=%d \
-       wall=%.2fs\n"
-      seconds domains r.Spire.Scenarios.confirmed r.Spire.Scenarios.max_view
-      (Sim.Engine.processed engine) wall;
-    Printf.printf "per-shard (0 = control heap):\n";
-    for s = 0 to k - 1 do
-      Printf.printf "  shard %d: processed=%8d heap-hi-water=%5d\n" s
-        (Sim.Engine.processed_of engine s)
-        (Sim.Engine.heap_hi_water engine s)
-    done;
-    (match Spire.System.intra_stats sys with
-    | None ->
-      Printf.printf
-        "scheduler: sequential engine (intra_domains <= 1 or telemetry on)\n"
-    | Some st ->
-      Printf.printf "scheduler: %s\n"
-        (Format.asprintf "%a" Sim.Conservative.pp_stats st);
-      Printf.printf "  lookahead=%dus\n" st.Sim.Conservative.lookahead_us;
-      Array.iteri
-        (fun s stalls ->
-          if s > 0 then
-            Printf.printf
-              "  stripe %d: stalled %d/%d windows, incoming lookahead %dus\n" s
-              stalls st.Sim.Conservative.windows
-              st.Sim.Conservative.incoming_lookahead_us.(s))
-        st.Sim.Conservative.stalls);
-    Printf.printf "%!"
-end
-
 module Case_adapt = struct
   (* Adaptive-resilience probe: one E13 arm under a chosen attack, with
      the knob-change journal dumped at the end. Usage:
@@ -775,7 +720,6 @@ let cases =
   [
     ("adapt", Case_adapt.run);
     ("chaos", Case_chaos.run);
-    ("par", Case_par.run);
     ("chaos2", Case_chaos2.run);
     ("e7", Case_e7.run);
     ("iso", Case_iso.run);

@@ -2,8 +2,7 @@
    fleet, print the roll-up stats and the wire ledger. Knobs:
    DEVICES (default 1000), CONC (default 4), DUR_S (default 10). *)
 
-let env_int name default =
-  match Sys.getenv_opt name with Some s -> int_of_string s | None -> default
+let env_int = Cli.env_int ~usage:"[DEVICES=n] [CONC=n] [DUR_S=n] fleet_probe.exe"
 
 let () =
   let devices = env_int "DEVICES" 1000 in

@@ -2,12 +2,9 @@
    during membership cutover windows. Exits nonzero on any violation.
    Usage: reconfig_soak [runs] [first_seed] *)
 let () =
-  let runs =
-    if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) else 3
-  in
-  let first_seed =
-    if Array.length Sys.argv > 2 then Int64.of_string Sys.argv.(2) else 7100L
-  in
+  let usage = "reconfig_soak.exe [runs] [first_seed]" in
+  let runs = Cli.int_arg ~default:3 ~usage Sys.argv 1 in
+  let first_seed = Cli.int64_arg ~default:7100L ~usage Sys.argv 2 in
   let failures = ref 0 in
   for i = 0 to runs - 1 do
     let seed = Int64.add first_seed (Int64.of_int i) in

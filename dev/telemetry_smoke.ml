@@ -7,8 +7,8 @@
 
 let () =
   let duration_us =
-    if Array.length Sys.argv > 1 then int_of_string Sys.argv.(1) * 1_000_000
-    else 10_000_000
+    Cli.int_arg ~default:10 ~usage:"telemetry_smoke.exe [seconds]" Sys.argv 1
+    * 1_000_000
   in
   let cfg =
     { (Spire.System.default_config ()) with Spire.System.telemetry = true }

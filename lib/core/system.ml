@@ -37,12 +37,6 @@ type config = {
   wire_debug : bool;
   telemetry : bool;
   telemetry_capacity : int;
-  intra_domains : int;
-      (* > 1 enables conservative-lookahead parallel execution of one
-         instance's site shards on that many OCaml domains; the
-         trajectory stays bit-identical to sequential. Falls back to
-         sequential when telemetry or wire_debug is on (their sinks are
-         engine-global). *)
   adaptive : bool;
       (* false (the default) disables the two-level resilience
          controller entirely: no Local/Global instances, no tick timer
@@ -93,7 +87,6 @@ let default_config () =
     wire_debug = false;
     telemetry = false;
     telemetry_capacity = 65536;
-    intra_domains = 1;
     adaptive = false;
     adapt_tick_us = 250_000;
     tweak_prime = Fun.id;
@@ -155,15 +148,11 @@ type t = {
   knobs : Control.Knobs.t;
   mutable locals : Control.Local.t array; (* empty unless cfg.adaptive *)
   mutable global_ctl : Control.Global.t option;
-  (* Wire accounting, striped by executing engine stripe
-     ({!Sim.Engine.exec_stripe}) so concurrent conservative-window
-     stripes never share a cell (the size memo in particular would be a
-     torn-pair race); totals are summed on read. Sequential execution
-     only ever touches stripe 0. *)
-  wire_frames : int array array; (* stripe -> Wire.Message.kind_index *)
-  wire_bytes : int array array;
-  size_memo_payload : payload array; (* per stripe: last measured payload *)
-  size_memo_bytes : int array;
+  (* Wire accounting, indexed by Wire.Message.kind_index. *)
+  wire_frames : int array;
+  wire_bytes : int array;
+  mutable size_memo_payload : payload; (* last measured payload *)
+  mutable size_memo_bytes : int;
   mutable wire_decode_errors : int;
   telemetry : Telemetry.Sink.t;
   (* --- Epoch-ed membership (online reconfiguration) --- *)
@@ -177,7 +166,7 @@ type t = {
   pending_reconfig : (int * Member.Reconfig.t) option array;
   mutable cutovers : (int * int * int) list;
       (* (epoch, boundary_exec, time_us), newest first *)
-  stale_epoch_frames : int array; (* per executing stripe; summed on read *)
+  mutable stale_epoch_frames : int;
   mutable epoch_violation : string option; (* latched, never cleared *)
   sessions : (int, join_session) Hashtbl.t; (* xfer_id -> session *)
   mutable next_xfer : int;
@@ -187,8 +176,6 @@ type t = {
   mutable make_member_instance :
     cert:Member.Cert.t -> rank:int -> global:int -> replica_instance;
   mutable epoch_listeners : (int -> unit) list;
-  mutable intra_stats : Sim.Conservative.stats option;
-      (* stats of the latest conservative-parallel [run] phase *)
 }
 
 let config t = t.cfg
@@ -295,11 +282,8 @@ let current_epoch t = t.cur_epoch
 let epoch_of_replica t r = t.epoch_of.(r)
 let replica_halted t r = instance_halted t r
 let current_members t = Array.to_list t.cur_members
-let stale_epoch_frames t = Array.fold_left ( + ) 0 t.stale_epoch_frames
-
-let bump_stale_epoch t =
-  let s = Sim.Engine.exec_stripe t.engine in
-  t.stale_epoch_frames.(s) <- t.stale_epoch_frames.(s) + 1
+let stale_epoch_frames t = t.stale_epoch_frames
+let bump_stale_epoch t = t.stale_epoch_frames <- t.stale_epoch_frames + 1
 let cutovers t = List.rev t.cutovers
 let epoch_violation t = t.epoch_violation
 let on_epoch_change t f = t.epoch_listeners <- f :: t.epoch_listeners
@@ -487,20 +471,18 @@ let rec trace_of_payload payload =
    once per n-1-way broadcast. Per-kind totals live in preallocated
    counter arrays indexed by Wire.Message.kind_index. *)
 let send_payload t ~src_node ~dst_node payload =
-  let stripe = Sim.Engine.exec_stripe t.engine in
   let size_bytes =
-    if payload == t.size_memo_payload.(stripe) then t.size_memo_bytes.(stripe)
+    if payload == t.size_memo_payload then t.size_memo_bytes
     else begin
       let s = Wire.Envelope.size ~sender:src_node payload in
-      t.size_memo_payload.(stripe) <- payload;
-      t.size_memo_bytes.(stripe) <- s;
+      t.size_memo_payload <- payload;
+      t.size_memo_bytes <- s;
       s
     end
   in
   let k = Wire.Message.kind_index payload in
-  let wf = t.wire_frames.(stripe) and wb = t.wire_bytes.(stripe) in
-  wf.(k) <- wf.(k) + 1;
-  wb.(k) <- wb.(k) + size_bytes;
+  t.wire_frames.(k) <- t.wire_frames.(k) + 1;
+  t.wire_bytes.(k) <- t.wire_bytes.(k) + size_bytes;
   let trace =
     if Telemetry.Sink.enabled t.telemetry then trace_of_payload payload
     else Telemetry.Span.no_trace
@@ -510,7 +492,7 @@ let send_payload t ~src_node ~dst_node payload =
 
 (* Field-link frames (the device <-> concentrator last mile) never ride
    the overlay — devices are not overlay nodes — but they are real wire
-   traffic, so they are charged into the same striped per-kind ledger at
+   traffic, so they are charged into the same per-kind ledger at
    exact envelope size as every protocol frame. *)
 let charge_field_frame t ~node (frame : Field.Concentrator.frame) =
   let payload =
@@ -518,24 +500,17 @@ let charge_field_frame t ~node (frame : Field.Concentrator.frame) =
     | `Advert a -> Field_advert a
     | `Report r -> Field_report r
   in
-  let stripe = Sim.Engine.exec_stripe t.engine in
   let size_bytes = Wire.Envelope.size ~sender:node payload in
   let k = Wire.Message.kind_index payload in
-  let wf = t.wire_frames.(stripe) and wb = t.wire_bytes.(stripe) in
-  wf.(k) <- wf.(k) + 1;
-  wb.(k) <- wb.(k) + size_bytes
+  t.wire_frames.(k) <- t.wire_frames.(k) + 1;
+  t.wire_bytes.(k) <- t.wire_bytes.(k) + size_bytes
 
 let wire_traffic t =
-  let stripes = Array.length t.wire_frames in
   let acc = ref [] in
   for k = Wire.Message.kind_count - 1 downto 0 do
-    let frames = ref 0 and bytes = ref 0 in
-    for s = 0 to stripes - 1 do
-      frames := !frames + t.wire_frames.(s).(k);
-      bytes := !bytes + t.wire_bytes.(s).(k)
-    done;
-    if !frames > 0 then
-      acc := (Wire.Message.kind_name k, !frames, !bytes) :: !acc
+    let frames = t.wire_frames.(k) in
+    if frames > 0 then
+      acc := (Wire.Message.kind_name k, frames, t.wire_bytes.(k)) :: !acc
   done;
   List.sort
     (fun (ka, _, ba) (kb, _, bb) ->
@@ -1492,21 +1467,15 @@ let create cfg =
       knobs = Control.Knobs.create ();
       locals = [||];
       global_ctl = None;
-      wire_frames =
-        Array.init (Sim.Engine.shards engine) (fun _ ->
-            Array.make Wire.Message.kind_count 0);
-      wire_bytes =
-        Array.init (Sim.Engine.shards engine) (fun _ ->
-            Array.make Wire.Message.kind_count 0);
-      (* Fresh dummy payloads: physically distinct from anything ever
-         sent, so each stripe's first real send always misses its
-         memo. *)
+      wire_frames = Array.make Wire.Message.kind_count 0;
+      wire_bytes = Array.make Wire.Message.kind_count 0;
+      (* A fresh dummy payload: physically distinct from anything ever
+         sent, so the first real send always misses the memo. *)
       size_memo_payload =
-        Array.init (Sim.Engine.shards engine) (fun _ ->
-            Client_update
-              (Bft.Update.create ~client:0 ~client_seq:0 ~operation:""
-                 ~submitted_us:0));
-      size_memo_bytes = Array.make (Sim.Engine.shards engine) 0;
+        Client_update
+          (Bft.Update.create ~client:0 ~client_seq:0 ~operation:""
+             ~submitted_us:0);
+      size_memo_bytes = 0;
       wire_decode_errors = 0;
       telemetry = sink;
       directory;
@@ -1517,7 +1486,7 @@ let create cfg =
       cur_members = identity;
       pending_reconfig = Array.make universe None;
       cutovers = [];
-      stale_epoch_frames = Array.make (Sim.Engine.shards engine) 0;
+      stale_epoch_frames = 0;
       epoch_violation = None;
       sessions = Hashtbl.create 7;
       next_xfer = 1000;
@@ -1528,7 +1497,6 @@ let create cfg =
         (fun ~cert:_ ~rank:_ ~global:_ ->
           failwith "System: make_member_instance used before create finished");
       epoch_listeners = [];
-      intra_stats = None;
     }
   in
   (* Derive a TAT bound from the network diameter: twice the worst
@@ -1879,36 +1847,7 @@ let start t =
         : Sim.Engine.timer)
 
 let run t ~duration_us =
-  let until_us = Sim.Engine.now t.engine + duration_us in
-  (* Telemetry sinks and the wire-debug tap are engine-global mutable
-     state written from every stripe; the conservative scheduler has no
-     striped story for them, so those configs stay on the (identical)
-     sequential path. *)
-  if
-    t.cfg.intra_domains > 1
-    && (not t.cfg.telemetry) && (not t.cfg.wire_debug)
-    && not t.cfg.adaptive
-  then begin
-    let part_min = Overlay.Net.shard_min_latency t.net in
-    let k = Array.length part_min in
-    let shards = Sim.Engine.shards t.engine in
-    (* Engine stripe [s >= 1] hosts partition shard [s - 1]; row and
-       column 0 (control heap) are ignored by the scheduler. *)
-    let m =
-      Array.init shards (fun a ->
-          Array.init shards (fun b ->
-              if a = 0 || b = 0 || a > k || b > k then max_int
-              else part_min.(a - 1).(b - 1)))
-    in
-    let stats =
-      Sim.Conservative.run ~domains:t.cfg.intra_domains t.engine
-        ~min_latency_us:m ~until_us
-    in
-    t.intra_stats <- Some stats
-  end
-  else Sim.Engine.run t.engine ~until_us
-
-let intra_stats t = t.intra_stats
+  Sim.Engine.run t.engine ~until_us:(Sim.Engine.now t.engine + duration_us)
 
 (* ------------------------------------------------------------------ *)
 (* Online reconfiguration entry points.                                *)

@@ -83,13 +83,6 @@ type config = {
           default — the disabled hot path costs one bool/int compare
           per potential span *)
   telemetry_capacity : int;  (** finished-span ring bound (see {!Telemetry.Sink.create}) *)
-  intra_domains : int;
-      (** [> 1] makes {!run} execute this instance's site shards
-          concurrently on that many OCaml domains via
-          {!Sim.Conservative} — the trajectory stays bit-identical to
-          sequential execution. Falls back to the sequential engine
-          when [telemetry] or [wire_debug] is on (their sinks are
-          engine-global). Default [1]. *)
   adaptive : bool;
       (** enable the two-level adaptive-resilience controller
           ({!Control.Local} per replica + one {!Control.Global}), ticking
@@ -98,8 +91,7 @@ type config = {
           observable, arms no timer and draws no randomness, so the
           trajectory is bit-identical to a build without [lib/control].
           The controller senses through the telemetry sink — enable
-          [telemetry] for it to see anything. Forces sequential {!run}
-          (the sink is engine-global). *)
+          [telemetry] for it to see anything. *)
   adapt_tick_us : int;
       (** controller sampling cadence; default 250 ms *)
   tweak_prime : Prime.Replica.config -> Prime.Replica.config;
@@ -120,16 +112,8 @@ val create : config -> t
 (** [start t] arms every component (replicas, proxies, HMIs). *)
 val start : t -> unit
 
-(** [run t ~duration_us] advances virtual time. With
-    [config.intra_domains > 1] (and telemetry / wire-debug off) the
-    advance runs the site shards concurrently under the conservative
-    window scheduler; results are bit-identical either way. *)
+(** [run t ~duration_us] advances virtual time by [duration_us]. *)
 val run : t -> duration_us:int -> unit
-
-(** [intra_stats t] — scheduler statistics of the latest
-    conservative-parallel {!run} phase, [None] if every run so far was
-    sequential. *)
-val intra_stats : t -> Sim.Conservative.stats option
 
 val engine : t -> Sim.Engine.t
 val config : t -> config

@@ -82,8 +82,7 @@ type 'a t = {
   part : Sim.Shard.partition;
   (* Inter-shard (WAN) ledger: every frame copy enqueued onto a link
      whose endpoints are owned by different shards is recorded here —
-     the traffic a real deployment pays WAN bandwidth for, and the
-     coupling a future parallel engine must synchronise on. *)
+     the traffic a real deployment pays WAN bandwidth for. *)
   boundary : Sim.Shard.boundary;
   (* Per-node state is grouped by owning shard ({!Sim.Shard.owned}):
      each node's outgoing-link row, route-cache row, handler and dedup
@@ -113,26 +112,17 @@ type 'a t = {
   seen : Dedup_cache.t Sim.Shard.owned; (* per node: flooded frame ids seen *)
   delivered_ids : Dedup_cache.t Sim.Shard.owned;
       (* per node: dedup'd frame ids delivered *)
-  (* Global statistics and the frame-id allocator, striped by the
-     executing engine stripe ({!Sim.Engine.exec_stripe}) so concurrent
-     conservative-window stripes never write the same cell; totals are
-     summed on read. Sequential execution uses cell 0 only. Frame ids
-     are allocated as [local * stripe_count + stripe] — unique across
-     stripes, and behaviourally interchangeable with the sequential
-     0,1,2,... allocation because ids are only ever compared for
-     equality (dedup caches), never ordered or printed. *)
-  stripe_stats : counters array;
+  (* Global statistics and the frame-id allocator: ids are dense,
+     0, 1, 2, ... in submit order. *)
+  ctrs : counters;
   per_source_cap : int;
   (* Route caches: shortest paths and disjoint path sets are stable
      between topology state changes (kill/restore); recomputing them
      per frame dominates CPU otherwise. [row.(dst)] of [src]'s row is
      [None] when not yet computed. *)
   route_cache : Topology.node list option option array Sim.Shard.owned;
-  kpath_cache : (int, Topology.node list list) Hashtbl.t array;
-      (* key = (src * nodes + dst) * 1024 + min k 1023; one table per
-         executing stripe (a [Redundant] submit always runs on the
-         source's stripe, or serially on the control plane), since a
-         shared Hashtbl would be corrupted by concurrent inserts *)
+  kpath_cache : (int, Topology.node list list) Hashtbl.t;
+      (* key = (src * nodes + dst) * 1024 + min k 1023 *)
   mutable telemetry : Telemetry.Sink.t;
   queue_spans : (int, int) Hashtbl.t;
       (* open Net_queue span per queued traced frame, keyed by
@@ -157,10 +147,6 @@ and counters = {
   mutable c_dropped_bytes : int;
 }
 
-(* The executing stripe's counter cell — the only cell the calling
-   domain may write. *)
-let ctrs t = t.stripe_stats.(Sim.Engine.exec_stripe t.engine)
-
 let norm_idx t a b = if a < b then (a * t.nodes) + b else (b * t.nodes) + a
 
 let create ?(per_source_cap = 64) ?partition engine topo () =
@@ -173,7 +159,6 @@ let create ?(per_source_cap = 64) ?partition engine topo () =
       p
     | None -> Sim.Shard.singleton ~nodes:n
   in
-  let stripes = max 1 (Sim.Engine.shards engine) in
   let t =
     {
       engine;
@@ -191,26 +176,25 @@ let create ?(per_source_cap = 64) ?partition engine topo () =
       handlers = Sim.Shard.init part (fun _ -> None);
       seen = Sim.Shard.init part (fun _ -> Dedup_cache.create ());
       delivered_ids = Sim.Shard.init part (fun _ -> Dedup_cache.create ());
-      stripe_stats =
-        Array.init stripes (fun _ ->
-            {
-              c_frame_seq = 0;
-              c_submitted = 0;
-              c_delivered = 0;
-              c_duplicates_suppressed = 0;
-              c_dropped_queue_full = 0;
-              c_dropped_link_down = 0;
-              c_dropped_no_route = 0;
-              c_dropped_arq_exhausted = 0;
-              c_dropped_retired_src = 0;
-              c_junk_frames = 0;
-              c_submitted_bytes = 0;
-              c_delivered_bytes = 0;
-              c_dropped_bytes = 0;
-            });
+      ctrs =
+        {
+          c_frame_seq = 0;
+          c_submitted = 0;
+          c_delivered = 0;
+          c_duplicates_suppressed = 0;
+          c_dropped_queue_full = 0;
+          c_dropped_link_down = 0;
+          c_dropped_no_route = 0;
+          c_dropped_arq_exhausted = 0;
+          c_dropped_retired_src = 0;
+          c_junk_frames = 0;
+          c_submitted_bytes = 0;
+          c_delivered_bytes = 0;
+          c_dropped_bytes = 0;
+        };
       per_source_cap;
       route_cache = Sim.Shard.init part (fun _ -> Array.make n None);
-      kpath_cache = Array.init stripes (fun _ -> Hashtbl.create 997);
+      kpath_cache = Hashtbl.create 997;
       telemetry = Telemetry.Sink.null;
       queue_spans = Hashtbl.create 64;
     }
@@ -278,21 +262,21 @@ let link_state t a b =
    flattened per-node arrays. *)
 let deliver t node frame ~hops =
   if frame.src < 0 || frame.src >= t.nodes || t.retired.(frame.src) then begin
-    let c = ctrs t in
+    let c = t.ctrs in
     c.c_dropped_retired_src <- c.c_dropped_retired_src + 1;
     c.c_dropped_bytes <- c.c_dropped_bytes + frame.size_bytes
   end
   else if
     frame.dedup && Dedup_cache.seen (Sim.Shard.get t.delivered_ids node) frame.id
   then begin
-    let c = ctrs t in
+    let c = t.ctrs in
     c.c_duplicates_suppressed <- c.c_duplicates_suppressed + 1
   end
   else begin
     match frame.content with
     | Junk _ -> ()
     | Payload payload ->
-      let c = ctrs t in
+      let c = t.ctrs in
       c.c_delivered <- c.c_delivered + 1;
       c.c_delivered_bytes <- c.c_delivered_bytes + frame.size_bytes;
       (match Sim.Shard.get t.handlers node with
@@ -339,9 +323,8 @@ and transmit_frame t u v ls frame attempt =
      so those timers are tagged with [u]'s shard; the propagation leg
      ends in [arrive], which mutates [v]-owned state (dedup caches,
      handlers, onward queues), so it is tagged with [v]'s shard. The
-     tags never affect sequential event order — keys are engine-global —
-     but under conservative windows they are what routes each callback
-     to the domain that owns the state it touches. *)
+     tags never affect event order — keys are engine-global — they only
+     attribute each callback to the site whose state it touches. *)
   let shard = Sim.Shard.engine_shard t.part u in
   let dst_shard = Sim.Shard.engine_shard t.part v in
   let tx_us = max 1 (frame.size_bytes * 1_000_000 / ls.bandwidth_bps) in
@@ -361,18 +344,7 @@ and transmit_frame t u v ls frame attempt =
          in
          let lost =
            ls.loss_probability > 0.
-           && begin
-                (* The loss draw consumes the shared net RNG stream —
-                   fine serially, a determinism-breaking race across
-                   window stripes. System refuses to enable parallel
-                   windows for lossy scenarios; this guard catches any
-                   path around that gate. *)
-                if Sim.Engine.exec_stripe t.engine > 0 then
-                  failwith
-                    "Net: lossy links are not supported inside a parallel \
-                     window (loss draws share one RNG stream)";
-                Sim.Rng.bernoulli t.rng ls.loss_probability
-              end
+           && Sim.Rng.bernoulli t.rng ls.loss_probability
          in
          if lost && attempt < max_retransmissions then begin
            (* The sender detects the loss after ~one round trip and
@@ -396,17 +368,11 @@ and transmit_frame t u v ls frame attempt =
              (* All ARQ attempts failed: the frame is gone for good.
                 Surface the drop in stats and keep the queue draining —
                 a hot-loss link must not wedge its fair queue. *)
-             let c = ctrs t in
+             let c = t.ctrs in
              c.c_dropped_arq_exhausted <- c.c_dropped_arq_exhausted + 1;
              c.c_dropped_bytes <- c.c_dropped_bytes + frame.size_bytes
            end
            else begin
-             (* Ledger the observed cross-shard hop delay: the
-                conservative lookahead is only sound while this never
-                undercuts the advertised per-link latency floor. *)
-             Sim.Shard.record_delay t.boundary
-               ~src_shard:(Sim.Shard.owner_of t.part u)
-               ~dst_shard:(Sim.Shard.owner_of t.part v) ~delay_us:prop;
              let prop_sid =
                if traced t frame then
                  open_hop_span t ~phase:Telemetry.Span.Net_propagate ~node:u
@@ -427,7 +393,7 @@ and transmit_frame t u v ls frame attempt =
 (* Frame arrives at node v over link (u,v). *)
 and arrive t u v frame =
   if not (usable t u v) then begin
-    let c = ctrs t in
+    let c = t.ctrs in
     c.c_dropped_link_down <- c.c_dropped_link_down + 1;
     c.c_dropped_bytes <- c.c_dropped_bytes + frame.size_bytes
   end
@@ -437,7 +403,7 @@ and arrive t u v frame =
       if Dedup_cache.seen (Sim.Shard.get t.seen v) frame.id then begin
         (* A later copy of a frame [v] already has: constrained
            flooding drops it here, before [deliver]. *)
-        let c = ctrs t in
+        let c = t.ctrs in
         c.c_duplicates_suppressed <- c.c_duplicates_suppressed + 1
       end
       else begin
@@ -464,12 +430,12 @@ and arrive t u v frame =
             if usable t v hop then
               enqueue t v hop { frame with route = Path rest; hops }
             else begin
-              let c = ctrs t in
+              let c = t.ctrs in
               c.c_dropped_link_down <- c.c_dropped_link_down + 1;
               c.c_dropped_bytes <- c.c_dropped_bytes + frame.size_bytes
             end)
         | _ ->
-          let c = ctrs t in
+          let c = t.ctrs in
           c.c_dropped_link_down <- c.c_dropped_link_down + 1;
           c.c_dropped_bytes <- c.c_dropped_bytes + frame.size_bytes)
 
@@ -494,14 +460,14 @@ and enqueue t u v frame =
     maybe_transmit t u v
   end
   else begin
-    let c = ctrs t in
+    let c = t.ctrs in
     c.c_dropped_queue_full <- c.c_dropped_queue_full + 1;
     c.c_dropped_bytes <- c.c_dropped_bytes + frame.size_bytes
   end
 
 let invalidate_routes t =
   Sim.Shard.iter (fun _ row -> Array.fill row 0 (Array.length row) None) t.route_cache;
-  Array.iter Hashtbl.reset t.kpath_cache
+  Hashtbl.reset t.kpath_cache
 
 let cached_shortest t ~src ~dst =
   let row = Sim.Shard.get t.route_cache src in
@@ -514,23 +480,21 @@ let cached_shortest t ~src ~dst =
 
 let cached_disjoint t ~src ~dst ~k =
   let key = (((src * t.nodes) + dst) * 1024) + min k 1023 in
-  let cache = t.kpath_cache.(Sim.Engine.exec_stripe t.engine) in
-  match Hashtbl.find_opt cache key with
+  match Hashtbl.find_opt t.kpath_cache key with
   | Some paths -> paths
   | None ->
     let paths = Routing.disjoint_paths t.topo ~usable:(usable t) ~src ~dst ~k in
-    Hashtbl.replace cache key paths;
+    Hashtbl.replace t.kpath_cache key paths;
     paths
 
 let fresh_id t =
-  let s = Sim.Engine.exec_stripe t.engine in
-  let c = t.stripe_stats.(s) in
-  let id = (c.c_frame_seq * Array.length t.stripe_stats) + s in
-  c.c_frame_seq <- c.c_frame_seq + 1;
+  let c = t.ctrs in
+  let id = c.c_frame_seq in
+  c.c_frame_seq <- id + 1;
   id
 
 let submit t ~priority ~size_bytes ~src ~dst ~mode ~trace content =
-  let c = ctrs t in
+  let c = t.ctrs in
   c.c_submitted <- c.c_submitted + 1;
   c.c_submitted_bytes <- c.c_submitted_bytes + size_bytes;
   (match content with
@@ -735,43 +699,19 @@ let current_route t ~src ~dst =
 let estimated_latency_us t ~src ~dst =
   Option.map (Routing.path_latency_us t.topo) (current_route t ~src ~dst)
 
-(* Minimum cross-shard direct-link latency floors, indexed by partition
-   shard pair ([max_int] where no direct link joins the pair). Sound as
-   a per-event bound for relayed routes too: frames move hop by hop, and
-   each hop's arrival is (re)scheduled on the receiving node's shard
-   with at least that hop's link latency — so every cross-shard event
-   transfer is bounded below by the direct-link floor of the pair it
-   actually crosses. [set_latency_factor] only inflates delays (factor
-   >= 1.0 enforced) and links are never added at runtime, so the floors
-   are static for a topology. *)
-let shard_min_latency t =
-  let k = Sim.Shard.shards t.part in
-  let m = Array.make_matrix k k max_int in
-  List.iter
-    (fun (link : Topology.link) ->
-      let sa = Sim.Shard.owner_of t.part link.Topology.endpoint_a in
-      let sb = Sim.Shard.owner_of t.part link.Topology.endpoint_b in
-      if sa <> sb then begin
-        let l = link.Topology.latency_us in
-        if l < m.(sa).(sb) then m.(sa).(sb) <- l;
-        if l < m.(sb).(sa) then m.(sb).(sa) <- l
-      end)
-    (Topology.links t.topo);
-  m
-
 let stats t =
-  let sum f = Array.fold_left (fun acc c -> acc + f c) 0 t.stripe_stats in
+  let c = t.ctrs in
   {
-    submitted = sum (fun c -> c.c_submitted);
-    delivered = sum (fun c -> c.c_delivered);
-    duplicates_suppressed = sum (fun c -> c.c_duplicates_suppressed);
-    dropped_queue_full = sum (fun c -> c.c_dropped_queue_full);
-    dropped_link_down = sum (fun c -> c.c_dropped_link_down);
-    dropped_no_route = sum (fun c -> c.c_dropped_no_route);
-    dropped_arq_exhausted = sum (fun c -> c.c_dropped_arq_exhausted);
-    dropped_retired_src = sum (fun c -> c.c_dropped_retired_src);
-    junk_frames = sum (fun c -> c.c_junk_frames);
-    submitted_bytes = sum (fun c -> c.c_submitted_bytes);
-    delivered_bytes = sum (fun c -> c.c_delivered_bytes);
-    dropped_bytes = sum (fun c -> c.c_dropped_bytes);
+    submitted = c.c_submitted;
+    delivered = c.c_delivered;
+    duplicates_suppressed = c.c_duplicates_suppressed;
+    dropped_queue_full = c.c_dropped_queue_full;
+    dropped_link_down = c.c_dropped_link_down;
+    dropped_no_route = c.c_dropped_no_route;
+    dropped_arq_exhausted = c.c_dropped_arq_exhausted;
+    dropped_retired_src = c.c_dropped_retired_src;
+    junk_frames = c.c_junk_frames;
+    submitted_bytes = c.c_submitted_bytes;
+    delivered_bytes = c.c_delivered_bytes;
+    dropped_bytes = c.c_dropped_bytes;
   }

@@ -70,10 +70,8 @@ type stats = {
     ({!Sim.Shard.engine_shard}) owning the state they mutate — transmit
     and ARQ legs with the transmitting node's, the propagation/arrival
     leg with the receiving node's. The partition never affects
-    {e sequential} behaviour — event order, delivery, stats are
-    bit-identical for any partition — it makes ownership and WAN
-    coupling explicit, which is what lets {!Sim.Conservative} run the
-    shards concurrently with the same bit-identical trajectory.
+    behaviour — event order, delivery, stats are bit-identical for any
+    partition — it makes ownership and WAN coupling explicit.
     @raise Invalid_argument if the partition's node count differs from
     the topology's. *)
 val create :
@@ -101,18 +99,6 @@ val wan_crossings : 'a t -> Sim.Shard.crossing list
 val wan_frames : 'a t -> int
 
 val wan_bytes : 'a t -> int
-
-(** [shard_min_latency t] is the static matrix of minimum cross-shard
-    link latencies, indexed by partition shard pair: [m.(a).(b)] is the
-    smallest [latency_us] over direct links joining a node owned by [a]
-    to one owned by [b], or [max_int] when no such link exists. This is
-    a sound lower bound on every cross-shard {e event} delay — frames
-    travel hop by hop and each hop's arrival is scheduled on the
-    receiving node's shard no earlier than its link's latency
-    ([set_latency_factor] only inflates; links are never added at
-    runtime) — and is what {!Sim.Conservative} derives its lookahead
-    window from. *)
-val shard_min_latency : 'a t -> int array array
 
 (** [set_handler t node f] installs the delivery callback for [node];
     replaces any previous handler. *)

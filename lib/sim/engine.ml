@@ -25,7 +25,6 @@ type t = {
   mutable processed : int;
   processed_by : int array; (* per-shard executed-event counters *)
   mutable cancelled_queued : int; (* cancelled entries still queued, all heaps *)
-  mutable par_mode : bool; (* a conservative window is currently open *)
 }
 
 and timer = {
@@ -36,40 +35,7 @@ and timer = {
   mutable next_at : int; (* scheduled firing time (cadence anchor) *)
   mutable cancelled : bool;
   mutable queued : bool; (* currently has an entry in a heap *)
-  mutable key_seq : int; (* tie-break seq of the latest push; -1 = staged *)
 }
-
-(* Conservative-window execution state, one per heap ("stripe"). During
-   a window each stripe is driven by exactly one domain; everything a
-   stripe does is staged into its ctx and folded back into the engine at
-   the barrier, single-threaded, in the exact sequential order. *)
-type par_ctx = {
-  ctx_engine : t;
-  stripe : int;
-  mutable local_clock : int; (* virtual time of the executing event *)
-  mutable window_end : int; (* exclusive bound on event times this window *)
-  mutable prov_next : int; (* provisional seqs handed out this window *)
-  mutable cur_ops : timer list; (* reversed ops of the executing entry *)
-  mutable log_rev : log_entry list; (* reversed executed-entry log *)
-  mutable cross_cancels : timer list; (* cancels of other stripes' timers *)
-  mutable cancelled_delta : int; (* net cancelled-queued delta, own heap *)
-  mutable executed : int; (* events executed this window *)
-}
-
-(* One executed event: its pop key plus every schedule it performed, in
-   program order (a periodic re-arm is recorded as the last op). The
-   per-stripe log is the single-producer/single-consumer channel between
-   the stripe's domain and the barrier merge on the main domain. *)
-and log_entry = { le_time : int; le_seq : int; le_ops : timer list }
-
-(* Provisional tie-break seqs for in-window pushes: above every real seq
-   the engine can allocate, so a provisional entry always sorts after
-   pre-window entries at the same timestamp — exactly where a fresh
-   sequential push would sort. *)
-let prov_base = max_int / 2
-
-let par_key : par_ctx option Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> None)
 
 let create ?(seed = 0xC0FFEEL) ?(shards = 1) () =
   if shards < 1 then invalid_arg "Engine.create: shards < 1";
@@ -81,33 +47,10 @@ let create ?(seed = 0xC0FFEEL) ?(shards = 1) () =
     processed = 0;
     processed_by = Array.make shards 0;
     cancelled_queued = 0;
-    par_mode = false;
   }
 
-(* The ctx of the calling domain, when it is executing a window stripe
-   of [t]. Checked against the engine identity so independent engines on
-   other domains (the Parallel sweep runner) are unaffected. *)
-let cur_ctx t =
-  if t.par_mode then
-    match Domain.DLS.get par_key with
-    | Some c when c.ctx_engine == t -> Some c
-    | _ -> None
-  else None
-
-let in_window t = match cur_ctx t with Some _ -> true | None -> false
-
-let now t =
-  if t.par_mode then
-    match Domain.DLS.get par_key with
-    | Some c when c.ctx_engine == t -> c.local_clock
-    | _ -> t.clock_us
-  else t.clock_us
-
-let rng t =
-  if in_window t then
-    failwith "Engine.rng: cannot derive streams inside a parallel window";
-  Rng.split t.root_rng
-
+let now t = t.clock_us
+let rng t = Rng.split t.root_rng
 let shards t = Array.length t.heaps
 
 (* Out-of-range shard tags fall back to the control heap: callers built
@@ -118,31 +61,11 @@ let clamp_shard t shard =
 
 let push_timer t tm =
   let seq = t.next_seq in
-  tm.key_seq <- seq;
   Event_heap.push_keyed t.heaps.(tm.shard) ~time:tm.next_at ~seq tm;
   t.next_seq <- seq + 1
 
-(* In-window push. Same-stripe targets go straight into the stripe's own
-   heap under a provisional seq (resolved to the real engine-global seq
-   at the barrier); cross-stripe targets stay staged — not in any heap —
-   until the barrier replays the op log and pushes them with their final
-   key. Both are recorded as ops of the executing entry, in program
-   order, which is all the barrier needs to reproduce the sequential seq
-   allocation exactly. *)
-let window_push c t tm =
-  if tm.shard = c.stripe then begin
-    let seq = prov_base + c.prov_next in
-    c.prov_next <- c.prov_next + 1;
-    tm.key_seq <- seq;
-    Event_heap.push_keyed t.heaps.(tm.shard) ~time:tm.next_at ~seq tm
-  end;
-  c.cur_ops <- tm :: c.cur_ops
-
-let dispatch_push t tm =
-  match cur_ctx t with None -> push_timer t tm | Some c -> window_push c t tm
-
 let schedule_at ?(shard = 0) t ~time_us f =
-  let time_us = max time_us (now t) in
+  let time_us = max time_us t.clock_us in
   let timer =
     {
       engine = t;
@@ -152,14 +75,13 @@ let schedule_at ?(shard = 0) t ~time_us f =
       next_at = time_us;
       cancelled = false;
       queued = true;
-      key_seq = -1;
     }
   in
-  dispatch_push t timer;
+  push_timer t timer;
   timer
 
 let schedule ?shard t ~delay_us f =
-  schedule_at ?shard t ~time_us:(now t + max 0 delay_us) f
+  schedule_at ?shard t ~time_us:(t.clock_us + max 0 delay_us) f
 
 let periodic ?(shard = 0) t ~interval_us f =
   if interval_us <= 0 then invalid_arg "Engine.periodic: interval_us <= 0";
@@ -169,13 +91,12 @@ let periodic ?(shard = 0) t ~interval_us f =
       callback = f;
       interval_us;
       shard = clamp_shard t shard;
-      next_at = now t + interval_us;
+      next_at = t.clock_us + interval_us;
       cancelled = false;
       queued = true;
-      key_seq = -1;
     }
   in
-  dispatch_push t timer;
+  push_timer t timer;
   timer
 
 let pending t =
@@ -192,8 +113,7 @@ let compact_min_cancelled = 64
 
 let maybe_compact t =
   if
-    (not t.par_mode)
-    && t.cancelled_queued >= compact_min_cancelled
+    t.cancelled_queued >= compact_min_cancelled
     && 2 * t.cancelled_queued >= pending t
   then begin
     Array.iter (fun h -> Event_heap.compact h ~keep:(fun tm -> not tm.cancelled)) t.heaps;
@@ -201,32 +121,14 @@ let maybe_compact t =
   end
 
 let cancel timer =
-  let e = timer.engine in
-  match cur_ctx e with
-  | None ->
-    if not timer.cancelled then begin
-      timer.cancelled <- true;
-      if timer.queued then begin
-        e.cancelled_queued <- e.cancelled_queued + 1;
-        maybe_compact e
-      end
+  if not timer.cancelled then begin
+    timer.cancelled <- true;
+    if timer.queued then begin
+      let e = timer.engine in
+      e.cancelled_queued <- e.cancelled_queued + 1;
+      maybe_compact e
     end
-  | Some c ->
-    if timer.shard = c.stripe then begin
-      (* Same-stripe cancel: applied live. The local pop order is the
-         sequential restriction to this stripe, so cancel-vs-pop races
-         resolve exactly as they would sequentially. The queued-count
-         delta is folded into the engine at the barrier. *)
-      if not timer.cancelled then begin
-        timer.cancelled <- true;
-        if timer.queued then c.cancelled_delta <- c.cancelled_delta + 1
-      end
-    end
-    else if not timer.cancelled then
-      (* Cross-stripe cancel: deferred to the barrier (marking is
-         idempotent and commutative; a same-window firing race is a
-         conservative violation detected there). *)
-      c.cross_cancels <- timer :: c.cross_cancels
+  end
 
 (* Index of the heap holding the globally earliest (time, seq) entry,
    or -1 when every heap is empty. *)
@@ -273,12 +175,7 @@ let step_at t i =
     end
   end
 
-let guard_run t name =
-  if in_window t then
-    failwith ("Engine." ^ name ^ ": cannot nest inside a parallel window")
-
 let step t =
-  guard_run t "step";
   let i = select t in
   if i < 0 then false
   else begin
@@ -287,7 +184,6 @@ let step t =
   end
 
 let run t ~until_us =
-  guard_run t "run";
   let continue = ref true in
   while !continue do
     let i = select t in
@@ -297,7 +193,6 @@ let run t ~until_us =
   t.clock_us <- max t.clock_us until_us
 
 let run_until_quiescent ?(max_events = 100_000_000) t =
-  guard_run t "run_until_quiescent";
   let budget = ref max_events in
   while step t do
     decr budget;
@@ -316,208 +211,12 @@ let heap_hi_water t shard =
     invalid_arg "Engine.heap_hi_water: shard out of range";
   Event_heap.hi_water t.heaps.(shard)
 
-let exec_stripe t = match cur_ctx t with Some c -> c.stripe | None -> 0
-let timer_key tm = (tm.next_at, tm.key_seq)
-
 module Window = struct
-  type ctx = par_ctx
-
-  let violation msg =
-    failwith ("Sim.Engine conservative window: " ^ msg)
-
-  let make_ctxs t =
-    Array.init (Array.length t.heaps) (fun stripe ->
-        {
-          ctx_engine = t;
-          stripe;
-          local_clock = 0;
-          window_end = 0;
-          prov_next = 0;
-          cur_ops = [];
-          log_rev = [];
-          cross_cancels = [];
-          cancelled_delta = 0;
-          executed = 0;
-        })
-
   let peek_next t =
     let i = select t in
     if i < 0 then None else Some (i, Event_heap.min_time t.heaps.(i))
 
-  let control_next_time t = Event_heap.peek_time t.heaps.(0)
   let finish_run t ~until_us = t.clock_us <- max t.clock_us until_us
-  let executed c = c.executed
-
-  let open_window t ctxs ~window_end =
-    Array.iter
-      (fun c ->
-        c.local_clock <- t.clock_us;
-        c.window_end <- window_end;
-        c.prov_next <- 0;
-        c.cur_ops <- [];
-        c.log_rev <- [];
-        c.cross_cancels <- [];
-        c.cancelled_delta <- 0;
-        c.executed <- 0)
-      ctxs;
-    t.par_mode <- true
-
-  (* Drain one stripe's heap up to the window end, on the calling
-     domain. Only this stripe's heap, counters cell, and ctx are
-     touched; all cross-stripe effects are staged in the ctx. *)
-  let run_stripe c =
-    let t = c.ctx_engine in
-    Domain.DLS.set par_key (Some c);
-    Fun.protect ~finally:(fun () -> Domain.DLS.set par_key None)
-    @@ fun () ->
-    let heap = t.heaps.(c.stripe) in
-    let continue = ref true in
-    while !continue do
-      if Event_heap.is_empty heap || Event_heap.min_time heap >= c.window_end
-      then continue := false
-      else begin
-        let time = Event_heap.min_time heap in
-        let seq = Event_heap.min_seq heap in
-        let tm = Event_heap.pop_min heap in
-        tm.queued <- false;
-        if tm.cancelled then c.cancelled_delta <- c.cancelled_delta - 1
-        else begin
-          if time > c.local_clock then c.local_clock <- time;
-          t.processed_by.(c.stripe) <- t.processed_by.(c.stripe) + 1;
-          c.executed <- c.executed + 1;
-          c.cur_ops <- [];
-          tm.callback ();
-          (* Re-arm after the callback, like the sequential path, so the
-             re-arm op sorts after every schedule the callback made. *)
-          if tm.interval_us > 0 && not tm.cancelled then begin
-            tm.next_at <- tm.next_at + tm.interval_us;
-            tm.queued <- true;
-            window_push c t tm
-          end;
-          c.log_rev <-
-            { le_time = time; le_seq = seq; le_ops = List.rev c.cur_ops }
-            :: c.log_rev
-        end
-      end
-    done
-
-  (* Deferred cross-stripe cancel, applied at the barrier. A cancel that
-     races a same-window firing of its target cannot be ordered against
-     that firing without the sequential schedule, so it is rejected
-     loudly rather than allowed to diverge silently. Timers staged this
-     very window (key_seq = -1, not yet in any heap) are exempt: their
-     creation precedes the cancel in every sequential linearisation. *)
-  let apply_cross_cancel t ~w_start ~w_end tm =
-    if not tm.cancelled then begin
-      let staged = tm.key_seq < 0 in
-      if not staged then begin
-        let fired_this_window =
-          if tm.interval_us > 0 then
-            tm.next_at - tm.interval_us >= w_start
-            && tm.next_at - tm.interval_us < w_end
-          else (not tm.queued) && tm.next_at >= w_start && tm.next_at < w_end
-        in
-        if fired_this_window || (tm.queued && tm.next_at < w_end) then
-          violation "cross-shard cancel races a same-window firing"
-      end;
-      tm.cancelled <- true;
-      if tm.queued then t.cancelled_queued <- t.cancelled_queued + 1
-    end
-
-  (* Barrier: merge the per-stripe logs back into one stream and replay
-     their schedule ops in that order, allocating real engine-global
-     seqs. The merge key of a log entry is its pop key with provisional
-     seqs lazily resolved through the per-stripe table — sound because a
-     provisional entry's generator sits earlier in the same stripe's log
-     (local pop order is the sequential restriction), so it has always
-     been replayed by the time the entry can reach its log's head.
-     Inductively the merge order, and therefore the seq allocation, is
-     bit-identical to the sequential pop order. Cross-stripe pushes are
-     deferred past the heap rekey so they sift against final keys.
-     Returns the number of cross-stripe events staged. *)
-  let finalize t ctxs ~w_start ~window_end =
-    t.par_mode <- false;
-    Array.iter
-      (fun c ->
-        List.iter
-          (fun tm -> apply_cross_cancel t ~w_start ~w_end:window_end tm)
-          (List.rev c.cross_cancels))
-      ctxs;
-    let k = Array.length ctxs in
-    let logs = Array.map (fun c -> Array.of_list (List.rev c.log_rev)) ctxs in
-    let resolve = Array.map (fun c -> Array.make c.prov_next (-1)) ctxs in
-    let cursor = Array.make k 0 in
-    let prov_cursor = Array.make k 0 in
-    let staged_rev = ref [] in
-    let staged_count = ref 0 in
-    let resolved_seq s (e : log_entry) =
-      if e.le_seq < prov_base then e.le_seq
-      else begin
-        let r = resolve.(s).(e.le_seq - prov_base) in
-        if r < 0 then violation "unresolved provisional seq at merge";
-        r
-      end
-    in
-    let continue = ref true in
-    while !continue do
-      let best = ref (-1) and bt = ref max_int and bs = ref max_int in
-      for s = 0 to k - 1 do
-        if cursor.(s) < Array.length logs.(s) then begin
-          let e = logs.(s).(cursor.(s)) in
-          let sq = resolved_seq s e in
-          if e.le_time < !bt || (e.le_time = !bt && sq < !bs) then begin
-            best := s;
-            bt := e.le_time;
-            bs := sq
-          end
-        end
-      done;
-      if !best < 0 then continue := false
-      else begin
-        let s = !best in
-        let e = logs.(s).(cursor.(s)) in
-        cursor.(s) <- cursor.(s) + 1;
-        t.processed <- t.processed + 1;
-        List.iter
-          (fun tm ->
-            let seq = t.next_seq in
-            t.next_seq <- seq + 1;
-            if tm.shard = s then begin
-              resolve.(s).(prov_cursor.(s)) <- seq;
-              prov_cursor.(s) <- prov_cursor.(s) + 1;
-              tm.key_seq <- seq
-            end
-            else begin
-              if tm.next_at < window_end && not tm.cancelled then
-                violation
-                  "cross-shard event lands inside its own window \
-                   (lookahead bound violated)";
-              tm.key_seq <- seq;
-              staged_rev := tm :: !staged_rev;
-              incr staged_count
-            end)
-          e.le_ops
-      end
-    done;
-    Array.iter
-      (fun h ->
-        Event_heap.rekey h ~threshold:prov_base ~seq_of:(fun tm ->
-            if tm.key_seq < 0 || tm.key_seq >= prov_base then
-              violation "unresolved provisional key left in heap";
-            tm.key_seq))
-      t.heaps;
-    List.iter
-      (fun tm ->
-        Event_heap.push_keyed t.heaps.(tm.shard) ~time:tm.next_at
-          ~seq:tm.key_seq tm)
-      (List.rev !staged_rev);
-    Array.iter
-      (fun c ->
-        t.cancelled_queued <- t.cancelled_queued + c.cancelled_delta;
-        if c.local_clock > t.clock_us then t.clock_us <- c.local_clock)
-      ctxs;
-    maybe_compact t;
-    !staged_count
 end
 
 let pp_time_us ppf us =

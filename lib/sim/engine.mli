@@ -94,58 +94,16 @@ val processed_of : t -> int -> int
     has ever held. @raise Invalid_argument if out of range. *)
 val heap_hi_water : t -> int -> int
 
-(** [exec_stripe t] is the heap index whose events the calling domain is
-    currently executing: the stripe of the open conservative window on
-    this domain, or [0] on the sequential path. Components use it to
-    index striped statistics counters so that concurrent stripes never
-    write the same cell. *)
-val exec_stripe : t -> int
-
-(** [timer_key tm] is [tm]'s latest [(time, seq)] heap key — for a fired
-    one-shot, the firing time and the engine-global tie-break it fired
-    under. Keys assigned inside a conservative window are provisional
-    until the window's barrier resolves them; after {!Window.finalize}
-    (or any sequential execution) they are final and totally ordered
-    across shards exactly as the events fired. *)
-val timer_key : timer -> int * int
-
-(** Internal conservative-window API, consumed by {!Conservative}. The
-    protocol is: {!Window.open_window} with the window's exclusive time
-    bound, one {!Window.run_stripe} per heap (each from exactly one
-    domain; stripe 0 is normally left to sequential steps between
-    windows), then {!Window.finalize} on the driving domain. Not for
-    general use — invariants are documented in [engine.ml] and
-    DESIGN.md §16. *)
+(** Manual stepping, for callers that interleave their own work with
+    {!step} (the repository benchmark's traced run times each heap's
+    events this way). [while peek_next ... step ...; finish_run] is
+    equivalent to {!run}. *)
 module Window : sig
-  type ctx
-
-  (** One ctx per heap, reused across windows. *)
-  val make_ctxs : t -> ctx array
-
   (** Earliest pending [(heap, time)] across all heaps, if any. *)
   val peek_next : t -> (int * int) option
 
-  (** Earliest pending control-heap (heap 0) event time, if any. *)
-  val control_next_time : t -> int option
-
   (** Advance the clock to the run horizon, as {!run} does on exit. *)
   val finish_run : t -> until_us:int -> unit
-
-  (** Events the ctx executed during the last window. *)
-  val executed : ctx -> int
-
-  (** Open a window executing events strictly before [window_end]. *)
-  val open_window : t -> ctx array -> window_end:int -> unit
-
-  (** Drain the ctx's stripe up to the window end on the calling
-      domain. *)
-  val run_stripe : ctx -> unit
-
-  (** Close the window: merge per-stripe logs into the sequential order,
-      allocate final seqs, apply deferred cross-stripe effects. Returns
-      the number of cross-shard events exchanged. @raise Failure on any
-      conservative-safety violation. *)
-  val finalize : t -> ctx array -> w_start:int -> window_end:int -> int
 end
 
 (** Pretty time: microseconds rendered as e.g. ["1.250s"] or ["750ms"]. *)

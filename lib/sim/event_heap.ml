@@ -129,23 +129,6 @@ let pop_min t =
 
 let hi_water t = t.hi_water
 
-let rekey t ~threshold ~seq_of =
-  (* Rewrite the tie-break seqs of entries at or above [threshold] in
-     place, with no re-sift. This is only sound when [seq_of] is
-     strictly monotone over the seq values present in the heap — i.e.
-     the mapping preserves every pairwise (time, seq) comparison — in
-     which case the heap shape remains a valid min-heap as-is. The
-     conservative scheduler guarantees this: provisional seqs resolve to
-     fresh engine seqs in the same relative order, and every fresh seq
-     is larger than every pre-existing real seq in the heap. *)
-  for i = 0 to t.len - 1 do
-    if t.seqs.(i) >= threshold then begin
-      let seq = seq_of t.events.(i) in
-      t.seqs.(i) <- seq;
-      if seq >= t.next_seq then t.next_seq <- seq + 1
-    end
-  done
-
 let pop t =
   if t.len = 0 then None
   else begin
@@ -153,8 +136,6 @@ let pop t =
     let ev = pop_min t in
     Some (time, ev)
   end
-
-let peek_time t = if t.len = 0 then None else Some t.times.(0)
 
 let compact t ~keep =
   let old_len = t.len in

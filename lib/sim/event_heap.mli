@@ -42,24 +42,11 @@ val min_seq : 'a t -> int
     option/tuple boxing. @raise Invalid_argument on an empty heap. *)
 val pop_min : 'a t -> 'a
 
-(** [peek_time t] is the timestamp of the earliest event, if any. *)
-val peek_time : 'a t -> int option
-
 (** [compact t ~keep] removes every queued event for which [keep]
     returns [false]. Surviving entries retain their original
     [(time, sequence)] keys, so subsequent pop order is unchanged —
     used to purge cancelled timers without disturbing determinism. *)
 val compact : 'a t -> keep:('a -> bool) -> unit
-
-(** [rekey t ~threshold ~seq_of] rewrites, in place, the tie-break seq
-    of every entry whose current seq is [>= threshold] to
-    [seq_of event]. No re-sift is performed, so this is only sound when
-    the rewrite is strictly monotone over the seq values present in the
-    heap (it then preserves every pairwise [(time, seq)] comparison and
-    the existing layout stays a valid min-heap). The conservative
-    window scheduler uses this to resolve provisional in-window seqs to
-    their final engine-global values — see {!Engine.Window}. *)
-val rekey : 'a t -> threshold:int -> seq_of:('a -> int) -> unit
 
 (** [size t] is the number of queued events. *)
 val size : 'a t -> int

@@ -62,16 +62,10 @@ let iter f o =
     f node (get o node)
   done
 
-(* Every cell is written only by the source shard's stripe (the overlay
-   records a crossing while executing on the transmitting node's owner),
-   so under the conservative window scheduler no two domains ever touch
-   the same cell; the totals are derived on read instead of being shared
-   mutable hot spots. *)
 type boundary = {
   b_shards : int;
   frames : int array; (* src_shard * b_shards + dst_shard *)
   bytes : int array;
-  delays : int array; (* min observed per-hop delivery delay, us; max_int = none *)
 }
 
 type crossing = {
@@ -79,7 +73,6 @@ type crossing = {
   dst_shard : int;
   frames : int;
   bytes : int;
-  min_delay_us : int;
 }
 
 let boundary p =
@@ -88,7 +81,6 @@ let boundary p =
     b_shards = k;
     frames = Array.make (k * k) 0;
     bytes = Array.make (k * k) 0;
-    delays = Array.make (k * k) max_int;
   }
 
 let record b ~src_shard ~dst_shard ~bytes =
@@ -96,12 +88,6 @@ let record b ~src_shard ~dst_shard ~bytes =
     let i = (src_shard * b.b_shards) + dst_shard in
     b.frames.(i) <- b.frames.(i) + 1;
     b.bytes.(i) <- b.bytes.(i) + bytes
-  end
-
-let record_delay b ~src_shard ~dst_shard ~delay_us =
-  if src_shard <> dst_shard then begin
-    let i = (src_shard * b.b_shards) + dst_shard in
-    if delay_us < b.delays.(i) then b.delays.(i) <- delay_us
   end
 
 let crossings b =
@@ -114,7 +100,6 @@ let crossings b =
           dst_shard = i mod b.b_shards;
           frames = b.frames.(i);
           bytes = b.bytes.(i);
-          min_delay_us = b.delays.(i);
         }
         :: !out
   done;

@@ -10,11 +10,10 @@
     rather than implicit in a flat [src*n+dst] array; {!boundary}
     ledgers every frame that crosses shards.
 
-    Execution is still sequential — the engine pops one global
-    [(time, seq)]-ordered stream — but per-site ownership is the
-    foundation the ROADMAP's conservative-lookahead parallel engine
-    builds on: a future sharded engine may only run two sites' events
-    concurrently when no boundary crossing between them is pending.
+    Execution is sequential — the engine pops one global
+    [(time, seq)]-ordered stream — so ownership records which site's
+    state an event touches (the per-heap activity breakdown of
+    {!Engine.processed_of}), not which domain runs it.
 
     Determinism: nothing in this module consults an RNG or ambient
     state; all iteration orders are fixed functions of the partition. *)
@@ -45,8 +44,8 @@ val members : partition -> int -> int array
 
     A ['a owned] holds one ['a] per node, stored as one row-array per
     shard: [data.(shard).(local_index)]. Reads and writes go through the
-    owning shard's row, so a future parallel engine can hand each row to
-    its owning domain without any cross-shard aliasing. *)
+    owning shard's row, so the representation shows which site owns
+    each row. *)
 
 type 'a owned
 
@@ -78,26 +77,14 @@ type crossing = {
   dst_shard : int;
   frames : int;
   bytes : int;
-  min_delay_us : int;
-      (** minimum observed per-hop delivery delay on this pair, [max_int]
-          if recorded frames are still in flight — the conservative
-          scheduler's lookahead precondition is that this never drops
-          below the advertised link-latency bound *)
 }
 
 (** [boundary p] is an empty ledger over [p]'s shard pairs. *)
 val boundary : partition -> boundary
 
 (** [record b ~src_shard ~dst_shard ~bytes] counts one frame crossing
-    the boundary. No-op when [src_shard = dst_shard]. Each [(src, dst)]
-    cell is only ever written from the source shard's stripe, so the
-    ledger needs no synchronisation under parallel window execution. *)
+    the boundary. No-op when [src_shard = dst_shard]. *)
 val record : boundary -> src_shard:int -> dst_shard:int -> bytes:int -> unit
-
-(** [record_delay b ~src_shard ~dst_shard ~delay_us] folds one observed
-    cross-shard delivery delay into the pair's minimum. *)
-val record_delay :
-  boundary -> src_shard:int -> dst_shard:int -> delay_us:int -> unit
 
 (** [crossings b] is every pair with traffic, ordered by
     [(src_shard, dst_shard)]. *)

@@ -82,31 +82,6 @@ let test_singleton_batching_identical () =
   Alcotest.check ledger_testable "per-kind wire ledger" golden_ledger
     (Spire.System.wire_traffic sys)
 
-(* The conservative-lookahead parallel path is the tentpole determinism
-   claim: running the same E2 workload with the site shards spread over
-   4 OCaml domains must reproduce the golden trajectory — confirmed
-   count, view, *engine event count* and the per-kind wire-byte ledger —
-   bit for bit. The stats assertion pins that the windowed scheduler
-   actually ran (rather than silently falling back to sequential). *)
-let test_intra_parallel_identical () =
-  let cfg =
-    { (Spire.System.default_config ()) with Spire.System.intra_domains = 4 }
-  in
-  let sys, r = Spire.Scenarios.fault_free ~config:cfg ~duration_us () in
-  Alcotest.(check int) "confirmed" golden_confirmed r.Spire.Scenarios.confirmed;
-  Alcotest.(check int) "max view" golden_max_view r.Spire.Scenarios.max_view;
-  Alcotest.(check int) "events processed" golden_events
-    (Sim.Engine.processed (Spire.System.engine sys));
-  Alcotest.check ledger_testable "per-kind wire ledger" golden_ledger
-    (Spire.System.wire_traffic sys);
-  match Spire.System.intra_stats sys with
-  | None -> Alcotest.fail "intra_domains=4 fell back to the sequential engine"
-  | Some st ->
-    Alcotest.(check bool) "windows executed" true (st.Sim.Conservative.windows > 0);
-    Alcotest.(check bool)
-      "windowed events executed" true
-      (st.Sim.Conservative.window_events > 0)
-
 (* With batching actually on, the telemetry invariant must survive:
    for every confirmed trace the six lifecycle phases — including the
    new batch-wait — sum exactly to the end-to-end span, and the
@@ -297,8 +272,6 @@ let () =
             test_run_to_run_identical;
           Alcotest.test_case "max_batch=1 ledger bit-identical" `Slow
             test_singleton_batching_identical;
-          Alcotest.test_case "intra_domains=4 ledger bit-identical" `Slow
-            test_intra_parallel_identical;
           Alcotest.test_case "E6 flood-under-attack golden" `Slow
             test_flood_attack_golden;
           Alcotest.test_case "E6b flood-over-loss golden" `Slow

@@ -341,158 +341,95 @@ let test_engine_shard_clamped () =
   Alcotest.(check int) "both fired" 2 !fired;
   Alcotest.(check int) "landed on control heap" 2 (Sim.Engine.processed_of e 0)
 
-(* ------------------------------------------------------------------ *)
-(* Conservative-lookahead parallel windows *)
-
-(* The tentpole property, extended to the *parallel* path: executing a
-   random workload under the conservative window scheduler — on 1, 2 or
-   3 domains — must reproduce the sequential engine's trajectory bit
-   for bit. Callbacks record into per-event slots (each slot written by
-   exactly one stripe, so the recording itself is race-free), and the
-   merged order is compared through each timer's final [(time, seq)]
-   heap key, which is exactly the engine-global pop position. *)
-let conservative_lat = 100
-
-let run_cross_workload ~parallel ~domains specs =
-  let n = List.length specs in
-  let e = Sim.Engine.create ~shards:4 () in
-  let fired = Array.make (2 * n) (-1) in
-  let tms = Array.make (2 * n) None in
-  List.iteri
-    (fun i (delay_us, shard) ->
-      let tm =
-        Sim.Engine.schedule ~shard e ~delay_us (fun () ->
-            fired.(i) <- Sim.Engine.now e;
-            (* Follow-up onto a (usually different) stripe, always at
-               or beyond the advertised cross-shard latency floor. *)
-            let dst = 1 + ((shard + i) mod 3) in
-            let tm2 =
-              Sim.Engine.schedule ~shard:dst e
-                ~delay_us:(conservative_lat + (i mod 7))
-                (fun () -> fired.(n + i) <- Sim.Engine.now e)
-            in
-            tms.(n + i) <- Some tm2)
-      in
-      tms.(i) <- Some tm)
-    specs;
-  let until_us = 10_000 in
-  if parallel then begin
-    let k = Sim.Engine.shards e in
-    let m =
-      Array.init k (fun a ->
-          Array.init k (fun b ->
-              if a = 0 || b = 0 || a = b then max_int else conservative_lat))
-    in
-    ignore (Sim.Conservative.run ~domains e ~min_latency_us:m ~until_us)
-  end
-  else Sim.Engine.run e ~until_us;
-  let keys =
-    Array.to_list (Array.map (Option.map Sim.Engine.timer_key) tms)
+(* The manual stepping API ([Window.peek_next] + [step] +
+   [Window.finish_run]) must be a drop-in replacement for [run]: same
+   firing order, same per-heap counts, same final clock, across a
+   periodic timer that cancels itself, timers cancelled before and
+   during the run, cross-heap follow-ups, same-time ties on different
+   heaps and a timer past the horizon. Each firing logs the heap it was
+   scheduled on, so the stepping loop can also check that
+   [peek_next] names the heap the next callback actually comes from. *)
+let stepping_workload e =
+  let log = ref [] in
+  let fire label heap () = log := (label, heap, Sim.Engine.now e) :: !log in
+  let ticks = ref 0 in
+  let rec tick =
+    lazy
+      (Sim.Engine.periodic ~shard:1 e ~interval_us:70 (fun () ->
+           incr ticks;
+           fire (Printf.sprintf "tick%d" !ticks) 1 ();
+           (* Cross-heap follow-up: heap 1 schedules onto heap 2. *)
+           ignore
+             (Sim.Engine.schedule ~shard:2 e ~delay_us:15
+                (fire (Printf.sprintf "echo%d" !ticks) 2));
+           if !ticks = 5 then Sim.Engine.cancel (Lazy.force tick)))
   in
-  ( Array.to_list fired,
-    keys,
-    Sim.Engine.processed e,
-    List.init (Sim.Engine.shards e) (Sim.Engine.processed_of e) )
-
-let prop_conservative_matches_sequential =
-  QCheck.Test.make ~count:200
-    ~name:"conservative windows reproduce sequential trajectory"
-    QCheck.(
-      pair (int_range 1 3)
-        (list_of_size Gen.(1 -- 40) (pair (int_bound 500) (int_bound 3))))
-    (fun (domains, specs) ->
-      run_cross_workload ~parallel:true ~domains specs
-      = run_cross_workload ~parallel:false ~domains specs)
-
-(* Deterministic cross-stripe ping-pong: every bounce crosses the
-   shard boundary at exactly the latency floor, the worst case for the
-   window scheduler (each window carries one event). *)
-let test_conservative_ping_pong () =
-  let rounds = 50 in
-  let play ~parallel =
-    let e = Sim.Engine.create ~shards:3 () in
-    let trace = Array.make rounds (-1) in
-    let rec bounce i shard =
-      if i < rounds then
-        ignore
-          (Sim.Engine.schedule ~shard e ~delay_us:conservative_lat (fun () ->
-               trace.(i) <- (Sim.Engine.now e * 10) + shard;
-               bounce (i + 1) (if shard = 1 then 2 else 1)))
-    in
-    bounce 0 1;
-    let until_us = (rounds + 1) * conservative_lat in
-    if parallel then begin
-      let m =
-        Array.init 3 (fun a ->
-            Array.init 3 (fun b ->
-                if a = 0 || b = 0 || a = b then max_int else conservative_lat))
-      in
-      ignore (Sim.Conservative.run ~domains:2 e ~min_latency_us:m ~until_us)
-    end
-    else Sim.Engine.run e ~until_us;
-    (Array.to_list trace, Sim.Engine.processed e)
+  ignore (Lazy.force tick);
+  ignore (Sim.Engine.periodic ~shard:3 e ~interval_us:50 (fire "beat" 3));
+  let victims =
+    List.init 12 (fun i ->
+        let heap = i mod 4 in
+        let tm =
+          Sim.Engine.schedule ~shard:heap e ~delay_us:(40 * (i / 2))
+            (fire (Printf.sprintf "one%d" i) heap)
+        in
+        if i mod 3 = 0 then Sim.Engine.cancel tm;
+        tm)
   in
-  let seq = play ~parallel:false and par = play ~parallel:true in
-  Alcotest.(check (pair (list int) int)) "ping-pong trajectory" seq par
-
-(* Degenerate inputs must degrade to sequential stepping, not break:
-   a single-heap engine and an all-[max_int] latency matrix. *)
-let test_conservative_degenerate () =
-  let e = Sim.Engine.create () in
-  let fired = ref 0 in
-  ignore (Sim.Engine.schedule e ~delay_us:10 (fun () -> incr fired));
-  let st =
-    Sim.Conservative.run e ~min_latency_us:[| [| max_int |] |] ~until_us:100
-  in
-  Alcotest.(check int) "single heap still fires" 1 !fired;
-  Alcotest.(check int) "no windows on a single heap" 0
-    st.Sim.Conservative.windows;
-  (* All-[max_int] matrix asserts the stripes never interact: the
-     whole horizon becomes one window. *)
-  let e2 = Sim.Engine.create ~shards:3 () in
-  let fired2 = ref 0 in
-  ignore (Sim.Engine.schedule ~shard:1 e2 ~delay_us:10 (fun () -> incr fired2));
-  ignore (Sim.Engine.schedule ~shard:2 e2 ~delay_us:10 (fun () -> incr fired2));
-  let m = Array.make_matrix 3 3 max_int in
-  let st2 = Sim.Conservative.run ~domains:2 e2 ~min_latency_us:m ~until_us:100 in
-  Alcotest.(check int) "independent stripes still fire" 2 !fired2;
-  Alcotest.(check int) "one full-horizon window" 1 st2.Sim.Conservative.windows;
-  (* A control event adjacent to tmin pinches the window shut: the
-     scheduler must fall back to one sequential step, not stall. *)
-  let e3 = Sim.Engine.create ~shards:3 () in
-  let fired3 = ref 0 in
-  ignore (Sim.Engine.schedule ~shard:1 e3 ~delay_us:10 (fun () -> incr fired3));
-  ignore (Sim.Engine.schedule e3 ~delay_us:10 (fun () -> incr fired3));
-  let m3 =
-    Array.init 3 (fun a ->
-        Array.init 3 (fun b ->
-            if a = 0 || b = 0 || a = b then max_int else 1_000))
-  in
-  let st3 = Sim.Conservative.run ~domains:2 e3 ~min_latency_us:m3 ~until_us:100 in
-  Alcotest.(check int) "both fire around the pinch" 2 !fired3;
-  Alcotest.(check bool) "degraded sequential steps taken" true
-    (st3.Sim.Conservative.degraded_steps > 0);
-  Alcotest.(check bool) "control step taken" true
-    (st3.Sim.Conservative.control_steps > 0)
-
-(* A cross-shard event scheduled below the advertised latency floor is
-   a conservative-safety violation and must fail loudly, not diverge
-   silently. *)
-let test_conservative_violation_trips () =
-  let e = Sim.Engine.create ~shards:3 () in
+  (* Cancelled from inside another heap's callback, before it fires. *)
   ignore
-    (Sim.Engine.schedule ~shard:1 e ~delay_us:10 (fun () ->
-         ignore (Sim.Engine.schedule ~shard:2 e ~delay_us:1 ignore)));
-  (* Keep stripe 2 busy so a window actually opens over both stripes. *)
-  ignore (Sim.Engine.schedule ~shard:2 e ~delay_us:10 ignore);
-  let m =
-    Array.init 3 (fun a ->
-        Array.init 3 (fun b ->
-            if a = 0 || b = 0 || a = b then max_int else 1_000))
+    (Sim.Engine.schedule ~shard:2 e ~delay_us:100 (fun () ->
+         fire "canceller" 2 ();
+         Sim.Engine.cancel (List.nth victims 11)));
+  ignore (Sim.Engine.schedule ~shard:1 e ~delay_us:5_000 (fire "late" 1));
+  log
+
+let test_engine_stepping_matches_run () =
+  let horizons = [ 625; 1_010 ] in
+  let play ~stepped =
+    let e = Sim.Engine.create ~shards:4 () in
+    let log = stepping_workload e in
+    List.iter
+      (fun until_us ->
+        if stepped then begin
+          let rec loop () =
+            match Sim.Engine.Window.peek_next e with
+            | Some (heap, time) when time <= until_us ->
+              let before = List.length !log in
+              Alcotest.(check bool) "step ran" true (Sim.Engine.step e);
+              (match !log with
+              | (_, h, now) :: _ when List.length !log > before ->
+                Alcotest.(check (pair int int)) "peek_next names the firing"
+                  (heap, time) (h, now)
+              | _ -> ());
+              loop ()
+            | Some _ | None -> ()
+          in
+          loop ();
+          Sim.Engine.Window.finish_run e ~until_us
+        end
+        else Sim.Engine.run e ~until_us)
+      horizons;
+    ( List.rev !log,
+      List.init (Sim.Engine.shards e) (Sim.Engine.processed_of e),
+      Sim.Engine.now e )
   in
-  match Sim.Conservative.run ~domains:2 e ~min_latency_us:m ~until_us:100 with
-  | _ -> Alcotest.fail "lookahead violation was not detected"
-  | exception Failure _ -> ()
+  let log, per_heap, now = play ~stepped:false in
+  let log', per_heap', now' = play ~stepped:true in
+  let label (l, _, _) = l in
+  Alcotest.(check (list (triple string int int))) "firing order" log log';
+  Alcotest.(check (list int)) "processed_of per heap" per_heap per_heap';
+  Alcotest.(check int) "final now" now now';
+  Alcotest.(check int) "clock at the last horizon" 1_010 now';
+  (* The workload really exercised what it claims to. *)
+  let fired l = List.exists (fun e -> label e = l) log in
+  Alcotest.(check bool) "self-cancelled periodic stops" false (fired "tick6");
+  Alcotest.(check bool) "cross-heap echo fires" true (fired "echo5");
+  Alcotest.(check bool) "pre-cancelled one-shot never fires" false (fired "one3");
+  Alcotest.(check bool) "in-run cancel wins" false (fired "one11");
+  Alcotest.(check bool) "past-horizon timer pending" false (fired "late");
+  Alcotest.(check bool) "every heap fired" true
+    (List.for_all (fun n -> n > 0) per_heap)
 
 (* ------------------------------------------------------------------ *)
 (* Event heap *)
@@ -558,11 +495,10 @@ let prop_heap_compact_preserves_order =
 
 (* Model check of the whole heap API against a list sorted by
    [(time, seq)]: random interleavings of [push], [push_keyed] (seqs
-   past every key so far, with gaps), [pop_min], [compact] and a
-   monotone [rekey] of the upper seqs, over few distinct times so most
-   comparisons fall through to the tie-break. Events are unique ids;
+   past every key so far, with gaps), [pop_min] and [compact], over few
+   distinct times so most comparisons fall through to the tie-break. Events are unique ids;
    after every step the min key and size must agree with the model. *)
-type heap_op = Push | Push_keyed | Pop | Compact | Rekey
+type heap_op = Push | Push_keyed | Pop | Compact
 
 let prop_heap_matches_sorted_model =
   let op =
@@ -570,7 +506,7 @@ let prop_heap_matches_sorted_model =
       frequency
         [
           (4, return Push); (3, return Push_keyed); (4, return Pop);
-          (1, return Compact); (1, return Rekey);
+          (1, return Compact);
         ])
   in
   QCheck.Test.make ~count:300 ~name:"event heap matches sorted (time, seq) model"
@@ -618,28 +554,6 @@ let prop_heap_matches_sorted_model =
             Sim.Event_heap.compact h ~keep;
             model := List.filter (fun (_, _, id) -> keep id) !model;
             true
-          | Rekey ->
-            (* Shift every seq at or above the median up by [k + 1]:
-               strictly monotone, so no pairwise order changes. *)
-            let seqs = List.sort compare (List.map (fun (_, s, _) -> s) !model) in
-            let threshold =
-              match seqs with
-              | [] -> 0
-              | _ -> List.nth seqs (List.length seqs / 2)
-            in
-            let shift s = if s >= threshold then s + k + 1 else s in
-            let seq_of id =
-              let _, s, _ = List.find (fun (_, _, i) -> i = id) !model in
-              shift s
-            in
-            Sim.Event_heap.rekey h ~threshold ~seq_of;
-            model :=
-              List.sort compare
-                (List.map (fun (t, s, i) -> (t, shift s, i)) !model);
-            List.iter
-              (fun (_, s, _) -> if s >= !next_seq then next_seq := s + 1)
-              !model;
-            true
         in
         popped_in_order && agrees ()
       in
@@ -648,25 +562,6 @@ let prop_heap_matches_sorted_model =
            (fun (_, _, id) -> Sim.Event_heap.pop_min h = id)
            !model
       && Sim.Event_heap.is_empty h)
-
-(* Provisional-seq resolution: rekeying entries above the threshold to
-   their final seqs must preserve pop order without a re-sift, and bump
-   the internal counter past every resolved seq. *)
-let test_heap_rekey () =
-  let h = Sim.Event_heap.create () in
-  Sim.Event_heap.push_keyed h ~time:10 ~seq:0 0;
-  Sim.Event_heap.push_keyed h ~time:10 ~seq:1 1;
-  (* Two provisional entries, same timestamp, huge seqs in push order. *)
-  let prov = 1_000_000 in
-  Sim.Event_heap.push_keyed h ~time:10 ~seq:prov 2;
-  Sim.Event_heap.push_keyed h ~time:10 ~seq:(prov + 1) 3;
-  (* Resolve: value = final seq (2 and 3) — strictly monotone over the
-     provisional order, as the window scheduler guarantees. *)
-  Sim.Event_heap.rekey h ~threshold:prov ~seq_of:(fun v -> v);
-  (* A later plain push must get a fresh seq past every resolved one. *)
-  Sim.Event_heap.push h ~time:10 4;
-  let popped = List.init 5 (fun _ -> Sim.Event_heap.pop_min h) in
-  Alcotest.(check (list int)) "resolved pop order" [ 0; 1; 2; 3; 4 ] popped
 
 let test_heap_hi_water () =
   let h = Sim.Event_heap.create () in
@@ -770,16 +665,8 @@ let () =
             test_engine_processed_by_shard;
           Alcotest.test_case "out-of-range tags clamp to control" `Quick
             test_engine_shard_clamped;
-        ] );
-      ( "conservative",
-        [
-          QCheck_alcotest.to_alcotest prop_conservative_matches_sequential;
-          Alcotest.test_case "cross-stripe ping-pong identical" `Quick
-            test_conservative_ping_pong;
-          Alcotest.test_case "degenerate inputs degrade to sequential" `Quick
-            test_conservative_degenerate;
-          Alcotest.test_case "lookahead violation fails loudly" `Quick
-            test_conservative_violation_trips;
+          Alcotest.test_case "peek_next/step/finish_run matches run" `Quick
+            test_engine_stepping_matches_run;
         ] );
       ( "event_heap",
         [
@@ -787,8 +674,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_heap_stable_at_equal_times;
           QCheck_alcotest.to_alcotest prop_heap_compact_preserves_order;
           QCheck_alcotest.to_alcotest prop_heap_matches_sorted_model;
-          Alcotest.test_case "rekey resolves provisional seqs" `Quick
-            test_heap_rekey;
           Alcotest.test_case "hi-water occupancy" `Quick test_heap_hi_water;
           Alcotest.test_case "engine purges cancelled timers" `Quick
             test_engine_purges_cancelled;
