@@ -58,32 +58,6 @@ let only =
 let run_micro =
   match Sys.getenv_opt "MICRO" with Some "0" -> false | _ -> true
 
-(* Every selectable id. An unknown EXPERIMENT=/ONLY= value used to
-   silently run zero experiments; now it aborts with the valid list. *)
-let known_ids =
-  [
-    "E1"; "E2"; "E3"; "E4"; "E5"; "E6"; "E6B"; "E7"; "E8"; "E9"; "E10"; "E11";
-    "E12"; "E13"; "MICRO";
-  ]
-
-let () =
-  let unknown =
-    (match wanted with
-    | Some w when not (List.mem w known_ids) -> [ w ]
-    | _ -> [])
-    @
-    match only with
-    | Some ids -> List.filter (fun id -> not (List.mem id known_ids)) ids
-    | None -> []
-  in
-  if unknown <> [] then begin
-    Printf.eprintf "unknown experiment id%s: %s\nvalid ids: %s\n"
-      (if List.length unknown > 1 then "s" else "")
-      (String.concat ", " unknown)
-      (String.concat ", " known_ids);
-    exit 2
-  end
-
 let perf_mode =
   match Sys.getenv_opt "PERF" with Some "1" -> true | _ -> false
 
@@ -1283,17 +1257,39 @@ let microbenches () =
 
 (* ------------------------------------------------------------------ *)
 
+let experiments =
+  [
+    ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
+    ("E6B", e6b); ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10);
+    ("E11", e11); ("E12", e12); ("E13", e13);
+  ]
+
+(* Every selectable id. An unknown EXPERIMENT=/ONLY= value used to
+   silently run zero experiments; now it aborts with the valid list. *)
+let known_ids = List.map fst experiments @ [ "MICRO" ]
+
+let () =
+  let unknown =
+    (match wanted with
+    | Some w when not (List.mem w known_ids) -> [ w ]
+    | _ -> [])
+    @
+    match only with
+    | Some ids -> List.filter (fun id -> not (List.mem id known_ids)) ids
+    | None -> []
+  in
+  if unknown <> [] then begin
+    Printf.eprintf "unknown experiment id%s: %s\nvalid ids: %s\n"
+      (if List.length unknown > 1 then "s" else "")
+      (String.concat ", " unknown)
+      (String.concat ", " known_ids);
+    exit 2
+  end
+
 let () =
   let t0 = Unix.gettimeofday () in
   if perf_mode then Perf.run ~scale_full ()
   else begin
-    let experiments =
-      [
-        ("E1", e1); ("E2", e2); ("E3", e3); ("E4", e4); ("E5", e5); ("E6", e6);
-        ("E6B", e6b); ("E7", e7); ("E8", e8); ("E9", e9); ("E10", e10);
-        ("E11", e11); ("E12", e12); ("E13", e13);
-      ]
-    in
     List.iter (fun (id, f) -> if enabled id then f ()) experiments;
     if run_micro && (wanted = None || wanted = Some "MICRO") then microbenches ()
   end;

@@ -55,13 +55,7 @@ let fault_free_cmd =
     (Cmd.info "fault-free" ~doc:"Wide-area deployment, no faults (E2/E3).")
     Term.(const fault_free $ duration_arg $ seed_arg $ substations $ poll)
 
-let leader_attack duration _seed protocol delay_ms =
-  let protocol =
-    match protocol with
-    | "prime" -> Spire.System.Prime_protocol
-    | "pbft" -> Spire.System.Pbft_protocol
-    | other -> failwith ("unknown protocol " ^ other)
-  in
+let leader_attack duration protocol delay_ms =
   let duration_us = duration * 1_000_000 in
   let _, r =
     Spire.Scenarios.leader_attack ~protocol ~delay_us:(ms delay_ms)
@@ -73,7 +67,14 @@ let leader_attack duration _seed protocol delay_ms =
 let leader_attack_cmd =
   let protocol =
     Arg.(
-      value & opt string "prime"
+      value
+      & opt
+          (enum
+             [
+               ("prime", Spire.System.Prime_protocol);
+               ("pbft", Spire.System.Pbft_protocol);
+             ])
+          Spire.System.Prime_protocol
       & info [ "protocol" ] ~doc:"Replication protocol: prime or pbft.")
   in
   let delay =
@@ -84,9 +85,9 @@ let leader_attack_cmd =
   Cmd.v
     (Cmd.info "leader-attack"
        ~doc:"Malicious leader performance attack (E4).")
-    Term.(const leader_attack $ duration_arg $ seed_arg $ protocol $ delay)
+    Term.(const leader_attack $ duration_arg $ protocol $ delay)
 
-let site_failure duration _seed site restore =
+let site_failure duration site restore =
   let duration_us = duration * 1_000_000 in
   let restore_at_us = if restore then Some (duration_us * 5 / 8) else None in
   let _, r =
@@ -97,17 +98,36 @@ let site_failure duration _seed site restore =
   0
 
 let site_failure_cmd =
+  (* Only a site of the default deployment: an out-of-range index
+     would disconnect nothing and report a healthy run. *)
+  let sites =
+    List.length (Spire.System.default_config ()).Spire.System.site_sizes
+  in
+  let site_conv =
+    let parse s =
+      match Arg.conv_parser Arg.int s with
+      | Ok i when i >= 0 && i < sites -> Ok i
+      | Ok i ->
+        Error
+          (`Msg (Printf.sprintf "site %d out of range 0..%d" i (sites - 1)))
+      | Error e -> Error e
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
   let site =
-    Arg.(value & opt int 0 & info [ "site" ] ~doc:"Site to disconnect.")
+    Arg.(
+      value & opt site_conv 0
+      & info [ "site" ] ~docv:"SITE"
+          ~doc:(Printf.sprintf "Site to disconnect (0..%d)." (sites - 1)))
   in
   let restore =
     Arg.(value & flag & info [ "restore" ] ~doc:"Reconnect the site later.")
   in
   Cmd.v
     (Cmd.info "site-failure" ~doc:"Disconnect a whole control center (E7).")
-    Term.(const site_failure $ duration_arg $ seed_arg $ site $ restore)
+    Term.(const site_failure $ duration_arg $ site $ restore)
 
-let recovery duration _seed rotation_s =
+let recovery duration rotation_s =
   let _, r, events =
     Spire.Scenarios.proactive_recovery
       ~rotation_period_us:(rotation_s * 1_000_000)
@@ -126,16 +146,9 @@ let recovery_cmd =
   in
   Cmd.v
     (Cmd.info "recovery" ~doc:"Proactive recovery rotation (E5).")
-    Term.(const recovery $ duration_arg $ seed_arg $ rotation)
+    Term.(const recovery $ duration_arg $ rotation)
 
-let dos duration _seed mode factor =
-  let mode =
-    match mode with
-    | "shortest" -> Overlay.Net.Shortest
-    | "redundant" -> Overlay.Net.Redundant 2
-    | "flood" -> Overlay.Net.Flood
-    | other -> failwith ("unknown mode " ^ other)
-  in
+let dos duration mode factor =
   let duration_us = duration * 1_000_000 in
   let _, r =
     Spire.Scenarios.link_degradation ~mode ~factor
@@ -147,7 +160,15 @@ let dos duration _seed mode factor =
 let dos_cmd =
   let mode =
     Arg.(
-      value & opt string "redundant"
+      value
+      & opt
+          (enum
+             [
+               ("shortest", Overlay.Net.Shortest);
+               ("redundant", Overlay.Net.Redundant 2);
+               ("flood", Overlay.Net.Flood);
+             ])
+          (Overlay.Net.Redundant 2)
       & info [ "mode" ] ~doc:"Dissemination: shortest, redundant, flood.")
   in
   let factor =
@@ -158,7 +179,7 @@ let dos_cmd =
   Cmd.v
     (Cmd.info "network-attack"
        ~doc:"Delay attack on primary WAN links (E6).")
-    Term.(const dos $ duration_arg $ seed_arg $ mode $ factor)
+    Term.(const dos $ duration_arg $ mode $ factor)
 
 let campaign hours_ diversity recovery =
   let _, c =

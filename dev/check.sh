@@ -36,6 +36,15 @@ if [ "$rc" -ne 2 ]; then
   echo "reconfig_soak.exe -- x exited $rc, expected 2" && exit 1
 fi
 
+# The scenario CLI refuses an out-of-range site with a command-line
+# error (exit 124) instead of reporting a healthy run that disconnected
+# nothing.
+rc=0
+dune exec bin/spire_run.exe -- site-failure --site 9 2> /dev/null || rc=$?
+if [ "$rc" -ne 124 ]; then
+  echo "spire_run.exe site-failure --site 9 exited $rc, expected 124" && exit 1
+fi
+
 dune build --profile release
 EXPERIMENT=E2 MICRO=0 dune exec --profile release bench/main.exe
 EXPERIMENT=E6 MICRO=0 dune exec --profile release bench/main.exe

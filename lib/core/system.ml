@@ -30,33 +30,24 @@ type config = {
          the trajectory is bit-identical to a build without lib/field. *)
   field_devices : int; (* total across all concentrators *)
   field_scan_interval_us : int;
-  field_write_interval_us : int; (* 0 disables the write workload *)
   field_loss : float; (* per-round keep-alive loss probability *)
   diversity_variants : int;
   seed : int64;
   wire_debug : bool;
   telemetry : bool;
-  telemetry_capacity : int;
   adaptive : bool;
       (* false (the default) disables the two-level resilience
          controller entirely: no Local/Global instances, no tick timer
          — the trajectory is bit-identical to a build without
          lib/control. The tuning plane (knobs + actuator) always
          exists; with no controller issuing requests it never acts. *)
-  adapt_tick_us : int; (* controller sampling cadence *)
   tweak_prime : Prime.Replica.config -> Prime.Replica.config;
-  tweak_pbft : Pbft.Replica.config -> Pbft.Replica.config;
 }
 
-let east_coast_wan a b =
-  match (min a b, max a b) with
-  | 0, 1 -> 2_000
-  | 0, 2 -> 4_000
-  | 0, 3 -> 8_000
-  | 1, 2 -> 5_000
-  | 1, 3 -> 9_000
-  | 2, 3 -> 5_000
-  | _ -> 10_000
+(* Controller sampling cadence and the per-concentrator supervisory
+   write cadence: fixed by the deployment model, not configurable. *)
+let adapt_tick_us = 250_000
+let field_write_interval_us = 1_000_000
 
 let default_config () =
   {
@@ -70,7 +61,7 @@ let default_config () =
     poll_interval_us = 100_000;
     dissemination = Overlay.Net.Shortest;
     lan_latency_us = 100;
-    wan_latency_us = east_coast_wan;
+    wan_latency_us = Overlay.Topology.east_coast_wan_us;
     client_link_latency_us = 2_000;
     lan_bandwidth_bps = 125_000_000;
     wan_bandwidth_bps = 12_500_000;
@@ -80,17 +71,13 @@ let default_config () =
     field_concentrators = 0;
     field_devices = 0;
     field_scan_interval_us = 200_000;
-    field_write_interval_us = 1_000_000;
     field_loss = 0.005;
     diversity_variants = 8;
     seed = 0x5917EL;
     wire_debug = false;
     telemetry = false;
-    telemetry_capacity = 65536;
     adaptive = false;
-    adapt_tick_us = 250_000;
     tweak_prime = Fun.id;
-    tweak_pbft = Fun.id;
   }
 
 type replica_instance =
@@ -116,7 +103,6 @@ type join_session = {
 
 type t = {
   cfg : config;
-  world : Sim.World.t; (* ownership root: engine + partition + trace *)
   engine : Sim.Engine.t;
   topo : Overlay.Topology.t;
   net : payload Overlay.Net.t;
@@ -179,7 +165,6 @@ type t = {
 }
 
 let config t = t.cfg
-let world t = t.world
 let engine t = t.engine
 let net t = t.net
 let knobs t = t.knobs
@@ -255,16 +240,6 @@ let exec_log t r =
   | Prime_replica p -> Prime.Replica.exec_log p
   | Pbft_replica p -> Pbft.Replica.exec_log p
 
-let last_applied_of t r =
-  match t.replicas.(r) with
-  | Prime_replica p -> Prime.Replica.last_applied p
-  | Pbft_replica p -> Bft.Exec_log.length (Pbft.Replica.exec_log p)
-
-let applied_matrix_digest_of t r seq =
-  match t.replicas.(r) with
-  | Prime_replica p -> Prime.Replica.applied_matrix_digest p seq
-  | Pbft_replica _ -> None
-
 let instance_halted t r =
   match t.replicas.(r) with
   | Prime_replica p -> Prime.Replica.halted p
@@ -280,7 +255,6 @@ let halt_instance t r =
 let directory t = t.directory
 let current_epoch t = t.cur_epoch
 let epoch_of_replica t r = t.epoch_of.(r)
-let replica_halted t r = instance_halted t r
 let current_members t = Array.to_list t.cur_members
 let stale_epoch_frames t = t.stale_epoch_frames
 let bump_stale_epoch t = t.stale_epoch_frames <- t.stale_epoch_frames + 1
@@ -341,60 +315,37 @@ let current_leader t =
    membership growth never has to rewire the physical mesh — their
    nodes simply stay dark until an epoch admits them.                  *)
 
+(* Global replica ids per site: consecutive, in [sizes] order — the
+   same numbering [Overlay.Topology.multi_site] gives the site nodes. *)
+let site_members sizes =
+  let offset = ref 0 in
+  List.map
+    (fun size ->
+      let members = List.init size (fun i -> !offset + i) in
+      offset := !offset + size;
+      members)
+    sizes
+
 let build_topology cfg =
   let all_sizes = cfg.site_sizes @ cfg.standby_site_sizes in
   let universe = List.fold_left ( + ) 0 all_sizes in
   let sites = List.length all_sizes in
-  let total =
-    universe + cfg.substations + cfg.hmis + cfg.field_concentrators
+  let clients = cfg.substations + cfg.hmis + cfg.field_concentrators in
+  let topo =
+    Overlay.Topology.multi_site ~nodes:(universe + clients)
+      ~site_sizes:all_sizes ~lan_latency_us:cfg.lan_latency_us
+      ~wan_latency_us:cfg.wan_latency_us
+      ~lan_bandwidth_bps:cfg.lan_bandwidth_bps
+      ~wan_bandwidth_bps:cfg.wan_bandwidth_bps ()
   in
-  let topo = Overlay.Topology.create ~nodes:total in
-  (* Replica sites and LAN meshes. *)
-  let site_members =
-    let offset = ref 0 in
-    List.mapi
-      (fun site size ->
-        let members = List.init size (fun i -> !offset + i) in
-        offset := !offset + size;
-        List.iter (fun node -> Overlay.Topology.assign_site topo node site) members;
-        members)
-      all_sizes
-  in
-  List.iter
-    (fun members ->
-      let arr = Array.of_list members in
-      for i = 0 to Array.length arr - 1 do
-        for j = i + 1 to Array.length arr - 1 do
-          Overlay.Topology.add_link topo ~a:arr.(i) ~b:arr.(j)
-            ~latency_us:cfg.lan_latency_us ~bandwidth_bps:cfg.lan_bandwidth_bps
-        done
-      done)
-    site_members;
-  (* Inter-site WAN links: first-first always, second-second when both
-     sites have two or more members (redundancy). *)
-  let site_arr = Array.of_list site_members in
-  for sa = 0 to sites - 1 do
-    for sb = sa + 1 to sites - 1 do
-      let lat = cfg.wan_latency_us sa sb in
-      (match (site_arr.(sa), site_arr.(sb)) with
-      | a0 :: _, b0 :: _ ->
-        Overlay.Topology.add_link topo ~a:a0 ~b:b0 ~latency_us:lat
-          ~bandwidth_bps:cfg.wan_bandwidth_bps
-      | _, _ -> ());
-      match (site_arr.(sa), site_arr.(sb)) with
-      | _ :: a1 :: _, _ :: b1 :: _ ->
-        Overlay.Topology.add_link topo ~a:a1 ~b:b1 ~latency_us:lat
-          ~bandwidth_bps:cfg.wan_bandwidth_bps
-      | _, _ -> ()
-    done
-  done;
+  let site_members = site_members all_sizes in
   (* Clients: one node each, own site id, linked to the first node of
      every control-center site. *)
   let cc_gateways =
     List.filteri (fun i _ -> i < cfg.control_centers) site_members
     |> List.filter_map (function gw :: _ -> Some gw | [] -> None)
   in
-  for c = 0 to cfg.substations + cfg.hmis + cfg.field_concentrators - 1 do
+  for c = 0 to clients - 1 do
     let node = universe + c in
     Overlay.Topology.assign_site topo node (sites + c);
     List.iter
@@ -410,18 +361,15 @@ let build_topology cfg =
    centers first, the first one active. *)
 let genesis_cert cfg =
   let sites =
-    let offset = ref 0 in
     List.mapi
-      (fun i size ->
-        let members = List.init size (fun j -> !offset + j) in
-        offset := !offset + size;
+      (fun i members ->
         let role =
           if i = 0 then Member.Cert.Active_cc
           else if i < cfg.control_centers then Member.Cert.Backup_cc
           else Member.Cert.Data_center
         in
         { Member.Cert.site_id = i; role; members })
-      cfg.site_sizes
+      (site_members cfg.site_sizes)
   in
   Member.Cert.genesis ~f:cfg.quorum.Bft.Quorum.f ~k:cfg.quorum.Bft.Quorum.k
     ~sites
@@ -803,12 +751,49 @@ let controller_tick t =
     in
     Control.Global.step g ~now_us:(Sim.Engine.now t.engine) verdicts
 
-(* State transfer: adopt a (protocol snapshot, master state) pair
-   vouched for by f+1 peers of the replica's OWN epoch. The two halves
-   are captured atomically (same simulation instant), so a consistent
-   pair digest identifies a consistent joint state. Used when a replica
-   returns from proactive recovery AND when a disconnected site
-   reconnects. *)
+(* Serialised master state shipped by a state transfer (exec count +
+   every known RTU status, via the SCADA codec) — the byte carrier
+   whose chunks charge the transfer's bandwidth. *)
+let master_blob master =
+  let b = Buffer.create 256 in
+  Buffer.add_string b
+    (Printf.sprintf "exec:%d;" (Scada.Master.applied_count master));
+  List.iter
+    (fun rtu ->
+      match Scada.Master.last_status master ~rtu with
+      | None -> ()
+      | Some status ->
+        Buffer.add_string b (Scada.Op.encode (Scada.Op.Status_report status)))
+    (Scada.Master.known_rtus master);
+  Buffer.contents b
+
+(* The f+1-vouched state source over [peers]: each offers a (protocol
+   snapshot, master state) pair captured atomically (same simulation
+   instant), so a consistent pair digest identifies a consistent joint
+   state; the newest vouched pair wins. *)
+let vouched_source t ~peers =
+  {
+    Recovery.State_transfer.peers;
+    fetch =
+      (fun peer ->
+        match t.replicas.(peer) with
+        | Prime_replica q ->
+          Some (Prime.Replica.snapshot q, Scada.Master.clone t.masters.(peer))
+        | Pbft_replica _ -> None);
+    digest_of =
+      (fun (snap, master) ->
+        Cryptosim.Digest.combine
+          (Prime.Replica.snapshot_digest snap)
+          (Scada.Master.snapshot_digest master));
+    newer =
+      (fun (a, _) (b, _) ->
+        a.Prime.Replica.snap_exec_count > b.Prime.Replica.snap_exec_count);
+  }
+
+(* State transfer: adopt a state vouched for by f+1 peers of the
+   replica's OWN epoch. Used when a replica returns from proactive
+   recovery, when a crashed site is restored, and when a replica falls
+   behind the quorum's checkpoints. *)
 let resync_replica t r =
   if t.epoch_of.(r) < 0 then ()
   else
@@ -826,36 +811,15 @@ let resync_replica t r =
         | Some (members, _) -> Array.to_list members
         | None -> []
       in
-      let prime_of p =
-        match t.replicas.(p) with
-        | Prime_replica q -> q
-        | Pbft_replica _ -> assert false
+      let peers =
+        List.filter
+          (fun p ->
+            p <> r && t.epoch_of.(p) = e && not (faults t p).Bft.Faults.crashed)
+          peers_of_epoch
       in
-      let source =
-        {
-          Recovery.State_transfer.peers =
-            List.filter
-              (fun p ->
-                p <> r
-                && t.epoch_of.(p) = e
-                && not (faults t p).Bft.Faults.crashed)
-              peers_of_epoch;
-          fetch =
-            (fun peer ->
-              Some
-                ( Prime.Replica.snapshot (prime_of peer),
-                  Scada.Master.clone t.masters.(peer) ));
-          digest_of =
-            (fun (snap, master) ->
-              Cryptosim.Digest.combine
-                (Prime.Replica.snapshot_digest snap)
-                (Scada.Master.snapshot_digest master));
-          newer =
-            (fun (a, _) (b, _) ->
-              a.Prime.Replica.snap_exec_count > b.Prime.Replica.snap_exec_count);
-        }
-      in
-      (match Recovery.State_transfer.select ~f:cert_f source with
+      (match
+         Recovery.State_transfer.select ~f:cert_f (vouched_source t ~peers)
+       with
       | Recovery.State_transfer.Installed (snap, master) ->
         (* Install only a strictly newer snapshot. Re-installing our own
            (or an equal) state is not a harmless no-op: it discards
@@ -868,54 +832,24 @@ let resync_replica t r =
         then begin
           Prime.Replica.install_snapshot prime snap;
           t.masters.(r) <- master;
-          (* Charge the transfer's bandwidth: the adopted state is
-             serialised (exec count + every known RTU status, via the
-             SCADA codec) and shipped as wire chunks from a live donor,
-             so recovery storms compete with protocol traffic for links. *)
-          match source.Recovery.State_transfer.peers with
+          (* Charge the transfer's bandwidth: the adopted state ships as
+             wire chunks from a live donor, so recovery storms compete
+             with protocol traffic for links. *)
+          match peers with
           | [] -> ()
           | donor :: _ ->
-            let blob =
-              let b = Buffer.create 256 in
-              Buffer.add_string b
-                (Printf.sprintf "exec:%d;" (Scada.Master.applied_count master));
-              List.iter
-                (fun rtu ->
-                  match Scada.Master.last_status master ~rtu with
-                  | None -> ()
-                  | Some status ->
-                    Buffer.add_string b
-                      (Scada.Op.encode (Scada.Op.Status_report status)))
-                (Scada.Master.known_rtus master);
-              Buffer.contents b
-            in
             List.iter
               (fun chunk ->
                 send_payload t ~src_node:(node_of_replica t donor)
                   ~dst_node:(node_of_replica t r) (Transfer_chunk chunk))
               (Recovery.State_transfer.chunk_blob ~xfer_id:r ~chunk_bytes:1024
-                 blob)
+                 (master_blob master))
         end
       | Recovery.State_transfer.No_quorum _ ->
         (* Rare: peers disagree transiently; rejoin from live traffic and
            catch up through slot requests / checkpoints. *)
         ())
     | Prime_replica _ -> () (* halted: the successor epoch owns catch-up *)
-
-(* Serialised master state shipped during a join (exec count + every
-   known RTU status) — the byte carrier whose chunks the ARQ guards. *)
-let master_blob master =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "exec:%d;" (Scada.Master.applied_count master));
-  List.iter
-    (fun rtu ->
-      match Scada.Master.last_status master ~rtu with
-      | None -> ()
-      | Some status ->
-        Buffer.add_string b (Scada.Op.encode (Scada.Op.Status_report status)))
-    (Scada.Master.known_rtus master);
-  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Epoch cutover machinery.
@@ -1041,11 +975,6 @@ and begin_join t g =
       Overlay.Net.unretire_node t.net (node_of_replica t g);
       Overlay.Net.restore_node t.net (node_of_replica t g);
       (faults t g).Bft.Faults.crashed <- false;
-      let prime_of p =
-        match t.replicas.(p) with
-        | Prime_replica q -> Some q
-        | Pbft_replica _ -> None
-      in
       let peers =
         Array.to_list members
         |> List.filter (fun p ->
@@ -1055,28 +984,10 @@ and begin_join t g =
                && (not (instance_halted t p))
                && Overlay.Net.node_alive t.net (node_of_replica t p))
       in
-      let source =
-        {
-          Recovery.State_transfer.peers;
-          fetch =
-            (fun peer ->
-              match prime_of peer with
-              | None -> None
-              | Some q ->
-                Some
-                  ( Prime.Replica.snapshot q,
-                    Scada.Master.clone t.masters.(peer) ));
-          digest_of =
-            (fun (snap, master) ->
-              Cryptosim.Digest.combine
-                (Prime.Replica.snapshot_digest snap)
-                (Scada.Master.snapshot_digest master));
-          newer =
-            (fun (a, _) (b, _) ->
-              a.Prime.Replica.snap_exec_count > b.Prime.Replica.snap_exec_count);
-        }
-      in
-      (match Recovery.State_transfer.select ~f:(Member.Cert.f cert) source with
+      (match
+         Recovery.State_transfer.select ~f:(Member.Cert.f cert)
+           (vouched_source t ~peers)
+       with
       | Recovery.State_transfer.No_quorum _ ->
         () (* not enough live vouchers yet; the reconciler retries *)
       | Recovery.State_transfer.Installed (snap, master) -> (
@@ -1165,17 +1076,7 @@ and install_member_instance t r ~cert ~snap =
   else begin
     let inst = t.make_member_instance ~cert ~rank:rank_of.(r) ~global:r in
     (match inst with
-    | Prime_replica p ->
-      Prime.Replica.install_snapshot p snap;
-      Prime.Replica.set_on_fall_behind p (fun () ->
-          ignore
-            (Sim.Engine.schedule ~shard:(1 + t.replica_sites.(r)) t.engine
-               ~delay_us:0 (fun () ->
-                 if
-                   (not (faults t r).Bft.Faults.crashed)
-                   && t.epoch_of.(r) >= 0
-                 then resync_replica t r)
-              : Sim.Engine.timer))
+    | Prime_replica p -> Prime.Replica.install_snapshot p snap
     | Pbft_replica _ -> ());
     t.replicas.(r) <- inst;
     t.epoch_of.(r) <- e;
@@ -1368,6 +1269,20 @@ let env_for t ~epoch ~rank ~(members : int array) wrap =
     telemetry = t.telemetry;
   }
 
+(* Client node handler: replies (single or batched) go to the client's
+   endpoint; clients ignore every other kind. *)
+let set_client_handler t client handle_reply =
+  Overlay.Net.set_handler t.net (node_of_client t client) (fun delivery ->
+      debug_check_delivery t ~sender:delivery.Overlay.Net.frame_src
+        delivery.Overlay.Net.payload;
+      match delivery.Overlay.Net.payload with
+      | Replica_reply reply -> handle_reply reply
+      | Reply_batch rs -> List.iter handle_reply rs
+      | Prime_msg _ | Pbft_msg _ | Client_update _ | Client_batch _
+      | Transfer_chunk _ | Epoch_frame _ | Cert_frame _ | Field_advert _
+      | Field_report _ ->
+        ())
+
 let create cfg =
   let n = List.fold_left ( + ) 0 cfg.site_sizes in
   let universe = n + List.fold_left ( + ) 0 cfg.standby_site_sizes in
@@ -1400,9 +1315,7 @@ let create cfg =
   let net = Overlay.Net.create ~per_source_cap:256 ~partition:part engine topo () in
   let sink =
     if cfg.telemetry then begin
-      let s =
-        Telemetry.Sink.create ~capacity:cfg.telemetry_capacity ~enabled:true ()
-      in
+      let s = Telemetry.Sink.create ~enabled:true () in
       (* The orderable milestone needs an ordering quorum of pre-order
          body stores; the execution milestone needs the reply (f+1)
          quorum of distinct executions. *)
@@ -1439,7 +1352,6 @@ let create cfg =
   let t =
     {
       cfg;
-      world;
       engine;
       topo;
       net;
@@ -1506,35 +1418,11 @@ let create cfg =
       (fun acc link -> max acc link.Overlay.Topology.latency_us)
       0 (Overlay.Topology.links topo)
   in
-  let prime_instance ~quorum ~epoch ~rank ~members ~global =
-    let pcfg =
-      cfg.tweak_prime
-        {
-          (Prime.Replica.default_config quorum) with
-          Prime.Replica.epoch;
-          tat_threshold_us = max 100_000 ((8 * max_one_way) + 60_000);
-          batch = batch_policy;
-        }
-    in
-    Prime_replica
-      (Prime.Replica.create pcfg
-         (env_for t ~epoch ~rank ~members (fun m -> Prime_msg (rank, m)))
-         ~execute:(execute_of t global))
-  in
-  let pbft_instance ~quorum ~epoch ~rank ~members ~global =
-    let pcfg =
-      cfg.tweak_pbft
-        {
-          (Pbft.Replica.default_config quorum) with
-          Pbft.Replica.epoch;
-          batch = batch_policy;
-        }
-    in
-    Pbft_replica
-      (Pbft.Replica.create pcfg
-         (env_for t ~epoch ~rank ~members (fun m -> Pbft_msg (rank, m)))
-         ~execute:(fun seq u -> execute_of t global seq u))
-  in
+  (* The one replica-instance builder, for the genesis epoch and every
+     later one: the quorum and membership come from the certificate. A
+     Prime replica that provably fell behind the quorum's checkpoints
+     asks the deployment for state transfer (deferred one event so the
+     transfer does not run inside a message handler). *)
   t.make_member_instance <-
     (fun ~cert ~rank ~global ->
       let epoch = Member.Cert.epoch cert in
@@ -1544,8 +1432,41 @@ let create cfg =
       in
       let members, _ = Hashtbl.find t.rank_maps epoch in
       match cfg.protocol with
-      | Prime_protocol -> prime_instance ~quorum ~epoch ~rank ~members ~global
-      | Pbft_protocol -> pbft_instance ~quorum ~epoch ~rank ~members ~global);
+      | Prime_protocol ->
+        let pcfg =
+          cfg.tweak_prime
+            {
+              (Prime.Replica.default_config quorum) with
+              Prime.Replica.epoch;
+              tat_threshold_us = max 100_000 ((8 * max_one_way) + 60_000);
+              batch = batch_policy;
+            }
+        in
+        let p =
+          Prime.Replica.create pcfg
+            (env_for t ~epoch ~rank ~members (fun m -> Prime_msg (rank, m)))
+            ~execute:(execute_of t global)
+        in
+        Prime.Replica.set_on_fall_behind p (fun () ->
+            ignore
+              (Sim.Engine.schedule ~shard:(1 + t.replica_sites.(global)) engine
+                 ~delay_us:0 (fun () ->
+                   if not (faults t global).Bft.Faults.crashed then
+                     resync_replica t global)
+                : Sim.Engine.timer));
+        Prime_replica p
+      | Pbft_protocol ->
+        let pcfg =
+          {
+            (Pbft.Replica.default_config quorum) with
+            Pbft.Replica.epoch;
+            batch = batch_policy;
+          }
+        in
+        Pbft_replica
+          (Pbft.Replica.create pcfg
+             (env_for t ~epoch ~rank ~members (fun m -> Pbft_msg (rank, m)))
+             ~execute:(execute_of t global)));
   (* Pre-provisioned standby replicas exist as inert placeholders: a
      crashed, halted, never-started single-replica instance whose env
      goes nowhere. Admission replaces it wholesale. *)
@@ -1580,38 +1501,14 @@ let create cfg =
       (Pbft.Replica.faults p).Bft.Faults.crashed <- true;
       Pbft_replica p
   in
-  let quorum0 = cfg.quorum in
   t.replicas <-
     Array.init universe (fun r ->
-        if r < n then
-          match cfg.protocol with
-          | Prime_protocol ->
-            prime_instance ~quorum:quorum0 ~epoch:0 ~rank:r ~members:identity
-              ~global:r
-          | Pbft_protocol ->
-            pbft_instance ~quorum:quorum0 ~epoch:0 ~rank:r ~members:identity
-              ~global:r
+        if r < n then t.make_member_instance ~cert:genesis ~rank:r ~global:r
         else standby_instance ());
   (* Standby nodes stay dark until an epoch admits them. *)
   for r = n to universe - 1 do
     Overlay.Net.kill_node net r
   done;
-  (* A replica that provably fell behind the quorum's checkpoints asks
-     the deployment for state transfer (deferred one event so the
-     transfer does not run inside a message handler). *)
-  Array.iteri
-    (fun r instance ->
-      match instance with
-      | Prime_replica p when r < n ->
-        Prime.Replica.set_on_fall_behind p (fun () ->
-            ignore
-              (Sim.Engine.schedule ~shard:(1 + t.replica_sites.(r)) engine
-                 ~delay_us:0 (fun () ->
-                   if not (faults t r).Bft.Faults.crashed then
-                     resync_replica t r)
-                : Sim.Engine.timer))
-      | Prime_replica _ | Pbft_replica _ -> ())
-    t.replicas;
   (* Net handlers: every replica node in the universe (standby handlers
      exist up front so admission needs no rewiring). *)
   for r = 0 to universe - 1 do
@@ -1717,16 +1614,7 @@ let create cfg =
             ~submit:(submit_of i) ()
         in
         Scada.Endpoint.set_on_complete (Scada.Proxy.endpoint p) record_latency;
-        Overlay.Net.set_handler net (node_of_client t i) (fun delivery ->
-            debug_check_delivery t ~sender:delivery.Overlay.Net.frame_src
-              delivery.Overlay.Net.payload;
-            match delivery.Overlay.Net.payload with
-            | Replica_reply reply -> Scada.Proxy.handle_reply p reply
-            | Reply_batch rs -> List.iter (Scada.Proxy.handle_reply p) rs
-            | Prime_msg _ | Pbft_msg _ | Client_update _ | Client_batch _
-            | Transfer_chunk _ | Epoch_frame _ | Cert_frame _ | Field_advert _
-            | Field_report _ ->
-              ());
+        set_client_handler t i (Scada.Proxy.handle_reply p);
         p)
   in
   let hmis =
@@ -1739,16 +1627,7 @@ let create cfg =
             ~submit:(submit_of client) ()
         in
         Scada.Endpoint.set_on_complete (Scada.Hmi.endpoint h) record_latency;
-        Overlay.Net.set_handler net (node_of_client t client) (fun delivery ->
-            debug_check_delivery t ~sender:delivery.Overlay.Net.frame_src
-              delivery.Overlay.Net.payload;
-            match delivery.Overlay.Net.payload with
-            | Replica_reply reply -> Scada.Hmi.handle_reply h reply
-            | Reply_batch rs -> List.iter (Scada.Hmi.handle_reply h) rs
-            | Prime_msg _ | Pbft_msg _ | Client_update _ | Client_batch _
-            | Transfer_chunk _ | Epoch_frame _ | Cert_frame _ | Field_advert _
-            | Field_report _ ->
-              ());
+        set_client_handler t client (Scada.Hmi.handle_reply h);
         h)
   in
   (* Device fleet: per-substation concentrators, each an ordinary BFT
@@ -1775,7 +1654,7 @@ let create cfg =
               (* Stagger the rounds across the interval so the core
                  sees a stream of aggregates, not a thundering herd. *)
               phase_us = i * cfg.field_scan_interval_us / nc;
-              write_interval_us = cfg.field_write_interval_us;
+              write_interval_us = field_write_interval_us;
               keepalive_loss = cfg.field_loss;
             }
           in
@@ -1791,18 +1670,7 @@ let create cfg =
               ~config ()
           in
           Field.Concentrator.set_on_complete c record_latency;
-          Overlay.Net.set_handler net (node_of_client t client)
-            (fun delivery ->
-              debug_check_delivery t ~sender:delivery.Overlay.Net.frame_src
-                delivery.Overlay.Net.payload;
-              match delivery.Overlay.Net.payload with
-              | Replica_reply reply -> Field.Concentrator.handle_reply c reply
-              | Reply_batch rs ->
-                List.iter (Field.Concentrator.handle_reply c) rs
-              | Prime_msg _ | Pbft_msg _ | Client_update _ | Client_batch _
-              | Transfer_chunk _ | Epoch_frame _ | Cert_frame _
-              | Field_advert _ | Field_report _ ->
-                ());
+          set_client_handler t client (Field.Concentrator.handle_reply c);
           c)
     end
   in
@@ -1842,7 +1710,7 @@ let start t =
      controller adds zero timers, so the trajectory is untouched. *)
   if t.cfg.adaptive then
     ignore
-      (Sim.Engine.periodic t.engine ~interval_us:t.cfg.adapt_tick_us (fun () ->
+      (Sim.Engine.periodic t.engine ~interval_us:adapt_tick_us (fun () ->
            controller_tick t)
         : Sim.Engine.timer)
 
@@ -2024,22 +1892,19 @@ let set_leader_delay t ~delay_us =
   let leader = current_leader t in
   (faults t leader).Bft.Faults.proposal_delay_us <- delay_us
 
-let kill_site t site =
-  List.iter
-    (fun r ->
-      Overlay.Net.kill_node t.net (node_of_replica t r);
-      (faults t r).Bft.Faults.crashed <- true)
-    (replicas_in_site t site)
+let crash_replica t r =
+  Overlay.Net.kill_node t.net (node_of_replica t r);
+  (faults t r).Bft.Faults.crashed <- true
 
-let restore_site t site =
-  List.iter
-    (fun r ->
-      Overlay.Net.restore_node t.net (node_of_replica t r);
-      (faults t r).Bft.Faults.crashed <- false;
-      (* Only same-epoch replicas resynchronise directly; stale-epoch
-         ones are walked through a certified rejoin by the reconciler. *)
-      if t.epoch_of.(r) = t.cur_epoch then resync_replica t r)
-    (replicas_in_site t site)
+(* Only same-epoch replicas resynchronise directly; stale-epoch ones
+   are walked through a certified rejoin by the reconciler. *)
+let restore_replica t r =
+  Overlay.Net.restore_node t.net (node_of_replica t r);
+  (faults t r).Bft.Faults.crashed <- false;
+  if t.epoch_of.(r) = t.cur_epoch then resync_replica t r
+
+let kill_site t site = List.iter (crash_replica t) (replicas_in_site t site)
+let restore_site t site = List.iter (restore_replica t) (replicas_in_site t site)
 
 (* Network-level site isolation: the site's overlay daemons go dark
    but the replica processes keep running (the paper's control-center
@@ -2055,12 +1920,3 @@ let reconnect_site t site =
   List.iter
     (fun r -> Overlay.Net.restore_node t.net (node_of_replica t r))
     (replicas_in_site t site)
-
-let crash_replica t r =
-  Overlay.Net.kill_node t.net (node_of_replica t r);
-  (faults t r).Bft.Faults.crashed <- true
-
-let restore_replica t r =
-  Overlay.Net.restore_node t.net (node_of_replica t r);
-  (faults t r).Bft.Faults.crashed <- false;
-  if t.epoch_of.(r) = t.cur_epoch then resync_replica t r

@@ -67,10 +67,9 @@ type config = {
   field_devices : int;
       (** total register-mapped devices, split (evenly, remainder to
           the low-numbered concentrators) across [field_concentrators] *)
-  field_scan_interval_us : int;  (** fleet scan-round cadence *)
-  field_write_interval_us : int;
-      (** per-concentrator supervisory-write workload cadence; [0]
-          disables writes *)
+  field_scan_interval_us : int;
+      (** fleet scan-round cadence; each concentrator also issues one
+          supervisory write per second *)
   field_loss : float;  (** per-round keep-alive loss probability *)
   diversity_variants : int;
   seed : int64;
@@ -82,20 +81,16 @@ type config = {
           of the frames carrying it) into a {!Telemetry.Sink}; off by
           default — the disabled hot path costs one bool/int compare
           per potential span *)
-  telemetry_capacity : int;  (** finished-span ring bound (see {!Telemetry.Sink.create}) *)
   adaptive : bool;
       (** enable the two-level adaptive-resilience controller
           ({!Control.Local} per replica + one {!Control.Global}), ticking
-          every [adapt_tick_us] and actuating through the knob plane.
+          every 250 ms and actuating through the knob plane.
           Off by default: a disabled controller allocates nothing
           observable, arms no timer and draws no randomness, so the
           trajectory is bit-identical to a build without [lib/control].
           The controller senses through the telemetry sink — enable
           [telemetry] for it to see anything. *)
-  adapt_tick_us : int;
-      (** controller sampling cadence; default 250 ms *)
   tweak_prime : Prime.Replica.config -> Prime.Replica.config;
-  tweak_pbft : Pbft.Replica.config -> Pbft.Replica.config;
 }
 
 (** [default_config ()] is the paper's wide-area deployment shape:
@@ -119,18 +114,13 @@ val engine : t -> Sim.Engine.t
 val config : t -> config
 val net : t -> payload Overlay.Net.t
 
-(** [world t] is the instance's ownership root ({!Sim.World}): engine,
-    trace ring and site partition bundled in one explicit value. Every
-    system owns a fresh world — no state is shared between instances,
-    so independent systems may run concurrently on different domains
-    ({!Sim.Parallel}). *)
-val world : t -> Sim.World.t
-
 (** [shard_partition t] is the site-ownership partition the instance
     runs under: one shard per replica site (active and standby, in
     config order) plus one trailing shard pooling all field devices
     (proxies, HMIs). Purely structural — event order is identical for
-    any partition. *)
+    any partition. Every system owns a fresh {!Sim.World}, so
+    independent systems may run concurrently on different domains
+    ({!Sim.Parallel}). *)
 val shard_partition : t -> Sim.Shard.partition
 
 (** [telemetry t] is the system's span sink: live when the config set
@@ -192,17 +182,6 @@ val view_of : t -> Bft.Types.replica -> Bft.Types.view
 val current_leader : t -> Bft.Types.replica
 
 val exec_log : t -> Bft.Types.replica -> Bft.Exec_log.t
-
-(** [last_applied_of t r] — highest ordered slot replica [r] has applied
-    (equals executed count for PBFT; for Prime, ordered slots can run
-    ahead of executed updates while bodies are still being fetched). *)
-val last_applied_of : t -> Bft.Types.replica -> int
-
-(** [applied_matrix_digest_of t r seq] — digest of the summary matrix
-    replica [r] applied at ordered slot [seq], if still retained
-    (Prime only; [None] for PBFT or garbage-collected slots). *)
-val applied_matrix_digest_of :
-  t -> Bft.Types.replica -> Bft.Types.seqno -> Cryptosim.Digest.t option
 val node_of_replica : t -> Bft.Types.replica -> Overlay.Topology.node
 val node_of_client : t -> Bft.Types.client -> Overlay.Topology.node
 val site_of_replica : t -> Bft.Types.replica -> Overlay.Topology.site
@@ -309,10 +288,6 @@ val current_epoch : t -> int
 (** [epoch_of_replica t r] — the epoch replica [r]'s running instance
     belongs to, or [-1] for standby / retired replicas. *)
 val epoch_of_replica : t -> Bft.Types.replica -> int
-
-(** [replica_halted t r] — true when [r]'s instance has halted (epoch
-    boundary reached, or retired). *)
-val replica_halted : t -> Bft.Types.replica -> bool
 
 (** [current_members t] — global replica ids of the current epoch's
     membership, in protocol-rank order. *)

@@ -96,10 +96,10 @@ let full_mesh ~nodes ~latency_us ~bandwidth_bps =
   done;
   t
 
-let multi_site ~site_sizes ~lan_latency_us ~wan_latency_us ~lan_bandwidth_bps
-    ~wan_bandwidth_bps =
+let multi_site ?nodes ~site_sizes ~lan_latency_us ~wan_latency_us
+    ~lan_bandwidth_bps ~wan_bandwidth_bps () =
   let total = List.fold_left ( + ) 0 site_sizes in
-  let t = create ~nodes:total in
+  let t = create ~nodes:(Option.value ~default:total nodes) in
   (* Assign sites and build per-site LANs. *)
   let site_members =
     let offset = ref 0 in
@@ -142,24 +142,25 @@ let multi_site ~site_sizes ~lan_latency_us ~wan_latency_us ~lan_bandwidth_bps
   done;
   t
 
+(* Sites: 0 = control center A (Baltimore), 1 = control center B
+   (Washington DC), 2 = data center C (New York), 3 = data center D
+   (Boston). One-way latencies approximate published inter-city
+   values. *)
+let east_coast_wan_us a b =
+  match (min a b, max a b) with
+  | 0, 1 -> 2_000 (* Baltimore <-> DC *)
+  | 0, 2 -> 4_000 (* Baltimore <-> NYC *)
+  | 0, 3 -> 8_000 (* Baltimore <-> Boston *)
+  | 1, 2 -> 5_000 (* DC <-> NYC *)
+  | 1, 3 -> 9_000 (* DC <-> Boston *)
+  | 2, 3 -> 5_000 (* NYC <-> Boston *)
+  | _ -> 10_000
+
 let wide_area_east_coast () =
-  (* Sites: 0 = control center A (Baltimore), 1 = control center B
-     (Washington DC), 2 = data center C (New York), 3 = data center D
-     (Boston). One-way latencies approximate published inter-city
-     values. *)
-  let one_way = function
-    | 0, 1 | 1, 0 -> 2_000 (* Baltimore <-> DC *)
-    | 0, 2 | 2, 0 -> 4_000 (* Baltimore <-> NYC *)
-    | 0, 3 | 3, 0 -> 8_000 (* Baltimore <-> Boston *)
-    | 1, 2 | 2, 1 -> 5_000 (* DC <-> NYC *)
-    | 1, 3 | 3, 1 -> 9_000 (* DC <-> Boston *)
-    | 2, 3 | 3, 2 -> 5_000 (* NYC <-> Boston *)
-    | _ -> 10_000
-  in
   let t =
     multi_site ~site_sizes:[ 3; 3; 2; 2 ] ~lan_latency_us:100
-      ~wan_latency_us:(fun a b -> one_way (a, b))
+      ~wan_latency_us:east_coast_wan_us
       ~lan_bandwidth_bps:125_000_000 (* 1 Gbps LAN *)
-      ~wan_bandwidth_bps:12_500_000 (* 100 Mbps WAN *)
+      ~wan_bandwidth_bps:12_500_000 (* 100 Mbps WAN *) ()
   in
   (t, [ (0, `Control_center); (1, `Control_center); (2, `Data_center); (3, `Data_center) ])

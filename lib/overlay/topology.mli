@@ -61,22 +61,35 @@ val connected : t -> bool
     LAN segment. *)
 val full_mesh : nodes:int -> latency_us:int -> bandwidth_bps:int -> t
 
-(** [multi_site ~site_sizes ~lan_latency_us ~wan_latency_us ~lan_bandwidth_bps
-     ~wan_bandwidth_bps] builds one full-mesh LAN per site and a full
-    mesh of WAN links between sites (one WAN link per node pair across
-    sites would be overkill; each pair of sites is joined by links
-    between the first node of each site plus redundant links between the
-    second nodes when both sites have them).
+(** [multi_site ?nodes ~site_sizes ~lan_latency_us ~wan_latency_us
+     ~lan_bandwidth_bps ~wan_bandwidth_bps ()] builds one full-mesh LAN
+    per site and a full mesh of WAN links between sites (one WAN link
+    per node pair across sites would be overkill; each pair of sites is
+    joined by links between the first node of each site plus redundant
+    links between the second nodes when both sites have them).
+
+    Site members are numbered consecutively from node 0 in
+    [site_sizes] order. [nodes] (default: the sum of [site_sizes])
+    sizes the node space; nodes past the sites are left unlinked in
+    site 0 for the caller to place. Links are added LANs first, then
+    WAN site pairs in ascending order — route tie-breaks depend on it.
 
     [wan_latency_us] is indexed by unordered site pair via
     [wan_latency_us sa sb]. *)
 val multi_site :
+  ?nodes:int ->
   site_sizes:int list ->
   lan_latency_us:int ->
   wan_latency_us:(site -> site -> int) ->
   lan_bandwidth_bps:int ->
   wan_bandwidth_bps:int ->
+  unit ->
   t
+
+(** [east_coast_wan_us sa sb] is the one-way WAN latency between the
+    paper's four East-coast sites (0-1 control centers, 2-3 data
+    centers), symmetric; 10 ms for any other pair. *)
+val east_coast_wan_us : site -> site -> int
 
 (** [wide_area_east_coast ()] is the reproduction of the paper's
     deployment substrate: 4 sites — two control centers and two data

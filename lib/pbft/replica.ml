@@ -68,10 +68,8 @@ type t = {
 
 let faults t = t.faults
 let view t = t.view
-let last_executed t = t.last_executed
 let exec_log t = t.log
 let view_changes t = t.view_changes
-let pending_count t = Hashtbl.length t.pending
 let epoch t = t.config.epoch
 let halted t = t.halted
 let halt t = t.halted <- true

@@ -69,14 +69,10 @@ val faults : t -> Bft.Faults.t
 
 val view : t -> Bft.Types.view
 val is_leader : t -> bool
-val last_executed : t -> Bft.Types.seqno
 val exec_log : t -> Bft.Exec_log.t
 
 (** [view_changes t] counts view changes this replica has joined. *)
 val view_changes : t -> int
-
-(** [pending_count t] is the number of known-but-unexecuted requests. *)
-val pending_count : t -> int
 
 (** {1 Epoch cutover} *)
 

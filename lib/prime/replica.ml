@@ -152,8 +152,6 @@ let faults t = t.faults
 let view t = t.view
 let exec_log t = t.log
 let executed_count t = Exec_log.length t.log
-let last_applied t = t.last_applied
-let recv_vector t = Array.copy t.recv
 let view_changes t = t.view_changes
 let max_tat_us t = t.max_tat_us
 let suspected t = t.suspected_view >= t.view
@@ -175,9 +173,6 @@ let unresponsive t ~threshold_us =
   List.filter
     (fun r -> r <> t.env.Env.self && now - t.last_heard_us.(r) > threshold_us)
     (List.init (n t) Fun.id)
-
-let applied_matrix_digest t seq =
-  Option.map Matrix.digest (Hashtbl.find_opt t.applied_matrices seq)
 
 let create config env ~execute =
   let nn = config.quorum.Quorum.n in

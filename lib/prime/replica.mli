@@ -81,13 +81,6 @@ val exec_log : t -> Bft.Exec_log.t
 (** [executed_count t] is the number of updates executed. *)
 val executed_count : t -> int
 
-(** [last_applied t] is the highest ordered slot applied. *)
-val last_applied : t -> Bft.Types.seqno
-
-(** [recv_vector t] is a copy of the replica's cumulative pre-order
-    vector. *)
-val recv_vector : t -> Matrix.vector
-
 val view_changes : t -> int
 
 (** [max_tat_us t] is the largest turnaround time observed so far (0 if
@@ -190,10 +183,6 @@ val install_snapshot : t -> snapshot -> unit
     been received for at least [threshold_us] — the local evidence fed
     into accusation-based reactive recovery. *)
 val unresponsive : t -> threshold_us:int -> Bft.Types.replica list
-
-(** [applied_matrix_digest t seq] — digest of the matrix applied at
-    ordered slot [seq], if still retained (introspection/debugging). *)
-val applied_matrix_digest : t -> Bft.Types.seqno -> Cryptosim.Digest.t option
 
 (** [set_on_fall_behind t f] — [f] fires (rate-limited) when a quorum
     checkpoint certificate proves this replica is too far behind for

@@ -31,7 +31,7 @@ let test_multi_site_structure () =
   let t =
     T.multi_site ~site_sizes:[ 2; 2; 1 ] ~lan_latency_us:50
       ~wan_latency_us:(fun _ _ -> 5_000)
-      ~lan_bandwidth_bps:1_000_000 ~wan_bandwidth_bps:100_000
+      ~lan_bandwidth_bps:1_000_000 ~wan_bandwidth_bps:100_000 ()
   in
   Alcotest.(check int) "nodes" 5 (T.node_count t);
   Alcotest.(check int) "sites" 3 (T.site_count t);
@@ -690,7 +690,7 @@ let test_net_switch_preserves_in_flight () =
 let wan_topo () =
   T.multi_site ~site_sizes:[ 2; 2; 1 ] ~lan_latency_us:50
     ~wan_latency_us:(fun sa sb -> 2_000 + (500 * (sa + sb)))
-    ~lan_bandwidth_bps:10_000_000 ~wan_bandwidth_bps:1_000_000
+    ~lan_bandwidth_bps:10_000_000 ~wan_bandwidth_bps:1_000_000 ()
 
 (* The crossing ledger, under random traffic in all three dissemination
    modes: only cross-shard pairs appear, in (src, dst) order, and the

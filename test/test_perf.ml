@@ -261,6 +261,63 @@ let test_flood_loss_golden () =
        (Spire.Scenarios.packet_loss ~mode:Overlay.Net.Flood ~loss:0.05
           ~duration_us:flood_duration_us ()))
 
+(* State transfer ships the adopted master state as [transfer_chunk]
+   frames along two paths: a restored site's replicas resynchronise
+   from f+1 vouching peers of their own epoch, and a replica admitted
+   by a reconfiguration joins from f+1 members of the new epoch. The E2
+   and E6 goldens never transfer state (the flood-loss one reaches only
+   the fall-behind hook), so these two runs pin both paths: chunk
+   frames and bytes, confirmed count and engine event count. *)
+type transfer_snapshot = {
+  t_chunk_frames : int;
+  t_chunk_bytes : int;
+  t_confirmed : int;
+  t_events : int;
+}
+
+let transfer_snapshot sys ~confirmed =
+  let frames, bytes =
+    match
+      List.find_opt
+        (fun (kind, _, _) -> kind = "transfer_chunk")
+        (Spire.System.wire_traffic sys)
+    with
+    | Some (_, frames, bytes) -> (frames, bytes)
+    | None -> (0, 0)
+  in
+  {
+    t_chunk_frames = frames;
+    t_chunk_bytes = bytes;
+    t_confirmed = confirmed;
+    t_events = Sim.Engine.processed (Spire.System.engine sys);
+  }
+
+let check_transfer_golden expected s =
+  Alcotest.(check int) "transfer_chunk frames" expected.t_chunk_frames
+    s.t_chunk_frames;
+  Alcotest.(check int) "transfer_chunk bytes" expected.t_chunk_bytes
+    s.t_chunk_bytes;
+  Alcotest.(check int) "confirmed" expected.t_confirmed s.t_confirmed;
+  Alcotest.(check int) "events processed" expected.t_events s.t_events
+
+let test_site_restore_transfer_golden () =
+  let sys, r =
+    Spire.Scenarios.site_failure ~site:0 ~fail_at_us:2_000_000
+      ~restore_at_us:(Some 5_000_000) ~duration_us:8_000_000 ()
+  in
+  check_transfer_golden
+    { t_chunk_frames = 2; t_chunk_bytes = 892; t_confirmed = 790;
+      t_events = 107_826 }
+    (transfer_snapshot sys ~confirmed:r.Spire.Scenarios.confirmed)
+
+let test_reconfig_join_transfer_golden () =
+  let sys, r = Spire.Scenarios.reconfiguration ~duration_us:30_000_000 () in
+  check_transfer_golden
+    { t_chunk_frames = 2; t_chunk_bytes = 894; t_confirmed = 2992;
+      t_events = 345_888 }
+    (transfer_snapshot sys
+       ~confirmed:r.Spire.Scenarios.base.Spire.Scenarios.confirmed)
+
 let () =
   Alcotest.run "perf"
     [
@@ -276,6 +333,10 @@ let () =
             test_flood_attack_golden;
           Alcotest.test_case "E6b flood-over-loss golden" `Slow
             test_flood_loss_golden;
+          Alcotest.test_case "site-restore state-transfer golden" `Slow
+            test_site_restore_transfer_golden;
+          Alcotest.test_case "reconfig-join state-transfer golden" `Slow
+            test_reconfig_join_transfer_golden;
         ] );
       ( "batching",
         [
