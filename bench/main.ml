@@ -1,23 +1,21 @@
 (* Benchmark harness: regenerates every table and figure of the
-   reconstructed evaluation (experiments E1..E10, see DESIGN.md), plus
-   Bechamel microbenchmarks of the performance-critical primitives.
+   reconstructed evaluation (experiments E1..E13, see DESIGN.md and
+   EXPERIMENTS.md).
 
    Usage:
      dune exec bench/main.exe                 # all experiments, quick scale
      EXPERIMENT=E4 dune exec bench/main.exe   # one experiment
      ONLY=E2,E4,E6 dune exec bench/main.exe   # comma-separated subset
      SCALE=full dune exec bench/main.exe      # paper-scale durations
-     MICRO=0 dune exec bench/main.exe         # skip microbenchmarks
-     PERF=1 dune exec bench/main.exe          # perf trajectory -> BENCH_PERF.json
+     PERF=1 dune exec bench/main.exe          # wall-clock gates (bench/perf.ml)
+     PAR=4 ONLY=E10 dune exec bench/main.exe  # farm instances over 4 domains
      FLEET=1000,10000 ONLY=E12 ...            # E12 fleet-size sweep points
+     ADAPT=delay EXPERIMENT=E13 ...           # E13 replayed attack(s)
 
    Absolute numbers depend on the simulated substrate; the properties
    that must match the paper are the *shapes*: who wins, by what rough
    factor, and where behaviour changes. Each experiment prints the
    shape statement it is checking. *)
-
-let scale_full =
-  match Sys.getenv_opt "SCALE" with Some "full" -> true | _ -> false
 
 (* Shared validated env-knob parsing. A knob that is set but fails to
    parse aborts with exit 2 and prints its valid forms — the same
@@ -37,6 +35,23 @@ let env_knob name ~valid parse =
 let positive_int s =
   match int_of_string_opt s with Some n when n >= 1 -> Some n | _ -> None
 
+let scale_full =
+  Option.value ~default:false
+    (env_knob "SCALE" ~valid:"quick | full" (fun s ->
+         match String.lowercase_ascii s with
+         | "quick" -> Some false
+         | "full" -> Some true
+         | _ -> None))
+
+(* PERF=1 runs the wall-clock gates of bench/perf.ml instead of the
+   experiments; they always run at quick scale. *)
+let perf_mode =
+  Option.value ~default:false
+    (env_knob "PERF" ~valid:"0 | 1" (function
+      | "0" -> Some false
+      | "1" -> Some true
+      | _ -> None))
+
 let wanted =
   match Sys.getenv_opt "EXPERIMENT" with
   | Some e -> Some (String.uppercase_ascii e)
@@ -54,12 +69,6 @@ let only =
              match String.trim e with
              | "" -> None
              | e -> Some (String.uppercase_ascii e)))
-
-let run_micro =
-  match Sys.getenv_opt "MICRO" with Some "0" -> false | _ -> true
-
-let perf_mode =
-  match Sys.getenv_opt "PERF" with Some "1" -> true | _ -> false
 
 (* PAR=N — farm the independent scenario instances (E8 sweep points,
    E10 chaos soak seeds) across N OCaml domains via Sim.Parallel.
@@ -912,6 +921,12 @@ let fleet_points =
    devices. *)
 let fleet_concentrators devices = min 64 (max 4 (devices / 2500))
 
+(* Quick-scale floor on the 10,000-device point's confirmed events per
+   virtual second: half the rate first recorded for it, 18,179. The
+   point is large enough to exercise the aggregation path, and the
+   rate is virtual-time, so the floor does not depend on the host. *)
+let e12_floor_10k_events_per_sec = 9_090.
+
 let e12 () =
   section "E12"
     "Fleet-scale field layer: register-mapped devices behind hierarchical \
@@ -979,6 +994,15 @@ let e12 () =
       if s.Field.Concentrator.confirmed_events = 0 then begin
         Printf.eprintf "E12 FAILED: no confirmed fleet events at %d devices\n"
           devices;
+        exit 1
+      end;
+      let rate = float_of_int s.confirmed_events /. secs in
+      if (not scale_full) && devices = 10_000
+         && rate < e12_floor_10k_events_per_sec
+      then begin
+        Printf.eprintf
+          "E12 FAILED: 10k-device point %.0f conf events/s below floor %.0f\n"
+          rate e12_floor_10k_events_per_sec;
         exit 1
       end)
     results;
@@ -1139,123 +1163,6 @@ let e13 () =
      each time — with a journal that reconciles to the last entry"
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks                                            *)
-
-let microbenches () =
-  section "MICRO" "Bechamel microbenchmarks of hot-path primitives";
-  let open Bechamel in
-  let rtu =
-    Scada.Rtu.create ~id:1 ~breakers:4 ~feeders:2 ~rng:(Sim.Rng.create 1L)
-  in
-  let status = Scada.Rtu.read_status rtu in
-  let status_op = Scada.Op.Status_report status in
-  let encoded_op = Scada.Op.encode status_op in
-  let dnp3_frame =
-    Scada.Dnp3.encode
-      {
-        Scada.Dnp3.dest = 1;
-        src = 0xF0;
-        app =
-          Scada.Dnp3.Poll_response
-            { binary_inputs = [ true; false; true; true ]; analog_inputs = [ 1; 2; 3; 4; 5 ] };
-      }
-  in
-  let modbus_frame =
-    Scada.Modbus.encode_response
-      {
-        Scada.Modbus.transaction = 1;
-        unit_id = 1;
-        body = Scada.Modbus.Holding_registers [ 1; 2; 3; 4; 5; 6; 7; 8 ];
-      }
-  in
-  let matrix = Array.init 6 (fun i -> Array.init 6 (fun j -> (i * 7) + j)) in
-  let wire_preprepare =
-    Wire.Message.Prime_msg
-      (0, Prime.Msg.Preprepare { view = 3; seq = 42; matrix })
-  in
-  let wire_frame = Wire.Envelope.encode ~sender:0 wire_preprepare in
-  let topo, _ = Overlay.Topology.wide_area_east_coast () in
-  let group =
-    Cryptosim.Threshold.create_group ~seed:1L ~members:[ 0; 1; 2; 3; 4; 5 ]
-      ~threshold:2
-  in
-  let digest = Cryptosim.Digest.of_string "bench" in
-  let shares =
-    List.map (fun m -> Cryptosim.Threshold.sign_share group ~member:m digest) [ 0; 1 ]
-  in
-  let tests =
-    [
-      Test.make ~name:"scada op decode (E2/E3 hot data path)"
-        (Staged.stage (fun () ->
-             match Scada.Op.decode encoded_op with Ok _ -> () | Error _ -> assert false));
-      Test.make ~name:"dnp3 poll decode (E2 proxy loop)"
-        (Staged.stage (fun () ->
-             match Scada.Dnp3.decode dnp3_frame with Ok _ -> () | Error _ -> assert false));
-      Test.make ~name:"modbus response decode"
-        (Staged.stage (fun () ->
-             match Scada.Modbus.decode_response modbus_frame with
-             | Ok _ -> ()
-             | Error _ -> assert false));
-      Test.make ~name:"prime eligibility vector (E4 ordered slot)"
-        (Staged.stage (fun () ->
-             ignore (Prime.Matrix.eligible matrix ~threshold:4 : int array)));
-      Test.make ~name:"matrix digest (E4 proposal)"
-        (Staged.stage (fun () ->
-             ignore (Prime.Matrix.digest matrix : Cryptosim.Digest.t)));
-      Test.make ~name:"dijkstra east-coast (E6 reroute)"
-        (Staged.stage (fun () ->
-             ignore
-               (Overlay.Routing.shortest_path topo
-                  ~usable:(fun _ _ -> true)
-                  ~src:0 ~dst:9
-                 : Overlay.Routing.path option)));
-      Test.make ~name:"2 disjoint paths (E6 redundant mode)"
-        (Staged.stage (fun () ->
-             ignore
-               (Overlay.Routing.disjoint_paths topo
-                  ~usable:(fun _ _ -> true)
-                  ~src:0 ~dst:9 ~k:2
-                 : Overlay.Routing.path list)));
-      Test.make ~name:"threshold combine (E2 confirmation)"
-        (Staged.stage (fun () ->
-             ignore
-               (Cryptosim.Threshold.combine group ~digest shares
-                 : Cryptosim.Threshold.combined option)));
-      Test.make ~name:"wire envelope encode (every send)"
-        (Staged.stage (fun () ->
-             ignore (Wire.Envelope.encode ~sender:0 wire_preprepare : string)));
-      Test.make ~name:"wire envelope decode (debug delivery)"
-        (Staged.stage (fun () ->
-             match Wire.Envelope.decode wire_frame with
-             | Ok _ -> ()
-             | Error _ -> assert false));
-    ]
-  in
-  let table =
-    Stats.Table.create ~title:"microbenchmarks" ~columns:[ "primitive"; "ns/op" ]
-  in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let clock = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.25) ~kde:None () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ clock ] (Test.make_grouped ~name:"g" [ test ]) in
-      Hashtbl.iter
-        (fun name raw ->
-          let est = Analyze.one ols clock raw in
-          let ns =
-            match Analyze.OLS.estimates est with
-            | Some (v :: _) -> v
-            | Some [] | None -> nan
-          in
-          Stats.Table.add_row table [ name; Printf.sprintf "%.0f" ns ])
-        results)
-    tests;
-  Stats.Table.print table
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -1266,7 +1173,7 @@ let experiments =
 
 (* Every selectable id. An unknown EXPERIMENT=/ONLY= value used to
    silently run zero experiments; now it aborts with the valid list. *)
-let known_ids = List.map fst experiments @ [ "MICRO" ]
+let known_ids = List.map fst experiments
 
 let () =
   let unknown =
@@ -1288,9 +1195,6 @@ let () =
 
 let () =
   let t0 = Unix.gettimeofday () in
-  if perf_mode then Perf.run ~scale_full ()
-  else begin
-    List.iter (fun (id, f) -> if enabled id then f ()) experiments;
-    if run_micro && (wanted = None || wanted = Some "MICRO") then microbenches ()
-  end;
+  if perf_mode then Perf.run ()
+  else List.iter (fun (id, f) -> if enabled id then f ()) experiments;
   Printf.printf "\ntotal wall time: %.1fs\n" (Unix.gettimeofday () -. t0)

@@ -2,8 +2,9 @@
 # Pre-commit check: tier-1 build + test suites, a quick chaos soak
 # (5 seeded within-budget schedules; every oracle must stay green), a
 # field-fleet smoke, a reconfiguration soak, then a release-profile
-# build with E2 + E6 + E11 bench smoke runs (exercises the wire layer,
-# the byte-accounting tables, and the epoch cutover path end to end).
+# build with E2 + E6 + E11 + E13 bench smoke runs (exercises the wire
+# layer, the byte-accounting tables, and the epoch cutover path end to
+# end) and the PERF=1 wall-clock gates. It rewrites no tracked file.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -14,11 +15,18 @@ dune exec dev/debug.exe -- chaos 5
 # Parallel sweep smoke: E10's soak seeds farmed over 4 domains must
 # print byte-identical tables to the sequential run (PAR only changes
 # wall time, never results).
-PAR=4 ONLY=E10 MICRO=0 dune exec bench/main.exe > /dev/null
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+for par in 1 4; do
+  PAR=$par ONLY=E10 dune exec bench/main.exe > "$tmp/e10.out"
+  grep -v "wall time" "$tmp/e10.out" > "$tmp/e10_par$par.txt"
+done
+diff "$tmp/e10_par1.txt" "$tmp/e10_par4.txt"
 
-# Field-fleet smoke at 1k devices: E12 exits nonzero if any sweep
-# point confirms zero events (aggregation or the write path broken).
-FLEET=1000 ONLY=E12 MICRO=0 dune exec bench/main.exe > /dev/null
+# Field-fleet smoke at 1k and 10k devices: E12 exits nonzero if any
+# sweep point confirms zero events (aggregation or the write path
+# broken), or if the 10k point confirms fewer than 9,090 events/s.
+FLEET=1000,10000 ONLY=E12 dune exec bench/main.exe > /dev/null
 
 # Telemetry-enabled E2 smoke: zero orphan spans, bounded open spans,
 # per-phase attribution reconciling with end-to-end latency.
@@ -28,12 +36,18 @@ dune exec dev/telemetry_smoke.exe
 # cutover windows; agreement / epoch-safety / progress must stay green.
 dune exec dev/reconfig_soak.exe -- 3 7100
 
-# Dev probes reject garbage arguments: exit 2 with a usage line, never
-# an uncaught exception or a silent fall-back to the default.
+# Dev probes and bench knobs reject garbage arguments: exit 2 with a
+# usage line, never an uncaught exception or a silent fall-back to the
+# default.
 rc=0
 dune exec dev/reconfig_soak.exe -- x 2> /dev/null || rc=$?
 if [ "$rc" -ne 2 ]; then
   echo "reconfig_soak.exe -- x exited $rc, expected 2" && exit 1
+fi
+rc=0
+SCALE=ful EXPERIMENT=E1 dune exec bench/main.exe > /dev/null 2>&1 || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "SCALE=ful EXPERIMENT=E1 exited $rc, expected 2" && exit 1
 fi
 
 # The scenario CLI refuses an out-of-range site with a command-line
@@ -46,16 +60,16 @@ if [ "$rc" -ne 124 ]; then
 fi
 
 dune build --profile release
-EXPERIMENT=E2 MICRO=0 dune exec --profile release bench/main.exe
-EXPERIMENT=E6 MICRO=0 dune exec --profile release bench/main.exe
+EXPERIMENT=E2 dune exec --profile release bench/main.exe
+EXPERIMENT=E6 dune exec --profile release bench/main.exe
 # E11 exits nonzero on any epoch-safety violation, wrong final epoch, or
 # a confirmation gap over 8s during the failover/rejoin/growth arc.
-EXPERIMENT=E11 MICRO=0 dune exec --profile release bench/main.exe
+EXPERIMENT=E11 dune exec --profile release bench/main.exe
 # E13 exits nonzero unless the adaptive controller converges within 25%
 # of the best static configuration under each replayed attack, beats
 # the worst static across attacks, and every knob-change journal
 # reconciles with its counters (statics must issue zero requests).
-EXPERIMENT=E13 MICRO=0 dune exec --profile release bench/main.exe
+EXPERIMENT=E13 dune exec --profile release bench/main.exe
 
 # Repository benchmark, once on the flood path with per-layer tracing:
 # exits nonzero unless the run passes its own checks — agreement,
@@ -63,9 +77,11 @@ EXPERIMENT=E13 MICRO=0 dune exec --profile release bench/main.exe
 python3 perfbench/run.py --workload flood_under_attack --seed 9001 \
   --seconds 10 --trace 1 > /dev/null
 
-# Perf trajectory (telemetry disabled, as in production hot paths):
-# regenerates BENCH_PERF.json and fails if E3 events/sec or the E12
-# fleet confirmed-event rate falls below the floors recorded in the file.
+# Wall-clock gates (quick scale, telemetry disabled, as in production
+# hot paths): fails if E3 simulates fewer than 409,321 events per wall
+# second, if the E8+E10 domains mix gives different digests at 1/2/4/8
+# domains, or, on hosts with >= 4 cores, if 4 domains are under 3x
+# faster than 1. Writes no file.
 PERF=1 dune exec --profile release bench/main.exe
 
 echo "check.sh: all green"

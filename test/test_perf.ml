@@ -318,6 +318,31 @@ let test_reconfig_join_transfer_golden () =
     (transfer_snapshot sys
        ~confirmed:r.Spire.Scenarios.base.Spire.Scenarios.confirmed)
 
+(* None of the goldens above runs the field layer. This one pins the
+   quick-scale E12 10,000-device fleet: confirmed events and writes,
+   link churn, dropped duplicates, the field/advert and field/report
+   wire rows and the engine event count. A restructuring of the fleet
+   path (device storage, scan loop) must leave them bit-identical; one
+   extra draw from a field RNG already shifts them. *)
+let test_fleet_golden () =
+  let sys, _ =
+    Spire.Scenarios.fleet ~concentrators:4 ~devices:10_000
+      ~duration_us:10_000_000 ()
+  in
+  let s = Spire.System.fleet_stats sys in
+  Alcotest.(check int) "confirmed events" 181_792
+    s.Field.Concentrator.confirmed_events;
+  Alcotest.(check int) "confirmed writes" 36 s.confirmed_writes;
+  Alcotest.(check int) "churn" 14_734 s.churn;
+  Alcotest.(check int) "dups dropped" 2_054 s.dups_dropped;
+  Alcotest.check ledger_testable "field wire rows"
+    [ ("field/report", 155_662, 9_487_850); ("field/advert", 12_315, 751_215) ]
+    (List.filter
+       (fun (kind, _, _) -> kind = "field/advert" || kind = "field/report")
+       (Spire.System.wire_traffic sys));
+  Alcotest.(check int) "events processed" 170_323
+    (Sim.Engine.processed (Spire.System.engine sys))
+
 let () =
   Alcotest.run "perf"
     [
@@ -337,6 +362,7 @@ let () =
             test_site_restore_transfer_golden;
           Alcotest.test_case "reconfig-join state-transfer golden" `Slow
             test_reconfig_join_transfer_golden;
+          Alcotest.test_case "E12 10k fleet golden" `Slow test_fleet_golden;
         ] );
       ( "batching",
         [
