@@ -23,10 +23,16 @@ for par in 1 4; do
 done
 diff "$tmp/e10_par1.txt" "$tmp/e10_par4.txt"
 
-# Field-fleet smoke at 1k and 10k devices: E12 exits nonzero if any
-# sweep point confirms zero events (aggregation or the write path
-# broken), or if the 10k point confirms fewer than 9,090 events/s.
-FLEET=1000,10000 ONLY=E12 dune exec bench/main.exe > /dev/null
+# Field-fleet smoke at 1k, 10k and 100k devices (the 100k point is the
+# 40-concentrator fleet store at benchmark scale): E12 exits nonzero if
+# any sweep point confirms zero events (aggregation or the write path
+# broken), or if the 10k point confirms fewer than 9,090 events/s. Its
+# table must be byte-identical under PAR=4.
+for par in 1 4; do
+  FLEET=1000,10000,100000 PAR=$par ONLY=E12 dune exec bench/main.exe > "$tmp/e12.out"
+  grep -v "wall time" "$tmp/e12.out" > "$tmp/e12_par$par.txt"
+done
+diff "$tmp/e12_par1.txt" "$tmp/e12_par4.txt"
 
 # Telemetry-enabled E2 smoke: zero orphan spans, bounded open spans,
 # per-phase attribution reconciling with end-to-end latency.

@@ -1290,6 +1290,12 @@ let create cfg =
     invalid_arg "System.create: site_sizes do not sum to quorum n";
   if cfg.control_centers < 1 || cfg.control_centers > List.length cfg.site_sizes
   then invalid_arg "System.create: bad control_centers";
+  if cfg.field_concentrators < 0 then
+    invalid_arg "System.create: field_concentrators < 0";
+  if cfg.field_scan_interval_us <= 0 then
+    invalid_arg "System.create: field_scan_interval_us <= 0";
+  if not (cfg.field_loss >= 0. && cfg.field_loss <= 1.) then
+    invalid_arg "System.create: field_loss outside [0, 1]";
   let batch_policy =
     if cfg.max_batch <= 1 then Bft.Batch.singleton
     else Bft.Batch.create ~max_delay_us:cfg.batch_delay_us ~max_batch:cfg.max_batch ()

@@ -102,6 +102,10 @@ val default_config : unit -> config
 
 type t
 
+(** [create cfg] builds the deployment.
+    @raise Invalid_argument naming the field if the fleet config is
+    garbage: [field_concentrators < 0], [field_scan_interval_us <= 0],
+    or [field_loss] outside [0, 1] (nan included). *)
 val create : config -> t
 
 (** [start t] arms every component (replicas, proxies, HMIs). *)

@@ -20,18 +20,15 @@ type frame =
 
 type t = {
   id : int;
-  first_device : int;
   config : config;
   engine : Sim.Engine.t;
   shard : int;
   rng : Sim.Rng.t;  (* write-workload draws only *)
-  devices : Device.t array;
-  sessions : Session.t array;
+  devices : Device.t;
+  sessions : Session.t;
   last_report : Scada.Field_frame.report option array;
   endpoint : Scada.Endpoint.t;
   charge : frame -> unit;
-  mutable scan_timer : Sim.Engine.timer option;
-  mutable write_timer : Sim.Engine.timer option;
   mutable running : bool;
   mutable round : int;
   mutable next_txn : int;
@@ -63,6 +60,25 @@ type stats = {
   confirmed_writes : int;
 }
 
+(* One Modbus round trip with device [i] over the modelled field link,
+   both directions charged to [poll_bytes]; the encoded response. *)
+let exchange (t : t) i body =
+  t.next_txn <- t.next_txn + 1;
+  let unit_id = Device.id t.devices i land 0xFF in
+  let raw =
+    Scada.Modbus.encode_request { transaction = t.next_txn land 0xFFFF; unit_id; body }
+  in
+  t.poll_bytes <- t.poll_bytes + String.length raw;
+  match Scada.Modbus.decode_request raw with
+  | Error _ -> None
+  | Ok dec ->
+    let renc =
+      Scada.Modbus.encode_response
+        { dec with body = Device.serve t.devices i dec.Scada.Modbus.body }
+    in
+    t.poll_bytes <- t.poll_bytes + String.length renc;
+    Some renc
+
 let note_complete (t : t) u ~latency_us:_ =
   match Scada.Op.of_update u with
   | Ok (Scada.Op.Field_report { events; _ }) ->
@@ -71,35 +87,15 @@ let note_complete (t : t) u ~latency_us:_ =
     (* Actuate only once the write is ordered and confirmed: gateway
        the ordered command into a Modbus multi-register write on the
        device's field link. *)
-    let i = device - t.first_device in
-    if i >= 0 && i < Array.length t.devices then begin
-      t.next_txn <- t.next_txn + 1;
-      let req =
-        {
-          Scada.Modbus.transaction = t.next_txn land 0xFFFF;
-          unit_id = device land 0xFF;
-          body = Scada.Modbus.Write_multiple_registers { start = address; values = [ value ] };
-        }
+    let i = device - Device.id t.devices 0 in
+    if i >= 0 && i < Device.count t.devices then
+      let write =
+        Scada.Modbus.Write_multiple_registers { start = address; values = [ value ] }
       in
-      let raw = Scada.Modbus.encode_request req in
-      t.poll_bytes <- t.poll_bytes + String.length raw;
-      match Scada.Modbus.decode_request raw with
-      | Error _ -> ()
-      | Ok dec -> (
-        let resp =
-          {
-            Scada.Modbus.transaction = dec.Scada.Modbus.transaction;
-            unit_id = dec.Scada.Modbus.unit_id;
-            body = Device.serve t.devices.(i) dec.Scada.Modbus.body;
-          }
-        in
-        let renc = Scada.Modbus.encode_response resp in
-        t.poll_bytes <- t.poll_bytes + String.length renc;
-        match Scada.Modbus.decode_response renc with
-        | Ok { Scada.Modbus.body = Scada.Modbus.Registers_written _; _ } ->
-          t.confirmed_writes <- t.confirmed_writes + 1
-        | Ok _ | Error _ -> ())
-    end)
+      match Option.map Scada.Modbus.decode_response (exchange t i write) with
+      | Some (Ok { Scada.Modbus.body = Scada.Modbus.Registers_written _; _ }) ->
+        t.confirmed_writes <- t.confirmed_writes + 1
+      | Some (Ok _ | Error _) | None -> ())
   | Ok _ | Error _ -> ()
 
 let create ?telemetry ?batch ?submit_batch ?(shard = 0) ~engine ~id ~client_id
@@ -108,6 +104,10 @@ let create ?telemetry ?batch ?submit_batch ?(shard = 0) ~engine ~id ~client_id
     =
   if config.devices <= 0 then
     invalid_arg "Concentrator.create: need at least one device";
+  if config.scan_interval_us <= 0 then
+    invalid_arg "Concentrator.create: scan_interval_us <= 0";
+  if not (config.keepalive_loss >= 0. && config.keepalive_loss <= 1.) then
+    invalid_arg "Concentrator.create: keepalive_loss outside [0, 1]";
   let endpoint =
     Scada.Endpoint.create ?telemetry ?batch ?submit_batch ~shard ~engine
       ~client_id ~group ~resubmit_timeout_us ~submit ()
@@ -115,25 +115,20 @@ let create ?telemetry ?batch ?submit_batch ?(shard = 0) ~engine ~id ~client_id
   let t =
     {
       id;
-      first_device;
       config;
       engine;
       shard;
       rng = Sim.Rng.create (Sim.Rng.derive ~seed ~index:0);
       devices =
-        Array.init config.devices (fun i ->
-            Device.create ~id:(first_device + i) ~concentrator:id
-              ~seed:(Sim.Rng.derive ~seed ~index:(1 + i)));
+        Device.create ~concentrator:id ~first_device ~count:config.devices
+          ~seed:(fun i -> Sim.Rng.derive ~seed ~index:(1 + i));
       sessions =
-        Array.init config.devices (fun i ->
-            Session.create
-              ~seed:(Sim.Rng.derive ~seed ~index:(1 + config.devices + i))
-              ~loss:config.keepalive_loss);
+        Session.create ~count:config.devices
+          ~seed:(fun i -> Sim.Rng.derive ~seed ~index:(1 + config.devices + i))
+          ~loss:config.keepalive_loss;
       last_report = Array.make config.devices None;
       endpoint;
       charge;
-      scan_timer = None;
-      write_timer = None;
       running = false;
       round = 0;
       next_txn = 0;
@@ -155,8 +150,7 @@ let create ?telemetry ?batch ?submit_batch ?(shard = 0) ~engine ~id ~client_id
   t
 
 let endpoint t = t.endpoint
-let id t = t.id
-let device_count t = Array.length t.devices
+let device_count t = Device.count t.devices
 
 let set_on_complete t f = t.on_complete <- f
 
@@ -164,8 +158,6 @@ let set_on_complete t f = t.on_complete <- f
    modeled Modbus link, alternating between the two "new" read function
    codes. Staggered so 1/8th of the fleet polls each round. *)
 let integrity_poll (t : t) i =
-  let dev = t.devices.(i) in
-  t.next_txn <- t.next_txn + 1;
   let body =
     if (t.round + i) land 8 = 0 then
       Scada.Modbus.Read_input_registers
@@ -174,67 +166,45 @@ let integrity_poll (t : t) i =
       Scada.Modbus.Read_discrete_inputs
         { start = 0; count = Device.discrete_inputs_count }
   in
-  let req =
-    {
-      Scada.Modbus.transaction = t.next_txn land 0xFFFF;
-      unit_id = Device.id dev land 0xFF;
-      body;
-    }
-  in
-  let raw = Scada.Modbus.encode_request req in
-  match Scada.Modbus.decode_request raw with
-  | Error _ -> ()
-  | Ok dec ->
-    let resp =
-      {
-        Scada.Modbus.transaction = dec.Scada.Modbus.transaction;
-        unit_id = dec.Scada.Modbus.unit_id;
-        body = Device.serve dev dec.Scada.Modbus.body;
-      }
-    in
-    let renc = Scada.Modbus.encode_response resp in
-    t.polls_sent <- t.polls_sent + 1;
-    t.poll_bytes <- t.poll_bytes + String.length raw + String.length renc
+  if Option.is_some (exchange t i body) then t.polls_sent <- t.polls_sent + 1
 
 let scan_round (t : t) =
   t.round <- t.round + 1;
   let round_events = ref 0 in
   let round_devices = ref 0 in
   let checksum = ref 0 in
-  for i = 0 to Array.length t.devices - 1 do
-    let dev = t.devices.(i) and s = t.sessions.(i) in
-    match Session.step s with
+  for i = 0 to Device.count t.devices - 1 do
+    match Session.step t.sessions i with
     | `Offline -> ()
     | `Relink ->
       (* Capability-advertisement handshake, then replay of the last
          report frame (the device cannot know it was delivered). The
          concentrator's sequence high-watermark drops the duplicate. *)
-      t.charge (`Advert (Device.advert dev));
+      t.charge (`Advert (Device.advert t.devices i));
       t.adverts_sent <- t.adverts_sent + 1;
       (match t.last_report.(i) with
       | None -> ()
       | Some f ->
         t.charge (`Report f);
         t.report_frames <- t.report_frames + 1;
-        ignore (Session.accept s ~seq:f.Scada.Field_frame.seq : bool))
+        ignore (Session.accept t.sessions i ~seq:f.Scada.Field_frame.seq : bool))
     | `Online ->
-      let events = Device.tick dev in
+      let n = Device.tick t.devices i in
       if (t.round + i) mod 8 = 0 then integrity_poll t i;
-      if events <> [] then begin
-        let seq = Session.next_seq s in
+      if n > 0 then begin
+        let seq = Session.next_seq t.sessions i in
         let f =
           {
             Scada.Field_frame.concentrator = t.id;
-            device = Device.id dev;
+            device = Device.id t.devices i;
             seq;
-            events;
+            events = Device.events t.devices;
           }
         in
         t.charge (`Report f);
         t.report_frames <- t.report_frames + 1;
         t.last_report.(i) <- Some f;
-        if Session.accept s ~seq then begin
-          let n = List.length events in
+        if Session.accept t.sessions i ~seq then begin
           t.events_seen <- t.events_seen + n;
           t.reports_accepted <- t.reports_accepted + 1;
           round_events := !round_events + n;
@@ -261,63 +231,46 @@ let scan_round (t : t) =
         : Bft.Update.t)
 
 let issue_write (t : t) =
-  let i = Sim.Rng.int t.rng (Array.length t.devices) in
-  if Session.state t.sessions.(i) = Session.Up then begin
+  let i = Sim.Rng.int t.rng (Device.count t.devices) in
+  if Session.state t.sessions i = Session.Up then begin
     let address = Sim.Rng.int t.rng Device.holding_registers_count in
     let value = Sim.Rng.int t.rng 0x10000 in
     t.writes_issued <- t.writes_issued + 1;
     ignore
       (Scada.Endpoint.send_op t.endpoint
          (Scada.Op.Field_write
-            { concentrator = t.id; device = Device.id t.devices.(i); address; value })
+            { concentrator = t.id; device = Device.id t.devices i; address; value })
         : Bft.Update.t)
   end
+
+(* Runs [f t] at [phase_us + interval_us], then every [interval_us]. *)
+let every t ~interval_us f =
+  ignore
+    (Sim.Engine.schedule ~shard:t.shard t.engine
+       ~delay_us:(t.config.phase_us + interval_us) (fun () ->
+         f t;
+         ignore
+           (Sim.Engine.periodic ~shard:t.shard t.engine ~interval_us (fun () -> f t)
+             : Sim.Engine.timer))
+      : Sim.Engine.timer)
 
 let start t =
   if not t.running then begin
     t.running <- true;
     Scada.Endpoint.start t.endpoint;
-    t.scan_timer <-
-      Some
-        (Sim.Engine.schedule ~shard:t.shard t.engine
-           ~delay_us:(t.config.phase_us + t.config.scan_interval_us)
-           (fun () ->
-             scan_round t;
-             t.scan_timer <-
-               Some
-                 (Sim.Engine.periodic ~shard:t.shard t.engine
-                    ~interval_us:t.config.scan_interval_us (fun () ->
-                      scan_round t))));
+    every t ~interval_us:t.config.scan_interval_us scan_round;
     if t.config.write_interval_us > 0 then
-      t.write_timer <-
-        Some
-          (Sim.Engine.schedule ~shard:t.shard t.engine
-             ~delay_us:(t.config.phase_us + t.config.write_interval_us)
-             (fun () ->
-               issue_write t;
-               t.write_timer <-
-                 Some
-                   (Sim.Engine.periodic ~shard:t.shard t.engine
-                      ~interval_us:t.config.write_interval_us (fun () ->
-                        issue_write t))))
+      every t ~interval_us:t.config.write_interval_us issue_write
   end
-
-let stop t =
-  t.running <- false;
-  Option.iter Sim.Engine.cancel t.scan_timer;
-  Option.iter Sim.Engine.cancel t.write_timer;
-  t.scan_timer <- None;
-  t.write_timer <- None
 
 let stats (t : t) =
   {
-    device_count = Array.length t.devices;
+    device_count = Device.count t.devices;
     rounds = t.round;
     events_seen = t.events_seen;
     reports_accepted = t.reports_accepted;
-    dups_dropped =
-      Array.fold_left (fun acc s -> acc + Session.dups_dropped s) 0 t.sessions;
-    churn = Array.fold_left (fun acc s -> acc + Session.churn s) 0 t.sessions;
+    dups_dropped = Session.dups_dropped t.sessions;
+    churn = Session.churn t.sessions;
     adverts_sent = t.adverts_sent;
     report_frames = t.report_frames;
     polls_sent = t.polls_sent;
@@ -329,5 +282,3 @@ let stats (t : t) =
 
 let handle_reply t reply =
   ignore (Scada.Endpoint.handle_reply t.endpoint reply : Scada.Reply.body option)
-
-let device t i = t.devices.(i)

@@ -1,14 +1,15 @@
 (** Per-substation data concentrator: the aggregation tier between a
     device fleet and the intrusion-tolerant core.
 
-    A concentrator owns [config.devices] register-mapped devices
-    ({!Device}) and one link session per device ({!Session}). Every
-    [scan_interval_us] it runs a scan round:
+    A concentrator owns [config.devices] register-mapped devices and
+    one link session per device, held as two struct-of-arrays stores
+    ({!Device}, {!Session}). Every [scan_interval_us] it runs a scan
+    round:
 
     - steps each session (keep-alive / link-down / relink);
-    - ticks each linked device and collects its report-by-exception
-      events into a per-device report frame (charged to the wire
-      ledger via [charge]);
+    - ticks each linked device and, only for a device that raised
+      report-by-exception events, builds its report frame (charged to
+      the wire ledger via [charge]);
     - deduplicates replayed frames on the session sequence watermark;
     - folds the whole round into {e one} compact
       [Scada.Op.Field_report] aggregate submitted through its
@@ -60,7 +61,9 @@ type stats = {
 (** [create ~engine ~id ~client_id ~first_device ~seed ~group
     ~resubmit_timeout_us ~submit ~charge ~config ()] — [charge]
     receives every field-link frame (adverts and reports) for wire
-    accounting; [first_device] is the global id of device 0. *)
+    accounting; [first_device] is the global id of device 0.
+    @raise Invalid_argument naming the field unless [devices > 0],
+    [scan_interval_us > 0] and [keepalive_loss] is in [0, 1]. *)
 val create :
   ?telemetry:Telemetry.Sink.t ->
   ?batch:Bft.Batch.policy ->
@@ -83,11 +86,8 @@ val create :
     [phase_us + scan_interval_us]). *)
 val start : t -> unit
 
-val stop : t -> unit
 val endpoint : t -> Scada.Endpoint.t
-val id : t -> int
 val device_count : t -> int
-val device : t -> int -> Device.t
 val handle_reply : t -> Scada.Reply.t -> unit
 
 (** [set_on_complete t f] — [f] fires after the concentrator's own

@@ -1,13 +1,18 @@
-(** A register-mapped field device (the fleet's RTU model).
+(** The register-mapped field devices of one concentrator (the fleet's
+    RTU model), as one struct-of-arrays store.
 
-    Each device owns four Modbus register tables — discrete inputs,
-    coils, input registers, holding registers — described by typed
-    {!Point} descriptors. Input registers follow a deterministic
-    bounded random walk (seeded per device via [Sim.Rng.derive]);
-    discrete inputs flip rarely. {!tick} returns the
-    report-by-exception events since the previous tick: analog points
-    only report when they drift a deadband away from their last
-    reported value.
+    Each device has the four Modbus register tables of a cc-mek-scada
+    RTU — discrete inputs, coils, input registers, holding registers —
+    described by typed {!Point} descriptors. Each table is one flat
+    buffer indexed [device * width + address], beside the analog point
+    parameters, last reported values and an 8-byte map digest per
+    device; no {!Point.t} is kept. Device [d] has id [first_device + d].
+
+    Input registers follow a deterministic bounded random walk drawn
+    from stream [d] of one {!Sim.Rng.Bank}, and report by exception
+    when they drift a deadband from their last reported value;
+    discrete inputs flip rarely. {!tick} allocates nothing: it writes
+    its events into a buffer the store reuses.
 
     {!serve} is the slave side of a Modbus exchange against the tables,
     covering all eight function codes of {!Scada.Modbus} and answering
@@ -20,29 +25,31 @@ val coils_count : int
 val input_registers_count : int
 val holding_registers_count : int
 
-(** [create ~id ~concentrator ~seed] builds a device whose register-map
-    parameters (nominals, spreads, deadbands) and process noise are a
-    pure function of [seed]. *)
-val create : id:int -> concentrator:int -> seed:int64 -> t
+(** [create ~concentrator ~first_device ~count ~seed] builds [count]
+    devices; device [d]'s register-map parameters (nominals, spreads,
+    deadbands) and process noise are a pure function of [seed d]. *)
+val create :
+  concentrator:int -> first_device:int -> count:int -> seed:(int -> int64) -> t
 
-val id : t -> int
+val count : t -> int
+val id : t -> int -> int
 
-(** [map_digest t] is the digest over the device's point descriptors;
+(** [map_digest t d] is the digest over device [d]'s point descriptors;
     it identifies the register map in the capability advertisement. *)
-val map_digest : t -> Cryptosim.Digest.t
+val map_digest : t -> int -> Cryptosim.Digest.t
 
-(** [advert t] is the capability-advertisement frame the device sends
+(** [advert t d] is the capability-advertisement frame device [d] sends
     when its session links up. *)
-val advert : t -> Scada.Field_frame.advert
+val advert : t -> int -> Scada.Field_frame.advert
 
-(** [tick t] advances the process one scan interval and returns the
-    exception events to report (possibly none). *)
-val tick : t -> Scada.Field_frame.event list
+(** [tick t d] advances device [d] one scan interval and returns how
+    many exception events it raised; {!events} lists them, oldest
+    first, until the next tick of any device. *)
+val tick : t -> int -> int
 
-(** [serve t req] answers a Modbus request from the register tables. *)
-val serve : t -> Scada.Modbus.request -> Scada.Modbus.response
+val events : t -> Scada.Field_frame.event list
 
-val holding_register : t -> address:int -> int option
-val ticks : t -> int
-val events_emitted : t -> int
-val writes_applied : t -> int
+(** [serve t d req] answers a Modbus request from device [d]'s tables. *)
+val serve : t -> int -> Scada.Modbus.request -> Scada.Modbus.response
+
+val holding_register : t -> int -> address:int -> int option

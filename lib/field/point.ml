@@ -30,15 +30,30 @@ let analog ~table ~address ~nominal ~spread =
     deadband = max 1 (spread / 4);
   }
 
+(* Byte-identical to [Printf.sprintf "%s@%d:n%d,s%d,st%d,db%d"]; fleet
+   set-up renders six per device, a cost [string_of_int]'s C format
+   parse would dominate. Digits come from [-abs n], safe for [min_int]. *)
 let render p =
-  Printf.sprintf "%s@%d:n%d,s%d,st%d,db%d"
-    (Scada.Field_frame.table_name p.table)
-    p.address p.nominal p.spread p.step p.deadband
+  let b = Buffer.create 40 in
+  let rec digits n =
+    if n <= -10 then digits (n / 10);
+    Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+  in
+  let field sep n =
+    Buffer.add_string b sep;
+    if n < 0 then Buffer.add_char b '-';
+    digits (-abs n)
+  in
+  Buffer.add_string b (Scada.Field_frame.table_name p.table);
+  List.iter2 field [ "@"; ":n"; ",s"; ",st"; ",db" ]
+    [ p.address; p.nominal; p.spread; p.step; p.deadband ];
+  Buffer.contents b
+
+let digest p = Cryptosim.Digest.of_string (render p)
 
 let map_digest points =
   Array.fold_left
-    (fun acc p ->
-      Cryptosim.Digest.combine acc (Cryptosim.Digest.of_string (render p)))
+    (fun acc p -> Cryptosim.Digest.combine acc (digest p))
     (Cryptosim.Digest.of_string "field-map-genesis")
     points
 

@@ -37,7 +37,10 @@ val analog : table:table -> address:int -> nominal:int -> spread:int -> t
 
 (** [map_digest points] chains every descriptor into a digest — the
     register-map identity a device advertises in its capability
-    handshake. *)
+    handshake: a fold of [Cryptosim.Digest.combine] over each point's
+    {!digest}, so a map prefix shared by many devices is digested once. *)
 val map_digest : t array -> Cryptosim.Digest.t
+
+val digest : t -> Cryptosim.Digest.t
 
 val pp : Format.formatter -> t -> unit

@@ -1,59 +1,59 @@
 type state = Up | Down | Linking
 
 type t = {
-  rng : Sim.Rng.t;
+  rng : Sim.Rng.Bank.t;  (* stream [i]: session [i]'s keep-alive draws *)
   loss : float;
-  mutable state : state;
+  state : state array;
+  next_seq : int array;
+  last_accepted : int array;  (* sequence high-watermark *)
   mutable churn : int;
-  mutable next_seq : int;
-  mutable last_accepted : int;
   mutable dups_dropped : int;
 }
 
 (* A fresh session starts in [Linking]: the first scan round performs
    the capability-advertisement handshake before any report flows. *)
-let create ~seed ~loss =
+let create ~count ~seed ~loss =
   {
-    rng = Sim.Rng.create seed;
+    rng = Sim.Rng.Bank.create count seed;
     loss;
-    state = Linking;
+    state = Array.make count Linking;
+    next_seq = Array.make count 0;
+    last_accepted = Array.make count (-1);
     churn = 0;
-    next_seq = 0;
-    last_accepted = -1;
     dups_dropped = 0;
   }
 
-let state t = t.state
+let state t i = t.state.(i)
 let churn t = t.churn
 
-let step t =
-  match t.state with
+let step t i =
+  match t.state.(i) with
   | Up ->
     (* The keep-alive runs at scan cadence; a lost keep-alive (with
        probability [loss]) trips the link-down timeout. *)
-    if t.loss > 0. && Sim.Rng.bernoulli t.rng t.loss then begin
-      t.state <- Down;
+    if t.loss > 0. && Sim.Rng.Bank.bernoulli t.rng i t.loss then begin
+      t.state.(i) <- Down;
       t.churn <- t.churn + 1;
       `Offline
     end
     else `Online
   | Down ->
     (* One silent round of timeout back-off, then re-handshake. *)
-    t.state <- Linking;
+    t.state.(i) <- Linking;
     `Offline
   | Linking ->
-    t.state <- Up;
+    t.state.(i) <- Up;
     t.churn <- t.churn + 1;
     `Relink
 
-let next_seq t =
-  let s = t.next_seq in
-  t.next_seq <- t.next_seq + 1;
+let next_seq t i =
+  let s = t.next_seq.(i) in
+  t.next_seq.(i) <- s + 1;
   s
 
-let accept t ~seq =
-  if seq > t.last_accepted then begin
-    t.last_accepted <- seq;
+let accept t i ~seq =
+  if seq > t.last_accepted.(i) then begin
+    t.last_accepted.(i) <- seq;
     true
   end
   else begin

@@ -46,11 +46,24 @@ let add_packed_bits b bits =
     bits;
   Array.iter (Buffer.add_uint8 b) bytes
 
-let pdu_of_request = function
-  | Read_coils { start; count } -> read_request_pdu 0x01 ~start ~count
-  | Read_discrete_inputs { start; count } -> read_request_pdu 0x02 ~start ~count
-  | Read_holding_registers { start; count } -> read_request_pdu 0x03 ~start ~count
-  | Read_input_registers { start; count } -> read_request_pdu 0x04 ~start ~count
+let function_code = function
+  | Read_coils _ -> 0x01
+  | Read_discrete_inputs _ -> 0x02
+  | Read_holding_registers _ -> 0x03
+  | Read_input_registers _ -> 0x04
+  | Write_single_coil _ -> 0x05
+  | Write_single_register _ -> 0x06
+  | Write_multiple_coils _ -> 0x0F
+  | Write_multiple_registers _ -> 0x10
+
+let pdu_of_request req =
+  let fc = function_code req in
+  match req with
+  | Read_coils { start; count }
+  | Read_discrete_inputs { start; count }
+  | Read_holding_registers { start; count }
+  | Read_input_registers { start; count } ->
+    read_request_pdu fc ~start ~count
   | Write_multiple_coils { start; values } ->
     check_u16 "start" start;
     (* byte count is a u8, which bounds a write to 0x7B0 coils in real
@@ -58,7 +71,7 @@ let pdu_of_request = function
     if List.length values > 0x7B0 then
       invalid_arg "Modbus: too many coils in one write";
     let b = Buffer.create (6 + ((List.length values + 7) / 8)) in
-    Buffer.add_uint8 b 0x0F;
+    Buffer.add_uint8 b fc;
     Buffer.add_uint16_be b start;
     Buffer.add_uint16_be b (List.length values);
     add_packed_bits b values;
@@ -71,7 +84,7 @@ let pdu_of_request = function
       invalid_arg "Modbus: too many registers in one write";
     List.iter (check_u16 "register") values;
     let b = Buffer.create (6 + (2 * List.length values)) in
-    Buffer.add_uint8 b 0x10;
+    Buffer.add_uint8 b fc;
     Buffer.add_uint16_be b start;
     Buffer.add_uint16_be b (List.length values);
     Buffer.add_uint8 b (2 * List.length values);
@@ -80,7 +93,7 @@ let pdu_of_request = function
   | Write_single_coil { address; value } ->
     check_u16 "address" address;
     let b = Buffer.create 5 in
-    Buffer.add_uint8 b 0x05;
+    Buffer.add_uint8 b fc;
     Buffer.add_uint16_be b address;
     Buffer.add_uint16_be b (if value then 0xFF00 else 0x0000);
     Buffer.contents b
@@ -88,7 +101,7 @@ let pdu_of_request = function
     check_u16 "address" address;
     check_u16 "value" value;
     let b = Buffer.create 5 in
-    Buffer.add_uint8 b 0x06;
+    Buffer.add_uint8 b fc;
     Buffer.add_uint16_be b address;
     Buffer.add_uint16_be b value;
     Buffer.contents b

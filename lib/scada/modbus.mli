@@ -42,6 +42,10 @@ type response =
 
 type 'a frame = { transaction : int; unit_id : int; body : 'a }
 
+(** [function_code req] is the Modbus function code of [req]
+    ([0x01]..[0x06], [0x0F], [0x10]). *)
+val function_code : request -> int
+
 (** [encode_request f] renders an ADU (MBAP header + PDU) as bytes. *)
 val encode_request : request frame -> string
 

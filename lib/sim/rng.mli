@@ -3,7 +3,12 @@
     The simulator never uses the global [Random] state: every component
     derives its own stream from a root seed via {!split}, so experiment
     runs are reproducible bit-for-bit regardless of module initialisation
-    order. *)
+    order.
+
+    State is held unboxed in bytes, and every draw inlines the SplitMix
+    step, so drawing an [int], [float], [bool] or [bernoulli] allocates
+    nothing. A {!Bank} holds many streams in one buffer; {!t} is the
+    one-stream bank, so there is one SplitMix implementation. *)
 
 type t
 
@@ -49,3 +54,23 @@ val pick : t -> 'a array -> 'a
 
 (** [shuffle t arr] shuffles [arr] in place (Fisher-Yates). *)
 val shuffle : t -> 'a array -> unit
+
+(** [n] independent SplitMix64 streams in one flat buffer (8 bytes
+    each), indexed [0 .. n-1]: a fleet keeps one bank instead of [n]
+    generators. Stream [i] of [create n seed] draws exactly what
+    [Rng.create (seed i)] would. *)
+module Bank : sig
+  type t
+
+  (** [create n seed] is a bank whose stream [i] is seeded [seed i]. *)
+  val create : int -> (int -> int64) -> t
+
+  val length : t -> int
+
+  (** [int b i bound] and [bernoulli b i p] draw from stream [i], as
+      {!Rng.int} and {!Rng.bernoulli} do.
+      @raise Invalid_argument if [bound <= 0]. *)
+  val int : t -> int -> int -> int
+
+  val bernoulli : t -> int -> float -> bool
+end

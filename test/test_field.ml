@@ -42,30 +42,82 @@ let test_point_map_digest_sensitive () =
   Alcotest.(check bool) "same points same digest" true (Cryptosim.Digest.equal d1 d3);
   Alcotest.(check bool) "order matters" false (Cryptosim.Digest.equal d1 d2)
 
+let prop_point_render_matches_printf =
+  QCheck.Test.make ~count:2_000 ~name:"point render matches Printf"
+    (let n = QCheck.(oneof [ int; oneofl [ min_int; max_int; 0; -1; 9; -10 ] ]) in
+     QCheck.(quad (int_bound 3) n (pair n n) (pair n n)))
+    (fun (tbl, address, (nominal, spread), (step, deadband)) ->
+      let table = Option.get (FF.table_of_int tbl) in
+      let p = { P.table; address; nominal; spread; step; deadband } in
+      Format.asprintf "%a" P.pp p
+      = Printf.sprintf "%s@%d:n%d,s%d,st%d,db%d" (FF.table_name table) address
+          nominal spread step deadband)
+
 (* ------------------------------------------------------------------ *)
 (* Device *)
 
-let mk_device ?(seed = 42L) () = D.create ~id:7 ~concentrator:2 ~seed
+(* A one-device store: device 0, global id 7, behind concentrator 2. *)
+let mk_device ?(seed = 42L) () =
+  D.create ~concentrator:2 ~first_device:7 ~count:1 ~seed:(fun _ -> seed)
 
 let test_device_same_seed_same_map () =
   let a = mk_device () and b = mk_device () in
   Alcotest.(check bool) "map digests equal" true
-    (Cryptosim.Digest.equal (D.map_digest a) (D.map_digest b));
+    (Cryptosim.Digest.equal (D.map_digest a 0) (D.map_digest b 0));
   Alcotest.(check bool) "adverts equal" true
-    (FF.equal_advert (D.advert a) (D.advert b));
+    (FF.equal_advert (D.advert a 0) (D.advert b 0));
   let c = mk_device ~seed:43L () in
   Alcotest.(check bool) "different seed, different map" false
-    (Cryptosim.Digest.equal (D.map_digest a) (D.map_digest c))
+    (Cryptosim.Digest.equal (D.map_digest a 0) (D.map_digest c 0))
+
+(* The register-map digest each device advertises, for the first three
+   devices of a concentrator seeded 42 (device i draws from
+   [derive ~seed:42 ~index:(1 + i)]). E12 pins only advert sizes, since
+   the wire measure ignores the digest value. *)
+let test_device_map_digest_golden () =
+  let store =
+    D.create ~concentrator:0 ~first_device:0 ~count:3
+      ~seed:(fun i -> Sim.Rng.derive ~seed:42L ~index:(1 + i))
+  in
+  List.iteri
+    (fun i hex ->
+      Alcotest.(check string) (Printf.sprintf "device %d" i) hex
+        (Cryptosim.Digest.to_hex (D.map_digest store i)))
+    [ "6919f4dc0ac36168"; "f9f79ebab08ea51f"; "c6d7ef52e4a17a8c" ]
 
 let test_device_tick_deterministic () =
   let a = mk_device () and b = mk_device () in
   for _ = 1 to 200 do
-    let ea = D.tick a and eb = D.tick b in
+    let na = D.tick a 0 in
+    let ea = D.events a in
+    let nb = D.tick b 0 in
+    let eb = D.events b in
+    Alcotest.(check int) "same count" na nb;
+    Alcotest.(check int) "count is the buffer length" na (List.length ea);
     Alcotest.(check bool) "same events" true (ea = eb)
   done
 
+(* Deterministic allocation guard (a GC word count, not a timing): a
+   tick writes into the store's reusable event buffer and draws from an
+   unboxed RNG bank, so scanning the fleet allocates nothing. *)
+let test_device_tick_allocates_nothing () =
+  let store =
+    D.create ~concentrator:0 ~first_device:0 ~count:1_000
+      ~seed:(fun i -> Sim.Rng.derive ~seed:9L ~index:i)
+  in
+  let events = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    for d = 0 to D.count store - 1 do
+      events := !events + D.tick store d
+    done
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "events raised" true (!events > 0);
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
 let serve_ok dev body =
-  match D.serve dev body with
+  match D.serve dev 0 body with
   | MB.Exception_response { function_code; exception_code } ->
     Alcotest.failf "unexpected exception fc=0x%02x code=%d" function_code
       exception_code
@@ -122,16 +174,16 @@ let test_device_write_then_read_back () =
   | MB.Registers_written _ -> ()
   | _ -> Alcotest.fail "write failed");
   Alcotest.(check (option int)) "holding 0" (Some 0x123)
-    (D.holding_register dev ~address:0);
+    (D.holding_register dev 0 ~address:0);
   Alcotest.(check (option int)) "holding 1" (Some 0x456)
-    (D.holding_register dev ~address:1);
+    (D.holding_register dev 0 ~address:1);
   Alcotest.(check (option int)) "out of range" None
-    (D.holding_register dev ~address:99)
+    (D.holding_register dev 0 ~address:99)
 
 let test_device_serve_out_of_range_is_exception_2 () =
   let dev = mk_device () in
   let expect_exc fc body =
-    match D.serve dev body with
+    match D.serve dev 0 body with
     | MB.Exception_response { function_code; exception_code = 2 } ->
       Alcotest.(check int) "function code echoed" fc function_code
     | _ -> Alcotest.failf "expected exception 2 for fc 0x%02x" fc
@@ -148,11 +200,11 @@ let prop_device_input_registers_stay_in_envelope =
   QCheck.Test.make ~count:20 ~name:"device analog walk stays inside point envelopes"
     QCheck.(map Int64.of_int int)
     (fun seed ->
-      let dev = D.create ~id:1 ~concentrator:0 ~seed in
+      let dev = D.create ~concentrator:0 ~first_device:1 ~count:1 ~seed:(fun _ -> seed) in
       let ok = ref true in
       for _ = 1 to 500 do
-        ignore (D.tick dev : FF.event list);
-        match D.serve dev (MB.Read_input_registers { start = 0; count = D.input_registers_count }) with
+        ignore (D.tick dev 0 : int);
+        match D.serve dev 0 (MB.Read_input_registers { start = 0; count = D.input_registers_count }) with
         | MB.Input_registers regs ->
           List.iteri
             (fun _ v -> if v < 0 || v > 0xFFFF then ok := false)
@@ -165,41 +217,41 @@ let prop_device_input_registers_stay_in_envelope =
 (* Session *)
 
 let test_session_linking_handshake_first () =
-  let s = S.create ~seed:1L ~loss:0. in
-  Alcotest.(check bool) "starts Linking" true (S.state s = S.Linking);
-  (match S.step s with
+  let s = S.create ~count:1 ~seed:(fun _ -> 1L) ~loss:0. in
+  Alcotest.(check bool) "starts Linking" true (S.state s 0 = S.Linking);
+  (match S.step s 0 with
   | `Relink -> ()
   | `Online | `Offline -> Alcotest.fail "first step must be the handshake");
-  Alcotest.(check bool) "now Up" true (S.state s = S.Up)
+  Alcotest.(check bool) "now Up" true (S.state s 0 = S.Up)
 
 let test_session_zero_loss_never_drops () =
-  let s = S.create ~seed:1L ~loss:0. in
-  ignore (S.step s);
+  let s = S.create ~count:1 ~seed:(fun _ -> 1L) ~loss:0. in
+  ignore (S.step s 0);
   for _ = 1 to 1000 do
-    match S.step s with
+    match S.step s 0 with
     | `Online -> ()
     | `Relink | `Offline -> Alcotest.fail "loss=0 must stay up"
   done;
   Alcotest.(check int) "churn is the one handshake" 1 (S.churn s)
 
 let test_session_certain_loss_cycles () =
-  let s = S.create ~seed:1L ~loss:1. in
-  ignore (S.step s);
+  let s = S.create ~count:1 ~seed:(fun _ -> 1L) ~loss:1. in
+  ignore (S.step s 0);
   (* Up --loss--> Down (offline), back-off round (offline), relink. *)
-  (match S.step s with `Offline -> () | _ -> Alcotest.fail "expected drop");
-  (match S.step s with `Offline -> () | _ -> Alcotest.fail "expected back-off");
-  match S.step s with
+  (match S.step s 0 with `Offline -> () | _ -> Alcotest.fail "expected drop");
+  (match S.step s 0 with `Offline -> () | _ -> Alcotest.fail "expected back-off");
+  match S.step s 0 with
   | `Relink -> ()
   | `Online | `Offline -> Alcotest.fail "expected relink"
 
 let test_session_seq_dedup () =
-  let s = S.create ~seed:1L ~loss:0. in
-  Alcotest.(check int) "seq 0" 0 (S.next_seq s);
-  Alcotest.(check int) "seq 1" 1 (S.next_seq s);
-  Alcotest.(check bool) "accept 0" true (S.accept s ~seq:0);
-  Alcotest.(check bool) "replay 0 dropped" false (S.accept s ~seq:0);
-  Alcotest.(check bool) "accept 1" true (S.accept s ~seq:1);
-  Alcotest.(check bool) "stale dropped" false (S.accept s ~seq:0);
+  let s = S.create ~count:1 ~seed:(fun _ -> 1L) ~loss:0. in
+  Alcotest.(check int) "seq 0" 0 (S.next_seq s 0);
+  Alcotest.(check int) "seq 1" 1 (S.next_seq s 0);
+  Alcotest.(check bool) "accept 0" true (S.accept s 0 ~seq:0);
+  Alcotest.(check bool) "replay 0 dropped" false (S.accept s 0 ~seq:0);
+  Alcotest.(check bool) "accept 1" true (S.accept s 0 ~seq:1);
+  Alcotest.(check bool) "stale dropped" false (S.accept s 0 ~seq:0);
   Alcotest.(check int) "two dups counted" 2 (S.dups_dropped s)
 
 (* ------------------------------------------------------------------ *)
@@ -259,6 +311,65 @@ let test_fleet_disabled_charges_nothing () =
        (List.exists
           (fun (k, _, _) -> String.length k >= 6 && String.sub k 0 6 = "field/")
           (Spire.System.wire_traffic sys)))
+
+(* Garbage fleet configs are refused up front, naming the field, rather
+   than failing inside the first scan round or silently meaning
+   something else. *)
+
+let fleet_cfg tweak =
+  tweak
+    {
+      (Spire.System.default_config ()) with
+      Spire.System.field_concentrators = 2;
+      field_devices = 10;
+    }
+
+let expect_system_rejects msg tweak () =
+  Alcotest.check_raises msg (Invalid_argument ("System.create: " ^ msg))
+    (fun () -> ignore (Spire.System.create (fleet_cfg tweak) : Spire.System.t))
+
+let test_system_rejects_zero_scan_interval =
+  expect_system_rejects "field_scan_interval_us <= 0" (fun c ->
+      { c with Spire.System.field_scan_interval_us = 0 })
+
+let test_system_rejects_nan_loss =
+  expect_system_rejects "field_loss outside [0, 1]" (fun c ->
+      { c with Spire.System.field_loss = Float.nan })
+
+let test_system_rejects_loss_above_one =
+  expect_system_rejects "field_loss outside [0, 1]" (fun c ->
+      { c with Spire.System.field_loss = 7. })
+
+let test_system_rejects_negative_concentrators =
+  expect_system_rejects "field_concentrators < 0" (fun c ->
+      { c with Spire.System.field_concentrators = -1 })
+
+let test_concentrator_rejects_garbage () =
+  let engine = Sim.Engine.create ~seed:1L () in
+  let group =
+    Cryptosim.Threshold.create_group ~seed:1L ~members:[ 0; 1; 2 ] ~threshold:2
+  in
+  let create config =
+    ignore
+      (Field.Concentrator.create ~engine ~id:0 ~client_id:0 ~first_device:0
+         ~seed:1L ~group ~resubmit_timeout_us:1_000_000
+         ~submit:(fun ~attempt:_ _ -> ())
+         ~charge:(fun _ -> ())
+         ~config ()
+        : Field.Concentrator.t)
+  in
+  let base = Field.Concentrator.default_config in
+  let expect msg config =
+    Alcotest.check_raises msg
+      (Invalid_argument ("Concentrator.create: " ^ msg))
+      (fun () -> create config)
+  in
+  expect "need at least one device" { base with Field.Concentrator.devices = 0 };
+  expect "scan_interval_us <= 0" { base with Field.Concentrator.scan_interval_us = -5 };
+  expect "keepalive_loss outside [0, 1]"
+    { base with Field.Concentrator.keepalive_loss = Float.nan };
+  expect "keepalive_loss outside [0, 1]"
+    { base with Field.Concentrator.keepalive_loss = -0.5 }
 
 (* ------------------------------------------------------------------ *)
 (* Field_frame checksums *)
@@ -353,12 +464,16 @@ let () =
           Alcotest.test_case "analog derivation" `Quick test_point_analog_derivation;
           Alcotest.test_case "u16 clipping" `Quick test_point_envelope_clipped_to_u16;
           Alcotest.test_case "map digest" `Quick test_point_map_digest_sensitive;
+          QCheck_alcotest.to_alcotest prop_point_render_matches_printf;
         ] );
       ( "device",
         [
           Alcotest.test_case "seeded map determinism" `Quick
             test_device_same_seed_same_map;
           Alcotest.test_case "tick determinism" `Quick test_device_tick_deterministic;
+          Alcotest.test_case "map digest golden" `Quick test_device_map_digest_golden;
+          Alcotest.test_case "tick allocates nothing" `Quick
+            test_device_tick_allocates_nothing;
           Alcotest.test_case "serves all function codes" `Quick
             test_device_serve_all_function_codes;
           Alcotest.test_case "write then read back" `Quick
@@ -387,6 +502,17 @@ let () =
             test_fleet_disabled_charges_nothing;
           Alcotest.test_case "report checksum" `Quick
             test_report_checksum_value_sensitive;
+        ] );
+      ( "fleet config",
+        [
+          Alcotest.test_case "zero scan interval" `Quick
+            test_system_rejects_zero_scan_interval;
+          Alcotest.test_case "nan loss" `Quick test_system_rejects_nan_loss;
+          Alcotest.test_case "loss above one" `Quick test_system_rejects_loss_above_one;
+          Alcotest.test_case "negative concentrators" `Quick
+            test_system_rejects_negative_concentrators;
+          Alcotest.test_case "concentrator rejects garbage" `Quick
+            test_concentrator_rejects_garbage;
         ] );
       ( "dnp3",
         [

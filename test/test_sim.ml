@@ -211,6 +211,41 @@ let prop_rng_derive_distinct =
       && Sim.Rng.next_int64 (Sim.Rng.create a)
          <> Sim.Rng.next_int64 (Sim.Rng.create b))
 
+(* Absolute outputs for one seed, in a fixed draw order: any change to
+   the SplitMix step, the output mix, a draw's bit mapping or the number
+   of words a draw consumes moves some later value. *)
+let test_rng_golden_stream () =
+  let r = Sim.Rng.create 0x5EEDL in
+  Alcotest.(check int64) "next_int64" 716632666546416052L (Sim.Rng.next_int64 r);
+  Alcotest.(check int) "int" 761501 (Sim.Rng.int r 1_000_000);
+  Alcotest.(check (float 0.)) "float" 0x1.756f291a5acdp-2 (Sim.Rng.float r 1.);
+  Alcotest.(check bool) "bool" true (Sim.Rng.bool r);
+  Alcotest.(check bool) "bernoulli" true (Sim.Rng.bernoulli r 0.5);
+  Alcotest.(check (float 0.)) "exponential" 0x1.fd10820751e47p+0
+    (Sim.Rng.exponential r ~mean:2.);
+  Alcotest.(check (float 0.)) "gaussian" 0x1.e494f570e33d9p+3
+    (Sim.Rng.gaussian r ~mean:10. ~stddev:3.);
+  let s = Sim.Rng.split r in
+  Alcotest.(check int64) "split stream" 8142295586719582393L (Sim.Rng.next_int64 s);
+  Alcotest.(check int64) "root after split" 4526273042308876071L
+    (Sim.Rng.next_int64 r);
+  Alcotest.(check int64) "derive" 5418772724859825651L
+    (Sim.Rng.derive ~seed:0x5EEDL ~index:3)
+
+(* Deterministic allocation guard (a GC word count, not a timing): the
+   unboxed state and inlined step make the hot draws allocation-free. *)
+let test_rng_draws_allocate_nothing () =
+  let r = Sim.Rng.create 1L in
+  let acc = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    acc := !acc + Sim.Rng.int r 1_000;
+    if Sim.Rng.bernoulli r 0.25 then incr acc
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) "draws happened" true (!acc > 0);
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
 let test_rng_derive_rejects_negative () =
   Alcotest.check_raises "negative index"
     (Invalid_argument "Rng.derive: index < 0") (fun () ->
@@ -647,6 +682,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_rng_derive_distinct;
           Alcotest.test_case "derive rejects negative index" `Quick
             test_rng_derive_rejects_negative;
+          Alcotest.test_case "golden stream" `Quick test_rng_golden_stream;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_rng_draws_allocate_nothing;
         ] );
       ( "shard",
         [
