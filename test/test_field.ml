@@ -503,7 +503,7 @@ let () =
           Alcotest.test_case "report checksum" `Quick
             test_report_checksum_value_sensitive;
         ] );
-      ( "fleet config",
+      ( "config",
         [
           Alcotest.test_case "zero scan interval" `Quick
             test_system_rejects_zero_scan_interval;
