@@ -18,52 +18,47 @@ let pp ppf p =
   Format.fprintf ppf "batch(max=%d,delay=%dus)" p.max_batch p.max_delay_us
 
 (* ------------------------------------------------------------------ *)
-(* Accumulator: the one batching state machine shared by the client
-   endpoint (updates awaiting a Client_batch frame), the Prime replica
-   (updates awaiting a Po_batch) and the PBFT leader (requests awaiting
-   a batched pre-prepare).  Callers push items and flush when [full]
-   says the size bound is reached or their deadline timer fires; the
-   deadline for the oldest buffered item is exposed so the caller can
-   arm exactly one timer per buffered generation. *)
+(* Accumulator: one buffered generation at a time. The caller arms one
+   timer per generation (on [Arm]); the timer's callback asks [due],
+   which re-checks the deadline, so a timer outliving its generation
+   (flushed early on size) never ships the next one early. *)
 
 type 'a acc = {
   mutable policy : policy;
       (* live-settable by the runtime tuning plane; see [set_policy] *)
   buf : 'a Queue.t;
-  mutable oldest_us : int;  (** arrival time of the oldest buffered item *)
+  mutable oldest_us : int;  (* arrival time of the oldest buffered item *)
 }
+
+type 'a action = Solo | Flush of 'a list | Arm of int | Wait
 
 let acc policy = { policy; buf = Queue.create (); oldest_us = 0 }
 
 let policy a = a.policy
 
-(* Hot-swap the policy of a live accumulator. Shrinking [max_batch]
-   below the buffered length makes [full] true immediately, and a
-   shorter [max_delay_us] moves [deadline_us] earlier — possibly into
-   the past. The accumulator itself never flushes (the flush action is
-   caller-specific), so callers MUST check [full]/[deadline_us] after a
-   swap and drain if due; their existing deadline timers remain safe
-   because a stale timer re-reads [deadline_us] before flushing. *)
-let set_policy a p =
-  ignore (validate p : policy);
-  a.policy <- p
+let set_policy a p = a.policy <- validate p
 
-let push a ~now v =
-  if Queue.is_empty a.buf then a.oldest_us <- now;
-  Queue.add v a.buf
-
-let length a = Queue.length a.buf
-let is_empty a = Queue.is_empty a.buf
-let full a = Queue.length a.buf >= a.policy.max_batch
-
-(** Absolute virtual time by which the buffered items must flush, or
-    [None] when nothing is buffered. *)
-let deadline_us a =
-  if Queue.is_empty a.buf then None
-  else Some (a.oldest_us + a.policy.max_delay_us)
-
-(** Drain every buffered item, oldest first. *)
 let take_all a =
   let items = List.of_seq (Queue.to_seq a.buf) in
   Queue.clear a.buf;
   items
+
+let add a ~now x =
+  if a.policy.max_batch = 1 && Queue.is_empty a.buf then Solo
+  else begin
+    if Queue.is_empty a.buf then a.oldest_us <- now;
+    Queue.add x a.buf;
+    if Queue.length a.buf >= a.policy.max_batch then Flush (take_all a)
+    else if Queue.length a.buf = 1 then Arm a.policy.max_delay_us
+    else Wait
+  end
+
+let due a ~now =
+  if
+    Queue.length a.buf >= a.policy.max_batch
+    || ((not (Queue.is_empty a.buf))
+       && a.oldest_us + a.policy.max_delay_us <= now)
+  then take_all a
+  else []
+
+let clear a = Queue.clear a.buf

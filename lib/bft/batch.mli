@@ -1,15 +1,18 @@
-(** Batching policy for the ordering pipeline.
+(** Batching policy and the one accumulator every batching layer uses.
 
     An ordering slot may carry a {e batch} of updates instead of exactly
     one: the client endpoint aggregates updates into [Client_batch]
     frames, the Prime replica aggregates pre-ordering into [Po_batch],
-    and the PBFT leader batches pre-prepares.  A batch flushes when it
-    reaches [max_batch] items or when the oldest buffered item has
-    waited [max_delay_us], whichever comes first.
+    and each replica aggregates its replies into [Reply_batch] frames.
+    A batch flushes when it reaches [max_batch] items or when the oldest
+    buffered item has waited [max_delay_us], whichever comes first.
 
-    [singleton] ([max_batch = 1]) is the degenerate policy: every layer
-    bypasses its accumulator entirely and emits the legacy single-update
-    frames, bit-identical to the unbatched pipeline. *)
+    The accumulator owns that decision; a caller only ships what it is
+    told to ship. [singleton] ([max_batch = 1]) is not a separate path:
+    every item is a generation of one and flushes on {!add}, with no
+    queue, no timer and no deadline read. Callers emit the legacy
+    single-update frame for a flush of one item, so the wire trajectory
+    at [max_batch = 1] is bit-identical to an unbatched pipeline. *)
 
 type policy = {
   max_batch : int;  (** flush when this many items are buffered (>= 1) *)
@@ -27,8 +30,7 @@ val create : ?max_delay_us:int -> max_batch:int -> unit -> policy
 val is_singleton : policy -> bool
 val pp : Format.formatter -> policy -> unit
 
-(** Per-layer accumulator: push items, flush on [full] or when the
-    caller's timer passes [deadline_us]. *)
+(** A live accumulator: the buffered generation and its policy. *)
 type 'a acc
 
 val acc : policy -> 'a acc
@@ -37,20 +39,32 @@ val acc : policy -> 'a acc
     policy. *)
 val policy : 'a acc -> policy
 
+(** What the caller must do after {!add}. *)
+type 'a action =
+  | Solo  (** the added item is a generation of one: ship it alone, now *)
+  | Flush of 'a list  (** the generation is full: ship these, oldest first *)
+  | Arm of int
+      (** the item opened a new generation: arm one timer of this many
+          µs whose callback ships {!due} *)
+  | Wait  (** buffered; the generation's timer is already armed *)
+
+(** [add a ~now x] buffers [x] (arrival time [now]) and says what to do.
+    Under [max_batch = 1] with nothing buffered the item skips the queue
+    and the answer is [Solo]. *)
+val add : 'a acc -> now:int -> 'a -> 'a action
+
+(** [due a ~now] drains the buffered generation if it is full or its
+    deadline has passed, and is [[]] otherwise. A generation timer that
+    fires after its generation already flushed on size finds the next
+    generation not yet due, so no item ships early or twice. *)
+val due : 'a acc -> now:int -> 'a list
+
 (** [set_policy a p] swaps the live accumulator onto policy [p]
-    (validated). Buffered items are kept: if the new [max_batch] is at
-    or below the buffered length the accumulator becomes [full]
-    immediately, and a shorter [max_delay_us] can move [deadline_us]
-    into the past — the caller must check both after the swap and
-    drain if due (the accumulator never flushes itself). Stale
-    deadline timers stay safe: they re-check [deadline_us] before
-    flushing.
+    (validated), keeping the buffered items. A smaller [max_batch] or a
+    shorter [max_delay_us] can make the generation due at once: callers
+    then ship {!due}.
     @raise Invalid_argument on an invalid policy. *)
 val set_policy : 'a acc -> policy -> unit
 
-val push : 'a acc -> now:int -> 'a -> unit
-val length : 'a acc -> int
-val is_empty : 'a acc -> bool
-val full : 'a acc -> bool
-val deadline_us : 'a acc -> int option
-val take_all : 'a acc -> 'a list
+(** [clear a] drops the buffered generation (state reset). *)
+val clear : 'a acc -> unit

@@ -49,7 +49,6 @@ let create ~engine ~n ~latency_us ~make ~deliver =
           end);
       now_us = (fun () -> Sim.Engine.now engine);
       set_timer = (fun delay_us f -> Sim.Engine.schedule engine ~delay_us f);
-      trace = (fun _ -> ());
       telemetry = Telemetry.Sink.null;
     }
   in

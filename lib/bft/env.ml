@@ -4,7 +4,6 @@ type 'msg t = {
   send : Types.replica -> 'msg -> unit;
   now_us : unit -> int;
   set_timer : int -> (unit -> unit) -> Sim.Engine.timer;
-  trace : string -> unit;
   telemetry : Telemetry.Sink.t;
 }
 

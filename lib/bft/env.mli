@@ -13,7 +13,6 @@ type 'msg t = {
   now_us : unit -> int;
   set_timer : int -> (unit -> unit) -> Sim.Engine.timer;
       (** [set_timer delay_us callback] *)
-  trace : string -> unit;  (** protocol-level trace hook *)
   telemetry : Telemetry.Sink.t;
       (** span sink for update-lifecycle milestones; {!Telemetry.Sink.null}
           when tracing is off *)

@@ -87,13 +87,24 @@ let available_count sys =
          && Overlay.Net.node_alive net (Spire.System.node_of_replica sys r))
        (List.init n Fun.id))
 
-let correct_replicas sys =
-  let n = Spire.System.replica_count sys in
-  List.filter
-    (fun r ->
-      let f = Spire.System.faults sys r in
-      (not f.Bft.Faults.crashed) && not (Bft.Faults.is_byzantine f))
-    (List.init n Fun.id)
+(* One agreement observation over the replicas [0 .. count-1] the
+   system considers correct: process up and no fault knob set. *)
+let observe_agreement agreement sys ~count =
+  let correct =
+    List.filter
+      (fun r ->
+        let f = Spire.System.faults sys r in
+        (not f.Bft.Faults.crashed) && not (Bft.Faults.is_byzantine f))
+      (List.init count Fun.id)
+  in
+  Oracle.Agreement.observe agreement
+    ~logs:(List.map (fun r -> (r, Spire.System.exec_log sys r)) correct)
+    ~states:
+      (List.map
+         (fun r ->
+           let m = Spire.System.master sys r in
+           (r, Scada.Master.applied_count m, Scada.Master.state_digest m))
+         correct)
 
 let execute cfg ~seed sys (schedule : Schedule.t) =
   let engine = Spire.System.engine sys in
@@ -138,15 +149,7 @@ let execute cfg ~seed sys (schedule : Schedule.t) =
   in
   let sample () =
     let now = Sim.Engine.now engine in
-    let correct = correct_replicas sys in
-    Oracle.Agreement.observe agreement
-      ~logs:(List.map (fun r -> (r, Spire.System.exec_log sys r)) correct)
-      ~states:
-        (List.map
-           (fun r ->
-             let m = Spire.System.master sys r in
-             (r, Scada.Master.applied_count m, Scada.Master.state_digest m))
-           correct);
+    observe_agreement agreement sys ~count:(Spire.System.replica_count sys);
     Oracle.Quorum_watch.observe quorum_watch ~time_us:now
       ~available:(available_count sys);
     drain_series ()
@@ -275,23 +278,9 @@ let reconfig_soak ?(config = default_config ()) ~seed () =
   let confirmed_at_calm = ref 0 in
   let sample () =
     let now = Sim.Engine.now engine in
-    (* Agreement over every provisioned replica the system itself
-       considers correct — retired replicas keep a valid prefix. *)
-    let correct =
-      List.filter
-        (fun r ->
-          let f = Spire.System.faults sys r in
-          (not f.Bft.Faults.crashed) && not (Bft.Faults.is_byzantine f))
-        (List.init (Spire.System.universe_count sys) Fun.id)
-    in
-    Oracle.Agreement.observe agreement
-      ~logs:(List.map (fun r -> (r, Spire.System.exec_log sys r)) correct)
-      ~states:
-        (List.map
-           (fun r ->
-             let m = Spire.System.master sys r in
-             (r, Scada.Master.applied_count m, Scada.Master.state_digest m))
-           correct);
+    (* Agreement over every provisioned replica — retired replicas keep
+       a valid prefix. *)
+    observe_agreement agreement sys ~count:(Spire.System.universe_count sys);
     let dir = Spire.System.directory sys in
     Oracle.Epoch_check.observe_activity epoch_check ~time_us:now
       ~live:(Spire.System.epoch_activity sys)

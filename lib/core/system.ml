@@ -16,9 +16,6 @@ type config = {
   hmis : int;
   poll_interval_us : int;
   dissemination : Overlay.Net.mode;
-  lan_latency_us : int;
-  wan_latency_us : int -> int -> int;
-  client_link_latency_us : int;
   lan_bandwidth_bps : int;
   wan_bandwidth_bps : int;
   resubmit_timeout_us : int;
@@ -49,6 +46,13 @@ type config = {
 let adapt_tick_us = 250_000
 let field_write_interval_us = 1_000_000
 
+(* One-way link latencies of the modelled deployment: intra-site LAN,
+   the east-coast WAN between sites, and each substation/HMI link to a
+   control center. *)
+let lan_latency_us = 100
+let wan_latency_us = Overlay.Topology.east_coast_wan_us
+let client_link_latency_us = 2_000
+
 let default_config () =
   {
     quorum = Bft.Quorum.create ~n:6 ~f:1 ~k:1;
@@ -60,9 +64,6 @@ let default_config () =
     hmis = 1;
     poll_interval_us = 100_000;
     dissemination = Overlay.Net.Shortest;
-    lan_latency_us = 100;
-    wan_latency_us = Overlay.Topology.east_coast_wan_us;
-    client_link_latency_us = 2_000;
     lan_bandwidth_bps = 125_000_000;
     wan_bandwidth_bps = 12_500_000;
     resubmit_timeout_us = 2_000_000;
@@ -125,7 +126,7 @@ type t = {
   share_cost_us : int;
   mutable reply_batch : Bft.Batch.policy;
       (* live aggregation policy; hot-swapped through the knob plane *)
-  reply_accs : (int * Scada.Reply.t) Bft.Batch.acc array;
+  reply_accs : Scada.Reply.t Bft.Batch.acc array;
   (* --- runtime tuning plane / adaptive controller --- *)
   mutable dissemination : Overlay.Net.mode;
       (* live dissemination mode read per send; initialised from
@@ -333,8 +334,7 @@ let build_topology cfg =
   let clients = cfg.substations + cfg.hmis + cfg.field_concentrators in
   let topo =
     Overlay.Topology.multi_site ~nodes:(universe + clients)
-      ~site_sizes:all_sizes ~lan_latency_us:cfg.lan_latency_us
-      ~wan_latency_us:cfg.wan_latency_us
+      ~site_sizes:all_sizes ~lan_latency_us ~wan_latency_us
       ~lan_bandwidth_bps:cfg.lan_bandwidth_bps
       ~wan_bandwidth_bps:cfg.wan_bandwidth_bps ()
   in
@@ -351,7 +351,7 @@ let build_topology cfg =
     List.iter
       (fun gw ->
         Overlay.Topology.add_link topo ~a:node ~b:gw
-          ~latency_us:cfg.client_link_latency_us
+          ~latency_us:client_link_latency_us
           ~bandwidth_bps:cfg.wan_bandwidth_bps)
       cc_gateways
   done;
@@ -510,53 +510,35 @@ let handle_protocol t r ~from ~epoch payload =
       | Pbft_replica p, Pbft_msg (_, m) -> Pbft.Replica.handle p ~from:fr m
       | _, _ -> ())
 
-(* Replica-side reply aggregation (only armed when max_batch > 1):
-   signed replies queue per replica and ship grouped by destination,
-   amortising the envelope while keeping per-reply signing cost. *)
-let flush_replies t r =
-  let acc = t.reply_accs.(r) in
-  if not (Bft.Batch.is_empty acc) then begin
-    let items = Bft.Batch.take_all acc in
-    let per_dst = Hashtbl.create 7 in
-    let dsts = ref [] in
-    List.iter
-      (fun (dst, reply) ->
-        match Hashtbl.find_opt per_dst dst with
-        | Some q -> Queue.add reply q
-        | None ->
-          let q = Queue.create () in
-          Queue.add reply q;
-          Hashtbl.replace per_dst dst q;
-          dsts := dst :: !dsts)
-      items;
-    List.iter
-      (fun dst ->
-        let payload =
-          match List.of_seq (Queue.to_seq (Hashtbl.find per_dst dst)) with
-          | [ reply ] -> Replica_reply reply
-          | rs -> Reply_batch rs
-        in
-        send_payload t ~src_node:(node_of_replica t r) ~dst_node:dst payload)
-      (List.rev !dsts)
-  end
+(* A reply goes to its update's client, a device command to the
+   proxy of the RTU it actuates. *)
+let reply_dst t (reply : Scada.Reply.t) =
+  match reply.Scada.Reply.body with
+  | Scada.Reply.Command { rtu; _ } -> node_of_client t rtu
+  | Scada.Reply.Ack -> node_of_client t (fst reply.Scada.Reply.update_key)
 
-let flush_replies_due t r =
-  if not (faults t r).Bft.Faults.crashed then
-    match Bft.Batch.deadline_us t.reply_accs.(r) with
-    | Some d when d <= Sim.Engine.now t.engine -> flush_replies t r
-    | Some _ | None -> ()
+let send_reply t r reply =
+  send_payload t ~src_node:(node_of_replica t r) ~dst_node:(reply_dst t reply)
+    (Replica_reply reply)
 
-let enqueue_reply t r ~dst_node reply =
-  let acc = t.reply_accs.(r) in
-  Bft.Batch.push acc ~now:(Sim.Engine.now t.engine) (dst_node, reply);
-  if Bft.Batch.full acc then flush_replies t r
-  else if Bft.Batch.length acc = 1 then
-    ignore
-      (Sim.Engine.schedule
-         ~shard:(1 + t.replica_sites.(r))
-         t.engine ~delay_us:t.reply_batch.Bft.Batch.max_delay_us
-         (fun () -> flush_replies_due t r)
-        : Sim.Engine.timer)
+(* Replica-side reply aggregation: a flush ships one frame per
+   destination, in first-appearance order, amortising the envelope
+   while keeping per-reply signing cost. A destination with a single
+   reply gets the legacy [Replica_reply]. *)
+let rec flush_replies t r = function
+  | [] -> ()
+  | [ reply ] -> send_reply t r reply
+  | reply :: _ as replies ->
+    let dst_node = reply_dst t reply in
+    let mine, rest =
+      List.partition (fun x -> reply_dst t x = dst_node) replies
+    in
+    (match mine with
+    | [ one ] -> send_reply t r one
+    | mine ->
+      send_payload t ~src_node:(node_of_replica t r) ~dst_node
+        (Reply_batch mine));
+    flush_replies t r rest
 
 (* Reply emission: called from the execute callback of replica [r].
    Shares are signed with the replica's OWN epoch's threshold group —
@@ -567,7 +549,7 @@ let emit_replies t r ~exec_index ~(update : Bft.Update.t) effect =
   let state = Scada.Master.state_digest t.masters.(r) in
   let update_digest = Bft.Update.digest update in
   let group = group_for t r in
-  let send_reply ~body ~dst_node =
+  let sign_and_send body =
     let digest = Scada.Reply.body_digest ~exec_index ~update_digest ~state ~body in
     let share = Cryptosim.Threshold.sign_share group ~member:r digest in
     let reply =
@@ -592,24 +574,35 @@ let emit_replies t r ~exec_index ~(update : Bft.Update.t) effect =
                Telemetry.Sink.update_reply_sent t.telemetry
                  ~trace:(trace_of_update update) ~replica:r
                  ~now:(Sim.Engine.now t.engine);
-             if Bft.Batch.is_singleton t.reply_batch then
-               send_payload t ~src_node:(node_of_replica t r)
-                 ~dst_node (Replica_reply reply)
-             else enqueue_reply t r ~dst_node reply
+             match
+               Bft.Batch.add t.reply_accs.(r) ~now:(Sim.Engine.now t.engine)
+                 reply
+             with
+             | Bft.Batch.Solo -> send_reply t r reply
+             | Bft.Batch.Flush replies -> flush_replies t r replies
+             | Bft.Batch.Arm delay_us ->
+               ignore
+                 (Sim.Engine.schedule
+                    ~shard:(1 + t.replica_sites.(r))
+                    t.engine ~delay_us
+                    (fun () ->
+                      if not (faults t r).Bft.Faults.crashed then
+                        flush_replies t r
+                          (Bft.Batch.due t.reply_accs.(r)
+                             ~now:(Sim.Engine.now t.engine)))
+                   : Sim.Engine.timer)
+             | Bft.Batch.Wait -> ()
            end)
         : Sim.Engine.timer)
   in
-  let client_node = node_of_client t update.Bft.Update.client in
   match effect with
   | Scada.Master.No_effect | Scada.Master.Read_result _ ->
-    send_reply ~body:Scada.Reply.Ack ~dst_node:client_node
+    sign_and_send Scada.Reply.Ack
   | Scada.Master.Device_command { rtu; command } ->
-    send_reply ~body:Scada.Reply.Ack ~dst_node:client_node;
+    sign_and_send Scada.Reply.Ack;
     if rtu >= 0 && rtu < t.cfg.substations then begin
       let frame = Scada.Dnp3.encode { Scada.Dnp3.dest = rtu; src = 0xF0; app = command } in
-      send_reply
-        ~body:(Scada.Reply.Command { rtu; frame })
-        ~dst_node:(node_of_client t rtu)
+      sign_and_send (Scada.Reply.Command { rtu; frame })
     end
 
 (* ------------------------------------------------------------------ *)
@@ -631,18 +624,18 @@ let set_dissemination t mode =
 
 (* Swap the aggregation policy everywhere it is live: the per-replica
    reply accumulators, the Prime pre-order accumulators, and the client
-   endpoints (proxies + HMIs). Accumulators whose buffered generation
-   became due under the new policy drain immediately; stale generation
-   timers re-check their deadline, so nothing flushes twice. (Field
-   concentrators keep their construction-time policy: their aggregation
-   cadence is scan-synchronous, not delay-driven.) *)
+   endpoints (proxies + HMIs). Each ships its buffered generation if
+   the swap made it due. (Field concentrators keep their
+   construction-time policy: their aggregation cadence is
+   scan-synchronous, not delay-driven. PBFT replicas hold no
+   accumulator.) *)
 let apply_batch_policy t policy =
   t.reply_batch <- policy;
   Array.iteri
     (fun r acc ->
       Bft.Batch.set_policy acc policy;
       if t.epoch_of.(r) >= 0 && not (faults t r).Bft.Faults.crashed then
-        if Bft.Batch.full acc then flush_replies t r else flush_replies_due t r)
+        flush_replies t r (Bft.Batch.due acc ~now:(Sim.Engine.now t.engine)))
     t.reply_accs;
   Array.iter
     (fun instance ->
@@ -1265,7 +1258,6 @@ let env_for t ~epoch ~rank ~(members : int array) wrap =
       (* A replica's protocol timers belong to its site's heap. *)
       (let shard = 1 + t.replica_sites.(members.(rank)) in
        fun delay_us f -> Sim.Engine.schedule ~shard t.engine ~delay_us f);
-    trace = (fun _ -> ());
     telemetry = t.telemetry;
   }
 
@@ -1462,13 +1454,7 @@ let create cfg =
                 : Sim.Engine.timer));
         Prime_replica p
       | Pbft_protocol ->
-        let pcfg =
-          {
-            (Pbft.Replica.default_config quorum) with
-            Pbft.Replica.epoch;
-            batch = batch_policy;
-          }
-        in
+        let pcfg = { (Pbft.Replica.default_config quorum) with Pbft.Replica.epoch } in
         Pbft_replica
           (Pbft.Replica.create pcfg
              (env_for t ~epoch ~rank ~members (fun m -> Pbft_msg (rank, m)))
@@ -1485,7 +1471,6 @@ let create cfg =
         send = (fun _ _ -> ());
         now_us = (fun () -> Sim.Engine.now engine);
         set_timer = (fun delay_us f -> Sim.Engine.schedule engine ~delay_us f);
-        trace = (fun _ -> ());
         telemetry = Telemetry.Sink.null;
       }
     in
@@ -1587,18 +1572,13 @@ let create cfg =
     end
   in
   (* First-attempt batch flush from an endpoint: one Client_batch frame
-     to the chosen origin. A flush holding a single update degrades to
-     the legacy frame shape. *)
+     to the chosen origin (an endpoint ships a single update through
+     [submit_of] as the legacy frame). *)
   let submit_batch_of client (updates : Bft.Update.t list) =
-    match updates with
-    | [] -> ()
-    | [ u ] -> submit_of client ~attempt:0 u
-    | updates ->
-      t.submitted <- t.submitted + List.length updates;
-      let now = Sim.Engine.now engine in
-      let origin = pick_origin client now in
-      send_payload t ~src_node:(node_of_client t client)
-        ~dst_node:(node_of_replica t origin) (Client_batch updates)
+    t.submitted <- t.submitted + List.length updates;
+    let origin = pick_origin client (Sim.Engine.now engine) in
+    send_payload t ~src_node:(node_of_client t client)
+      ~dst_node:(node_of_replica t origin) (Client_batch updates)
   in
   (* Field devices' timers live in the trailing field shard's heap. *)
   let field_shard = base_sites + 1 in
@@ -1627,7 +1607,8 @@ let create cfg =
     Array.init cfg.hmis (fun j ->
         let client = cfg.substations + j in
         let h =
-          Scada.Hmi.create ~telemetry:sink ~shard:field_shard ~engine
+          Scada.Hmi.create ~telemetry:sink ~batch:batch_policy
+            ~submit_batch:(submit_batch_of client) ~shard:field_shard ~engine
             ~client_id:client ~group
             ~resubmit_timeout_us:cfg.resubmit_timeout_us
             ~submit:(submit_of client) ()
@@ -1768,29 +1749,22 @@ let assert_agreement t =
         && not (Bft.Faults.is_byzantine (faults t r)))
       (List.init t.universe Fun.id)
   in
-  match correct with
-  | [] -> ()
-  | first :: rest ->
-    let l0 = exec_log t first in
-    List.iter
-      (fun r ->
-        let li = exec_log t r in
-        if not (Bft.Exec_log.prefix_equal l0 li) then
-          failwith
-            (Printf.sprintf "SAFETY VIOLATION: replicas %d and %d diverge" first r);
-        if
-          Bft.Exec_log.length l0 = Bft.Exec_log.length li
-          && Scada.Master.applied_count t.masters.(first)
-             = Scada.Master.applied_count t.masters.(r)
-          && not
-               (Cryptosim.Digest.equal
-                  (Scada.Master.state_digest t.masters.(first))
-                  (Scada.Master.state_digest t.masters.(r)))
-        then
-          failwith
-            (Printf.sprintf "SAFETY VIOLATION: master state of %d and %d diverge"
-               first r))
-      rest
+  match
+    Oracle.Verdict.combine
+      [
+        Oracle.Agreement.check_logs
+          (List.map (fun r -> (r, exec_log t r)) correct);
+        Oracle.Agreement.check_states
+          (List.map
+             (fun r ->
+               ( r,
+                 Scada.Master.applied_count t.masters.(r),
+                 Scada.Master.state_digest t.masters.(r) ))
+             correct);
+      ]
+  with
+  | Oracle.Verdict.Pass -> ()
+  | Oracle.Verdict.Fail msg -> failwith ("SAFETY VIOLATION: " ^ msg)
 
 (* ------------------------------------------------------------------ *)
 (* Proactive recovery.                                                 *)

@@ -42,18 +42,18 @@ type config = {
   hmis : int;
   poll_interval_us : int;
   dissemination : Overlay.Net.mode;  (** how protocol traffic is routed *)
-  lan_latency_us : int;
-  wan_latency_us : int -> int -> int;  (** per site pair, one way *)
-  client_link_latency_us : int;  (** substation/HMI to control center *)
   lan_bandwidth_bps : int;
   wan_bandwidth_bps : int;
   resubmit_timeout_us : int;
   max_batch : int;
-      (** end-to-end batching degree: client endpoints, the ordering
-          protocol's pre-order/proposal path, and replica replies all
-          aggregate up to this many updates per frame. [1] (default)
-          reproduces the unbatched system bit-for-bit — no accumulator
-          is consulted and no batch timer is ever armed. *)
+      (** end-to-end batching degree: client endpoints (proxies and
+          HMIs), Prime's pre-order path and replica replies all
+          aggregate up to this many updates per frame through one
+          {!Bft.Batch} accumulator each. The PBFT baseline batches its
+          client and reply frames but always proposes one update per
+          slot. [1] (default) reproduces the unbatched system
+          bit-for-bit: every update flushes alone as the legacy frame
+          and no batch timer is ever armed. *)
   batch_delay_us : int;
       (** deadline bound: a partial batch flushes at most this long
           after its oldest member arrived (ignored when [max_batch]
@@ -95,7 +95,8 @@ type config = {
 
 (** [default_config ()] is the paper's wide-area deployment shape:
     f=1, k=1, n=6 over 4 sites (2 control centers with 2 replicas, 2
-    data centers with 1), east-coast WAN latencies, 10 substations
+    data centers with 1), 100 µs LAN links, east-coast WAN latencies,
+    2 ms substation/HMI links to each control center, 10 substations
     polling every 100 ms, 1 HMI, Prime protocol, shortest-path
     dissemination. *)
 val default_config : unit -> config
@@ -212,8 +213,9 @@ val wire_traffic : t -> (string * int * int) list
     a codec bug. *)
 val wire_decode_errors : t -> int
 
-(** [assert_agreement t] checks that all correct replicas' execution
-    logs are prefix-compatible and masters at equal lengths have equal
+(** [assert_agreement t] runs {!Oracle.Agreement}'s checks over every
+    pair of correct replicas: execution logs are prefix-compatible, and
+    masters that applied the same number of updates have equal state
     digests. @raise Failure on divergence (a safety violation). *)
 val assert_agreement : t -> unit
 

@@ -9,7 +9,6 @@ type config = {
   viewchange_timeout_us : int;
   checkpoint_interval : int;
   watchdog_interval_us : int;
-  batch : Batch.policy;
 }
 
 let default_config quorum =
@@ -20,7 +19,6 @@ let default_config quorum =
     viewchange_timeout_us = 4_000_000;
     checkpoint_interval = 128;
     watchdog_interval_us = 250_000;
-    batch = Batch.singleton;
   }
 
 type slot = {
@@ -53,7 +51,6 @@ type t = {
   mutable next_seq : Types.seqno;
   mutable last_executed : Types.seqno;
   mutable stable_seq : Types.seqno;
-  req_acc : Update.t Batch.acc;
   vc_votes :
     ( Types.view,
       (Types.replica, Types.seqno * Msg.prepared_entry list) Hashtbl.t )
@@ -95,7 +92,6 @@ let create config env ~execute =
     next_seq = 1;
     last_executed = 0;
     stable_seq = 0;
-    req_acc = Batch.acc config.batch;
     vc_votes = Hashtbl.create 17;
     ckpt_votes = Hashtbl.create 17;
     view_changes = 0;
@@ -294,20 +290,6 @@ let send_proposal t (proposal : Msg.proposal) =
         : Sim.Engine.timer)
   else send_preprepare ()
 
-let flush_proposals t =
-  if not (Batch.is_empty t.req_acc) then begin
-    let updates = Batch.take_all t.req_acc in
-    let seq = t.next_seq in
-    t.next_seq <- seq + 1;
-    send_proposal t { Msg.seq; updates }
-  end
-
-let flush_proposals_due t =
-  if (not t.halted) && (not t.faults.Faults.crashed) && is_leader t then
-    match Batch.deadline_us t.req_acc with
-    | Some d when d <= t.env.Env.now_us () -> flush_proposals t
-    | Some _ | None -> ()
-
 let propose t update =
   let key = Update.key update in
   if
@@ -325,20 +307,9 @@ let propose t update =
           (Telemetry.Span.trace_id ~client:update.Update.client
              ~seq:update.Update.client_seq)
         ~now:(t.env.Env.now_us ());
-    if Batch.is_singleton t.config.batch then begin
-      let seq = t.next_seq in
-      t.next_seq <- seq + 1;
-      send_proposal t { Msg.seq; updates = [ update ] }
-    end
-    else begin
-      Batch.push t.req_acc ~now:(t.env.Env.now_us ()) update;
-      if Batch.full t.req_acc then flush_proposals t
-      else if Batch.length t.req_acc = 1 then
-        ignore
-          (t.env.Env.set_timer t.config.batch.Batch.max_delay_us (fun () ->
-               flush_proposals_due t)
-            : Sim.Engine.timer)
-    end
+    let seq = t.next_seq in
+    t.next_seq <- seq + 1;
+    send_proposal t { Msg.seq; updates = [ update ] }
   end
 
 (* ------------------------------------------------------------------ *)
@@ -370,7 +341,6 @@ let rec start_view_change t target =
   in
   if should then begin
     t.mode <- View_changing { target; since_us = t.env.Env.now_us () };
-    t.env.Env.trace (Printf.sprintf "view-change -> v%d" target);
     let prepared = prepared_entries t in
     broadcast t
       (Msg.Viewchange { new_view = target; last_stable = t.stable_seq; prepared });
@@ -434,7 +404,6 @@ and install_new_view t target votes =
   t.view_changes <- t.view_changes + 1;
   t.next_seq <- !max_seq + 1;
   t.assigned <- Hashtbl.create 97;
-  ignore (Batch.take_all t.req_acc : Update.t list);
   broadcast t (Msg.Newview { view = target; proposals; stable_seq = !max_stable });
   List.iter (fun p -> accept_preprepare t ~view:target ~proposal:p) proposals;
   let pending_now = Hashtbl.fold (fun _ (u, _) acc -> u :: acc) t.pending [] in
@@ -446,7 +415,6 @@ let adopt_new_view t ~view ~proposals =
     t.mode <- Normal;
     t.view_changes <- t.view_changes + 1;
     t.assigned <- Hashtbl.create 97;
-    ignore (Batch.take_all t.req_acc : Update.t list);
     List.iter (fun p -> accept_preprepare t ~view ~proposal:p) proposals;
     (* Give the new leader a full timeout for everything pending. *)
     let now = t.env.Env.now_us () in

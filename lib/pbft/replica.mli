@@ -3,7 +3,9 @@
     One instance implements one replica. The deployment layer delivers
     network messages via {!handle} and client updates via {!submit}; the
     instance emits messages through its {!Bft.Env.t} and applies ordered
-    updates through the [execute] callback.
+    updates through the [execute] callback. The leader proposes one
+    update per slot at every batching degree: the deployment's
+    [max_batch] batches only the client and reply frames around it.
 
     Simplifications relative to Castro-Liskov PBFT, none of which affect
     the measured behaviour:
@@ -33,11 +35,6 @@ type config = {
           to the next one *)
   checkpoint_interval : int;  (** executions between checkpoints *)
   watchdog_interval_us : int;  (** how often timeouts are polled *)
-  batch : Bft.Batch.policy;
-      (** leader-side aggregation: assigned requests accumulate until
-          [max_batch] or [max_delay_us] and are pre-prepared as one
-          multi-update proposal; [Batch.singleton] (default) bypasses
-          the accumulator and proposes one update per slot *)
 }
 
 (** [default_config quorum] uses the paper-era constants: 2 s request

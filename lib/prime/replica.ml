@@ -67,7 +67,6 @@ type t = {
      the [set_*] entry points below. *)
   mutable tat_threshold_us : int;
   mutable tat_violations_to_suspect : int;
-  mutable batch : Batch.policy;
   env : Msg.t Env.t;
   execute : int -> Update.t -> unit;
   faults : Faults.t;
@@ -158,6 +157,7 @@ let suspected t = t.suspected_view >= t.view
 let set_on_fall_behind t f = t.on_fall_behind <- f
 let epoch t = t.config.epoch
 let halted t = t.halted
+let live t = (not t.halted) && not t.faults.Faults.crashed
 
 (* Stop this instance at the epoch boundary.  Callable from inside the
    [execute] callback: the current eligibility batch still finishes
@@ -180,7 +180,6 @@ let create config env ~execute =
     config;
     tat_threshold_us = config.tat_threshold_us;
     tat_violations_to_suspect = config.tat_violations_to_suspect;
-    batch = config.batch;
     env;
     execute;
     faults = Faults.honest ();
@@ -515,7 +514,6 @@ let rec maybe_suspect t =
   then begin
     t.suspected_view <- t.view;
     t.tat_violations <- 0;
-    t.env.Env.trace (Printf.sprintf "suspect leader of v%d" t.view);
     broadcast t (Msg.Suspect { view = t.view });
     record_suspect t ~from:t.env.Env.self ~view:t.view
   end
@@ -568,7 +566,6 @@ and start_view_change t target =
   in
   if should then begin
     t.mode <- View_changing { target; since_us = t.env.Env.now_us () };
-    t.env.Env.trace (Printf.sprintf "view-change -> v%d" target);
     let prepared = prepared_entries t in
     broadcast t
       (Msg.Viewchange
@@ -675,8 +672,7 @@ let note_view_evidence t ~from ~view =
       t.tat_violations <- 0;
       Queue.clear t.pending_tats;
       t.frontier <- Array.copy t.recv;
-      t.frontier_since_us <- t.env.Env.now_us ();
-      t.env.Env.trace (Printf.sprintf "adopted evidenced view v%d" view)
+      t.frontier_since_us <- t.env.Env.now_us ()
     end
   end
 
@@ -734,7 +730,7 @@ let proposal_tick t =
 (* ARU exchange.                                                       *)
 
 let aru_tick t =
-  if (not t.halted) && not t.faults.Faults.crashed then begin
+  if live t then begin
     t.aru_heartbeat <- t.aru_heartbeat + 1;
     let heartbeat_due = t.aru_heartbeat mod 20 = 0 in
     if t.aru_dirty || heartbeat_due then begin
@@ -755,7 +751,7 @@ let aru_tick t =
    retries, ordered-slot catch-up.                                     *)
 
 let watchdog t =
-  if (not t.halted) && not t.faults.Faults.crashed then begin
+  if live t then begin
     let now = t.env.Env.now_us () in
     (* TAT probes that never completed count as violations. *)
     (match Queue.peek_opt t.pending_tats with
@@ -899,54 +895,41 @@ let start t =
 (* ------------------------------------------------------------------ *)
 (* Entry points.                                                       *)
 
-(* Flush the pre-order accumulator: assign consecutive po_seqs, store
-   every body locally, and broadcast one frame for the lot. A singleton
-   flush emits the legacy [Po_request] so the wire trajectory at
-   [max_batch = 1] stays bit-identical to the unbatched pipeline. *)
-let flush_po t =
-  if not (Batch.is_empty t.po_acc) then begin
-    let updates = Batch.take_all t.po_acc in
+(* Pre-order our own submissions: assign consecutive po_seqs, store
+   every body locally, and broadcast one frame for the lot. A single
+   update ships as the legacy [Po_request], so the wire trajectory at
+   [max_batch = 1] is bit-identical to the unbatched pipeline. *)
+let send_po t update =
+  let po_seq = t.po_next_seq in
+  t.po_next_seq <- po_seq + 1;
+  let origin = t.env.Env.self in
+  ignore (store_body t ~origin ~po_seq update : bool);
+  broadcast t (Msg.Po_request { origin; po_seq; update })
+
+let flush_po t = function
+  | [] -> ()
+  | [ update ] -> send_po t update
+  | updates ->
     let origin = t.env.Env.self in
     let first_seq = t.po_next_seq in
     List.iteri
       (fun i u -> ignore (store_body t ~origin ~po_seq:(first_seq + i) u : bool))
       updates;
     t.po_next_seq <- first_seq + List.length updates;
-    match updates with
-    | [ update ] ->
-      broadcast t (Msg.Po_request { origin; po_seq = first_seq; update })
-    | updates -> broadcast t (Msg.Po_batch { origin; first_seq; updates })
-  end
-
-let flush_po_due t =
-  if (not t.halted) && not t.faults.Faults.crashed then
-    (* Only flush the generation this timer was armed for: if the
-       buffer flushed early on size and refilled, its deadline moved. *)
-    match Batch.deadline_us t.po_acc with
-    | Some d when d <= t.env.Env.now_us () -> flush_po t
-    | Some _ | None -> ()
+    broadcast t (Msg.Po_batch { origin; first_seq; updates })
 
 let submit t update =
-  if (not t.halted) && not t.faults.Faults.crashed then begin
-    let key = Update.key update in
-    if not (Delivery.seen t.delivery key) then
-      if Batch.is_singleton t.batch then begin
-        let po_seq = t.po_next_seq in
-        t.po_next_seq <- po_seq + 1;
-        let origin = t.env.Env.self in
-        ignore (store_body t ~origin ~po_seq update : bool);
-        broadcast t (Msg.Po_request { origin; po_seq; update })
-      end
-      else begin
-        Batch.push t.po_acc ~now:(t.env.Env.now_us ()) update;
-        if Batch.full t.po_acc then flush_po t
-        else if Batch.length t.po_acc = 1 then
-          ignore
-            (t.env.Env.set_timer t.batch.Batch.max_delay_us (fun () ->
-                 flush_po_due t)
-              : Sim.Engine.timer)
-      end
-  end
+  if live t && not (Delivery.seen t.delivery (Update.key update)) then
+    match Batch.add t.po_acc ~now:(t.env.Env.now_us ()) update with
+    | Batch.Solo -> send_po t update
+    | Batch.Flush updates -> flush_po t updates
+    | Batch.Arm delay_us ->
+      ignore
+        (t.env.Env.set_timer delay_us (fun () ->
+             if live t then
+               flush_po t (Batch.due t.po_acc ~now:(t.env.Env.now_us ())))
+          : Sim.Engine.timer)
+    | Batch.Wait -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Runtime tuning plane: live-settable knobs.                          *)
@@ -962,19 +945,8 @@ let set_tat_violations_to_suspect t k =
   t.tat_violations_to_suspect <- k
 
 let set_batch_policy t p =
-  t.batch <- Batch.validate p;
   Batch.set_policy t.po_acc p;
-  (* A shrink can make the buffered pre-order generation due right now
-     (size bound crossed, or deadline moved into the past): drain it.
-     The generation's old timer stays armed but is harmless — it
-     re-checks [deadline_us] before flushing. *)
-  if (not t.halted) && not t.faults.Faults.crashed then begin
-    if Batch.full t.po_acc then flush_po t
-    else
-      match Batch.deadline_us t.po_acc with
-      | Some d when d <= t.env.Env.now_us () -> flush_po t
-      | Some _ | None -> ()
-  end
+  if live t then flush_po t (Batch.due t.po_acc ~now:(t.env.Env.now_us ()))
 
 (* Controller-initiated leader demotion: suspect the current leader
    immediately, without waiting for [tat_violations_to_suspect] local
@@ -992,7 +964,6 @@ let demote_leader t =
   then begin
     t.suspected_view <- t.view;
     t.tat_violations <- 0;
-    t.env.Env.trace (Printf.sprintf "demote: suspect leader of v%d" t.view);
     broadcast t (Msg.Suspect { view = t.view });
     record_suspect t ~from:t.env.Env.self ~view:t.view;
     true
@@ -1000,7 +971,7 @@ let demote_leader t =
   else false
 
 let handle t ~from msg =
-  if (not t.halted) && not t.faults.Faults.crashed then begin
+  if live t then begin
     if from >= 0 && from < n t then
       t.last_heard_us.(from) <- t.env.Env.now_us ();
     match msg with
@@ -1160,7 +1131,7 @@ let install_snapshot t s =
   Hashtbl.reset t.slots;
   Hashtbl.reset t.applied_matrices;
   Hashtbl.reset t.po_store;
-  ignore (Batch.take_all t.po_acc : Update.t list);
+  Batch.clear t.po_acc;
   t.recv <- Array.copy s.snap_cursor;
   t.rows <- Matrix.empty ~n:(n t);
   t.rows.(t.env.Env.self) <- Array.copy t.recv;

@@ -45,8 +45,9 @@ type config = {
   batch : Bft.Batch.policy;
       (** pre-order aggregation: own submissions accumulate until
           [max_batch] or [max_delay_us] and ship as one [Po_batch]
-          occupying consecutive po_seqs; [Batch.singleton] (default)
-          bypasses the accumulator and emits legacy [Po_request]s *)
+          occupying consecutive po_seqs; under [Batch.singleton]
+          (default) every submission flushes alone as a legacy
+          [Po_request] *)
 }
 
 (** [default_config quorum] uses LAN-scale defaults: 5 ms ARU cadence,
@@ -117,11 +118,8 @@ val set_tat_threshold : t -> int -> unit
 val set_tat_violations_to_suspect : t -> int -> unit
 
 (** [set_batch_policy t p] swaps the pre-order batching policy on the
-    live accumulator. If the swap makes the buffered generation due
-    (new [max_batch] at or below the buffered length, or a shorter
-    deadline now in the past) it is flushed immediately; the stale
-    generation timer stays armed and re-checks the deadline, so no
-    update is ever flushed twice or lost.
+    live accumulator and, on a live replica, ships the buffered
+    generation if the swap made it due ({!Bft.Batch.due}).
     @raise Invalid_argument on an invalid policy. *)
 val set_batch_policy : t -> Bft.Batch.policy -> unit
 

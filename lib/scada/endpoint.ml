@@ -22,12 +22,7 @@ type t = {
   mutable groups : Cryptosim.Threshold.group list;
   resubmit_timeout_us : int;
   submit : attempt:int -> Bft.Update.t -> unit;
-  (* Batch path: [None] (or a singleton policy) means every send_op
-     ships immediately through [submit] — the legacy wire shape. *)
-  submit_batch : (Bft.Update.t list -> unit) option;
-  mutable batch : Bft.Batch.policy;
-      (* live-settable by the runtime tuning plane; see
-         [set_batch_policy] *)
+  submit_batch : Bft.Update.t list -> unit;  (* first attempts, >= 2 *)
   acc : Bft.Update.t Bft.Batch.acc;
   pending : (int, pending) Hashtbl.t; (* client_seq -> pending *)
   mutable next_seq : int;
@@ -49,8 +44,10 @@ let create ?(telemetry = Telemetry.Sink.null) ?(batch = Bft.Batch.singleton)
     groups = [ group ];
     resubmit_timeout_us;
     submit;
-    submit_batch;
-    batch;
+    submit_batch =
+      (match submit_batch with
+      | Some f -> f
+      | None -> List.iter (fun u -> submit ~attempt:0 u));
     acc = Bft.Batch.acc batch;
     pending = Hashtbl.create 97;
     next_seq = 1;
@@ -75,39 +72,33 @@ let completed_count t = t.completed
 let resubmit_count t = t.resubmits
 let set_on_complete t f = t.on_complete <- f
 
-let flush_batch t =
-  if not (Bft.Batch.is_empty t.acc) then begin
-    let updates = Bft.Batch.take_all t.acc in
-    let now = Sim.Engine.now t.engine in
-    if Telemetry.Sink.enabled t.telemetry then
-      List.iter
-        (fun (u : Bft.Update.t) ->
-          Telemetry.Sink.update_batched t.telemetry
-            ~trace:
-              (Telemetry.Span.trace_id ~client:t.client_id
-                 ~seq:u.Bft.Update.client_seq)
-            ~now)
-        updates;
-    match t.submit_batch with
-    | Some f -> f updates
-    | None ->
-      List.iter (fun u -> t.submit ~attempt:0 u) updates
-  end
+(* The batched milestone fires for every flushed update; one that
+   flushes alone at submit ([max_batch = 1]) gets a zero-width
+   batch-wait phase. *)
+let batched t (u : Bft.Update.t) =
+  if Telemetry.Sink.enabled t.telemetry then
+    Telemetry.Sink.update_batched t.telemetry
+      ~trace:
+        (Telemetry.Span.trace_id ~client:t.client_id
+           ~seq:u.Bft.Update.client_seq)
+      ~now:(Sim.Engine.now t.engine)
 
-let flush_batch_due t =
-  match Bft.Batch.deadline_us t.acc with
-  | Some d when d <= Sim.Engine.now t.engine -> flush_batch t
-  | Some _ | None -> ()
+(* A single update ships as the legacy [Client_update] through
+   [submit]; a larger flush goes out through [submit_batch]. *)
+let ship_one t u =
+  batched t u;
+  t.submit ~attempt:0 u
 
-(* Hot-swap the client-side aggregation policy. Drains the buffered
-   generation if the swap made it due; the stale generation timer
-   re-checks the deadline, so nothing flushes twice. *)
+let flush_batch t = function
+  | [] -> ()
+  | [ u ] -> ship_one t u
+  | updates ->
+    List.iter (batched t) updates;
+    t.submit_batch updates
+
 let set_batch_policy t p =
-  t.batch <- Bft.Batch.validate p;
   Bft.Batch.set_policy t.acc p;
-  if Bft.Batch.full t.acc then flush_batch t else flush_batch_due t
-
-let batch_policy t = t.batch
+  flush_batch t (Bft.Batch.due t.acc ~now:(Sim.Engine.now t.engine))
 
 let send_op t op =
   let seq = t.next_seq in
@@ -126,17 +117,15 @@ let send_op t op =
     Telemetry.Sink.update_submitted t.telemetry
       ~trace:(Telemetry.Span.trace_id ~client:t.client_id ~seq)
       ~now;
-  if Bft.Batch.is_singleton t.batch then t.submit ~attempt:0 update
-  else begin
-    Bft.Batch.push t.acc ~now update;
-    if Bft.Batch.full t.acc then flush_batch t
-    else if Bft.Batch.length t.acc = 1 then
-      ignore
-        (Sim.Engine.schedule ~shard:t.shard t.engine
-           ~delay_us:t.batch.Bft.Batch.max_delay_us (fun () ->
-             flush_batch_due t)
-          : Sim.Engine.timer)
-  end;
+  (match Bft.Batch.add t.acc ~now update with
+  | Bft.Batch.Solo -> ship_one t update
+  | Bft.Batch.Flush updates -> flush_batch t updates
+  | Bft.Batch.Arm delay_us ->
+    ignore
+      (Sim.Engine.schedule ~shard:t.shard t.engine ~delay_us (fun () ->
+           flush_batch t (Bft.Batch.due t.acc ~now:(Sim.Engine.now t.engine)))
+        : Sim.Engine.timer)
+  | Bft.Batch.Wait -> ());
   update
 
 let handle_reply t (reply : Reply.t) =

@@ -15,13 +15,13 @@ type t
     and confirmation milestones of every update this endpoint issues.
 
     [batch] (default {!Bft.Batch.singleton}) aggregates first-attempt
-    submissions: updates accumulate until [max_batch] or [max_delay_us]
-    and flush together through [submit_batch] (falling back to one
-    [submit] per member when absent), firing the batched telemetry
-    milestone per member at flush. A singleton policy bypasses the
-    accumulator entirely — [submit] fires synchronously inside
-    {!send_op}, and no timer is ever scheduled. Retransmissions always
-    use [submit] individually.
+    submissions in a {!Bft.Batch} accumulator: updates accumulate until
+    [max_batch] or [max_delay_us]. A flush of one update goes out
+    through [submit] (the legacy frame); a larger one through
+    [submit_batch] (default: one [submit] per member). Each flushed
+    update fires the batched telemetry milestone. Under a singleton
+    policy every update flushes alone inside {!send_op} and no timer is
+    ever scheduled. Retransmissions always use [submit] individually.
 
     [shard] (default 0) tags the endpoint's timers (batch flush,
     retransmission watchdog) with the owning engine heap — the field
@@ -64,17 +64,8 @@ val pending_count : t -> int
 val completed_count : t -> int
 val resubmit_count : t -> int
 
-(** [batch_policy t] is the current (possibly hot-swapped) aggregation
-    policy. *)
-val batch_policy : t -> Bft.Batch.policy
-
 (** [set_batch_policy t p] swaps the aggregation policy on the live
-    endpoint (runtime tuning plane). If the swap makes the buffered
-    generation due — new [max_batch] at or below the buffered length,
-    or a shorter deadline now in the past — it flushes immediately; the
-    stale generation timer re-checks the deadline, so no update ships
-    twice. Note a swap {e to} a singleton policy still drains buffered
-    updates through the batch path; only future {!send_op}s bypass the
-    accumulator.
+    endpoint (runtime tuning plane) and ships the buffered generation
+    if the swap made it due ({!Bft.Batch.due}).
     @raise Invalid_argument on an invalid policy. *)
 val set_batch_policy : t -> Bft.Batch.policy -> unit

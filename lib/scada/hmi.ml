@@ -1,12 +1,12 @@
 type t = { engine : Sim.Engine.t; endpoint : Endpoint.t }
 
-let create ?telemetry ?shard ~engine ~client_id ~group ~resubmit_timeout_us
-    ~submit () =
+let create ?telemetry ?batch ?submit_batch ?shard ~engine ~client_id ~group
+    ~resubmit_timeout_us ~submit () =
   {
     engine;
     endpoint =
-      Endpoint.create ?telemetry ?shard ~engine ~client_id ~group
-        ~resubmit_timeout_us ~submit ();
+      Endpoint.create ?telemetry ?batch ?submit_batch ?shard ~engine ~client_id
+        ~group ~resubmit_timeout_us ~submit ();
   }
 
 let start t = Endpoint.start t.endpoint

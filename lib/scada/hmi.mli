@@ -8,10 +8,15 @@
 type t
 
 (** [telemetry] (default {!Telemetry.Sink.null}) traces the lifecycle
-    of every update this HMI issues. [shard] (default 0) tags the
-    endpoint's timers with the owning engine heap ({!Sim.Shard}). *)
+    of every update this HMI issues. [batch]/[submit_batch] are
+    forwarded to the underlying {!Endpoint}, as for a proxy: commands
+    accumulate under the size/deadline policy and flush as one client
+    batch. [shard] (default 0) tags the endpoint's timers with the
+    owning engine heap ({!Sim.Shard}). *)
 val create :
   ?telemetry:Telemetry.Sink.t ->
+  ?batch:Bft.Batch.policy ->
+  ?submit_batch:(Bft.Update.t list -> unit) ->
   ?shard:int ->
   engine:Sim.Engine.t ->
   client_id:Bft.Types.client ->

@@ -228,9 +228,10 @@ let update_confirmed t ~trace ~now =
             now cand
         end
       in
-      (* A missing [batched] milestone is not incompleteness: with
-         batching off (max_batch = 1) updates are never buffered, so
-         the batch-wait phase legitimately has zero width at submit. *)
+      (* Every endpoint flush fires [batched], a flush of one at
+         submit time included (zero-width batch wait). An update
+         submitted outside an endpoint has none; that is not
+         incompleteness, the phase just has zero width at submit. *)
       let batched =
         if p.batched < 0 then submit
         else if p.batched < submit then begin

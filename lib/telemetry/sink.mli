@@ -46,10 +46,10 @@ val set_quorums : t -> order:int -> reply:int -> unit
 val update_submitted : t -> trace:int -> now:int -> unit
 
 (** [update_batched]: the client endpoint flushed the batch carrying
-    this update ([Bft.Batch] size/deadline policy). Optional — when it
-    never fires (batching off), the batch-wait phase materialises with
-    zero width at the submit time and the trace is {e not} counted
-    incomplete. *)
+    this update ([Bft.Batch] size/deadline policy); under
+    [max_batch = 1] it fires at submit time. Optional — when it never
+    fires, the batch-wait phase materialises with zero width at the
+    submit time and the trace is {e not} counted incomplete. *)
 val update_batched : t -> trace:int -> now:int -> unit
 
 val update_at_origin : t -> trace:int -> now:int -> unit

@@ -193,6 +193,76 @@ let test_cluster_latency_override () =
   Sim.Engine.run_until_quiescent engine;
   Alcotest.(check int) "overridden delay" 5_000 !arrival
 
+(* ------------------------------------------------------------------ *)
+(* Batch accumulator: it alone decides when a generation flushes. *)
+
+module B = Bft.Batch
+
+let show_action = function
+  | B.Solo -> "solo"
+  | B.Flush xs -> "flush [" ^ String.concat ";" (List.map string_of_int xs) ^ "]"
+  | B.Arm d -> "arm " ^ string_of_int d
+  | B.Wait -> "wait"
+
+let check_add msg expected a ~now x =
+  Alcotest.(check string) msg expected (show_action (B.add a ~now x))
+
+let test_batch_size_flush () =
+  let a = B.acc (B.create ~max_delay_us:100 ~max_batch:3 ()) in
+  check_add "first arms" "arm 100" a ~now:0 1;
+  check_add "second waits" "wait" a ~now:10 2;
+  check_add "third fills" "flush [1;2;3]" a ~now:20 3;
+  Alcotest.(check (list int)) "nothing left" [] (B.due a ~now:1_000)
+
+let test_batch_one_arm_per_generation () =
+  let a = B.acc (B.create ~max_delay_us:50 ~max_batch:4 ()) in
+  let arms = ref 0 in
+  for i = 1 to 12 do
+    match B.add a ~now:i i with
+    | B.Arm _ -> incr arms
+    | B.Solo | B.Flush _ | B.Wait -> ()
+  done;
+  Alcotest.(check int) "three generations, three arms" 3 !arms
+
+let test_batch_due_deadline () =
+  let a = B.acc (B.create ~max_delay_us:100 ~max_batch:8 ()) in
+  check_add "opens a generation" "arm 100" a ~now:0 1;
+  check_add "joins it" "wait" a ~now:50 2;
+  Alcotest.(check (list int)) "before the deadline" [] (B.due a ~now:99);
+  Alcotest.(check (list int)) "at the deadline" [ 1; 2 ] (B.due a ~now:100);
+  Alcotest.(check (list int)) "drained once" [] (B.due a ~now:100);
+  (* The first generation's timer firing late finds the next one young. *)
+  check_add "next generation" "arm 100" a ~now:150 3;
+  Alcotest.(check (list int)) "stale timer ships nothing" [] (B.due a ~now:200);
+  Alcotest.(check (list int)) "its own deadline" [ 3 ] (B.due a ~now:250)
+
+let test_batch_shrink_makes_due () =
+  let a = B.acc (B.create ~max_delay_us:1_000 ~max_batch:8 ()) in
+  List.iter (fun x -> ignore (B.add a ~now:0 x : int B.action)) [ 1; 2; 3 ];
+  Alcotest.(check (list int)) "not yet due" [] (B.due a ~now:1);
+  B.set_policy a (B.create ~max_delay_us:1_000 ~max_batch:2 ());
+  Alcotest.(check (list int)) "full under the smaller max" [ 1; 2; 3 ]
+    (B.due a ~now:1);
+  check_add "new generation" "arm 1000" a ~now:10 4;
+  B.set_policy a (B.create ~max_delay_us:5 ~max_batch:8 ());
+  Alcotest.(check (list int)) "shorter deadline passed" [ 4 ] (B.due a ~now:20);
+  Alcotest.check_raises "invalid policy" (Invalid_argument
+    "Bft.Batch.validate: max_batch must be >= 1") (fun () ->
+      B.set_policy a { B.max_batch = 0; max_delay_us = 0 })
+
+let test_batch_singleton_never_arms () =
+  let a = B.acc { B.singleton with B.max_delay_us = 77_777 } in
+  for i = 1 to 100 do
+    check_add "flushes alone" "solo" a ~now:(i * 1_000) i;
+    Alcotest.(check (list int)) "nothing buffered" [] (B.due a ~now:max_int)
+  done;
+  (* A swap down to one drains what the bigger policy had buffered. *)
+  let b = B.acc (B.create ~max_batch:4 ()) in
+  check_add "buffered" "arm 10000" b ~now:0 1;
+  B.set_policy b B.singleton;
+  Alcotest.(check (list int)) "drained by the swap" [ 1 ] (B.due b ~now:0);
+  check_add "then alone" "solo" b ~now:1 2
+
 let () =
   Alcotest.run "bft"
     [
@@ -221,6 +291,18 @@ let () =
           Alcotest.test_case "snapshot" `Quick test_exec_log_snapshot;
           Alcotest.test_case "nth" `Quick test_exec_log_nth;
           QCheck_alcotest.to_alcotest prop_exec_log_chain_detects_divergence;
+        ] );
+      ( "batch",
+        [
+          Alcotest.test_case "size flush" `Quick test_batch_size_flush;
+          Alcotest.test_case "one arm per generation" `Quick
+            test_batch_one_arm_per_generation;
+          Alcotest.test_case "due before and after deadline" `Quick
+            test_batch_due_deadline;
+          Alcotest.test_case "shrinking policy makes due" `Quick
+            test_batch_shrink_makes_due;
+          Alcotest.test_case "max_batch=1 never arms" `Quick
+            test_batch_singleton_never_arms;
         ] );
       ( "cluster",
         [

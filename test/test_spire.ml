@@ -86,6 +86,37 @@ let test_system_fault_free_end_to_end () =
   Alcotest.(check int) "master knows all RTUs" 4
     (List.length (Scada.Master.known_rtus (Sys_.master sys 0)))
 
+(* HMIs batch like proxies: once the knob plane turns batching on, a
+   burst of operator commands fills one generation and ships as a single
+   Client_batch frame. No proxies run, so every client frame is the
+   HMI's. *)
+let test_system_hmi_burst_ships_one_batch () =
+  let sys = Sys_.create { (short_config ()) with Sys_.substations = 0 } in
+  (match
+     Control.Knobs.request (Sys_.knobs sys) ~now_us:0 ~source:"test"
+       (Control.Knobs.Set_max_batch 8)
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "Set_max_batch 8 refused: %s" e);
+  Sys_.start sys;
+  ignore
+    (Sim.Engine.schedule_at (Sys_.engine sys) ~time_us:500_000 (fun () ->
+         for _ = 1 to 8 do
+           ignore (Scada.Hmi.read_state (Sys_.hmi sys 0) : Bft.Update.t)
+         done)
+      : Sim.Engine.timer);
+  Sys_.run sys ~duration_us:2_000_000;
+  Sys_.assert_agreement sys;
+  let frames kind =
+    List.fold_left
+      (fun acc (k, f, _) -> if k = kind then acc + f else acc)
+      0 (Sys_.wire_traffic sys)
+  in
+  Alcotest.(check int) "one client_batch frame" 1 (frames "client_batch");
+  Alcotest.(check int) "no client_update frame" 0 (frames "client_update");
+  Alcotest.(check int) "all eight confirmed" 8
+    (Scada.Hmi.confirmed_commands (Sys_.hmi sys 0))
+
 let test_system_hmi_command_reaches_rtu () =
   let sys = Sys_.create (short_config ()) in
   Sys_.start sys;
@@ -303,6 +334,8 @@ let () =
             test_system_fault_free_end_to_end;
           Alcotest.test_case "hmi command reaches rtu" `Quick
             test_system_hmi_command_reaches_rtu;
+          Alcotest.test_case "hmi burst ships one batch" `Quick
+            test_system_hmi_burst_ships_one_batch;
           Alcotest.test_case "pbft baseline" `Quick
             test_system_pbft_baseline_works_fault_free;
           Alcotest.test_case "crashed replica tolerated" `Quick
