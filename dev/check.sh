@@ -2,9 +2,9 @@
 # Pre-commit check: tier-1 build + test suites, a quick chaos soak
 # (5 seeded within-budget schedules; every oracle must stay green), a
 # field-fleet smoke, a reconfiguration soak, then a release-profile
-# build with E2 + E6 + E11 + E13 bench smoke runs (exercises the wire
-# layer, the byte-accounting tables, and the epoch cutover path end to
-# end) and the PERF=1 wall-clock gates. It rewrites no tracked file.
+# build with E2 + E6 + E6B + E11 + E13 bench smoke runs (exercises the
+# wire layer, the byte-accounting tables, flooding over lossy links and
+# the epoch cutover path end to end) and the PERF=1 wall-clock gates. It rewrites no tracked file.
 set -e
 cd "$(dirname "$0")/.."
 
@@ -68,6 +68,9 @@ fi
 dune build --profile release
 EXPERIMENT=E2 dune exec --profile release bench/main.exe
 EXPERIMENT=E6 dune exec --profile release bench/main.exe
+# E6B floods over lossy WAN links: the hop-by-hop ARQ leg under
+# constrained flooding and redundant paths.
+EXPERIMENT=E6B dune exec --profile release bench/main.exe
 # E11 exits nonzero on any epoch-safety violation, wrong final epoch, or
 # a confirmation gap over 8s during the failover/rejoin/growth arc.
 EXPERIMENT=E11 dune exec --profile release bench/main.exe

@@ -1,6 +1,6 @@
 (* Fibonacci hashing: the product's high bits mix every key bit, so
-   dense keys (frame ids, source node ids) spread evenly over a
-   power-of-two bucket array. Pure OCaml — no [caml_hash] call. *)
+   dense keys (source node ids) spread evenly over a power-of-two
+   bucket array. Pure OCaml — no [caml_hash] call. *)
 include Hashtbl.Make (struct
   type t = int
 

@@ -1,6 +1,6 @@
 (** Hashtable specialised to [int] keys: a multiplicative hash and
     [Int.equal] instead of the polymorphic hash and compare. Used for
-    the frame-id dedup caches and the fair queue's per-source tables,
-    which sit on the per-copy hop path. *)
+    the fair queue's per-source tables, which sit on the per-copy hop
+    path. *)
 
 include Hashtbl.S with type key = int

@@ -33,14 +33,16 @@ type 'a content = Payload of 'a | Junk of string
 type route =
   | Path of Topology.node list (* remaining hops, next first *)
   | Flooding of int array
-      (* per node: hops traversed by the copy that reached it first.
-         Every flooded copy shares one frame record, and only first
-         arrivals are forwarded, so a copy leaving [u] has crossed
-         [first_hops.(u)] links. Cell [v] is written once, by [v]'s own
-         shard, on [v]'s first arrival. *)
+      (* per node: hops traversed by the copy that reached it first, or
+         -1 while no copy has (the source starts at 0). Every flooded
+         copy shares one frame record, so this array is also the
+         frame's exact seen set: a copy reaching [v] when
+         [first_hops.(v) >= 0] is a duplicate, however late it comes.
+         Only first arrivals are forwarded, so a copy leaving [u] has
+         crossed [first_hops.(u)] links. Cell [v] is written once, by
+         [v]'s own shard, on [v]'s first arrival. *)
 
 type 'a frame = {
-  id : int;
   src : Topology.node;
   dst : Topology.node;
   priority : Fair_queue.priority;
@@ -49,13 +51,19 @@ type 'a frame = {
   sent_us : int;
   hops : int; (* links crossed so far; single-path frames only *)
   route : route;
-  dedup : bool;
-      (* only flooded / redundantly-routed frames can arrive more than
-         once; single-path frames skip dedup bookkeeping entirely *)
+  delivered : bool ref option;
+      (* shared by the k copies of a [Redundant k] send: the first copy
+         [deliver]ed sets it and the rest are suppressed. [None] on
+         single-path frames, and on flooded ones, which reach [deliver]
+         only on the destination's first arrival. *)
   trace : int;
       (* telemetry trace context riding alongside the payload; -1 when
          the frame is untraced, making the hot-path guard one int
          compare *)
+  mutable queue_span : int;
+      (* open Net_queue span while this copy waits in a link queue, -1
+         otherwise; set only on a traced frame's own per-link copy (see
+         [enqueue]) *)
 }
 
 (* Directed link runtime state. *)
@@ -85,12 +93,11 @@ type 'a t = {
      the traffic a real deployment pays WAN bandwidth for. *)
   boundary : Sim.Shard.boundary;
   (* Per-node state is grouped by owning shard ({!Sim.Shard.owned}):
-     each node's outgoing-link row, route-cache row, handler and dedup
-     caches live in its site's rows, so "which shard may touch this"
-     is explicit. A row is still a flat per-destination array — the
-     per-hop path touches link state several times per frame, and
-     tuple-keyed hashtables there cost a key allocation plus hashing
-     per access. *)
+     each node's outgoing-link row, route-cache row and handler live in
+     its site's rows, so "which shard may touch this" is explicit. A
+     row is still a flat per-destination array — the per-hop path
+     touches link state several times per frame, and tuple-keyed
+     hashtables there cost a key allocation plus hashing per access. *)
   links : 'a link_state option array Sim.Shard.owned; (* row.(v) = u -> v *)
   neighbours : int array array;
       (* node -> its topology neighbours, ascending. Built once: links
@@ -109,11 +116,7 @@ type 'a t = {
      dropped before they can index the per-node state rows. *)
   retired : bool array;
   handlers : ('a delivery -> unit) option Sim.Shard.owned;
-  seen : Dedup_cache.t Sim.Shard.owned; (* per node: flooded frame ids seen *)
-  delivered_ids : Dedup_cache.t Sim.Shard.owned;
-      (* per node: dedup'd frame ids delivered *)
-  (* Global statistics and the frame-id allocator: ids are dense,
-     0, 1, 2, ... in submit order. *)
+  (* Global statistics. *)
   ctrs : counters;
   per_source_cap : int;
   (* Route caches: shortest paths and disjoint path sets are stable
@@ -124,15 +127,9 @@ type 'a t = {
   kpath_cache : (int, Topology.node list list) Hashtbl.t;
       (* key = (src * nodes + dst) * 1024 + min k 1023 *)
   mutable telemetry : Telemetry.Sink.t;
-  queue_spans : (int, int) Hashtbl.t;
-      (* open Net_queue span per queued traced frame, keyed by
-         [frame.id * nodes² + link index] — a frame record is shared
-         across links when flooding, so the span id cannot live on the
-         frame itself *)
 }
 
 and counters = {
-  mutable c_frame_seq : int;
   mutable c_submitted : int;
   mutable c_delivered : int;
   mutable c_duplicates_suppressed : int;
@@ -174,11 +171,8 @@ let create ?(per_source_cap = 64) ?partition engine topo () =
       node_up = Array.make n true;
       retired = Array.make n false;
       handlers = Sim.Shard.init part (fun _ -> None);
-      seen = Sim.Shard.init part (fun _ -> Dedup_cache.create ());
-      delivered_ids = Sim.Shard.init part (fun _ -> Dedup_cache.create ());
       ctrs =
         {
-          c_frame_seq = 0;
           c_submitted = 0;
           c_delivered = 0;
           c_duplicates_suppressed = 0;
@@ -196,7 +190,6 @@ let create ?(per_source_cap = 64) ?partition engine topo () =
       route_cache = Sim.Shard.init part (fun _ -> Array.make n None);
       kpath_cache = Hashtbl.create 997;
       telemetry = Telemetry.Sink.null;
-      queue_spans = Hashtbl.create 64;
     }
   in
   List.iter
@@ -235,8 +228,6 @@ let set_telemetry t sink = t.telemetry <- sink
    transmission closures, so no per-link mutable state is needed. *)
 let traced t frame = frame.trace >= 0 && Telemetry.Sink.enabled t.telemetry
 
-let qspan_key t u v frame_id = (frame_id * t.nodes * t.nodes) + (u * t.nodes) + v
-
 let link_label u v = string_of_int u ^ "->" ^ string_of_int v
 
 let open_hop_span t ~phase ~node ~label frame =
@@ -256,6 +247,16 @@ let link_state t a b =
   | Some ls -> ls
   | None -> invalid_arg "Net: no such link"
 
+(* Test-and-set of the delivered cell a [Redundant k] send shares
+   across its copies; always false for frames that have none. *)
+let already_delivered frame =
+  match frame.delivered with
+  | None -> false
+  | Some cell ->
+    let seen = !cell in
+    cell := true;
+    seen
+
 (* Deliver a frame that has arrived at its destination.  A frame whose
    source was retired while the frame was in flight is dropped here:
    stale-site traffic must neither reach handlers nor fault on the
@@ -266,9 +267,7 @@ let deliver t node frame ~hops =
     c.c_dropped_retired_src <- c.c_dropped_retired_src + 1;
     c.c_dropped_bytes <- c.c_dropped_bytes + frame.size_bytes
   end
-  else if
-    frame.dedup && Dedup_cache.seen (Sim.Shard.get t.delivered_ids node) frame.id
-  then begin
+  else if already_delivered frame then begin
     let c = t.ctrs in
     c.c_duplicates_suppressed <- c.c_duplicates_suppressed + 1
   end
@@ -306,13 +305,9 @@ let rec maybe_transmit t u v =
   let ls = link_state t u v in
   if not (ls.busy || Fair_queue.is_empty ls.queue) then begin
     let frame = Fair_queue.take ls.queue in
-    if traced t frame then begin
-      let key = qspan_key t u v frame.id in
-      match Hashtbl.find_opt t.queue_spans key with
-      | Some sid ->
-        Hashtbl.remove t.queue_spans key;
-        close_hop_span t sid
-      | None -> ()
+    if frame.queue_span >= 0 then begin
+      close_hop_span t frame.queue_span;
+      frame.queue_span <- -1
     end;
     transmit_frame t u v ls frame 0
   end
@@ -321,8 +316,8 @@ and transmit_frame t u v ls frame attempt =
   ls.busy <- true;
   (* The transmit/ARQ legs of a (u, v) hop mutate [u]-owned link state,
      so those timers are tagged with [u]'s shard; the propagation leg
-     ends in [arrive], which mutates [v]-owned state (dedup caches,
-     handlers, onward queues), so it is tagged with [v]'s shard. The
+     ends in [arrive], which mutates [v]-owned state (its first-arrival
+     cell, handler, onward queues), so it is tagged with [v]'s shard. The
      tags never affect event order — keys are engine-global — they only
      attribute each callback to the site whose state it touches. *)
   let shard = Sim.Shard.engine_shard t.part u in
@@ -400,7 +395,7 @@ and arrive t u v frame =
   else
     match frame.route with
     | Flooding first_hops ->
-      if Dedup_cache.seen (Sim.Shard.get t.seen v) frame.id then begin
+      if first_hops.(v) >= 0 then begin
         (* A later copy of a frame [v] already has: constrained
            flooding drops it here, before [deliver]. *)
         let c = t.ctrs in
@@ -441,6 +436,9 @@ and arrive t u v frame =
 
 and enqueue t u v frame =
   let ls = link_state t u v in
+  (* A traced frame queues as its own copy, which holds its open
+     queue-wait span: flooded copies otherwise share one record. *)
+  let frame = if traced t frame then { frame with queue_span = -1 } else frame in
   if Fair_queue.push ls.queue ~source:frame.src ~priority:frame.priority frame
   then begin
     (* A hop between nodes owned by different shards crosses the
@@ -450,13 +448,10 @@ and enqueue t u v frame =
       ~dst_shard:(Sim.Shard.owner_of t.part v) ~bytes:frame.size_bytes;
     (* Open the queue-wait span before [maybe_transmit]: an idle link
        pops the frame straight back out and closes it at zero width. *)
-    if traced t frame then begin
-      let sid =
+    if traced t frame then
+      frame.queue_span <-
         open_hop_span t ~phase:Telemetry.Span.Net_queue ~node:u
-          ~label:(link_label u v) frame
-      in
-      if sid >= 0 then Hashtbl.replace t.queue_spans (qspan_key t u v frame.id) sid
-    end;
+          ~label:(link_label u v) frame;
     maybe_transmit t u v
   end
   else begin
@@ -487,12 +482,6 @@ let cached_disjoint t ~src ~dst ~k =
     Hashtbl.replace t.kpath_cache key paths;
     paths
 
-let fresh_id t =
-  let c = t.ctrs in
-  let id = c.c_frame_seq in
-  c.c_frame_seq <- id + 1;
-  id
-
 let submit t ~priority ~size_bytes ~src ~dst ~mode ~trace content =
   let c = t.ctrs in
   c.c_submitted <- c.c_submitted + 1;
@@ -514,9 +503,8 @@ let submit t ~priority ~size_bytes ~src ~dst ~mode ~trace content =
     c.c_dropped_bytes <- c.c_dropped_bytes + size_bytes
   end
   else begin
-    let base_frame ?(dedup = false) route =
+    let base_frame ?delivered route =
       {
-        id = fresh_id t;
         src;
         dst;
         priority;
@@ -525,8 +513,9 @@ let submit t ~priority ~size_bytes ~src ~dst ~mode ~trace content =
         sent_us = Sim.Engine.now t.engine;
         hops = 0;
         route;
-        dedup;
+        delivered;
         trace;
+        queue_span = -1;
       }
     in
     if src = dst then begin
@@ -541,8 +530,9 @@ let submit t ~priority ~size_bytes ~src ~dst ~mode ~trace content =
     else
       match mode with
       | Flood ->
-        let frame = base_frame ~dedup:true (Flooding (Array.make t.nodes 0)) in
-        Dedup_cache.add (Sim.Shard.get t.seen src) frame.id;
+        let first_hops = Array.make t.nodes (-1) in
+        first_hops.(src) <- 0;
+        let frame = base_frame (Flooding first_hops) in
         let nbrs = t.neighbours.(src) in
         for i = 0 to Array.length nbrs - 1 do
           let w = nbrs.(i) in
@@ -568,29 +558,14 @@ let submit t ~priority ~size_bytes ~src ~dst ~mode ~trace content =
           c.c_dropped_no_route <- c.c_dropped_no_route + 1;
           c.c_dropped_bytes <- c.c_dropped_bytes + size_bytes
         | paths ->
-          (* One frame id shared by all copies so the destination
-             delivers exactly one. *)
-          let id = fresh_id t in
+          (* One delivered cell shared by all copies, so the
+             destination delivers exactly one. *)
+          let delivered = Some (ref false) in
           List.iter
             (fun path ->
               match path with
               | _ :: (hop :: _ as rest) ->
-                let frame =
-                  {
-                    id;
-                    src;
-                    dst;
-                    priority;
-                    size_bytes;
-                    content;
-                    sent_us = Sim.Engine.now t.engine;
-                    hops = 0;
-                    route = Path rest;
-                    dedup = true;
-                    trace;
-                  }
-                in
-                enqueue t src hop frame
+                enqueue t src hop (base_frame ?delivered (Path rest))
               | _ -> ())
             paths)
   end
@@ -638,12 +613,18 @@ let unretire_node t n =
 let node_retired t n = n >= 0 && n < t.nodes && t.retired.(n)
 
 let set_latency_factor t a b factor =
+  if not (Float.is_finite factor) then
+    invalid_arg "Net.set_latency_factor: factor not finite";
   if factor < 1.0 then invalid_arg "Net.set_latency_factor: factor < 1";
+  (* [int_of_float] of a float at or beyond [max_int] is unspecified (0
+     on x86-64), which would make a "slowed" link instantaneous. *)
+  if float_of_int (link_state t a b).latency_us *. factor >= float_of_int max_int
+  then invalid_arg "Net.set_latency_factor: scaled latency overflows int";
   (link_state t a b).latency_factor <- factor;
   (link_state t b a).latency_factor <- factor
 
 let set_loss_probability t a b p =
-  if p < 0. || p >= 1. then
+  if not (p >= 0. && p < 1.) then
     invalid_arg "Net.set_loss_probability: need 0 <= p < 1";
   (link_state t a b).loss_probability <- p;
   (link_state t b a).loss_probability <- p

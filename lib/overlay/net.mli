@@ -9,9 +9,15 @@
     - [Redundant k]: the frame is sent over up to [k] node-disjoint
       paths, and the destination delivers the first copy — an adversary
       must cut every path to suppress the message;
-    - [Flood]: constrained flooding over all usable links with per-node
-      duplicate suppression — delivery is guaranteed whenever any
-      correct path exists, at the cost of bandwidth.
+    - [Flood]: constrained flooding over all usable links, each node
+      forwarding only its first copy — delivery is guaranteed whenever
+      any correct path exists, at the cost of bandwidth.
+
+    Duplicate suppression is exact: the copies of one submission share
+    its seen state, so the destination delivers a redundant or flooded
+    frame once however late its other copies arrive (e.g. over a link
+    slowed by a delay attack). The overlay keeps no per-node window of
+    frame ids.
 
     Links serialise frames at finite bandwidth through a two-class
     priority queue with round-robin source fairness ({!Fair_queue}), the
@@ -41,7 +47,9 @@ type stats = {
       (** redundant copies dropped by duplicate suppression: in [Flood]
           mode, every copy reaching a node that already has the frame
           (each node forwards only its first copy); in [Redundant k]
-          mode, every copy reaching the destination after the first *)
+          mode, every copy reaching the destination after the first.
+          Exact at any delay: no copy is ever forgotten and delivered
+          again. *)
   dropped_queue_full : int;
   dropped_link_down : int;
   dropped_no_route : int;
@@ -187,7 +195,9 @@ val unretire_node : 'a t -> Topology.node -> unit
 val node_retired : 'a t -> Topology.node -> bool
 
 (** [set_latency_factor t a b factor] scales the link's propagation
-    delay (e.g. 10x under congestion attack). Factor must be >= 1. *)
+    delay (e.g. 10x under congestion attack).
+    @raise Invalid_argument if [factor] is not finite, is below 1, or
+    scales the link's latency to [max_int] microseconds or more. *)
 val set_latency_factor : 'a t -> Topology.node -> Topology.node -> float -> unit
 
 (** [invalidate_routes t] clears every cached shortest path and
@@ -202,9 +212,10 @@ val set_latency_factor : 'a t -> Topology.node -> Topology.node -> float -> unit
 val invalidate_routes : 'a t -> unit
 
 (** [set_loss_probability t a b p] makes each transmission over the
-    link drop with probability [p] (0 <= p < 1). Hop-by-hop ARQ
-    retransmits lost frames (up to 8 attempts), converting loss into
-    latency — the overlay daemons' per-hop recovery. *)
+    link drop with probability [p]. Hop-by-hop ARQ retransmits lost
+    frames (up to 8 attempts), converting loss into latency — the
+    overlay daemons' per-hop recovery.
+    @raise Invalid_argument unless 0 <= p < 1 (NaN included). *)
 val set_loss_probability : 'a t -> Topology.node -> Topology.node -> float -> unit
 
 (** [retransmissions t] counts ARQ retransmissions performed so far. *)

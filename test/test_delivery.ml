@@ -1,5 +1,7 @@
-(* Unit and property tests for the exactly-once FIFO delivery filter
-   and the trace / dedup-cache utility modules. *)
+(* Unit and property tests for the exactly-once FIFO delivery filter,
+   the trace utility module, and the overlay's exact duplicate
+   suppression: a flooded or redundant frame reaches its destination's
+   handler once however late its other copies arrive. *)
 
 module D = Bft.Delivery
 
@@ -124,60 +126,77 @@ let test_trace_records_and_filters () =
   Alcotest.(check int) "disabled again" 0 (Sim.Trace.count t)
 
 (* ------------------------------------------------------------------ *)
-(* Dedup cache *)
+(* Late copies *)
 
-let test_dedup_cache_remembers () =
-  let c = Overlay.Dedup_cache.create ~generation_size:4 () in
-  Overlay.Dedup_cache.add c 1;
-  Overlay.Dedup_cache.add c 2;
-  Alcotest.(check bool) "mem 1" true (Overlay.Dedup_cache.mem c 1);
-  Alcotest.(check bool) "not mem 3" false (Overlay.Dedup_cache.mem c 3)
+module N = Overlay.Net
+module T = Overlay.Topology
 
-let test_dedup_cache_generational_expiry () =
-  let c = Overlay.Dedup_cache.create ~generation_size:2 () in
-  Overlay.Dedup_cache.add c 1;
-  Overlay.Dedup_cache.add c 2;
-  (* Generation full; next adds rotate. *)
-  Overlay.Dedup_cache.add c 3;
-  Overlay.Dedup_cache.add c 4;
-  Alcotest.(check bool) "previous generation still remembered" true
-    (Overlay.Dedup_cache.mem c 1);
-  (* One more rotation evicts the oldest generation. *)
-  Overlay.Dedup_cache.add c 5;
-  Overlay.Dedup_cache.add c 6;
-  Alcotest.(check bool) "two generations back forgotten" false
-    (Overlay.Dedup_cache.mem c 1);
-  Alcotest.(check bool) "recent kept" true (Overlay.Dedup_cache.mem c 5)
+(* Three nodes, fully meshed at 100 us per link, with the direct 0-2
+   link slowed 20,000x (2 s). Node 0 sends 150,000 64-byte frames to
+   node 2, 10 us apart, so every frame's direct copy lands ~2 s after
+   the relayed copy through node 1 — after all 150,000 frames have
+   been delivered, more than any bounded window of recent ids would
+   remember. Returns how often node 2's handler ran. *)
+let late_copy_deliveries mode =
+  let topo = T.full_mesh ~nodes:3 ~latency_us:100 ~bandwidth_bps:1_000_000_000 in
+  let engine = Sim.Engine.create ~seed:7L () in
+  let net : int N.t = N.create engine topo () in
+  N.set_latency_factor net 0 2 20_000.;
+  let received = ref 0 in
+  N.set_handler net 2 (fun _ -> incr received);
+  let rec send i =
+    if i < 150_000 then begin
+      N.send net ~src:0 ~dst:2 ~size_bytes:64 ~mode i;
+      ignore
+        (Sim.Engine.schedule engine ~delay_us:10 (fun () -> send (i + 1))
+          : Sim.Engine.timer)
+    end
+  in
+  send 0;
+  Sim.Engine.run_until_quiescent engine;
+  !received
 
-(* Regression: re-adding an id that is still remembered in the
-   [previous] generation must be a no-op. The old code re-inserted it
-   into [current], double-counting it and extending its lifetime. *)
-let test_dedup_cache_no_reinsert_from_previous () =
-  let c = Overlay.Dedup_cache.create ~generation_size:2 () in
-  Overlay.Dedup_cache.add c 1;
-  Overlay.Dedup_cache.add c 2;
-  (* Rotation: previous = {1,2}, current = {3}. *)
-  Overlay.Dedup_cache.add c 3;
-  (* 1 is remembered; re-adding must not copy it into [current]. *)
-  Overlay.Dedup_cache.add c 1;
-  Alcotest.(check int) "size not inflated by re-add" 3
-    (Overlay.Dedup_cache.size c);
-  (* Fill and rotate again: previous = {3,4}, current = {5}. With the
-     old bug, 1 would have been resurrected into the newer generation
-     and still be remembered here. *)
-  Overlay.Dedup_cache.add c 4;
-  Overlay.Dedup_cache.add c 5;
-  Alcotest.(check bool) "re-added id expires on schedule" false
-    (Overlay.Dedup_cache.mem c 1);
-  Alcotest.(check bool) "younger ids kept" true (Overlay.Dedup_cache.mem c 3)
+let test_late_copies_flood () =
+  Alcotest.(check int) "each flooded frame delivered once" 150_000
+    (late_copy_deliveries N.Flood)
 
-let prop_dedup_cache_bounded =
-  QCheck.Test.make ~name:"dedup cache memory is bounded by 2 generations"
-    QCheck.(list_of_size (QCheck.Gen.int_range 0 500) (int_bound 10_000))
-    (fun ids ->
-      let c = Overlay.Dedup_cache.create ~generation_size:32 () in
-      List.iter (Overlay.Dedup_cache.add c) ids;
-      Overlay.Dedup_cache.size c <= 64)
+let test_late_copies_redundant () =
+  Alcotest.(check int) "each redundant frame delivered once" 150_000
+    (late_copy_deliveries (N.Redundant 2))
+
+(* One flooded frame on a fault-free graph of N nodes and E links: the
+   source puts a copy on each of its links and every other node
+   forwards its first copy on all links but the one it came in on, so
+   2E - (N-1) copies cross links. N-1 of them are first arrivals; the
+   other 2E - 2(N-1) are suppressed, and the frame is delivered once. *)
+let check_flood_accounting name topo ~src ~dst =
+  let nodes = T.node_count topo and edges = List.length (T.links topo) in
+  let engine = Sim.Engine.create ~seed:7L () in
+  let net : int N.t = N.create engine topo () in
+  let received = ref 0 in
+  N.set_handler net dst (fun _ -> incr received);
+  let size_bytes = 100 in
+  N.send net ~src ~dst ~size_bytes ~mode:N.Flood 0;
+  Sim.Engine.run_until_quiescent engine;
+  let link_bytes =
+    List.fold_left (fun acc r -> acc + r.N.tx_bytes) 0 (N.link_reports net)
+  in
+  Alcotest.(check int) (name ^ ": copies on links")
+    ((2 * edges) - (nodes - 1))
+    (link_bytes / size_bytes);
+  Alcotest.(check int) (name ^ ": duplicates suppressed")
+    ((2 * edges) - (2 * (nodes - 1)))
+    (N.stats net).N.duplicates_suppressed;
+  Alcotest.(check int) (name ^ ": delivered once") 1 !received;
+  Alcotest.(check int) (name ^ ": delivered stat") 1 (N.stats net).N.delivered
+
+let test_flood_accounting_closed_form () =
+  check_flood_accounting "full_mesh 5"
+    (T.full_mesh ~nodes:5 ~latency_us:100 ~bandwidth_bps:1_000_000)
+    ~src:0 ~dst:4;
+  check_flood_accounting "wide_area_east_coast"
+    (fst (T.wide_area_east_coast ()))
+    ~src:0 ~dst:9
 
 let () =
   Alcotest.run "delivery"
@@ -199,13 +218,13 @@ let () =
           Alcotest.test_case "disabled by default" `Quick test_trace_disabled_by_default;
           Alcotest.test_case "records and filters" `Quick test_trace_records_and_filters;
         ] );
-      ( "dedup_cache",
+      ( "late_copies",
         [
-          Alcotest.test_case "remembers" `Quick test_dedup_cache_remembers;
-          Alcotest.test_case "generational expiry" `Quick
-            test_dedup_cache_generational_expiry;
-          QCheck_alcotest.to_alcotest prop_dedup_cache_bounded;
-          Alcotest.test_case "no re-insert from previous generation" `Quick
-            test_dedup_cache_no_reinsert_from_previous;
+          Alcotest.test_case "flood delivers each frame once" `Quick
+            test_late_copies_flood;
+          Alcotest.test_case "redundant delivers each frame once" `Quick
+            test_late_copies_redundant;
+          Alcotest.test_case "flood accounting closed form" `Quick
+            test_flood_accounting_closed_form;
         ] );
     ]

@@ -483,7 +483,40 @@ let test_net_loss_probability_validation () =
   let _, net = make_net t in
   Alcotest.check_raises "p = 1 rejected"
     (Invalid_argument "Net.set_loss_probability: need 0 <= p < 1") (fun () ->
-      N.set_loss_probability net 0 1 1.0)
+      N.set_loss_probability net 0 1 1.0);
+  (* NaN fails every comparison, so a range check written as two
+     rejecting comparisons would take it as "no loss". *)
+  Alcotest.check_raises "p = nan rejected"
+    (Invalid_argument "Net.set_loss_probability: need 0 <= p < 1") (fun () ->
+      N.set_loss_probability net 0 1 Float.nan)
+
+(* A factor that is not finite, or that scales the latency to
+   [max_int] or beyond, converts to an unspecified int (0 on x86-64): the link
+   would propagate instantly. Each is refused and leaves the link as
+   it was. *)
+let test_net_latency_factor_validation () =
+  let t = T.create ~nodes:2 in
+  T.add_link t ~a:0 ~b:1 ~latency_us:1_000 ~bandwidth_bps:1_000_000;
+  let engine, net = make_net t in
+  let not_finite = Invalid_argument "Net.set_latency_factor: factor not finite" in
+  Alcotest.check_raises "nan" not_finite (fun () ->
+      N.set_latency_factor net 0 1 Float.nan);
+  Alcotest.check_raises "infinity" not_finite (fun () ->
+      N.set_latency_factor net 0 1 Float.infinity);
+  Alcotest.check_raises "neg_infinity" not_finite (fun () ->
+      N.set_latency_factor net 0 1 Float.neg_infinity);
+  Alcotest.check_raises "1e300 overflows"
+    (Invalid_argument "Net.set_latency_factor: scaled latency overflows int")
+    (fun () -> N.set_latency_factor net 0 1 1e300);
+  Alcotest.check_raises "below 1"
+    (Invalid_argument "Net.set_latency_factor: factor < 1") (fun () ->
+      N.set_latency_factor net 0 1 0.5);
+  let lat = ref 0 in
+  N.set_handler net 1 (fun d -> lat := d.N.delivered_us - d.N.sent_us);
+  N.send net ~src:0 ~dst:1 ~size_bytes:256 ~mode:N.Shortest (Ping 1);
+  Sim.Engine.run_until_quiescent engine;
+  (* 256 us to serialise, then the unscaled 1 ms. *)
+  Alcotest.(check int) "latency unchanged" 1_256 !lat
 
 let test_net_loss_adds_latency_not_loss () =
   let t = T.create ~nodes:2 in
@@ -820,6 +853,8 @@ let () =
             test_net_loss_probability_validation;
           Alcotest.test_case "ARQ exhaustion counted, queue drains" `Quick
             test_net_arq_exhaustion_counted_not_wedged;
+          Alcotest.test_case "latency factor validation" `Quick
+            test_net_latency_factor_validation;
           Alcotest.test_case "loss becomes latency" `Quick
             test_net_loss_adds_latency_not_loss;
           Alcotest.test_case "self send" `Quick test_net_self_send;

@@ -248,22 +248,26 @@ let test_pbft_attack_golden () =
   check_snapshot golden_pbft_attack (snapshot_of sys r)
 
 (* The E2 golden never floods: it is shortest-path only, so it never
-   runs the [Flooding] branch of the hop path or the per-node dedup
-   caches. These two E6-shape goldens pin that path — constrained
-   flooding under the 20x WAN delay attack, and flooding over lossy WAN
-   links, which adds the hop-by-hop ARQ leg — with the same contract:
-   confirmed count, engine event count, per-kind wire ledger, WAN
-   boundary ledger, overlay deliveries and ARQ retransmissions are
+   runs the [Flooding] branch of the hop path or duplicate suppression.
+   These E6-shape goldens pin those paths — constrained flooding under
+   the 20x WAN delay attack, flooding over lossy WAN links (which adds
+   the hop-by-hop ARQ leg), and [Redundant 2] under the same delay
+   attack — with the same contract: confirmed count, engine event
+   count, per-kind wire ledger, WAN boundary ledger, ARQ
+   retransmissions and every {!Overlay.Net.stats} counter (submitted,
+   delivered, duplicates suppressed, each drop cause, bytes) are
    bit-identical to the values recorded before the hop path was made
-   allocation-lean. *)
+   allocation-lean (the two flood runs) and before duplicate
+   suppression moved onto the shared frame (the whole stats record and
+   the redundant run). *)
 type flood_snapshot = {
   f_confirmed : int;
   f_events : int;
   f_ledger : (string * int * int) list;
   f_wan_frames : int;
   f_wan_bytes : int;
-  f_delivered : int;
   f_retransmissions : int;
+  f_stats : Overlay.Net.stats;
 }
 
 let flood_snapshot (sys, (r : Spire.Scenarios.latency_result)) =
@@ -274,8 +278,8 @@ let flood_snapshot (sys, (r : Spire.Scenarios.latency_result)) =
     f_ledger = Spire.System.wire_traffic sys;
     f_wan_frames = Overlay.Net.wan_frames net;
     f_wan_bytes = Overlay.Net.wan_bytes net;
-    f_delivered = (Overlay.Net.stats net).Overlay.Net.delivered;
     f_retransmissions = Overlay.Net.retransmissions net;
+    f_stats = Overlay.Net.stats net;
   }
 
 let check_flood_golden expected s =
@@ -285,9 +289,26 @@ let check_flood_golden expected s =
     s.f_ledger;
   Alcotest.(check int) "WAN frames" expected.f_wan_frames s.f_wan_frames;
   Alcotest.(check int) "WAN bytes" expected.f_wan_bytes s.f_wan_bytes;
-  Alcotest.(check int) "delivered" expected.f_delivered s.f_delivered;
   Alcotest.(check int)
-    "retransmissions" expected.f_retransmissions s.f_retransmissions
+    "retransmissions" expected.f_retransmissions s.f_retransmissions;
+  List.iter
+    (fun (name, field) ->
+      Alcotest.(check int) name (field expected.f_stats) (field s.f_stats))
+    Overlay.Net.
+      [
+        ("submitted", fun st -> st.submitted);
+        ("delivered", fun st -> st.delivered);
+        ("duplicates suppressed", fun st -> st.duplicates_suppressed);
+        ("dropped queue full", fun st -> st.dropped_queue_full);
+        ("dropped link down", fun st -> st.dropped_link_down);
+        ("dropped no route", fun st -> st.dropped_no_route);
+        ("dropped ARQ exhausted", fun st -> st.dropped_arq_exhausted);
+        ("dropped retired src", fun st -> st.dropped_retired_src);
+        ("junk frames", fun st -> st.junk_frames);
+        ("submitted bytes", fun st -> st.submitted_bytes);
+        ("delivered bytes", fun st -> st.delivered_bytes);
+        ("dropped bytes", fun st -> st.dropped_bytes);
+      ]
 
 let flood_duration_us = 4_000_000
 
@@ -309,8 +330,22 @@ let golden_flood_attack =
       ];
     f_wan_frames = 800_738;
     f_wan_bytes = 76_833_069;
-    f_delivered = 18_152;
     f_retransmissions = 0;
+    f_stats =
+      {
+        Overlay.Net.submitted = 18_513;
+        delivered = 18_152;
+        duplicates_suppressed = 542_732;
+        dropped_queue_full = 0;
+        dropped_link_down = 0;
+        dropped_no_route = 0;
+        dropped_arq_exhausted = 0;
+        dropped_retired_src = 0;
+        junk_frames = 0;
+        submitted_bytes = 1_775_919;
+        delivered_bytes = 1_742_555;
+        dropped_bytes = 0;
+      };
   }
 
 let golden_flood_loss =
@@ -335,8 +370,60 @@ let golden_flood_loss =
       ];
     f_wan_frames = 879_374;
     f_wan_bytes = 84_992_425;
-    f_delivered = 18_834;
     f_retransmissions = 6_893;
+    f_stats =
+      {
+        Overlay.Net.submitted = 23_119;
+        delivered = 18_834;
+        duplicates_suppressed = 563_261;
+        dropped_queue_full = 89_118;
+        dropped_link_down = 0;
+        dropped_no_route = 0;
+        dropped_arq_exhausted = 0;
+        dropped_retired_src = 0;
+        junk_frames = 0;
+        submitted_bytes = 2_225_460;
+        delivered_bytes = 1_842_423;
+        dropped_bytes = 8_356_593;
+      };
+  }
+
+let golden_redundant_attack =
+  {
+    f_confirmed = 386;
+    f_events = 177_265;
+    f_ledger =
+      [
+        ("replica_reply", 2299, 409222);
+        ("prime/po_aru", 4270, 307440);
+        ("prime/prepare", 4925, 305350);
+        ("prime/commit", 4920, 305040);
+        ("prime/po_request", 2415, 258405);
+        ("prime/preprepare", 835, 177020);
+        ("client_update", 400, 128800);
+        ("prime/recon_reply", 684, 73188);
+        ("prime/recon_request", 715, 37180);
+        ("prime/checkpoint", 80, 4640);
+        ("prime/suspect", 10, 500);
+      ];
+    f_wan_frames = 57_544;
+    f_wan_bytes = 5_533_063;
+    f_retransmissions = 0;
+    f_stats =
+      {
+        Overlay.Net.submitted = 21_553;
+        delivered = 21_068;
+        duplicates_suppressed = 20_831;
+        dropped_queue_full = 0;
+        dropped_link_down = 0;
+        dropped_no_route = 0;
+        dropped_arq_exhausted = 0;
+        dropped_retired_src = 0;
+        junk_frames = 0;
+        submitted_bytes = 2_006_785;
+        delivered_bytes = 1_964_541;
+        dropped_bytes = 0;
+      };
   }
 
 let test_flood_attack_golden () =
@@ -344,6 +431,13 @@ let test_flood_attack_golden () =
     (flood_snapshot
        (Spire.Scenarios.link_degradation ~mode:Overlay.Net.Flood ~factor:20.
           ~attack_from_us:1_500_000 ~duration_us:flood_duration_us ()))
+
+let test_redundant_attack_golden () =
+  check_flood_golden golden_redundant_attack
+    (flood_snapshot
+       (Spire.Scenarios.link_degradation ~mode:(Overlay.Net.Redundant 2)
+          ~factor:20. ~attack_from_us:1_500_000 ~duration_us:flood_duration_us
+          ()))
 
 let test_flood_loss_golden () =
   check_flood_golden golden_flood_loss
@@ -448,6 +542,8 @@ let () =
             test_flood_attack_golden;
           Alcotest.test_case "E6b flood-over-loss golden" `Slow
             test_flood_loss_golden;
+          Alcotest.test_case "E6 redundant-2 under attack golden" `Slow
+            test_redundant_attack_golden;
           Alcotest.test_case "site-restore state-transfer golden" `Slow
             test_site_restore_transfer_golden;
           Alcotest.test_case "reconfig-join state-transfer golden" `Slow
