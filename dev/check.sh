@@ -5,6 +5,13 @@
 # build with E2 + E6 + E6B + E11 + E13 bench smoke runs (exercises the
 # wire layer, the byte-accounting tables, flooding over lossy links and
 # the epoch cutover path end to end) and the PERF=1 wall-clock gates. It rewrites no tracked file.
+# Each release smoke's stdout, minus its wall-time lines, must match
+# bench/expected/<ID>.txt byte for byte. A change meant to move those
+# tables regenerates them with:
+#   for id in E2 E6 E6B E11 E13; do
+#     EXPERIMENT=$id dune exec --profile release bench/main.exe |
+#       grep -v "wall time" > bench/expected/$id.txt
+#   done
 set -e
 cd "$(dirname "$0")/.."
 
@@ -65,20 +72,26 @@ if [ "$rc" -ne 124 ]; then
   echo "spire_run.exe site-failure --site 9 exited $rc, expected 124" && exit 1
 fi
 
+# Release smokes: each must exit zero and print its committed table.
+smoke() {
+  EXPERIMENT=$1 dune exec --profile release bench/main.exe > "$tmp/$1.out"
+  cat "$tmp/$1.out"
+  grep -v "wall time" "$tmp/$1.out" | diff "bench/expected/$1.txt" -
+}
 dune build --profile release
-EXPERIMENT=E2 dune exec --profile release bench/main.exe
-EXPERIMENT=E6 dune exec --profile release bench/main.exe
+smoke E2
+smoke E6
 # E6B floods over lossy WAN links: the hop-by-hop ARQ leg under
 # constrained flooding and redundant paths.
-EXPERIMENT=E6B dune exec --profile release bench/main.exe
+smoke E6B
 # E11 exits nonzero on any epoch-safety violation, wrong final epoch, or
 # a confirmation gap over 8s during the failover/rejoin/growth arc.
-EXPERIMENT=E11 dune exec --profile release bench/main.exe
+smoke E11
 # E13 exits nonzero unless the adaptive controller converges within 25%
 # of the best static configuration under each replayed attack, beats
 # the worst static across attacks, and every knob-change journal
 # reconciles with its counters (statics must issue zero requests).
-EXPERIMENT=E13 dune exec --profile release bench/main.exe
+smoke E13
 
 # Repository benchmark, once on the flood path with per-layer tracing:
 # exits nonzero unless the run passes its own checks — agreement,

@@ -21,18 +21,22 @@ let pp ppf p =
 (* Accumulator: one buffered generation at a time. The caller arms one
    timer per generation (on [Arm]); the timer's callback asks [due],
    which re-checks the deadline, so a timer outliving its generation
-   (flushed early on size) never ships the next one early. *)
+   (flushed early on size) never ships the next one early. The deadline
+   is [oldest + min(armed delay, current delay)]: a live policy swap can
+   pull it forward but never past the timer already armed for it. *)
 
 type 'a acc = {
   mutable policy : policy;
       (* live-settable by the runtime tuning plane; see [set_policy] *)
   buf : 'a Queue.t;
   mutable oldest_us : int;  (* arrival time of the oldest buffered item *)
+  mutable armed_delay_us : int;  (* the delay its generation's timer got *)
 }
 
 type 'a action = Solo | Flush of 'a list | Arm of int | Wait
 
-let acc policy = { policy; buf = Queue.create (); oldest_us = 0 }
+let acc policy =
+  { policy; buf = Queue.create (); oldest_us = 0; armed_delay_us = 0 }
 
 let policy a = a.policy
 
@@ -46,7 +50,10 @@ let take_all a =
 let add a ~now x =
   if a.policy.max_batch = 1 && Queue.is_empty a.buf then Solo
   else begin
-    if Queue.is_empty a.buf then a.oldest_us <- now;
+    if Queue.is_empty a.buf then begin
+      a.oldest_us <- now;
+      a.armed_delay_us <- a.policy.max_delay_us
+    end;
     Queue.add x a.buf;
     if Queue.length a.buf >= a.policy.max_batch then Flush (take_all a)
     else if Queue.length a.buf = 1 then Arm a.policy.max_delay_us
@@ -57,7 +64,7 @@ let due a ~now =
   if
     Queue.length a.buf >= a.policy.max_batch
     || ((not (Queue.is_empty a.buf))
-       && a.oldest_us + a.policy.max_delay_us <= now)
+       && a.oldest_us + min a.armed_delay_us a.policy.max_delay_us <= now)
   then take_all a
   else []
 

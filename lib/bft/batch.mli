@@ -62,7 +62,9 @@ val due : 'a acc -> now:int -> 'a list
 (** [set_policy a p] swaps the live accumulator onto policy [p]
     (validated), keeping the buffered items. A smaller [max_batch] or a
     shorter [max_delay_us] can make the generation due at once: callers
-    then ship {!due}.
+    then ship {!due}. A longer [max_delay_us] applies from the next
+    generation: the buffered one stays due at the deadline its timer
+    was armed for.
     @raise Invalid_argument on an invalid policy. *)
 val set_policy : 'a acc -> policy -> unit
 

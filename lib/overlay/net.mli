@@ -74,7 +74,7 @@ type stats = {
     shard — typically its geographic site: per-node state is then
     stored in per-shard rows, every frame copy enqueued between
     differently-owned nodes is ledgered as an inter-site (WAN) boundary
-    crossing, and hop timers are tagged with the shard heap
+    crossing, and hop timers are tagged with the engine shard
     ({!Sim.Shard.engine_shard}) owning the state they mutate — transmit
     and ARQ legs with the transmitting node's, the propagation/arrival
     leg with the receiving node's. The partition never affects

@@ -32,7 +32,7 @@ type t = {
   mutable on_complete : Bft.Update.t -> latency_us:int -> unit;
   mutable running : bool;
   telemetry : Telemetry.Sink.t;
-  shard : int; (* engine heap owning this endpoint's timers *)
+  shard : int; (* engine shard owning this endpoint's timers *)
 }
 
 let create ?(telemetry = Telemetry.Sink.null) ?(batch = Bft.Batch.singleton)

@@ -24,7 +24,7 @@ type t
     ever scheduled. Retransmissions always use [submit] individually.
 
     [shard] (default 0) tags the endpoint's timers (batch flush,
-    retransmission watchdog) with the owning engine heap — the field
+    retransmission watchdog) with the owning engine shard — the field
     shard in a site-partitioned deployment ({!Sim.Shard}). *)
 val create :
   ?telemetry:Telemetry.Sink.t ->

@@ -12,7 +12,7 @@ type t
     forwarded to the underlying {!Endpoint}, as for a proxy: commands
     accumulate under the size/deadline policy and flush as one client
     batch. [shard] (default 0) tags the endpoint's timers with the
-    owning engine heap ({!Sim.Shard}). *)
+    owning engine shard ({!Sim.Shard}). *)
 val create :
   ?telemetry:Telemetry.Sink.t ->
   ?batch:Bft.Batch.policy ->

@@ -24,7 +24,7 @@ type t = {
      instance in the process — racy across domains in a parallel
      sweep and an ordering leak between otherwise independent runs. *)
   mutable next_txn : int;
-  shard : int; (* engine heap owning this proxy's timers *)
+  shard : int; (* engine shard owning this proxy's timers *)
 }
 
 let create ?(field_protocol = `Dnp3) ?telemetry ?batch ?submit_batch ?(shard = 0)

@@ -28,7 +28,7 @@ type field_protocol = [ `Dnp3 | `Modbus ]
     forwarded to the underlying {!Endpoint}: status polls accumulate
     under the size/deadline policy and flush as one client batch.
     [shard] (default 0) tags the proxy's poll and endpoint timers with
-    the owning engine heap ({!Sim.Shard}). *)
+    the owning engine shard ({!Sim.Shard}). *)
 val create :
   ?field_protocol:field_protocol ->
   ?telemetry:Telemetry.Sink.t ->

@@ -5,14 +5,24 @@
     executes them in timestamp order (ties broken by scheduling order).
     Virtual time is in integer {b microseconds}.
 
-    {b Sharding.} The engine can host several event heaps — one per
-    ownership shard (see {!Shard}) — while still executing {e one}
-    globally ordered stream: tie-breaking sequence numbers are allocated
-    engine-wide, so the merged pop order across heaps is bit-identical
-    to a single heap's regardless of how timers are tagged. Tagging a
-    timer with its owning shard records {e which site's state} the
-    callback touches; it never changes when the callback runs. Heap 0 is
-    the control heap for untagged timers.
+    {b One queue.} Every timer lives in one hierarchical timing wheel
+    (4 levels of 64 slots, 1 us to 262 ms wide, spanning the 2^24 us
+    block that holds the clock), with a binary heap for timers beyond
+    that block and for periodic re-arms left behind the clock by a
+    nested {!run}. Scheduling and popping are O(1) on the wheel, and
+    the executed stream is the [(time, scheduling order)] order.
+
+    {b Sharding.} A timer may be tagged with an ownership shard (see
+    {!Shard}). The tag is attribution only: it records {e which site's
+    state} the callback touches, selecting the per-shard executed and
+    queued counters ({!processed_of}, {!heap_hi_water}), and never
+    changes when the callback runs. Shard 0 is the control shard for
+    untagged timers.
+
+    {b Saturation.} Times are saturated at [max_int]: a delay or
+    interval that would carry the clock past it schedules the timer at
+    [max_int] ("never" in practice), and a periodic timer whose next
+    firing would pass [max_int] is not re-armed.
 
     {b Ownership.} An engine value owns all of its mutable state — there
     are no module-level globals — so independent engines (one per
@@ -25,7 +35,8 @@ type t
 type timer
 
 (** [create ~seed ~shards ()] is a fresh engine whose root RNG is
-    seeded with [seed], hosting [shards] event heaps (default 1).
+    seeded with [seed], attributing events to [shards] shards
+    (default 1). It allocates only in the minor heap.
     @raise Invalid_argument if [shards < 1]. *)
 val create : ?seed:int64 -> ?shards:int -> unit -> t
 
@@ -36,14 +47,15 @@ val now : t -> int
     root stream. Call once per component at setup time. *)
 val rng : t -> Rng.t
 
-(** [shards t] is the number of event heaps (>= 1). *)
+(** [shards t] is the number of attribution shards (>= 1). *)
 val shards : t -> int
 
 (** [schedule t ~delay_us f] runs [f ()] at [now t + delay_us].
     Negative delays are clamped to 0 (run "now", after the current
-    callback returns). Returns a cancellable timer handle. [shard]
-    (default 0) tags the timer with its owning heap; out-of-range tags
-    fall back to heap 0. *)
+    callback returns); a time past [max_int] saturates at [max_int].
+    Returns a cancellable timer handle. [shard] (default 0) tags the
+    timer with its owning shard; out-of-range tags fall back to
+    shard 0. *)
 val schedule : ?shard:int -> t -> delay_us:int -> (unit -> unit) -> timer
 
 (** [schedule_at t ~time_us f] runs [f ()] at absolute virtual time
@@ -55,7 +67,9 @@ val schedule_at : ?shard:int -> t -> time_us:int -> (unit -> unit) -> timer
     original cadence: each one is re-armed at [scheduled_time +
     interval_us], so a callback that advances the clock (e.g. a nested
     {!run}) does not drift later firings; a timer that falls behind
-    catches up by firing in quick succession.
+    catches up by firing in quick succession. The first firing
+    saturates at [max_int]; a firing that would pass it is never
+    re-armed.
     @raise Invalid_argument if [interval_us <= 0]. *)
 val periodic : ?shard:int -> t -> interval_us:int -> (unit -> unit) -> timer
 
@@ -68,8 +82,8 @@ val cancel : timer -> unit
 val run : t -> until_us:int -> unit
 
 (** [step t] executes the single globally earliest pending event (or
-    pops one cancelled entry). Returns [false] when every heap is
-    empty. *)
+    pops one cancelled entry). Returns [false] when nothing is
+    queued. *)
 val step : t -> bool
 
 (** [run_until_quiescent t ?max_events ()] executes events until none
@@ -77,32 +91,36 @@ val step : t -> bool
     default 100 million). *)
 val run_until_quiescent : ?max_events:int -> t -> unit
 
-(** [pending t] is the number of queued events across all heaps. *)
+(** [pending t] is the number of queued events, including cancelled
+    ones not yet purged. *)
 val pending : t -> int
 
 (** [processed t] is the number of events executed so far. *)
 val processed : t -> int
 
-(** [processed_of t shard] is the number of events executed from
-    [shard]'s heap — the per-site activity breakdown.
+(** [processed_of t shard] is the number of events executed that were
+    tagged [shard] — the per-site activity breakdown.
     [processed t = sum of processed_of t s over all shards].
     @raise Invalid_argument if [shard] is out of range. *)
 val processed_of : t -> int -> int
 
-(** [heap_hi_water t shard] is the high-water occupancy of [shard]'s
-    event heap — the maximum number of simultaneously queued events it
-    has ever held. @raise Invalid_argument if out of range. *)
+(** [heap_hi_water t shard] is the peak number of simultaneously
+    queued events tagged [shard], cancelled ones included until purged.
+    @raise Invalid_argument if out of range. *)
 val heap_hi_water : t -> int -> int
 
 (** Manual stepping, for callers that interleave their own work with
-    {!step} (the repository benchmark's traced run times each heap's
+    {!step} (the repository benchmark's traced run times each shard's
     events this way). [while peek_next ... step ...; finish_run] is
     equivalent to {!run}. *)
 module Window : sig
-  (** Earliest pending [(heap, time)] across all heaps, if any. *)
+  (** The next event's [(shard, time)], cancelled or not, if any.
+      Never moves the clock. *)
   val peek_next : t -> (int * int) option
 
-  (** Advance the clock to the run horizon, as {!run} does on exit. *)
+  (** Advance the clock to the run horizon, as {!run} does on exit.
+      @raise Invalid_argument if an event is due at or before
+      [until_us]. *)
   val finish_run : t -> until_us:int -> unit
 end
 

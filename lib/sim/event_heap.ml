@@ -115,6 +115,10 @@ let min_seq t =
   if t.len = 0 then invalid_arg "Event_heap.min_seq: empty heap";
   t.seqs.(0)
 
+let min_event t =
+  if t.len = 0 then invalid_arg "Event_heap.min_event: empty heap";
+  t.events.(0)
+
 let pop_min t =
   if t.len = 0 then invalid_arg "Event_heap.pop_min: empty heap";
   let ev = t.events.(0) in

@@ -3,7 +3,9 @@
 
     Events are ordered by [(time, sequence)] where [sequence] is the
     insertion order; this makes the simulation deterministic when many
-    events share a timestamp. *)
+    events share a timestamp. {!Engine}'s timing wheel keeps its far
+    and late overflow here: timers beyond the wheel's 2^24 us block,
+    and periodic re-arms left behind the clock by a nested run. *)
 
 type 'a t
 
@@ -14,12 +16,9 @@ val create : unit -> 'a t
 val push : 'a t -> time:int -> 'a -> unit
 
 (** [push_keyed t ~time ~seq event] inserts [event] with an explicit
-    tie-breaking sequence number. The sharded engine uses this to keep
-    one {e global} insertion order across several per-shard heaps: keys
-    are [(time, seq)] with [seq] allocated by the engine, so the merged
-    pop order across heaps is bit-identical to a single heap's. The
-    internal counter used by {!push} is bumped past [seq] so mixing the
-    two cannot create duplicate keys. *)
+    tie-breaking sequence number, so a caller can key several heaps by
+    one shared insertion order. The internal counter used by {!push} is
+    bumped past [seq] so mixing the two cannot create duplicate keys. *)
 val push_keyed : 'a t -> time:int -> seq:int -> 'a -> unit
 
 (** [pop t] removes and returns the earliest event as [(time, event)],
@@ -33,10 +32,13 @@ val pop : 'a t -> (int * 'a) option
 val min_time : 'a t -> int
 
 (** [min_seq t] is the tie-breaking sequence number of the earliest
-    event — the second component of the heap's min key. Used to merge
-    several heaps under one total order. @raise Invalid_argument on an
-    empty heap. *)
+    event — the second component of the heap's min key.
+    @raise Invalid_argument on an empty heap. *)
 val min_seq : 'a t -> int
+
+(** [min_event t] is the earliest event without removing it.
+    @raise Invalid_argument on an empty heap. *)
+val min_event : 'a t -> 'a
 
 (** [pop_min t] removes and returns the earliest event with no
     option/tuple boxing. @raise Invalid_argument on an empty heap. *)

@@ -12,7 +12,7 @@
 
     Execution is sequential — the engine pops one global
     [(time, seq)]-ordered stream — so ownership records which site's
-    state an event touches (the per-heap activity breakdown of
+    state an event touches (the per-shard activity breakdown of
     {!Engine.processed_of}), not which domain runs it.
 
     Determinism: nothing in this module consults an RNG or ambient
@@ -93,15 +93,15 @@ val crossings : boundary -> crossing list
 val total_frames : boundary -> int
 val total_bytes : boundary -> int
 
-(** {1 Engine heap mapping}
+(** {1 Engine shard mapping}
 
-    By convention the sharded engine reserves heap 0 for control /
-    untagged timers; shard [s]'s events live in heap [s + 1]. *)
+    By convention the engine reserves its shard tag 0 for control /
+    untagged timers; shard [s]'s events are tagged [s + 1]. *)
 
-(** [engine_shard p node] is the engine heap index for [node]'s
+(** [engine_shard p node] is the engine shard tag for [node]'s
     timers: [1 + owner_of p node]. *)
 val engine_shard : partition -> int -> int
 
-(** [engine_shards p] is the heap count an engine needs to host this
-    partition: [shards p + 1]. *)
+(** [engine_shards p] is the shard count an engine needs to attribute
+    this partition: [shards p + 1]. *)
 val engine_shards : partition -> int

@@ -1,7 +1,7 @@
 (** The ownership root of one simulation instance.
 
     A [World.t] bundles everything mutable a scenario instance owns —
-    engine (clock, heaps, root RNG), trace ring, and the site partition —
+    engine (clock, timer queue, root RNG), trace ring, and the site partition —
     into one explicit, passed-down value. Nothing in the simulator
     hangs off module toplevels, so a world is self-contained: any number
     of worlds can be created from distinct seeds and run concurrently on
@@ -11,8 +11,8 @@
 
 type t
 
-(** [create ~seed ~shards ()] is a fresh world whose engine hosts
-    [shards] heaps (default 1). [trace_capacity] bounds the retained
+(** [create ~seed ~shards ()] is a fresh world whose engine attributes
+    events to [shards] shards (default 1). [trace_capacity] bounds the retained
     debug-trace records (default 1024; tracing starts disabled). *)
 val create : ?seed:int64 -> ?shards:int -> ?trace_capacity:int -> unit -> t
 

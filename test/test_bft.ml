@@ -263,6 +263,19 @@ let test_batch_singleton_never_arms () =
   Alcotest.(check (list int)) "drained by the swap" [ 1 ] (B.due b ~now:0);
   check_add "then alone" "solo" b ~now:1 2
 
+(* A live swap that lengthens the delay must not strand the buffered
+   generation: its timer was armed for the old delay, so the old
+   deadline still holds for it. *)
+let test_batch_lengthened_delay_keeps_deadline () =
+  let a = B.acc (B.create ~max_delay_us:1_000 ~max_batch:8 ()) in
+  check_add "opens a generation" "arm 1000" a ~now:0 1;
+  B.set_policy a (B.create ~max_delay_us:5_000 ~max_batch:8 ());
+  Alcotest.(check (list int)) "the armed timer ships it" [ 1 ]
+    (B.due a ~now:1_000);
+  check_add "next generation arms the new delay" "arm 5000" a ~now:1_500 2;
+  Alcotest.(check (list int)) "not due at the old delay" [] (B.due a ~now:2_500);
+  Alcotest.(check (list int)) "due at the new one" [ 2 ] (B.due a ~now:6_500)
+
 let () =
   Alcotest.run "bft"
     [
@@ -303,6 +316,8 @@ let () =
             test_batch_shrink_makes_due;
           Alcotest.test_case "max_batch=1 never arms" `Quick
             test_batch_singleton_never_arms;
+          Alcotest.test_case "lengthened delay keeps the armed deadline" `Quick
+            test_batch_lengthened_delay_keeps_deadline;
         ] );
       ( "cluster",
         [

@@ -466,6 +466,18 @@ let test_engine_stepping_matches_run () =
   Alcotest.(check bool) "every heap fired" true
     (List.for_all (fun n -> n > 0) per_heap)
 
+(* [finish_run] only moves the clock over an empty stretch: skipping a
+   due event would leave it queued behind the clock. *)
+let test_engine_finish_run_refuses_due_event () =
+  let e = Sim.Engine.create () in
+  ignore (Sim.Engine.schedule e ~delay_us:100 ignore);
+  Alcotest.check_raises "due before the horizon"
+    (Invalid_argument
+       "Engine.Window.finish_run: an event is due before the horizon")
+    (fun () -> Sim.Engine.Window.finish_run e ~until_us:100);
+  Sim.Engine.Window.finish_run e ~until_us:99;
+  Alcotest.(check int) "clock moved up to the event" 99 (Sim.Engine.now e)
+
 (* ------------------------------------------------------------------ *)
 (* Event heap *)
 
@@ -646,6 +658,420 @@ let test_engine_compact_keeps_live_periodic () =
   Sim.Engine.run e ~until_us:100;
   Alcotest.(check int) "periodic survived compaction" 10 !ticks
 
+(* ------------------------------------------------------------------ *)
+(* Engine pins: saturation, the firing-order golden, a reference model *)
+
+(* A delay or interval that would carry the clock past [max_int] must
+   saturate at [max_int] ("never" in practice), not wrap negative and
+   fire at once. *)
+let test_engine_delay_saturates () =
+  let e = Sim.Engine.create () in
+  Sim.Engine.run e ~until_us:1_000;
+  let fired_at = ref (-1) in
+  ignore
+    (Sim.Engine.schedule e ~delay_us:max_int (fun () ->
+         fired_at := Sim.Engine.now e));
+  Sim.Engine.run e ~until_us:10_000;
+  Alcotest.(check int) "not fired by 10 ms" (-1) !fired_at;
+  Alcotest.(check int) "still queued" 1 (Sim.Engine.pending e);
+  Sim.Engine.run e ~until_us:max_int;
+  Alcotest.(check int) "fires at the end of time" max_int !fired_at
+
+let test_engine_periodic_saturates () =
+  let e = Sim.Engine.create () in
+  Sim.Engine.run e ~until_us:1_000;
+  let fired = ref 0 in
+  ignore
+    (Sim.Engine.periodic e ~interval_us:(max_int - 500) (fun () -> incr fired));
+  Sim.Engine.run e ~until_us:10_000;
+  Alcotest.(check int) "not fired by 10 ms" 0 !fired;
+  Sim.Engine.run e ~until_us:max_int;
+  Alcotest.(check int) "fires once, at the end of time" 1 !fired;
+  Alcotest.(check int) "not re-armed past max_int" 0 (Sim.Engine.pending e);
+  (* A first firing in range whose next one would overflow. *)
+  let e = Sim.Engine.create () in
+  let fired = ref 0 in
+  ignore
+    (Sim.Engine.periodic e ~interval_us:((max_int / 2) + 1) (fun () ->
+         incr fired));
+  Sim.Engine.run e ~until_us:max_int;
+  Alcotest.(check int) "one firing" 1 !fired;
+  Alcotest.(check int) "nothing re-armed" 0 (Sim.Engine.pending e)
+
+let fnv_mix h x = Int64.mul (Int64.logxor h (Int64.of_int x)) 0x100000001b3L
+
+(* Log-uniform over [0, 2^bits): each power-of-two band equally likely. *)
+let log_uniform rng ~bits =
+  let b = Sim.Rng.int rng (bits + 1) in
+  if b = 0 then 0 else (1 lsl (b - 1)) + Sim.Rng.int rng (1 lsl (b - 1))
+
+(* A seeded program of 20,000 timers on a 4-shard engine: delays over
+   0..2^26 us (past the 2^24 us far boundary), absolute grid times that
+   tie across scheduling instants, cancels before and from inside
+   callbacks (one bulk cancel purges), self-cancelling periodics of 1 us to 20 s, and one
+   periodic whose nested [run] leaves its re-arm behind the clock.
+   Every firing folds (label, now, shard) into an FNV digest; [probe]
+   holds the first firing since it was last reset. *)
+let golden_program e =
+  let rng = Sim.Rng.create 0x60DE2L in
+  let digest = ref 0xcbf29ce484222325L and fired = ref 0 in
+  let probe = ref None in
+  let log label shard =
+    let now = Sim.Engine.now e in
+    incr fired;
+    if !probe = None then probe := Some (shard, now);
+    digest := fnv_mix (fnv_mix (fnv_mix !digest label) now) shard
+  in
+  let created = ref 0 in
+  let pool = Array.make 256 None in
+  let remember tm = pool.(!created land 255) <- Some tm in
+  let cancel_random () =
+    Option.iter Sim.Engine.cancel pool.(Sim.Rng.int rng 256)
+  in
+  let rec one_shot () =
+    if !created < 20_000 then begin
+      incr created;
+      let label = !created and shard = Sim.Rng.int rng 4 in
+      let fire () =
+        log label shard;
+        for _ = 1 to Sim.Rng.int rng 3 do
+          spawn ()
+        done;
+        if Sim.Rng.int rng 5 < 2 then cancel_random ()
+      in
+      let tm =
+        if Sim.Rng.int rng 8 = 0 then begin
+          let grid = 1 lsl (6 * Sim.Rng.int rng 4) in
+          let time_us =
+            ((Sim.Engine.now e / grid) + 1 + Sim.Rng.int rng 3) * grid
+          in
+          Sim.Engine.schedule_at ~shard e ~time_us fire
+        end
+        else Sim.Engine.schedule ~shard e ~delay_us:(log_uniform rng ~bits:26) fire
+      in
+      remember tm;
+      if Sim.Rng.int rng 10 = 0 then Sim.Engine.cancel tm
+    end
+  and periodic () =
+    if !created < 20_000 then begin
+      incr created;
+      let label = !created and shard = Sim.Rng.int rng 4 in
+      let interval_us = min 20_000_000 (max 1 (log_uniform rng ~bits:25)) in
+      let firings = 1 + Sim.Rng.int rng 40 in
+      let count = ref 0 and self = ref None in
+      let tm =
+        Sim.Engine.periodic ~shard e ~interval_us (fun () ->
+            log label shard;
+            incr count;
+            if Sim.Rng.int rng 4 = 0 then spawn ();
+            if !count >= firings then Option.iter Sim.Engine.cancel !self)
+      in
+      self := Some tm;
+      remember tm
+    end
+  and spawn () = if Sim.Rng.int rng 50 = 0 then periodic () else one_shot () in
+  (* A bulk cancel at 2 s, large enough to trigger a purge. *)
+  let doomed =
+    List.init 3_000 (fun i ->
+        Sim.Engine.schedule ~shard:(i land 3) e
+          ~delay_us:(2_000_000 + log_uniform rng ~bits:26)
+          (fun () -> log (-2) (i land 3)))
+  in
+  ignore
+    (Sim.Engine.schedule ~shard:1 e ~delay_us:2_000_000 (fun () ->
+         log (-3) 1;
+         List.iter Sim.Engine.cancel doomed));
+  for _ = 1 to 4_000 do
+    one_shot ()
+  done;
+  for _ = 1 to 40 do
+    periodic ()
+  done;
+  ignore
+    (Sim.Engine.schedule ~shard:2 e ~delay_us:1_234_567 (fun () ->
+         log 0 2;
+         let count = ref 0 and self = ref None in
+         self :=
+           Some
+             (Sim.Engine.periodic ~shard:2 e ~interval_us:700 (fun () ->
+                  log (-1) 2;
+                  incr count;
+                  if !count = 3 then
+                    Sim.Engine.run e ~until_us:(Sim.Engine.now e + 2_500);
+                  if !count = 10 then Option.iter Sim.Engine.cancel !self))));
+  (fired, digest, probe)
+
+let golden_horizons = [ 1 lsl 22; (1 lsl 24) + 12_345; (1 lsl 26) + (1 lsl 25) ]
+
+(* Plays the golden program to each horizon through [run], or through
+   [Window.peek_next]/[step]/[Window.finish_run] (checking that every
+   peek names the shard and time of the firing it precedes), and
+   snapshots the counters at each horizon. *)
+let golden_play ~stepped =
+  let e = Sim.Engine.create ~shards:4 () in
+  let fired, digest, probe = golden_program e in
+  let per_shard get =
+    String.concat ";" (List.init (Sim.Engine.shards e) (fun s -> string_of_int (get e s)))
+  in
+  List.map
+    (fun until_us ->
+      if stepped then begin
+        let rec loop () =
+          match Sim.Engine.Window.peek_next e with
+          | Some (shard, time) when time <= until_us ->
+            let expect = (shard, max time (Sim.Engine.now e)) in
+            probe := None;
+            ignore (Sim.Engine.step e : bool);
+            Option.iter
+              (Alcotest.(check (pair int int)) "peek_next names the firing" expect)
+              !probe;
+            loop ()
+          | Some _ | None -> ()
+        in
+        loop ();
+        Sim.Engine.Window.finish_run e ~until_us
+      end
+      else Sim.Engine.run e ~until_us;
+      Printf.sprintf
+        "now=%d fired=%d digest=%016Lx processed=[%s] hi_water=[%s] pending=%d"
+        (Sim.Engine.now e) !fired !digest
+        (per_shard Sim.Engine.processed_of)
+        (per_shard Sim.Engine.heap_hi_water)
+        (Sim.Engine.pending e))
+    golden_horizons
+
+let golden_firing_order =
+  [
+    "now=4194304 fired=13960 digest=05373d2f36398c05 \
+     processed=[3527;3702;3461;3270] hi_water=[1798;1719;1800;1759] \
+     pending=1904";
+    "now=16789561 fired=19730 digest=14c31644fd0438ff \
+     processed=[5020;5204;4704;4802] hi_water=[1798;1719;1800;1759] \
+     pending=1415";
+    "now=100663296 fired=21536 digest=3894218c2bc91634 \
+     processed=[5494;5613;5244;5185] hi_water=[1798;1719;1800;1759] \
+     pending=16";
+  ]
+
+let test_engine_firing_order_golden () =
+  Alcotest.(check (list string)) "run" golden_firing_order
+    (golden_play ~stepped:false);
+  Alcotest.(check (list string)) "peek_next/step/finish_run"
+    golden_firing_order (golden_play ~stepped:true)
+
+(* Reference model: the engine's contract as a sorted [(time, seq)]
+   list. Programs mix one-shots, periodics, cancels, nested [run]s
+   (which leave periodic re-arms behind the clock) and both stepping
+   paths; the engine must log the same (id, now) stream and clock. *)
+type model_action = A_nop | A_cancel of int | A_spawn of int | A_nested of int
+
+type model_op =
+  | P_schedule of int * int * model_action (* delay, shard, on firing *)
+  | P_periodic of int * int * int * model_action (* interval, shard, firings *)
+  | P_cancel of int
+  | P_run of int
+  | P_step_to of int
+
+type 'h engine_api = {
+  now : unit -> int;
+  schedule : shard:int -> delay_us:int -> (unit -> unit) -> 'h;
+  periodic : shard:int -> interval_us:int -> (unit -> unit) -> 'h;
+  cancel : 'h -> unit;
+  run : until_us:int -> unit;
+  step_to : until_us:int -> unit;
+}
+
+let play_model_program api prog =
+  let log = ref [] in
+  let handles = Hashtbl.create 64 in
+  let created = ref 0 in
+  let add h =
+    Hashtbl.replace handles !created h;
+    incr created
+  in
+  let rec act = function
+    | A_nop -> ()
+    | A_cancel k ->
+      if !created > 0 then api.cancel (Hashtbl.find handles (k mod !created))
+    | A_spawn delay_us ->
+      let id = !created in
+      add (api.schedule ~shard:(id land 3) ~delay_us (fire id A_nop))
+    | A_nested dt -> api.run ~until_us:(api.now () + dt)
+  and fire id action () =
+    log := (id, api.now ()) :: !log;
+    act action
+  in
+  List.iter
+    (function
+      | P_schedule (delay_us, shard, action) ->
+        add (api.schedule ~shard ~delay_us (fire !created action))
+      | P_periodic (interval_us, shard, firings, action) ->
+        let id = !created and n = ref 0 and self = ref None in
+        let h =
+          api.periodic ~shard ~interval_us (fun () ->
+              incr n;
+              if !n >= firings then Option.iter api.cancel !self;
+              fire id action ())
+        in
+        self := Some h;
+        add h
+      | P_cancel k -> act (A_cancel k)
+      | P_run dt -> api.run ~until_us:(api.now () + dt)
+      | P_step_to dt -> api.step_to ~until_us:(api.now () + dt))
+    prog;
+  api.run ~until_us:(api.now () + (1 lsl 28));
+  (List.rev !log, api.now ())
+
+module Model = struct
+  type timer = {
+    callback : unit -> unit;
+    interval : int;
+    mutable at : int;
+    mutable cancelled : bool;
+  }
+
+  type t = { mutable clock : int; mutable queue : (int * timer) list }
+
+  (* Sequence numbers only grow, so a new entry goes after every entry
+     at the same time. *)
+  let insert m tm =
+    let rec ins = function
+      | (at, _) :: _ as l when at > tm.at -> (tm.at, tm) :: l
+      | x :: rest -> x :: ins rest
+      | [] -> [ (tm.at, tm) ]
+    in
+    m.queue <- ins m.queue
+
+  let arm m ~at ~interval callback =
+    let tm = { callback; interval; at; cancelled = false } in
+    insert m tm;
+    tm
+
+  let rec run m ~until_us =
+    match m.queue with
+    | (at, tm) :: rest when at <= until_us ->
+      m.queue <- rest;
+      if at > m.clock then m.clock <- at;
+      if not tm.cancelled then begin
+        tm.callback ();
+        if tm.interval > 0 && not tm.cancelled then begin
+          tm.at <- tm.at + tm.interval;
+          insert m tm
+        end
+      end;
+      run m ~until_us
+    | _ -> m.clock <- max m.clock until_us
+
+  let api () =
+    let m = { clock = 0; queue = [] } in
+    {
+      now = (fun () -> m.clock);
+      schedule =
+        (fun ~shard:_ ~delay_us f ->
+          arm m ~at:(m.clock + max 0 delay_us) ~interval:0 f);
+      periodic =
+        (fun ~shard:_ ~interval_us f ->
+          arm m ~at:(m.clock + interval_us) ~interval:interval_us f);
+      cancel = (fun tm -> tm.cancelled <- true);
+      run = (fun ~until_us -> run m ~until_us);
+      step_to = (fun ~until_us -> run m ~until_us);
+    }
+end
+
+let engine_api () =
+  let e = Sim.Engine.create ~shards:4 () in
+  let rec step_to ~until_us =
+    match Sim.Engine.Window.peek_next e with
+    | Some (_, time) when time <= until_us ->
+      ignore (Sim.Engine.step e : bool);
+      step_to ~until_us
+    | Some _ | None -> Sim.Engine.Window.finish_run e ~until_us
+  in
+  {
+    now = (fun () -> Sim.Engine.now e);
+    schedule = (fun ~shard ~delay_us f -> Sim.Engine.schedule ~shard e ~delay_us f);
+    periodic =
+      (fun ~shard ~interval_us f -> Sim.Engine.periodic ~shard e ~interval_us f);
+    cancel = Sim.Engine.cancel;
+    run = (fun ~until_us -> Sim.Engine.run e ~until_us);
+    step_to;
+  }
+
+let prop_engine_matches_model =
+  let open QCheck.Gen in
+  let delay =
+    oneof
+      [
+        int_bound 70; int_bound 5_000; int_bound 300_000; int_bound (1 lsl 25);
+        oneofl
+          [ 0; 63; 64; 4_095; 4_096; 262_143; 262_144; (1 lsl 24) - 1;
+            1 lsl 24; (1 lsl 24) + 1 ];
+      ]
+  in
+  let action =
+    frequency
+      [
+        (5, return A_nop);
+        (2, map (fun k -> A_cancel k) nat);
+        (2, map (fun d -> A_spawn d) delay);
+        (1, map (fun d -> A_nested d) delay);
+      ]
+  in
+  let interval =
+    oneof [ int_range 1 80; int_range 1 300_000; int_range 1 20_000_000 ]
+  in
+  let op =
+    frequency
+      [
+        (6, map3 (fun d s a -> P_schedule (d, s, a)) delay (int_bound 3) action);
+        ( 2,
+          map2
+            (fun (i, s) (n, a) -> P_periodic (i, s, n, a))
+            (pair interval (int_bound 3))
+            (pair (int_range 1 4) action) );
+        (2, map (fun k -> P_cancel k) nat);
+        (1, map (fun d -> P_run d) delay);
+        (1, map (fun d -> P_step_to d) delay);
+      ]
+  in
+  let print_action = function
+    | A_nop -> "nop"
+    | A_cancel k -> Printf.sprintf "cancel %d" k
+    | A_spawn d -> Printf.sprintf "spawn %d" d
+    | A_nested d -> Printf.sprintf "nested %d" d
+  in
+  let print_op = function
+    | P_schedule (d, s, a) ->
+      Printf.sprintf "schedule %d @%d (%s)" d s (print_action a)
+    | P_periodic (i, s, n, a) ->
+      Printf.sprintf "periodic %d @%d x%d (%s)" i s n (print_action a)
+    | P_cancel k -> Printf.sprintf "cancel %d" k
+    | P_run d -> Printf.sprintf "run +%d" d
+    | P_step_to d -> Printf.sprintf "step_to +%d" d
+  in
+  QCheck.Test.make ~count:300 ~name:"engine matches sorted (time, seq) model"
+    (QCheck.make
+       ~print:(fun p -> String.concat "; " (List.map print_op p))
+       (list_size (1 -- 80) op))
+    (fun prog ->
+      play_model_program (engine_api ()) prog
+      = play_model_program (Model.api ()) prog)
+
+(* [Engine.create] must stay in the minor heap: a fresh engine per
+   scenario instance is on every workload's set-up path. *)
+let test_engine_create_minor_only () =
+  let direct_major () =
+    let _minor, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  Gc.minor ();
+  let before = direct_major () in
+  let e = Sim.Engine.create ~shards:6 () in
+  let after = direct_major () in
+  ignore (Sys.opaque_identity e);
+  Alcotest.(check (float 0.)) "major words allocated directly" 0.
+    (after -. before)
+
 let () =
   Alcotest.run "sim"
     [
@@ -663,6 +1089,15 @@ let () =
           Alcotest.test_case "nested scheduling" `Quick test_nested_scheduling;
           Alcotest.test_case "schedule_at clamps" `Quick
             test_schedule_at_past_clamps;
+          Alcotest.test_case "delay saturates at max_int" `Quick
+            test_engine_delay_saturates;
+          Alcotest.test_case "periodic saturates at max_int" `Quick
+            test_engine_periodic_saturates;
+          QCheck_alcotest.to_alcotest prop_engine_matches_model;
+          Alcotest.test_case "Engine.create allocates nothing directly in the major heap" `Quick
+            test_engine_create_minor_only;
+          Alcotest.test_case "engine firing-order golden" `Quick
+            test_engine_firing_order_golden;
         ] );
       ( "rng",
         [
@@ -705,6 +1140,8 @@ let () =
             test_engine_shard_clamped;
           Alcotest.test_case "peek_next/step/finish_run matches run" `Quick
             test_engine_stepping_matches_run;
+          Alcotest.test_case "finish_run refuses a due event" `Quick
+            test_engine_finish_run_refuses_due_event;
         ] );
       ( "event_heap",
         [
