@@ -19,9 +19,23 @@ let print_result name (r : Spire.Scenarios.latency_result) =
       r.Spire.Scenarios.hist;
   Format.printf "  agreement: OK (asserted)@."
 
+(* Range-checked integer options: a value outside [min .. max] is a
+   command-line error (exit 124), never a healthy-looking run that
+   simulated nothing nor an internal error from deep inside a run. *)
+let int_in ?(max = max_int) min =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok i when i >= min && i <= max -> Ok i
+    | Ok i when max = max_int ->
+      Error (`Msg (Printf.sprintf "%d is below the minimum %d" i min))
+    | Ok i -> Error (`Msg (Printf.sprintf "%d out of range %d..%d" i min max))
+    | Error e -> Error e
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let duration_arg =
   Arg.(
-    value & opt int 30
+    value & opt (int_in 1) 30
     & info [ "duration" ] ~docv:"SECONDS" ~doc:"Virtual duration in seconds.")
 
 let seed_arg =
@@ -46,10 +60,11 @@ let fault_free duration seed substations poll_ms =
 
 let fault_free_cmd =
   let substations =
-    Arg.(value & opt int 10 & info [ "substations" ] ~doc:"Substation count.")
+    Arg.(
+      value & opt (int_in 0) 10 & info [ "substations" ] ~doc:"Substation count.")
   in
   let poll =
-    Arg.(value & opt int 100 & info [ "poll-ms" ] ~doc:"Poll interval (ms).")
+    Arg.(value & opt (int_in 1) 100 & info [ "poll-ms" ] ~doc:"Poll interval (ms).")
   in
   Cmd.v
     (Cmd.info "fault-free" ~doc:"Wide-area deployment, no faults (E2/E3).")
@@ -79,7 +94,7 @@ let leader_attack_cmd =
   in
   let delay =
     Arg.(
-      value & opt int 1000
+      value & opt (int_in 0) 1000
       & info [ "delay-ms" ] ~doc:"Proposal delay injected at the leader (ms).")
   in
   Cmd.v
@@ -103,20 +118,10 @@ let site_failure_cmd =
   let sites =
     List.length (Spire.System.default_config ()).Spire.System.site_sizes
   in
-  let site_conv =
-    let parse s =
-      match Arg.conv_parser Arg.int s with
-      | Ok i when i >= 0 && i < sites -> Ok i
-      | Ok i ->
-        Error
-          (`Msg (Printf.sprintf "site %d out of range 0..%d" i (sites - 1)))
-      | Error e -> Error e
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
   let site =
     Arg.(
-      value & opt site_conv 0
+      value
+      & opt (int_in ~max:(sites - 1) 0) 0
       & info [ "site" ] ~docv:"SITE"
           ~doc:(Printf.sprintf "Site to disconnect (0..%d)." (sites - 1)))
   in
@@ -141,7 +146,7 @@ let recovery duration rotation_s =
 let recovery_cmd =
   let rotation =
     Arg.(
-      value & opt int 120
+      value & opt (int_in 1) 120
       & info [ "rotation" ] ~docv:"SECONDS" ~doc:"Full rotation period.")
   in
   Cmd.v
@@ -171,9 +176,18 @@ let dos_cmd =
           (Overlay.Net.Redundant 2)
       & info [ "mode" ] ~doc:"Dissemination: shortest, redundant, flood.")
   in
+  let factor_conv =
+    let parse s =
+      match Arg.conv_parser Arg.float s with
+      | Ok f when Float.is_finite f && f >= 1. -> Ok f
+      | Ok f -> Error (`Msg (Printf.sprintf "%g is not a finite factor >= 1" f))
+      | Error e -> Error e
+    in
+    Arg.conv (parse, Format.pp_print_float)
+  in
   let factor =
     Arg.(
-      value & opt float 20.
+      value & opt factor_conv 20.
       & info [ "factor" ] ~doc:"Latency inflation factor on attacked links.")
   in
   Cmd.v
@@ -198,7 +212,7 @@ let campaign hours_ diversity recovery =
 
 let campaign_cmd =
   let hours_arg =
-    Arg.(value & opt int 6 & info [ "hours" ] ~doc:"Virtual hours to run.")
+    Arg.(value & opt (int_in 1) 6 & info [ "hours" ] ~doc:"Virtual hours to run.")
   in
   let diversity =
     Arg.(value & opt bool true & info [ "diversity" ] ~doc:"Diversity on/off.")

@@ -2,13 +2,15 @@
 # Pre-commit check: tier-1 build + test suites, a quick chaos soak
 # (5 seeded within-budget schedules; every oracle must stay green), a
 # field-fleet smoke, a reconfiguration soak, then a release-profile
-# build with E2 + E6 + E6B + E11 + E13 bench smoke runs (exercises the
-# wire layer, the byte-accounting tables, flooding over lossy links and
-# the epoch cutover path end to end) and the PERF=1 wall-clock gates. It rewrites no tracked file.
+# build with E2 + E4 + E5 + E6 + E6B + E7 + E11 + E13 bench smoke runs
+# (exercises the wire layer, the byte-accounting tables, PBFT and a
+# delaying leader, proactive recovery and state transfer, site loss and
+# restoration, flooding over lossy links and the epoch cutover path end
+# to end) and the PERF=1 wall-clock gates. It rewrites no tracked file.
 # Each release smoke's stdout, minus its wall-time lines, must match
 # bench/expected/<ID>.txt byte for byte. A change meant to move those
 # tables regenerates them with:
-#   for id in E2 E6 E6B E11 E13; do
+#   for id in E2 E4 E5 E6 E6B E7 E11 E13; do
 #     EXPERIMENT=$id dune exec --profile release bench/main.exe |
 #       grep -v "wall time" > bench/expected/$id.txt
 #   done
@@ -63,14 +65,18 @@ if [ "$rc" -ne 2 ]; then
   echo "SCALE=ful EXPERIMENT=E1 exited $rc, expected 2" && exit 1
 fi
 
-# The scenario CLI refuses an out-of-range site with a command-line
+# The scenario CLI refuses out-of-range integers with a command-line
 # error (exit 124) instead of reporting a healthy run that disconnected
-# nothing.
-rc=0
-dune exec bin/spire_run.exe -- site-failure --site 9 2> /dev/null || rc=$?
-if [ "$rc" -ne 124 ]; then
-  echo "spire_run.exe site-failure --site 9 exited $rc, expected 124" && exit 1
-fi
+# or simulated nothing, or failing with an internal error (exit 125).
+for args in "site-failure --site 9" "fault-free --duration=-3" \
+  "leader-attack --delay-ms=-5" "fault-free --substations=-1" \
+  "fault-free --poll-ms=0"; do
+  rc=0
+  dune exec bin/spire_run.exe -- $args > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 124 ]; then
+    echo "spire_run.exe $args exited $rc, expected 124" && exit 1
+  fi
+done
 
 # Release smokes: each must exit zero and print its committed table.
 smoke() {
@@ -80,10 +86,16 @@ smoke() {
 }
 dune build --profile release
 smoke E2
+# E4: PBFT dispatch and a leader that delays its proposals.
+smoke E4
+# E5: the proactive-recovery scheduler and state transfer on return.
+smoke E5
 smoke E6
 # E6B floods over lossy WAN links: the hop-by-hop ARQ leg under
 # constrained flooding and redundant paths.
 smoke E6B
+# E7: a whole control center killed, then restored by state transfer.
+smoke E7
 # E11 exits nonzero on any epoch-safety violation, wrong final epoch, or
 # a confirmation gap over 8s during the failover/rejoin/growth arc.
 smoke E11

@@ -43,8 +43,4 @@ let stop t handle =
     Hashtbl.remove t.timers handle
   | None -> ()
 
-let stop_all t =
-  Hashtbl.iter (fun _ timer -> Sim.Engine.cancel timer) t.timers;
-  Hashtbl.reset t.timers
-
 let active t = Hashtbl.length t.timers

@@ -41,10 +41,8 @@ val flood_control_class :
   burst_interval_us:int ->
   int
 
-(** [stop t handle] stops one attack; [stop_all t] stops everything. *)
+(** [stop t handle] stops one attack. *)
 val stop : t -> int -> unit
-
-val stop_all : t -> unit
 
 (** [active t] counts running attack generators. *)
 val active : t -> int

@@ -6,7 +6,6 @@ type ('r, 'm) t = {
   overrides : (Types.replica * Types.replica, int) Hashtbl.t;
   base_latency : Types.replica -> Types.replica -> int;
   mutable island : (Types.replica, unit) Hashtbl.t option;
-  mutable messages : int;
 }
 
 let delay t src dst =
@@ -29,7 +28,6 @@ let create ~engine ~n ~latency_us ~make ~deliver =
       overrides = Hashtbl.create 17;
       base_latency = latency_us;
       island = None;
-      messages = 0;
     }
   in
   let env_of i =
@@ -38,7 +36,6 @@ let create ~engine ~n ~latency_us ~make ~deliver =
       replica_count = n;
       send =
         (fun dst msg ->
-          t.messages <- t.messages + 1;
           if not (crosses_partition t i dst) then begin
             let d = if dst = i then 0 else max 0 (delay t i dst) in
             ignore
@@ -61,7 +58,6 @@ let replica t i =
 
 let replicas t = Array.copy t.instances
 let size t = t.n
-let message_count t = t.messages
 
 let set_link_delay t ~src ~dst delay_us =
   Hashtbl.replace t.overrides (src, dst) delay_us

@@ -33,9 +33,6 @@ val replicas : ('r, 'm) t -> 'r array
 (** [size t] is [n]. *)
 val size : ('r, 'm) t -> int
 
-(** [message_count t] counts messages sent through the harness so far. *)
-val message_count : ('r, 'm) t -> int
-
 (** [set_link_delay t ~src ~dst delay_us] overrides one directed pair's
     delay (e.g. to simulate a degraded path). *)
 val set_link_delay :

@@ -11,6 +11,3 @@ let others env =
   List.filter (fun r -> r <> env.self) (List.init env.replica_count Fun.id)
 
 let broadcast env msg = List.iter (fun r -> env.send r msg) (others env)
-
-let broadcast_including_self env msg =
-  List.iter (fun r -> env.send r msg) (List.init env.replica_count Fun.id)

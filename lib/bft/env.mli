@@ -21,9 +21,5 @@ type 'msg t = {
 (** [broadcast env msg] sends to every replica except [env.self]. *)
 val broadcast : 'msg t -> 'msg -> unit
 
-(** [broadcast_including_self env msg] sends to every replica,
-    [env.self] included. *)
-val broadcast_including_self : 'msg t -> 'msg -> unit
-
 (** [others env] lists all replicas except [env.self]. *)
 val others : 'msg t -> Types.replica list

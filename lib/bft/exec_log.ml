@@ -1,10 +1,7 @@
 type t = {
-  mutable updates : Update.t list; (* reversed; empty after snapshot install *)
-  mutable snapshot_len : int;
-  mutable live_len : int;
+  mutable len : int;
   mutable chain : Cryptosim.Digest.t;
   chains : (int, Cryptosim.Digest.t) Hashtbl.t; (* position -> digest *)
-  keys : (Types.client * int, unit) Hashtbl.t;
 }
 
 let empty_chain = Cryptosim.Digest.of_string "exec-log-genesis"
@@ -12,25 +9,15 @@ let empty_chain = Cryptosim.Digest.of_string "exec-log-genesis"
 let create () =
   let chains = Hashtbl.create 97 in
   Hashtbl.replace chains 0 empty_chain;
-  {
-    updates = [];
-    snapshot_len = 0;
-    live_len = 0;
-    chain = empty_chain;
-    chains;
-    keys = Hashtbl.create 97;
-  }
+  { len = 0; chain = empty_chain; chains }
 
-let length t = t.snapshot_len + t.live_len
+let length t = t.len
 
 let append t update =
-  t.updates <- update :: t.updates;
-  t.live_len <- t.live_len + 1;
+  t.len <- t.len + 1;
   t.chain <- Cryptosim.Digest.combine t.chain (Update.digest update);
-  let pos = length t in
-  Hashtbl.replace t.chains pos t.chain;
-  Hashtbl.replace t.keys (Update.key update) ();
-  pos
+  Hashtbl.replace t.chains t.len t.chain;
+  t.len
 
 let chain_digest t = t.chain
 
@@ -38,16 +25,6 @@ let digest_at t pos =
   match Hashtbl.find_opt t.chains pos with
   | Some d -> d
   | None -> invalid_arg "Exec_log.digest_at: position out of range"
-
-let executed t = List.rev t.updates
-
-let nth t pos =
-  let live_pos = pos - t.snapshot_len in
-  if live_pos < 1 || live_pos > t.live_len then
-    invalid_arg "Exec_log.nth: position out of range";
-  List.nth (executed t) (live_pos - 1)
-
-let contains_key t key = Hashtbl.mem t.keys key
 
 let prefix_equal a b =
   let la = length a and lb = length b in
@@ -59,10 +36,7 @@ let prefix_equal a b =
   | _ -> true
 
 let install_snapshot t ~updates ~chain =
-  t.updates <- [];
-  t.live_len <- 0;
-  t.snapshot_len <- updates;
+  t.len <- updates;
   t.chain <- chain;
   Hashtbl.reset t.chains;
-  Hashtbl.replace t.chains updates chain;
-  Hashtbl.reset t.keys
+  Hashtbl.replace t.chains updates chain

@@ -1,5 +1,6 @@
-(** Execution log: the totally-ordered sequence of updates a replica has
-    applied, with a running digest chain.
+(** Execution log: the length and running digest chain of the
+    totally-ordered sequence of updates a replica has applied (the
+    updates themselves are not kept).
 
     The digest chain makes safety violations detectable in O(1): two
     replicas executed the same sequence iff their chained digests at the
@@ -26,23 +27,13 @@ val chain_digest : t -> Cryptosim.Digest.t
     (0 = empty prefix). @raise Invalid_argument if out of range. *)
 val digest_at : t -> int -> Cryptosim.Digest.t
 
-(** [executed t] is the full ordered list of executed updates. *)
-val executed : t -> Update.t list
-
-(** [nth t pos] is the [pos]-th executed update (1-based). *)
-val nth : t -> int -> Update.t
-
-(** [contains_key t key] says whether an update with identity [key] was
-    executed. O(1). *)
-val contains_key : t -> Types.client * int -> bool
-
 (** [prefix_equal a b] checks that the shorter log is a prefix of the
     longer (the safety invariant between two correct replicas). *)
 val prefix_equal : t -> t -> bool
 
 (** [install_snapshot t ~updates ~chain] installs a checkpointed state:
-    the log forgets individual updates and is seeded with the snapshot's
-    length and chain digest (used by state transfer when a recovering
-    replica adopts a snapshot). [updates] is the number of updates
-    covered by the snapshot. *)
+    the log forgets the earlier chain digests and is seeded with the
+    snapshot's length and chain digest (used by state transfer when a
+    recovering replica adopts a snapshot). [updates] is the number of
+    updates covered by the snapshot. *)
 val install_snapshot : t -> updates:int -> chain:Cryptosim.Digest.t -> unit

@@ -10,7 +10,6 @@ let create ~n ~f ~k =
 let minimal ~f ~k = create ~n:((3 * f) + (2 * k) + 1) ~f ~k
 
 let quorum_size t = (2 * t.f) + t.k + 1
-let preorder_threshold = quorum_size
 let execution_threshold t = t.f + t.k + 1
 let suspect_threshold t = t.f + t.k + 1
 let reply_threshold t = t.f + 1

@@ -25,11 +25,6 @@ val minimal : f:int -> k:int -> t
 (** [quorum_size t] is [2f + k + 1]. *)
 val quorum_size : t -> int
 
-(** [preorder_threshold t] is also [2f + k + 1] — the number of
-    acknowledgements that make a pre-ordered update durable across
-    views. *)
-val preorder_threshold : t -> int
-
 (** [execution_threshold t] is [f + k + 1]: enough reporters to ensure
     at least one correct, non-recovering replica holds the update. *)
 val execution_threshold : t -> int

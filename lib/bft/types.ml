@@ -6,6 +6,3 @@ type seqno = int
 let leader_of ~n view =
   if n <= 0 then invalid_arg "Types.leader_of: n <= 0";
   view mod n
-
-let pp_replica ppf r = Format.fprintf ppf "r%d" r
-let pp_view ppf v = Format.fprintf ppf "v%d" v

@@ -14,8 +14,3 @@ type seqno = int
 
 (** [leader_of ~n view] is the leader replica of [view]. *)
 val leader_of : n:int -> view -> replica
-
-(** [pp_replica], [pp_view]: conventional renderings for traces. *)
-val pp_replica : Format.formatter -> replica -> unit
-
-val pp_view : Format.formatter -> view -> unit

@@ -18,12 +18,6 @@ type kind =
   | Tat_violations
   | Demotion
 
-let all_kinds =
-  [
-    Max_batch; Batch_delay; Routing; Recovery_period; Tat_threshold;
-    Tat_violations; Demotion;
-  ]
-
 let kind_index = function
   | Max_batch -> 0
   | Batch_delay -> 1

@@ -41,7 +41,6 @@ type kind =
 
 val kind_of_request : request -> kind
 val kind_name : kind -> string
-val all_kinds : kind list
 val pp_routing : Format.formatter -> routing -> unit
 val pp_request : Format.formatter -> request -> unit
 

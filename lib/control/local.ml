@@ -1,10 +1,5 @@
 type verdict = Healthy | Leader_slow | Net_slow
 
-let verdict_name = function
-  | Healthy -> "healthy"
-  | Leader_slow -> "leader-slow"
-  | Net_slow -> "net-slow"
-
 (* Cumulative (count, sum-of-means) pair per watched phase; windowed
    means are first differences between consecutive ticks. *)
 type cursor = { mutable count : int; mutable sum_us : float }
@@ -45,7 +40,6 @@ let create ?(degrade_factor = 2.0) ?(net_growth_limit = 1.5) ?(stall_ticks = 2)
 
 let replica t = t.replica
 let last t = t.last
-let baseline_e2e_us t = t.base_e2e_us
 
 (* Advance a cursor to the phase's cumulative (count, sum) and return
    the windowed (delta_count, delta_sum). Histograms only grow, so the

@@ -23,8 +23,6 @@
 
 type verdict = Healthy | Leader_slow | Net_slow
 
-val verdict_name : verdict -> string
-
 type t
 
 (** [create ~replica ()] — [degrade_factor] (default 2.0) is the
@@ -52,7 +50,3 @@ val observe : t -> tat_alarm:bool -> Telemetry.Attribution.t -> verdict
 
 (** [last t] is the most recent verdict ([Healthy] before any tick). *)
 val last : t -> verdict
-
-(** [baseline_e2e_us t] is the learned healthy end-to-end mean (0 until
-    the first confirmed window). *)
-val baseline_e2e_us : t -> float

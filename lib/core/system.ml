@@ -41,10 +41,9 @@ type config = {
   tweak_prime : Prime.Replica.config -> Prime.Replica.config;
 }
 
-(* Controller sampling cadence and the per-concentrator supervisory
-   write cadence: fixed by the deployment model, not configurable. *)
+(* Controller sampling cadence: fixed by the deployment model, not
+   configurable. *)
 let adapt_tick_us = 250_000
-let field_write_interval_us = 1_000_000
 
 (* One-way link latencies of the modelled deployment: intra-site LAN,
    the east-coast WAN between sites, and each substation/HMI link to a
@@ -81,44 +80,22 @@ let default_config () =
     tweak_prime = Fun.id;
   }
 
-type replica_instance =
-  | Prime_replica of Prime.Replica.t
-  | Pbft_replica of Pbft.Replica.t
-
-(* A joining replica's chunk-gated state transfer: the vouched
-   (snapshot, master) pair is held aside while its serialised bytes
-   traverse the overlay as [Transfer_chunk] frames; missing chunks are
-   re-requested under the bounded-backoff ARQ and the new instance is
-   only installed once every chunk has arrived. *)
-type join_session = {
-  js_xfer : int;
-  js_replica : int;
-  js_epoch : int;
-  js_donor : int;
-  js_snap : Prime.Replica.snapshot;
-  js_master : Scada.Master.t;
-  js_chunks : Recovery.State_transfer.chunk array;
-  js_received : bool array;
-  mutable js_done : bool;
-}
-
+(* The composition root: the deployment's config, replica table,
+   masters, replies, recovery and fault injection. The send path
+   ([Send]), the epoch manager ([Epochs]) and the client plane
+   ([Clients]) own their own state. *)
 type t = {
   cfg : config;
   engine : Sim.Engine.t;
-  topo : Overlay.Topology.t;
   net : payload Overlay.Net.t;
-  group : Cryptosim.Threshold.group; (* epoch-0 threshold group *)
+  send : Send.t;
+  epochs : Epochs.t;
+  clients : Clients.t;
   n : int; (* genesis active replica count *)
   universe : int; (* active + pre-provisioned standby replicas *)
-  mutable replicas : replica_instance array; (* universe-sized *)
+  mutable replicas : Instance.t array; (* universe-sized *)
   masters : Scada.Master.t array; (* elements replaced on state transfer *)
-  mutable proxies : Scada.Proxy.t array;
-  mutable hmis : Scada.Hmi.t array;
-  mutable concentrators : Field.Concentrator.t array;
   replica_sites : int array;
-  hist : Stats.Histogram.t;
-  series : Stats.Timeseries.t;
-  mutable submitted : int;
   diversity : Recovery.Diversity.t;
   mutable scheduler : Recovery.Scheduler.t option;
   mutable recovery_listeners :
@@ -128,178 +105,64 @@ type t = {
       (* live aggregation policy; hot-swapped through the knob plane *)
   reply_accs : Scada.Reply.t Bft.Batch.acc array;
   (* --- runtime tuning plane / adaptive controller --- *)
-  mutable dissemination : Overlay.Net.mode;
-      (* live dissemination mode read per send; initialised from
-         [cfg.dissemination], hot-swapped through the knob plane.
-         Frames already in flight keep the route captured at submit. *)
   knobs : Control.Knobs.t;
   mutable locals : Control.Local.t array; (* empty unless cfg.adaptive *)
   mutable global_ctl : Control.Global.t option;
-  (* Wire accounting, indexed by Wire.Message.kind_index. *)
-  wire_frames : int array;
-  wire_bytes : int array;
-  mutable size_memo_payload : payload; (* last measured payload *)
-  mutable size_memo_bytes : int;
-  mutable wire_decode_errors : int;
   telemetry : Telemetry.Sink.t;
-  (* --- Epoch-ed membership (online reconfiguration) --- *)
-  directory : Member.Directory.t;
-  epoch_of : int array; (* per global replica; -1 = standby or retired *)
-  rank_maps : (int, int array * int array) Hashtbl.t;
-      (* epoch -> (rank -> global id, global id -> rank or -1) *)
-  mutable groups : (int * Cryptosim.Threshold.group) list; (* epoch -> group *)
-  mutable cur_epoch : int;
-  mutable cur_members : int array; (* rank -> global, current epoch *)
-  pending_reconfig : (int * Member.Reconfig.t) option array;
-  mutable cutovers : (int * int * int) list;
-      (* (epoch, boundary_exec, time_us), newest first *)
-  mutable stale_epoch_frames : int;
-  mutable epoch_violation : string option; (* latched, never cleared *)
-  sessions : (int, join_session) Hashtbl.t; (* xfer_id -> session *)
-  mutable next_xfer : int;
-  mutable reconciler_armed : bool;
-  lag_since : int array; (* first time a member was seen lagging; -1 = none *)
-  arq : Recovery.State_transfer.arq;
-  mutable make_member_instance :
-    cert:Member.Cert.t -> rank:int -> global:int -> replica_instance;
-  mutable epoch_listeners : (int -> unit) list;
 }
 
 let config t = t.cfg
 let engine t = t.engine
 let net t = t.net
 let knobs t = t.knobs
-let dissemination t = t.dissemination
+let dissemination t = Send.mode t.send
 let shard_partition t = Overlay.Net.partition t.net
 let telemetry t = t.telemetry
 let replica_count t = t.n
 let universe_count t = t.universe
-let proxy t i = t.proxies.(i)
-let hmi t i = t.hmis.(i)
-let concentrator t i = t.concentrators.(i)
-let concentrator_count t = Array.length t.concentrators
-
-(* Fleet-wide roll-up of the concentrator stats (rounds is the max, not
-   the sum: concentrators scan in lock-step cadence). *)
-let fleet_stats t : Field.Concentrator.stats =
-  Array.fold_left
-    (fun (acc : Field.Concentrator.stats) c ->
-      let s = Field.Concentrator.stats c in
-      {
-        Field.Concentrator.device_count = acc.device_count + s.device_count;
-        rounds = max acc.rounds s.rounds;
-        events_seen = acc.events_seen + s.events_seen;
-        reports_accepted = acc.reports_accepted + s.reports_accepted;
-        dups_dropped = acc.dups_dropped + s.dups_dropped;
-        churn = acc.churn + s.churn;
-        adverts_sent = acc.adverts_sent + s.adverts_sent;
-        report_frames = acc.report_frames + s.report_frames;
-        polls_sent = acc.polls_sent + s.polls_sent;
-        poll_bytes = acc.poll_bytes + s.poll_bytes;
-        writes_issued = acc.writes_issued + s.writes_issued;
-        confirmed_events = acc.confirmed_events + s.confirmed_events;
-        confirmed_writes = acc.confirmed_writes + s.confirmed_writes;
-      })
-    {
-      Field.Concentrator.device_count = 0;
-      rounds = 0;
-      events_seen = 0;
-      reports_accepted = 0;
-      dups_dropped = 0;
-      churn = 0;
-      adverts_sent = 0;
-      report_frames = 0;
-      polls_sent = 0;
-      poll_bytes = 0;
-      writes_issued = 0;
-      confirmed_events = 0;
-      confirmed_writes = 0;
-    }
-    t.concentrators
+let proxy t i = Clients.proxy t.clients i
+let hmi t i = Clients.hmi t.clients i
+let concentrator t i = Clients.concentrator t.clients i
+let concentrator_count t = Clients.concentrator_count t.clients
+let fleet_stats t = Clients.fleet_stats t.clients
 let master t r = t.masters.(r)
-let latency_histogram t = t.hist
-let latency_series t = t.series
-let confirmed_updates t = Stats.Histogram.count t.hist
-let submitted_updates t = t.submitted
+let latency_histogram t = Clients.latency_histogram t.clients
+let latency_series t = Clients.latency_series t.clients
+let confirmed_updates t = Stats.Histogram.count (latency_histogram t)
+let submitted_updates t = Clients.submitted t.clients
+let wire_traffic t = Send.traffic t.send
+let wire_decode_errors t = Send.decode_errors t.send
 let diversity t = t.diversity
 let node_of_replica _t r = r
 let node_of_client t c = t.universe + c
 let site_of_replica t r = t.replica_sites.(r)
-
-let faults t r =
-  match t.replicas.(r) with
-  | Prime_replica p -> Prime.Replica.faults p
-  | Pbft_replica p -> Pbft.Replica.faults p
-
-let view_of t r =
-  match t.replicas.(r) with
-  | Prime_replica p -> Prime.Replica.view p
-  | Pbft_replica p -> Pbft.Replica.view p
-
-let exec_log t r =
-  match t.replicas.(r) with
-  | Prime_replica p -> Prime.Replica.exec_log p
-  | Pbft_replica p -> Pbft.Replica.exec_log p
-
-let instance_halted t r =
-  match t.replicas.(r) with
-  | Prime_replica p -> Prime.Replica.halted p
-  | Pbft_replica p -> Pbft.Replica.halted p
-
-let halt_instance t r =
-  match t.replicas.(r) with
-  | Prime_replica p -> Prime.Replica.halt p
-  | Pbft_replica p -> Pbft.Replica.halt p
+let faults t r = Instance.faults t.replicas.(r)
+let crashed t r = (faults t r).Bft.Faults.crashed
+let view_of t r = Instance.view t.replicas.(r)
+let exec_log t r = Instance.exec_log t.replicas.(r)
 
 (* --- Epoch introspection --- *)
 
-let directory t = t.directory
-let current_epoch t = t.cur_epoch
-let epoch_of_replica t r = t.epoch_of.(r)
-let current_members t = Array.to_list t.cur_members
-let stale_epoch_frames t = t.stale_epoch_frames
-let bump_stale_epoch t = t.stale_epoch_frames <- t.stale_epoch_frames + 1
-let cutovers t = List.rev t.cutovers
-let epoch_violation t = t.epoch_violation
-let on_epoch_change t f = t.epoch_listeners <- f :: t.epoch_listeners
-
-let latch_violation t msg =
-  if t.epoch_violation = None then t.epoch_violation <- Some msg
-
-let group_for t r =
-  let e = max 0 t.epoch_of.(r) in
-  match List.assoc_opt e t.groups with Some g -> g | None -> t.group
-
-(* Instantaneous per-epoch activity: how many replicas of each epoch are
-   currently live (instance running, node reachable). The safety oracle
-   asserts that at most one epoch ever holds a quorum of these. *)
-let epoch_activity t =
-  let tbl = Hashtbl.create 7 in
-  for g = 0 to t.universe - 1 do
-    let e = t.epoch_of.(g) in
-    if
-      e >= 0
-      && (not (faults t g).Bft.Faults.crashed)
-      && (not (instance_halted t g))
-      && Overlay.Net.node_alive t.net (node_of_replica t g)
-    then
-      Hashtbl.replace tbl e
-        (1 + Option.value ~default:0 (Hashtbl.find_opt tbl e))
-  done;
-  Hashtbl.fold (fun e c acc -> (e, c) :: acc) tbl [] |> List.sort compare
+let directory t = Epochs.directory t.epochs
+let current_epoch t = Epochs.current_epoch t.epochs
+let epoch_of_replica t r = Epochs.epoch_of t.epochs r
+let current_members t = Array.to_list (Epochs.members t.epochs)
+let stale_epoch_frames t = Epochs.stale_epoch_frames t.epochs
+let cutovers t = Epochs.cutovers t.epochs
+let epoch_violation t = Epochs.epoch_violation t.epochs
+let on_epoch_change t f = Epochs.on_epoch_change t.epochs f
+let epoch_activity t = Epochs.epoch_activity t.epochs
 
 let current_leader t =
   (* Leader of the median view among the current epoch's live members,
      mapped from protocol rank back to a global replica id. *)
-  let members = t.cur_members in
+  let members = Epochs.members t.epochs in
   let m = Array.length members in
   let views =
     Array.to_list members
     |> List.filter_map (fun r ->
-           if
-             t.epoch_of.(r) = t.cur_epoch
-             && not (faults t r).Bft.Faults.crashed
-           then Some (view_of t r)
+           if epoch_of_replica t r = current_epoch t && not (crashed t r) then
+             Some (view_of t r)
            else None)
     |> List.sort compare
   in
@@ -375,140 +238,35 @@ let genesis_cert cfg =
     ~sites
 
 (* ------------------------------------------------------------------ *)
-(* Creation.                                                           *)
-
-let trace_of_update (u : Bft.Update.t) =
-  Telemetry.Span.trace_id ~client:u.Bft.Update.client
-    ~seq:u.Bft.Update.client_seq
-
-(* The trace context a payload carries through the overlay: the update
-   identity it transports, for the message kinds that transport one.
-   Only consulted when the sink is enabled, so the disabled-path cost
-   in [send_payload] is a single bool load. *)
-let trace_of_reply (r : Scada.Reply.t) =
-  let client, seq = r.Scada.Reply.update_key in
-  Telemetry.Span.trace_id ~client ~seq
-
-(* Batched frames are attributed to their first member: a batch is one
-   physical frame, and per-hop net spans need a single representative. *)
-let rec trace_of_payload payload =
-  match payload with
-  | Client_update u -> trace_of_update u
-  | Client_batch (u :: _) -> trace_of_update u
-  | Replica_reply r -> trace_of_reply r
-  | Reply_batch (r :: _) -> trace_of_reply r
-  | Prime_msg (_, Prime.Msg.Po_request { update; _ }) -> trace_of_update update
-  | Prime_msg (_, Prime.Msg.Po_batch { updates = u :: _; _ }) ->
-    trace_of_update u
-  | Prime_msg (_, Prime.Msg.Recon_reply { update; _ }) -> trace_of_update update
-  | Pbft_msg (_, Pbft.Msg.Request { update; _ }) -> trace_of_update update
-  | Pbft_msg (_, Pbft.Msg.Preprepare { proposal = { updates = u :: _; _ }; _ })
-    ->
-    trace_of_update u
-  | Epoch_frame (_, inner) -> trace_of_payload inner
-  | Client_batch [] | Reply_batch [] | Prime_msg _ | Pbft_msg _
-  | Transfer_chunk _ | Cert_frame _ | Field_advert _ | Field_report _ ->
-    Telemetry.Span.no_trace
-
-(* Every protocol send is charged the exact frame length (envelope
-   header + encoded body + authenticator) via the measured-size pass,
-   never an approximation — and never a serialisation: Wire.Measure
-   walks the value arithmetically. A broadcast hands the same physical
-   payload to every recipient, and frame size is sender-independent, so
-   a one-slot memo keyed by physical identity measures each payload
-   once per n-1-way broadcast. Per-kind totals live in preallocated
-   counter arrays indexed by Wire.Message.kind_index. *)
-let send_payload t ~src_node ~dst_node payload =
-  let size_bytes =
-    if payload == t.size_memo_payload then t.size_memo_bytes
-    else begin
-      let s = Wire.Envelope.size ~sender:src_node payload in
-      t.size_memo_payload <- payload;
-      t.size_memo_bytes <- s;
-      s
-    end
-  in
-  let k = Wire.Message.kind_index payload in
-  t.wire_frames.(k) <- t.wire_frames.(k) + 1;
-  t.wire_bytes.(k) <- t.wire_bytes.(k) + size_bytes;
-  let trace =
-    if Telemetry.Sink.enabled t.telemetry then trace_of_payload payload
-    else Telemetry.Span.no_trace
-  in
-  Overlay.Net.send t.net ~priority:Overlay.Fair_queue.Control ~trace ~size_bytes
-    ~src:src_node ~dst:dst_node ~mode:t.dissemination payload
-
-(* Field-link frames (the device <-> concentrator last mile) never ride
-   the overlay — devices are not overlay nodes — but they are real wire
-   traffic, so they are charged into the same per-kind ledger at
-   exact envelope size as every protocol frame. *)
-let charge_field_frame t ~node (frame : Field.Concentrator.frame) =
-  let payload =
-    match frame with
-    | `Advert a -> Field_advert a
-    | `Report r -> Field_report r
-  in
-  let size_bytes = Wire.Envelope.size ~sender:node payload in
-  let k = Wire.Message.kind_index payload in
-  t.wire_frames.(k) <- t.wire_frames.(k) + 1;
-  t.wire_bytes.(k) <- t.wire_bytes.(k) + size_bytes
-
-let wire_traffic t =
-  let acc = ref [] in
-  for k = Wire.Message.kind_count - 1 downto 0 do
-    let frames = t.wire_frames.(k) in
-    if frames > 0 then
-      acc := (Wire.Message.kind_name k, frames, t.wire_bytes.(k)) :: !acc
-  done;
-  List.sort
-    (fun (ka, _, ba) (kb, _, bb) ->
-      match compare bb ba with 0 -> compare ka kb | c -> c)
-    !acc
-
-let wire_decode_errors t = t.wire_decode_errors
-
-(* Decode-on-delivery (debug): the simulator transports payloads by
-   value, so re-encoding at the receiver is byte-identical to carrying
-   the sender's frame. Round-tripping every delivered payload through
-   [Wire.Envelope] catches any codec that is not the identity. *)
-let debug_check_delivery t ~sender payload =
-  if t.cfg.wire_debug then
-    match Wire.Envelope.decode (Wire.Envelope.encode ~sender payload) with
-    | Ok env
-      when env.Wire.Envelope.sender = sender
-           && Wire.Message.equal env.Wire.Envelope.message payload ->
-      ()
-    | Ok _ | Error _ -> t.wire_decode_errors <- t.wire_decode_errors + 1
-
-let submit_to_replica t r update =
-  match t.replicas.(r) with
-  | Prime_replica p -> Prime.Replica.submit p update
-  | Pbft_replica p -> Pbft.Replica.submit p update
+(* Replica side: ingress, dispatch, execution and replies.             *)
 
 let ingest_client_update t r u =
   (* Origin milestone: the first replica to receive the update ends
      the ingress phase (first-writer-wins in the sink). *)
   if Telemetry.Sink.enabled t.telemetry then
-    Telemetry.Sink.update_at_origin t.telemetry ~trace:(trace_of_update u)
-      ~now:(Sim.Engine.now t.engine);
-  submit_to_replica t r u
+    Telemetry.Sink.update_at_origin t.telemetry
+      ~trace:(Send.trace_of_update u) ~now:(Sim.Engine.now t.engine);
+  Instance.submit t.replicas.(r) u
 
-(* Protocol-frame dispatch within one epoch: the sender's global node
-   id is translated into its rank in that epoch's membership; frames
-   from non-members (retired or not-yet-admitted ids) are dropped. *)
-let handle_protocol t r ~from ~epoch payload =
-  match Hashtbl.find_opt t.rank_maps epoch with
-  | None -> bump_stale_epoch t
-  | Some (_, rank_of) ->
-    let fr =
-      if from >= 0 && from < Array.length rank_of then rank_of.(from) else -1
-    in
-    if fr < 0 then bump_stale_epoch t
-    else (
+let handle_replica_msg t r ~from payload =
+  match payload with
+  | Epoch_frame _ | Prime_msg _ | Pbft_msg _ -> (
+    let rank = Epochs.sender_rank t.epochs r ~from payload in
+    if rank >= 0 then
       match (t.replicas.(r), payload) with
-      | Prime_replica p, Prime_msg (_, m) -> Prime.Replica.handle p ~from:fr m
-      | Pbft_replica p, Pbft_msg (_, m) -> Pbft.Replica.handle p ~from:fr m
+      | Instance.Prime_replica p, (Prime_msg (_, m) | Epoch_frame (_, Prime_msg (_, m)))
+        ->
+        Prime.Replica.handle p ~from:rank m
+      | Instance.Pbft_replica p, (Pbft_msg (_, m) | Epoch_frame (_, Pbft_msg (_, m))) ->
+        Pbft.Replica.handle p ~from:rank m
       | _, _ -> ())
+  | Client_update u -> ingest_client_update t r u
+  | Client_batch us -> List.iter (ingest_client_update t r) us
+  | Transfer_chunk c -> Epochs.handle_transfer_chunk t.epochs r c
+  | Cert_frame c -> Epochs.install_cert t.epochs c
+  (* Field-link frames never reach replicas: they terminate at the
+     concentrator, which folds them into ordered Field_report ops. *)
+  | Replica_reply _ | Reply_batch _ | Field_advert _ | Field_report _ -> ()
 
 (* A reply goes to its update's client, a device command to the
    proxy of the RTU it actuates. *)
@@ -518,8 +276,8 @@ let reply_dst t (reply : Scada.Reply.t) =
   | Scada.Reply.Ack -> node_of_client t (fst reply.Scada.Reply.update_key)
 
 let send_reply t r reply =
-  send_payload t ~src_node:(node_of_replica t r) ~dst_node:(reply_dst t reply)
-    (Replica_reply reply)
+  Send.payload t.send ~src_node:(node_of_replica t r)
+    ~dst_node:(reply_dst t reply) (Replica_reply reply)
 
 (* Replica-side reply aggregation: a flush ships one frame per
    destination, in first-appearance order, amortising the envelope
@@ -536,7 +294,7 @@ let rec flush_replies t r = function
     (match mine with
     | [ one ] -> send_reply t r one
     | mine ->
-      send_payload t ~src_node:(node_of_replica t r) ~dst_node
+      Send.payload t.send ~src_node:(node_of_replica t r) ~dst_node
         (Reply_batch mine));
     flush_replies t r rest
 
@@ -548,7 +306,7 @@ let rec flush_replies t r = function
 let emit_replies t r ~exec_index ~(update : Bft.Update.t) effect =
   let state = Scada.Master.state_digest t.masters.(r) in
   let update_digest = Bft.Update.digest update in
-  let group = group_for t r in
+  let group = Epochs.group_for t.epochs r in
   let sign_and_send body =
     let digest = Scada.Reply.body_digest ~exec_index ~update_digest ~state ~body in
     let share = Cryptosim.Threshold.sign_share group ~member:r digest in
@@ -569,10 +327,10 @@ let emit_replies t r ~exec_index ~(update : Bft.Update.t) effect =
          ~shard:(1 + t.replica_sites.(r))
          t.engine ~delay_us:t.share_cost_us
          (fun () ->
-           if not (faults t r).Bft.Faults.crashed then begin
+           if not (crashed t r) then begin
              if Telemetry.Sink.enabled t.telemetry then
                Telemetry.Sink.update_reply_sent t.telemetry
-                 ~trace:(trace_of_update update) ~replica:r
+                 ~trace:(Send.trace_of_update update) ~replica:r
                  ~now:(Sim.Engine.now t.engine);
              match
                Bft.Batch.add t.reply_accs.(r) ~now:(Sim.Engine.now t.engine)
@@ -586,7 +344,7 @@ let emit_replies t r ~exec_index ~(update : Bft.Update.t) effect =
                     ~shard:(1 + t.replica_sites.(r))
                     t.engine ~delay_us
                     (fun () ->
-                      if not (faults t r).Bft.Faults.crashed then
+                      if not (crashed t r) then
                         flush_replies t r
                           (Bft.Batch.due t.reply_accs.(r)
                              ~now:(Sim.Engine.now t.engine)))
@@ -605,22 +363,140 @@ let emit_replies t r ~exec_index ~(update : Bft.Update.t) effect =
       sign_and_send (Scada.Reply.Command { rtu; frame })
     end
 
+let execute_of t r exec_index update =
+  (* Execution milestone: the reply-quorum-th distinct replica to get
+     here fixes the end of the ordering phase (sink-side count). *)
+  if Telemetry.Sink.enabled t.telemetry then
+    Telemetry.Sink.update_executed t.telemetry
+      ~trace:(Send.trace_of_update update) ~replica:r
+      ~now:(Sim.Engine.now t.engine);
+  match Scada.Op.of_update update with
+  | Error _ -> ()
+  | Ok op ->
+    let effect = Scada.Master.apply t.masters.(r) op in
+    emit_replies t r ~exec_index ~update effect;
+    (match (op, t.cfg.protocol) with
+    | Scada.Op.Reconfig { payload }, Prime_protocol ->
+      Epochs.note_reconfig t.epochs r ~payload
+    | Scada.Op.Reconfig _, Pbft_protocol (* reconfiguration requires Prime *)
+    | ( ( Scada.Op.Status_report _ | Scada.Op.Breaker_command _
+        | Scada.Op.Tap_command _ | Scada.Op.Hmi_read _ | Scada.Op.Field_report _
+        | Scada.Op.Field_write _ ),
+        _ ) ->
+      ())
+
+(* Replica environment for one (epoch, rank) instance. A protocol
+   broadcast hands the same physical message to every recipient;
+   memoising the wrapped payload by the inner message's physical
+   identity lets [Send.payload]'s size memo hit on every recipient
+   after the first. Epoch > 0 frames travel inside [Epoch_frame] —
+   the genesis epoch keeps the bare (seed-identical) encoding. *)
+let env_for t ~epoch ~rank ~(members : int array) wrap =
+  let wrap_memo = ref None in
+  let wrap_shared msg =
+    match !wrap_memo with
+    | Some (m, p) when m == msg -> p
+    | _ ->
+      let inner = wrap msg in
+      let p = if epoch > 0 then Epoch_frame (epoch, inner) else inner in
+      wrap_memo := Some (msg, p);
+      p
+  in
+  {
+    Bft.Env.self = rank;
+    replica_count = Array.length members;
+    send =
+      (fun dst msg ->
+        Send.payload t.send ~src_node:members.(rank) ~dst_node:members.(dst)
+          (wrap_shared msg));
+    now_us = (fun () -> Sim.Engine.now t.engine);
+    set_timer =
+      (* A replica's protocol timers belong to its site's heap. *)
+      (let shard = 1 + t.replica_sites.(members.(rank)) in
+       fun delay_us f -> Sim.Engine.schedule ~shard t.engine ~delay_us f);
+    telemetry = t.telemetry;
+  }
+
+(* The one replica-instance builder, for the genesis epoch and every
+   later one: the quorum and membership come from the certificate. A
+   Prime replica that provably fell behind the quorum's checkpoints
+   asks the deployment for state transfer (deferred one event so the
+   transfer does not run inside a message handler). Prime batches
+   under the construction-time policy [batch]; its TAT bound is derived
+   from the network diameter [max_one_way]: twice the worst round-trip
+   plus proposal cadence headroom. *)
+let member_instance t ~batch ~max_one_way ~cert ~members ~rank ~global =
+  let epoch = Member.Cert.epoch cert in
+  let quorum =
+    Bft.Quorum.create ~n:(Member.Cert.n cert) ~f:(Member.Cert.f cert)
+      ~k:(Member.Cert.k cert)
+  in
+  match t.cfg.protocol with
+  | Prime_protocol ->
+    let pcfg =
+      t.cfg.tweak_prime
+        {
+          (Prime.Replica.default_config quorum) with
+          Prime.Replica.epoch;
+          tat_threshold_us = max 100_000 ((8 * max_one_way) + 60_000);
+          batch;
+        }
+    in
+    let p =
+      Prime.Replica.create pcfg
+        (env_for t ~epoch ~rank ~members (fun m -> Prime_msg (rank, m)))
+        ~execute:(execute_of t global)
+    in
+    Prime.Replica.set_on_fall_behind p (fun () ->
+        ignore
+          (Sim.Engine.schedule ~shard:(1 + t.replica_sites.(global)) t.engine
+             ~delay_us:0 (fun () ->
+               if not (crashed t global) then Epochs.resync t.epochs global)
+            : Sim.Engine.timer));
+    Instance.Prime_replica p
+  | Pbft_protocol ->
+    let pcfg = { (Pbft.Replica.default_config quorum) with Pbft.Replica.epoch } in
+    Instance.Pbft_replica
+      (Pbft.Replica.create pcfg
+         (env_for t ~epoch ~rank ~members (fun m -> Pbft_msg (rank, m)))
+         ~execute:(execute_of t global))
+
+(* Pre-provisioned standby replicas exist as inert placeholders: a
+   crashed, halted, never-started single-replica instance whose env
+   goes nowhere. Admission replaces it wholesale. *)
+let standby_instance t =
+  let q1 = Bft.Quorum.create ~n:1 ~f:0 ~k:0 in
+  let env =
+    {
+      Bft.Env.self = 0;
+      replica_count = 1;
+      send = (fun _ _ -> ());
+      now_us = (fun () -> Sim.Engine.now t.engine);
+      set_timer = (fun delay_us f -> Sim.Engine.schedule t.engine ~delay_us f);
+      telemetry = Telemetry.Sink.null;
+    }
+  in
+  let inst =
+    match t.cfg.protocol with
+    | Prime_protocol ->
+      Instance.Prime_replica
+        (Prime.Replica.create (Prime.Replica.default_config q1) env
+           ~execute:(fun _ _ -> ()))
+    | Pbft_protocol ->
+      Instance.Pbft_replica
+        (Pbft.Replica.create (Pbft.Replica.default_config q1) env
+           ~execute:(fun _ _ -> ()))
+  in
+  Instance.halt inst;
+  (Instance.faults inst).Bft.Faults.crashed <- true;
+  inst
+
 (* ------------------------------------------------------------------ *)
 (* Runtime tuning plane: the deployment side of [Control.Knobs].
    Every entry point below is reached ONLY through the validated
    [Knobs.request] path (see [install_actuator]); none of them is
    called when no knob change is issued, so a controller-less run
    never executes any of this code.                                    *)
-
-(* Swap the live dissemination mode for all future sends. Routes cached
-   for the previous mode are dropped; recomputation is a pure function
-   of the unchanged topology. In-flight frames keep the route captured
-   at submit time (the frame carries it), honouring the old mode. *)
-let set_dissemination t mode =
-  if mode <> t.dissemination then begin
-    t.dissemination <- mode;
-    Overlay.Net.invalidate_routes t.net
-  end
 
 (* Swap the aggregation policy everywhere it is live: the per-replica
    reply accumulators, the Prime pre-order accumulators, and the client
@@ -634,38 +510,31 @@ let apply_batch_policy t policy =
   Array.iteri
     (fun r acc ->
       Bft.Batch.set_policy acc policy;
-      if t.epoch_of.(r) >= 0 && not (faults t r).Bft.Faults.crashed then
+      if epoch_of_replica t r >= 0 && not (crashed t r) then
         flush_replies t r (Bft.Batch.due acc ~now:(Sim.Engine.now t.engine)))
     t.reply_accs;
   Array.iter
-    (fun instance ->
-      match instance with
-      | Prime_replica p -> Prime.Replica.set_batch_policy p policy
-      | Pbft_replica _ -> ())
+    (function
+      | Instance.Prime_replica p -> Prime.Replica.set_batch_policy p policy
+      | Instance.Pbft_replica _ -> ())
     t.replicas;
-  Array.iter
-    (fun p -> Scada.Endpoint.set_batch_policy (Scada.Proxy.endpoint p) policy)
-    t.proxies;
-  Array.iter
-    (fun h -> Scada.Endpoint.set_batch_policy (Scada.Hmi.endpoint h) policy)
-    t.hmis
+  Clients.set_batch_policy t.clients policy
 
 (* Iterate the current epoch's live Prime instances. *)
 let iter_live_prime t f =
   Array.iter
     (fun r ->
-      if t.epoch_of.(r) = t.cur_epoch && not (faults t r).Bft.Faults.crashed
-      then
+      if epoch_of_replica t r = current_epoch t && not (crashed t r) then
         match t.replicas.(r) with
-        | Prime_replica p when not (Prime.Replica.halted p) -> f p
-        | Prime_replica _ | Pbft_replica _ -> ())
-    t.cur_members
+        | Instance.Prime_replica p when not (Prime.Replica.halted p) -> f p
+        | Instance.Prime_replica _ | Instance.Pbft_replica _ -> ())
+    (Epochs.members t.epochs)
 
 let install_actuator t =
   Control.Knobs.set_actuator t.knobs (fun req ->
       match req with
       | Control.Knobs.Set_routing r ->
-        set_dissemination t
+        Send.set_mode t.send
           (match r with
           | Control.Knobs.Shortest -> Overlay.Net.Shortest
           | Control.Knobs.Kdisjoint k -> Overlay.Net.Redundant k
@@ -736,568 +605,53 @@ let controller_tick t =
           let r = Control.Local.replica l in
           let tat_alarm =
             match t.replicas.(r) with
-            | Prime_replica p -> Prime.Replica.suspected p
-            | Pbft_replica _ -> false
+            | Instance.Prime_replica p -> Prime.Replica.suspected p
+            | Instance.Pbft_replica _ -> false
           in
           Control.Local.observe l ~tat_alarm a)
         t.locals
     in
     Control.Global.step g ~now_us:(Sim.Engine.now t.engine) verdicts
 
-(* Serialised master state shipped by a state transfer (exec count +
-   every known RTU status, via the SCADA codec) — the byte carrier
-   whose chunks charge the transfer's bandwidth. *)
-let master_blob master =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    (Printf.sprintf "exec:%d;" (Scada.Master.applied_count master));
-  List.iter
-    (fun rtu ->
-      match Scada.Master.last_status master ~rtu with
-      | None -> ()
-      | Some status ->
-        Buffer.add_string b (Scada.Op.encode (Scada.Op.Status_report status)))
-    (Scada.Master.known_rtus master);
-  Buffer.contents b
-
-(* The f+1-vouched state source over [peers]: each offers a (protocol
-   snapshot, master state) pair captured atomically (same simulation
-   instant), so a consistent pair digest identifies a consistent joint
-   state; the newest vouched pair wins. *)
-let vouched_source t ~peers =
-  {
-    Recovery.State_transfer.peers;
-    fetch =
-      (fun peer ->
-        match t.replicas.(peer) with
-        | Prime_replica q ->
-          Some (Prime.Replica.snapshot q, Scada.Master.clone t.masters.(peer))
-        | Pbft_replica _ -> None);
-    digest_of =
-      (fun (snap, master) ->
-        Cryptosim.Digest.combine
-          (Prime.Replica.snapshot_digest snap)
-          (Scada.Master.snapshot_digest master));
-    newer =
-      (fun (a, _) (b, _) ->
-        a.Prime.Replica.snap_exec_count > b.Prime.Replica.snap_exec_count);
-  }
-
-(* State transfer: adopt a state vouched for by f+1 peers of the
-   replica's OWN epoch. Used when a replica returns from proactive
-   recovery, when a crashed site is restored, and when a replica falls
-   behind the quorum's checkpoints. *)
-let resync_replica t r =
-  if t.epoch_of.(r) < 0 then ()
-  else
-    match t.replicas.(r) with
-    | Pbft_replica _ -> ()
-    | Prime_replica prime when not (Prime.Replica.halted prime) ->
-      let e = t.epoch_of.(r) in
-      let cert_f =
-        match Member.Directory.cert_of_epoch t.directory e with
-        | Some c -> Member.Cert.f c
-        | None -> t.cfg.quorum.Bft.Quorum.f
-      in
-      let peers_of_epoch =
-        match Hashtbl.find_opt t.rank_maps e with
-        | Some (members, _) -> Array.to_list members
-        | None -> []
-      in
-      let peers =
-        List.filter
-          (fun p ->
-            p <> r && t.epoch_of.(p) = e && not (faults t p).Bft.Faults.crashed)
-          peers_of_epoch
-      in
-      (match
-         Recovery.State_transfer.select ~f:cert_f (vouched_source t ~peers)
-       with
-      | Recovery.State_transfer.Installed (snap, master) ->
-        (* Install only a strictly newer snapshot. Re-installing our own
-           (or an equal) state is not a harmless no-op: it discards
-           committed-but-unapplied slots and pre-order bodies, and a
-           leader doing it re-proposes sequence numbers that other
-           replicas may already hold committed — a safety hazard. *)
-        if
-          snap.Prime.Replica.snap_exec_count
-          > Bft.Exec_log.length (Prime.Replica.exec_log prime)
-        then begin
-          Prime.Replica.install_snapshot prime snap;
-          t.masters.(r) <- master;
-          (* Charge the transfer's bandwidth: the adopted state ships as
-             wire chunks from a live donor, so recovery storms compete
-             with protocol traffic for links. *)
-          match peers with
-          | [] -> ()
-          | donor :: _ ->
-            List.iter
-              (fun chunk ->
-                send_payload t ~src_node:(node_of_replica t donor)
-                  ~dst_node:(node_of_replica t r) (Transfer_chunk chunk))
-              (Recovery.State_transfer.chunk_blob ~xfer_id:r ~chunk_bytes:1024
-                 (master_blob master))
-        end
-      | Recovery.State_transfer.No_quorum _ ->
-        (* Rare: peers disagree transiently; rejoin from live traffic and
-           catch up through slot requests / checkpoints. *)
-        ())
-    | Prime_replica _ -> () (* halted: the successor epoch owns catch-up *)
-
 (* ------------------------------------------------------------------ *)
-(* Epoch cutover machinery.
+(* Creation.                                                           *)
 
-   A reconfiguration command travels through the ordered stream like
-   any SCADA update. Executing it makes every replica of that epoch:
-   halt its instance (the in-progress eligibility batch completes, so
-   the halt point — the epoch boundary — lands on the same execution
-   index everywhere), derive/adopt the successor certificate with the
-   boundary stamped in, and restart as a fresh protocol instance over
-   the new membership, carrying application state and the exactly-once
-   delivery cursors across. The first replica to switch advances the
-   shared directory; later switchers verify their boundary against the
-   recorded certificate — any disagreement is latched as a violation. *)
-
-let rec ensure_epoch_state t cert ~announcer =
-  let e = Member.Cert.epoch cert in
-  if not (Hashtbl.mem t.rank_maps e) then begin
-    let members = Array.of_list (Member.Cert.members cert) in
-    let rank_of = Array.make t.universe (-1) in
-    Array.iteri
-      (fun i g -> if g >= 0 && g < t.universe then rank_of.(g) <- i)
-      members;
-    Hashtbl.replace t.rank_maps e (members, rank_of)
-  end;
-  if not (List.mem_assoc e t.groups) then
-    t.groups <-
-      ( e,
-        Cryptosim.Threshold.create_group
-          ~seed:(Int64.logxor t.cfg.seed (Int64.of_int (e * 0x9E3779B9)))
-          ~members:(Member.Cert.members cert)
-          ~threshold:(Member.Cert.reply_threshold cert) )
-      :: t.groups;
-  if e > t.cur_epoch then promote_current t cert ~announcer
-
-and promote_current t cert ~announcer =
-  let e = Member.Cert.epoch cert in
-  let members, _ = Hashtbl.find t.rank_maps e in
-  t.cur_epoch <- e;
-  t.cur_members <- members;
-  let group = List.assoc e t.groups in
-  Array.iter
-    (fun p -> Scada.Endpoint.push_group (Scada.Proxy.endpoint p) group)
-    t.proxies;
-  Array.iter
-    (fun h -> Scada.Endpoint.push_group (Scada.Hmi.endpoint h) group)
-    t.hmis;
-  if Telemetry.Sink.enabled t.telemetry then
-    Telemetry.Sink.set_quorums t.telemetry
-      ~order:(Member.Cert.quorum_size cert)
-      ~reply:(Member.Cert.reply_threshold cert);
-  t.cutovers <-
-    (e, Member.Cert.boundary_exec cert, Sim.Engine.now t.engine) :: t.cutovers;
-  List.iter (fun f -> f e) t.epoch_listeners;
-  (* Gossip the certificate so every daemon (including dark standby
-     nodes, once booted) can audit the chain; install is idempotent. *)
-  for peer = 0 to t.universe - 1 do
-    if peer <> announcer then
-      send_payload t ~src_node:(node_of_replica t announcer)
-        ~dst_node:(node_of_replica t peer) (Cert_frame cert)
-  done;
-  arm_reconciler t
-
-and arm_reconciler t =
-  if not t.reconciler_armed then begin
-    t.reconciler_armed <- true;
-    ignore
-      (Sim.Engine.periodic t.engine ~interval_us:271_000 (fun () ->
-           reconcile t)
-        : Sim.Engine.timer)
-  end
-
-(* Periodic membership reconciliation (armed at the first cutover, so a
-   never-reconfigured system schedules nothing): members of the current
-   epoch stuck at an older one (or dark standby ids just admitted) are
-   caught up through a chunk-gated join; replicas the current epoch
-   dropped are halted and their overlay ids retired. *)
-and reconcile t =
-  let cert = Member.Directory.current t.directory in
-  let e = Member.Cert.epoch cert in
-  let now = Sim.Engine.now t.engine in
-  match Hashtbl.find_opt t.rank_maps e with
-  | None -> ()
-  | Some (_, rank_of) ->
-    for g = 0 to t.universe - 1 do
-      let is_member = rank_of.(g) >= 0 in
-      if is_member then begin
-        if t.epoch_of.(g) = e || t.pending_reconfig.(g) <> None then
-          t.lag_since.(g) <- -1
-        else if t.lag_since.(g) < 0 then t.lag_since.(g) <- now
-        else if now - t.lag_since.(g) >= 500_000 then begin_join t g
-      end
-      else begin
-        t.lag_since.(g) <- -1;
-        if t.epoch_of.(g) >= 0 && t.epoch_of.(g) < e then retire_replica t g
-      end
-    done
-
-and retire_replica t g =
-  halt_instance t g;
-  Overlay.Net.retire_node t.net (node_of_replica t g);
-  t.epoch_of.(g) <- -1;
-  t.pending_reconfig.(g) <- None;
-  t.lag_since.(g) <- -1
-
-(* Start a joining replica's catch-up: pick a donor state vouched by
-   f+1 members of the NEW epoch, ship it as chunks across the overlay,
-   and only install once every chunk has arrived (see [join_session]).
-   Lost chunks are re-requested under the bounded-backoff ARQ. *)
-and begin_join t g =
-  let already =
-    Hashtbl.fold
-      (fun _ s acc -> acc || ((not s.js_done) && s.js_replica = g))
-      t.sessions false
-  in
-  if not already then begin
-    let cert = Member.Directory.current t.directory in
-    let e = Member.Cert.epoch cert in
-    match Hashtbl.find_opt t.rank_maps e with
-    | None -> ()
-    | Some (members, _) ->
-      halt_instance t g;
-      Overlay.Net.unretire_node t.net (node_of_replica t g);
-      Overlay.Net.restore_node t.net (node_of_replica t g);
-      (faults t g).Bft.Faults.crashed <- false;
-      let peers =
-        Array.to_list members
-        |> List.filter (fun p ->
-               p <> g
-               && t.epoch_of.(p) = e
-               && (not (faults t p).Bft.Faults.crashed)
-               && (not (instance_halted t p))
-               && Overlay.Net.node_alive t.net (node_of_replica t p))
-      in
-      (match
-         Recovery.State_transfer.select ~f:(Member.Cert.f cert)
-           (vouched_source t ~peers)
-       with
-      | Recovery.State_transfer.No_quorum _ ->
-        () (* not enough live vouchers yet; the reconciler retries *)
-      | Recovery.State_transfer.Installed (snap, master) -> (
-        match peers with
-        | [] -> ()
-        | donor :: _ ->
-          let xfer = t.next_xfer in
-          t.next_xfer <- xfer + 1;
-          let chunks =
-            Array.of_list
-              (Recovery.State_transfer.chunk_blob ~xfer_id:xfer
-                 ~chunk_bytes:1024 (master_blob master))
-          in
-          let s =
-            {
-              js_xfer = xfer;
-              js_replica = g;
-              js_epoch = e;
-              js_donor = donor;
-              js_snap = snap;
-              js_master = master;
-              js_chunks = chunks;
-              js_received = Array.make (Array.length chunks) false;
-              js_done = false;
-            }
-          in
-          Hashtbl.replace t.sessions xfer s;
-          Array.iteri
-            (fun i c ->
-              send_payload t ~src_node:(node_of_replica t donor)
-                ~dst_node:(node_of_replica t g) (Transfer_chunk c);
-              arm_chunk_timer t xfer i 0)
-            chunks))
-  end
-
-and arm_chunk_timer t xfer i attempt =
-  match
-    Recovery.State_transfer.rerequest_delay_us t.arq ~xfer_id:xfer
-      ~chunk_index:i ~attempt
-  with
-  | None ->
-    (* Retry budget exhausted: abandon the session; the reconciler
-       starts a fresh one (new xfer id, fresh backoff schedule). *)
-    Hashtbl.remove t.sessions xfer
-  | Some delay ->
-    let shard =
-      match Hashtbl.find_opt t.sessions xfer with
-      | Some s -> 1 + t.replica_sites.(s.js_replica)
-      | None -> 0
-    in
-    ignore
-      (Sim.Engine.schedule ~shard t.engine ~delay_us:delay (fun () ->
-           match Hashtbl.find_opt t.sessions xfer with
-           | None -> ()
-           | Some s ->
-             if (not s.js_done) && not s.js_received.(i) then begin
-               if Overlay.Net.node_alive t.net (node_of_replica t s.js_donor)
-               then
-                 send_payload t ~src_node:(node_of_replica t s.js_donor)
-                   ~dst_node:(node_of_replica t s.js_replica)
-                   (Transfer_chunk s.js_chunks.(i));
-               arm_chunk_timer t xfer i (attempt + 1)
-             end)
-        : Sim.Engine.timer)
-
-and complete_join t s =
-  s.js_done <- true;
-  Hashtbl.remove t.sessions s.js_xfer;
-  (* Install only if the epoch is still current — otherwise the
-     reconciler restarts the join against the newer membership. *)
-  if Member.Directory.epoch t.directory = s.js_epoch then
-    match Member.Directory.cert_of_epoch t.directory s.js_epoch with
-    | None -> ()
-    | Some cert ->
-      t.masters.(s.js_replica) <- s.js_master;
-      install_member_instance t s.js_replica ~cert ~snap:s.js_snap
-
-(* Replace replica [r]'s instance with a fresh one for [cert]'s epoch,
-   seeded from [snap] (a boundary-carried snapshot on cutover, a donor
-   snapshot on join), and start it. *)
-and install_member_instance t r ~cert ~snap =
-  let e = Member.Cert.epoch cert in
-  ensure_epoch_state t cert ~announcer:r;
-  let _, rank_of = Hashtbl.find t.rank_maps e in
-  if rank_of.(r) < 0 then retire_replica t r
-  else begin
-    let inst = t.make_member_instance ~cert ~rank:rank_of.(r) ~global:r in
-    (match inst with
-    | Prime_replica p -> Prime.Replica.install_snapshot p snap
-    | Pbft_replica _ -> ());
-    t.replicas.(r) <- inst;
-    t.epoch_of.(r) <- e;
-    t.lag_since.(r) <- -1;
-    match inst with
-    | Prime_replica p -> Prime.Replica.start p
-    | Pbft_replica p -> Pbft.Replica.start p
-  end
-
-(* The deferred half of a cutover (scheduled at delay 0 from the
-   execute callback, so the boundary batch has fully drained): stamp
-   the boundary, advance or verify the directory, and switch. *)
-and switch_replica t r =
-  match t.pending_reconfig.(r) with
-  | None -> ()
-  | Some (e, actions) -> (
-    t.pending_reconfig.(r) <- None;
-    let boundary = Bft.Exec_log.length (exec_log t r) in
-    match Member.Directory.cert_of_epoch t.directory e with
-    | None ->
-      latch_violation t (Printf.sprintf "switch: unknown epoch %d" e)
-    | Some prev -> (
-      let next_result =
-        match Member.Directory.cert_of_epoch t.directory (e + 1) with
-        | Some existing ->
-          (* A peer already advanced the chain: our independently
-             reached boundary must agree with the recorded one. *)
-          if Member.Cert.boundary_exec existing = boundary then Ok existing
-          else
-            Error
-              (Printf.sprintf
-                 "epoch %d boundary disagreement: replica %d halted at %d, \
-                  certificate records %d"
-                 (e + 1) r boundary
-                 (Member.Cert.boundary_exec existing))
-        | None ->
-          Member.Directory.advance t.directory actions
-            ~signers:(Member.Cert.members prev) ~boundary_exec:boundary
-      in
-      match next_result with
-      | Error msg -> latch_violation t msg
-      | Ok cert -> (
-        match t.replicas.(r) with
-        | Pbft_replica _ -> ()
-        | Prime_replica p ->
-          (* Carry execution state and delivery cursors across the
-             boundary; the pre-order space (cursor, matrix, view) is
-             fresh — the new epoch renumbers from scratch. *)
-          let old = Prime.Replica.snapshot p in
-          let n_new = Member.Cert.n cert in
-          let snap =
-            {
-              old with
-              Prime.Replica.snap_cursor = Prime.Matrix.empty_vector ~n:n_new;
-              snap_last_applied = 0;
-              snap_cum_matrix = Prime.Matrix.empty ~n:n_new;
-              snap_view = 0;
-            }
-          in
-          install_member_instance t r ~cert ~snap)))
-
-(* Executing an ordered [Op.Reconfig]: validate it against the
-   replica's own epoch certificate (a malformed or inapplicable command
-   is a deterministic no-op — every replica rejects it identically),
-   then halt and schedule the switch. *)
-let note_reconfig t r ~payload =
-  match t.cfg.protocol with
-  | Pbft_protocol -> () (* reconfiguration requires Prime *)
-  | Prime_protocol ->
-    if t.pending_reconfig.(r) = None && t.epoch_of.(r) >= 0 then (
-      match Member.Reconfig.decode payload with
-      | Error _ -> ()
-      | Ok actions -> (
-        let e = t.epoch_of.(r) in
-        match Member.Directory.cert_of_epoch t.directory e with
-        | None -> ()
-        | Some cert ->
-          let in_universe =
-            List.for_all
-              (function
-                | Member.Reconfig.Add_site { members; _ } ->
-                  List.for_all (fun m -> m >= 0 && m < t.universe) members
-                | Member.Reconfig.Set_resilience _
-                | Member.Reconfig.Remove_site _ | Member.Reconfig.Promote _ ->
-                  true)
-              actions
-          in
-          if in_universe then (
-            (* Dry-run against the epoch's own certificate: boundary
-               and signers are stand-ins, only action semantics are
-               checked here. *)
-            match
-              Member.Reconfig.apply cert actions
-                ~signers:(Member.Cert.members cert)
-                ~boundary_exec:(Member.Cert.boundary_exec cert)
-            with
-            | Error _ -> ()
-            | Ok _ ->
-              t.pending_reconfig.(r) <- Some (e, actions);
-              halt_instance t r;
-              ignore
-                (Sim.Engine.schedule ~shard:(1 + t.replica_sites.(r)) t.engine
-                   ~delay_us:0 (fun () -> switch_replica t r)
-                  : Sim.Engine.timer))))
-
-let execute_of t r exec_index update =
-  (* Execution milestone: the reply-quorum-th distinct replica to get
-     here fixes the end of the ordering phase (sink-side count). *)
-  if Telemetry.Sink.enabled t.telemetry then
-    Telemetry.Sink.update_executed t.telemetry ~trace:(trace_of_update update)
-      ~replica:r ~now:(Sim.Engine.now t.engine);
-  match Scada.Op.of_update update with
-  | Error _ -> ()
-  | Ok op ->
-    let effect = Scada.Master.apply t.masters.(r) op in
-    emit_replies t r ~exec_index ~update effect;
-    (match op with
-    | Scada.Op.Reconfig { payload } -> note_reconfig t r ~payload
-    | Scada.Op.Status_report _ | Scada.Op.Breaker_command _
-    | Scada.Op.Tap_command _ | Scada.Op.Hmi_read _ | Scada.Op.Field_report _
-    | Scada.Op.Field_write _ ->
-      ())
-
-let handle_transfer_chunk t r (c : Recovery.State_transfer.chunk) =
-  match Hashtbl.find_opt t.sessions c.Recovery.State_transfer.xfer_id with
-  | None ->
-    (* Legacy resync carrier (or a stale session): the frames exist to
-       charge the transfer's bandwidth; installation was synchronous. *)
-    ()
-  | Some s ->
-    if (not s.js_done) && s.js_replica = r then begin
-      let i = c.Recovery.State_transfer.chunk_index in
-      if i >= 0 && i < Array.length s.js_received then begin
-        s.js_received.(i) <- true;
-        if Array.for_all Fun.id s.js_received then complete_join t s
-      end
-    end
-
-let handle_replica_msg t r ~from payload =
-  match payload with
-  | Epoch_frame (e, inner) ->
-    (* Frames are bound to their sender's epoch: anything not matching
-       the receiving instance's epoch is inadmissible. *)
-    if t.epoch_of.(r) = e then handle_protocol t r ~from ~epoch:e inner
-    else bump_stale_epoch t
-  | Prime_msg _ | Pbft_msg _ ->
-    (* Bare protocol frames are the genesis-epoch encoding. *)
-    if t.epoch_of.(r) = 0 then handle_protocol t r ~from ~epoch:0 payload
-    else bump_stale_epoch t
-  | Client_update u -> ingest_client_update t r u
-  | Client_batch us -> List.iter (ingest_client_update t r) us
-  | Transfer_chunk c -> handle_transfer_chunk t r c
-  | Cert_frame c -> (
-    match Member.Directory.install t.directory c with
-    | Ok () | Error _ -> ())
-  (* Field-link frames never reach replicas: they terminate at the
-     concentrator, which folds them into ordered Field_report ops. *)
-  | Replica_reply _ | Reply_batch _ | Field_advert _ | Field_report _ -> ()
-
-(* Replica environment for one (epoch, rank) instance. A protocol
-   broadcast hands the same physical message to every recipient;
-   memoising the wrapped payload by the inner message's physical
-   identity lets [send_payload]'s size memo hit on every recipient
-   after the first. Epoch > 0 frames travel inside [Epoch_frame] —
-   the genesis epoch keeps the bare (seed-identical) encoding. *)
-let env_for t ~epoch ~rank ~(members : int array) wrap =
-  let wrap_memo = ref None in
-  let wrap_shared msg =
-    match !wrap_memo with
-    | Some (m, p) when m == msg -> p
-    | _ ->
-      let inner = wrap msg in
-      let p = if epoch > 0 then Epoch_frame (epoch, inner) else inner in
-      wrap_memo := Some (msg, p);
-      p
-  in
-  {
-    Bft.Env.self = rank;
-    replica_count = Array.length members;
-    send =
-      (fun dst msg ->
-        send_payload t ~src_node:members.(rank) ~dst_node:members.(dst)
-          (wrap_shared msg));
-    now_us = (fun () -> Sim.Engine.now t.engine);
-    set_timer =
-      (* A replica's protocol timers belong to its site's heap. *)
-      (let shard = 1 + t.replica_sites.(members.(rank)) in
-       fun delay_us f -> Sim.Engine.schedule ~shard t.engine ~delay_us f);
-    telemetry = t.telemetry;
-  }
-
-(* Client node handler: replies (single or batched) go to the client's
-   endpoint; clients ignore every other kind. *)
-let set_client_handler t client handle_reply =
-  Overlay.Net.set_handler t.net (node_of_client t client) (fun delivery ->
-      debug_check_delivery t ~sender:delivery.Overlay.Net.frame_src
-        delivery.Overlay.Net.payload;
-      match delivery.Overlay.Net.payload with
-      | Replica_reply reply -> handle_reply reply
-      | Reply_batch rs -> List.iter handle_reply rs
-      | Prime_msg _ | Pbft_msg _ | Client_update _ | Client_batch _
-      | Transfer_chunk _ | Epoch_frame _ | Cert_frame _ | Field_advert _
-      | Field_report _ ->
-        ())
+let validate cfg =
+  let fail field = invalid_arg ("System.create: " ^ field) in
+  if List.exists (fun s -> s < 0) cfg.site_sizes then
+    fail "site_sizes has a negative entry";
+  if List.exists (fun s -> s < 0) cfg.standby_site_sizes then
+    fail "standby_site_sizes has a negative entry";
+  if List.fold_left ( + ) 0 cfg.site_sizes <> cfg.quorum.Bft.Quorum.n then
+    fail "site_sizes do not sum to quorum n";
+  if cfg.control_centers < 1 || cfg.control_centers > List.length cfg.site_sizes
+  then fail "bad control_centers";
+  if cfg.substations < 0 then fail "substations < 0";
+  if cfg.hmis < 0 then fail "hmis < 0";
+  if cfg.poll_interval_us <= 0 then fail "poll_interval_us <= 0";
+  if cfg.resubmit_timeout_us <= 0 then fail "resubmit_timeout_us <= 0";
+  if cfg.max_batch < 1 then fail "max_batch < 1";
+  if cfg.field_concentrators < 0 then fail "field_concentrators < 0";
+  if cfg.field_concentrators > 0 && cfg.field_devices < cfg.field_concentrators
+  then fail "field_devices < field_concentrators";
+  if cfg.field_scan_interval_us <= 0 then fail "field_scan_interval_us <= 0";
+  if not (cfg.field_loss >= 0. && cfg.field_loss <= 1.) then
+    fail "field_loss outside [0, 1]"
 
 let create cfg =
-  let n = List.fold_left ( + ) 0 cfg.site_sizes in
+  validate cfg;
+  let n = cfg.quorum.Bft.Quorum.n in
   let universe = n + List.fold_left ( + ) 0 cfg.standby_site_sizes in
-  if n <> cfg.quorum.Bft.Quorum.n then
-    invalid_arg "System.create: site_sizes do not sum to quorum n";
-  if cfg.control_centers < 1 || cfg.control_centers > List.length cfg.site_sizes
-  then invalid_arg "System.create: bad control_centers";
-  if cfg.field_concentrators < 0 then
-    invalid_arg "System.create: field_concentrators < 0";
-  if cfg.field_scan_interval_us <= 0 then
-    invalid_arg "System.create: field_scan_interval_us <= 0";
-  if not (cfg.field_loss >= 0. && cfg.field_loss <= 1.) then
-    invalid_arg "System.create: field_loss outside [0, 1]";
   let batch_policy =
-    if cfg.max_batch <= 1 then Bft.Batch.singleton
+    if cfg.max_batch = 1 then Bft.Batch.singleton
     else Bft.Batch.create ~max_delay_us:cfg.batch_delay_us ~max_batch:cfg.max_batch ()
   in
   let topo, site_members = build_topology cfg in
   (* Ownership partition: each replica site (active and standby) is a
      shard; all field devices (substation proxies, HMIs) pool into one
-     trailing "field" shard. The engine gets one heap per shard plus
-     the control heap ({!Sim.Shard.engine_shards}); the partition never
-     affects event order — see the Shard/Engine docs. *)
+     trailing "field" shard. The engine attributes events to one tag
+     per shard plus the control tag ({!Sim.Shard.engine_shards}); the
+     partition never affects event order — see the Shard/Engine docs. *)
   let base_sites = List.length cfg.site_sizes + List.length cfg.standby_site_sizes in
   let part =
     Sim.Shard.make ~shards:(base_sites + 1)
@@ -1305,11 +659,9 @@ let create cfg =
         min (Overlay.Topology.site_of topo node) base_sites)
       ~nodes:(Overlay.Topology.node_count topo)
   in
-  let world =
-    Sim.World.create ~seed:cfg.seed ~shards:(Sim.Shard.engine_shards part) ()
+  let engine =
+    Sim.Engine.create ~seed:cfg.seed ~shards:(Sim.Shard.engine_shards part) ()
   in
-  Sim.World.set_partition world part;
-  let engine = Sim.World.engine world in
   let net = Overlay.Net.create ~per_source_cap:256 ~partition:part engine topo () in
   let sink =
     if cfg.telemetry then begin
@@ -1341,161 +693,78 @@ let create cfg =
     (fun site members -> List.iter (fun r -> replica_sites.(r) <- site) members)
     site_members;
   let genesis = genesis_cert cfg in
-  let directory = Member.Directory.create ~genesis in
-  let identity = Array.init n Fun.id in
-  let rank_maps = Hashtbl.create 7 in
-  let rank_of0 = Array.make universe (-1) in
-  Array.iteri (fun i g -> rank_of0.(g) <- i) identity;
-  Hashtbl.replace rank_maps 0 (identity, rank_of0);
-  let t =
-    {
-      cfg;
-      engine;
-      topo;
-      net;
-      group;
-      n;
-      universe;
-      replicas = [||];
-      masters = Array.init universe (fun _ -> Scada.Master.create ());
-      proxies = [||];
-      hmis = [||];
-      concentrators = [||];
-      replica_sites;
-      hist = Stats.Histogram.create ();
-      series = Stats.Timeseries.create ();
-      submitted = 0;
-      diversity =
-        Recovery.Diversity.create ~variants:cfg.diversity_variants ~n
-          ~rng:(Sim.Engine.rng engine);
-      scheduler = None;
-      recovery_listeners = [];
-      share_cost_us = Cryptosim.Threshold.default_cost.Cryptosim.Threshold.share_us;
-      reply_batch = batch_policy;
-      reply_accs = Array.init universe (fun _ -> Bft.Batch.acc batch_policy);
-      dissemination = cfg.dissemination;
-      knobs = Control.Knobs.create ();
-      locals = [||];
-      global_ctl = None;
-      wire_frames = Array.make Wire.Message.kind_count 0;
-      wire_bytes = Array.make Wire.Message.kind_count 0;
-      (* A fresh dummy payload: physically distinct from anything ever
-         sent, so the first real send always misses the memo. *)
-      size_memo_payload =
-        Client_update
-          (Bft.Update.create ~client:0 ~client_seq:0 ~operation:""
-             ~submitted_us:0);
-      size_memo_bytes = 0;
-      wire_decode_errors = 0;
-      telemetry = sink;
-      directory;
-      epoch_of = Array.init universe (fun r -> if r < n then 0 else -1);
-      rank_maps;
-      groups = [ (0, group) ];
-      cur_epoch = 0;
-      cur_members = identity;
-      pending_reconfig = Array.make universe None;
-      cutovers = [];
-      stale_epoch_frames = 0;
-      epoch_violation = None;
-      sessions = Hashtbl.create 7;
-      next_xfer = 1000;
-      reconciler_armed = false;
-      lag_since = Array.make universe (-1);
-      arq = Recovery.State_transfer.default_arq;
-      make_member_instance =
-        (fun ~cert:_ ~rank:_ ~global:_ ->
-          failwith "System: make_member_instance used before create finished");
-      epoch_listeners = [];
-    }
+  let send =
+    Send.create net ~telemetry:sink ~mode:cfg.dissemination
+      ~wire_debug:cfg.wire_debug
   in
-  (* Derive a TAT bound from the network diameter: twice the worst
-     round-trip plus proposal cadence headroom. *)
+  let diversity =
+    Recovery.Diversity.create ~variants:cfg.diversity_variants ~n
+      ~rng:(Sim.Engine.rng engine)
+  in
+  let masters = Array.init universe (fun _ -> Scada.Master.create ()) in
   let max_one_way =
     List.fold_left
       (fun acc link -> max acc link.Overlay.Topology.latency_us)
       0 (Overlay.Topology.links topo)
   in
-  (* The one replica-instance builder, for the genesis epoch and every
-     later one: the quorum and membership come from the certificate. A
-     Prime replica that provably fell behind the quorum's checkpoints
-     asks the deployment for state transfer (deferred one event so the
-     transfer does not run inside a message handler). *)
-  t.make_member_instance <-
-    (fun ~cert ~rank ~global ->
-      let epoch = Member.Cert.epoch cert in
-      let quorum =
-        Bft.Quorum.create ~n:(Member.Cert.n cert) ~f:(Member.Cert.f cert)
-          ~k:(Member.Cert.k cert)
-      in
-      let members, _ = Hashtbl.find t.rank_maps epoch in
-      match cfg.protocol with
-      | Prime_protocol ->
-        let pcfg =
-          cfg.tweak_prime
-            {
-              (Prime.Replica.default_config quorum) with
-              Prime.Replica.epoch;
-              tat_threshold_us = max 100_000 ((8 * max_one_way) + 60_000);
-              batch = batch_policy;
-            }
-        in
-        let p =
-          Prime.Replica.create pcfg
-            (env_for t ~epoch ~rank ~members (fun m -> Prime_msg (rank, m)))
-            ~execute:(execute_of t global)
-        in
-        Prime.Replica.set_on_fall_behind p (fun () ->
-            ignore
-              (Sim.Engine.schedule ~shard:(1 + t.replica_sites.(global)) engine
-                 ~delay_us:0 (fun () ->
-                   if not (faults t global).Bft.Faults.crashed then
-                     resync_replica t global)
-                : Sim.Engine.timer));
-        Prime_replica p
-      | Pbft_protocol ->
-        let pcfg = { (Pbft.Replica.default_config quorum) with Pbft.Replica.epoch } in
-        Pbft_replica
-          (Pbft.Replica.create pcfg
-             (env_for t ~epoch ~rank ~members (fun m -> Pbft_msg (rank, m)))
-             ~execute:(execute_of t global)));
-  (* Pre-provisioned standby replicas exist as inert placeholders: a
-     crashed, halted, never-started single-replica instance whose env
-     goes nowhere. Admission replaces it wholesale. *)
-  let standby_instance () =
-    let q1 = Bft.Quorum.create ~n:1 ~f:0 ~k:0 in
-    let env =
-      {
-        Bft.Env.self = 0;
-        replica_count = 1;
-        send = (fun _ _ -> ());
-        now_us = (fun () -> Sim.Engine.now engine);
-        set_timer = (fun delay_us f -> Sim.Engine.schedule engine ~delay_us f);
-        telemetry = Telemetry.Sink.null;
-      }
-    in
-    match cfg.protocol with
-    | Prime_protocol ->
-      let p =
-        Prime.Replica.create (Prime.Replica.default_config q1) env
-          ~execute:(fun _ _ -> ())
-      in
-      Prime.Replica.halt p;
-      (Prime.Replica.faults p).Bft.Faults.crashed <- true;
-      Prime_replica p
-    | Pbft_protocol ->
-      let p =
-        Pbft.Replica.create (Pbft.Replica.default_config q1) env
-          ~execute:(fun _ _ -> ())
-      in
-      Pbft.Replica.halt p;
-      (Pbft.Replica.faults p).Bft.Faults.crashed <- true;
-      Pbft_replica p
+  (* [Epochs] reaches the replica table and the instance builder only
+     through these operations; they first run once [create] has
+     returned, so they reach the finished [t] through [self]. *)
+  let rec self =
+    lazy
+      (let epochs =
+         Epochs.create ~engine ~net ~send ~telemetry:sink ~seed:cfg.seed
+           ~universe ~genesis ~group
+           ~shard_of:(fun r -> 1 + replica_sites.(r))
+           ~instance:(fun r -> (Lazy.force self).replicas.(r))
+           ~set_instance:(fun r i -> (Lazy.force self).replicas.(r) <- i)
+           ~master:(Array.get masters) ~set_master:(Array.set masters)
+           ~build:(fun ~cert ~members ~rank ~global ->
+             member_instance (Lazy.force self) ~batch:batch_policy ~max_one_way
+               ~cert ~members ~rank ~global)
+       in
+       let clients =
+         (* Field devices' timers live in the trailing field shard. *)
+         Clients.create ~engine ~net ~send ~epochs ~telemetry:sink ~group
+           ~batch:batch_policy ~shard:(base_sites + 1) ~universe ~seed:cfg.seed
+           ~substations:cfg.substations ~hmis:cfg.hmis
+           ~concentrators:cfg.field_concentrators ~devices:cfg.field_devices
+           ~scan_interval_us:cfg.field_scan_interval_us ~loss:cfg.field_loss
+           ~poll_interval_us:cfg.poll_interval_us
+           ~resubmit_timeout_us:cfg.resubmit_timeout_us
+       in
+       {
+         cfg;
+         engine;
+         net;
+         send;
+         epochs;
+         clients;
+         n;
+         universe;
+         replicas = [||];
+         masters;
+         replica_sites;
+         diversity;
+         scheduler = None;
+         recovery_listeners = [];
+         share_cost_us = Cryptosim.Threshold.default_cost.Cryptosim.Threshold.share_us;
+         reply_batch = batch_policy;
+         reply_accs = Array.init universe (fun _ -> Bft.Batch.acc batch_policy);
+         knobs = Control.Knobs.create ();
+         locals = [||];
+         global_ctl = None;
+         telemetry = sink;
+       })
   in
+  let t = Lazy.force self in
+  let members = Epochs.members t.epochs in
   t.replicas <-
     Array.init universe (fun r ->
-        if r < n then t.make_member_instance ~cert:genesis ~rank:r ~global:r
-        else standby_instance ());
+        if r < n then
+          member_instance t ~batch:batch_policy ~max_one_way ~cert:genesis
+            ~members ~rank:r ~global:r
+        else standby_instance t);
   (* Standby nodes stay dark until an epoch admits them. *)
   for r = n to universe - 1 do
     Overlay.Net.kill_node net r
@@ -1505,173 +774,19 @@ let create cfg =
   for r = 0 to universe - 1 do
     Overlay.Net.set_handler net r (fun delivery ->
         let from = delivery.Overlay.Net.frame_src in
-        debug_check_delivery t ~sender:from delivery.Overlay.Net.payload;
+        Send.check_delivery send ~sender:from delivery.Overlay.Net.payload;
         (* Only replica nodes originate protocol messages; client nodes
            originate Client_update. *)
         handle_replica_msg t r ~from delivery.Overlay.Net.payload)
   done;
-  (* Clients. *)
-  let record_latency _update ~latency_us =
-    let ms = float_of_int latency_us /. 1000. in
-    Stats.Histogram.add t.hist ms;
-    Stats.Timeseries.add t.series ~time_us:(Sim.Engine.now engine) ms
-  in
-  (* Client-side origin failover. Each client has a home origin
-     (client mod n_cur within the current membership); when the origin
-     it is currently using makes no progress for a full retransmission
-     timeout, the client suspects it for a while and moves to the next
-     member. Retransmissions themselves go to every current member (as
-     Prime clients do) and exactly-once delivery collapses the
-     duplicates. Origins are tracked by global replica id so suspicion
-     survives membership changes. *)
-  let clients = cfg.substations + cfg.hmis + cfg.field_concentrators in
-  let suspected_until = Array.make_matrix clients universe min_int in
-  let current_default = Array.make clients (-1) in
-  let default_since = Array.make clients 0 in
-  let pick_origin client now =
-    let members = t.cur_members in
-    let m = Array.length members in
-    let start = client mod m in
-    let rec find i =
-      if i >= m then members.(start)
-      else begin
-        let o = members.((start + i) mod m) in
-        if suspected_until.(client).(o) > now then find (i + 1) else o
-      end
-    in
-    let o = find 0 in
-    if o <> current_default.(client) then begin
-      current_default.(client) <- o;
-      default_since.(client) <- now
-    end;
-    o
-  in
-  let submit_of client ~attempt (u : Bft.Update.t) =
-    t.submitted <- t.submitted + 1;
-    let now = Sim.Engine.now engine in
-    let payload = Client_update u in
-    if attempt = 0 then begin
-      let origin = pick_origin client now in
-      send_payload t ~src_node:(node_of_client t client)
-        ~dst_node:(node_of_replica t origin) payload
-    end
-    else begin
-      (* Blame the current origin only once it has had a full timeout
-         to prove itself (the timed-out update may predate it). *)
-      let cur = pick_origin client now in
-      if now - default_since.(client) > cfg.resubmit_timeout_us then begin
-        suspected_until.(client).(cur) <- now + (8 * cfg.resubmit_timeout_us);
-        ignore (pick_origin client now : int)
-      end;
-      (* One physical payload for the whole retransmission broadcast. *)
-      Array.iter
-        (fun r ->
-          send_payload t ~src_node:(node_of_client t client)
-            ~dst_node:(node_of_replica t r) payload)
-        t.cur_members
-    end
-  in
-  (* First-attempt batch flush from an endpoint: one Client_batch frame
-     to the chosen origin (an endpoint ships a single update through
-     [submit_of] as the legacy frame). *)
-  let submit_batch_of client (updates : Bft.Update.t list) =
-    t.submitted <- t.submitted + List.length updates;
-    let origin = pick_origin client (Sim.Engine.now engine) in
-    send_payload t ~src_node:(node_of_client t client)
-      ~dst_node:(node_of_replica t origin) (Client_batch updates)
-  in
-  (* Field devices' timers live in the trailing field shard's heap. *)
-  let field_shard = base_sites + 1 in
-  let proxies =
-    Array.init cfg.substations (fun i ->
-        let rtu =
-          Scada.Rtu.create ~id:i ~breakers:4 ~feeders:2 ~rng:(Sim.Engine.rng engine)
-        in
-        (* Mixed field-protocol fleet, as in real substations: even
-           RTUs speak DNP3, odd ones Modbus (the proxy gateways the
-           master's DNP3 commands accordingly). *)
-        let field_protocol = if i mod 2 = 0 then `Dnp3 else `Modbus in
-        let p =
-          Scada.Proxy.create ~field_protocol ~telemetry:sink
-            ~batch:batch_policy ~submit_batch:(submit_batch_of i)
-            ~shard:field_shard ~engine ~rtu ~client_id:i
-            ~poll_interval_us:cfg.poll_interval_us ~group
-            ~resubmit_timeout_us:cfg.resubmit_timeout_us
-            ~submit:(submit_of i) ()
-        in
-        Scada.Endpoint.set_on_complete (Scada.Proxy.endpoint p) record_latency;
-        set_client_handler t i (Scada.Proxy.handle_reply p);
-        p)
-  in
-  let hmis =
-    Array.init cfg.hmis (fun j ->
-        let client = cfg.substations + j in
-        let h =
-          Scada.Hmi.create ~telemetry:sink ~batch:batch_policy
-            ~submit_batch:(submit_batch_of client) ~shard:field_shard ~engine
-            ~client_id:client ~group
-            ~resubmit_timeout_us:cfg.resubmit_timeout_us
-            ~submit:(submit_of client) ()
-        in
-        Scada.Endpoint.set_on_complete (Scada.Hmi.endpoint h) record_latency;
-        set_client_handler t client (Scada.Hmi.handle_reply h);
-        h)
-  in
-  (* Device fleet: per-substation concentrators, each an ordinary BFT
-     client whose devices' report-by-exception events fold into one
-     compact ordered aggregate per scan round — BFT load stays
-     independent of fleet size. *)
-  let concentrators =
-    if cfg.field_concentrators = 0 then [||]
-    else begin
-      if cfg.field_devices < cfg.field_concentrators then
-        invalid_arg "System.create: field_devices < field_concentrators";
-      let nc = cfg.field_concentrators in
-      let per = cfg.field_devices / nc and rem = cfg.field_devices mod nc in
-      let first = ref 0 in
-      Array.init nc (fun i ->
-          let devices = per + if i < rem then 1 else 0 in
-          let first_device = !first in
-          first := !first + devices;
-          let client = cfg.substations + cfg.hmis + i in
-          let config =
-            {
-              Field.Concentrator.devices;
-              scan_interval_us = cfg.field_scan_interval_us;
-              (* Stagger the rounds across the interval so the core
-                 sees a stream of aggregates, not a thundering herd. *)
-              phase_us = i * cfg.field_scan_interval_us / nc;
-              write_interval_us = field_write_interval_us;
-              keepalive_loss = cfg.field_loss;
-            }
-          in
-          let c =
-            Field.Concentrator.create ~telemetry:sink ~batch:batch_policy
-              ~submit_batch:(submit_batch_of client) ~shard:field_shard
-              ~engine ~id:i ~client_id:client ~first_device
-              ~seed:(Sim.Rng.derive ~seed:cfg.seed ~index:(0xF1E1D + i))
-              ~group ~resubmit_timeout_us:cfg.resubmit_timeout_us
-              ~submit:(submit_of client)
-              ~charge:(fun frame ->
-                charge_field_frame t ~node:(node_of_client t client) frame)
-              ~config ()
-          in
-          Field.Concentrator.set_on_complete c record_latency;
-          set_client_handler t client (Field.Concentrator.handle_reply c);
-          c)
-    end
-  in
-  t.proxies <- proxies;
-  t.hmis <- hmis;
-  t.concentrators <- concentrators;
   (* The tuning plane always exists (knob requests from tests/operator
      probes work on any instance); the controller only when asked. *)
   install_actuator t;
   if cfg.adaptive then begin
     let base_tat =
       match t.replicas.(0) with
-      | Prime_replica p -> Prime.Replica.tat_threshold_us p
-      | Pbft_replica _ -> 150_000
+      | Instance.Prime_replica p -> Prime.Replica.tat_threshold_us p
+      | Instance.Pbft_replica _ -> 150_000
     in
     t.locals <- Array.init n (fun r -> Control.Local.create ~replica:r ());
     t.global_ctl <-
@@ -1684,15 +799,9 @@ let create cfg =
 
 let start t =
   Array.iteri
-    (fun r instance ->
-      if t.epoch_of.(r) >= 0 then
-        match instance with
-        | Prime_replica p -> Prime.Replica.start p
-        | Pbft_replica p -> Pbft.Replica.start p)
+    (fun r instance -> if epoch_of_replica t r >= 0 then Instance.start instance)
     t.replicas;
-  Array.iter Scada.Proxy.start t.proxies;
-  Array.iter Scada.Hmi.start t.hmis;
-  Array.iter Field.Concentrator.start t.concentrators;
+  Clients.start t.clients;
   (* Controller tick: only armed when [cfg.adaptive] — a disabled
      controller adds zero timers, so the trajectory is untouched. *)
   if t.cfg.adaptive then
@@ -1712,12 +821,12 @@ let submit_reconfig t actions =
   | Prime_protocol -> ()
   | Pbft_protocol ->
     invalid_arg "System.submit_reconfig: reconfiguration requires Prime");
-  if Array.length t.hmis = 0 then
+  if Clients.hmi_count t.clients = 0 then
     invalid_arg "System.submit_reconfig: deployment has no HMI";
   let payload = Member.Reconfig.encode actions in
   ignore
     (Scada.Endpoint.send_op
-       (Scada.Hmi.endpoint t.hmis.(0))
+       (Scada.Hmi.endpoint (hmi t 0))
        (Scada.Op.Reconfig { payload })
       : Bft.Update.t)
 
@@ -1744,9 +853,7 @@ let heal_site_nodes t site =
 let assert_agreement t =
   let correct =
     List.filter
-      (fun r ->
-        (not (faults t r).Bft.Faults.crashed)
-        && not (Bft.Faults.is_byzantine (faults t r)))
+      (fun r -> (not (crashed t r)) && not (Bft.Faults.is_byzantine (faults t r)))
       (List.init t.universe Fun.id)
   in
   match
@@ -1790,7 +897,7 @@ let enable_recovery t ~rotation_period_us ~recovery_duration_us =
     (* Clean image: honest behaviour, fresh diversity variant. *)
     Bft.Faults.reset (faults t r);
     ignore (Recovery.Diversity.rejuvenate t.diversity r : int);
-    resync_replica t r;
+    Epochs.resync t.epochs r;
     notify_recovery t `Complete r
   in
   let scheduler =
@@ -1838,22 +945,22 @@ let enable_reactive_recovery t ~silence_threshold_us ~poll_interval_us =
          Array.iteri
            (fun r instance ->
              match instance with
-             | Prime_replica p ->
+             | Instance.Prime_replica p ->
                if
-                 t.epoch_of.(r) >= 0
-                 && (not (faults t r).Bft.Faults.crashed)
+                 epoch_of_replica t r >= 0
+                 && (not (crashed t r))
                  && not (Prime.Replica.halted p)
                then (
-                 match Hashtbl.find_opt t.rank_maps t.epoch_of.(r) with
+                 match Epochs.members_of_epoch t.epochs (epoch_of_replica t r) with
                  | None -> ()
-                 | Some (members, _) ->
+                 | Some members ->
                    List.iter
                      (fun j ->
                        let gj = members.(j) in
                        accusations.(gj) <- accusations.(gj) + 1)
                      (Prime.Replica.unresponsive p
                         ~threshold_us:silence_threshold_us))
-             | Pbft_replica _ -> ())
+             | Instance.Pbft_replica _ -> ())
            t.replicas;
          for j = 0 to t.n - 1 do
            if
@@ -1881,7 +988,7 @@ let crash_replica t r =
 let restore_replica t r =
   Overlay.Net.restore_node t.net (node_of_replica t r);
   (faults t r).Bft.Faults.crashed <- false;
-  if t.epoch_of.(r) = t.cur_epoch then resync_replica t r
+  if epoch_of_replica t r = current_epoch t then Epochs.resync t.epochs r
 
 let kill_site t site = List.iter (crash_replica t) (replicas_in_site t site)
 let restore_site t site = List.iter (restore_replica t) (replicas_in_site t site)

@@ -9,7 +9,6 @@ type cost = {
 }
 
 let default_cost = { sign_us = 800; verify_us = 60; mac_us = 2; mac_verify_us = 2 }
-let free_cost = { sign_us = 0; verify_us = 0; mac_us = 0; mac_verify_us = 0 }
 
 let tag_of ~material ~signer digest =
   let s = Printf.sprintf "sig:%Ld:%d:%Ld" material signer (Digest.to_int64 digest) in

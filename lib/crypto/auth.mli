@@ -25,10 +25,6 @@ type cost = {
 (** Default cost model: sign 800us, verify 60us, mac 2us, mac verify 2us. *)
 val default_cost : cost
 
-(** [free_cost] charges nothing; used by unit tests that assert pure
-    protocol logic. *)
-val free_cost : cost
-
 (** [sign secret digest] signs [digest] with a principal's secret. *)
 val sign : Keyring.secret -> Digest.t -> signature
 

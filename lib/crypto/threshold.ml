@@ -50,7 +50,6 @@ let verify_share g ~digest s =
   && List.mem s.member g.members
   && Digest.equal s.tag (share_tag g s.member digest)
 
-let share_member s = s.member
 let share_repr s = (s.member, s.share_digest, s.tag)
 let share_of_repr ~member ~digest ~tag = { member; share_digest = digest; tag }
 

@@ -35,9 +35,6 @@ val corrupt_share : share -> share
 (** [verify_share group ~digest share] checks a single share. *)
 val verify_share : group -> digest:Digest.t -> share -> bool
 
-(** [share_member share] is the claimed producer. *)
-val share_member : share -> Keyring.principal
-
 (** [share_repr share] is the share's transportable representation:
     (claimed member, signed digest, share tag). Wire codecs serialise
     shares through this triple. *)

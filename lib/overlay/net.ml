@@ -92,13 +92,11 @@ type 'a t = {
      whose endpoints are owned by different shards is recorded here —
      the traffic a real deployment pays WAN bandwidth for. *)
   boundary : Sim.Shard.boundary;
-  (* Per-node state is grouped by owning shard ({!Sim.Shard.owned}):
-     each node's outgoing-link row, route-cache row and handler live in
-     its site's rows, so "which shard may touch this" is explicit. A
-     row is still a flat per-destination array — the per-hop path
-     touches link state several times per frame, and tuple-keyed
-     hashtables there cost a key allocation plus hashing per access. *)
-  links : 'a link_state option array Sim.Shard.owned; (* row.(v) = u -> v *)
+  (* Per-node state is one flat per-destination row per node — the
+     per-hop path touches link state several times per frame, and
+     tuple-keyed hashtables there cost a key allocation plus hashing
+     per access. *)
+  links : 'a link_state option array array; (* links.(u).(v) = u -> v *)
   neighbours : int array array;
       (* node -> its topology neighbours, ascending. Built once: links
          are never added after [create], so the flood paths iterate
@@ -106,24 +104,22 @@ type 'a t = {
          read-only state, like [link_up]. *)
   link_up : bool array; (* undirected, normalised [a * nodes + b] *)
   node_up : bool array;
-  (* link_up/node_up/retired stay flat and unsharded deliberately: they
-     are liveness/membership maps — read by every shard on every hop,
-     written only by the (serial) fault-injection control plane — so
-     they are shared-read state, not per-site owned state. *)
+  (* link_up/node_up/retired are liveness/membership maps: read on
+     every hop, written only by the fault-injection control plane. *)
   (* Membership guard: a retired node's id is no longer a valid frame
      source (its site was removed from the configuration).  Frames
      claiming a retired — or out-of-range — src are counted and
      dropped before they can index the per-node state rows. *)
   retired : bool array;
-  handlers : ('a delivery -> unit) option Sim.Shard.owned;
+  handlers : ('a delivery -> unit) option array;
   (* Global statistics. *)
   ctrs : counters;
   per_source_cap : int;
   (* Route caches: shortest paths and disjoint path sets are stable
      between topology state changes (kill/restore); recomputing them
-     per frame dominates CPU otherwise. [row.(dst)] of [src]'s row is
+     per frame dominates CPU otherwise. [route_cache.(src).(dst)] is
      [None] when not yet computed. *)
-  route_cache : Topology.node list option option array Sim.Shard.owned;
+  route_cache : Topology.node list option option array array;
   kpath_cache : (int, Topology.node list list) Hashtbl.t;
       (* key = (src * nodes + dst) * 1024 + min k 1023 *)
   mutable telemetry : Telemetry.Sink.t;
@@ -164,13 +160,13 @@ let create ?(per_source_cap = 64) ?partition engine topo () =
       nodes = n;
       part;
       boundary = Sim.Shard.boundary part;
-      links = Sim.Shard.init part (fun _ -> Array.make n None);
+      links = Array.init n (fun _ -> Array.make n None);
       neighbours =
         Array.init n (fun v -> Array.of_list (Topology.neighbors topo v));
       link_up = Array.make (n * n) false;
       node_up = Array.make n true;
       retired = Array.make n false;
-      handlers = Sim.Shard.init part (fun _ -> None);
+      handlers = Array.make n None;
       ctrs =
         {
           c_submitted = 0;
@@ -187,7 +183,7 @@ let create ?(per_source_cap = 64) ?partition engine topo () =
           c_dropped_bytes = 0;
         };
       per_source_cap;
-      route_cache = Sim.Shard.init part (fun _ -> Array.make n None);
+      route_cache = Array.init n (fun _ -> Array.make n None);
       kpath_cache = Hashtbl.create 997;
       telemetry = Telemetry.Sink.null;
     }
@@ -208,8 +204,8 @@ let create ?(per_source_cap = 64) ?partition engine topo () =
           tx_busy_us = 0;
         }
       in
-      (Sim.Shard.get t.links a).(b) <- Some (mk ());
-      (Sim.Shard.get t.links b).(a) <- Some (mk ());
+      t.links.(a).(b) <- Some (mk ());
+      t.links.(b).(a) <- Some (mk ());
       t.link_up.(norm_idx t a b) <- true)
     (Topology.links topo);
   t
@@ -237,13 +233,13 @@ let open_hop_span t ~phase ~node ~label frame =
 let close_hop_span t sid =
   Telemetry.Sink.close_span t.telemetry ~id:sid ~now:(Sim.Engine.now t.engine)
 
-let set_handler t node f = Sim.Shard.set t.handlers node (Some f)
+let set_handler t node f = t.handlers.(node) <- Some f
 let link_alive t a b = t.link_up.(norm_idx t a b)
 let node_alive t n = t.node_up.(n)
 let usable t a b = link_alive t a b && t.node_up.(a) && t.node_up.(b)
 
 let link_state t a b =
-  match (Sim.Shard.get t.links a).(b) with
+  match t.links.(a).(b) with
   | Some ls -> ls
   | None -> invalid_arg "Net: no such link"
 
@@ -278,7 +274,7 @@ let deliver t node frame ~hops =
       let c = t.ctrs in
       c.c_delivered <- c.c_delivered + 1;
       c.c_delivered_bytes <- c.c_delivered_bytes + frame.size_bytes;
-      (match Sim.Shard.get t.handlers node with
+      (match t.handlers.(node) with
       | None -> ()
       | Some handler ->
         handler
@@ -461,11 +457,11 @@ and enqueue t u v frame =
   end
 
 let invalidate_routes t =
-  Sim.Shard.iter (fun _ row -> Array.fill row 0 (Array.length row) None) t.route_cache;
+  Array.iter (fun row -> Array.fill row 0 (Array.length row) None) t.route_cache;
   Hashtbl.reset t.kpath_cache
 
 let cached_shortest t ~src ~dst =
-  let row = Sim.Shard.get t.route_cache src in
+  let row = t.route_cache.(src) in
   match row.(dst) with
   | Some path -> path
   | None ->
@@ -581,7 +577,7 @@ let inject_junk_bytes t ~src ~dst ~bytes ~priority =
   submit t ~priority ~size_bytes:(String.length bytes) ~src ~dst ~mode:Shortest
     ~trace:(-1) (Junk bytes)
 
-let has_link t a b = (Sim.Shard.get t.links a).(b) <> None
+let has_link t a b = t.links.(a).(b) <> None
 
 let kill_link t a b =
   if not (has_link t a b) then invalid_arg "Net.kill_link: no such link";
@@ -634,7 +630,7 @@ let set_loss_probability t a b p =
 let fold_links t f acc =
   let acc = ref acc in
   for u = 0 to t.nodes - 1 do
-    let row = Sim.Shard.get t.links u in
+    let row = t.links.(u) in
     for v = 0 to t.nodes - 1 do
       match row.(v) with
       | None -> ()
@@ -676,9 +672,6 @@ let link_utilisation _t ~elapsed_us report =
 
 let current_route t ~src ~dst =
   Routing.shortest_path t.topo ~usable:(usable t) ~src ~dst
-
-let estimated_latency_us t ~src ~dst =
-  Option.map (Routing.path_latency_us t.topo) (current_route t ~src ~dst)
 
 let stats t =
   let c = t.ctrs in

@@ -71,8 +71,7 @@ type stats = {
 (** [create engine topo ()] builds the runtime. [per_source_cap] bounds
     each (source, class) link backlog (default 64 frames). [partition]
     (default {!Sim.Shard.singleton}) assigns each node to an ownership
-    shard — typically its geographic site: per-node state is then
-    stored in per-shard rows, every frame copy enqueued between
+    shard — typically its geographic site: every frame copy enqueued between
     differently-owned nodes is ledgered as an inter-site (WAN) boundary
     crossing, and hop timers are tagged with the engine shard
     ({!Sim.Shard.engine_shard}) owning the state they mutate — transmit
@@ -243,10 +242,5 @@ val link_utilisation : 'a t -> elapsed_us:int -> link_report -> float
 (** [current_route t ~src ~dst] is the shortest usable path right now. *)
 val current_route :
   'a t -> src:Topology.node -> dst:Topology.node -> Routing.path option
-
-(** [estimated_latency_us t ~src ~dst] is the propagation latency of the
-    current shortest route (excluding queueing), if routable. *)
-val estimated_latency_us :
-  'a t -> src:Topology.node -> dst:Topology.node -> int option
 
 val stats : 'a t -> stats

@@ -15,11 +15,6 @@ let merge a b =
     invalid_arg "Matrix.merge: size mismatch";
   Array.init (Array.length a) (fun i -> merge_vector a.(i) b.(i))
 
-let set_row m ~row v =
-  let m' = copy m in
-  m'.(row) <- merge_vector m'.(row) v;
-  m'
-
 let eligible m ~threshold =
   let n = Array.length m in
   if threshold < 1 || threshold > n then

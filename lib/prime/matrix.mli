@@ -33,10 +33,6 @@ val merge_vector : vector -> vector -> vector
 (** [merge a b] merges two matrices row-wise by element maximum. *)
 val merge : t -> t -> t
 
-(** [set_row m ~row v] functionally replaces row [row] with the merge of
-    the existing row and [v] (rows are cumulative too). *)
-val set_row : t -> row:int -> vector -> t
-
 (** [eligible m ~threshold] is the eligibility vector: entry [j] is the
     largest [t] such that at least [threshold] rows have [row.(j) >= t]
     (0 when fewer than [threshold] rows report anything for [j]).

@@ -150,7 +150,6 @@ let is_leader t = leader_of t t.view = t.env.Env.self
 let faults t = t.faults
 let view t = t.view
 let exec_log t = t.log
-let executed_count t = Exec_log.length t.log
 let view_changes t = t.view_changes
 let max_tat_us t = t.max_tat_us
 let suspected t = t.suspected_view >= t.view

@@ -79,9 +79,6 @@ val view : t -> Bft.Types.view
 val is_leader : t -> bool
 val exec_log : t -> Bft.Exec_log.t
 
-(** [executed_count t] is the number of updates executed. *)
-val executed_count : t -> int
-
 val view_changes : t -> int
 
 (** [max_tat_us t] is the largest turnaround time observed so far (0 if

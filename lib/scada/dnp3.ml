@@ -129,14 +129,3 @@ let corrupt s ~at =
   let b = Bytes.of_string s in
   Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor 0xFF));
   Bytes.to_string b
-
-let pp_app ppf = function
-  | Poll_request -> Format.pp_print_string ppf "PollRequest"
-  | Poll_response { binary_inputs; analog_inputs } ->
-    Format.fprintf ppf "PollResponse(%d bin, %d ana)"
-      (List.length binary_inputs) (List.length analog_inputs)
-  | Operate { point; action } ->
-    Format.fprintf ppf "Operate(%d,%s)" point
-      (match action with Trip -> "trip" | Close -> "close")
-  | Operate_ack { point; success } ->
-    Format.fprintf ppf "OperateAck(%d,%b)" point success

@@ -37,5 +37,3 @@ val decode : string -> (frame, string) result
     checksum rejects damaged frames.
     @raise Invalid_argument if [at] is out of range. *)
 val corrupt : string -> at:int -> string
-
-val pp_app : Format.formatter -> app -> unit

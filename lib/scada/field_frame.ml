@@ -61,10 +61,3 @@ let equal_advert (a : advert) (b : advert) =
   && a.holding_registers = b.holding_registers
   && Cryptosim.Digest.equal a.map_digest b.map_digest
 
-let equal_event (a : event) (b : event) =
-  a.table = b.table && a.address = b.address && a.value = b.value
-
-let equal_report (a : report) (b : report) =
-  a.concentrator = b.concentrator && a.device = b.device && a.seq = b.seq
-  && List.length a.events = List.length b.events
-  && List.for_all2 equal_event a.events b.events

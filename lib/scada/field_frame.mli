@@ -51,4 +51,3 @@ val event_checksum : int -> event -> int
 val pp_advert : Format.formatter -> advert -> unit
 val pp_report : Format.formatter -> report -> unit
 val equal_advert : advert -> advert -> bool
-val equal_report : report -> report -> bool

@@ -15,10 +15,6 @@ let open_breaker t ~rtu ~breaker =
   Endpoint.send_op t.endpoint
     (Op.Breaker_command { rtu; breaker; desired = Rtu.Open })
 
-let close_breaker t ~rtu ~breaker =
-  Endpoint.send_op t.endpoint
-    (Op.Breaker_command { rtu; breaker; desired = Rtu.Closed })
-
 let set_tap t ~rtu ~position =
   Endpoint.send_op t.endpoint (Op.Tap_command { rtu; position })
 

@@ -28,11 +28,9 @@ val create :
 
 val start : t -> unit
 
-(** [open_breaker t ~rtu ~breaker] / [close_breaker t ~rtu ~breaker]
-    issue a supervisory command; returns the submitted update. *)
+(** [open_breaker t ~rtu ~breaker] issues a supervisory command;
+    returns the submitted update. *)
 val open_breaker : t -> rtu:int -> breaker:int -> Bft.Update.t
-
-val close_breaker : t -> rtu:int -> breaker:int -> Bft.Update.t
 
 (** [set_tap t ~rtu ~position] issues a transformer-tap command. *)
 val set_tap : t -> rtu:int -> position:int -> Bft.Update.t

@@ -91,15 +91,7 @@ let stale_rtus t ~now_seq ~window =
     t.statuses
   |> List.sort compare
 
-let reply_digest t ~exec_index ~update =
-  Cryptosim.Digest.combine
-    (Cryptosim.Digest.of_string ("reply:" ^ string_of_int exec_index))
-    (Cryptosim.Digest.combine (Bft.Update.digest update) t.digest)
-
 let snapshot_digest = state_digest
-
-let field_event_count t = t.field_events
-let field_write_count t = t.field_writes
 
 let clone t =
   {

@@ -49,19 +49,6 @@ val known_rtus : t -> int list
     [window] — the master's view of "substation possibly down". *)
 val stale_rtus : t -> now_seq:int -> window:int -> int list
 
-(** [field_event_count t] is the cumulative number of fleet exception
-    events confirmed through ordered [Field_report] aggregates. *)
-val field_event_count : t -> int
-
-(** [field_write_count t] is the number of ordered fleet register
-    writes applied. *)
-val field_write_count : t -> int
-
-(** [reply_digest t ~exec_index ~update] is the digest the replicas
-    threshold-sign to authenticate their reply for [update]. Binds the
-    execution index, the update identity, and the resulting state. *)
-val reply_digest : t -> exec_index:int -> update:Bft.Update.t -> Cryptosim.Digest.t
-
 (** {1 State transfer} *)
 
 (** [snapshot_digest t] = [state_digest t] (alias used by recovery). *)

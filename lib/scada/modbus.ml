@@ -328,21 +328,3 @@ let pp_request ppf = function
     Format.fprintf ppf "WriteCoils(%d,%d bits)" start (List.length values)
   | Write_multiple_registers { start; values } ->
     Format.fprintf ppf "WriteRegs(%d,%d)" start (List.length values)
-
-let pp_response ppf = function
-  | Coils bits -> Format.fprintf ppf "Coils(%d bits)" (List.length bits)
-  | Discrete_inputs bits ->
-    Format.fprintf ppf "Discretes(%d bits)" (List.length bits)
-  | Holding_registers regs -> Format.fprintf ppf "Registers(%d)" (List.length regs)
-  | Input_registers regs ->
-    Format.fprintf ppf "InputRegs(%d)" (List.length regs)
-  | Coil_written { address; value } ->
-    Format.fprintf ppf "CoilWritten(%d,%b)" address value
-  | Register_written { address; value } ->
-    Format.fprintf ppf "RegWritten(%d,%d)" address value
-  | Coils_written { start; count } ->
-    Format.fprintf ppf "CoilsWritten(%d,%d)" start count
-  | Registers_written { start; count } ->
-    Format.fprintf ppf "RegsWritten(%d,%d)" start count
-  | Exception_response { function_code; exception_code } ->
-    Format.fprintf ppf "Exception(0x%02x,%d)" function_code exception_code

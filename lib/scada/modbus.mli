@@ -57,4 +57,3 @@ val encode_response : response frame -> string
 val decode_response : string -> (response frame, string) result
 
 val pp_request : Format.formatter -> request -> unit
-val pp_response : Format.formatter -> response -> unit

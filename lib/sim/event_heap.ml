@@ -9,7 +9,6 @@ type 'a t = {
   mutable events : 'a array;
   mutable len : int;
   mutable next_seq : int;
-  mutable hi_water : int;
 }
 
 let create () =
@@ -19,7 +18,6 @@ let create () =
     events = [||];
     len = 0;
     next_seq = 0;
-    hi_water = 0;
   }
 
 (* Hole-based sifting: the moving entry is held in locals while the
@@ -90,19 +88,13 @@ let grow t witness =
   t.seqs <- seqs;
   t.events <- events
 
-let push_keyed t ~time ~seq event =
+let push t ~time event =
   if t.len >= Array.length t.times then grow t event;
   let i = t.len in
-  (* Keep the internal counter ahead of caller-supplied keys so mixing
-     [push] and [push_keyed] on one heap cannot produce duplicate keys. *)
-  if seq >= t.next_seq then t.next_seq <- seq + 1;
-  t.len <- t.len + 1;
-  if t.len > t.hi_water then t.hi_water <- t.len;
-  sift_up t i ~time ~seq event
-
-let push t ~time event =
   let seq = t.next_seq in
-  push_keyed t ~time ~seq event
+  t.next_seq <- seq + 1;
+  t.len <- t.len + 1;
+  sift_up t i ~time ~seq event
 
 let is_empty t = t.len = 0
 let size t = t.len
@@ -110,10 +102,6 @@ let size t = t.len
 let min_time t =
   if t.len = 0 then invalid_arg "Event_heap.min_time: empty heap";
   t.times.(0)
-
-let min_seq t =
-  if t.len = 0 then invalid_arg "Event_heap.min_seq: empty heap";
-  t.seqs.(0)
 
 let min_event t =
   if t.len = 0 then invalid_arg "Event_heap.min_event: empty heap";
@@ -130,8 +118,6 @@ let pop_min t =
     t.events.(last) <- t.events.(0)
   end;
   ev
-
-let hi_water t = t.hi_water
 
 let pop t =
   if t.len = 0 then None

@@ -15,12 +15,6 @@ val create : unit -> 'a t
 (** [push t ~time event] inserts [event] at [time]. *)
 val push : 'a t -> time:int -> 'a -> unit
 
-(** [push_keyed t ~time ~seq event] inserts [event] with an explicit
-    tie-breaking sequence number, so a caller can key several heaps by
-    one shared insertion order. The internal counter used by {!push} is
-    bumped past [seq] so mixing the two cannot create duplicate keys. *)
-val push_keyed : 'a t -> time:int -> seq:int -> 'a -> unit
-
 (** [pop t] removes and returns the earliest event as [(time, event)],
     or [None] if empty. Allocates the option/tuple; the hot loop should
     use {!min_time} + {!pop_min} instead. *)
@@ -30,11 +24,6 @@ val pop : 'a t -> (int * 'a) option
     removing it. @raise Invalid_argument on an empty heap — check
     {!is_empty} first on the hot path. *)
 val min_time : 'a t -> int
-
-(** [min_seq t] is the tie-breaking sequence number of the earliest
-    event — the second component of the heap's min key.
-    @raise Invalid_argument on an empty heap. *)
-val min_seq : 'a t -> int
 
 (** [min_event t] is the earliest event without removing it.
     @raise Invalid_argument on an empty heap. *)
@@ -52,10 +41,6 @@ val compact : 'a t -> keep:('a -> bool) -> unit
 
 (** [size t] is the number of queued events. *)
 val size : 'a t -> int
-
-(** [hi_water t] is the maximum number of events ever simultaneously
-    queued over the heap's lifetime (high-water occupancy). *)
-val hi_water : 'a t -> int
 
 (** [is_empty t] is [size t = 0]. *)
 val is_empty : 'a t -> bool

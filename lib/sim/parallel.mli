@@ -2,7 +2,7 @@
 
     Farms a static set of jobs — E8 sweep points, E10 chaos soak seeds,
     config sweeps — across OCaml 5 domains. Each job must be
-    self-contained: build its own {!World} / system from a seed derived
+    self-contained: build its own engine / system from a seed derived
     with {!seed_of} and share {e no} mutable state with other jobs.
     Under that contract the results are deterministic:
 

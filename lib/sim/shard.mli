@@ -4,11 +4,8 @@
     centers are {e sites}, and all protocol traffic between sites
     crosses a WAN boundary. This module makes that structure explicit in
     the types. A {!partition} assigns every overlay node to exactly one
-    shard (= site, plus one shard pooling the field devices); {!owned}
-    stores per-node mutable state grouped under the owning shard, so
-    "which shard may touch this row" is visible in the representation
-    rather than implicit in a flat [src*n+dst] array; {!boundary}
-    ledgers every frame that crosses shards.
+    shard (= site, plus one shard pooling the field devices), and
+    {!boundary} ledgers every frame that crosses shards.
 
     Execution is sequential — the engine pops one global
     [(time, seq)]-ordered stream — so ownership records which site's
@@ -16,7 +13,7 @@
     {!Engine.processed_of}), not which domain runs it.
 
     Determinism: nothing in this module consults an RNG or ambient
-    state; all iteration orders are fixed functions of the partition. *)
+    state. *)
 
 type partition
 
@@ -35,38 +32,6 @@ val nodes : partition -> int
 
 (** [owner_of p node] is the shard owning [node]. *)
 val owner_of : partition -> int -> int
-
-(** [members p shard] is the nodes owned by [shard], ascending. The
-    returned array is the partition's own — do not mutate. *)
-val members : partition -> int -> int array
-
-(** {1 Shard-owned per-node state}
-
-    A ['a owned] holds one ['a] per node, stored as one row-array per
-    shard: [data.(shard).(local_index)]. Reads and writes go through the
-    owning shard's row, so the representation shows which site owns
-    each row. *)
-
-type 'a owned
-
-(** [init p f] builds per-node state with [f node] for every node. [f]
-    is called in shard-major order (shard 0's members ascending, then
-    shard 1's, ...); use only effect-free [f] where call order could be
-    observed. *)
-val init : partition -> (int -> 'a) -> 'a owned
-
-val get : 'a owned -> int -> 'a
-val set : 'a owned -> int -> 'a -> unit
-
-(** [row o shard] is the raw row owned by [shard] (members ascending —
-    same order as {!members}). Exposed for hot loops that iterate one
-    shard's state; treat as owned by that shard. *)
-val row : 'a owned -> int -> 'a array
-
-(** [iter f o] applies [f node v] for every node in ascending {e node}
-    order (not shard-major), matching iteration over the old flat
-    arrays so report orders are unchanged by the refactor. *)
-val iter : (int -> 'a -> unit) -> 'a owned -> unit
 
 (** {1 Inter-shard (WAN) boundary ledger} *)
 

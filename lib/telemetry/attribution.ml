@@ -49,11 +49,6 @@ let build sink =
 
 let phase_row t phase = List.find_opt (fun r -> r.phase = phase) t.rows
 
-let phase_share t phase =
-  match (t.e2e, phase_row t phase) with
-  | Some e, Some r when e.mean_us > 0. -> r.mean_us /. e.mean_us
-  | _ -> 0.
-
 let f1 v = Printf.sprintf "%.1f" v
 
 let to_table ?(title = "Latency attribution (µs, virtual)") t =

@@ -32,13 +32,6 @@ val build : Sink.t -> t
     traversed it. *)
 val phase_row : t -> Span.phase -> row option
 
-(** [phase_share t phase] is [phase]'s share of the end-to-end mean in
-    [0, 1] (0 when nothing confirmed) — the per-replica sensor input of
-    the local resilience controller: a leader attack shows up as the
-    [Ordering] share ballooning, a network attack as [Preorder]/[Reply]
-    dissemination shares. *)
-val phase_share : t -> Span.phase -> float
-
 (** Render as a {!Stats.Table.t}; includes an [end_to_end] row and a
     [sum(phases)] row so the reconciliation is visible in print. *)
 val to_table : ?title:string -> t -> Stats.Table.t

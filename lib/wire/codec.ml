@@ -449,8 +449,6 @@ let r_cert r =
   let prev_digest = Rw.r_digest ctx r in
   { Member.Cert.epoch; f; k; boundary_exec; sites; signers; prev_digest }
 
-let encode_cert = encode_with w_cert
-let decode_cert = decode_with r_cert
 
 (* ------------------------------------------------------------------ *)
 (* Scada.Field_frame — field-link frames (device <-> concentrator)     *)
@@ -514,7 +512,3 @@ let r_field_report r =
   let events = Rw.r_list ctx r r_field_event in
   { Scada.Field_frame.concentrator; device; seq; events }
 
-let encode_field_advert = encode_with w_field_advert
-let decode_field_advert = decode_with r_field_advert
-let encode_field_report = encode_with w_field_report
-let decode_field_report = decode_with r_field_report

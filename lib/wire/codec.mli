@@ -51,17 +51,11 @@ val r_reply : Rw.reader -> Scada.Reply.t
 val w_chunk : Rw.writer -> Recovery.State_transfer.chunk -> unit
 val r_chunk : Rw.reader -> Recovery.State_transfer.chunk
 
-val encode_cert : Member.Cert.t -> string
-val decode_cert : string -> (Member.Cert.t, Rw.error) result
 val w_cert : Rw.writer -> Member.Cert.t -> unit
 val r_cert : Rw.reader -> Member.Cert.t
 
-val encode_field_advert : Scada.Field_frame.advert -> string
-val decode_field_advert : string -> (Scada.Field_frame.advert, Rw.error) result
 val w_field_advert : Rw.writer -> Scada.Field_frame.advert -> unit
 val r_field_advert : Rw.reader -> Scada.Field_frame.advert
 
-val encode_field_report : Scada.Field_frame.report -> string
-val decode_field_report : string -> (Scada.Field_frame.report, Rw.error) result
 val w_field_report : Rw.writer -> Scada.Field_frame.report -> unit
 val r_field_report : Rw.reader -> Scada.Field_frame.report

@@ -45,12 +45,6 @@ let w_list b f l =
   w_u16 b len;
   List.iter (f b) l
 
-let w_option b f = function
-  | None -> w_u8 b 0
-  | Some v ->
-    w_u8 b 1;
-    f b v
-
 (* ------------------------------------------------------------------ *)
 (* Reading.                                                            *)
 
@@ -115,7 +109,6 @@ let r_list ctx r f =
   let rec go i acc = if i = count then List.rev acc else go (i + 1) (f r :: acc) in
   go 0 []
 
-let r_option ctx r f = if r_bool ctx r then Some (f r) else None
 
 let pos r = r.pos
 let remaining r = String.length r.data - r.pos

@@ -37,8 +37,6 @@ val w_bytes : writer -> string -> unit
     @raise Invalid_argument if the list exceeds 65535 elements. *)
 val w_list : writer -> (writer -> 'a -> unit) -> 'a list -> unit
 
-val w_option : writer -> (writer -> 'a -> unit) -> 'a option -> unit
-
 (** {1 Reading} *)
 
 type reader
@@ -55,7 +53,6 @@ val r_bool : string -> reader -> bool
 val r_digest : string -> reader -> Cryptosim.Digest.t
 val r_bytes : string -> reader -> string
 val r_list : string -> reader -> (reader -> 'a) -> 'a list
-val r_option : string -> reader -> (reader -> 'a) -> 'a option
 
 (** [pos r] / [remaining r]: cursor introspection. *)
 val pos : reader -> int

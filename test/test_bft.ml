@@ -76,9 +76,7 @@ let test_exec_log_append_and_chain () =
   let l = L.create () in
   Alcotest.(check int) "pos 1" 1 (L.append l (upd 1));
   Alcotest.(check int) "pos 2" 2 (L.append l (upd 2));
-  Alcotest.(check int) "length" 2 (L.length l);
-  Alcotest.(check bool) "contains key" true (L.contains_key l (0, 1));
-  Alcotest.(check bool) "not contains" false (L.contains_key l (0, 3))
+  Alcotest.(check int) "length" 2 (L.length l)
 
 let test_exec_log_prefix_equal () =
   let a = L.create () and b = L.create () in
@@ -128,15 +126,6 @@ let prop_exec_log_chain_detects_divergence =
       else if same_len then
         not (Cryptosim.Digest.equal (L.chain_digest a) (L.chain_digest b))
       else true)
-
-let test_exec_log_nth () =
-  let l = L.create () in
-  ignore (L.append l (upd 5));
-  ignore (L.append l (upd 6));
-  Alcotest.(check int) "nth 2" 6 (L.nth l 2).U.client_seq;
-  Alcotest.check_raises "out of range"
-    (Invalid_argument "Exec_log.nth: position out of range") (fun () ->
-      ignore (L.nth l 3))
 
 (* ------------------------------------------------------------------ *)
 (* Cluster harness *)
@@ -302,7 +291,6 @@ let () =
           Alcotest.test_case "append and chain" `Quick test_exec_log_append_and_chain;
           Alcotest.test_case "prefix equal" `Quick test_exec_log_prefix_equal;
           Alcotest.test_case "snapshot" `Quick test_exec_log_snapshot;
-          Alcotest.test_case "nth" `Quick test_exec_log_nth;
           QCheck_alcotest.to_alcotest prop_exec_log_chain_detects_divergence;
         ] );
       ( "batch",

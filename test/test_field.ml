@@ -344,6 +344,29 @@ let test_system_rejects_negative_concentrators =
   expect_system_rejects "field_concentrators < 0" (fun c ->
       { c with Spire.System.field_concentrators = -1 })
 
+(* Every other field [System.create] used to crash on (or accept
+   silently): rejected up front with the field's name. *)
+let test_system_rejects_garbage_fields () =
+  List.iter
+    (fun (msg, tweak) -> expect_system_rejects msg tweak ())
+    [
+      ("substations < 0", fun c -> { c with Spire.System.substations = -1 });
+      ("hmis < 0", fun c -> { c with Spire.System.hmis = -1 });
+      ( "site_sizes has a negative entry",
+        fun c -> { c with Spire.System.site_sizes = [ 3; -1; 2; 2 ] } );
+      ( "standby_site_sizes has a negative entry",
+        fun c -> { c with Spire.System.standby_site_sizes = [ 2; -1 ] } );
+      ("poll_interval_us <= 0", fun c -> { c with Spire.System.poll_interval_us = 0 });
+      ( "poll_interval_us <= 0",
+        fun c -> { c with Spire.System.poll_interval_us = -100_000 } );
+      ( "resubmit_timeout_us <= 0",
+        fun c -> { c with Spire.System.resubmit_timeout_us = 0 } );
+      ("max_batch < 1", fun c -> { c with Spire.System.max_batch = 0 });
+      ("max_batch < 1", fun c -> { c with Spire.System.max_batch = -4 });
+      ( "field_devices < field_concentrators",
+        fun c -> { c with Spire.System.field_devices = 1 } );
+    ]
+
 let test_concentrator_rejects_garbage () =
   let engine = Sim.Engine.create ~seed:1L () in
   let group =
@@ -513,6 +536,8 @@ let () =
             test_system_rejects_negative_concentrators;
           Alcotest.test_case "concentrator rejects garbage" `Quick
             test_concentrator_rejects_garbage;
+          Alcotest.test_case "system rejects garbage fields" `Quick
+            test_system_rejects_garbage_fields;
         ] );
       ( "dnp3",
         [

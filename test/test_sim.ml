@@ -263,8 +263,8 @@ let test_shard_partition_shape () =
   Alcotest.(check int) "shards" 3 (Sim.Shard.shards p);
   Alcotest.(check int) "nodes" 6 (Sim.Shard.nodes p);
   Alcotest.(check int) "owner of 3" 1 (Sim.Shard.owner_of p 3);
-  Alcotest.(check (array int)) "members of shard 2" [| 4; 5 |]
-    (Sim.Shard.members p 2);
+  Alcotest.(check (list int)) "owners of 4 and 5" [ 2; 2 ]
+    (List.map (Sim.Shard.owner_of p) [ 4; 5 ]);
   Alcotest.(check int) "engine heap of node 5 (control heap is 0)" 3
     (Sim.Shard.engine_shard p 5);
   Alcotest.(check int) "engine heaps = shards + control" 4
@@ -273,8 +273,8 @@ let test_shard_partition_shape () =
 let test_shard_singleton () =
   let p = Sim.Shard.singleton ~nodes:4 in
   Alcotest.(check int) "one shard" 1 (Sim.Shard.shards p);
-  Alcotest.(check (array int)) "all members" [| 0; 1; 2; 3 |]
-    (Sim.Shard.members p 0)
+  Alcotest.(check (list int)) "every node in shard 0" [ 0; 0; 0; 0 ]
+    (List.init 4 (Sim.Shard.owner_of p))
 
 let test_shard_make_validates () =
   Alcotest.check_raises "out-of-range owner"
@@ -282,22 +282,6 @@ let test_shard_make_validates () =
       ignore
         (Sim.Shard.make ~shards:3 ~owner:(fun _ -> 7) ~nodes:2
           : Sim.Shard.partition))
-
-let test_shard_owned_roundtrip () =
-  let p = shard_fixture () in
-  let o = Sim.Shard.init p (fun node -> node * 10) in
-  for node = 0 to 5 do
-    Alcotest.(check int) "get after init" (node * 10) (Sim.Shard.get o node)
-  done;
-  Sim.Shard.set o 3 99;
-  Alcotest.(check int) "set visible" 99 (Sim.Shard.get o 3);
-  (* iter must walk nodes in ascending global order regardless of the
-     shard-major storage layout — reports depend on it. *)
-  let seen = ref [] in
-  Sim.Shard.iter (fun node v -> seen := (node, v) :: !seen) o;
-  Alcotest.(check (list (pair int int))) "ascending node order"
-    [ (0, 0); (1, 10); (2, 20); (3, 99); (4, 40); (5, 50) ]
-    (List.rev !seen)
 
 let test_shard_boundary_ledger () =
   let p = shard_fixture () in
@@ -541,20 +525,17 @@ let prop_heap_compact_preserves_order =
       && ordered popped)
 
 (* Model check of the whole heap API against a list sorted by
-   [(time, seq)]: random interleavings of [push], [push_keyed] (seqs
-   past every key so far, with gaps), [pop_min] and [compact], over few
-   distinct times so most comparisons fall through to the tie-break. Events are unique ids;
-   after every step the min key and size must agree with the model. *)
-type heap_op = Push | Push_keyed | Pop | Compact
+   [(time, seq)]: random interleavings of [push], [pop_min] and
+   [compact], over few distinct times so most comparisons fall through
+   to the tie-break. Events are unique ids; after every step the min
+   time, min event and size must agree with the model. *)
+type heap_op = Push | Pop | Compact
 
 let prop_heap_matches_sorted_model =
   let op =
     QCheck.Gen.(
       frequency
-        [
-          (4, return Push); (3, return Push_keyed); (4, return Pop);
-          (1, return Compact);
-        ])
+        [ (7, return Push); (4, return Pop); (1, return Compact) ])
   in
   QCheck.Test.make ~count:300 ~name:"event heap matches sorted (time, seq) model"
     QCheck.(
@@ -562,13 +543,14 @@ let prop_heap_matches_sorted_model =
         Gen.(list_size (0 -- 300) (triple op (int_bound 4) (int_bound 3))))
     (fun steps ->
       let h = Sim.Event_heap.create () in
-      let model = ref [] (* (time, seq, id), ascending *) in
-      let next_seq = ref 0 and next_id = ref 0 in
-      let insert time seq =
+      (* (time, id), ascending; ids count insertions, so they are the
+         heap's seqs *)
+      let model = ref [] in
+      let next_id = ref 0 in
+      let insert time =
         let id = !next_id in
         incr next_id;
-        model := List.merge compare !model [ (time, seq, id) ];
-        if seq >= !next_seq then next_seq := seq + 1;
+        model := List.merge compare !model [ (time, id) ];
         id
       in
       let agrees () =
@@ -576,54 +558,32 @@ let prop_heap_matches_sorted_model =
         &&
         match !model with
         | [] -> Sim.Event_heap.is_empty h
-        | (time, seq, _) :: _ ->
-          Sim.Event_heap.min_time h = time && Sim.Event_heap.min_seq h = seq
+        | (time, id) :: _ ->
+          Sim.Event_heap.min_time h = time && Sim.Event_heap.min_event h = id
       in
       let step (op, time, k) =
         let popped_in_order =
           match op with
           | Push ->
-            let id = insert time !next_seq in
-            Sim.Event_heap.push h ~time id;
-            true
-          | Push_keyed ->
-            let seq = !next_seq + k in
-            Sim.Event_heap.push_keyed h ~time ~seq (insert time seq);
+            Sim.Event_heap.push h ~time (insert time);
             true
           | Pop -> (
             match !model with
             | [] -> true
-            | (_, _, id) :: rest ->
+            | (_, id) :: rest ->
               model := rest;
               Sim.Event_heap.pop_min h = id)
           | Compact ->
             let keep id = (id + k) mod 3 <> 0 in
             Sim.Event_heap.compact h ~keep;
-            model := List.filter (fun (_, _, id) -> keep id) !model;
+            model := List.filter (fun (_, id) -> keep id) !model;
             true
         in
         popped_in_order && agrees ()
       in
       List.for_all step steps
-      && List.for_all
-           (fun (_, _, id) -> Sim.Event_heap.pop_min h = id)
-           !model
+      && List.for_all (fun (_, id) -> Sim.Event_heap.pop_min h = id) !model
       && Sim.Event_heap.is_empty h)
-
-let test_heap_hi_water () =
-  let h = Sim.Event_heap.create () in
-  Alcotest.(check int) "empty" 0 (Sim.Event_heap.hi_water h);
-  for i = 0 to 4 do
-    Sim.Event_heap.push h ~time:i i
-  done;
-  ignore (Sim.Event_heap.pop_min h);
-  ignore (Sim.Event_heap.pop_min h);
-  Sim.Event_heap.push h ~time:9 9;
-  Alcotest.(check int) "peak not current size" 5 (Sim.Event_heap.hi_water h);
-  for i = 10 to 13 do
-    Sim.Event_heap.push h ~time:i i
-  done;
-  Alcotest.(check int) "new peak" 8 (Sim.Event_heap.hi_water h)
 
 (* Engine-level purge: cancelling queued timers past the threshold must
    shrink the pending count without firing anything. *)
@@ -1127,8 +1087,6 @@ let () =
           Alcotest.test_case "singleton" `Quick test_shard_singleton;
           Alcotest.test_case "make validates owners" `Quick
             test_shard_make_validates;
-          Alcotest.test_case "owned get/set/iter" `Quick
-            test_shard_owned_roundtrip;
           Alcotest.test_case "boundary ledger" `Quick test_shard_boundary_ledger;
         ] );
       ( "sharded_engine",
@@ -1149,7 +1107,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_heap_stable_at_equal_times;
           QCheck_alcotest.to_alcotest prop_heap_compact_preserves_order;
           QCheck_alcotest.to_alcotest prop_heap_matches_sorted_model;
-          Alcotest.test_case "hi-water occupancy" `Quick test_heap_hi_water;
           Alcotest.test_case "engine purges cancelled timers" `Quick
             test_engine_purges_cancelled;
           Alcotest.test_case "compaction keeps live periodic" `Quick
