@@ -7,13 +7,17 @@
 # delaying leader, proactive recovery and state transfer, site loss and
 # restoration, flooding over lossy links and the epoch cutover path end
 # to end) and the PERF=1 wall-clock gates. It rewrites no tracked file.
-# Each release smoke's stdout, minus its wall-time lines, must match
-# bench/expected/<ID>.txt byte for byte. A change meant to move those
+# Each release smoke's stdout, and the E12 fleet smoke's, minus its
+# wall-time lines, must match bench/expected/<ID>.txt byte for byte. A change meant to move those
 # tables regenerates them with:
 #   for id in E2 E4 E5 E6 E6B E7 E11 E13; do
 #     EXPERIMENT=$id dune exec --profile release bench/main.exe |
 #       grep -v "wall time" > bench/expected/$id.txt
 #   done
+# and the field-fleet smoke's table (E12 at 1k, 10k and 100k devices)
+# with:
+#   FLEET=1000,10000,100000 ONLY=E12 dune exec bench/main.exe |
+#     grep -v "wall time" > bench/expected/E12.txt
 set -e
 cd "$(dirname "$0")/.."
 
@@ -36,11 +40,13 @@ diff "$tmp/e10_par1.txt" "$tmp/e10_par4.txt"
 # 40-concentrator fleet store at benchmark scale): E12 exits nonzero if
 # any sweep point confirms zero events (aggregation or the write path
 # broken), or if the 10k point confirms fewer than 9,090 events/s. Its
-# table must be byte-identical under PAR=4.
+# table must match bench/expected/E12.txt and be byte-identical under
+# PAR=4.
 for par in 1 4; do
   FLEET=1000,10000,100000 PAR=$par ONLY=E12 dune exec bench/main.exe > "$tmp/e12.out"
   grep -v "wall time" "$tmp/e12.out" > "$tmp/e12_par$par.txt"
 done
+diff bench/expected/E12.txt "$tmp/e12_par1.txt"
 diff "$tmp/e12_par1.txt" "$tmp/e12_par4.txt"
 
 # Telemetry-enabled E2 smoke: zero orphan spans, bounded open spans,

@@ -270,16 +270,39 @@ let fleet_fingerprint () =
          (Spire.System.wire_traffic sys))
   in
   Printf.sprintf
-    "confirmed=%d;events=%d;reports=%d;dups=%d;churn=%d;adverts=%d;conf_ev=%d;conf_wr=%d;%s"
+    "confirmed=%d;events=%d;reports=%d;dups=%d;churn=%d;adverts=%d;frames=%d;polls=%d;poll_bytes=%d;conf_ev=%d;conf_wr=%d;%s"
     r.Spire.Scenarios.confirmed s.Field.Concentrator.events_seen
     s.Field.Concentrator.reports_accepted s.Field.Concentrator.dups_dropped
     s.Field.Concentrator.churn s.Field.Concentrator.adverts_sent
-    s.Field.Concentrator.confirmed_events s.Field.Concentrator.confirmed_writes
-    ledger
+    s.Field.Concentrator.report_frames s.Field.Concentrator.polls_sent
+    s.Field.Concentrator.poll_bytes s.Field.Concentrator.confirmed_events
+    s.Field.Concentrator.confirmed_writes ledger
 
 let test_fleet_run_deterministic () =
   let a = fleet_fingerprint () and b = fleet_fingerprint () in
   Alcotest.(check string) "same seed, same fleet trajectory" a b
+
+(* The absolute trajectory of the 2-concentrator, 100-device fleet:
+   counters, Modbus poll traffic and the whole wire ledger. A change to
+   how the scan computes what it charges must leave every figure here
+   as it is. *)
+let fleet_golden =
+  String.concat ";"
+    [
+      "confirmed=88"; "events=459"; "reports=395"; "dups=1"; "churn=102";
+      "adverts=101"; "frames=396"; "polls=167"; "poll_bytes=4769";
+      "conf_ev=446"; "conf_wr=4"; "prime/prepare=2765/171430";
+      "prime/commit=2760/171120"; "prime/po_aru=2030/146160";
+      "prime/preprepare=465/98580"; "replica_reply=480/85440";
+      "prime/po_request=475/47435"; "client_update=80/25364";
+      "field/report=396/24080"; "field/advert=101/6161";
+      "replica_reply_batch=24/5256"; "prime/slot_reply=12/2496";
+      "prime/po_batch=20/2440"; "client_batch=4/1348";
+      "prime/slot_request=15/750";
+    ]
+
+let test_fleet_trajectory_golden () =
+  Alcotest.(check string) "fleet trajectory" fleet_golden (fleet_fingerprint ())
 
 let test_fleet_confirms_events_and_writes () =
   let sys, _ =
@@ -519,6 +542,8 @@ let () =
         [
           Alcotest.test_case "deterministic trajectory" `Quick
             test_fleet_run_deterministic;
+          Alcotest.test_case "fleet trajectory golden" `Quick
+            test_fleet_trajectory_golden;
           Alcotest.test_case "confirms events and writes" `Quick
             test_fleet_confirms_events_and_writes;
           Alcotest.test_case "disabled fleet is silent" `Quick
