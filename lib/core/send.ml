@@ -66,8 +66,7 @@ let rec trace_of_payload payload =
   | Transfer_chunk _ | Cert_frame _ | Field_advert _ | Field_report _ ->
     Telemetry.Span.no_trace
 
-let charge t payload size_bytes =
-  let k = Wire.Message.kind_index payload in
+let charge t k size_bytes =
   t.frames.(k) <- t.frames.(k) + 1;
   t.bytes.(k) <- t.bytes.(k) + size_bytes
 
@@ -88,7 +87,7 @@ let payload t ~src_node ~dst_node payload =
       s
     end
   in
-  charge t payload size_bytes;
+  charge t (Wire.Message.kind_index payload) size_bytes;
   let trace =
     if Telemetry.Sink.enabled t.telemetry then trace_of_payload payload
     else Telemetry.Span.no_trace
@@ -96,17 +95,22 @@ let payload t ~src_node ~dst_node payload =
   Overlay.Net.send t.net ~priority:Overlay.Fair_queue.Control ~trace ~size_bytes
     ~src:src_node ~dst:dst_node ~mode:t.mode payload
 
+let field_report_kind =
+  Wire.Message.kind_index
+    (Field_report { concentrator = 0; device = 0; seq = 0; events = [] })
+
 (* Field-link frames (the device <-> concentrator last mile) never ride
    the overlay — devices are not overlay nodes — but they are real wire
    traffic, so they are charged into the same per-kind ledger at
-   exact envelope size as every protocol frame. *)
+   exact envelope size as every protocol frame. A report is charged by
+   its event count, the only thing its size depends on. *)
 let charge_field_frame t ~node (frame : Field.Concentrator.frame) =
-  let payload =
-    match frame with
-    | `Advert a -> Field_advert a
-    | `Report r -> Field_report r
-  in
-  charge t payload (Wire.Envelope.size ~sender:node payload)
+  match frame with
+  | `Advert a ->
+    let payload = Field_advert a in
+    charge t (Wire.Message.kind_index payload) (Wire.Envelope.size ~sender:node payload)
+  | `Report events ->
+    charge t field_report_kind (Wire.Envelope.field_report_size ~events)
 
 (* Decode-on-delivery (debug): the simulator transports payloads by
    value, so re-encoding at the receiver is byte-identical to carrying

@@ -631,6 +631,7 @@ let validate cfg =
   if cfg.poll_interval_us <= 0 then fail "poll_interval_us <= 0";
   if cfg.resubmit_timeout_us <= 0 then fail "resubmit_timeout_us <= 0";
   if cfg.max_batch < 1 then fail "max_batch < 1";
+  if cfg.batch_delay_us < 0 then fail "batch_delay_us < 0";
   if cfg.field_concentrators < 0 then fail "field_concentrators < 0";
   if cfg.field_concentrators > 0 && cfg.field_devices < cfg.field_concentrators
   then fail "field_devices < field_concentrators";

@@ -55,9 +55,9 @@ type config = {
           bit-for-bit: every update flushes alone as the legacy frame
           and no batch timer is ever armed. *)
   batch_delay_us : int;
-      (** deadline bound: a partial batch flushes at most this long
-          after its oldest member arrived (ignored when [max_batch]
-          is 1) *)
+      (** deadline bound, >= 0: a partial batch flushes at most this
+          long after its oldest member arrived (ignored when
+          [max_batch] is 1) *)
   field_concentrators : int;
       (** number of data concentrators fronting the modeled device
           fleet ({!Field.Concentrator}); each is an ordinary BFT
@@ -104,9 +104,16 @@ val default_config : unit -> config
 type t
 
 (** [create cfg] builds the deployment.
-    @raise Invalid_argument naming the field if the fleet config is
-    garbage: [field_concentrators < 0], [field_scan_interval_us <= 0],
-    or [field_loss] outside [0, 1] (nan included). *)
+    @raise Invalid_argument ["System.create: <field> …"] naming the
+    field if the config is garbage: a negative [site_sizes] or
+    [standby_site_sizes] entry, [site_sizes] not summing to the
+    quorum's [n], [control_centers] outside [1 .. List.length
+    site_sizes], [substations < 0], [hmis < 0],
+    [poll_interval_us <= 0], [resubmit_timeout_us <= 0],
+    [max_batch < 1], [batch_delay_us < 0], [field_concentrators < 0],
+    [field_devices < field_concentrators] (with concentrators),
+    [field_scan_interval_us <= 0], or [field_loss] outside [0, 1] (nan
+    included). *)
 val create : config -> t
 
 (** [start t] arms every component (replicas, proxies, HMIs). *)
@@ -123,9 +130,9 @@ val net : t -> payload Overlay.Net.t
     runs under: one shard per replica site (active and standby, in
     config order) plus one trailing shard pooling all field devices
     (proxies, HMIs). Purely structural — event order is identical for
-    any partition. Every system owns a fresh {!Sim.World}, so
-    independent systems may run concurrently on different domains
-    ({!Sim.Parallel}). *)
+    any partition. Every system creates its own engine
+    ({!Sim.Engine.t}), so independent systems may run concurrently on
+    different domains ({!Sim.Parallel}). *)
 val shard_partition : t -> Sim.Shard.partition
 
 (** [telemetry t] is the system's span sink: live when the config set

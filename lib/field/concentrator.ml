@@ -15,8 +15,7 @@ let default_config =
     keepalive_loss = 0.005;
   }
 
-type frame =
-  [ `Advert of Scada.Field_frame.advert | `Report of Scada.Field_frame.report ]
+type frame = [ `Advert of Scada.Field_frame.advert | `Report of int ]
 
 type t = {
   id : int;
@@ -26,7 +25,10 @@ type t = {
   rng : Sim.Rng.t;  (* write-workload draws only *)
   devices : Device.t;
   sessions : Session.t;
-  last_report : Scada.Field_frame.report option array;
+  (* The last report frame of each device, kept for the relink replay:
+     its sequence number (-1: none yet) and event count. *)
+  last_seq : int array;
+  last_events : int array;
   endpoint : Scada.Endpoint.t;
   charge : frame -> unit;
   mutable running : bool;
@@ -106,6 +108,9 @@ let create ?telemetry ?batch ?submit_batch ?(shard = 0) ~engine ~id ~client_id
     invalid_arg "Concentrator.create: need at least one device";
   if config.scan_interval_us <= 0 then
     invalid_arg "Concentrator.create: scan_interval_us <= 0";
+  if config.phase_us < 0 then invalid_arg "Concentrator.create: phase_us < 0";
+  if config.write_interval_us < 0 then
+    invalid_arg "Concentrator.create: write_interval_us < 0";
   if not (config.keepalive_loss >= 0. && config.keepalive_loss <= 1.) then
     invalid_arg "Concentrator.create: keepalive_loss outside [0, 1]";
   let endpoint =
@@ -126,7 +131,8 @@ let create ?telemetry ?batch ?submit_batch ?(shard = 0) ~engine ~id ~client_id
         Session.create ~count:config.devices
           ~seed:(fun i -> Sim.Rng.derive ~seed ~index:(1 + config.devices + i))
           ~loss:config.keepalive_loss;
-      last_report = Array.make config.devices None;
+      last_seq = Array.make config.devices (-1);
+      last_events = Array.make config.devices 0;
       endpoint;
       charge;
       running = false;
@@ -154,19 +160,38 @@ let device_count t = Device.count t.devices
 
 let set_on_complete t f = t.on_complete <- f
 
+(* The two integrity polls read a whole register table, so their
+   exchanges have the same length whatever the registers hold or the
+   transaction id: measured once, on a representative device. *)
+let poll_exchange_bytes body =
+  let store =
+    Device.create ~concentrator:0 ~first_device:0 ~count:1 ~seed:(fun _ -> 0L)
+  in
+  let req = { Scada.Modbus.transaction = 0; unit_id = 0; body } in
+  String.length (Scada.Modbus.encode_request req)
+  + String.length
+      (Scada.Modbus.encode_response { req with body = Device.serve store 0 body })
+
+let input_poll_bytes =
+  poll_exchange_bytes
+    (Scada.Modbus.Read_input_registers
+       { start = 0; count = Device.input_registers_count })
+
+let discrete_poll_bytes =
+  poll_exchange_bytes
+    (Scada.Modbus.Read_discrete_inputs
+       { start = 0; count = Device.discrete_inputs_count })
+
 (* Periodic integrity poll: a full read of one register table over the
    modeled Modbus link, alternating between the two "new" read function
-   codes. Staggered so 1/8th of the fleet polls each round. *)
+   codes. Staggered so 1/8th of the fleet polls each round. Only its
+   length is kept, so it is charged without being encoded. *)
 let integrity_poll (t : t) i =
-  let body =
-    if (t.round + i) land 8 = 0 then
-      Scada.Modbus.Read_input_registers
-        { start = 0; count = Device.input_registers_count }
-    else
-      Scada.Modbus.Read_discrete_inputs
-        { start = 0; count = Device.discrete_inputs_count }
-  in
-  if Option.is_some (exchange t i body) then t.polls_sent <- t.polls_sent + 1
+  t.next_txn <- t.next_txn + 1;
+  t.poll_bytes <-
+    t.poll_bytes
+    + (if (t.round + i) land 8 = 0 then input_poll_bytes else discrete_poll_bytes);
+  t.polls_sent <- t.polls_sent + 1
 
 let scan_round (t : t) =
   t.round <- t.round + 1;
@@ -182,35 +207,28 @@ let scan_round (t : t) =
          concentrator's sequence high-watermark drops the duplicate. *)
       t.charge (`Advert (Device.advert t.devices i));
       t.adverts_sent <- t.adverts_sent + 1;
-      (match t.last_report.(i) with
-      | None -> ()
-      | Some f ->
-        t.charge (`Report f);
+      let seq = t.last_seq.(i) in
+      if seq >= 0 then begin
+        t.charge (`Report t.last_events.(i));
         t.report_frames <- t.report_frames + 1;
-        ignore (Session.accept t.sessions i ~seq:f.Scada.Field_frame.seq : bool))
+        ignore (Session.accept t.sessions i ~seq : bool)
+      end
     | `Online ->
       let n = Device.tick t.devices i in
       if (t.round + i) mod 8 = 0 then integrity_poll t i;
       if n > 0 then begin
         let seq = Session.next_seq t.sessions i in
-        let f =
-          {
-            Scada.Field_frame.concentrator = t.id;
-            device = Device.id t.devices i;
-            seq;
-            events = Device.events t.devices;
-          }
-        in
-        t.charge (`Report f);
+        t.charge (`Report n);
         t.report_frames <- t.report_frames + 1;
-        t.last_report.(i) <- Some f;
+        t.last_seq.(i) <- seq;
+        t.last_events.(i) <- n;
         if Session.accept t.sessions i ~seq then begin
           t.events_seen <- t.events_seen + n;
           t.reports_accepted <- t.reports_accepted + 1;
           round_events := !round_events + n;
           incr round_devices;
           checksum :=
-            ((!checksum * 31) + Scada.Field_frame.report_checksum f)
+            ((!checksum * 31) + Device.report_checksum t.devices i)
             land 0x3FFF_FFFF
         end
       end

@@ -8,8 +8,13 @@
 
     - steps each session (keep-alive / link-down / relink);
     - ticks each linked device and, only for a device that raised
-      report-by-exception events, builds its report frame (charged to
-      the wire ledger via [charge]);
+      report-by-exception events, charges its report frame to the wire
+      ledger via [charge] by event count, and folds the report's
+      checksum straight from the device store, so the frame itself is
+      never built;
+    - integrity-polls 1/8th of the devices, charging each Modbus
+      exchange its measured length ({!input_poll_bytes},
+      {!discrete_poll_bytes}) without encoding it;
     - deduplicates replayed frames on the session sequence watermark;
     - folds the whole round into {e one} compact
       [Scada.Op.Field_report] aggregate submitted through its
@@ -30,15 +35,17 @@
 type config = {
   devices : int;
   scan_interval_us : int;
-  phase_us : int;  (** stagger offset for this concentrator's timers *)
-  write_interval_us : int;  (** 0 disables the write workload *)
+  phase_us : int;  (** stagger offset for this concentrator's timers, >= 0 *)
+  write_interval_us : int;  (** 0 disables the write workload; >= 0 *)
   keepalive_loss : float;
 }
 
 val default_config : config
 
-type frame =
-  [ `Advert of Scada.Field_frame.advert | `Report of Scada.Field_frame.report ]
+(** A field-link frame to charge: a capability advertisement, or a
+    report frame given by its event count (its wire size,
+    [Wire.Envelope.field_report_size], depends on nothing else). *)
+type frame = [ `Advert of Scada.Field_frame.advert | `Report of int ]
 
 type t
 
@@ -63,7 +70,8 @@ type stats = {
     receives every field-link frame (adverts and reports) for wire
     accounting; [first_device] is the global id of device 0.
     @raise Invalid_argument naming the field unless [devices > 0],
-    [scan_interval_us > 0] and [keepalive_loss] is in [0, 1]. *)
+    [scan_interval_us > 0], [phase_us >= 0], [write_interval_us >= 0]
+    and [keepalive_loss] is in [0, 1]. *)
 val create :
   ?telemetry:Telemetry.Sink.t ->
   ?batch:Bft.Batch.policy ->
@@ -96,3 +104,12 @@ val handle_reply : t -> Scada.Reply.t -> unit
 val set_on_complete : t -> (Bft.Update.t -> latency_us:int -> unit) -> unit
 
 val stats : t -> stats
+
+(** Bytes one integrity poll puts on a device's Modbus link, request
+    plus response: a read of all {!Device.input_registers_count} input
+    registers, and of all {!Device.discrete_inputs_count} discrete
+    inputs. Neither depends on the register contents or the
+    transaction id. *)
+val input_poll_bytes : int
+
+val discrete_poll_bytes : int

@@ -157,6 +157,21 @@ let events t =
       in
       { Scada.Field_frame.table; address; value })
 
+(* [Field_frame.report_checksum] of device [d]'s report of the last
+   tick's events, folded straight from the event buffer. *)
+let report_checksum t d =
+  let acc = ref (id t d land 0xFFFF) in
+  for k = 0 to t.event_count - 1 do
+    let slot = t.events.(k) lsr 16 and value = t.events.(k) land 0xFFFF in
+    acc :=
+      if slot < input_registers_count then
+        Scada.Field_frame.fold_event !acc Point.Input_register ~address:slot ~value
+      else
+        Scada.Field_frame.fold_event !acc Point.Discrete_input
+          ~address:(slot - input_registers_count) ~value
+  done;
+  !acc
+
 (* The device side of a Modbus exchange against the register tables.
    Out-of-range accesses answer with exception code 2 (illegal data
    address), as a real slave would. *)

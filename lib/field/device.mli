@@ -49,6 +49,12 @@ val tick : t -> int -> int
 
 val events : t -> Scada.Field_frame.event list
 
+(** [report_checksum t d] is [Scada.Field_frame.report_checksum] of a
+    report from device [d] carrying {!events}, computed from the
+    store's event buffer without building the report; it allocates
+    nothing. *)
+val report_checksum : t -> int -> int
+
 (** [serve t d req] answers a Modbus request from device [d]'s tables. *)
 val serve : t -> int -> Scada.Modbus.request -> Scada.Modbus.response
 

@@ -38,9 +38,11 @@ type report = {
   events : event list;
 }
 
-let event_checksum acc { table; address; value } =
+let fold_event acc table ~address ~value =
   let mix acc v = ((acc * 1_000_003) + v) land 0x3FFF_FFFF in
   mix (mix (mix acc (table_to_int table)) address) value
+
+let event_checksum acc { table; address; value } = fold_event acc table ~address ~value
 
 let report_checksum r = List.fold_left event_checksum (r.device land 0xFFFF) r.events
 

@@ -48,6 +48,12 @@ type report = {
 val report_checksum : report -> int
 
 val event_checksum : int -> event -> int
+
+(** [fold_event acc table ~address ~value] =
+    [event_checksum acc { table; address; value }], without building
+    the event. *)
+val fold_event : int -> table -> address:int -> value:int -> int
+
 val pp_advert : Format.formatter -> advert -> unit
 val pp_report : Format.formatter -> report -> unit
 val equal_advert : advert -> advert -> bool

@@ -59,6 +59,9 @@ let encode ~sender msg =
 let size ~sender:_ msg =
   overhead (scheme_of msg) + Measure.message msg
 
+(* [scheme_of] puts every field-link frame under [Hmac]. *)
+let field_report_size ~events = overhead Hmac + Measure.field_report_message ~events
+
 let decode s =
   Rw.run s (fun r ->
       let ctx = "envelope" in

@@ -59,3 +59,9 @@ val decode : string -> (envelope, Rw.error) result
     directly via {!Measure} without encoding (frame length does not
     depend on the sender). *)
 val size : sender:int -> Message.t -> int
+
+(** [field_report_size ~events] = [size ~sender (Field_report r)] for
+    every report [r] carrying [events] events: the frame charged for a
+    field report, computed from its event count alone, so the report
+    need not be built. *)
+val field_report_size : events:int -> int

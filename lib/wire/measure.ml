@@ -83,10 +83,12 @@ let chunk (c : Recovery.State_transfer.chunk) =
 let field_advert (_ : Scada.Field_frame.advert) =
   u16 + u32 + u8 + u8 + u8 + u8 + digest
 
-let field_event (_ : Scada.Field_frame.event) = u8 + u16 + u16
+(* Every event is a table tag, an address and a value, whatever their
+   contents, so a report's size is a function of its event count. *)
+let field_report_events n = u16 + u32 + u32 + u16 + (n * (u8 + u16 + u16))
 
 let field_report (rep : Scada.Field_frame.report) =
-  u16 + u32 + u32 + list field_event rep.Scada.Field_frame.events
+  field_report_events (List.length rep.Scada.Field_frame.events)
 
 let site (s : Member.Cert.site) =
   u16 + u8 + list (fun _ -> u16) s.Member.Cert.members
@@ -96,8 +98,11 @@ let cert (c : Member.Cert.t) =
   + list (fun _ -> u16) c.Member.Cert.signers
   + digest
 
+(* The kind tag in front of every message body. *)
+let tag = u8
+
 let rec message (m : Message.t) =
-  u8
+  tag
   +
   match m with
   | Message.Prime_msg (_, p) -> u16 + prime p
@@ -111,3 +116,5 @@ let rec message (m : Message.t) =
   | Message.Cert_frame c -> cert c
   | Message.Field_advert a -> field_advert a
   | Message.Field_report rep -> field_report rep
+
+let field_report_message ~events = tag + field_report_events events

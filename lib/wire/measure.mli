@@ -24,3 +24,8 @@ val field_report : Scada.Field_frame.report -> int
 (** [message m] = [String.length (Message.encode m)] — the bare body
     size, before envelope framing. *)
 val message : Message.t -> int
+
+(** [field_report_message ~events] = [message (Field_report r)] for
+    every report [r] carrying [events] events: an event's size does not
+    depend on its contents. *)
+val field_report_message : events:int -> int

@@ -213,6 +213,53 @@ let prop_device_input_registers_stay_in_envelope =
       done;
       !ok)
 
+(* The scan folds each report's checksum from the store's event buffer;
+   it must equal the checksum of the report frame those events make. *)
+let prop_device_report_checksum_matches_frame =
+  QCheck.Test.make ~count:20 ~name:"device report checksum = frame checksum"
+    QCheck.(map Int64.of_int int)
+    (fun seed ->
+      let store =
+        D.create ~concentrator:3 ~first_device:70_000 ~count:8
+          ~seed:(fun i -> Sim.Rng.derive ~seed ~index:i)
+      in
+      let ok = ref true in
+      for round = 1 to 200 do
+        for d = 0 to D.count store - 1 do
+          ignore (D.tick store d : int);
+          let frame =
+            { FF.concentrator = 3; device = D.id store d; seq = round; events = D.events store }
+          in
+          if D.report_checksum store d <> FF.report_checksum frame then ok := false
+        done
+      done;
+      !ok)
+
+(* The scan charges each integrity poll a precomputed length; it must
+   be the length of a real encode -> serve -> encode exchange, whatever
+   the registers hold and whatever the transaction and unit ids. *)
+let prop_poll_lengths_match_exchange =
+  QCheck.Test.make ~count:100 ~name:"integrity poll lengths = real exchange"
+    QCheck.(quad (map Int64.of_int int) (int_bound 300) (int_bound 0xFFFF) (int_bound 0xFF))
+    (fun (seed, ticks, transaction, unit_id) ->
+      let store = D.create ~concentrator:0 ~first_device:0 ~count:1 ~seed:(fun _ -> seed) in
+      for _ = 1 to ticks do
+        ignore (D.tick store 0 : int)
+      done;
+      let exchange body =
+        let req = { MB.transaction; unit_id; body } in
+        let raw = MB.encode_request req in
+        match MB.decode_request raw with
+        | Error _ -> -1
+        | Ok dec ->
+          String.length raw
+          + String.length (MB.encode_response { dec with body = D.serve store 0 dec.MB.body })
+      in
+      exchange (MB.Read_input_registers { start = 0; count = D.input_registers_count })
+      = Field.Concentrator.input_poll_bytes
+      && exchange (MB.Read_discrete_inputs { start = 0; count = D.discrete_inputs_count })
+         = Field.Concentrator.discrete_poll_bytes)
+
 (* ------------------------------------------------------------------ *)
 (* Session *)
 
@@ -304,6 +351,45 @@ let fleet_golden =
 let test_fleet_trajectory_golden () =
   Alcotest.(check string) "fleet trajectory" fleet_golden (fleet_fingerprint ())
 
+(* Deterministic allocation guard (a GC word count, not a timing): a
+   scan round charges reports by event count and integrity polls by
+   their measured length, so it builds no frame and no Modbus string.
+   What is left per device-round is the boxed [`Report n] handed to
+   [charge] and the round's one aggregate operation, shared by all
+   2,500 devices. A scan that builds its frames and Modbus strings
+   allocates about 26. *)
+let test_scan_round_allocation () =
+  let devices = 2_500 and scan_interval_us = 200_000 and rounds = 40 in
+  let engine = Sim.Engine.create ~seed:5L () in
+  let group =
+    Cryptosim.Threshold.create_group ~seed:5L ~members:[ 0; 1; 2 ] ~threshold:2
+  in
+  let c =
+    Field.Concentrator.create ~engine ~id:0 ~client_id:0 ~first_device:0 ~seed:5L
+      ~group ~resubmit_timeout_us:1_000_000
+      ~submit:(fun ~attempt:_ _ -> ())
+      ~charge:(fun _ -> ())
+      ~config:
+        {
+          Field.Concentrator.default_config with
+          devices;
+          scan_interval_us;
+          write_interval_us = 0;
+        }
+      ()
+  in
+  Field.Concentrator.start c;
+  let w0 = Gc.minor_words () in
+  Sim.Engine.run engine ~until_us:(rounds * scan_interval_us);
+  let words = Gc.minor_words () -. w0 in
+  let s = Field.Concentrator.stats c in
+  Alcotest.(check int) "rounds run" rounds s.Field.Concentrator.rounds;
+  Alcotest.(check bool) "devices reported" true (s.Field.Concentrator.report_frames > 0);
+  Alcotest.(check bool) "devices polled" true (s.Field.Concentrator.polls_sent > 0);
+  let per_device_round = words /. float_of_int (devices * rounds) in
+  if per_device_round > 3. then
+    Alcotest.failf "%.2f minor words per device-round, over 3" per_device_round
+
 let test_fleet_confirms_events_and_writes () =
   let sys, _ =
     Spire.Scenarios.fleet ~concentrators:2 ~devices:100
@@ -386,6 +472,9 @@ let test_system_rejects_garbage_fields () =
         fun c -> { c with Spire.System.resubmit_timeout_us = 0 } );
       ("max_batch < 1", fun c -> { c with Spire.System.max_batch = 0 });
       ("max_batch < 1", fun c -> { c with Spire.System.max_batch = -4 });
+      ("batch_delay_us < 0", fun c -> { c with Spire.System.batch_delay_us = -1 });
+      ( "batch_delay_us < 0",
+        fun c -> { c with Spire.System.max_batch = 8; batch_delay_us = -1 } );
       ( "field_devices < field_concentrators",
         fun c -> { c with Spire.System.field_devices = 1 } );
     ]
@@ -415,7 +504,9 @@ let test_concentrator_rejects_garbage () =
   expect "keepalive_loss outside [0, 1]"
     { base with Field.Concentrator.keepalive_loss = Float.nan };
   expect "keepalive_loss outside [0, 1]"
-    { base with Field.Concentrator.keepalive_loss = -0.5 }
+    { base with Field.Concentrator.keepalive_loss = -0.5 };
+  expect "phase_us < 0" { base with Field.Concentrator.phase_us = -1 };
+  expect "write_interval_us < 0" { base with Field.Concentrator.write_interval_us = -1 }
 
 (* ------------------------------------------------------------------ *)
 (* Field_frame checksums *)
@@ -527,6 +618,8 @@ let () =
           Alcotest.test_case "out of range is exception 2" `Quick
             test_device_serve_out_of_range_is_exception_2;
           QCheck_alcotest.to_alcotest prop_device_input_registers_stay_in_envelope;
+          QCheck_alcotest.to_alcotest prop_device_report_checksum_matches_frame;
+          QCheck_alcotest.to_alcotest prop_poll_lengths_match_exchange;
         ] );
       ( "session",
         [
@@ -544,6 +637,7 @@ let () =
             test_fleet_run_deterministic;
           Alcotest.test_case "fleet trajectory golden" `Quick
             test_fleet_trajectory_golden;
+          Alcotest.test_case "scan round allocation" `Quick test_scan_round_allocation;
           Alcotest.test_case "confirms events and writes" `Quick
             test_fleet_confirms_events_and_writes;
           Alcotest.test_case "disabled fleet is silent" `Quick

@@ -397,6 +397,25 @@ let prop_measure_envelope =
       Wire.Envelope.size ~sender msg
       = String.length (Wire.Envelope.encode ~sender msg))
 
+(* A field report's frame is charged from its event count alone; up to
+   16 events covers the 14 a device can raise in one tick. *)
+let prop_field_report_size =
+  QCheck.Test.make ~count:500
+    ~name:"measure law: field_report_size ~events = size (Field_report r)"
+    (arb
+       (G.pair gen_u16
+          (G.map2
+             (fun r events -> { r with Scada.Field_frame.events })
+             gen_field_report
+             (G.list_size (G.int_bound 16) gen_field_event)))
+       (fun ppf (s, r) -> Format.fprintf ppf "sender=%d %a" s Scada.Field_frame.pp_report r))
+    (fun (sender, r) ->
+      let msg = Wire.Message.Field_report r in
+      let events = List.length r.Scada.Field_frame.events in
+      let size = Wire.Envelope.field_report_size ~events in
+      size = Wire.Envelope.size ~sender msg
+      && size = String.length (Wire.Envelope.encode ~sender msg))
+
 let test_kind_index_table () =
   Alcotest.(check int) "kind_count" 29 Wire.Message.kind_count;
   let names =
@@ -663,6 +682,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_measure_chunk;
           QCheck_alcotest.to_alcotest prop_measure_message;
           QCheck_alcotest.to_alcotest prop_measure_envelope;
+          QCheck_alcotest.to_alcotest prop_field_report_size;
           Alcotest.test_case "kind index table" `Quick test_kind_index_table;
           QCheck_alcotest.to_alcotest prop_kind_index_consistent;
         ] );
