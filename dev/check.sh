@@ -50,8 +50,11 @@ diff bench/expected/E12.txt "$tmp/e12_par1.txt"
 diff "$tmp/e12_par1.txt" "$tmp/e12_par4.txt"
 
 # Telemetry-enabled E2 smoke: zero orphan spans, bounded open spans,
-# per-phase attribution reconciling with end-to-end latency.
+# per-phase attribution reconciling with end-to-end latency. Then the
+# same checks on the E6 flood shape, which traces every hop of every
+# flooded copy under the WAN delay attack.
 dune exec dev/telemetry_smoke.exe
+dune exec dev/telemetry_smoke.exe -- flood
 
 # Reconfiguration soak: seeded fault schedules injected during epoch
 # cutover windows; agreement / epoch-safety / progress must stay green.
@@ -64,6 +67,11 @@ rc=0
 dune exec dev/reconfig_soak.exe -- x 2> /dev/null || rc=$?
 if [ "$rc" -ne 2 ]; then
   echo "reconfig_soak.exe -- x exited $rc, expected 2" && exit 1
+fi
+rc=0
+dune exec dev/telemetry_smoke.exe -- flod 2> /dev/null || rc=$?
+if [ "$rc" -ne 2 ]; then
+  echo "telemetry_smoke.exe -- flod exited $rc, expected 2" && exit 1
 fi
 rc=0
 SCALE=ful EXPERIMENT=E1 dune exec bench/main.exe > /dev/null 2>&1 || rc=$?

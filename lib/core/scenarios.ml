@@ -109,8 +109,8 @@ let link_degradation ?(tweak = fun c -> c) ~mode ~factor ~attack_from_us
   System.run sys ~duration_us;
   finish sys ~duration_us
 
-let packet_loss ~mode ~loss ~duration_us () =
-  let cfg = { (System.default_config ()) with System.dissemination = mode } in
+let packet_loss ?(tweak = fun c -> c) ~mode ~loss ~duration_us () =
+  let cfg = tweak { (System.default_config ()) with System.dissemination = mode } in
   let sys = System.create cfg in
   let net = System.net sys in
   let topo = Overlay.Net.topology net in

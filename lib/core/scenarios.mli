@@ -69,8 +69,10 @@ val link_degradation :
     WAN link between replica sites drops each transmission with
     probability [loss] for the whole run; the overlay's hop-by-hop ARQ
     retransmits. Measures how loss converts into latency per
-    dissemination mode. *)
+    dissemination mode. [tweak] post-processes the config as in
+    {!link_degradation}. *)
 val packet_loss :
+  ?tweak:(System.config -> System.config) ->
   mode:Overlay.Net.mode ->
   loss:float ->
   duration_us:int ->

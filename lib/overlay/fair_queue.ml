@@ -3,7 +3,8 @@ type priority = Control | Bulk
 (* Round-robin rotation as a growable ring buffer of source ids. The
    previous implementation rotated with [rest @ [source]], an O(n) list
    append (and n fresh cons cells) per pop; the ring does the same
-   rotation with two index updates and no allocation in steady state. *)
+   rotation with two index updates and no allocation in steady state.
+   The capacity stays a power of two, so indices wrap with a mask. *)
 type ring = { mutable buf : int array; mutable head : int; mutable len : int }
 
 let ring_create () = { buf = Array.make 16 0; head = 0; len = 0 }
@@ -13,12 +14,12 @@ let ring_push r v =
   if r.len = cap then begin
     let buf = Array.make (2 * cap) 0 in
     for i = 0 to r.len - 1 do
-      buf.(i) <- r.buf.((r.head + i) mod cap)
+      buf.(i) <- r.buf.((r.head + i) land (cap - 1))
     done;
     r.buf <- buf;
     r.head <- 0
   end;
-  r.buf.((r.head + r.len) mod Array.length r.buf) <- v;
+  r.buf.((r.head + r.len) land (Array.length r.buf - 1)) <- v;
   r.len <- r.len + 1
 
 (* Precondition of both: [r.len > 0]. *)
@@ -26,12 +27,12 @@ let ring_peek r = r.buf.(r.head)
 
 let ring_pop r =
   let v = r.buf.(r.head) in
-  r.head <- (r.head + 1) mod Array.length r.buf;
+  r.head <- (r.head + 1) land (Array.length r.buf - 1);
   r.len <- r.len - 1;
   v
 
 type 'a class_state = {
-  queues : 'a Queue.t Int_table.t;
+  mutable queues : 'a Queue.t array; (* by source id, grown on demand *)
   rotation : ring; (* sources with pending items, service order *)
   mutable count : int;
 }
@@ -43,8 +44,7 @@ type 'a t = {
   mutable dropped : int;
 }
 
-let empty_class () =
-  { queues = Int_table.create 17; rotation = ring_create (); count = 0 }
+let empty_class () = { queues = [||]; rotation = ring_create (); count = 0 }
 
 let create ~per_source_cap =
   if per_source_cap <= 0 then invalid_arg "Fair_queue.create: cap <= 0";
@@ -53,14 +53,17 @@ let create ~per_source_cap =
 let class_of t = function Control -> t.control | Bulk -> t.bulk
 
 let queue_of cls source =
-  match Int_table.find cls.queues source with
-  | q -> q
-  | exception Not_found ->
-    let q = Queue.create () in
-    Int_table.add cls.queues source q;
-    q
+  let n = Array.length cls.queues in
+  if source >= n then begin
+    let old = cls.queues in
+    cls.queues <-
+      Array.init (Int.max (source + 1) (2 * n)) (fun i ->
+          if i < n then old.(i) else Queue.create ())
+  end;
+  cls.queues.(source)
 
 let push t ~source ~priority item =
+  if source < 0 then invalid_arg "Fair_queue.push: source < 0";
   let cls = class_of t priority in
   let q = queue_of cls source in
   if Queue.length q >= t.per_source_cap then begin
@@ -77,11 +80,11 @@ let push t ~source ~priority item =
 let length t = t.control.count + t.bulk.count
 let is_empty t = length t = 0
 
-(* Precondition: [cls.count > 0]. The source is in the table: it was
-   pushed before it entered the rotation. *)
+(* Precondition: [cls.count > 0]. The source has a queue: it was pushed
+   before it entered the rotation. *)
 let take_class cls =
   let source = ring_pop cls.rotation in
-  let q = Int_table.find cls.queues source in
+  let q = cls.queues.(source) in
   let item = Queue.pop q in
   cls.count <- cls.count - 1;
   if not (Queue.is_empty q) then ring_push cls.rotation source;
@@ -106,6 +109,6 @@ let dropped t = t.dropped
 
 let backlog_of t ~source ~priority =
   let cls = class_of t priority in
-  match Int_table.find_opt cls.queues source with
-  | Some q -> Queue.length q
-  | None -> 0
+  if source >= 0 && source < Array.length cls.queues then
+    Queue.length cls.queues.(source)
+  else 0

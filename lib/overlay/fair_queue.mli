@@ -9,7 +9,8 @@
     Each source's per-class backlog is additionally capped; pushes beyond
     the cap are dropped and counted, bounding the memory a flooding
     source can consume (the overlay's defence against resource-exhaustion
-    DoS). *)
+    DoS). Backlogs are indexed by source id (an overlay node id), so
+    memory is linear in the largest source pushed. *)
 
 type priority = Control | Bulk
 
@@ -20,7 +21,9 @@ type 'a t
 val create : per_source_cap:int -> 'a t
 
 (** [push t ~source ~priority item] enqueues; returns [false] (and drops)
-    if the source's backlog for that class is full. *)
+    if the source's backlog for that class is full.
+    @raise Invalid_argument if [source < 0]; nothing is queued or
+    counted as dropped. *)
 val push : 'a t -> source:int -> priority:priority -> 'a -> bool
 
 (** [take t] dequeues the next item by (priority, round-robin source)

@@ -297,8 +297,7 @@ let deliver t node frame ~hops =
    paths, flooding) sit on top of it. *)
 let max_retransmissions = 8
 
-let rec maybe_transmit t u v =
-  let ls = link_state t u v in
+let rec maybe_transmit t u v ls =
   if not (ls.busy || Fair_queue.is_empty ls.queue) then begin
     let frame = Fair_queue.take ls.queue in
     if frame.queue_span >= 0 then begin
@@ -318,7 +317,7 @@ and transmit_frame t u v ls frame attempt =
      attribute each callback to the site whose state it touches. *)
   let shard = Sim.Shard.engine_shard t.part u in
   let dst_shard = Sim.Shard.engine_shard t.part v in
-  let tx_us = max 1 (frame.size_bytes * 1_000_000 / ls.bandwidth_bps) in
+  let tx_us = Int.max 1 (frame.size_bytes * 1_000_000 / ls.bandwidth_bps) in
   ls.tx_bytes <- ls.tx_bytes + frame.size_bytes;
   ls.tx_busy_us <- ls.tx_busy_us + tx_us;
   let tx_sid =
@@ -377,7 +376,7 @@ and transmit_frame t u v ls frame attempt =
                     arrive t u v frame)
                  : Sim.Engine.timer)
            end;
-           maybe_transmit t u v
+           maybe_transmit t u v ls
          end)
       : Sim.Engine.timer)
 
@@ -432,23 +431,29 @@ and arrive t u v frame =
 
 and enqueue t u v frame =
   let ls = link_state t u v in
-  (* A traced frame queues as its own copy, which holds its open
-     queue-wait span: flooded copies otherwise share one record. *)
-  let frame = if traced t frame then { frame with queue_span = -1 } else frame in
-  if Fair_queue.push ls.queue ~source:frame.src ~priority:frame.priority frame
-  then begin
+  (* An idle link's queue is empty (a completion takes the next frame at
+     once), so the frame skips [push]/[take] and goes on the link after a
+     zero-width queue-wait span. A traced frame that waits queues as its
+     own copy, holding its open span: flooded copies share one record. *)
+  let idle = not ls.busy and is_traced = traced t frame in
+  let frame =
+    if is_traced && not idle then { frame with queue_span = -1 } else frame
+  in
+  let source = frame.src and priority = frame.priority in
+  if idle || Fair_queue.push ls.queue ~source ~priority frame then begin
     (* A hop between nodes owned by different shards crosses the
        inter-site (WAN) boundary — ledger each admitted copy. *)
     Sim.Shard.record t.boundary
       ~src_shard:(Sim.Shard.owner_of t.part u)
       ~dst_shard:(Sim.Shard.owner_of t.part v) ~bytes:frame.size_bytes;
-    (* Open the queue-wait span before [maybe_transmit]: an idle link
-       pops the frame straight back out and closes it at zero width. *)
-    if traced t frame then
-      frame.queue_span <-
+    if is_traced then begin
+      let sid =
         open_hop_span t ~phase:Telemetry.Span.Net_queue ~node:u
-          ~label:(link_label u v) frame;
-    maybe_transmit t u v
+          ~label:(link_label u v) frame
+      in
+      if idle then close_hop_span t sid else frame.queue_span <- sid
+    end;
+    if idle then transmit_frame t u v ls frame 0
   end
   else begin
     let c = t.ctrs in
@@ -470,7 +475,7 @@ let cached_shortest t ~src ~dst =
     path
 
 let cached_disjoint t ~src ~dst ~k =
-  let key = (((src * t.nodes) + dst) * 1024) + min k 1023 in
+  let key = (((src * t.nodes) + dst) * 1024) + Int.min k 1023 in
   match Hashtbl.find_opt t.kpath_cache key with
   | Some paths -> paths
   | None ->
@@ -548,7 +553,7 @@ let submit t ~priority ~size_bytes ~src ~dst ~mode ~trace content =
           c.c_dropped_no_route <- c.c_dropped_no_route + 1;
           c.c_dropped_bytes <- c.c_dropped_bytes + size_bytes)
       | Redundant k -> (
-        let paths = cached_disjoint t ~src ~dst ~k:(max 1 k) in
+        let paths = cached_disjoint t ~src ~dst ~k:(Int.max 1 k) in
         match paths with
         | [] ->
           c.c_dropped_no_route <- c.c_dropped_no_route + 1;

@@ -116,7 +116,7 @@ let shards t = Array.length t.processed_by
 (* Out-of-range shard tags fall back to the control shard: callers built
    against a single-shard engine keep working unchanged, and since the
    tag is attribution only the fallback cannot perturb event order. *)
-let clamp_shard t shard =
+let[@inline] clamp_shard t shard =
   if shard < 0 || shard >= Array.length t.processed_by then 0 else shard
 
 (* ------------------------------------------------------------------ *)
@@ -128,22 +128,22 @@ let debruijn32 =
   "\000\001\028\002\029\014\024\003\030\022\020\015\025\017\004\008\
    \031\027\013\023\021\019\016\007\026\012\018\006\011\005\010\009"
 
-let ctz32 x =
+let[@inline] ctz32 x =
   Char.code
     (String.unsafe_get debruijn32
        ((((x land -x) * 0x077CB531) land 0xFFFFFFFF) lsr 27))
 
-let level_occupied t level =
+let[@inline] level_occupied t level =
   t.occupied.(2 * level) lor t.occupied.((2 * level) + 1) <> 0
 
 (* First occupied slot of a nonempty level. *)
-let first_slot t level =
+let[@inline] first_slot t level =
   let w = t.occupied.(2 * level) in
   if w <> 0 then (level lsl slot_bits) lor ctz32 w
   else (level lsl slot_bits) lor (32 + ctz32 t.occupied.((2 * level) + 1))
 
 (* Append [tm], whose [link] is [nil], to slot [i]. *)
-let append t i tm =
+let[@inline] append t i tm =
   let tail = t.tails.(i) in
   if tail == nil then begin
     t.heads.(i) <- tm;
@@ -154,7 +154,7 @@ let append t i tm =
   t.tails.(i) <- tm
 
 (* Detach slot [i]'s list and return its head. *)
-let detach t i =
+let[@inline] detach t i =
   let head = t.heads.(i) in
   t.heads.(i) <- nil;
   t.tails.(i) <- nil;
@@ -163,7 +163,7 @@ let detach t i =
   head
 
 (* Remove and return slot [i]'s head. *)
-let pop_slot t i =
+let[@inline] pop_slot t i =
   let tm = t.heads.(i) in
   let next = tm.link in
   if next == nil then ignore (detach t i : timer)
@@ -175,14 +175,14 @@ let pop_slot t i =
 
 (* The level of a wheel time whose bits differ from the clock's in [x]
    ([x = time lxor clock < 2^24]): the highest differing digit. *)
-let level_of x =
+let[@inline] level_of x =
   if x < 64 then 0 else if x < 4096 then 1 else if x < 262_144 then 2 else 3
 
-let slot_index level time =
+let[@inline] slot_index level time =
   (level lsl slot_bits) lor ((time lsr (slot_bits * level)) land 63)
 
 (* Slot of a wheel time [time] (>= clock, in the clock's block). *)
-let slot_of t time = slot_index (level_of (time lxor t.clock_us)) time
+let[@inline] slot_of t time = slot_index (level_of (time lxor t.clock_us)) time
 
 let enqueue t tm =
   let time = tm.next_at in
@@ -224,7 +224,7 @@ let schedule_at ?(shard = 0) t ~time_us f =
       callback = f;
       interval_us = 0;
       shard = clamp_shard t shard;
-      next_at = max time_us t.clock_us;
+      next_at = Int.max time_us t.clock_us;
       cancelled = false;
       in_queue = true;
       link = nil;
@@ -238,7 +238,7 @@ let after t delay_us =
   if delay_us > max_int - t.clock_us then max_int else t.clock_us + delay_us
 
 let schedule ?shard t ~delay_us f =
-  schedule_at ?shard t ~time_us:(after t (max 0 delay_us)) f
+  schedule_at ?shard t ~time_us:(after t (Int.max 0 delay_us)) f
 
 let periodic ?(shard = 0) t ~interval_us f =
   if interval_us <= 0 then invalid_arg "Engine.periodic: interval_us <= 0";

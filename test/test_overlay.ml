@@ -191,12 +191,16 @@ let test_fair_queue_exact_rotation () =
    always served before Bulk. Steps mix both classes and both dequeues
    ([pop] and the allocation-free [take]), so class order and rotation
    are checked on the path the overlay actually uses. *)
+(* Sources mix a dense low range with sparse ids far above it, so the
+   per-source array grows while backlogs are queued. *)
+let fq_source = QCheck.(oneof [ int_bound 5; int_range 60 300 ])
+
 let prop_fair_queue_matches_list_model =
   QCheck.Test.make ~count:300 ~name:"fair queue: ring matches list-rotation model"
     QCheck.(
       list
         (pair (int_bound 3) (* push Control / push Bulk / pop / take *)
-           (pair (int_bound 5) (int_bound 1000))))
+           (pair fq_source (int_bound 1000))))
     (fun steps ->
       let cap = 3 in
       let q = FQ.create ~per_source_cap:cap in
@@ -256,6 +260,21 @@ let prop_fair_queue_matches_list_model =
               | exception Invalid_argument _ -> true)))
         steps
       && FQ.is_empty q = (model_pop () = None))
+
+(* Per-source backlogs are indexed by source id, so a negative id is
+   refused outright: nothing is queued and nothing counts as dropped. *)
+let test_fair_queue_rejects_negative_source () =
+  let q = FQ.create ~per_source_cap:4 in
+  ignore (FQ.push q ~source:2 ~priority:FQ.Control "kept");
+  Alcotest.check_raises "negative source"
+    (Invalid_argument "Fair_queue.push: source < 0") (fun () ->
+      ignore (FQ.push q ~source:(-1) ~priority:FQ.Bulk "bad"));
+  Alcotest.(check int) "nothing queued" 1 (FQ.length q);
+  Alcotest.(check int) "no drop counted" 0 (FQ.dropped q);
+  Alcotest.(check int) "negative backlog reads 0" 0
+    (FQ.backlog_of q ~source:(-1) ~priority:FQ.Bulk);
+  Alcotest.(check (option (triple int pass string)))
+    "queue intact" (Some (2, FQ.Control, "kept")) (FQ.pop q)
 
 (* The rotation ring starts at capacity 16; exceed it to cover growth. *)
 let test_fair_queue_many_sources () =
@@ -826,6 +845,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_fair_queue_matches_list_model;
           Alcotest.test_case "ring growth past 16 sources" `Quick
             test_fair_queue_many_sources;
+          Alcotest.test_case "rejects negative source" `Quick
+            test_fair_queue_rejects_negative_source;
         ] );
       ( "net",
         [

@@ -426,11 +426,12 @@ let golden_redundant_attack =
       };
   }
 
-let test_flood_attack_golden () =
+let test_flood_attack_golden ?tweak () =
   check_flood_golden golden_flood_attack
     (flood_snapshot
-       (Spire.Scenarios.link_degradation ~mode:Overlay.Net.Flood ~factor:20.
-          ~attack_from_us:1_500_000 ~duration_us:flood_duration_us ()))
+       (Spire.Scenarios.link_degradation ?tweak ~mode:Overlay.Net.Flood
+          ~factor:20. ~attack_from_us:1_500_000 ~duration_us:flood_duration_us
+          ()))
 
 let test_redundant_attack_golden () =
   check_flood_golden golden_redundant_attack
@@ -439,11 +440,17 @@ let test_redundant_attack_golden () =
           ~factor:20. ~attack_from_us:1_500_000 ~duration_us:flood_duration_us
           ()))
 
-let test_flood_loss_golden () =
+let test_flood_loss_golden ?tweak () =
   check_flood_golden golden_flood_loss
     (flood_snapshot
-       (Spire.Scenarios.packet_loss ~mode:Overlay.Net.Flood ~loss:0.05
+       (Spire.Scenarios.packet_loss ?tweak ~mode:Overlay.Net.Flood ~loss:0.05
           ~duration_us:flood_duration_us ()))
+
+(* Telemetry observes and never steers: with every frame traced, the
+   queue-wait, transmit, ARQ and propagation spans open and close on the
+   hop path, yet both flood runs reproduce their untraced records
+   exactly, engine event count included. *)
+let telemetry_on c = { c with Spire.System.telemetry = true }
 
 (* State transfer ships the adopted master state as [transfer_chunk]
    frames along two paths: a restored site's replicas resynchronise
@@ -542,6 +549,10 @@ let () =
             test_flood_attack_golden;
           Alcotest.test_case "E6b flood-over-loss golden" `Slow
             test_flood_loss_golden;
+          Alcotest.test_case "E6 flood-under-attack golden (telemetry on)"
+            `Slow (test_flood_attack_golden ~tweak:telemetry_on);
+          Alcotest.test_case "E6b flood-over-loss golden (telemetry on)" `Slow
+            (test_flood_loss_golden ~tweak:telemetry_on);
           Alcotest.test_case "E6 redundant-2 under attack golden" `Slow
             test_redundant_attack_golden;
           Alcotest.test_case "site-restore state-transfer golden" `Slow

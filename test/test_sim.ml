@@ -113,6 +113,33 @@ let test_schedule_at_past_clamps () =
   Sim.Engine.run_until_quiescent e;
   Alcotest.(check int) "clamped to now" 100 !fired_at
 
+(* A negative delay is clamped to 0: the timer fires at [now], behind
+   every timer already queued for [now], in scheduling order. *)
+let test_negative_delay_clamps () =
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let note label () = log := (label, Sim.Engine.now e) :: !log in
+  ignore
+    (Sim.Engine.schedule e ~delay_us:100 (fun () ->
+         note "first" ();
+         ignore (Sim.Engine.schedule e ~delay_us:(-5) (note "neg5"));
+         ignore (Sim.Engine.schedule e ~delay_us:0 (note "zero"));
+         ignore (Sim.Engine.schedule e ~delay_us:min_int (note "min_int"))));
+  ignore (Sim.Engine.schedule e ~delay_us:100 (note "queued1"));
+  ignore (Sim.Engine.schedule_at e ~time_us:100 (note "queued2"));
+  Sim.Engine.run_until_quiescent e;
+  Alcotest.(check (list (pair string int)))
+    "fires at now, FIFO behind queued"
+    [
+      ("first", 100);
+      ("queued1", 100);
+      ("queued2", 100);
+      ("neg5", 100);
+      ("zero", 100);
+      ("min_int", 100);
+    ]
+    (List.rev !log)
+
 (* ------------------------------------------------------------------ *)
 (* Rng *)
 
@@ -1049,6 +1076,8 @@ let () =
           Alcotest.test_case "nested scheduling" `Quick test_nested_scheduling;
           Alcotest.test_case "schedule_at clamps" `Quick
             test_schedule_at_past_clamps;
+          Alcotest.test_case "negative delay clamps to now in FIFO order"
+            `Quick test_negative_delay_clamps;
           Alcotest.test_case "delay saturates at max_int" `Quick
             test_engine_delay_saturates;
           Alcotest.test_case "periodic saturates at max_int" `Quick
