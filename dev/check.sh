@@ -2,18 +2,22 @@
 # Pre-commit check: tier-1 build + test suites, a quick chaos soak
 # (5 seeded within-budget schedules; every oracle must stay green), a
 # field-fleet smoke, a reconfiguration soak, then a release-profile
-# build with E2 + E4 + E5 + E6 + E6B + E7 + E11 + E13 bench smoke runs
-# (exercises the wire layer, the byte-accounting tables, PBFT and a
-# delaying leader, proactive recovery and state transfer, site loss and
-# restoration, flooding over lossy links and the epoch cutover path end
-# to end) and the PERF=1 wall-clock gates. It rewrites no tracked file.
-# Each release smoke's stdout, and the E12 fleet smoke's, minus its
-# wall-time lines, must match bench/expected/<ID>.txt byte for byte. A change meant to move those
-# tables regenerates them with:
-#   for id in E2 E4 E5 E6 E6B E7 E11 E13; do
+# build with E2 + E3 + E4 + E5 + E6 + E6B + E7 + E11 + E13 bench smoke
+# runs (exercises the wire layer, the byte-accounting tables, Prime's
+# continuous ordering, PBFT and a delaying leader, proactive recovery
+# and state transfer, site loss and restoration, flooding over lossy
+# links and the epoch cutover path end to end) and the PERF=1
+# wall-clock gates. It rewrites no tracked file. Each release smoke's
+# stdout, and the E10 chaos soak's and E12 fleet smoke's, minus its
+# wall-time lines, must match bench/expected/<ID>.txt byte for byte. A
+# change meant to move those tables regenerates them with:
+#   for id in E2 E3 E4 E5 E6 E6B E7 E11 E13; do
 #     EXPERIMENT=$id dune exec --profile release bench/main.exe |
 #       grep -v "wall time" > bench/expected/$id.txt
 #   done
+# the chaos soak's table (E10, sequential) with:
+#   ONLY=E10 dune exec bench/main.exe |
+#     grep -v "wall time" > bench/expected/E10.txt
 # and the field-fleet smoke's table (E12 at 1k, 10k and 100k devices)
 # with:
 #   FLEET=1000,10000,100000 ONLY=E12 dune exec bench/main.exe |
@@ -25,15 +29,17 @@ dune build
 dune runtest
 dune exec dev/debug.exe -- chaos 5
 
-# Parallel sweep smoke: E10's soak seeds farmed over 4 domains must
-# print byte-identical tables to the sequential run (PAR only changes
-# wall time, never results).
+# Chaos soak smoke: E10's sequential table (view changes, state
+# transfer, every oracle) must match bench/expected/E10.txt, and its
+# soak seeds farmed over 4 domains must print a byte-identical table
+# (PAR only changes wall time, never results).
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 for par in 1 4; do
   PAR=$par ONLY=E10 dune exec bench/main.exe > "$tmp/e10.out"
   grep -v "wall time" "$tmp/e10.out" > "$tmp/e10_par$par.txt"
 done
+diff bench/expected/E10.txt "$tmp/e10_par1.txt"
 diff "$tmp/e10_par1.txt" "$tmp/e10_par4.txt"
 
 # Field-fleet smoke at 1k, 10k and 100k devices (the 100k point is the
@@ -100,6 +106,8 @@ smoke() {
 }
 dune build --profile release
 smoke E2
+# E3: Prime's continuous ordering over the quick-scale soak.
+smoke E3
 # E4: PBFT dispatch and a leader that delays its proposals.
 smoke E4
 # E5: the proactive-recovery scheduler and state transfer on return.

@@ -63,19 +63,25 @@ let state t =
     t.clients []
   |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
 
+(* Per client ["%d:%d["] (client, expected), ["%Ld;"] per buffered
+   update digest, then [']'], streamed into one digest. *)
 let digest_of_state st =
-  let buf = Buffer.create 128 in
+  let module D = Cryptosim.Digest in
+  let a = D.start () in
   List.iter
     (fun (c, expected, buffered) ->
-      Buffer.add_string buf (Printf.sprintf "%d:%d[" c expected);
+      D.add_int a c;
+      D.add_byte a ':';
+      D.add_int a expected;
+      D.add_byte a '[';
       List.iter
         (fun u ->
-          Buffer.add_string buf
-            (Printf.sprintf "%Ld;" (Cryptosim.Digest.to_int64 (Update.digest u))))
+          D.add_int64 a (D.to_int64 (Update.digest u));
+          D.add_byte a ';')
         buffered;
-      Buffer.add_char buf ']')
+      D.add_byte a ']')
     st;
-  Cryptosim.Digest.of_string (Buffer.contents buf)
+  D.finish a
 
 let digest t = digest_of_state (state t)
 

@@ -5,7 +5,13 @@
     The digest chain makes safety violations detectable in O(1): two
     replicas executed the same sequence iff their chained digests at the
     same length are equal. Every integration test and benchmark asserts
-    this across all correct replicas. *)
+    this across all correct replicas.
+
+    Storage: the chain digest of every remembered position sits in one
+    dense byte buffer, 8 bytes per position, from a base position to the
+    current length. The base is 0 for a fresh log and the snapshot's
+    length after {!install_snapshot}, which forgets everything below it;
+    the buffer doubles when full and is never shrunk. *)
 
 type t
 
@@ -24,11 +30,15 @@ val length : t -> int
 val chain_digest : t -> Cryptosim.Digest.t
 
 (** [digest_at t pos] is the chain digest after the [pos]-th update
-    (0 = empty prefix). @raise Invalid_argument if out of range. *)
+    (0 = empty prefix).
+    @raise Invalid_argument unless [pos] lies between the base position
+    and [length t], both included. *)
 val digest_at : t -> int -> Cryptosim.Digest.t
 
 (** [prefix_equal a b] checks that the shorter log is a prefix of the
-    longer (the safety invariant between two correct replicas). *)
+    longer (the safety invariant between two correct replicas) by
+    comparing chain digests at the shorter length; it is [true] when
+    either log no longer remembers that position. *)
 val prefix_equal : t -> t -> bool
 
 (** [install_snapshot t ~updates ~chain] installs a checkpointed state:

@@ -36,6 +36,9 @@ val verify :
 (** [signature_signer s] is the claimed signer carried in the signature. *)
 val signature_signer : signature -> Keyring.principal
 
+(** [signature_tag s] is the signature's raw tag. *)
+val signature_tag : signature -> Digest.t
+
 (** [forge ~claimed_signer ~digest] builds a structurally invalid
     signature — what a Byzantine node can produce without the victim's
     secret. [verify] always rejects it; attack scenarios use this to
@@ -45,6 +48,9 @@ val forge : claimed_signer:Keyring.principal -> digest:Digest.t -> signature
 (** [mac secret ~peer digest] authenticates [digest] on the directed pair
     (owner of [secret] -> [peer]). *)
 val mac : Keyring.secret -> peer:Keyring.principal -> Digest.t -> mac
+
+(** [mac_tag m] is the MAC's raw tag. *)
+val mac_tag : mac -> Digest.t
 
 (** [verify_mac keyring ~sender ~receiver ~digest mac] checks a pairwise
     MAC from the receiver's point of view. *)

@@ -21,41 +21,84 @@ let prime_low = 0x1b3
 let offset_hi = 0xcbf29ce4
 let offset_lo = 0x84222325
 
-let[@inline] mix hi lo c =
-  let l = !lo lxor c in
-  let p = l * prime_low in
-  lo := p land mask32;
-  hi := ((!hi * prime_low) + (p lsr 32) + (l lsl 8)) land mask32
+type acc = { mutable hi : int; mutable lo : int }
 
-let[@inline] join hi lo =
-  Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo)
+let start () = { hi = offset_hi; lo = offset_lo }
+
+(* [c] is one byte, 0..255. *)
+let[@inline] mix a c =
+  let l = a.lo lxor c in
+  let p = l * prime_low in
+  a.lo <- p land mask32;
+  a.hi <- ((a.hi * prime_low) + (p lsr 32) + (l lsl 8)) land mask32
+
+let finish a = Int64.logor (Int64.shift_left (Int64.of_int a.hi) 32) (Int64.of_int a.lo)
+let add_byte a c = mix a (Char.code c)
+
+(* [mix] written out over local refs, which the compiler keeps in
+   registers for the whole string (a ref passed to a function is
+   heap-allocated, an inlined one included). *)
+let add_string a s =
+  let hi = ref a.hi and lo = ref a.lo in
+  for i = 0 to String.length s - 1 do
+    let l = !lo lxor Char.code (String.unsafe_get s i) in
+    let p = l * prime_low in
+    lo := p land mask32;
+    hi := ((!hi * prime_low) + (p lsr 32) + (l lsl 8)) land mask32
+  done;
+  a.hi <- !hi;
+  a.lo <- !lo
+
+(* Decimal digits of [m <= 0], most significant first. Working on the
+   non-positive side covers [min_int], whose magnitude has no int. *)
+let rec add_digits a m =
+  if m <= -10 then add_digits a (m / 10);
+  mix a (48 - (m mod 10))
+
+(* Exactly [k] digits of [m <= 0], zero-padded on the left. *)
+let rec add_padded a m k =
+  if k > 1 then add_padded a (m / 10) (k - 1);
+  mix a (48 - (m mod 10))
+
+let add_int a n = if n < 0 then (mix a 45; add_digits a n) else add_digits a (-n)
+
+(* [v = hi * 10^18 + lo] with [|hi| <= 9], [|lo| < 10^18] and both of
+   [v]'s sign, so each half is a native int and no [Int64] is boxed. *)
+let e18 = 1_000_000_000_000_000_000L
+
+let add_int64 a v =
+  let hi = Int64.to_int (Int64.div v e18) and lo = Int64.to_int (Int64.rem v e18) in
+  if hi < 0 || lo < 0 then mix a 45;
+  let hi = if hi > 0 then -hi else hi and lo = if lo > 0 then -lo else lo in
+  if hi = 0 then add_digits a lo
+  else begin
+    add_digits a hi;
+    add_padded a lo 18
+  end
 
 let of_string s =
-  let hi = ref offset_hi and lo = ref offset_lo in
-  for i = 0 to String.length s - 1 do
-    mix hi lo (Char.code (String.unsafe_get s i))
-  done;
-  join !hi !lo
+  let a = start () in
+  add_string a s;
+  finish a
 
-(* Equivalent to hashing the 16 big-endian bytes of [a] then [b], as the
-   previous implementation did via an intermediate [Bytes.t]. *)
-let combine a b =
-  let hi = ref offset_hi and lo = ref offset_lo in
-  let feed v =
-    let v_hi = Int64.to_int (Int64.shift_right_logical v 32) land mask32 in
-    let v_lo = Int64.to_int v land mask32 in
-    mix hi lo (v_hi lsr 24);
-    mix hi lo ((v_hi lsr 16) land 0xff);
-    mix hi lo ((v_hi lsr 8) land 0xff);
-    mix hi lo (v_hi land 0xff);
-    mix hi lo (v_lo lsr 24);
-    mix hi lo ((v_lo lsr 16) land 0xff);
-    mix hi lo ((v_lo lsr 8) land 0xff);
-    mix hi lo (v_lo land 0xff)
-  in
-  feed a;
-  feed b;
-  join !hi !lo
+(* The 8 big-endian bytes of [v]. *)
+let add_be a v =
+  let hi = Int64.to_int (Int64.shift_right_logical v 32) land mask32 in
+  let lo = Int64.to_int v land mask32 in
+  mix a (hi lsr 24);
+  mix a ((hi lsr 16) land 0xff);
+  mix a ((hi lsr 8) land 0xff);
+  mix a (hi land 0xff);
+  mix a (lo lsr 24);
+  mix a ((lo lsr 16) land 0xff);
+  mix a ((lo lsr 8) land 0xff);
+  mix a (lo land 0xff)
+
+let combine x y =
+  let a = start () in
+  add_be a x;
+  add_be a y;
+  finish a
 
 let equal = Int64.equal
 let compare = Int64.compare

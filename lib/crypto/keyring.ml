@@ -3,9 +3,16 @@ type secret = { owner : principal; material : int64 }
 
 type t = { mutable materials : int64 array; seed : int64; mutable epoch : int }
 
+(* The digest of ["key:%Ld:%d:%d"], streamed. *)
 let derive seed index epoch =
-  let s = Printf.sprintf "key:%Ld:%d:%d" seed index epoch in
-  Digest.to_int64 (Digest.of_string s)
+  let a = Digest.start () in
+  Digest.add_string a "key:";
+  Digest.add_int64 a seed;
+  Digest.add_byte a ':';
+  Digest.add_int a index;
+  Digest.add_byte a ':';
+  Digest.add_int a epoch;
+  Digest.to_int64 (Digest.finish a)
 
 let create ~seed ~size =
   if size <= 0 then invalid_arg "Keyring.create: size <= 0";

@@ -20,23 +20,34 @@ let create_group ~seed ~members ~threshold =
   let n = List.length members in
   if threshold < 1 || threshold > n then
     invalid_arg "Threshold.create_group: threshold out of range";
-  let id_src =
-    Printf.sprintf "group:%Ld:%s:%d" seed
-      (String.concat "," (List.map string_of_int members))
-      threshold
-  in
-  { group_id = Digest.to_int64 (Digest.of_string id_src); members; threshold }
+  (* The digest of ["group:%Ld:%s:%d"] over the comma-joined members. *)
+  let a = Digest.start () in
+  Digest.add_string a "group:";
+  Digest.add_int64 a seed;
+  Digest.add_byte a ':';
+  List.iteri
+    (fun i m ->
+      if i > 0 then Digest.add_byte a ',';
+      Digest.add_int a m)
+    members;
+  Digest.add_byte a ':';
+  Digest.add_int a threshold;
+  { group_id = Digest.to_int64 (Digest.finish a); members; threshold }
 
 let threshold g = g.threshold
 let members g = g.members
 
-(* Plain concatenation: signed and verified once per reply share, so
-   sprintf's format interpretation showed up in profiles. Byte-identical
-   to the sprintf it replaces. *)
+(* The digest of ["share:%Ld:%d:%Ld"] (group, member, digest), streamed:
+   signed and verified once per reply share. *)
 let share_tag g member digest =
-  Digest.of_string
-    ("share:" ^ Int64.to_string g.group_id ^ ":" ^ string_of_int member ^ ":"
-   ^ Int64.to_string (Digest.to_int64 digest))
+  let a = Digest.start () in
+  Digest.add_string a "share:";
+  Digest.add_int64 a g.group_id;
+  Digest.add_byte a ':';
+  Digest.add_int a member;
+  Digest.add_byte a ':';
+  Digest.add_int64 a (Digest.to_int64 digest);
+  Digest.finish a
 
 let sign_share g ~member digest =
   if not (List.mem member g.members) then
@@ -53,10 +64,14 @@ let verify_share g ~digest s =
 let share_repr s = (s.member, s.share_digest, s.tag)
 let share_of_repr ~member ~digest ~tag = { member; share_digest = digest; tag }
 
+(* The digest of ["combined:%Ld:%Ld"] (group, digest), streamed. *)
 let combined_tag g digest =
-  Digest.of_string
-    ("combined:" ^ Int64.to_string g.group_id ^ ":"
-   ^ Int64.to_string (Digest.to_int64 digest))
+  let a = Digest.start () in
+  Digest.add_string a "combined:";
+  Digest.add_int64 a g.group_id;
+  Digest.add_byte a ':';
+  Digest.add_int64 a (Digest.to_int64 digest);
+  Digest.finish a
 
 let combine g ~digest shares =
   let valid = List.filter (verify_share g ~digest) shares in
@@ -66,6 +81,8 @@ let combine g ~digest shares =
   if List.length distinct >= g.threshold then
     Some { combined_digest = digest; combined_tag = combined_tag g digest }
   else None
+
+let combined_repr c = (c.combined_digest, c.combined_tag)
 
 let verify g ~digest c =
   Digest.equal c.combined_digest digest

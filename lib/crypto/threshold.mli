@@ -54,6 +54,9 @@ val combine : group -> digest:Digest.t -> share list -> combined option
 (** [verify group ~digest combined] validates a combined signature. *)
 val verify : group -> digest:Digest.t -> combined -> bool
 
+(** [combined_repr c] is (signed digest, combined tag). *)
+val combined_repr : combined -> Digest.t * Digest.t
+
 (** CPU cost model: share sign / share verify / combine / combined
     verify, in microseconds. *)
 type cost = { share_us : int; share_verify_us : int; combine_us : int; verify_us : int }

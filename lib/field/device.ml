@@ -36,7 +36,7 @@ let param t k i = get16 t.analog ((params * k) + i)
 
 (* Every device shares its 8 discrete-input, 4 coil and 4 holding-register
    descriptors; only the 6 analog input registers differ. So the map
-   digest chains the shared prefix once, and each device renders only
+   digest chains the shared prefix once, and each device digests only
    its analog descriptors before the shared holding-register digests. *)
 let shared_prefix =
   Point.map_digest

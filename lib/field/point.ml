@@ -30,26 +30,28 @@ let analog ~table ~address ~nominal ~spread =
     deadband = max 1 (spread / 4);
   }
 
-(* Byte-identical to [Printf.sprintf "%s@%d:n%d,s%d,st%d,db%d"]; fleet
-   set-up renders six per device, a cost [string_of_int]'s C format
-   parse would dominate. Digits come from [-abs n], safe for [min_int]. *)
 let render p =
-  let b = Buffer.create 40 in
-  let rec digits n =
-    if n <= -10 then digits (n / 10);
-    Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
-  in
-  let field sep n =
-    Buffer.add_string b sep;
-    if n < 0 then Buffer.add_char b '-';
-    digits (-abs n)
-  in
-  Buffer.add_string b (Scada.Field_frame.table_name p.table);
-  List.iter2 field [ "@"; ":n"; ",s"; ",st"; ",db" ]
-    [ p.address; p.nominal; p.spread; p.step; p.deadband ];
-  Buffer.contents b
+  Printf.sprintf "%s@%d:n%d,s%d,st%d,db%d"
+    (Scada.Field_frame.table_name p.table)
+    p.address p.nominal p.spread p.step p.deadband
 
-let digest p = Cryptosim.Digest.of_string (render p)
+(* The digest of [render p], streamed: fleet set-up digests six
+   descriptors per device. *)
+let digest p =
+  let module D = Cryptosim.Digest in
+  let a = D.start () in
+  D.add_string a (Scada.Field_frame.table_name p.table);
+  D.add_byte a '@';
+  D.add_int a p.address;
+  D.add_string a ":n";
+  D.add_int a p.nominal;
+  D.add_string a ",s";
+  D.add_int a p.spread;
+  D.add_string a ",st";
+  D.add_int a p.step;
+  D.add_string a ",db";
+  D.add_int a p.deadband;
+  D.finish a
 
 let map_digest points =
   Array.fold_left

@@ -41,6 +41,9 @@ val analog : table:table -> address:int -> nominal:int -> spread:int -> t
     {!digest}, so a map prefix shared by many devices is digested once. *)
 val map_digest : t array -> Cryptosim.Digest.t
 
+(** [digest p] is [Cryptosim.Digest.of_string] of the descriptor's
+    rendering, ["%s@%d:n%d,s%d,st%d,db%d"] (table name, address,
+    nominal, spread, step, deadband), computed without building it. *)
 val digest : t -> Cryptosim.Digest.t
 
 val pp : Format.formatter -> t -> unit

@@ -140,7 +140,7 @@ and counters = {
   mutable c_dropped_bytes : int;
 }
 
-let norm_idx t a b = if a < b then (a * t.nodes) + b else (b * t.nodes) + a
+let[@inline] norm_idx t a b = if a < b then (a * t.nodes) + b else (b * t.nodes) + a
 
 let create ?(per_source_cap = 64) ?partition engine topo () =
   let n = Topology.node_count topo in
@@ -234,14 +234,16 @@ let close_hop_span t sid =
   Telemetry.Sink.close_span t.telemetry ~id:sid ~now:(Sim.Engine.now t.engine)
 
 let set_handler t node f = t.handlers.(node) <- Some f
-let link_alive t a b = t.link_up.(norm_idx t a b)
+let[@inline] link_alive t a b = t.link_up.(norm_idx t a b)
 let node_alive t n = t.node_up.(n)
-let usable t a b = link_alive t a b && t.node_up.(a) && t.node_up.(b)
+let[@inline] usable t a b = link_alive t a b && t.node_up.(a) && t.node_up.(b)
 
-let link_state t a b =
-  match t.links.(a).(b) with
-  | Some ls -> ls
-  | None -> invalid_arg "Net: no such link"
+(* The raising arm lives out of line so [link_state] inlines into the
+   hop path. *)
+let[@inline never] no_such_link () = invalid_arg "Net: no such link"
+
+let[@inline] link_state t a b =
+  match t.links.(a).(b) with Some ls -> ls | None -> no_such_link ()
 
 (* Test-and-set of the delivered cell a [Redundant k] send shares
    across its copies; always false for frames that have none. *)

@@ -1,13 +1,14 @@
 type proposal = { seq : Bft.Types.seqno; updates : Bft.Update.t list }
 
+(* Seeded with the digest of ["noop:%d"] or ["prop:%d"], streamed. *)
 let proposal_digest p =
-  match p.updates with
-  | [] -> Cryptosim.Digest.of_string ("noop:" ^ string_of_int p.seq)
-  | updates ->
-    List.fold_left
-      (fun acc u -> Cryptosim.Digest.combine acc (Bft.Update.digest u))
-      (Cryptosim.Digest.of_string ("prop:" ^ string_of_int p.seq))
-      updates
+  let module D = Cryptosim.Digest in
+  let a = D.start () in
+  D.add_string a (match p.updates with [] -> "noop:" | _ :: _ -> "prop:");
+  D.add_int a p.seq;
+  List.fold_left
+    (fun acc u -> D.combine acc (Bft.Update.digest u))
+    (D.finish a) p.updates
 
 type prepared_entry = {
   entry_seq : Bft.Types.seqno;

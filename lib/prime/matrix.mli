@@ -26,6 +26,12 @@ val empty : n:int -> t
 (** [copy m] is a deep copy. *)
 val copy : t -> t
 
+(** [well_formed ~n m] is true when [m] has [n] rows of length [n]
+    each. Every other matrix operation assumes its matrix arguments are
+    square and of one size, so a replica checks this on every matrix a
+    peer sends before using it. *)
+val well_formed : n:int -> t -> bool
+
 (** [merge_vector a b] is the element-wise maximum (cumulative vectors
     only ever grow). @raise Invalid_argument on length mismatch. *)
 val merge_vector : vector -> vector -> vector

@@ -969,8 +969,24 @@ let demote_leader t =
   end
   else false
 
+(* Every matrix a peer sends must be n x n before anything reads it
+   (the matrix kernels and [process_tat_on_preprepare] index it as
+   such); a message carrying any other shape is dropped whole. *)
+let carries_malformed_matrix t msg =
+  let nn = n t in
+  match msg with
+  | Msg.Preprepare { matrix; _ } | Msg.Slot_reply { matrix; _ } ->
+    not (Matrix.well_formed ~n:nn matrix)
+  | Msg.Viewchange { prepared; _ } ->
+    List.exists
+      (fun e -> not (Matrix.well_formed ~n:nn e.Msg.entry_matrix))
+      prepared
+  | Msg.Newview { proposals; _ } ->
+    List.exists (fun (_, m) -> not (Matrix.well_formed ~n:nn m)) proposals
+  | _ -> false
+
 let handle t ~from msg =
-  if live t then begin
+  if live t && not (carries_malformed_matrix t msg) then begin
     if from >= 0 && from < n t then
       t.last_heard_us.(from) <- t.env.Env.now_us ();
     match msg with
@@ -1105,16 +1121,26 @@ let snapshot t =
     snap_delivery = Delivery.state t.delivery;
   }
 
+(* The head digest hashes ["snap:%d:%d:%d:%s"] over the exec count,
+   last applied slot, view and comma-joined cursor, streamed. *)
 let snapshot_digest s =
-  let cursor_str =
-    String.concat "," (Array.to_list (Array.map string_of_int s.snap_cursor))
-  in
-  Cryptosim.Digest.combine
-    (Cryptosim.Digest.of_string
-       (Printf.sprintf "snap:%d:%d:%d:%s" s.snap_exec_count s.snap_last_applied
-          s.snap_view cursor_str))
-    (Cryptosim.Digest.combine
-       (Cryptosim.Digest.combine s.snap_chain (Matrix.digest s.snap_cum_matrix))
+  let module D = Cryptosim.Digest in
+  let a = D.start () in
+  D.add_string a "snap:";
+  D.add_int a s.snap_exec_count;
+  D.add_byte a ':';
+  D.add_int a s.snap_last_applied;
+  D.add_byte a ':';
+  D.add_int a s.snap_view;
+  D.add_byte a ':';
+  Array.iteri
+    (fun i v ->
+      if i > 0 then D.add_byte a ',';
+      D.add_int a v)
+    s.snap_cursor;
+  D.combine (D.finish a)
+    (D.combine
+       (D.combine s.snap_chain (Matrix.digest s.snap_cum_matrix))
        (Delivery.digest_of_state s.snap_delivery))
 
 let install_snapshot t s =

@@ -9,16 +9,22 @@ type t = {
   body : body;
 }
 
+(* The head digest hashes ["reply:%d:ack"] or ["reply:%d:cmd:%d:%s"]
+   (exec index, then the RTU and frame), streamed. *)
 let body_digest ~exec_index ~update_digest ~state ~body =
-  let body_str =
-    match body with
-    | Ack -> "ack"
-    | Command { rtu; frame } -> "cmd:" ^ string_of_int rtu ^ ":" ^ frame
-  in
-  Cryptosim.Digest.combine
-    (Cryptosim.Digest.of_string
-       ("reply:" ^ string_of_int exec_index ^ ":" ^ body_str))
-    (Cryptosim.Digest.combine update_digest state)
+  let module D = Cryptosim.Digest in
+  let a = D.start () in
+  D.add_string a "reply:";
+  D.add_int a exec_index;
+  D.add_byte a ':';
+  (match body with
+  | Ack -> D.add_string a "ack"
+  | Command { rtu; frame } ->
+    D.add_string a "cmd:";
+    D.add_int a rtu;
+    D.add_byte a ':';
+    D.add_string a frame);
+  D.combine (D.finish a) (D.combine update_digest state)
 
 let pp ppf t =
   Format.fprintf ppf "reply(r%d,(%d,%d),idx=%d)" t.replica (fst t.update_key)

@@ -35,8 +35,16 @@ type envelope = { sender : int; scheme : scheme; message : Message.t }
    8 tag bytes carry it; the rest are zero padding to the scheme's
    real-world authenticator size. *)
 let auth_digest scheme sender body =
-  Cryptosim.Digest.of_string
-    (Printf.sprintf "env:%d:%d:%s" (scheme_tag scheme) sender body)
+  let module D = Cryptosim.Digest in
+  (* ["env:%d:%d:%s"], streamed. *)
+  let a = D.start () in
+  D.add_string a "env:";
+  D.add_int a (scheme_tag scheme);
+  D.add_byte a ':';
+  D.add_int a sender;
+  D.add_byte a ':';
+  D.add_string a body;
+  D.finish a
 
 let encode ~sender msg =
   let body = Message.encode msg in

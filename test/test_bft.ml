@@ -66,6 +66,37 @@ let test_update_digest_distinguishes_content () =
   Alcotest.(check bool) "different digest" false
     (Cryptosim.Digest.equal (U.digest a) (U.digest b))
 
+(* The pre-streaming formulation, kept as the oracle. *)
+let old_update_digest u =
+  Cryptosim.Digest.of_string
+    ("update:" ^ string_of_int u.U.client ^ ":" ^ string_of_int u.U.client_seq
+   ^ ":" ^ u.U.operation)
+
+let prop_update_digest_matches_string =
+  QCheck.Test.make ~count:1_000 ~name:"digest = digest of its string"
+    QCheck.(
+      triple
+        (oneof [ int; oneofl [ min_int; max_int; 0; -9; -10 ] ])
+        (oneof [ int_bound max_int; oneofl [ 0; 9; 10; max_int ] ])
+        string)
+    (fun (client, client_seq, operation) ->
+      let u = U.create ~client ~client_seq ~operation ~submitted_us:0 in
+      Cryptosim.Digest.equal (U.digest u) (old_update_digest u))
+
+let test_update_digest_allocation () =
+  let u =
+    U.create ~client:4_000_017 ~client_seq:123_456 ~operation:"open breaker 3"
+      ~submitted_us:0
+  in
+  let calls = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (U.digest u))
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int calls in
+  (* One accumulator and one boxed digest: 6 words. *)
+  if words > 8. then Alcotest.failf "Update.digest allocates %.1f words" words
+
 (* ------------------------------------------------------------------ *)
 (* Exec log *)
 
@@ -182,6 +213,131 @@ let test_cluster_latency_override () =
   Sim.Engine.run_until_quiescent engine;
   Alcotest.(check int) "overridden delay" 5_000 !arrival
 
+(* The log as it was before the dense buffer: every remembered
+   position in a hashtable. The new log must answer exactly as it did. *)
+module Model_log = struct
+  type t = {
+    mutable len : int;
+    mutable chain : Cryptosim.Digest.t;
+    chains : (int, Cryptosim.Digest.t) Hashtbl.t;
+  }
+
+  let empty_chain = Cryptosim.Digest.of_string "exec-log-genesis"
+
+  let create () =
+    let chains = Hashtbl.create 97 in
+    Hashtbl.replace chains 0 empty_chain;
+    { len = 0; chain = empty_chain; chains }
+
+  let append t update =
+    t.len <- t.len + 1;
+    t.chain <- Cryptosim.Digest.combine t.chain (U.digest update);
+    Hashtbl.replace t.chains t.len t.chain;
+    t.len
+
+  let digest_at t pos = Hashtbl.find_opt t.chains pos
+
+  let prefix_equal a b =
+    let common = min a.len b.len in
+    match (Hashtbl.find_opt a.chains common, Hashtbl.find_opt b.chains common) with
+    | Some da, Some db -> Cryptosim.Digest.equal da db
+    | _ -> true
+
+  let install_snapshot t ~updates ~chain =
+    t.len <- updates;
+    t.chain <- chain;
+    Hashtbl.reset t.chains;
+    Hashtbl.replace t.chains updates chain
+end
+
+type log_op = Append of int | Install of int * int
+
+let prop_exec_log_matches_model =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (12, map (fun k -> Append k) (int_bound 3));
+          (1, map2 (fun u c -> Install (u, c)) (int_bound 300) (int_bound 3));
+        ])
+  in
+  let print = function
+    | Append k -> Printf.sprintf "A%d" k
+    | Install (u, c) -> Printf.sprintf "I(%d,%d)" u c
+  in
+  QCheck.Test.make ~count:200 ~name:"dense log matches hashtable model"
+    QCheck.(
+      make
+        ~print:(Print.list (Print.pair Print.bool print))
+        Gen.(list_size (int_bound 250) (pair bool op)))
+    (fun ops ->
+      let a = L.create () and b = L.create () in
+      let ma = Model_log.create () and mb = Model_log.create () in
+      let same l m =
+        L.length l = m.Model_log.len
+        && Cryptosim.Digest.equal (L.chain_digest l) m.Model_log.chain
+        && List.for_all
+             (fun pos ->
+               match (Model_log.digest_at m pos, L.digest_at l pos) with
+               | Some d, got -> Cryptosim.Digest.equal d got
+               | None, _ -> false
+               | exception Invalid_argument _ -> Model_log.digest_at m pos = None)
+             (List.init (m.Model_log.len + 4) (fun i -> i - 2))
+      in
+      List.for_all
+        (fun (left, op) ->
+          let l, m = if left then (a, ma) else (b, mb) in
+          (match op with
+          | Append k ->
+            let u = upd k in
+            Alcotest.(check int) "position" (Model_log.append m u) (L.append l u)
+          | Install (updates, c) ->
+            let chain = Cryptosim.Digest.of_string (string_of_int c) in
+            L.install_snapshot l ~updates ~chain;
+            Model_log.install_snapshot m ~updates ~chain);
+          same l m && L.prefix_equal a b = Model_log.prefix_equal ma mb)
+        ops)
+
+let test_exec_log_out_of_range () =
+  let l = L.create () in
+  ignore (L.append l (upd 1));
+  let raises pos =
+    match L.digest_at l pos with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "negative" true (raises (-1));
+  Alcotest.(check bool) "past the end" true (raises 2);
+  L.install_snapshot l ~updates:40 ~chain:(L.chain_digest l);
+  Alcotest.(check bool) "below the snapshot base" true (raises 39);
+  Alcotest.(check bool) "base is held" false (raises 40);
+  (* Long enough to grow the buffer several times past the base. *)
+  for i = 1 to 5_000 do
+    ignore (L.append l (upd i))
+  done;
+  Alcotest.(check bool) "last held" false (raises 5_040);
+  Alcotest.(check bool) "one past" true (raises 5_041)
+
+let test_exec_log_prefix_across_snapshot () =
+  (* [a] keeps its full history; [b] adopts a snapshot at 3 and both
+     continue. Equal prefixes compare equal, a divergence after the
+     base is seen, and a common length below [b]'s base compares
+     trivially. *)
+  let a = L.create () in
+  List.iter (fun i -> ignore (L.append a (upd i))) [ 1; 2; 3 ];
+  let b = L.create () in
+  L.install_snapshot b ~updates:3 ~chain:(L.chain_digest a);
+  ignore (L.append a (upd 4));
+  ignore (L.append b (upd 4));
+  Alcotest.(check bool) "same continuation" true (L.prefix_equal a b);
+  ignore (L.append a (upd 5));
+  ignore (L.append b (upd 6));
+  Alcotest.(check bool) "divergence after base" false (L.prefix_equal a b);
+  let short = L.create () in
+  ignore (L.append short (upd 9));
+  Alcotest.(check bool) "below the base: trivially true" true
+    (L.prefix_equal short b)
+
 (* ------------------------------------------------------------------ *)
 (* Batch accumulator: it alone decides when a generation flushes. *)
 
@@ -285,6 +441,9 @@ let () =
             test_update_digest_ignores_submission_time;
           Alcotest.test_case "digest binds content" `Quick
             test_update_digest_distinguishes_content;
+          QCheck_alcotest.to_alcotest prop_update_digest_matches_string;
+          Alcotest.test_case "digest allocation" `Quick
+            test_update_digest_allocation;
         ] );
       ( "exec_log",
         [
@@ -292,6 +451,11 @@ let () =
           Alcotest.test_case "prefix equal" `Quick test_exec_log_prefix_equal;
           Alcotest.test_case "snapshot" `Quick test_exec_log_snapshot;
           QCheck_alcotest.to_alcotest prop_exec_log_chain_detects_divergence;
+          QCheck_alcotest.to_alcotest prop_exec_log_matches_model;
+          Alcotest.test_case "digest_at out of range" `Quick
+            test_exec_log_out_of_range;
+          Alcotest.test_case "prefix across snapshot" `Quick
+            test_exec_log_prefix_across_snapshot;
         ] );
       ( "batch",
         [

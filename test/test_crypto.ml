@@ -171,6 +171,130 @@ let prop_digest_combine_matches_reference =
         (D.to_int64 (D.combine a b))
         (reference_fnv (Bytes.to_string buf)))
 
+(* ------------------------------------------------------------------ *)
+(* Streaming accumulator and the tags built on it *)
+
+let int_specials = [ min_int; max_int; 0; 9; -9; 10; -10; 1; -1; 99; -100 ]
+
+let int64_specials =
+  let e18 = 1_000_000_000_000_000_000L in
+  [
+    Int64.min_int; Int64.max_int; 0L; 9L; -9L; 10L; -10L; e18; Int64.neg e18;
+    Int64.pred e18; Int64.succ e18; Int64.neg (Int64.succ e18);
+    Int64.of_int min_int; Int64.of_int max_int;
+  ]
+
+(* Digest of [prefix] followed by the value's bytes, fed through
+   [add]; the prefix checks that the value continues a running state. *)
+let streamed prefix add v =
+  let a = D.start () in
+  D.add_string a prefix;
+  add a v;
+  D.finish a
+
+let add_int_matches n =
+  D.equal (streamed "k:" D.add_int n) (D.of_string ("k:" ^ string_of_int n))
+
+let add_int64_matches v =
+  D.equal (streamed "k:" D.add_int64 v) (D.of_string ("k:" ^ Int64.to_string v))
+
+let test_stream_specials () =
+  List.iter
+    (fun n ->
+      Alcotest.(check bool) (Printf.sprintf "add_int %d" n) true (add_int_matches n))
+    int_specials;
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) (Printf.sprintf "add_int64 %Ld" v) true
+        (add_int64_matches v))
+    int64_specials;
+  let a = D.start () in
+  D.add_byte a 'x';
+  D.add_string a "";
+  D.add_byte a '\255';
+  Alcotest.(check bool) "add_byte" true (D.equal (D.finish a) (D.of_string "x\255"))
+
+let prop_add_int_is_string_of_int =
+  QCheck.Test.make ~count:2_000 ~name:"add_int = bytes of string_of_int"
+    QCheck.(oneof [ int; oneofl int_specials; int_range (-1000) 1000 ])
+    add_int_matches
+
+let prop_add_int64_is_to_string =
+  QCheck.Test.make ~count:2_000 ~name:"add_int64 = bytes of Int64.to_string"
+    QCheck.(oneof [ int64; oneofl int64_specials; map Int64.of_int int ])
+    add_int64_matches
+
+(* The tag formulations before they were streamed, kept as oracles. *)
+let old_key seed index epoch =
+  D.to_int64 (D.of_string (Printf.sprintf "key:%Ld:%d:%d" seed index epoch))
+
+let old_sig material signer d =
+  D.of_string (Printf.sprintf "sig:%Ld:%d:%Ld" material signer (D.to_int64 d))
+
+let old_forged signer d =
+  D.of_string (Printf.sprintf "forged:%d:%Ld" signer (D.to_int64 d))
+
+let old_mac material sender peer d =
+  D.of_string
+    (Printf.sprintf "mac:%Ld:%d:%d:%Ld" material sender peer (D.to_int64 d))
+
+let old_group_id seed members threshold =
+  D.to_int64
+    (D.of_string
+       (Printf.sprintf "group:%Ld:%s:%d" seed
+          (String.concat "," (List.map string_of_int members))
+          threshold))
+
+let old_share_tag gid member d =
+  D.of_string
+    ("share:" ^ Int64.to_string gid ^ ":" ^ string_of_int member ^ ":"
+   ^ Int64.to_string (D.to_int64 d))
+
+let old_combined_tag gid d =
+  D.of_string ("combined:" ^ Int64.to_string gid ^ ":" ^ Int64.to_string (D.to_int64 d))
+
+let prop_auth_tags_match_strings =
+  QCheck.Test.make ~count:500 ~name:"keyring/auth tags = their strings"
+    QCheck.(quad int64 (int_bound 5) (int_bound 5) small_string)
+    (fun (seed, signer, peer, msg) ->
+      let kr = K.create ~seed ~size:6 in
+      let d = D.of_string msg in
+      let material = K.material_of kr signer in
+      let keys_ok =
+        List.for_all (fun i -> Int64.equal (K.material_of kr i) (old_key seed i 0))
+          [ 0; 1; 2; 3; 4; 5 ]
+      in
+      ignore (K.rotate kr peer : K.secret);
+      let rotated_ok = Int64.equal (K.material_of kr peer) (old_key seed peer 1) in
+      let material = if signer = peer then K.material_of kr signer else material in
+      let secret = K.secret kr signer in
+      keys_ok && rotated_ok
+      && D.equal (A.signature_tag (A.sign secret d)) (old_sig material signer d)
+      && D.equal
+           (A.signature_tag (A.forge ~claimed_signer:signer ~digest:d))
+           (old_forged signer d)
+      && D.equal (A.mac_tag (A.mac secret ~peer d)) (old_mac material signer peer d))
+
+let prop_threshold_tags_match_strings =
+  QCheck.Test.make ~count:500 ~name:"threshold tags = their strings"
+    QCheck.(triple int64 (list_of_size (Gen.int_range 1 7) int) small_string)
+    (fun (seed, members, msg) ->
+      let members = List.sort_uniq compare members in
+      let threshold = 1 + (List.length members / 2) in
+      let g = T.create_group ~seed ~members ~threshold in
+      let gid = old_group_id seed members threshold in
+      let d = D.of_string msg in
+      let shares = List.map (fun m -> T.sign_share g ~member:m d) members in
+      List.for_all
+        (fun s ->
+          let member, _, tag = T.share_repr s in
+          D.equal tag (old_share_tag gid member d))
+        shares
+      &&
+      match T.combine g ~digest:d shares with
+      | Some c -> D.equal (snd (T.combined_repr c)) (old_combined_tag gid d)
+      | None -> false)
+
 let () =
   Alcotest.run "crypto"
     [
@@ -182,6 +306,9 @@ let () =
           Alcotest.test_case "hex" `Quick test_digest_hex;
           QCheck_alcotest.to_alcotest prop_digest_matches_reference_fnv;
           QCheck_alcotest.to_alcotest prop_digest_combine_matches_reference;
+          Alcotest.test_case "streaming specials" `Quick test_stream_specials;
+          QCheck_alcotest.to_alcotest prop_add_int_is_string_of_int;
+          QCheck_alcotest.to_alcotest prop_add_int64_is_to_string;
         ] );
       ( "auth",
         [
@@ -193,6 +320,7 @@ let () =
             test_rotate_invalidates_old_signatures;
           Alcotest.test_case "mac roundtrip" `Quick test_mac_roundtrip;
           QCheck_alcotest.to_alcotest prop_sign_verify_roundtrip;
+          QCheck_alcotest.to_alcotest prop_auth_tags_match_strings;
         ] );
       ( "threshold",
         [
@@ -206,5 +334,6 @@ let () =
           Alcotest.test_case "non-member rejected" `Quick
             test_threshold_nonmember_rejected;
           QCheck_alcotest.to_alcotest prop_threshold_any_quorum_combines;
+          QCheck_alcotest.to_alcotest prop_threshold_tags_match_strings;
         ] );
     ]

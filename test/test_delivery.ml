@@ -90,6 +90,34 @@ let prop_delivery_exactly_once_any_order =
       List.length ks = List.length (List.sort_uniq compare ks)
       && increasing ks)
 
+(* The Buffer formulation before streaming, kept as the oracle. *)
+let old_digest_of_state st =
+  let buf = Buffer.create 128 in
+  List.iter
+    (fun (c, expected, buffered) ->
+      Buffer.add_string buf (Printf.sprintf "%d:%d[" c expected);
+      List.iter
+        (fun u ->
+          Buffer.add_string buf
+            (Printf.sprintf "%Ld;" (Cryptosim.Digest.to_int64 (Bft.Update.digest u))))
+        buffered;
+      Buffer.add_char buf ']')
+    st;
+  Cryptosim.Digest.of_string (Buffer.contents buf)
+
+let prop_digest_of_state_matches_old =
+  let n = QCheck.Gen.(oneof [ int; int_range (-20) 20; oneofl [ min_int; max_int ] ]) in
+  QCheck.Test.make ~count:500 ~name:"delivery: state digest = old formulation"
+    QCheck.(
+      make
+        Gen.(
+          list_size (int_bound 4)
+            (triple n n
+               (list_size (int_bound 4)
+                  (map2 (fun c s -> upd c s) n (int_bound 1_000))))))
+    (fun st ->
+      Cryptosim.Digest.equal (D.digest_of_state st) (old_digest_of_state st))
+
 let prop_delivery_state_digest_stable =
   QCheck.Test.make ~name:"delivery: digest deterministic across install"
     QCheck.(list_of_size (QCheck.Gen.int_range 0 20) (pair (int_bound 3) (int_range 1 6)))
@@ -212,6 +240,7 @@ let () =
           Alcotest.test_case "state roundtrip" `Quick test_delivery_state_roundtrip;
           QCheck_alcotest.to_alcotest prop_delivery_exactly_once_any_order;
           QCheck_alcotest.to_alcotest prop_delivery_state_digest_stable;
+          QCheck_alcotest.to_alcotest prop_digest_of_state_matches_old;
         ] );
       ( "trace",
         [

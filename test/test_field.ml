@@ -53,6 +53,18 @@ let prop_point_render_matches_printf =
       = Printf.sprintf "%s@%d:n%d,s%d,st%d,db%d" (FF.table_name table) address
           nominal spread step deadband)
 
+let prop_point_digest_matches_render =
+  QCheck.Test.make ~count:2_000 ~name:"point digest = digest of render"
+    (let n = QCheck.(oneof [ int; oneofl [ min_int; max_int; 0; -1; 9; -10 ] ]) in
+     QCheck.(quad (int_bound 3) n (pair n n) (pair n n)))
+    (fun (tbl, address, (nominal, spread), (step, deadband)) ->
+      let table = Option.get (FF.table_of_int tbl) in
+      let p = { P.table; address; nominal; spread; step; deadband } in
+      Cryptosim.Digest.equal (P.digest p)
+        (Cryptosim.Digest.of_string
+           (Printf.sprintf "%s@%d:n%d,s%d,st%d,db%d" (FF.table_name table)
+              address nominal spread step deadband)))
+
 (* ------------------------------------------------------------------ *)
 (* Device *)
 
@@ -602,6 +614,7 @@ let () =
           Alcotest.test_case "u16 clipping" `Quick test_point_envelope_clipped_to_u16;
           Alcotest.test_case "map digest" `Quick test_point_map_digest_sensitive;
           QCheck_alcotest.to_alcotest prop_point_render_matches_printf;
+          QCheck_alcotest.to_alcotest prop_point_digest_matches_render;
         ] );
       ( "device",
         [

@@ -188,6 +188,29 @@ let test_duplicate_submission_executes_once () =
   Sim.Engine.run h.engine ~until_us:5_000_000;
   check_all_executed_equally h ~expected_count:1
 
+(* The proposal digest before streaming, kept as the oracle. *)
+let old_proposal_digest (p : Pbft.Msg.proposal) =
+  match p.updates with
+  | [] -> Cryptosim.Digest.of_string ("noop:" ^ string_of_int p.seq)
+  | updates ->
+    List.fold_left
+      (fun acc u -> Cryptosim.Digest.combine acc (Bft.Update.digest u))
+      (Cryptosim.Digest.of_string ("prop:" ^ string_of_int p.seq))
+      updates
+
+let prop_proposal_digest_matches_old =
+  QCheck.Test.make ~count:500 ~name:"proposal digest = old formulation"
+    QCheck.(pair int (small_list (pair small_nat string)))
+    (fun (seq, ops) ->
+      let updates =
+        List.map
+          (fun (s, operation) ->
+            Bft.Update.create ~client:2 ~client_seq:s ~operation ~submitted_us:0)
+          ops
+      in
+      let p = { Pbft.Msg.seq; updates } in
+      Cryptosim.Digest.equal (Pbft.Msg.proposal_digest p) (old_proposal_digest p))
+
 let () =
   Alcotest.run "pbft"
     [
@@ -207,5 +230,6 @@ let () =
             test_larger_cluster_f2;
           Alcotest.test_case "duplicate submission executes once" `Quick
             test_duplicate_submission_executes_once;
+          QCheck_alcotest.to_alcotest prop_proposal_digest_matches_old;
         ] );
     ]

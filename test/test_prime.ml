@@ -79,6 +79,78 @@ let prop_threshold_n_is_column_min =
       done;
       !ok)
 
+(* The matrix kernels before the loop rewrite, kept as oracles. *)
+module Old = struct
+  let merge_vector a b = Array.init (Array.length a) (fun i -> max a.(i) b.(i))
+  let merge a b = Array.init (Array.length a) (fun i -> merge_vector a.(i) b.(i))
+
+  let eligible m ~threshold =
+    let n = Array.length m in
+    Array.init n (fun j ->
+        let column = Array.init n (fun i -> m.(i).(j)) in
+        Array.sort (fun a b -> compare b a) column;
+        column.(threshold - 1))
+
+  let digest m =
+    let buf = Buffer.create 256 in
+    Array.iter
+      (fun row ->
+        Array.iter
+          (fun v ->
+            Buffer.add_string buf (string_of_int v);
+            Buffer.add_char buf ',')
+          row;
+        Buffer.add_char buf ';')
+      m;
+    Cryptosim.Digest.of_string (Buffer.contents buf)
+end
+
+let gen_entry =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_range (-5) 20);
+        (2, int);
+        (1, oneofl [ min_int; max_int; 0; -1; 1_000_000_007 ]);
+      ])
+
+let gen_square n = QCheck.Gen.(array_repeat n (array_repeat n gen_entry))
+
+let prop_kernels_match_old =
+  QCheck.Test.make ~count:1_000 ~name:"merge/eligible/digest = old kernels"
+    QCheck.(
+      make
+        ~print:(fun (a, b, t) ->
+          Format.asprintf "%a| %a| threshold %d" M.pp a M.pp b t)
+        Gen.(
+          int_range 1 8 >>= fun n ->
+          map3 (fun a b t -> (a, b, t)) (gen_square n) (gen_square n) (int_range 1 n)))
+    (fun (a, b, threshold) ->
+      M.equal (M.merge a b) (Old.merge a b)
+      && M.eligible a ~threshold = Old.eligible a ~threshold
+      && M.eligible (M.merge a b) ~threshold = Old.eligible (Old.merge a b) ~threshold
+      && Cryptosim.Digest.equal (M.digest a) (Old.digest a)
+      && M.merge_vector a.(0) b.(0) = Old.merge_vector a.(0) b.(0))
+
+let test_matrix_well_formed () =
+  Alcotest.(check bool) "square" true (M.well_formed ~n:3 (M.empty ~n:3));
+  Alcotest.(check bool) "wrong size" false (M.well_formed ~n:4 (M.empty ~n:3));
+  Alcotest.(check bool) "ragged" false
+    (M.well_formed ~n:3 [| [| 1; 2; 3 |]; [| 1; 2 |]; [| 1; 2; 3 |] |]);
+  Alcotest.(check bool) "too many rows" false
+    (M.well_formed ~n:2 [| [| 1; 2 |]; [| 1; 2 |]; [| 1; 2 |] |])
+
+let test_eligible_allocation () =
+  let m = Array.init 6 (fun i -> Array.init 6 (fun j -> (7 * i) + (3 * j))) in
+  let calls = 10_000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (M.eligible m ~threshold:4))
+  done;
+  let words = (Gc.minor_words () -. w0) /. float_of_int calls in
+  (* The result (7 words) and one scratch column of [threshold] (5). *)
+  if words > 14. then Alcotest.failf "eligible 6x6 allocates %.1f words" words
+
 (* ------------------------------------------------------------------ *)
 (* Replica integration harness *)
 
@@ -166,6 +238,37 @@ let test_fault_free_ordering () =
     (correct_execution_counts h ~skip:[]);
   Alcotest.(check int) "no view change" 0
     (Prime.Replica.view (Bft.Cluster.replica h.cluster 2))
+
+(* Before the leader's first proposal, replica 0 (the view-0 leader)
+   hands every backup pre-prepares for slots 1 and 2 carrying [bad], a
+   matrix that is not 6 x 6. Backups must drop them: ordering then
+   proceeds as if they were never sent. *)
+let test_malformed_preprepare_ignored () =
+  let run bad =
+    let h = make_harness () in
+    ignore
+      (Sim.Engine.schedule_at h.engine ~time_us:500 (fun () ->
+           for i = 1 to 5 do
+             List.iter
+               (fun seq ->
+                 Prime.Replica.handle
+                   (Bft.Cluster.replica h.cluster i)
+                   ~from:0
+                   (Prime.Msg.Preprepare { view = 0; seq; matrix = bad }))
+               [ 1; 2 ]
+           done)
+        : Sim.Engine.timer);
+    for i = 1 to 20 do
+      submit_at h ~time_us:(i * 5_000) ~origin:(i mod 6) (update ~client:3 ~seq:i)
+    done;
+    Sim.Engine.run h.engine ~until_us:3_000_000;
+    check_agreement h;
+    List.iter
+      (fun c -> Alcotest.(check int) "all executed" 20 c)
+      (correct_execution_counts h ~skip:[])
+  in
+  run (Array.init 5 (fun _ -> Array.make 6 1));
+  run (Array.init 6 (fun i -> Array.make (if i = 3 then 4 else 6) 1))
 
 let test_fault_free_latency_bounded () =
   let h = make_harness () in
@@ -272,6 +375,53 @@ let test_reconciliation_fills_missed_body () =
     (List.exists
        (fun (_, u) -> Bft.Update.key u = (6, 1))
        !(Hashtbl.find h.exec_times 4))
+
+(* The snapshot digest before streaming, over the old matrix digest, kept
+   as the oracle (the delivery-state digest has its own oracle in
+   test_delivery). *)
+let old_snapshot_digest (s : Prime.Replica.snapshot) =
+  let cursor_str =
+    String.concat "," (Array.to_list (Array.map string_of_int s.snap_cursor))
+  in
+  Cryptosim.Digest.combine
+    (Cryptosim.Digest.of_string
+       (Printf.sprintf "snap:%d:%d:%d:%s" s.snap_exec_count s.snap_last_applied
+          s.snap_view cursor_str))
+    (Cryptosim.Digest.combine
+       (Cryptosim.Digest.combine s.snap_chain (Old.digest s.snap_cum_matrix))
+       (Bft.Delivery.digest_of_state s.snap_delivery))
+
+let prop_snapshot_digest_matches_old =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 6 >>= fun n ->
+      let updates =
+        list_size (int_bound 3)
+          (map2
+             (fun seq op ->
+               Bft.Update.create ~client:1 ~client_seq:seq ~operation:op
+                 ~submitted_us:0)
+             (int_bound 1_000) string_printable)
+      in
+      map3
+        (fun (count, applied, view) (cursor, matrix) (chain, delivery) ->
+          {
+            Prime.Replica.snap_exec_count = count;
+            snap_chain = Cryptosim.Digest.of_string chain;
+            snap_cursor = cursor;
+            snap_last_applied = applied;
+            snap_cum_matrix = matrix;
+            snap_view = view;
+            snap_delivery = delivery;
+          })
+        (triple gen_entry gen_entry gen_entry)
+        (pair (array_repeat n gen_entry) (gen_square n))
+        (pair string_printable
+           (list_size (int_bound 3) (triple gen_entry gen_entry updates))))
+  in
+  QCheck.Test.make ~count:500 ~name:"snapshot digest = old formulation"
+    (QCheck.make gen) (fun s ->
+      Cryptosim.Digest.equal (Prime.Replica.snapshot_digest s) (old_snapshot_digest s))
 
 let test_snapshot_roundtrip () =
   let h = make_harness () in
@@ -396,6 +546,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_eligible_monotone_in_matrix;
           QCheck_alcotest.to_alcotest prop_eligible_bounded_by_max;
           QCheck_alcotest.to_alcotest prop_threshold_n_is_column_min;
+          QCheck_alcotest.to_alcotest prop_kernels_match_old;
+          Alcotest.test_case "well formed" `Quick test_matrix_well_formed;
+          Alcotest.test_case "eligible allocation" `Quick test_eligible_allocation;
         ] );
       ( "replica",
         [
@@ -419,5 +572,8 @@ let () =
             test_max_tat_reflects_leader_delay;
           Alcotest.test_case "stale suspect views pruned" `Quick
             test_stale_suspect_views_pruned;
+          Alcotest.test_case "malformed pre-prepare ignored" `Quick
+            test_malformed_preprepare_ignored;
+          QCheck_alcotest.to_alcotest prop_snapshot_digest_matches_old;
         ] );
     ]

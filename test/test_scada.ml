@@ -681,6 +681,32 @@ let test_modbus_proxy_gateways_dnp3_command () =
   Alcotest.(check bool) "breaker tripped via modbus write" true
     (R.breaker rtu ~index:2 = R.Open)
 
+(* The reply digest before streaming, kept as the oracle. *)
+let old_body_digest ~exec_index ~update_digest ~state ~body =
+  let body_str =
+    match body with
+    | Scada.Reply.Ack -> "ack"
+    | Scada.Reply.Command { rtu; frame } -> "cmd:" ^ string_of_int rtu ^ ":" ^ frame
+  in
+  Cryptosim.Digest.combine
+    (Cryptosim.Digest.of_string ("reply:" ^ string_of_int exec_index ^ ":" ^ body_str))
+    (Cryptosim.Digest.combine update_digest state)
+
+let prop_reply_digest_matches_old =
+  QCheck.Test.make ~count:500 ~name:"reply body digest = old formulation"
+    QCheck.(quad int (option (pair int string)) string string)
+    (fun (exec_index, cmd, u, s) ->
+      let body =
+        match cmd with
+        | None -> Scada.Reply.Ack
+        | Some (rtu, frame) -> Scada.Reply.Command { rtu; frame }
+      in
+      let update_digest = Cryptosim.Digest.of_string u
+      and state = Cryptosim.Digest.of_string s in
+      Cryptosim.Digest.equal
+        (Scada.Reply.body_digest ~exec_index ~update_digest ~state ~body)
+        (old_body_digest ~exec_index ~update_digest ~state ~body))
+
 let () =
   Alcotest.run "scada"
     [
@@ -738,6 +764,7 @@ let () =
           Alcotest.test_case "corrupt share" `Quick
             test_endpoint_corrupt_share_does_not_confirm;
           Alcotest.test_case "resubmission" `Quick test_endpoint_resubmits_on_timeout;
+          QCheck_alcotest.to_alcotest prop_reply_digest_matches_old;
         ] );
       ( "proxy",
         [

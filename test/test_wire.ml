@@ -541,6 +541,24 @@ let test_corrupt_flips_one_bit () =
 (* ------------------------------------------------------------------ *)
 (* Envelope structure                                                  *)
 
+(* The authenticator before streaming, kept as the oracle: the 8 tag
+   bytes after the body are the digest of ["env:%d:%d:%s"]. *)
+let prop_envelope_tag_matches_old =
+  QCheck.Test.make ~count:300 ~name:"envelope tag = old formulation"
+    (arb (G.pair gen_u16 gen_message) (fun ppf (s, m) ->
+         Format.fprintf ppf "sender=%d %a" s Wire.Message.pp m))
+    (fun (sender, msg) ->
+      let frame = Wire.Envelope.encode ~sender msg in
+      let body = Wire.Message.encode msg in
+      let tag =
+        String.get_int64_be frame (Wire.Envelope.header_bytes + String.length body)
+      in
+      let expected =
+        Cryptosim.Digest.of_string
+          (Printf.sprintf "env:%d:%d:%s" (Char.code frame.[3]) sender body)
+      in
+      Int64.equal tag (Cryptosim.Digest.to_int64 expected))
+
 let test_envelope_layout () =
   let msg = Wire.Message.Client_update
       (Bft.Update.create ~client:2 ~client_seq:5 ~operation:"op"
@@ -705,6 +723,7 @@ let () =
           Alcotest.test_case "auth scheme per traffic class" `Quick
             test_scheme_assignment;
           Alcotest.test_case "pre-prepares dwarf votes" `Quick test_size_shape;
+          QCheck_alcotest.to_alcotest prop_envelope_tag_matches_old;
         ] );
       ( "system",
         [
