@@ -1,27 +1,17 @@
 #!/bin/sh
 # Pre-commit check: tier-1 build + test suites, a quick chaos soak
-# (5 seeded within-budget schedules; every oracle must stay green), a
-# field-fleet smoke, a reconfiguration soak, then a release-profile
-# build with E2 + E3 + E4 + E5 + E6 + E6B + E7 + E11 + E13 bench smoke
-# runs (exercises the wire layer, the byte-accounting tables, Prime's
-# continuous ordering, PBFT and a delaying leader, proactive recovery
-# and state transfer, site loss and restoration, flooding over lossy
-# links and the epoch cutover path end to end) and the PERF=1
-# wall-clock gates. It rewrites no tracked file. Each release smoke's
-# stdout, and the E10 chaos soak's and E12 fleet smoke's, minus its
-# wall-time lines, must match bench/expected/<ID>.txt byte for byte. A
-# change meant to move those tables regenerates them with:
-#   for id in E2 E3 E4 E5 E6 E6B E7 E11 E13; do
+# (5 seeded within-budget schedules; every oracle must stay green),
+# the telemetry and reconfiguration soaks, garbage-argument probes,
+# then a release-profile run of every bench experiment (E1..E13), one
+# traced repository benchmark run and the PERF=1 wall-clock gates. It rewrites no tracked file. Each
+# experiment must exit zero, and its stdout minus the wall-time line
+# must match bench/expected/<ID>.txt byte for byte; E10 and E12 must
+# also print the same table under PAR=4. A change meant to move those
+# tables regenerates them with:
+#   for id in E1 E2 E3 E4 E5 E6 E6B E7 E8 E9 E10 E11 E12 E13; do
 #     EXPERIMENT=$id dune exec --profile release bench/main.exe |
 #       grep -v "wall time" > bench/expected/$id.txt
 #   done
-# the chaos soak's table (E10, sequential) with:
-#   ONLY=E10 dune exec bench/main.exe |
-#     grep -v "wall time" > bench/expected/E10.txt
-# and the field-fleet smoke's table (E12 at 1k, 10k and 100k devices)
-# with:
-#   FLEET=1000,10000,100000 ONLY=E12 dune exec bench/main.exe |
-#     grep -v "wall time" > bench/expected/E12.txt
 set -e
 cd "$(dirname "$0")/.."
 
@@ -29,31 +19,8 @@ dune build
 dune runtest
 dune exec dev/debug.exe -- chaos 5
 
-# Chaos soak smoke: E10's sequential table (view changes, state
-# transfer, every oracle) must match bench/expected/E10.txt, and its
-# soak seeds farmed over 4 domains must print a byte-identical table
-# (PAR only changes wall time, never results).
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-for par in 1 4; do
-  PAR=$par ONLY=E10 dune exec bench/main.exe > "$tmp/e10.out"
-  grep -v "wall time" "$tmp/e10.out" > "$tmp/e10_par$par.txt"
-done
-diff bench/expected/E10.txt "$tmp/e10_par1.txt"
-diff "$tmp/e10_par1.txt" "$tmp/e10_par4.txt"
-
-# Field-fleet smoke at 1k, 10k and 100k devices (the 100k point is the
-# 40-concentrator fleet store at benchmark scale): E12 exits nonzero if
-# any sweep point confirms zero events (aggregation or the write path
-# broken), or if the 10k point confirms fewer than 9,090 events/s. Its
-# table must match bench/expected/E12.txt and be byte-identical under
-# PAR=4.
-for par in 1 4; do
-  FLEET=1000,10000,100000 PAR=$par ONLY=E12 dune exec bench/main.exe > "$tmp/e12.out"
-  grep -v "wall time" "$tmp/e12.out" > "$tmp/e12_par$par.txt"
-done
-diff bench/expected/E12.txt "$tmp/e12_par1.txt"
-diff "$tmp/e12_par1.txt" "$tmp/e12_par4.txt"
 
 # Telemetry-enabled E2 smoke: zero orphan spans, bounded open spans,
 # per-phase attribution reconciling with end-to-end latency. Then the
@@ -79,11 +46,13 @@ dune exec dev/telemetry_smoke.exe -- flod 2> /dev/null || rc=$?
 if [ "$rc" -ne 2 ]; then
   echo "telemetry_smoke.exe -- flod exited $rc, expected 2" && exit 1
 fi
-rc=0
-SCALE=ful EXPERIMENT=E1 dune exec bench/main.exe > /dev/null 2>&1 || rc=$?
-if [ "$rc" -ne 2 ]; then
-  echo "SCALE=ful EXPERIMENT=E1 exited $rc, expected 2" && exit 1
-fi
+for knobs in "SCALE=ful EXPERIMENT=E1" "EXPERIMENT=,"; do
+  rc=0
+  env $knobs dune exec bench/main.exe > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "$knobs bench/main.exe exited $rc, expected 2" && exit 1
+  fi
+done
 
 # The scenario CLI refuses out-of-range integers with a command-line
 # error (exit 124) instead of reporting a healthy run that disconnected
@@ -98,34 +67,26 @@ for args in "site-failure --site 9" "fault-free --duration=-3" \
   fi
 done
 
-# Release smokes: each must exit zero and print its committed table.
-smoke() {
-  EXPERIMENT=$1 dune exec --profile release bench/main.exe > "$tmp/$1.out"
-  cat "$tmp/$1.out"
-  grep -v "wall time" "$tmp/$1.out" | diff "bench/expected/$1.txt" -
-}
+# Every experiment in the release profile: each exits nonzero when one
+# of its oracles fails (E9's defences, E10's soak and over-budget
+# validator, E11's epoch safety and failover gap, E12's fleet floor,
+# E13's controller convergence and knob journals), and its table must
+# match the committed one. E10's soak seeds and E12's fleet points,
+# farmed over 4 domains, must print the same table (PAR only changes
+# wall time, never results).
 dune build --profile release
-smoke E2
-# E3: Prime's continuous ordering over the quick-scale soak.
-smoke E3
-# E4: PBFT dispatch and a leader that delays its proposals.
-smoke E4
-# E5: the proactive-recovery scheduler and state transfer on return.
-smoke E5
-smoke E6
-# E6B floods over lossy WAN links: the hop-by-hop ARQ leg under
-# constrained flooding and redundant paths.
-smoke E6B
-# E7: a whole control center killed, then restored by state transfer.
-smoke E7
-# E11 exits nonzero on any epoch-safety violation, wrong final epoch, or
-# a confirmation gap over 8s during the failover/rejoin/growth arc.
-smoke E11
-# E13 exits nonzero unless the adaptive controller converges within 25%
-# of the best static configuration under each replayed attack, beats
-# the worst static across attacks, and every knob-change journal
-# reconciles with its counters (statics must issue zero requests).
-smoke E13
+check_table() {
+  id=$1
+  shift
+  env EXPERIMENT="$id" "$@" dune exec --profile release bench/main.exe > "$tmp/$id.out"
+  cat "$tmp/$id.out"
+  grep -v "wall time" "$tmp/$id.out" | diff "bench/expected/$id.txt" -
+}
+for id in E1 E2 E3 E4 E5 E6 E6B E7 E8 E9 E10 E11 E12 E13; do
+  check_table $id
+done
+check_table E10 PAR=4
+check_table E12 PAR=4
 
 # Repository benchmark, once on the flood path with per-layer tracing:
 # exits nonzero unless the run passes its own checks — agreement,

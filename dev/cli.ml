@@ -25,12 +25,3 @@ let int_arg ?default ~usage args i =
 
 let int64_arg ?default ~usage args i =
   arg ?default ~usage ~what:"an integer" Int64.of_string_opt args i
-
-(* Integer environment variable [name] ([default] when unset). *)
-let env_int ~usage name default =
-  match Sys.getenv_opt name with
-  | None -> default
-  | Some s -> (
-    match int_of_string_opt s with
-    | Some v -> v
-    | None -> usage_exit ~usage (Printf.sprintf "%s=%S is not an integer" name s))

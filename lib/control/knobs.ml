@@ -183,9 +183,3 @@ let pp_entry ppf e =
     (if e.applied then "applied" else "REJECTED")
     pp_request e.request
     (if e.note = "" then "" else Printf.sprintf " (%s)" e.note)
-
-let print_journal t =
-  Format.printf "knob-change journal (%d entries):@." t.entry_count;
-  List.iter (fun e -> Format.printf "  %a@." pp_entry e) (journal t);
-  Format.printf "  applied=%d rejected=%d reconciled=%b@." (total_applied t)
-    (total_rejected t) (reconcile t)

@@ -108,7 +108,3 @@ val total_rejected : t -> int
 val reconcile : t -> bool
 
 val pp_entry : Format.formatter -> entry -> unit
-
-(** [print_journal t] dumps the journal, oldest first, one line per
-    entry (the [dev/debug.exe -- adapt] probe output). *)
-val print_journal : t -> unit
