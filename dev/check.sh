@@ -1,6 +1,7 @@
 #!/bin/sh
-# Pre-commit check: tier-1 build + test suites, a quick chaos soak
-# (5 seeded within-budget schedules; every oracle must stay green),
+# Pre-commit check: tier-1 build + test suites, a fixed-range chaos
+# soak (1000 seeded within-budget schedules farmed across domains;
+# every oracle must stay green on every seed: 0/1000 dirty),
 # the telemetry and reconfiguration soaks, garbage-argument probes,
 # then a release-profile run of every bench experiment (E1..E13), one
 # traced repository benchmark run and the PERF=1 wall-clock gates. It rewrites no tracked file. Each
@@ -17,10 +18,15 @@ cd "$(dirname "$0")/.."
 
 dune build
 dune runtest
-dune exec dev/debug.exe -- chaos 5
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
+
+# Fixed-range chaos sweep: exits nonzero on any dirty seed, whose
+# report is then in the output file.
+dune exec --profile release dev/debug.exe -- chaos 1000 > "$tmp/chaos.out" ||
+  { grep -v "^seed .*: clean" "$tmp/chaos.out"; exit 1; }
+tail -n 1 "$tmp/chaos.out"
 
 # Telemetry-enabled E2 smoke: zero orphan spans, bounded open spans,
 # per-phase attribution reconciling with end-to-end latency. Then the

@@ -11,33 +11,38 @@ let int_arg ?default ~usage args i =
   Cli.int_arg ?default ~usage:("debug.exe " ^ usage) args i
 
 module Case_chaos = struct
-  (* Quick chaos-harness driver: run N seeded soaks, print every report
-     that is not clean (plus the first clean one for eyeballing). Usage:
+  (* Quick chaos-harness driver: run N seeded soaks, farmed across the
+     runtime's recommended domain count (reports come back in seed
+     order, so the output does not depend on it), print every report
+     that is not clean (plus the first clean one for eyeballing), and
+     exit 1 if any seed is dirty. Usage:
        dune exec dev/debug.exe -- chaos [count] [first_seed]   *)
-  
+
   let usage = "chaos [count] [first_seed]"
 
   let run (args : string array) =
     let count = int_arg ~default:10 ~usage args 1 in
     let first = int_arg ~default:1 ~usage args 2 in
     let t0 = Unix.gettimeofday () in
+    let seeds = List.init count (fun i -> Int64.of_int ((first + i) * 1_000_003)) in
+    let reports = Chaos.Harness.soak_many ~seeds () in
     let dirty = ref 0 in
-    for i = first to first + count - 1 do
-      let seed = Int64.of_int (i * 1_000_003) in
-      let r = Chaos.Harness.soak ~seed () in
-      if not (Chaos.Harness.clean r) then begin
-        incr dirty;
-        Format.printf "%a@." Chaos.Harness.pp_report r
-      end
-      else if i = first then Format.printf "%a@." Chaos.Harness.pp_report r
-      else
-        Format.printf "seed %Ld: clean (%d faults, %d confirmed, worst %.0fms)@."
-          seed
-          (List.length r.Chaos.Harness.schedule.Chaos.Schedule.events)
-          r.Chaos.Harness.confirmed r.Chaos.Harness.worst_latency_ms
-    done;
+    List.iteri
+      (fun i r ->
+        if not (Chaos.Harness.clean r) then begin
+          incr dirty;
+          Format.printf "%a@." Chaos.Harness.pp_report r
+        end
+        else if i = 0 then Format.printf "%a@." Chaos.Harness.pp_report r
+        else
+          Format.printf "seed %Ld: clean (%d faults, %d confirmed, worst %.0fms)@."
+            r.Chaos.Harness.seed
+            (List.length r.Chaos.Harness.schedule.Chaos.Schedule.events)
+            r.Chaos.Harness.confirmed r.Chaos.Harness.worst_latency_ms)
+      reports;
     Format.printf "%d/%d dirty, %.1fs wall@." !dirty count
-      (Unix.gettimeofday () -. t0)
+      (Unix.gettimeofday () -. t0);
+    if !dirty > 0 then exit 1
 end
 
 module Case_chaos2 = struct

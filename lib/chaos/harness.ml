@@ -87,16 +87,16 @@ let available_count sys =
          && Overlay.Net.node_alive net (Spire.System.node_of_replica sys r))
        (List.init n Fun.id))
 
-(* One agreement observation over the replicas [0 .. count-1] the
-   system considers correct: process up and no fault knob set. *)
+(* A replica the system considers correct: process up and no fault
+   knob set. *)
+let correct sys r =
+  let f = Spire.System.faults sys r in
+  (not f.Bft.Faults.crashed) && not (Bft.Faults.is_byzantine f)
+
+(* One agreement observation over the correct replicas among
+   [0 .. count-1]. *)
 let observe_agreement agreement sys ~count =
-  let correct =
-    List.filter
-      (fun r ->
-        let f = Spire.System.faults sys r in
-        (not f.Bft.Faults.crashed) && not (Bft.Faults.is_byzantine f))
-      (List.init count Fun.id)
-  in
+  let correct = List.filter (correct sys) (List.init count Fun.id) in
   Oracle.Agreement.observe agreement
     ~logs:(List.map (fun r -> (r, Spire.System.exec_log sys r)) correct)
     ~states:
@@ -105,6 +105,21 @@ let observe_agreement agreement sys ~count =
            let m = Spire.System.master sys r in
            (r, Scada.Master.applied_count m, Scada.Master.state_digest m))
          correct)
+
+(* Slot finality, fed by every apply of a replica correct at that
+   moment. *)
+let watch_finality sys =
+  let finality = Oracle.Slot_finality.create () in
+  Spire.System.on_slot_applied sys (fun ~replica ~epoch ~seq ~digest ->
+      if correct sys replica then
+        Oracle.Slot_finality.observe finality ~epoch ~replica ~seq ~digest);
+  finality
+
+(* Slot finality reports under "agreement": it is the same safety
+   property, checked per slot at every apply, and it fires first. *)
+let agreement_verdict agreement finality =
+  Oracle.Verdict.combine
+    [ Oracle.Slot_finality.verdict finality; Oracle.Agreement.verdict agreement ]
 
 let execute cfg ~seed sys (schedule : Schedule.t) =
   let engine = Spire.System.engine sys in
@@ -117,6 +132,7 @@ let execute cfg ~seed sys (schedule : Schedule.t) =
      fault lands. *)
   let turbulent_from = turb_start - cfg.inflight_guard_us in
   let agreement = Oracle.Agreement.create () in
+  let finality = watch_finality sys in
   let quorum_watch =
     Oracle.Quorum_watch.create ~quorum:cfg.system.Spire.System.quorum
   in
@@ -179,7 +195,7 @@ let execute cfg ~seed sys (schedule : Schedule.t) =
     schedule;
     verdicts =
       [
-        ("agreement", Oracle.Agreement.verdict agreement);
+        ("agreement", agreement_verdict agreement finality);
         ("sla", Oracle.Sla.verdict sla);
         ("quorum", Oracle.Quorum_watch.verdict quorum_watch);
         ("recovery", recovery.Oracle.Recovery_check.verdict);
@@ -274,6 +290,7 @@ let reconfig_soak ?(config = default_config ()) ~seed () =
   let calm_start = heal_us + config.settle_us in
   let end_us = calm_start + config.post_us in
   let agreement = Oracle.Agreement.create () in
+  let finality = watch_finality sys in
   let epoch_check = Oracle.Epoch_check.create () in
   let confirmed_at_calm = ref 0 in
   let sample () =
@@ -353,7 +370,7 @@ let reconfig_soak ?(config = default_config ()) ~seed () =
     rc_schedule = schedule;
     rc_verdicts =
       [
-        ("agreement", Oracle.Agreement.verdict agreement);
+        ("agreement", agreement_verdict agreement finality);
         ("epoch", Oracle.Epoch_check.verdict epoch_check);
         ("progress", progress);
       ];

@@ -9,7 +9,9 @@
     v}
 
     Oracles watched throughout:
-    - {b agreement}: correct replicas' execution logs stay
+    - {b agreement}: every correct replica that applies an ordering
+      slot applies the same matrix there (slot finality, checked at
+      every apply), and correct replicas' execution logs stay
       prefix-compatible and application states agree (sampled
       periodically);
     - {b sla}: every confirmed update meets the bounded-delay SLA — the
@@ -87,8 +89,9 @@ val run : ?config:config -> seed:int64 -> schedule:Schedule.t -> unit -> report
     being reconfigured through the ordered stream: a control-center
     failover mid-turbulence, then growth into a pre-provisioned
     standby data center during the settle window. Oracles: agreement
-    across the cutovers, the epoch-safety check (at most one quorate
-    epoch, unique certificate chain), and post-heal progress. *)
+    across the cutovers (slot finality per epoch included), the
+    epoch-safety check (at most one quorate epoch, unique certificate
+    chain), and post-heal progress. *)
 
 type reconfig_report = {
   rc_seed : int64;

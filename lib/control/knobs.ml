@@ -47,21 +47,6 @@ let kind_name = function
   | Tat_violations -> "tat_violations"
   | Demotion -> "demotion"
 
-let pp_routing ppf = function
-  | Shortest -> Format.pp_print_string ppf "shortest"
-  | Kdisjoint k -> Format.fprintf ppf "kdisjoint(%d)" k
-  | Flooding -> Format.pp_print_string ppf "flooding"
-
-let pp_request ppf = function
-  | Set_max_batch m -> Format.fprintf ppf "set max_batch=%d" m
-  | Set_batch_delay_us d -> Format.fprintf ppf "set batch_delay=%dus" d
-  | Set_routing r -> Format.fprintf ppf "set routing=%a" pp_routing r
-  | Set_recovery_period_us p ->
-    Format.fprintf ppf "set recovery_period=%dus" p
-  | Set_tat_threshold_us us -> Format.fprintf ppf "set tat_threshold=%dus" us
-  | Set_tat_violations k -> Format.fprintf ppf "set tat_violations=%d" k
-  | Demote_leader -> Format.pp_print_string ppf "demote leader"
-
 (* ------------------------------------------------------------------ *)
 (* Validation bounds. Deliberately wide — the plane rejects nonsense
    (a zero TAT bound would suspect every leader instantly; an unbounded
@@ -177,9 +162,3 @@ let reconcile t =
     t.entries;
   ja = t.applied && jr = t.rejected
   && t.entry_count = total_applied t + total_rejected t
-
-let pp_entry ppf e =
-  Format.fprintf ppf "%8dus %-8s %-9s %a%s" e.at_us e.source
-    (if e.applied then "applied" else "REJECTED")
-    pp_request e.request
-    (if e.note = "" then "" else Printf.sprintf " (%s)" e.note)

@@ -41,8 +41,6 @@ type kind =
 
 val kind_of_request : request -> kind
 val kind_name : kind -> string
-val pp_routing : Format.formatter -> routing -> unit
-val pp_request : Format.formatter -> request -> unit
 
 (** {1 Static validation bounds} *)
 
@@ -106,5 +104,3 @@ val total_rejected : t -> int
     the journal length must equal their grand total. A discrepancy
     would mean a change bypassed the validated path. *)
 val reconcile : t -> bool
-
-val pp_entry : Format.formatter -> entry -> unit

@@ -98,6 +98,13 @@ type t = {
   replica_sites : int array;
   diversity : Recovery.Diversity.t;
   mutable scheduler : Recovery.Scheduler.t option;
+  mutable slot_listeners :
+    (replica:Bft.Types.replica ->
+    epoch:int ->
+    seq:Bft.Types.seqno ->
+    digest:Cryptosim.Digest.t ->
+    unit)
+    list;
   mutable recovery_listeners :
     ([ `Begin | `Complete ] -> Bft.Types.replica -> unit) list;
   share_cost_us : int;
@@ -151,6 +158,7 @@ let stale_epoch_frames t = Epochs.stale_epoch_frames t.epochs
 let cutovers t = Epochs.cutovers t.epochs
 let epoch_violation t = Epochs.epoch_violation t.epochs
 let on_epoch_change t f = Epochs.on_epoch_change t.epochs f
+let on_slot_applied t f = t.slot_listeners <- f :: t.slot_listeners
 let epoch_activity t = Epochs.epoch_activity t.epochs
 
 let current_leader t =
@@ -453,6 +461,8 @@ let member_instance t ~batch ~max_one_way ~cert ~members ~rank ~global =
              ~delay_us:0 (fun () ->
                if not (crashed t global) then Epochs.resync t.epochs global)
             : Sim.Engine.timer));
+    Prime.Replica.set_on_apply p (fun seq digest ->
+        List.iter (fun f -> f ~replica:global ~epoch ~seq ~digest) t.slot_listeners);
     Instance.Prime_replica p
   | Pbft_protocol ->
     let pcfg = { (Pbft.Replica.default_config quorum) with Pbft.Replica.epoch } in
@@ -748,6 +758,7 @@ let create cfg =
          replica_sites;
          diversity;
          scheduler = None;
+         slot_listeners = [];
          recovery_listeners = [];
          share_cost_us = Cryptosim.Threshold.default_cost.Cryptosim.Threshold.share_us;
          reply_batch = batch_policy;

@@ -322,6 +322,18 @@ val epoch_violation : t -> string option
 (** [on_epoch_change t f] — [f epoch] fires at each cutover. *)
 val on_epoch_change : t -> (int -> unit) -> unit
 
+(** [on_slot_applied t f] — [f ~replica ~epoch ~seq ~digest] fires each
+    time a Prime replica applies ordering slot [seq] of [epoch], whose
+    matrix has [digest]. The PBFT baseline reports nothing. *)
+val on_slot_applied :
+  t ->
+  (replica:Bft.Types.replica ->
+  epoch:int ->
+  seq:Bft.Types.seqno ->
+  digest:Cryptosim.Digest.t ->
+  unit) ->
+  unit
+
 (** [submit_reconfig t actions] issues the reconfiguration through HMI
     0's endpoint as an ordered client update.
     @raise Invalid_argument on the PBFT baseline or without an HMI. *)

@@ -33,17 +33,38 @@ let default_config quorum =
     batch = Batch.singleton;
   }
 
+(* A slot's lifecycle (DESIGN.md §6, note 8). [view] is the view of
+   the proposal this replica voted for; a slot adopted by catch-up keeps
+   the view it was voting in, or -1. Only [set_phase] writes a phase,
+   and it never leaves [Committed]: a decided matrix is final. A slot
+   is applied when it is [Committed] and [seq <= last_applied]. *)
+type phase =
+  | Open
+  | Voting of {
+      view : Types.view; matrix : Matrix.t; digest : Cryptosim.Digest.t;
+      prepared : bool;
+    }
+  | Committed of {
+      view : Types.view; matrix : Matrix.t; digest : Cryptosim.Digest.t;
+    }
+
 type slot = {
-  mutable slot_view : Types.view;
-  mutable matrix : Matrix.t option;
-  mutable digest : Cryptosim.Digest.t option;
+  mutable phase : phase;
+  (* Votes for the [Voting] view and digest. *)
   prepares : (Types.replica, unit) Hashtbl.t;
   commits : (Types.replica, unit) Hashtbl.t;
+  (* Votes that arrived ahead of the matching proposal. *)
   buffered_prepares : (Types.replica, Types.view * Cryptosim.Digest.t) Hashtbl.t;
   buffered_commits : (Types.replica, Types.view * Cryptosim.Digest.t) Hashtbl.t;
-  mutable prepared : bool;
-  mutable committed : bool;
+  (* Catch-up replies per matrix digest, counted until the slot
+     commits. *)
+  replies : (Cryptosim.Digest.t, (Types.replica, unit) Hashtbl.t) Hashtbl.t;
 }
+
+let vote_tally s = Hashtbl.length s.prepares + Hashtbl.length s.commits
+
+let set_phase s phase =
+  match s.phase with Committed _ -> () | Open | Voting _ -> s.phase <- phase
 
 type mode = Normal | View_changing of { target : Types.view; since_us : int }
 
@@ -83,7 +104,6 @@ type t = {
   mutable aru_heartbeat : int;
   (* --- ordering --- *)
   slots : (Types.seqno, slot) Hashtbl.t;
-  applied_matrices : (Types.seqno, Matrix.t) Hashtbl.t;
   mutable view : Types.view;
   mutable mode : mode;
   mutable next_seq : Types.seqno;  (* leader: next proposal slot *)
@@ -94,12 +114,13 @@ type t = {
   mutable proposal_heartbeat : int;
   (* --- execution stall / reconciliation --- *)
   mutable stalled_on : (Types.replica * int) option;
-  mutable stall_since_us : int;
   mutable last_recon_us : int;
+  mutable stuck : Types.seqno * int * int;  (* slot asked for, tally, since *)
   mutable last_repair_us : int;
       (* last leader re-broadcast of lost pre-prepares *)
   mutable last_po_resend_us : int;
       (* last re-broadcast of own unacknowledged pre-orders *)
+  mutable po_stall : int * int;  (* own quorum ack, unmoved since *)
   mutable max_seq_seen : Types.seqno;
       (* highest ordering sequence referenced by any peer message;
          evidence of slots we may have missed entirely *)
@@ -127,11 +148,8 @@ type t = {
   ckpt_votes :
     (int * Cryptosim.Digest.t, (Types.replica, unit) Hashtbl.t) Hashtbl.t;
   mutable stable_exec : int;
-  slot_reply_votes :
-    ( Types.seqno * Cryptosim.Digest.t,
-      (Types.replica, unit) Hashtbl.t * Matrix.t )
-    Hashtbl.t;
   mutable on_fall_behind : unit -> unit;
+  mutable on_apply : Types.seqno -> Cryptosim.Digest.t -> unit;
   mutable last_fall_behind_us : int;
   last_heard_us : int array; (* per peer: when we last received anything *)
   mutable running : bool;
@@ -154,6 +172,7 @@ let view_changes t = t.view_changes
 let max_tat_us t = t.max_tat_us
 let suspected t = t.suspected_view >= t.view
 let set_on_fall_behind t f = t.on_fall_behind <- f
+let set_on_apply t f = t.on_apply <- f
 let epoch t = t.config.epoch
 let halted t = t.halted
 let live t = (not t.halted) && not t.faults.Faults.crashed
@@ -192,7 +211,6 @@ let create config env ~execute =
     aru_dirty = false;
     aru_heartbeat = 0;
     slots = Hashtbl.create 997;
-    applied_matrices = Hashtbl.create 997;
     view = 0;
     mode = Normal;
     next_seq = 1;
@@ -202,10 +220,11 @@ let create config env ~execute =
     last_proposed = Matrix.empty ~n:nn;
     proposal_heartbeat = 0;
     stalled_on = None;
-    stall_since_us = 0;
     last_recon_us = 0;
+    stuck = (0, 0, 0);
     last_repair_us = 0;
     last_po_resend_us = 0;
+    po_stall = (0, 0);
     max_seq_seen = 0;
     last_apply_us = 0;
     pending_tats = Queue.create ();
@@ -220,8 +239,8 @@ let create config env ~execute =
     view_changes = 0;
     ckpt_votes = Hashtbl.create 17;
     stable_exec = 0;
-    slot_reply_votes = Hashtbl.create 17;
     on_fall_behind = (fun () -> ());
+    on_apply = (fun _ _ -> ());
     last_fall_behind_us = -1_000_000_000;
     last_heard_us = Array.make nn 0;
     running = false;
@@ -280,22 +299,24 @@ let store_body t ~origin ~po_seq update =
    matrix yields an eligibility vector; newly eligible updates execute
    in deterministic (origin, po_seq) order.                            *)
 
+(* The voter set filed under [key], created empty on first use. *)
+let voters tbl key =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+    let v = Hashtbl.create 7 in
+    Hashtbl.replace tbl key v;
+    v
+
 let slot t seq =
   match Hashtbl.find_opt t.slots seq with
   | Some s -> s
   | None ->
+    let votes () = Hashtbl.create 7 in
     let s =
-      {
-        slot_view = -1;
-        matrix = None;
-        digest = None;
-        prepares = Hashtbl.create 7;
-        commits = Hashtbl.create 7;
-        buffered_prepares = Hashtbl.create 7;
-        buffered_commits = Hashtbl.create 7;
-        prepared = false;
-        committed = false;
-      }
+      { phase = Open; prepares = votes (); commits = votes ();
+        buffered_prepares = votes (); buffered_commits = votes ();
+        replies = Hashtbl.create 1 }
     in
     Hashtbl.replace t.slots seq s;
     s
@@ -303,55 +324,51 @@ let slot t seq =
 let rec drain_exec t =
   let seq = t.last_applied + 1 in
   match Hashtbl.find_opt t.slots seq with
-  | Some s when s.committed -> (
-    match s.matrix with
-    | None -> ()
-    | Some m ->
-      let merged = Matrix.merge t.cum_matrix m in
-      let elig = Matrix.eligible merged ~threshold:(quorum_size t) in
-      (* Execute every newly eligible update, origin-major order. *)
-      let stalled = ref false in
-      let origin = ref 0 in
-      (* [halted] can flip mid-loop (the [execute] callback halts at an
-         epoch boundary); the current Delivery.offer batch completes —
-         its release is agreed, so every replica's boundary execution
-         count lands on the same index — and then the drain stops
-         without touching cursor, matrix or slot state further. *)
-      while (not !stalled) && (not t.halted) && !origin < n t do
-        let j = !origin in
-        while (not !stalled) && (not t.halted) && t.cursor.(j) < elig.(j) do
-          let po_seq = t.cursor.(j) + 1 in
-          match Hashtbl.find_opt t.po_store (j, po_seq) with
-          | None ->
-            (* Body missing: stall and reconcile. A quorum acknowledged
-               it, so at least one correct replica can supply it. *)
-            if t.stalled_on <> Some (j, po_seq) then begin
-              t.stalled_on <- Some (j, po_seq);
-              t.stall_since_us <- t.env.Env.now_us ();
-              t.last_recon_us <- t.env.Env.now_us ();
-              broadcast t (Msg.Recon_request { origin = j; po_seq })
-            end;
-            stalled := true
-          | Some update ->
-            t.cursor.(j) <- po_seq;
-            (* Exactly-once, per-client-FIFO release. *)
-            List.iter
-              (fun u ->
-                let idx = Exec_log.append t.log u in
-                t.execute idx u;
-                maybe_checkpoint t)
-              (Delivery.offer t.delivery update)
-        done;
-        incr origin
+  | Some { phase = Committed { matrix = m; digest; _ }; _ } ->
+    let merged = Matrix.merge t.cum_matrix m in
+    let elig = Matrix.eligible merged ~threshold:(quorum_size t) in
+    (* Execute every newly eligible update, origin-major order. *)
+    let stalled = ref false in
+    let origin = ref 0 in
+    (* [halted] can flip mid-loop (the [execute] callback halts at an
+       epoch boundary); the current Delivery.offer batch completes —
+       its release is agreed, so every replica's boundary execution
+       count lands on the same index — and then the drain stops
+       without touching cursor, matrix or slot state further. *)
+    while (not !stalled) && (not t.halted) && !origin < n t do
+      let j = !origin in
+      while (not !stalled) && (not t.halted) && t.cursor.(j) < elig.(j) do
+        let po_seq = t.cursor.(j) + 1 in
+        match Hashtbl.find_opt t.po_store (j, po_seq) with
+        | None ->
+          (* Body missing: stall and reconcile. A quorum acknowledged
+             it, so at least one correct replica can supply it. *)
+          if t.stalled_on <> Some (j, po_seq) then begin
+            t.stalled_on <- Some (j, po_seq);
+            t.last_recon_us <- t.env.Env.now_us ();
+            broadcast t (Msg.Recon_request { origin = j; po_seq })
+          end;
+          stalled := true
+        | Some update ->
+          t.cursor.(j) <- po_seq;
+          (* Exactly-once, per-client-FIFO release. *)
+          List.iter
+            (fun u ->
+              let idx = Exec_log.append t.log u in
+              t.execute idx u;
+              maybe_checkpoint t)
+            (Delivery.offer t.delivery update)
       done;
-      if (not !stalled) && not t.halted then begin
-        t.stalled_on <- None;
-        t.cum_matrix <- merged;
-        t.last_applied <- seq;
-        t.last_apply_us <- t.env.Env.now_us ();
-        Hashtbl.replace t.applied_matrices seq m;
-        drain_exec t
-      end)
+      incr origin
+    done;
+    if (not !stalled) && not t.halted then begin
+      t.stalled_on <- None;
+      t.cum_matrix <- merged;
+      t.last_applied <- seq;
+      t.last_apply_us <- t.env.Env.now_us ();
+      t.on_apply seq digest;
+      drain_exec t
+    end
   | Some _ | None -> ()
 
 and maybe_checkpoint t =
@@ -363,15 +380,7 @@ and maybe_checkpoint t =
   end
 
 and record_checkpoint_vote t ~from ~executed ~chain =
-  let key = (executed, chain) in
-  let voters =
-    match Hashtbl.find_opt t.ckpt_votes key with
-    | Some v -> v
-    | None ->
-      let v = Hashtbl.create 7 in
-      Hashtbl.replace t.ckpt_votes key v;
-      v
-  in
+  let voters = voters t.ckpt_votes (executed, chain) in
   Hashtbl.replace voters from ();
   (* A checkpoint certificate far beyond our own execution means the
      ordering history we need has been garbage-collected by our peers:
@@ -392,9 +401,8 @@ and record_checkpoint_vote t ~from ~executed ~chain =
     let stale =
       Hashtbl.fold
         (fun s _ acc -> if s < horizon then s :: acc else acc)
-        t.applied_matrices []
+        t.slots []
     in
-    List.iter (Hashtbl.remove t.applied_matrices) stale;
     List.iter (Hashtbl.remove t.slots) stale;
     let dead_bodies =
       Hashtbl.fold
@@ -408,58 +416,60 @@ and record_checkpoint_vote t ~from ~executed ~chain =
 (* ------------------------------------------------------------------ *)
 (* Ordering phases (pre-prepare / prepare / commit).                   *)
 
-let rec maybe_prepared t seq =
-  let s = slot t seq in
-  if (not s.prepared) && Option.is_some s.matrix
-     && Hashtbl.length s.prepares >= quorum_size t
-  then begin
-    s.prepared <- true;
-    match s.digest with
-    | None -> ()
-    | Some digest ->
-      broadcast t (Msg.Commit { view = s.slot_view; seq; digest });
-      Hashtbl.replace s.commits t.env.Env.self ();
-      maybe_committed t seq
-  end
+let rec maybe_prepared t seq s =
+  match s.phase with
+  | Voting ({ prepared = false; _ } as v)
+    when Hashtbl.length s.prepares >= quorum_size t ->
+    set_phase s (Voting { v with prepared = true });
+    broadcast t (Msg.Commit { view = v.view; seq; digest = v.digest });
+    Hashtbl.replace s.commits t.env.Env.self ();
+    maybe_committed t s
+  | Open | Voting _ | Committed _ -> ()
 
-and maybe_committed t seq =
-  let s = slot t seq in
-  if (not s.committed) && s.prepared && Hashtbl.length s.commits >= quorum_size t
-  then begin
-    s.committed <- true;
+and maybe_committed t s =
+  match s.phase with
+  | Voting { prepared = true; view; matrix; digest }
+    when Hashtbl.length s.commits >= quorum_size t ->
+    set_phase s (Committed { view; matrix; digest });
     drain_exec t
-  end
+  | Open | Voting _ | Committed _ -> ()
 
+(* [view] is always [t.view]: every caller checks it, or has just
+   entered it. *)
 let accept_preprepare t ~view ~seq ~matrix =
-  if seq > t.last_applied then begin
-    let s = slot t seq in
-    let fresh = s.matrix = None || s.slot_view < view in
-    if fresh then begin
-      s.slot_view <- view;
-      s.matrix <- Some matrix;
-      let digest = Matrix.digest matrix in
-      s.digest <- Some digest;
-      Hashtbl.reset s.prepares;
-      Hashtbl.reset s.commits;
-      s.prepared <- false;
-      Hashtbl.replace s.prepares (leader_of t view) ();
-      Hashtbl.replace s.prepares t.env.Env.self ();
-      broadcast t (Msg.Prepare { view; seq; digest });
-      Hashtbl.iter
-        (fun from (v, d) ->
-          if v = view && Cryptosim.Digest.equal d digest then
-            Hashtbl.replace s.prepares from ())
-        s.buffered_prepares;
-      Hashtbl.reset s.buffered_prepares;
-      Hashtbl.iter
-        (fun from (v, d) ->
-          if v = view && Cryptosim.Digest.equal d digest then
-            Hashtbl.replace s.commits from ())
-        s.buffered_commits;
-      Hashtbl.reset s.buffered_commits;
-      maybe_prepared t seq
+  match Hashtbl.find_opt t.slots seq with
+  | Some { phase = Committed c; _ } ->
+    (* A later view re-proposes a slot we decided (and maybe applied).
+       Its matrix is final, so vote for the re-proposal only when it
+       carries that matrix: replicas that missed the decision can then
+       commit it in this view. *)
+    if view > c.view && Cryptosim.Digest.equal (Matrix.digest matrix) c.digest
+    then begin
+      broadcast t (Msg.Prepare { view; seq; digest = c.digest });
+      broadcast t (Msg.Commit { view; seq; digest = c.digest })
     end
-  end
+  | Some { phase = Voting { view = held; _ }; _ } when held >= view -> ()
+  | _ when seq <= t.last_applied -> ()
+  | _ ->
+    let s = slot t seq in
+    let digest = Matrix.digest matrix in
+    set_phase s (Voting { view; matrix; digest; prepared = false });
+    Hashtbl.reset s.prepares;
+    Hashtbl.reset s.commits;
+    Hashtbl.replace s.prepares (leader_of t view) ();
+    Hashtbl.replace s.prepares t.env.Env.self ();
+    broadcast t (Msg.Prepare { view; seq; digest });
+    let absorb buffered votes =
+      Hashtbl.iter
+        (fun from (v, d) ->
+          if v = view && Cryptosim.Digest.equal d digest then
+            Hashtbl.replace votes from ())
+        buffered;
+      Hashtbl.reset buffered
+    in
+    absorb s.buffered_prepares s.prepares;
+    absorb s.buffered_commits s.commits;
+    maybe_prepared t seq s
 
 (* ------------------------------------------------------------------ *)
 (* TAT measurement.                                                    *)
@@ -500,6 +510,17 @@ let prune_stale_views t =
   drop t.vc_votes;
   drop t.view_evidence
 
+(* Install [view]: the one path by which a replica enters a view. *)
+let enter_view t view =
+  t.view <- view;
+  prune_stale_views t;
+  t.mode <- Normal;
+  t.view_changes <- t.view_changes + 1;
+  t.tat_violations <- 0;
+  Queue.clear t.pending_tats;
+  t.frontier <- Array.copy t.recv;
+  t.frontier_since_us <- t.env.Env.now_us ()
+
 (* Retained per-view table count, for leak regression tests. *)
 let retained_suspect_views t =
   Hashtbl.length t.suspects + Hashtbl.length t.vc_votes
@@ -510,23 +531,17 @@ let rec maybe_suspect t =
     t.tat_violations >= t.tat_violations_to_suspect
     && t.suspected_view < t.view
     && not (is_leader t)
-  then begin
-    t.suspected_view <- t.view;
-    t.tat_violations <- 0;
-    broadcast t (Msg.Suspect { view = t.view });
-    record_suspect t ~from:t.env.Env.self ~view:t.view
-  end
+  then suspect_leader t
+
+and suspect_leader t =
+  t.suspected_view <- t.view;
+  t.tat_violations <- 0;
+  broadcast t (Msg.Suspect { view = t.view });
+  record_suspect t ~from:t.env.Env.self ~view:t.view
 
 and record_suspect t ~from ~view =
   if view = t.view then begin
-    let voters =
-      match Hashtbl.find_opt t.suspects view with
-      | Some v -> v
-      | None ->
-        let v = Hashtbl.create 7 in
-        Hashtbl.replace t.suspects view v;
-        v
-    in
+    let voters = voters t.suspects view in
     Hashtbl.replace voters from ();
     (* Enough suspicions that at least one comes from a correct,
        non-recovering replica: rotate the leader. *)
@@ -546,13 +561,11 @@ and prepared_entries t =
      otherwise fill the slot with a no-op). *)
   Hashtbl.fold
     (fun seq s acc ->
-      if s.prepared then
-        match s.matrix with
-        | Some m ->
-          { Msg.entry_seq = seq; entry_view = s.slot_view; entry_matrix = m }
-          :: acc
-        | None -> acc
-      else acc)
+      match s.phase with
+      | Voting { prepared = true; view; matrix; _ } | Committed { view; matrix; _ }
+        ->
+        { Msg.entry_seq = seq; entry_view = view; entry_matrix = matrix } :: acc
+      | Open | Voting _ -> acc)
     t.slots []
 
 and start_view_change t target =
@@ -575,14 +588,7 @@ and start_view_change t target =
 
 and record_vc_vote t ~from ~target ~last_committed ~prepared =
   if target > t.view then begin
-    let votes =
-      match Hashtbl.find_opt t.vc_votes target with
-      | Some v -> v
-      | None ->
-        let v = Hashtbl.create 7 in
-        Hashtbl.replace t.vc_votes target v;
-        v
-    in
+    let votes = voters t.vc_votes target in
     Hashtbl.replace votes from (last_committed, prepared);
     if Hashtbl.length votes >= Quorum.reply_threshold t.config.quorum then
       start_view_change t target;
@@ -635,16 +641,9 @@ and install_new_view t target votes =
         | Some e -> (seq, e.Msg.entry_matrix)
         | None -> (seq, Matrix.empty ~n:nn))
   in
-  t.view <- target;
-  prune_stale_views t;
-  t.mode <- Normal;
-  t.view_changes <- t.view_changes + 1;
+  enter_view t target;
   t.next_seq <- !max_seq + 1;
   t.last_proposed <- Matrix.empty ~n:nn;
-  t.tat_violations <- 0;
-  Queue.clear t.pending_tats;
-  t.frontier <- Array.copy t.recv;
-  t.frontier_since_us <- t.env.Env.now_us ();
   broadcast t (Msg.Newview { view = target; proposals });
   List.iter
     (fun (seq, matrix) -> accept_preprepare t ~view:target ~seq ~matrix)
@@ -654,37 +653,18 @@ and install_new_view t target votes =
    replicas that were partitioned away during the view change). *)
 let note_view_evidence t ~from ~view =
   if view > t.view then begin
-    let voters =
-      match Hashtbl.find_opt t.view_evidence view with
-      | Some v -> v
-      | None ->
-        let v = Hashtbl.create 7 in
-        Hashtbl.replace t.view_evidence view v;
-        v
-    in
+    let voters = voters t.view_evidence view in
     Hashtbl.replace voters from ();
-    if Hashtbl.length voters >= Quorum.reply_threshold t.config.quorum then begin
-      t.view <- view;
-      prune_stale_views t;
-      t.mode <- Normal;
-      t.view_changes <- t.view_changes + 1;
-      t.tat_violations <- 0;
-      Queue.clear t.pending_tats;
-      t.frontier <- Array.copy t.recv;
-      t.frontier_since_us <- t.env.Env.now_us ()
-    end
+    if Hashtbl.length voters >= Quorum.reply_threshold t.config.quorum then
+      enter_view t view
   end
 
+(* A Newview for the view we are in is still adopted when we reached
+   that view through evidence, which carries no proposals; re-accepting
+   a proposal we already hold is a no-op. *)
 let adopt_new_view t ~view ~proposals =
-  if view > t.view then begin
-    t.view <- view;
-    prune_stale_views t;
-    t.mode <- Normal;
-    t.view_changes <- t.view_changes + 1;
-    t.tat_violations <- 0;
-    Queue.clear t.pending_tats;
-    t.frontier <- Array.copy t.recv;
-    t.frontier_since_us <- t.env.Env.now_us ();
+  if view > t.view || (view = t.view && t.mode = Normal) then begin
+    if view > t.view then enter_view t view;
     List.iter
       (fun (seq, matrix) -> accept_preprepare t ~view ~seq ~matrix)
       proposals
@@ -806,10 +786,27 @@ let watchdog t =
       let quorum_ack = acks.(Array.length acks - quorum_size t) in
       if quorum_ack < last_own then begin
         t.last_po_resend_us <- now;
+        let ack, since = t.po_stall in
+        if ack <> quorum_ack then t.po_stall <- (quorum_ack, now);
         for s = quorum_ack + 1 to min last_own (quorum_ack + 8) do
           match Hashtbl.find_opt t.po_store (self, s) with
           | Some update ->
             broadcast t (Msg.Po_request { origin = self; po_seq = s; update })
+          | None
+            when s > t.cursor.(self) && ack = quorum_ack
+                 && now - since >= t.config.viewchange_timeout_us ->
+            (* A state transfer dropped this unexecuted body of ours,
+               and our acknowledgement has not moved for as long as a
+               view change may take, so the original broadcast is lost,
+               not slow. Ask the body back from the peers whose vectors
+               show they stored it: without it the hole in our origin
+               sequence never closes, and nothing we pre-order after it
+               becomes eligible. *)
+            Array.iteri
+              (fun r row ->
+                if row.(self) >= s then
+                  send_to t r (Msg.Recon_request { origin = self; po_seq = s }))
+              t.rows
           | None -> ()
         done
       end
@@ -828,8 +825,8 @@ let watchdog t =
     let next = t.last_applied + 1 in
     let next_uncommitted =
       match Hashtbl.find_opt t.slots next with
-      | Some s -> not s.committed
-      | None -> true
+      | Some { phase = Committed _; _ } -> false
+      | Some _ | None -> true
     in
     (* Leader hole repair: we proposed past [next] but [next] never
        committed — the pre-prepare may have been lost in transit (e.g.
@@ -849,13 +846,9 @@ let watchdog t =
       let i = ref 0 in
       while !continue && !i < 8 do
         (match Hashtbl.find_opt t.slots (next + !i) with
-        | Some s when s.slot_view = t.view -> (
-          if not s.committed then
-            match s.matrix with
-            | Some matrix ->
-              broadcast t
-                (Msg.Preprepare { view = t.view; seq = next + !i; matrix })
-            | None -> continue := false)
+        | Some { phase = Voting { view; matrix; _ }; _ } when view = t.view ->
+          broadcast t (Msg.Preprepare { view; seq = next + !i; matrix })
+        | Some { phase = Committed { view; _ }; _ } when view = t.view -> ()
         | Some _ | None -> continue := false);
         incr i
       done
@@ -870,7 +863,12 @@ let watchdog t =
       && now - max t.last_apply_us t.last_recon_us > t.config.recon_retry_us
     then begin
       t.last_recon_us <- now;
-      broadcast t (Msg.Slot_request { seq = next })
+      broadcast t (Msg.Slot_request { seq = next });
+      let tally =
+        match Hashtbl.find_opt t.slots next with Some s -> vote_tally s | None -> 0
+      in
+      let slot', tally', _ = t.stuck in
+      if (slot', tally') <> (next, tally) then t.stuck <- (next, tally, now)
     end
   end
 
@@ -961,10 +959,7 @@ let demote_leader t =
     && t.suspected_view < t.view
     && not (is_leader t)
   then begin
-    t.suspected_view <- t.view;
-    t.tat_violations <- 0;
-    broadcast t (Msg.Suspect { view = t.view });
-    record_suspect t ~from:t.env.Env.self ~view:t.view;
+    suspect_leader t;
     true
   end
   else false
@@ -985,23 +980,22 @@ let carries_malformed_matrix t msg =
     List.exists (fun (_, m) -> not (Matrix.well_formed ~n:nn m)) proposals
   | _ -> false
 
+(* Store a peer's body; resume execution if it was stalled on it. *)
+let receive_body t ~origin ~po_seq update =
+  ignore (store_body t ~origin ~po_seq update : bool);
+  if t.stalled_on = Some (origin, po_seq) then drain_exec t
+
 let handle t ~from msg =
   if live t && not (carries_malformed_matrix t msg) then begin
     if from >= 0 && from < n t then
       t.last_heard_us.(from) <- t.env.Env.now_us ();
     match msg with
     | Msg.Po_request { origin; po_seq; update } ->
-      if origin = from then begin
-        ignore (store_body t ~origin ~po_seq update : bool);
-        if t.stalled_on = Some (origin, po_seq) then drain_exec t
-      end
+      if origin = from then receive_body t ~origin ~po_seq update
     | Msg.Po_batch { origin; first_seq; updates } ->
       if origin = from then
         List.iteri
-          (fun i u ->
-            let po_seq = first_seq + i in
-            ignore (store_body t ~origin ~po_seq u : bool);
-            if t.stalled_on = Some (origin, po_seq) then drain_exec t)
+          (fun i u -> receive_body t ~origin ~po_seq:(first_seq + i) u)
           updates
     | Msg.Po_aru { vector } ->
       if Array.length vector = n t then
@@ -1017,29 +1011,31 @@ let handle t ~from msg =
         process_tat_on_preprepare t matrix;
         accept_preprepare t ~view ~seq ~matrix
       end
-    | Msg.Prepare { view; seq; digest } ->
+    | (Msg.Prepare { view; seq; digest } | Msg.Commit { view; seq; digest }) as
+      vote ->
       if seq > t.max_seq_seen then t.max_seq_seen <- seq;
       note_view_evidence t ~from ~view;
-      if t.mode = Normal && seq > t.last_applied then begin
+      (* Votes count only in the current view: one for an older view
+         could commit a slot that the view change re-filled. *)
+      if t.mode = Normal && view >= t.view && seq > t.last_applied then begin
         let s = slot t seq in
-        match s.digest with
-        | Some d when view = s.slot_view ->
-          if Cryptosim.Digest.equal d digest then begin
-            Hashtbl.replace s.prepares from ();
-            maybe_prepared t seq
-          end
-        | Some _ | None -> Hashtbl.replace s.buffered_prepares from (view, digest)
-      end
-    | Msg.Commit { view; seq; digest } ->
-      if seq > t.max_seq_seen then t.max_seq_seen <- seq;
-      note_view_evidence t ~from ~view;
-      if t.mode = Normal && seq > t.last_applied then begin
-        let s = slot t seq in
-        match s.digest with
-        | Some d when view = s.slot_view && Cryptosim.Digest.equal d digest ->
-          Hashtbl.replace s.commits from ();
-          maybe_committed t seq
-        | Some _ | None -> Hashtbl.replace s.buffered_commits from (view, digest)
+        let prepare = match vote with Msg.Prepare _ -> true | _ -> false in
+        match s.phase with
+        | Voting v when v.view = view ->
+          if Cryptosim.Digest.equal v.digest digest then
+            if prepare then begin
+              Hashtbl.replace s.prepares from ();
+              maybe_prepared t seq s
+            end
+            else begin
+              Hashtbl.replace s.commits from ();
+              maybe_committed t s
+            end
+        | Committed _ -> ()
+        | Open | Voting _ ->
+          Hashtbl.replace
+            (if prepare then s.buffered_prepares else s.buffered_commits)
+            from (view, digest)
       end
     | Msg.Suspect { view } -> record_suspect t ~from ~view
     | Msg.Viewchange { new_view; last_committed; prepared } ->
@@ -1051,57 +1047,61 @@ let handle t ~from msg =
       | Some update -> send_to t from (Msg.Recon_reply { origin; po_seq; update })
       | None -> ())
     | Msg.Recon_reply { origin; po_seq; update } ->
-      ignore (store_body t ~origin ~po_seq update : bool);
-      if t.stalled_on = Some (origin, po_seq) then begin
-        t.stalled_on <- None;
-        drain_exec t
-      end
-    | Msg.Slot_request { seq } ->
+      receive_body t ~origin ~po_seq update
+    | Msg.Slot_request { seq } -> (
+      match Hashtbl.find_opt t.slots seq with
+      | Some ({ phase = Voting { view; digest; prepared; _ }; _ } as s)
+        when view = t.view && t.mode = Normal ->
+        (* The asker is stuck on a slot we hold open too. If its vote
+           tally has not moved for a retry period since our own
+           request, votes were lost, not delayed: catch-up serves only
+           applied slots, so the slot stays open for good unless its
+           voters hear each other again. *)
+        let slot', tally, since = t.stuck in
+        if
+          slot' = seq && tally = vote_tally s
+          && t.env.Env.now_us () - since >= t.config.recon_retry_us
+        then begin
+          send_to t from (Msg.Prepare { view; seq; digest });
+          if prepared then send_to t from (Msg.Commit { view; seq; digest })
+        end
+      | Some _ | None ->
       (* Serve a batch of consecutive applied slots to speed catch-up. *)
       let continue = ref true in
       let i = ref 0 in
       while !continue && !i < 8 do
-        (match Hashtbl.find_opt t.applied_matrices (seq + !i) with
-        | Some matrix ->
+        (match Hashtbl.find_opt t.slots (seq + !i) with
+        | Some { phase = Committed { matrix; _ }; _ }
+          when seq + !i <= t.last_applied ->
           send_to t from (Msg.Slot_reply { seq = seq + !i; matrix })
-        | None -> continue := false);
+        | Some _ | None -> continue := false);
         incr i
-      done
+      done)
     | Msg.Slot_reply { seq; matrix } ->
       if seq > t.last_applied then begin
-        let digest = Matrix.digest matrix in
-        let voters, _ =
-          match Hashtbl.find_opt t.slot_reply_votes (seq, digest) with
-          | Some v -> v
-          | None ->
-            let v = (Hashtbl.create 7, matrix) in
-            Hashtbl.replace t.slot_reply_votes (seq, digest) v;
-            v
-        in
-        Hashtbl.replace voters from ();
-        if Hashtbl.length voters >= Quorum.reply_threshold t.config.quorum
-        then begin
-          (* f+1 matching replies: at least one correct replica applied
-             this matrix at this slot. Adopt it. *)
-          let s = slot t seq in
-          if not s.committed then begin
-            s.matrix <- Some matrix;
-            s.digest <- Some digest;
-            s.committed <- true;
-            s.prepared <- true;
+        let s = slot t seq in
+        match s.phase with
+        | Committed _ -> ()
+        | (Open | Voting _) as phase ->
+          let digest = Matrix.digest matrix in
+          let voters = voters s.replies digest in
+          Hashtbl.replace voters from ();
+          if Hashtbl.length voters >= Quorum.reply_threshold t.config.quorum
+          then begin
+            (* f+1 matching replies: at least one correct replica applied
+               this matrix at this slot. Adopt it. *)
+            let view = match phase with Voting v -> v.view | _ -> -1 in
+            set_phase s (Committed { view; matrix; digest });
             drain_exec t;
             (* Chain: if still behind, request the next hole without
                waiting for the watchdog (rate-limited lightly). *)
             let now = t.env.Env.now_us () in
-            if
-              t.max_seq_seen > t.last_applied
-              && now - t.last_recon_us > 2_000
+            if t.max_seq_seen > t.last_applied && now - t.last_recon_us > 2_000
             then begin
               t.last_recon_us <- now;
               broadcast t (Msg.Slot_request { seq = t.last_applied + 1 })
             end
           end
-        end
       end
     | Msg.Checkpoint { executed; chain } ->
       record_checkpoint_vote t ~from ~executed ~chain
@@ -1154,7 +1154,6 @@ let install_snapshot t s =
   t.mode <- Normal;
   (* Transient protocol state is rebuilt from live traffic. *)
   Hashtbl.reset t.slots;
-  Hashtbl.reset t.applied_matrices;
   Hashtbl.reset t.po_store;
   Batch.clear t.po_acc;
   t.recv <- Array.copy s.snap_cursor;
@@ -1169,7 +1168,6 @@ let install_snapshot t s =
   Hashtbl.reset t.vc_votes;
   Hashtbl.reset t.view_evidence;
   Hashtbl.reset t.ckpt_votes;
-  Hashtbl.reset t.slot_reply_votes;
   t.stable_exec <- s.snap_exec_count;
   t.last_proposed <- Matrix.empty ~n:(n t);
   (* Monotone: never step back below sequences we already proposed —

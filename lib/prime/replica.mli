@@ -184,3 +184,8 @@ val unresponsive : t -> threshold_us:int -> Bft.Types.replica list
     slot retrieval to catch it up; the deployment should respond with a
     state transfer. *)
 val set_on_fall_behind : t -> (unit -> unit) -> unit
+
+(** [set_on_apply t f] — [f seq digest] fires each time this replica
+    applies ordering slot [seq], whose matrix has [digest] (the input of
+    the slot-finality oracle). *)
+val set_on_apply : t -> (Bft.Types.seqno -> Cryptosim.Digest.t -> unit) -> unit

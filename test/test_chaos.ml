@@ -212,6 +212,22 @@ let test_recovery_oracle () =
     "too few post-heal confirmations fails" false
     (Oracle.Verdict.is_pass starved.Oracle.Recovery_check.verdict)
 
+let test_slot_finality_oracle () =
+  let o = Oracle.Slot_finality.create () in
+  let m1 = Cryptosim.Digest.of_string "matrix one" in
+  let m2 = Cryptosim.Digest.of_string "matrix two" in
+  Oracle.Slot_finality.observe o ~epoch:0 ~replica:0 ~seq:1 ~digest:m1;
+  Oracle.Slot_finality.observe o ~epoch:0 ~replica:1 ~seq:1 ~digest:m1;
+  (* The same slot number in another epoch is another slot. *)
+  Oracle.Slot_finality.observe o ~epoch:1 ~replica:2 ~seq:1 ~digest:m2;
+  Alcotest.(check bool) "agreeing applies pass" true
+    (Oracle.Verdict.is_pass (Oracle.Slot_finality.verdict o));
+  Oracle.Slot_finality.observe o ~epoch:0 ~replica:2 ~seq:1 ~digest:m2;
+  Alcotest.(check int) "every apply counted" 4 (Oracle.Slot_finality.checks o);
+  match Oracle.Slot_finality.verdict o with
+  | Oracle.Verdict.Fail _ -> ()
+  | Oracle.Verdict.Pass -> Alcotest.fail "conflicting apply not caught"
+
 let test_verdict_combine () =
   let open Oracle.Verdict in
   Alcotest.(check bool) "all pass" true (is_pass (combine [ pass; pass ]));
@@ -282,6 +298,28 @@ let test_regression_seed_9000027 () =
     Alcotest.failf "leader-hole regression resurfaced:@.%a"
       Chaos.Harness.pp_report report
 
+(* Commit-path regressions: soak seeds that once left the run dirty.
+   Each must stay clean under [Chaos.Harness.soak ~seed] with the
+   default budget. *)
+let soak_regressions =
+  [
+    (960_812_664L, "stale leader overwrote a committed slot");
+    (76_602_142L, "stale leader overwrote a committed slot");
+    (944_580_408L, "old-view votes committed a re-filled slot");
+    (91_564_785L, "re-proposal got no votes from its appliers");
+    (29_847_906L, "commits lost, one replica ran ahead alone");
+    (260_820_223L, "votes lost, no replica committed the slot");
+    (224_000_672L, "commits lost, one replica ran ahead alone");
+    (281_012_147L, "state transfer left a hole in an origin");
+    (475_001_425L, "state transfer left a hole in an origin");
+  ]
+
+let test_soak_regression seed () =
+  let report = Chaos.Harness.soak ~seed () in
+  if not (Chaos.Harness.clean report) then
+    Alcotest.failf "soak seed %Ld is dirty:@.%a" seed Chaos.Harness.pp_report
+      report
+
 (* Wire regression: a turbulent run with decode-on-delivery enabled.
    Every frame delivered during crashes, daemon churn and recovery
    storms is round-tripped through the binary codecs; a single decode
@@ -336,6 +374,7 @@ let () =
       ( "oracles",
         [
           Alcotest.test_case "agreement" `Quick test_agreement_oracle;
+          Alcotest.test_case "slot finality" `Quick test_slot_finality_oracle;
           Alcotest.test_case "sla" `Quick test_sla_oracle;
           Alcotest.test_case "quorum watchdog" `Quick test_quorum_watch_oracle;
           Alcotest.test_case "post-heal recovery" `Quick test_recovery_oracle;
@@ -351,4 +390,11 @@ let () =
             `Slow test_wire_debug_under_turbulence;
           QCheck_alcotest.to_alcotest prop_soak_clean;
         ] );
+      ( "regressions",
+        List.map
+          (fun (seed, what) ->
+            Alcotest.test_case
+              (Printf.sprintf "soak %Ld: %s" seed what)
+              `Slow (test_soak_regression seed))
+          soak_regressions );
     ]

@@ -259,7 +259,9 @@ let test_pbft_attack_golden () =
    bit-identical to the values recorded before the hop path was made
    allocation-lean (the two flood runs) and before duplicate
    suppression moved onto the shared frame (the whole stats record and
-   the redundant run). *)
+   the redundant run). The flood-over-loss record was re-pinned when a
+   committed Prime slot became final: the old run re-voted two slots
+   through the committed-slot overwrite path. *)
 type flood_snapshot = {
   f_confirmed : int;
   f_events : int;
@@ -350,41 +352,40 @@ let golden_flood_attack =
 
 let golden_flood_loss =
   {
-    f_confirmed = 388;
-    f_events = 1_843_833;
+    f_confirmed = 384;
+    f_events = 1_896_834;
     f_ledger =
       [
-        ("prime/po_request", 3780, 404460);
-        ("prime/po_aru", 4850, 349200);
-        ("prime/prepare", 5135, 318370);
-        ("prime/commit", 5065, 314030);
-        ("replica_reply", 1614, 287292);
-        ("prime/preprepare", 1105, 234260);
-        ("prime/slot_reply", 819, 170352);
+        ("prime/po_request", 3800, 406600);
+        ("prime/po_aru", 4895, 352440);
+        ("prime/prepare", 5300, 328600);
+        ("prime/commit", 5220, 323640);
+        ("replica_reply", 1636, 291208);
+        ("prime/slot_reply", 1237, 257296);
+        ("prime/preprepare", 1125, 238500);
         ("client_update", 400, 128800);
-        ("prime/recon_request", 135, 7020);
-        ("prime/slot_request", 140, 7000);
+        ("prime/slot_request", 250, 12500);
         ("prime/checkpoint", 60, 3480);
-        ("prime/suspect", 15, 750);
-        ("transfer_chunk", 1, 446);
+        ("prime/recon_request", 50, 2600);
+        ("prime/suspect", 10, 500);
       ];
-    f_wan_frames = 879_374;
-    f_wan_bytes = 84_992_425;
-    f_retransmissions = 6_893;
+    f_wan_frames = 905_867;
+    f_wan_bytes = 88_752_528;
+    f_retransmissions = 6_919;
     f_stats =
       {
-        Overlay.Net.submitted = 23_119;
-        delivered = 18_834;
-        duplicates_suppressed = 563_261;
-        dropped_queue_full = 89_118;
+        Overlay.Net.submitted = 23_983;
+        delivered = 19_144;
+        duplicates_suppressed = 578_073;
+        dropped_queue_full = 94_946;
         dropped_link_down = 0;
         dropped_no_route = 0;
         dropped_arq_exhausted = 0;
         dropped_retired_src = 0;
         junk_frames = 0;
-        submitted_bytes = 2_225_460;
-        delivered_bytes = 1_842_423;
-        dropped_bytes = 8_356_593;
+        submitted_bytes = 2_346_164;
+        delivered_bytes = 1_863_393;
+        dropped_bytes = 9_202_348;
       };
   }
 

@@ -533,6 +533,39 @@ let test_stale_suspect_views_pruned () =
       true (retained <= 4)
   done
 
+(* A committed slot is final. Replica 5 adopts slot 2 from two
+   matching catch-up replies (f + 1 = 2 appliers), so it holds the slot
+   committed but unapplied: slot 1 is still open. The view-0 leader,
+   stale, then pre-prepares slot 2 with another matrix. Once slot 1
+   arrives, replica 5 must apply slot 2 with the matrix it committed.
+   The other replicas are crashed, so only these frames reach it. *)
+let test_stale_leader_cannot_replace_committed_slot () =
+  let h = make_harness () in
+  for i = 0 to 4 do
+    (Prime.Replica.faults (Bft.Cluster.replica h.cluster i)).Bft.Faults.crashed
+    <- true
+  done;
+  let r5 = Bft.Cluster.replica h.cluster 5 in
+  let applied = ref [] in
+  Prime.Replica.set_on_apply r5 (fun seq digest ->
+      applied := (seq, digest) :: !applied);
+  let committed = M.empty ~n:6 in
+  let stale = M.empty ~n:6 in
+  stale.(0).(0) <- 1;
+  let reply ~seq ~matrix from =
+    Prime.Replica.handle r5 ~from (Prime.Msg.Slot_reply { seq; matrix })
+  in
+  List.iter (reply ~seq:2 ~matrix:committed) [ 1; 2 ];
+  Prime.Replica.handle r5 ~from:0
+    (Prime.Msg.Preprepare { view = 0; seq = 2; matrix = stale });
+  List.iter (reply ~seq:1 ~matrix:(M.empty ~n:6)) [ 1; 2 ];
+  match List.assoc_opt 2 !applied with
+  | Some digest ->
+    Alcotest.(check bool)
+      "slot 2 applied with the committed matrix" true
+      (Cryptosim.Digest.equal digest (M.digest committed))
+  | None -> Alcotest.fail "slot 2 was never applied"
+
 let () =
   Alcotest.run "prime"
     [
@@ -574,6 +607,8 @@ let () =
             test_stale_suspect_views_pruned;
           Alcotest.test_case "malformed pre-prepare ignored" `Quick
             test_malformed_preprepare_ignored;
+          Alcotest.test_case "stale leader cannot replace a committed slot"
+            `Quick test_stale_leader_cannot_replace_committed_slot;
           QCheck_alcotest.to_alcotest prop_snapshot_digest_matches_old;
         ] );
     ]
