@@ -389,12 +389,11 @@ let () =
           Alcotest.test_case "decode-on-delivery stays clean under turbulence"
             `Slow test_wire_debug_under_turbulence;
           QCheck_alcotest.to_alcotest prop_soak_clean;
-        ] );
-      ( "regressions",
-        List.map
-          (fun (seed, what) ->
-            Alcotest.test_case
-              (Printf.sprintf "soak %Ld: %s" seed what)
-              `Slow (test_soak_regression seed))
-          soak_regressions );
+        ]
+        @ List.map
+            (fun (seed, what) ->
+              Alcotest.test_case
+                (Printf.sprintf "soak %Ld: %s" seed what)
+                `Slow (test_soak_regression seed))
+            soak_regressions );
     ]
