@@ -14,9 +14,6 @@ let create ?(max_delay_us = 10_000) ~max_batch () =
 
 let is_singleton p = p.max_batch <= 1
 
-let pp ppf p =
-  Format.fprintf ppf "batch(max=%d,delay=%dus)" p.max_batch p.max_delay_us
-
 (* ------------------------------------------------------------------ *)
 (* Accumulator: one buffered generation at a time. The caller arms one
    timer per generation (on [Arm]); the timer's callback asks [due],
@@ -37,8 +34,6 @@ type 'a action = Solo | Flush of 'a list | Arm of int | Wait
 
 let acc policy =
   { policy; buf = Queue.create (); oldest_us = 0; armed_delay_us = 0 }
-
-let policy a = a.policy
 
 let set_policy a p = a.policy <- validate p
 

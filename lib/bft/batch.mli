@@ -23,21 +23,13 @@ type policy = {
 (** The default: no batching, no timers, legacy frames. *)
 val singleton : policy
 
-(** Raises [Invalid_argument] on [max_batch < 1] or negative delay. *)
-val validate : policy -> policy
-
 val create : ?max_delay_us:int -> max_batch:int -> unit -> policy
 val is_singleton : policy -> bool
-val pp : Format.formatter -> policy -> unit
 
 (** A live accumulator: the buffered generation and its policy. *)
 type 'a acc
 
 val acc : policy -> 'a acc
-
-(** [policy a] is the accumulator's current (possibly hot-swapped)
-    policy. *)
-val policy : 'a acc -> policy
 
 (** What the caller must do after {!add}. *)
 type 'a action =

@@ -9,5 +9,3 @@ type 'msg t = {
 
 let others env =
   List.filter (fun r -> r <> env.self) (List.init env.replica_count Fun.id)
-
-let broadcast env msg = List.iter (fun r -> env.send r msg) (others env)

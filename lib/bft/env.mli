@@ -18,8 +18,5 @@ type 'msg t = {
           when tracing is off *)
 }
 
-(** [broadcast env msg] sends to every replica except [env.self]. *)
-val broadcast : 'msg t -> 'msg -> unit
-
 (** [others env] lists all replicas except [env.self]. *)
 val others : 'msg t -> Types.replica list

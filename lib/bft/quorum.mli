@@ -19,31 +19,22 @@ type t = private { n : int; f : int; k : int }
     @raise Invalid_argument when the resilience bound is violated. *)
 val create : n:int -> f:int -> k:int -> t
 
-(** [minimal ~f ~k] is the smallest legal system: [n = 3f + 2k + 1]. *)
+(** [minimal ~f ~k] is the smallest legal system: [n = 3f + 2k + 1].
+    This is the one place the sizing rule is written: configuration
+    planning ({!Spire.Config_calc}) and membership certificates
+    ({!Member.Cert}) read [n] and the thresholds below off it.
+    @raise Invalid_argument if [f < 0] or [k < 0]. *)
 val minimal : f:int -> k:int -> t
 
 (** [quorum_size t] is [2f + k + 1]. *)
 val quorum_size : t -> int
-
-(** [execution_threshold t] is [f + k + 1]: enough reporters to ensure
-    at least one correct, non-recovering replica holds the update. *)
-val execution_threshold : t -> int
 
 (** [suspect_threshold t] is [f + k + 1]: a set of suspicions that
     cannot be produced by faulty + recovering replicas alone. *)
 val suspect_threshold : t -> int
 
 (** [reply_threshold t] is [f + 1]: matching replies that guarantee at
-    least one comes from a correct replica. *)
+    least one comes from a correct replica. It is also the overlap of
+    any two quorums at minimal [n] ([2(2f+k+1) - (3f+2k+1)]), the floor
+    a successor epoch's quorum must meet ({!Member.Cert.verify_succession}). *)
 val reply_threshold : t -> int
-
-(** [two_quorum_intersection t] is the guaranteed size of the
-    intersection of any two quorums: [2 * quorum_size - n]. *)
-val two_quorum_intersection : t -> int
-
-(** [tolerates_simultaneously t ~compromised ~recovering] checks whether
-    progress and safety hold with the given number of compromised and
-    concurrently-recovering replicas. *)
-val tolerates_simultaneously : t -> compromised:int -> recovering:int -> bool
-
-val pp : Format.formatter -> t -> unit

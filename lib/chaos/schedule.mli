@@ -90,5 +90,4 @@ val validate :
 val generate :
   profile:profile -> budget:budget -> seed:int64 -> horizon_us:int -> t
 
-val pp_fault : Format.formatter -> fault -> unit
 val pp : Format.formatter -> t -> unit

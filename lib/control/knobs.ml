@@ -38,15 +38,6 @@ let kind_of_request = function
   | Set_tat_violations _ -> Tat_violations
   | Demote_leader -> Demotion
 
-let kind_name = function
-  | Max_batch -> "max_batch"
-  | Batch_delay -> "batch_delay"
-  | Routing -> "routing"
-  | Recovery_period -> "recovery_period"
-  | Tat_threshold -> "tat_threshold"
-  | Tat_violations -> "tat_violations"
-  | Demotion -> "demotion"
-
 (* ------------------------------------------------------------------ *)
 (* Validation bounds. Deliberately wide — the plane rejects nonsense
    (a zero TAT bound would suspect every leader instantly; an unbounded
@@ -147,9 +138,7 @@ let request t ~now_us ~source req =
   outcome
 
 let journal t = List.rev t.entries
-let journal_length t = t.entry_count
 let applied_count t k = t.applied.(kind_index k)
-let rejected_count t k = t.rejected.(kind_index k)
 let total_applied t = Array.fold_left ( + ) 0 t.applied
 let total_rejected t = Array.fold_left ( + ) 0 t.rejected
 

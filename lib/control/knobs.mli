@@ -39,29 +39,8 @@ type kind =
   | Tat_violations
   | Demotion
 
-val kind_of_request : request -> kind
-val kind_name : kind -> string
-
-(** {1 Static validation bounds} *)
-
-val max_batch_limit : int  (** 1024 *)
-
-val batch_delay_limit_us : int  (** 1 s *)
-
-val kdisjoint_limit : int  (** 8 disjoint paths *)
-
-val min_recovery_period_us : int  (** 100 ms *)
-
-val min_tat_threshold_us : int  (** 1 ms *)
-
-val max_tat_threshold_us : int  (** 60 s *)
-
-val tat_violations_limit : int  (** 100 *)
-
-(** [validate r] checks [r] against the bounds above; every request —
-    from controller, test or operator — passes through this before the
-    actuator is consulted. *)
-val validate : request -> (unit, string) result
+(** The smallest TAT threshold a request may set: 1 ms. *)
+val min_tat_threshold_us : int
 
 (** {1 The plane} *)
 
@@ -87,15 +66,18 @@ val create : unit -> t
 val set_actuator : t -> (request -> (unit, string) result) -> unit
 
 (** [request t ~now_us ~source r] is the only way to change a knob:
-    validate, actuate, journal, count. Returns the actuation outcome. *)
+    validate, actuate, journal, count. Returns the actuation outcome.
+    Validation rejects nonsense before the actuator is consulted:
+    [max_batch] outside [1 .. 1024], a batch delay outside
+    [0 .. 1 s], [Kdisjoint] outside [2 .. 8], a recovery period under
+    100 ms, a TAT threshold outside [1 ms .. 60 s] and TAT violations
+    outside [1 .. 100]. *)
 val request : t -> now_us:int -> source:string -> request -> (unit, string) result
 
 (** [journal t] — every entry, oldest first. *)
 val journal : t -> entry list
 
-val journal_length : t -> int
 val applied_count : t -> kind -> int
-val rejected_count : t -> kind -> int
 val total_applied : t -> int
 val total_rejected : t -> int
 

@@ -14,7 +14,6 @@ type t = {
   mutable base_e2e_us : float; (* healthy EMA; 0 = not yet learned *)
   mutable base_pre_us : float;
   mutable empty : int; (* consecutive ticks with zero confirmations *)
-  mutable last : verdict;
 }
 
 let create ?(degrade_factor = 2.0) ?(net_growth_limit = 1.5) ?(stall_ticks = 2)
@@ -35,11 +34,9 @@ let create ?(degrade_factor = 2.0) ?(net_growth_limit = 1.5) ?(stall_ticks = 2)
     base_e2e_us = 0.;
     base_pre_us = 0.;
     empty = 0;
-    last = Healthy;
   }
 
 let replica t = t.replica
-let last t = t.last
 
 (* Advance a cursor to the phase's cumulative (count, sum) and return
    the windowed (delta_count, delta_sum). Histograms only grow, so the
@@ -61,41 +58,38 @@ let observe t ~tat_alarm (a : Telemetry.Attribution.t) =
     advance t.pre_cur
       (Telemetry.Attribution.phase_row a Telemetry.Span.Preorder)
   in
-  let v =
-    if de2e = 0 then begin
-      (* Nothing confirmed this tick. Before any baseline that just
-         means no traffic; after one, a sustained gap while pre-ordering
-         continues is the signature of withheld proposals. *)
-      if t.base_e2e_us > 0. then t.empty <- t.empty + 1;
-      if tat_alarm then Leader_slow
-      else if t.base_e2e_us > 0. && t.empty >= t.stall_ticks then Leader_slow
-      else Healthy
+  if de2e = 0 then begin
+    (* Nothing confirmed this tick. Before any baseline that just
+       means no traffic; after one, a sustained gap while pre-ordering
+       continues is the signature of withheld proposals. *)
+    if t.base_e2e_us > 0. then t.empty <- t.empty + 1;
+    if tat_alarm then Leader_slow
+    else if t.base_e2e_us > 0. && t.empty >= t.stall_ticks then Leader_slow
+    else Healthy
+  end
+  else begin
+    t.empty <- 0;
+    let win_e2e = dse2e /. float_of_int de2e in
+    let win_pre = if dpre > 0 then dspre /. float_of_int dpre else 0. in
+    if t.base_e2e_us <= 0. then begin
+      (* First confirmed window: seed the healthy baseline. *)
+      t.base_e2e_us <- win_e2e;
+      t.base_pre_us <- win_pre;
+      Healthy
     end
     else begin
-      t.empty <- 0;
-      let win_e2e = dse2e /. float_of_int de2e in
-      let win_pre = if dpre > 0 then dspre /. float_of_int dpre else 0. in
-      if t.base_e2e_us <= 0. then begin
-        (* First confirmed window: seed the healthy baseline. *)
-        t.base_e2e_us <- win_e2e;
-        t.base_pre_us <- win_pre;
+      let degraded = win_e2e > t.degrade_factor *. t.base_e2e_us in
+      let net_growth =
+        if t.base_pre_us > 0. then win_pre /. t.base_pre_us else 1.0
+      in
+      if degraded && net_growth > t.net_growth_limit then Net_slow
+      else if degraded || tat_alarm then Leader_slow
+      else begin
+        (* Healthy tick: keep the baseline tracking slow drift. *)
+        t.base_e2e_us <- ema t.base_e2e_us win_e2e;
+        if win_pre > 0. then t.base_pre_us <- ema t.base_pre_us win_pre;
         Healthy
       end
-      else begin
-        let degraded = win_e2e > t.degrade_factor *. t.base_e2e_us in
-        let net_growth =
-          if t.base_pre_us > 0. then win_pre /. t.base_pre_us else 1.0
-        in
-        if degraded && net_growth > t.net_growth_limit then Net_slow
-        else if degraded || tat_alarm then Leader_slow
-        else begin
-          (* Healthy tick: keep the baseline tracking slow drift. *)
-          t.base_e2e_us <- ema t.base_e2e_us win_e2e;
-          if win_pre > 0. then t.base_pre_us <- ema t.base_pre_us win_pre;
-          Healthy
-        end
-      end
     end
-  in
-  t.last <- v;
-  v
+  end
+

@@ -47,6 +47,3 @@ val replica : t -> int
     phase-share inference unless the network is independently
     implicated. Returns (and records) the verdict for this tick. *)
 val observe : t -> tat_alarm:bool -> Telemetry.Attribution.t -> verdict
-
-(** [last t] is the most recent verdict ([Healthy] before any tick). *)
-val last : t -> verdict

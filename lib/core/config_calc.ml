@@ -7,43 +7,32 @@ type configuration = {
   sites : (site_kind * int) list;
 }
 
-let required_replicas ~f ~k =
-  if f < 0 || k < 0 then invalid_arg "Config_calc: negative f or k";
-  (3 * f) + (2 * k) + 1
-
-let quorum ~f ~k =
-  if f < 0 || k < 0 then invalid_arg "Config_calc: negative f or k";
-  (2 * f) + k + 1
-
-let total_replicas c = List.fold_left (fun acc (_, size) -> acc + size) 0 c.sites
-
-let valid c =
-  c.f >= 0 && c.k >= 0
-  && c.n = total_replicas c
-  && c.n >= required_replicas ~f:c.f ~k:c.k
-  && List.for_all (fun (_, size) -> size >= 1) c.sites
+(* The sizing rule itself lives in [Bft.Quorum]; this module only
+   spreads its [n] over sites. *)
+let quorum ~f ~k = Bft.Quorum.(quorum_size (minimal ~f ~k))
 
 let tolerates_site_loss c =
   let q = quorum ~f:c.f ~k:c.k in
   List.for_all (fun (_, size) -> c.n - size >= q) c.sites
 
-let control_centers c =
-  List.length (List.filter (fun (kind, _) -> kind = Control_center) c.sites)
-
+(* [n] replicas over [sites] sites as evenly as possible, larger sites
+   first. *)
 let distribute ~n ~sites =
-  if sites < 1 then invalid_arg "Config_calc.distribute: sites < 1";
   let base = n / sites and extra = n mod sites in
   List.init sites (fun i -> if i < extra then base + 1 else base)
 
+(* The smallest [n] that meets the resilience bound, tolerates the loss
+   of its largest site and puts at least one replica on every site. *)
 let minimal_n ~f ~k ~sites =
   if sites < 2 then invalid_arg "Config_calc.minimal_n: need >= 2 sites";
-  let q = quorum ~f ~k in
+  let minimal = Bft.Quorum.minimal ~f ~k in
+  let q = Bft.Quorum.quorum_size minimal in
   let fits n =
     let max_site = (n + sites - 1) / sites in
     n >= sites (* every site hosts at least one replica *)
     && n - max_site >= q
   in
-  let n = ref (required_replicas ~f ~k) in
+  let n = ref minimal.Bft.Quorum.n in
   while not (fits !n) do
     incr n
   done;
@@ -72,45 +61,6 @@ let standard_table () =
             [ 2; 3; 4 ])
         [ 0; 1; 2 ])
     [ 1; 2; 3 ]
-
-(* --- Epoch transitions -------------------------------------------------
-
-   When the membership reconfigures online, the old epoch stops at a
-   boundary and the new epoch starts from the same execution index.
-   The safety requirement in the window is intersection: any quorum of
-   either epoch must intersect the set of correct replicas that carry
-   the agreed prefix across the boundary.  With n = 3f + 2k + 1 and
-   quorum 2f + k + 1, any two quorums of one epoch intersect in at
-   least f + 1 replicas — at least one of which is correct and not
-   recovering. *)
-
-type epoch_params = { e_f : int; e_k : int }
-
-(* Minimum overlap of two quorums at minimal n:
-   2*(2f+k+1) - (3f+2k+1) = f + 1. *)
-let intersection ~f ~k =
-  if f < 0 || k < 0 then invalid_arg "Config_calc: negative f or k";
-  ignore k;
-  f + 1
-
-(* A vouching set that must be honoured by BOTH epochs during the
-   cutover window: the larger of the two quorums.  Any certificate
-   signed by [transition_quorum] old-epoch members is therefore also
-   large enough to intersect every new-epoch quorum. *)
-let transition_quorum ~old_epoch ~new_epoch =
-  max
-    (quorum ~f:old_epoch.e_f ~k:old_epoch.e_k)
-    (quorum ~f:new_epoch.e_f ~k:new_epoch.e_k)
-
-(* The transition is safe when the new epoch's quorum still meets the
-   old epoch's intersection floor: growing f or k must never let a
-   new-epoch quorum dodge the f_old + 1 overlap that pins the agreed
-   prefix. *)
-let transition_safe ~old_epoch ~new_epoch =
-  old_epoch.e_f >= 0 && old_epoch.e_k >= 0 && new_epoch.e_f >= 0
-  && new_epoch.e_k >= 0
-  && quorum ~f:new_epoch.e_f ~k:new_epoch.e_k
-     >= intersection ~f:old_epoch.e_f ~k:old_epoch.e_k
 
 let pp ppf c =
   let site_str =

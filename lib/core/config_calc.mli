@@ -4,12 +4,12 @@
 
     Requirements encoded, following the paper:
     - tolerate [f] simultaneous intrusions and [k] concurrently
-      recovering replicas: [n >= 3f + 2k + 1], quorums of [2f + k + 1];
+      recovering replicas: the resilience bound of {!Bft.Quorum};
     - {e network-attack resilience}: after disconnecting any single
       site (targeted DoS on a control center, fiber cut, ...), the
       remaining replicas must still contain a quorum even with [f]
       intrusions and [k] recoveries among them — i.e. for every site
-      [s]: [n - size(s) >= 2f + k + 1].
+      [s]: [n - size(s) >= quorum].
 
     Sites are control centers (which can talk to field devices) or
     commodity data centers (replicas only). At least 2 control centers
@@ -24,40 +24,21 @@ type configuration = {
   sites : (site_kind * int) list;  (** per-site replica counts *)
 }
 
-(** [required_replicas ~f ~k] is [3f + 2k + 1]. *)
-val required_replicas : f:int -> k:int -> int
-
-(** [quorum ~f ~k] is [2f + k + 1]. *)
+(** [quorum ~f ~k] is the quorum size of the minimal [f]/[k] system
+    ({!Bft.Quorum.quorum_size} of {!Bft.Quorum.minimal}). *)
 val quorum : f:int -> k:int -> int
 
-(** [total_replicas c] sums the site counts. *)
-val total_replicas : configuration -> int
-
-(** [valid c] checks the resilience bound ([n >= 3f+2k+1], counts match). *)
-val valid : configuration -> bool
-
-(** [tolerates_site_loss c] checks [n - size(s) >= 2f+k+1] for every
-    site [s]. *)
+(** [tolerates_site_loss c] checks [n - size(s) >= quorum ~f ~k] for
+    every site [s]. *)
 val tolerates_site_loss : configuration -> bool
 
-(** [control_centers c] counts control-center sites. *)
-val control_centers : configuration -> int
-
-(** [minimal_n ~f ~k ~sites] is the smallest [n] that satisfies the
-    resilience bound, single-site-loss tolerance, and one-replica-per-
-    site occupancy, when spread over [sites] sites as evenly as
-    possible.
-    @raise Invalid_argument if [sites < 2] (one site can never tolerate
-    its own loss). *)
-val minimal_n : f:int -> k:int -> sites:int -> int
-
-(** [distribute ~n ~sites] spreads [n] replicas over [sites] sites as
-    evenly as possible, larger sites first. *)
-val distribute : n:int -> sites:int -> int list
-
 (** [minimal_config ~f ~k ~sites ~control_centers] builds the minimal
-    valid configuration: control centers are listed first and receive
-    the larger shares. *)
+    configuration over [sites] sites: the smallest [n] that meets the
+    resilience bound, tolerates the loss of any one site and puts at
+    least one replica on every site, spread as evenly as possible.
+    Control centers are listed first and receive the larger shares.
+    @raise Invalid_argument if [sites < 2] (one site can never tolerate
+    its own loss) or [control_centers] is not in [1 .. sites]. *)
 val minimal_config :
   f:int -> k:int -> sites:int -> control_centers:int -> configuration
 
@@ -65,24 +46,5 @@ val minimal_config :
     configuration table: minimal configurations for
     [f in 1..3], [k in 0..2], [sites in 2..4] (2 control centers). *)
 val standard_table : unit -> configuration list
-
-(** Resilience parameters of one epoch, for transition math. *)
-type epoch_params = { e_f : int; e_k : int }
-
-(** [intersection ~f ~k] is the minimum overlap of any two quorums at
-    minimal [n]: [2(2f+k+1) - (3f+2k+1) = f+1].  This is the floor a
-    successor epoch's quorum must not shrink below mid-transition. *)
-val intersection : f:int -> k:int -> int
-
-(** [transition_quorum ~old_epoch ~new_epoch] is the vouching-set size
-    honoured by both epochs during cutover: the larger of the two
-    quorums. *)
-val transition_quorum : old_epoch:epoch_params -> new_epoch:epoch_params -> int
-
-(** [transition_safe ~old_epoch ~new_epoch] holds when the new epoch's
-    quorum still meets the old epoch's intersection floor — growing
-    [f] or [k] never lets a new-epoch quorum dodge the [f_old + 1]
-    overlap pinning the agreed prefix. *)
-val transition_safe : old_epoch:epoch_params -> new_epoch:epoch_params -> bool
 
 val pp : Format.formatter -> configuration -> unit

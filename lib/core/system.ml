@@ -123,7 +123,6 @@ let engine t = t.engine
 let net t = t.net
 let knobs t = t.knobs
 let dissemination t = Send.mode t.send
-let shard_partition t = Overlay.Net.partition t.net
 let telemetry t = t.telemetry
 let replica_count t = t.n
 let universe_count t = t.universe
@@ -153,7 +152,6 @@ let exec_log t r = Instance.exec_log t.replicas.(r)
 let directory t = Epochs.directory t.epochs
 let current_epoch t = Epochs.current_epoch t.epochs
 let epoch_of_replica t r = Epochs.epoch_of t.epochs r
-let current_members t = Array.to_list (Epochs.members t.epochs)
 let stale_epoch_frames t = Epochs.stale_epoch_frames t.epochs
 let cutovers t = Epochs.cutovers t.epochs
 let epoch_violation t = Epochs.epoch_violation t.epochs
@@ -647,7 +645,8 @@ let validate cfg =
   then fail "field_devices < field_concentrators";
   if cfg.field_scan_interval_us <= 0 then fail "field_scan_interval_us <= 0";
   if not (cfg.field_loss >= 0. && cfg.field_loss <= 1.) then
-    fail "field_loss outside [0, 1]"
+    fail "field_loss outside [0, 1]";
+  if cfg.adaptive && not cfg.telemetry then fail "adaptive without telemetry"
 
 let create cfg =
   validate cfg;

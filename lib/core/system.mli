@@ -88,8 +88,8 @@ type config = {
           Off by default: a disabled controller allocates nothing
           observable, arms no timer and draws no randomness, so the
           trajectory is bit-identical to a build without [lib/control].
-          The controller senses through the telemetry sink — enable
-          [telemetry] for it to see anything. *)
+          The controller senses through the telemetry sink, so
+          {!create} rejects [adaptive] without [telemetry]. *)
   tweak_prime : Prime.Replica.config -> Prime.Replica.config;
 }
 
@@ -112,8 +112,9 @@ type t
     [poll_interval_us <= 0], [resubmit_timeout_us <= 0],
     [max_batch < 1], [batch_delay_us < 0], [field_concentrators < 0],
     [field_devices < field_concentrators] (with concentrators),
-    [field_scan_interval_us <= 0], or [field_loss] outside [0, 1] (nan
-    included). *)
+    [field_scan_interval_us <= 0], [field_loss] outside [0, 1] (nan
+    included), or [adaptive] without [telemetry] (a controller that
+    would see nothing). *)
 val create : config -> t
 
 (** [start t] arms every component (replicas, proxies, HMIs). *)
@@ -125,15 +126,6 @@ val run : t -> duration_us:int -> unit
 val engine : t -> Sim.Engine.t
 val config : t -> config
 val net : t -> payload Overlay.Net.t
-
-(** [shard_partition t] is the site-ownership partition the instance
-    runs under: one shard per replica site (active and standby, in
-    config order) plus one trailing shard pooling all field devices
-    (proxies, HMIs). Purely structural — event order is identical for
-    any partition. Every system creates its own engine
-    ({!Sim.Engine.t}), so independent systems may run concurrently on
-    different domains ({!Sim.Parallel}). *)
-val shard_partition : t -> Sim.Shard.partition
 
 (** [telemetry t] is the system's span sink: live when the config set
     [telemetry = true], a per-instance disabled sink otherwise. Feed it
@@ -165,8 +157,9 @@ val dissemination : t -> Overlay.Net.mode
 (** {1 Component access} *)
 
 (** [replica_count t] — the genesis (epoch-0) active replica count [n].
-    Unchanged by reconfiguration; use {!current_members} for the live
-    membership and {!universe_count} for active + standby. *)
+    Unchanged by reconfiguration: the live membership is the current
+    certificate of {!directory}, and {!universe_count} counts active +
+    standby. *)
 val replica_count : t -> int
 
 (** [universe_count t] — all provisioned replicas, active and standby.
@@ -186,16 +179,11 @@ val fleet_stats : t -> Field.Concentrator.stats
 val master : t -> Bft.Types.replica -> Scada.Master.t
 val faults : t -> Bft.Types.replica -> Bft.Faults.t
 
-(** [view_of t r] / [current_leader t]: protocol view introspection.
-    [current_leader] is the leader of the highest view held by a
-    majority of live replicas. *)
+(** [view_of t r] is replica [r]'s protocol view. *)
 val view_of : t -> Bft.Types.replica -> Bft.Types.view
-
-val current_leader : t -> Bft.Types.replica
 
 val exec_log : t -> Bft.Types.replica -> Bft.Exec_log.t
 val node_of_replica : t -> Bft.Types.replica -> Overlay.Topology.node
-val node_of_client : t -> Bft.Types.client -> Overlay.Topology.node
 val site_of_replica : t -> Bft.Types.replica -> Overlay.Topology.site
 
 (** {1 Metrics} *)
@@ -297,14 +285,6 @@ val directory : t -> Member.Directory.t
 
 (** [current_epoch t] — highest epoch any replica has activated. *)
 val current_epoch : t -> int
-
-(** [epoch_of_replica t r] — the epoch replica [r]'s running instance
-    belongs to, or [-1] for standby / retired replicas. *)
-val epoch_of_replica : t -> Bft.Types.replica -> int
-
-(** [current_members t] — global replica ids of the current epoch's
-    membership, in protocol-rank order. *)
-val current_members : t -> int list
 
 (** [stale_epoch_frames t] — protocol frames dropped because their
     epoch tag (or sender) did not match the receiving instance. *)

@@ -101,7 +101,6 @@ let combine x y =
   finish a
 
 let equal = Int64.equal
-let compare = Int64.compare
 let to_hex t = Printf.sprintf "%016Lx" t
 let to_int64 t = t
 let of_int64 v = v

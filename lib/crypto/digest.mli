@@ -51,8 +51,6 @@ val combine : t -> t -> t
 (** [equal a b] is constant-time-irrelevant structural equality. *)
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
 (** [to_hex t] is a 16-character lowercase hex rendering. *)
 val to_hex : t -> string
 

@@ -34,9 +34,6 @@ let create_group ~seed ~members ~threshold =
   Digest.add_int a threshold;
   { group_id = Digest.to_int64 (Digest.finish a); members; threshold }
 
-let threshold g = g.threshold
-let members g = g.members
-
 (* The digest of ["share:%Ld:%d:%Ld"] (group, member, digest), streamed:
    signed and verified once per reply share. *)
 let share_tag g member digest =

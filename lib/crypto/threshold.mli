@@ -21,9 +21,6 @@ type combined
 val create_group :
   seed:int64 -> members:Keyring.principal list -> threshold:int -> group
 
-val threshold : group -> int
-val members : group -> Keyring.principal list
-
 (** [sign_share group ~member digest] produces [member]'s share.
     @raise Invalid_argument if [member] is not in the group. *)
 val sign_share : group -> member:Keyring.principal -> Digest.t -> share

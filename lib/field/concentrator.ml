@@ -156,7 +156,6 @@ let create ?telemetry ?batch ?submit_batch ?(shard = 0) ~engine ~id ~client_id
   t
 
 let endpoint t = t.endpoint
-let device_count t = Device.count t.devices
 
 let set_on_complete t f = t.on_complete <- f
 

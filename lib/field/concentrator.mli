@@ -95,7 +95,6 @@ val create :
 val start : t -> unit
 
 val endpoint : t -> Scada.Endpoint.t
-val device_count : t -> int
 val handle_reply : t -> Scada.Reply.t -> unit
 
 (** [set_on_complete t f] — [f] fires after the concentrator's own

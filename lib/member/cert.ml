@@ -38,38 +38,22 @@ let epoch t = t.epoch
 let f t = t.f
 let k t = t.k
 let boundary_exec t = t.boundary_exec
-let sites t = t.sites
-let signers t = t.signers
-let prev_digest t = t.prev_digest
 
 let members t =
   List.concat_map (fun s -> s.members) t.sites
 
 let n t = List.length (members t)
 
-(* Spire sizing: n = 3f + 2k + 1 replicas tolerate f intrusions plus k
-   simultaneously recovering replicas.  An epoch may over-provision
-   (n larger than required) but never under-provision. *)
-let required_n ~f ~k = (3 * f) + (2 * k) + 1
-let quorum_size t = (2 * t.f) + t.k + 1
-let reply_threshold t = t.f + 1
-
-let site_of t ~site_id =
-  List.find_opt (fun s -> s.site_id = site_id) t.sites
+(* Spire sizing comes from [Bft.Quorum]: the minimal system for the
+   epoch's f and k gives the replica floor and the thresholds.  An epoch
+   may over-provision (n larger than the floor) but never
+   under-provision.  Only defined for f, k >= 0, which [validate]
+   checks first. *)
+let sizing t = Bft.Quorum.minimal ~f:t.f ~k:t.k
+let quorum_size t = Bft.Quorum.quorum_size (sizing t)
+let reply_threshold t = Bft.Quorum.reply_threshold (sizing t)
 
 let is_member t r = List.mem r (members t)
-
-(* Rank is a replica's dense protocol index within the epoch: position
-   in the concatenated site-ordered member list.  Protocol instances
-   are parameterized by rank; the wire keeps global ids. *)
-let rank_of t r =
-  let rec find i = function
-    | [] -> None
-    | m :: rest -> if m = r then Some i else find (i + 1) rest
-  in
-  find 0 (members t)
-
-let member_of_rank t rank = List.nth_opt (members t) rank
 
 let validate t =
   let ms = members t in
@@ -86,9 +70,10 @@ let validate t =
     <> List.length t.sites
   then Error "duplicate site id"
   else if List.exists (fun m -> m < 0) ms then Error "negative member id"
-  else if nm < required_n ~f:t.f ~k:t.k then
+  else if nm < (sizing t).Bft.Quorum.n then
     Error
-      (Printf.sprintf "n=%d below 3f+2k+1=%d" nm (required_n ~f:t.f ~k:t.k))
+      (Printf.sprintf "n=%d below the resilience floor %d" nm
+         (sizing t).Bft.Quorum.n)
   else if not (List.exists (fun s -> s.role = Active_cc) t.sites) then
     Error "no active control center"
   else if
@@ -118,7 +103,13 @@ let canonical t =
 let digest t = Cryptosim.Digest.of_string (canonical t)
 
 (* Succession: [next] extends [prev] iff the chain links, the boundary
-   advances, and at least a quorum of [prev]'s members vouched. *)
+   advances, at least a quorum of [prev]'s members vouched, [next] is
+   well formed, and [next]'s quorum still meets [prev]'s intersection
+   floor.  Two [prev] quorums overlap in f_prev + 1 replicas (at minimal
+   n), which is what pins the agreed prefix across the boundary; a
+   successor quorum smaller than that could be made entirely of
+   replicas that never saw it (f=1 -> f=0 would shrink the quorum from
+   4 to 1). *)
 let verify_succession ~prev ~next =
   if next.epoch <> prev.epoch + 1 then Error "non-consecutive epoch"
   else if not (Cryptosim.Digest.equal next.prev_digest (digest prev)) then
@@ -135,7 +126,15 @@ let verify_succession ~prev ~next =
       (Printf.sprintf "only %d signers, need previous-epoch quorum %d"
          (List.length (List.sort_uniq compare next.signers))
          (quorum_size prev))
-  else validate next
+  else
+    match validate next with
+    | Error _ as e -> e
+    | Ok () when quorum_size next < reply_threshold prev ->
+        Error
+          (Printf.sprintf
+             "new-epoch quorum %d below previous-epoch intersection floor %d"
+             (quorum_size next) (reply_threshold prev))
+    | Ok () -> Ok ()
 
 let genesis ~f ~k ~sites =
   let t =

@@ -27,35 +27,23 @@ val epoch : t -> int
 val f : t -> int
 val k : t -> int
 val boundary_exec : t -> int
-val sites : t -> site list
-val signers : t -> int list
-val prev_digest : t -> Cryptosim.Digest.t
 
 (** All global member ids in site order (defines protocol rank). *)
 val members : t -> int list
 
 val n : t -> int
 
-(** [required_n ~f ~k] is the Spire floor [3f + 2k + 1]. *)
-val required_n : f:int -> k:int -> int
-
-(** Ordering quorum [2f + k + 1] for this epoch. *)
+(** Ordering quorum of this epoch's [f] and [k]
+    ({!Bft.Quorum.quorum_size}). *)
 val quorum_size : t -> int
 
-(** Client confirmation threshold [f + 1] for this epoch. *)
+(** Client confirmation threshold of this epoch's [f]
+    ({!Bft.Quorum.reply_threshold}). *)
 val reply_threshold : t -> int
 
-val site_of : t -> site_id:int -> site option
-val is_member : t -> int -> bool
-
-(** [rank_of t r] is [r]'s dense protocol index within the epoch, if a
-    member. *)
-val rank_of : t -> int -> int option
-
-val member_of_rank : t -> int -> int option
-
 (** Structural well-formedness: sizes, disjointness, exactly one
-    active control center, [n >= 3f + 2k + 1]. *)
+    active control center, [n] at least the {!Bft.Quorum.minimal}
+    floor. *)
 val validate : t -> (unit, string) result
 
 (** Chain digest over the canonical serialization (includes signers
@@ -64,7 +52,10 @@ val digest : t -> Cryptosim.Digest.t
 
 (** [verify_succession ~prev ~next] checks the chain link, boundary
     monotonicity, signer membership in [prev], a previous-epoch quorum
-    of signers, and [validate next]. *)
+    of signers, [validate next], and transition safety: [next]'s
+    quorum is at least [prev]'s reply threshold, the overlap of two
+    [prev] quorums that pins the agreed prefix. Growing [f] or [k] is
+    always safe; shrinking may not be. *)
 val verify_succession : prev:t -> next:t -> (unit, string) result
 
 (** Genesis (epoch 0, boundary 0, no signers). Raises [Invalid_argument]

@@ -23,13 +23,8 @@ let create ~genesis =
 let current t = List.hd t.chain
 let epoch t = Cert.epoch (current t)
 
-(* Oldest first, i.e. genesis at the head. *)
-let history t = List.rev t.chain
-
 let cert_of_epoch t e =
   List.find_opt (fun c -> Cert.epoch c = e) t.chain
-
-let is_member t r = Cert.is_member (current t) r
 
 let install t next =
   let prev = current t in

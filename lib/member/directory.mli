@@ -6,11 +6,7 @@ val create : genesis:Cert.t -> t
 val current : t -> Cert.t
 val epoch : t -> int
 
-(** Oldest first (genesis at the head). *)
-val history : t -> Cert.t list
-
 val cert_of_epoch : t -> int -> Cert.t option
-val is_member : t -> int -> bool
 
 (** Verify succession from the current head and append.  Idempotent
     for certs already in the chain; rejects forks and gaps. *)

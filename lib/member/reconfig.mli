@@ -25,5 +25,4 @@ val apply :
   Cert.t -> t -> signers:int list -> boundary_exec:int ->
   (Cert.t, string) result
 
-val pp_action : Format.formatter -> action -> unit
 val pp : Format.formatter -> t -> unit

@@ -26,5 +26,4 @@ let observe t ~time_us ~available =
         t.quorum.Bft.Quorum.k
 
 let verdict t = t.verdict
-let observations t = t.observations
 let min_available t = if t.observations = 0 then 0 else t.min_available

@@ -20,7 +20,6 @@ val create : quorum:Bft.Quorum.t -> t
 val observe : t -> time_us:int -> available:int -> unit
 
 val verdict : t -> Verdict.t
-val observations : t -> int
 
 (** [min_available t] is the lowest availability ever observed (0 before
     any observation). *)

@@ -24,7 +24,6 @@ let create ~turbulent_bound_ms ~calm_bound_ms =
   }
 
 let set_phase t phase = t.phase <- phase
-let phase t = t.phase
 
 let observe t ~time_us ~latency_ms =
   t.samples <- t.samples + 1;

@@ -27,7 +27,6 @@ type t
 val create : turbulent_bound_ms:float -> calm_bound_ms:float -> t
 
 val set_phase : t -> phase -> unit
-val phase : t -> phase
 
 (** [observe t ~time_us ~latency_ms] feeds one confirmed update. *)
 val observe : t -> time_us:int -> latency_ms:float -> unit

@@ -51,5 +51,3 @@ let pop t =
     end;
     Some (top.key, top.value)
   end
-
-let size t = t.len

@@ -9,4 +9,3 @@ type 'a t
 val create : unit -> 'a t
 val push : 'a t -> key:int -> 'a -> unit
 val pop : 'a t -> (int * 'a) option
-val size : 'a t -> int

@@ -89,7 +89,7 @@ type 'a t = {
   nodes : int;
   part : Sim.Shard.partition;
   (* Inter-shard (WAN) ledger: every frame copy enqueued onto a link
-     whose endpoints are owned by different shards is recorded here —
+     whose endpoints are owned by different shards is counted here —
      the traffic a real deployment pays WAN bandwidth for. *)
   boundary : Sim.Shard.boundary;
   (* Per-node state is one flat per-destination row per node — the
@@ -212,9 +212,7 @@ let create ?(per_source_cap = 64) ?partition engine topo () =
 
 let topology t = t.topo
 let partition t = t.part
-let wan_crossings t = Sim.Shard.crossings t.boundary
 let wan_frames t = Sim.Shard.total_frames t.boundary
-let wan_bytes t = Sim.Shard.total_bytes t.boundary
 let set_telemetry t sink = t.telemetry <- sink
 
 (* Per-hop telemetry. Traced frames ([frame.trace >= 0], sink enabled)
@@ -444,10 +442,10 @@ and enqueue t u v frame =
   let source = frame.src and priority = frame.priority in
   if idle || Fair_queue.push ls.queue ~source ~priority frame then begin
     (* A hop between nodes owned by different shards crosses the
-       inter-site (WAN) boundary — ledger each admitted copy. *)
+       inter-site (WAN) boundary — count each admitted copy. *)
     Sim.Shard.record t.boundary
       ~src_shard:(Sim.Shard.owner_of t.part u)
-      ~dst_shard:(Sim.Shard.owner_of t.part v) ~bytes:frame.size_bytes;
+      ~dst_shard:(Sim.Shard.owner_of t.part v);
     if is_traced then begin
       let sid =
         open_hop_span t ~phase:Telemetry.Span.Net_queue ~node:u
@@ -577,9 +575,6 @@ let send t ?(priority = Fair_queue.Control) ?(trace = -1) ~size_bytes ~src ~dst
     ~mode payload =
   submit t ~priority ~size_bytes ~src ~dst ~mode ~trace (Payload payload)
 
-let inject_junk t ~src ~dst ~size_bytes ~priority =
-  submit t ~priority ~size_bytes ~src ~dst ~mode:Shortest ~trace:(-1) (Junk "")
-
 let inject_junk_bytes t ~src ~dst ~bytes ~priority =
   submit t ~priority ~size_bytes:(String.length bytes) ~src ~dst ~mode:Shortest
     ~trace:(-1) (Junk bytes)
@@ -612,8 +607,6 @@ let retire_node t n =
 
 let unretire_node t n =
   if n >= 0 && n < t.nodes then t.retired.(n) <- false
-
-let node_retired t n = n >= 0 && n < t.nodes && t.retired.(n)
 
 let set_latency_factor t a b factor =
   if not (Float.is_finite factor) then
@@ -672,13 +665,6 @@ let link_reports t =
          match compare b.tx_bytes a.tx_bytes with
          | 0 -> compare (a.link_src, a.link_dst) (b.link_src, b.link_dst)
          | c -> c)
-
-let link_utilisation _t ~elapsed_us report =
-  if elapsed_us <= 0 then 0.
-  else min 1. (float_of_int report.tx_busy_us /. float_of_int elapsed_us)
-
-let current_route t ~src ~dst =
-  Routing.shortest_path t.topo ~usable:(usable t) ~src ~dst
 
 let stats t =
   let c = t.ctrs in

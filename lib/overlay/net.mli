@@ -97,15 +97,9 @@ val partition : 'a t -> Sim.Shard.partition
 
 (** {1 Inter-site (WAN) boundary ledger} *)
 
-(** [wan_crossings t] is the per-(src shard, dst shard) ledger of frame
-    copies enqueued across the ownership boundary, ordered by shard
-    pair. *)
-val wan_crossings : 'a t -> Sim.Shard.crossing list
-
-(** [wan_frames t] / [wan_bytes t] are the ledger totals. *)
+(** [wan_frames t] counts the frame copies enqueued onto a link whose
+    endpoints are owned by different shards. *)
 val wan_frames : 'a t -> int
-
-val wan_bytes : 'a t -> int
 
 (** [set_handler t node f] installs the delivery callback for [node];
     replaces any previous handler. *)
@@ -139,21 +133,11 @@ val send :
   'a ->
   unit
 
-(** [inject_junk t ~src ~dst ~size_bytes ~priority] submits an
+(** [inject_junk_bytes t ~src ~dst ~bytes ~priority] submits an
     attacker frame that consumes link capacity but is never delivered to
     a handler (the receiving daemon's decode-and-authenticate step drops
-    it). Raw size-only form for overlay-level tests. *)
-val inject_junk :
-  'a t ->
-  src:Topology.node ->
-  dst:Topology.node ->
-  size_bytes:int ->
-  priority:Fair_queue.priority ->
-  unit
-
-(** [inject_junk_bytes t ~src ~dst ~bytes ~priority] — same, but the
-    junk is the attacker's actual byte string (e.g. from [Wire.Junk]);
-    the charged size is [String.length bytes]. *)
+    it). The junk is the attacker's actual byte string (e.g. from
+    [Wire.Junk]); the charged size is [String.length bytes]. *)
 val inject_junk_bytes :
   'a t ->
   src:Topology.node ->
@@ -171,9 +155,6 @@ val kill_link : 'a t -> Topology.node -> Topology.node -> unit
 
 val restore_link : 'a t -> Topology.node -> Topology.node -> unit
 
-(** [link_alive t a b] is the current state. *)
-val link_alive : 'a t -> Topology.node -> Topology.node -> bool
-
 (** [kill_node t n] takes the daemon down: nothing is delivered to or
     forwarded by [n]. *)
 val kill_node : 'a t -> Topology.node -> unit
@@ -190,8 +171,6 @@ val retire_node : 'a t -> Topology.node -> unit
 
 (** [unretire_node t n] re-admits [n] (site re-joined). *)
 val unretire_node : 'a t -> Topology.node -> unit
-
-val node_retired : 'a t -> Topology.node -> bool
 
 (** [set_latency_factor t a b factor] scales the link's propagation
     delay (e.g. 10x under congestion attack).
@@ -233,14 +212,6 @@ type link_report = {
     one frame, descending by [tx_bytes]. *)
 val link_reports : 'a t -> link_report list
 
-(** [link_utilisation t ~elapsed_us report] is the fraction of
-    [elapsed_us] the reported link spent serialising frames, in [0, 1]. *)
-val link_utilisation : 'a t -> elapsed_us:int -> link_report -> float
-
 (** {1 Introspection} *)
-
-(** [current_route t ~src ~dst] is the shortest usable path right now. *)
-val current_route :
-  'a t -> src:Topology.node -> dst:Topology.node -> Routing.path option
 
 val stats : 'a t -> stats

@@ -57,7 +57,6 @@ type t = {
     Hashtbl.t;
   ckpt_votes :
     (Types.seqno * Cryptosim.Digest.t, (Types.replica, unit) Hashtbl.t) Hashtbl.t;
-  mutable view_changes : int;
   mutable running : bool;
   (* One-way stop at an epoch boundary; see Prime.Replica.halt. *)
   mutable halted : bool;
@@ -66,8 +65,6 @@ type t = {
 let faults t = t.faults
 let view t = t.view
 let exec_log t = t.log
-let view_changes t = t.view_changes
-let epoch t = t.config.epoch
 let halted t = t.halted
 let halt t = t.halted <- true
 
@@ -94,7 +91,6 @@ let create config env ~execute =
     stable_seq = 0;
     vc_votes = Hashtbl.create 17;
     ckpt_votes = Hashtbl.create 17;
-    view_changes = 0;
     running = false;
     halted = false;
   }
@@ -401,7 +397,6 @@ and install_new_view t target votes =
   in
   t.view <- target;
   t.mode <- Normal;
-  t.view_changes <- t.view_changes + 1;
   t.next_seq <- !max_seq + 1;
   t.assigned <- Hashtbl.create 97;
   broadcast t (Msg.Newview { view = target; proposals; stable_seq = !max_stable });
@@ -413,7 +408,6 @@ let adopt_new_view t ~view ~proposals =
   if view > t.view then begin
     t.view <- view;
     t.mode <- Normal;
-    t.view_changes <- t.view_changes + 1;
     t.assigned <- Hashtbl.create 97;
     List.iter (fun p -> accept_preprepare t ~view ~proposal:p) proposals;
     (* Give the new leader a full timeout for everything pending. *)

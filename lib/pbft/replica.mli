@@ -65,15 +65,9 @@ val handle : t -> from:Bft.Types.replica -> Msg.t -> unit
 val faults : t -> Bft.Faults.t
 
 val view : t -> Bft.Types.view
-val is_leader : t -> bool
 val exec_log : t -> Bft.Exec_log.t
 
-(** [view_changes t] counts view changes this replica has joined. *)
-val view_changes : t -> int
-
 (** {1 Epoch cutover} *)
-
-val epoch : t -> int
 
 (** [halt t] stops the instance one-way at an epoch boundary (no
     further sends, receives, executions or timer re-arms); see

@@ -86,8 +86,6 @@ let vector_dominates a b =
   Array.iteri (fun i v -> if v < b.(i) then ok := false) a;
   !ok
 
-let is_empty m = Array.for_all (Array.for_all (fun v -> v = 0)) m
-
 let equal a b =
   Array.length a = Array.length b
   && Array.for_all2 (fun ra rb -> ra = rb) a b

@@ -51,9 +51,6 @@ val digest : t -> Cryptosim.Digest.t
 (** [vector_dominates a b] is true when [a.(j) >= b.(j)] for all [j]. *)
 val vector_dominates : vector -> vector -> bool
 
-(** [is_empty m] is true when every entry is 0. *)
-val is_empty : t -> bool
-
 val equal : t -> t -> bool
 val pp_vector : Format.formatter -> vector -> unit
 val pp : Format.formatter -> t -> unit

@@ -143,7 +143,6 @@ type t = {
      Newview learns the installed view once f+1 distinct peers send
      ordering messages tagged with it. *)
   view_evidence : (Types.view, (Types.replica, unit) Hashtbl.t) Hashtbl.t;
-  mutable view_changes : int;
   (* --- checkpoints / catch-up --- *)
   ckpt_votes :
     (int * Cryptosim.Digest.t, (Types.replica, unit) Hashtbl.t) Hashtbl.t;
@@ -168,12 +167,10 @@ let is_leader t = leader_of t t.view = t.env.Env.self
 let faults t = t.faults
 let view t = t.view
 let exec_log t = t.log
-let view_changes t = t.view_changes
 let max_tat_us t = t.max_tat_us
 let suspected t = t.suspected_view >= t.view
 let set_on_fall_behind t f = t.on_fall_behind <- f
 let set_on_apply t f = t.on_apply <- f
-let epoch t = t.config.epoch
 let halted t = t.halted
 let live t = (not t.halted) && not t.faults.Faults.crashed
 
@@ -236,7 +233,6 @@ let create config env ~execute =
     suspects = Hashtbl.create 7;
     vc_votes = Hashtbl.create 7;
     view_evidence = Hashtbl.create 7;
-    view_changes = 0;
     ckpt_votes = Hashtbl.create 17;
     stable_exec = 0;
     on_fall_behind = (fun () -> ());
@@ -515,7 +511,6 @@ let enter_view t view =
   t.view <- view;
   prune_stale_views t;
   t.mode <- Normal;
-  t.view_changes <- t.view_changes + 1;
   t.tat_violations <- 0;
   Queue.clear t.pending_tats;
   t.frontier <- Array.copy t.recv;
@@ -679,11 +674,14 @@ let current_summary t =
   m.(t.env.Env.self) <- Matrix.merge_vector m.(t.env.Env.self) t.recv;
   m
 
+(* A replica pre-prepares only as the live leader of a view it is not
+   trying to leave. Checked when a proposal is cut and again when a
+   delayed one is sent: a leader that voted for a view change, halted
+   or crashed while the delay ran must not pre-prepare. *)
+let may_propose t = live t && is_leader t && t.mode = Normal
+
 let proposal_tick t =
-  if
-    (not t.halted) && (not t.faults.Faults.crashed) && is_leader t
-    && t.mode = Normal
-  then begin
+  if may_propose t then begin
     let summary = current_summary t in
     t.proposal_heartbeat <- t.proposal_heartbeat + 1;
     let heartbeat_due = t.proposal_heartbeat mod 50 = 0 in
@@ -693,7 +691,7 @@ let proposal_tick t =
       t.next_seq <- seq + 1;
       let proposal_view = t.view in
       let send () =
-        if t.view = proposal_view && is_leader t then begin
+        if t.view = proposal_view && may_propose t then begin
           broadcast t (Msg.Preprepare { view = proposal_view; seq; matrix = summary });
           accept_preprepare t ~view:proposal_view ~seq ~matrix:summary
         end

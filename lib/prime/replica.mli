@@ -76,10 +76,7 @@ val submit : t -> Bft.Update.t -> unit
 val handle : t -> from:Bft.Types.replica -> Msg.t -> unit
 val faults : t -> Bft.Faults.t
 val view : t -> Bft.Types.view
-val is_leader : t -> bool
 val exec_log : t -> Bft.Exec_log.t
-
-val view_changes : t -> int
 
 (** [max_tat_us t] is the largest turnaround time observed so far (0 if
     none completed). *)
@@ -135,9 +132,6 @@ val demote_leader : t -> bool
 val retained_suspect_views : t -> int
 
 (** {1 Epoch cutover} *)
-
-(** [epoch t] is the membership epoch from the config. *)
-val epoch : t -> int
 
 (** [halt t] stops the instance one-way at an epoch boundary: the
     in-progress eligibility batch (if halting from inside [execute])

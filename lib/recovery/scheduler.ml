@@ -67,8 +67,6 @@ let begin_recovery t r =
 
 let trigger_now t r = begin_recovery t r
 
-let rotation_period_us t = t.rotation_period_us
-
 let start t =
   if not t.running then begin
     t.running <- true;

@@ -37,10 +37,6 @@ val start : t -> unit
     complete). *)
 val stop : t -> unit
 
-(** [rotation_period_us t] is the current (possibly hot-swapped)
-    rotation period. *)
-val rotation_period_us : t -> int
-
 (** [set_rotation_period t period_us] swaps the rotation period on a
     live scheduler. If the rotation is running it is cancelled and
     re-staggered from the current virtual time on the new cadence

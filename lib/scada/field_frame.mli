@@ -47,8 +47,6 @@ type report = {
     commits to the underlying field data. *)
 val report_checksum : report -> int
 
-val event_checksum : int -> event -> int
-
 (** [fold_event acc table ~address ~value] =
     [event_checksum acc { table; address; value }], without building
     the event. *)

@@ -9,7 +9,6 @@ type t = {
   poll_interval_us : int;
   mutable polls_sent : int;
   mutable commands_applied : int;
-  mutable poll_timer : Sim.Engine.timer option;
   mutable running : bool;
   (* Device commands are confirmed independently of the endpoint's own
      pending updates: they carry the ISSUING client's update key (an
@@ -41,7 +40,6 @@ let create ?(field_protocol = `Dnp3) ?telemetry ?batch ?submit_batch ?(shard = 0
     poll_interval_us;
     polls_sent = 0;
     commands_applied = 0;
-    poll_timer = None;
     running = false;
     command_shares = Hashtbl.create 17;
     actuated = Hashtbl.create 17;
@@ -244,16 +242,11 @@ let start t =
   if not t.running then begin
     t.running <- true;
     Endpoint.start t.endpoint;
-    t.poll_timer <-
-      Some
-        (Sim.Engine.periodic ~shard:t.shard t.engine
-           ~interval_us:t.poll_interval_us (fun () -> poll t))
+    ignore
+      (Sim.Engine.periodic ~shard:t.shard t.engine
+         ~interval_us:t.poll_interval_us (fun () -> poll t)
+        : Sim.Engine.timer)
   end
-
-let stop t =
-  t.running <- false;
-  Option.iter Sim.Engine.cancel t.poll_timer;
-  t.poll_timer <- None
 
 (* Actuate a master command. Commands arrive as DNP3 frames (the
    replicated master speaks DNP3 for controls); a Modbus proxy acts as

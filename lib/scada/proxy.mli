@@ -50,10 +50,6 @@ val field_protocol : t -> field_protocol
 (** [start t] begins the polling loop and retransmission watchdog. *)
 val start : t -> unit
 
-(** [stop t] halts polling (e.g. substation disconnected in a
-    scenario). *)
-val stop : t -> unit
-
 (** [handle_reply t reply] ingests a replica reply; commands embedded in
     a confirmed reply are actuated on the RTU exactly once. *)
 val handle_reply : t -> Reply.t -> unit

@@ -414,8 +414,3 @@ module Window = struct
       invalid_arg "Engine.Window.finish_run: an event is due before the horizon";
     finish t ~until_us
 end
-
-let pp_time_us ppf us =
-  if us >= 1_000_000 then Format.fprintf ppf "%.3fs" (float_of_int us /. 1e6)
-  else if us >= 1_000 then Format.fprintf ppf "%dms" (us / 1000)
-  else Format.fprintf ppf "%dus" us

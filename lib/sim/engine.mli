@@ -123,6 +123,3 @@ module Window : sig
       [until_us]. *)
   val finish_run : t -> until_us:int -> unit
 end
-
-(** Pretty time: microseconds rendered as e.g. ["1.250s"] or ["750ms"]. *)
-val pp_time_us : Format.formatter -> int -> unit

@@ -73,12 +73,6 @@ let exponential t ~mean =
   let u = if u <= 0. then 1e-12 else u in
   -.mean *. log u
 
-let gaussian t ~mean ~stddev =
-  let u1 = Float.max 1e-12 (Bank.float t 0 1.) in
-  let u2 = Bank.float t 0 1. in
-  let z = sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2) in
-  mean +. (stddev *. z)
-
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Rng.pick: empty";
   arr.(int t (Array.length arr))

@@ -45,9 +45,6 @@ val bernoulli : t -> float -> bool
 (** [exponential t ~mean] samples an exponential with the given mean. *)
 val exponential : t -> mean:float -> float
 
-(** [gaussian t ~mean ~stddev] samples a normal via Box-Muller. *)
-val gaussian : t -> mean:float -> stddev:float -> float
-
 (** [pick t arr] is a uniformly random element of [arr].
     @raise Invalid_argument if [arr] is empty. *)
 val pick : t -> 'a array -> 'a

@@ -5,7 +5,7 @@
     crosses a WAN boundary. This module makes that structure explicit in
     the types. A {!partition} assigns every overlay node to exactly one
     shard (= site, plus one shard pooling the field devices), and
-    {!boundary} ledgers every frame that crosses shards.
+    {!boundary} counts every frame that crosses shards.
 
     Execution is sequential — the engine pops one global
     [(time, seq)]-ordered stream — so ownership records which site's
@@ -37,26 +37,15 @@ val owner_of : partition -> int -> int
 
 type boundary
 
-type crossing = {
-  src_shard : int;
-  dst_shard : int;
-  frames : int;
-  bytes : int;
-}
-
-(** [boundary p] is an empty ledger over [p]'s shard pairs. *)
+(** [boundary p] is an empty ledger over [p]'s shards. *)
 val boundary : partition -> boundary
 
-(** [record b ~src_shard ~dst_shard ~bytes] counts one frame crossing
-    the boundary. No-op when [src_shard = dst_shard]. *)
-val record : boundary -> src_shard:int -> dst_shard:int -> bytes:int -> unit
+(** [record b ~src_shard ~dst_shard] counts one frame crossing the
+    boundary. No-op when [src_shard = dst_shard]. *)
+val record : boundary -> src_shard:int -> dst_shard:int -> unit
 
-(** [crossings b] is every pair with traffic, ordered by
-    [(src_shard, dst_shard)]. *)
-val crossings : boundary -> crossing list
-
+(** [total_frames b] is the number of frames recorded across shards. *)
 val total_frames : boundary -> int
-val total_bytes : boundary -> int
 
 (** {1 Engine shard mapping}
 

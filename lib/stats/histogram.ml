@@ -41,7 +41,6 @@ let percentile t p =
     t.data.(lo) +. (frac *. (t.data.(hi) -. t.data.(lo)))
   end
 
-let median t = percentile t 50.
 
 let mean t =
   if t.len = 0 then invalid_arg "Histogram.mean: empty";
@@ -87,8 +86,6 @@ let cdf t ~points =
         let v = lo +. (float_of_int i *. step) in
         (v, fraction_below t v))
   end
-
-let values t = Array.sub t.data 0 t.len
 
 let pp ppf t =
   if t.len = 0 then Format.fprintf ppf "empty"

@@ -21,9 +21,6 @@ val count : t -> int
     @raise Invalid_argument if the histogram is empty or [p] out of range. *)
 val percentile : t -> float -> float
 
-(** [median t] is [percentile t 50.]. *)
-val median : t -> float
-
 (** [mean t] is the arithmetic mean.
     @raise Invalid_argument if empty. *)
 val mean : t -> float
@@ -42,9 +39,6 @@ val fraction_below : t -> float -> float
     values between min and max, returned as [(value, cumulative_fraction)]
     pairs. *)
 val cdf : t -> points:int -> (float * float) list
-
-(** [values t] is a copy of all recorded observations, unsorted. *)
-val values : t -> float array
 
 (** [pp ppf t] prints a one-line summary with p50/p90/p99/p99.9. *)
 val pp : Format.formatter -> t -> unit

@@ -1,37 +1,16 @@
-type t = {
-  mutable count : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable min_v : float;
-  mutable max_v : float;
-  mutable total : float;
-}
+type t = { mutable count : int; mutable mean : float; mutable max_v : float }
 
-let create () =
-  { count = 0; mean = 0.; m2 = 0.; min_v = nan; max_v = nan; total = 0. }
+let create () = { count = 0; mean = 0.; max_v = nan }
 
 let add t x =
   t.count <- t.count + 1;
-  t.total <- t.total +. x;
   let delta = x -. t.mean in
   t.mean <- t.mean +. (delta /. float_of_int t.count);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-  if t.count = 1 then begin
-    t.min_v <- x;
-    t.max_v <- x
-  end
-  else begin
-    if x < t.min_v then t.min_v <- x;
-    if x > t.max_v then t.max_v <- x
-  end
+  if t.count = 1 || x > t.max_v then t.max_v <- x
 
 let count t = t.count
 let mean t = if t.count = 0 then nan else t.mean
-let variance t = if t.count < 2 then nan else t.m2 /. float_of_int (t.count - 1)
-let stddev t = sqrt (variance t)
-let min_value t = t.min_v
 let max_value t = t.max_v
-let total t = t.total
 
 let merge a b =
   if a.count = 0 then { b with count = b.count }
@@ -42,23 +21,5 @@ let merge a b =
     let mean =
       a.mean +. (delta *. float_of_int b.count /. float_of_int count)
     in
-    let m2 =
-      a.m2 +. b.m2
-      +. (delta *. delta
-          *. float_of_int a.count
-          *. float_of_int b.count
-          /. float_of_int count)
-    in
-    {
-      count;
-      mean;
-      m2;
-      min_v = Float.min a.min_v b.min_v;
-      max_v = Float.max a.max_v b.max_v;
-      total = a.total +. b.total;
-    }
+    { count; mean; max_v = Float.max a.max_v b.max_v }
   end
-
-let pp ppf t =
-  Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f" t.count
-    (mean t) (stddev t) t.min_v t.max_v

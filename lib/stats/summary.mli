@@ -1,8 +1,8 @@
-(** Streaming summary statistics (Welford's online algorithm).
+(** Streaming summary statistics.
 
     A [Summary.t] accumulates observations one at a time and can report
-    count, mean, variance, standard deviation, min and max at any point
-    without retaining the observations themselves. *)
+    count, mean and max at any point without retaining the observations
+    themselves. *)
 
 type t
 
@@ -18,25 +18,9 @@ val count : t -> int
 (** [mean t] is the arithmetic mean, or [nan] if no observations. *)
 val mean : t -> float
 
-(** [variance t] is the unbiased sample variance, or [nan] if fewer than
-    two observations were recorded. *)
-val variance : t -> float
-
-(** [stddev t] is [sqrt (variance t)]. *)
-val stddev : t -> float
-
-(** [min_value t] is the smallest observation, or [nan] if empty. *)
-val min_value : t -> float
-
 (** [max_value t] is the largest observation, or [nan] if empty. *)
 val max_value : t -> float
-
-(** [total t] is the sum of all observations. *)
-val total : t -> float
 
 (** [merge a b] is a fresh accumulator equivalent to having recorded all
     observations of [a] followed by all observations of [b]. *)
 val merge : t -> t -> t
-
-(** [pp ppf t] prints ["n=.. mean=.. sd=.. min=.. max=.."]. *)
-val pp : Format.formatter -> t -> unit

@@ -11,7 +11,6 @@ let add_row t cells =
     invalid_arg "Table.add_row: arity mismatch";
   t.rows <- cells :: t.rows
 
-let row_count t = List.length t.rows
 
 let render ppf t =
   let rows = List.rev t.rows in

@@ -14,9 +14,6 @@ val create : title:string -> columns:string list -> t
     @raise Invalid_argument if [cells] length differs from the header. *)
 val add_row : t -> string list -> unit
 
-(** [row_count t] is the number of data rows. *)
-val row_count : t -> int
-
 (** [render ppf t] prints the table with a title line, a header and
     aligned columns. *)
 val render : Format.formatter -> t -> unit

@@ -23,8 +23,6 @@ let add t ~time_us value =
   t.values.(t.len) <- value;
   t.len <- t.len + 1
 
-let length t = t.len
-
 let to_list t =
   List.init t.len (fun i -> (t.times.(i), t.values.(i)))
 

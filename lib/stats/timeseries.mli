@@ -13,9 +13,6 @@ val create : unit -> t
     @raise Invalid_argument if [time_us] precedes the last sample. *)
 val add : t -> time_us:int -> float -> unit
 
-(** [length t] is the number of samples. *)
-val length : t -> int
-
 (** [to_list t] is all samples oldest-first as [(time_us, value)]. *)
 val to_list : t -> (int * float) list
 

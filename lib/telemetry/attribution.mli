@@ -32,10 +32,6 @@ val build : Sink.t -> t
     traversed it. *)
 val phase_row : t -> Span.phase -> row option
 
-(** Render as a {!Stats.Table.t}; includes an [end_to_end] row and a
-    [sum(phases)] row so the reconciliation is visible in print. *)
-val to_table : ?title:string -> t -> Stats.Table.t
-
 (** Build, print the table and a one-line reconciliation verdict. *)
 val print : ?title:string -> Sink.t -> unit
 

@@ -326,23 +326,6 @@ let cancel_span t ~id =
     t.abandoned <- t.abandoned + 1
   end
 
-let annotate t ?(node = -1) ~label ~now () =
-  if t.enabled then begin
-    let id = fresh_id t in
-    t.opened <- t.opened + 1;
-    push_closed t
-      {
-        Span.id;
-        parent = -1;
-        trace = -1;
-        phase = Span.Annotation;
-        node;
-        label;
-        t_start = now;
-        t_end = now;
-      }
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Introspection.                                                      *)
 
@@ -358,16 +341,3 @@ let clamped t = t.clamped
 let abandoned t = t.abandoned
 let pending_count t = Hashtbl.length t.pending
 
-let clear t =
-  Ring.clear t.ring;
-  Hashtbl.reset t.opens;
-  Hashtbl.reset t.pending;
-  Queue.clear t.pending_order;
-  Array.iteri (fun i _ -> t.hists.(i) <- Stats.Histogram.create ()) t.hists;
-  t.next_id <- 0;
-  t.opened <- 0;
-  t.closed <- 0;
-  t.confirmed <- 0;
-  t.incomplete <- 0;
-  t.clamped <- 0;
-  t.abandoned <- 0

@@ -94,9 +94,6 @@ val close_span : t -> id:int -> now:int -> unit
     dropped). *)
 val cancel_span : t -> id:int -> unit
 
-(** Record a zero-duration [Annotation] span. *)
-val annotate : t -> ?node:int -> label:string -> now:int -> unit -> unit
-
 (** {2 Introspection} *)
 
 (** Finished spans, oldest first. *)
@@ -122,4 +119,3 @@ val clamped : t -> int
 val abandoned : t -> int
 
 val pending_count : t -> int
-val clear : t -> unit

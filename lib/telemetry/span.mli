@@ -29,8 +29,7 @@
     The [Net_*] phases are per-hop overlay detail (not part of the
     sum-to-end-to-end set): time spent queued behind other frames,
     occupying a link, waiting out ARQ retransmissions, and
-    propagating. [Annotation] marks zero-duration point events
-    (e.g. [Sim.Trace] records mirrored into the sink). *)
+    propagating. [Annotation] marks a zero-duration point event. *)
 type phase =
   | End_to_end
   | Batch_wait

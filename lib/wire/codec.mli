@@ -40,8 +40,6 @@ val decode_chunk : string -> (Recovery.State_transfer.chunk, Rw.error) result
 
 val w_update : Rw.writer -> Bft.Update.t -> unit
 val r_update : Rw.reader -> Bft.Update.t
-val w_matrix : Rw.writer -> Prime.Matrix.t -> unit
-val r_matrix : Rw.reader -> Prime.Matrix.t
 val w_prime : Rw.writer -> Prime.Msg.t -> unit
 val r_prime : Rw.reader -> Prime.Msg.t
 val w_pbft : Rw.writer -> Pbft.Msg.t -> unit

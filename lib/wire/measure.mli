@@ -12,14 +12,10 @@
     between O(bytes) of allocation and none on the hot path. *)
 
 val update : Bft.Update.t -> int
-val vector : Prime.Matrix.vector -> int
-val matrix : Prime.Matrix.t -> int
 val prime : Prime.Msg.t -> int
 val pbft : Pbft.Msg.t -> int
 val reply : Scada.Reply.t -> int
 val chunk : Recovery.State_transfer.chunk -> int
-val field_advert : Scada.Field_frame.advert -> int
-val field_report : Scada.Field_frame.report -> int
 
 (** [message m] = [String.length (Message.encode m)] — the bare body
     size, before envelope framing. *)

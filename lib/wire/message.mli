@@ -65,7 +65,4 @@ val encode : t -> string
 
 val decode : string -> (t, Rw.error) result
 
-(** Writer/reader forms for the envelope codec. *)
-val w : Rw.writer -> t -> unit
-
 val r : Rw.reader -> t

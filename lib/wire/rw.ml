@@ -110,7 +110,6 @@ let r_list ctx r f =
   go 0 []
 
 
-let pos r = r.pos
 let remaining r = String.length r.data - r.pos
 
 let run_prefix s f =

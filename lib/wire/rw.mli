@@ -16,7 +16,6 @@ type error =
   | Auth_mismatch  (** envelope authenticator fails verification *)
   | Invalid_value of { context : string; detail : string }
 
-val pp_error : Format.formatter -> error -> unit
 val error_to_string : error -> string
 
 (** {1 Writing} *)
@@ -54,9 +53,7 @@ val r_digest : string -> reader -> Cryptosim.Digest.t
 val r_bytes : string -> reader -> string
 val r_list : string -> reader -> (reader -> 'a) -> 'a list
 
-(** [pos r] / [remaining r]: cursor introspection. *)
-val pos : reader -> int
-
+(** [remaining r] is the number of unread bytes. *)
 val remaining : reader -> int
 
 (** [take r n] consumes [n] raw bytes. *)
@@ -66,7 +63,3 @@ val take : string -> reader -> int -> string
     to its error; anything else becomes [Invalid_value]) and rejects
     input not consumed to the last byte. *)
 val run : string -> (reader -> 'a) -> ('a, error) result
-
-(** [run_prefix s f] like {!run} but permits trailing bytes, returning
-    the value and the number of bytes consumed. *)
-val run_prefix : string -> (reader -> 'a) -> ('a * int, error) result

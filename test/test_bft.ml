@@ -9,7 +9,7 @@ let test_quorum_minimal () =
   let q = Q.minimal ~f:1 ~k:1 in
   Alcotest.(check int) "n = 3f+2k+1" 6 q.Q.n;
   Alcotest.(check int) "quorum = 2f+k+1" 4 (Q.quorum_size q);
-  Alcotest.(check int) "exec threshold" 3 (Q.execution_threshold q);
+  Alcotest.(check int) "suspect threshold" 3 (Q.suspect_threshold q);
   Alcotest.(check int) "reply threshold" 2 (Q.reply_threshold q)
 
 let test_quorum_rejects_undersized () =
@@ -25,10 +25,10 @@ let test_quorum_classic_pbft () =
 
 let test_quorum_tolerates () =
   let q = Q.minimal ~f:1 ~k:1 in
-  Alcotest.(check bool) "f=1,k=1 ok" true
-    (Q.tolerates_simultaneously q ~compromised:1 ~recovering:1);
-  Alcotest.(check bool) "f=2 too many" false
-    (Q.tolerates_simultaneously q ~compromised:2 ~recovering:0)
+  (* One intrusion and one recovery still leave a full quorum... *)
+  Alcotest.(check bool) "f=1,k=1 ok" true (q.Q.n - 1 - 1 >= Q.quorum_size q);
+  (* ...but two intrusions exceed the budget. *)
+  Alcotest.(check bool) "f=2 too many" false (2 <= q.Q.f)
 
 let prop_quorum_intersection_contains_correct =
   QCheck.Test.make
@@ -36,7 +36,7 @@ let prop_quorum_intersection_contains_correct =
     QCheck.(pair (int_bound 3) (int_bound 3))
     (fun (f, k) ->
       let q = Q.minimal ~f ~k in
-      Q.two_quorum_intersection q >= f + 1)
+      (2 * Q.quorum_size q) - q.Q.n >= f + 1)
 
 let prop_quorum_always_available =
   QCheck.Test.make
@@ -168,6 +168,10 @@ type echo_node = {
   mutable received : (int * int) list; (* (from, value) *)
 }
 
+(* What a replica's broadcast does: one unicast to every other replica. *)
+let broadcast env msg =
+  List.iter (fun r -> env.Bft.Env.send r msg) (Bft.Env.others env)
+
 let test_cluster_delivery_and_partition () =
   let engine = Sim.Engine.create () in
   let cluster =
@@ -178,7 +182,7 @@ let test_cluster_delivery_and_partition () =
         node.received <- (from, v) :: node.received)
   in
   let n0 = Bft.Cluster.replica cluster 0 in
-  Bft.Env.broadcast n0.env (Echo 42);
+  broadcast n0.env (Echo 42);
   Sim.Engine.run_until_quiescent engine;
   Alcotest.(check (list (pair int int))) "node 1 got it" [ (0, 42) ]
     (Bft.Cluster.replica cluster 1).received;
@@ -186,14 +190,14 @@ let test_cluster_delivery_and_partition () =
     [] n0.received;
   (* Partition node 2 away. *)
   Bft.Cluster.partition cluster ~island:[ 2 ];
-  Bft.Env.broadcast n0.env (Echo 43);
+  broadcast n0.env (Echo 43);
   Sim.Engine.run_until_quiescent engine;
   Alcotest.(check bool) "node 2 isolated" true
     (not (List.mem (0, 43) (Bft.Cluster.replica cluster 2).received));
   Alcotest.(check bool) "node 1 still reachable" true
     (List.mem (0, 43) (Bft.Cluster.replica cluster 1).received);
   Bft.Cluster.heal cluster;
-  Bft.Env.broadcast n0.env (Echo 44);
+  broadcast n0.env (Echo 44);
   Sim.Engine.run_until_quiescent engine;
   Alcotest.(check bool) "node 2 back" true
     (List.mem (0, 44) (Bft.Cluster.replica cluster 2).received)

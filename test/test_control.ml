@@ -13,31 +13,36 @@ let ok = function Ok () -> true | Error _ -> false
 (* Knobs: validation and the journal *)
 
 let test_validate_bounds () =
-  let valid r = Alcotest.(check bool) "valid" true (ok (K.validate r)) in
-  let invalid r = Alcotest.(check bool) "invalid" false (ok (K.validate r)) in
+  (* Through the plane with an actuator that accepts everything, so
+     only validation can refuse. *)
+  let k = K.create () in
+  K.set_actuator k (fun _ -> Ok ());
+  let accepted r = ok (K.request k ~now_us:0 ~source:"test" r) in
+  let valid r = Alcotest.(check bool) "valid" true (accepted r) in
+  let invalid r = Alcotest.(check bool) "invalid" false (accepted r) in
   valid (K.Set_max_batch 1);
-  valid (K.Set_max_batch K.max_batch_limit);
+  valid (K.Set_max_batch 1024);
   invalid (K.Set_max_batch 0);
-  invalid (K.Set_max_batch (K.max_batch_limit + 1));
+  invalid (K.Set_max_batch 1025);
   valid (K.Set_batch_delay_us 0);
-  valid (K.Set_batch_delay_us K.batch_delay_limit_us);
+  valid (K.Set_batch_delay_us 1_000_000);
   invalid (K.Set_batch_delay_us (-1));
-  invalid (K.Set_batch_delay_us (K.batch_delay_limit_us + 1));
+  invalid (K.Set_batch_delay_us 1_000_001);
   valid (K.Set_routing K.Shortest);
   valid (K.Set_routing K.Flooding);
   valid (K.Set_routing (K.Kdisjoint 2));
-  valid (K.Set_routing (K.Kdisjoint K.kdisjoint_limit));
+  valid (K.Set_routing (K.Kdisjoint 8));
   invalid (K.Set_routing (K.Kdisjoint 1));
-  invalid (K.Set_routing (K.Kdisjoint (K.kdisjoint_limit + 1)));
-  valid (K.Set_recovery_period_us K.min_recovery_period_us);
-  invalid (K.Set_recovery_period_us (K.min_recovery_period_us - 1));
+  invalid (K.Set_routing (K.Kdisjoint 9));
+  valid (K.Set_recovery_period_us 100_000);
+  invalid (K.Set_recovery_period_us 99_999);
   valid (K.Set_tat_threshold_us K.min_tat_threshold_us);
-  valid (K.Set_tat_threshold_us K.max_tat_threshold_us);
+  valid (K.Set_tat_threshold_us 60_000_000);
   invalid (K.Set_tat_threshold_us (K.min_tat_threshold_us - 1));
-  invalid (K.Set_tat_threshold_us (K.max_tat_threshold_us + 1));
+  invalid (K.Set_tat_threshold_us 60_000_001);
   valid (K.Set_tat_violations 1);
   invalid (K.Set_tat_violations 0);
-  invalid (K.Set_tat_violations (K.tat_violations_limit + 1));
+  invalid (K.Set_tat_violations 101);
   valid K.Demote_leader
 
 let test_no_actuator_rejects () =
@@ -46,9 +51,9 @@ let test_no_actuator_rejects () =
      journalled), never silently dropped. *)
   Alcotest.(check bool) "rejected" false
     (ok (K.request k ~now_us:0 ~source:"test" (K.Set_max_batch 4)));
-  Alcotest.(check int) "rejected counted" 1 (K.rejected_count k K.Max_batch);
+  Alcotest.(check int) "rejected counted" 1 (K.total_rejected k);
   Alcotest.(check int) "nothing applied" 0 (K.total_applied k);
-  Alcotest.(check int) "one journal line" 1 (K.journal_length k);
+  Alcotest.(check int) "one journal line" 1 (List.length (K.journal k));
   Alcotest.(check bool) "reconciles" true (K.reconcile k)
 
 let test_counters_journal_reconcile () =
@@ -64,13 +69,11 @@ let test_counters_journal_reconcile () =
   fire 40 (K.Set_tat_threshold_us 50_000) (* actuator failure *);
   fire 50 K.Demote_leader;
   Alcotest.(check int) "max_batch applied" 1 (K.applied_count k K.Max_batch);
-  Alcotest.(check int) "max_batch rejected" 1 (K.rejected_count k K.Max_batch);
   Alcotest.(check int) "routing applied" 1 (K.applied_count k K.Routing);
-  Alcotest.(check int) "tat rejected" 1 (K.rejected_count k K.Tat_threshold);
   Alcotest.(check int) "demotion applied" 1 (K.applied_count k K.Demotion);
   Alcotest.(check int) "total applied" 3 (K.total_applied k);
   Alcotest.(check int) "total rejected" 2 (K.total_rejected k);
-  Alcotest.(check int) "journal complete" 5 (K.journal_length k);
+  Alcotest.(check int) "journal complete" 5 (List.length (K.journal k));
   (* Journal is oldest-first with provenance and outcomes. *)
   let j = K.journal k in
   Alcotest.(check (list int)) "chronological" [ 10; 20; 30; 40; 50 ]
@@ -218,8 +221,7 @@ let test_system_batch_knobs_guarded () =
   Alcotest.(check (list bool)) "guarded then applied" [ false; true; true ]
     (List.rev !outcomes);
   Alcotest.(check int) "batch_delay applied" 1 (K.applied_count k K.Batch_delay);
-  Alcotest.(check int) "batch_delay rejected" 1
-    (K.rejected_count k K.Batch_delay);
+  Alcotest.(check int) "batch_delay rejected" 1 (K.total_rejected k);
   Alcotest.(check int) "max_batch applied" 1 (K.applied_count k K.Max_batch);
   Alcotest.(check bool) "traffic survived the swap" true
     (Sys_.confirmed_updates sys > 100);
@@ -251,8 +253,7 @@ let test_system_deployment_guards () =
   let k = Sys_.knobs sys in
   Alcotest.(check bool) "recovery knob refused" false
     (ok (K.request k ~now_us:0 ~source:"test" (K.Set_recovery_period_us 200_000)));
-  Alcotest.(check int) "rejection journalled" 1
-    (K.rejected_count k K.Recovery_period);
+  Alcotest.(check int) "rejection journalled" 1 (K.total_rejected k);
   (* TAT knobs and demotion on a PBFT deployment: refused (PBFT has no
      TAT machinery and its leader keeps the role — the E4 contrast). *)
   let pbft =
@@ -277,8 +278,18 @@ let test_controller_off_plane_inert () =
   Sys_.run sys ~duration_us:2_000_000;
   Sys_.assert_agreement sys;
   Alcotest.(check int) "no journal entries" 0
-    (K.journal_length (Sys_.knobs sys));
+    (List.length (K.journal (Sys_.knobs sys)));
   Alcotest.(check int) "no applied" 0 (K.total_applied (Sys_.knobs sys))
+
+(* The controller senses only through the telemetry sink: a
+   deployment that would run it blind is refused up front. *)
+let test_blind_controller_rejected () =
+  Alcotest.check_raises "adaptive without telemetry"
+    (Invalid_argument "System.create: adaptive without telemetry") (fun () ->
+      ignore
+        (Sys_.create
+           { (short_config ()) with Sys_.telemetry = false; adaptive = true }
+          : Sys_.t))
 
 let test_controller_on_healthy_run_no_actions () =
   (* The controller live on a healthy system must not thrash: no attack,
@@ -291,7 +302,7 @@ let test_controller_on_healthy_run_no_actions () =
   Sys_.run sys ~duration_us:3_000_000;
   Sys_.assert_agreement sys;
   Alcotest.(check int) "no knob requests" 0
-    (K.journal_length (Sys_.knobs sys));
+    (List.length (K.journal (Sys_.knobs sys)));
   Alcotest.(check bool) "journal reconciles" true
     (K.reconcile (Sys_.knobs sys))
 
@@ -331,5 +342,7 @@ let () =
             test_controller_off_plane_inert;
           Alcotest.test_case "controller on, healthy: no actions" `Quick
             test_controller_on_healthy_run_no_actions;
+          Alcotest.test_case "blind controller rejected" `Quick
+            test_blind_controller_rejected;
         ] );
     ]

@@ -129,31 +129,6 @@ let prop_delivery_state_digest_stable =
       Cryptosim.Digest.equal (D.digest a) (D.digest b))
 
 (* ------------------------------------------------------------------ *)
-(* Trace *)
-
-let test_trace_disabled_by_default () =
-  let t = Sim.Trace.create () in
-  Sim.Trace.emit t ~time_us:1 ~category:"x" "dropped";
-  Alcotest.(check int) "nothing retained" 0 (Sim.Trace.count t)
-
-let test_trace_records_and_filters () =
-  let t = Sim.Trace.create () in
-  Sim.Trace.enable t;
-  Sim.Trace.emit t ~time_us:10 ~category:"net" "a";
-  Sim.Trace.emit t ~time_us:20 ~category:"bft" "b";
-  Sim.Trace.emit t ~time_us:30 ~category:"net" "c";
-  Alcotest.(check int) "count" 3 (Sim.Trace.count t);
-  let net = Sim.Trace.by_category t "net" in
-  Alcotest.(check int) "filtered" 2 (List.length net);
-  Alcotest.(check string) "oldest first" "a"
-    (List.hd (Sim.Trace.records t)).Sim.Trace.message;
-  Sim.Trace.clear t;
-  Alcotest.(check int) "cleared" 0 (Sim.Trace.count t);
-  Sim.Trace.disable t;
-  Sim.Trace.emit t ~time_us:40 ~category:"net" "d";
-  Alcotest.(check int) "disabled again" 0 (Sim.Trace.count t)
-
-(* ------------------------------------------------------------------ *)
 (* Late copies *)
 
 module N = Overlay.Net
@@ -241,11 +216,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_delivery_exactly_once_any_order;
           QCheck_alcotest.to_alcotest prop_delivery_state_digest_stable;
           QCheck_alcotest.to_alcotest prop_digest_of_state_matches_old;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "disabled by default" `Quick test_trace_disabled_by_default;
-          Alcotest.test_case "records and filters" `Quick test_trace_records_and_filters;
         ] );
       ( "late_copies",
         [

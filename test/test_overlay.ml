@@ -321,6 +321,11 @@ let test_net_unicast_latency () =
       && d.N.delivered_us - d.N.sent_us < 1_000)
   | l -> Alcotest.failf "expected 1 delivery, got %d" (List.length l)
 
+(* The directed links that carried traffic so far, ascending. *)
+let links_used net =
+  List.sort compare
+    (List.map (fun r -> (r.N.link_src, r.N.link_dst)) (N.link_reports net))
+
 let test_net_reroutes_after_link_kill () =
   let topo = diamond () in
   let engine, net = make_net topo in
@@ -330,9 +335,9 @@ let test_net_reroutes_after_link_kill () =
   N.send net ~src:0 ~dst:3 ~size_bytes:256 ~mode:N.Shortest (Ping 1);
   Sim.Engine.run_until_quiescent engine;
   Alcotest.(check int) "delivered via detour" 1 !received;
-  Alcotest.(check (option (list int))) "route avoids dead link"
-    (Some [ 0; 2; 3 ])
-    (N.current_route net ~src:0 ~dst:3)
+  Alcotest.(check (list (pair int int))) "route avoids dead link"
+    [ (0, 2); (2, 3) ]
+    (links_used net)
 
 let test_net_redundant_survives_path_kill_in_flight () =
   (* With redundant dissemination, killing one path right after send
@@ -440,7 +445,7 @@ let test_net_junk_does_not_reach_handlers () =
   let engine, net = make_net topo in
   let received = ref 0 in
   N.set_handler net 3 (fun _ -> incr received);
-  N.inject_junk net ~src:0 ~dst:3 ~size_bytes:10_000
+  N.inject_junk_bytes net ~src:0 ~dst:3 ~bytes:(String.make 10_000 '\000')
     ~priority:FQ.Bulk;
   Sim.Engine.run_until_quiescent engine;
   Alcotest.(check int) "junk invisible" 0 !received;
@@ -457,7 +462,8 @@ let test_net_control_priority_beats_junk_flood () =
   N.set_handler net 1 (fun d -> delivered_at := d.N.delivered_us);
   (* 50 junk frames of 1000 bytes: 100ms of serialisation each. *)
   for _ = 1 to 50 do
-    N.inject_junk net ~src:0 ~dst:1 ~size_bytes:1_000 ~priority:FQ.Bulk
+    N.inject_junk_bytes net ~src:0 ~dst:1 ~bytes:(String.make 1_000 '\000')
+      ~priority:FQ.Bulk
   done;
   N.send net ~src:0 ~dst:1 ~size_bytes:100 ~mode:N.Shortest (Ping 1);
   Sim.Engine.run_until_quiescent engine;
@@ -600,7 +606,6 @@ let test_net_retired_src_dropped () =
   Sim.Engine.run_until_quiescent engine;
   Alcotest.(check int) "baseline delivery" 1 !received;
   N.retire_node net 0;
-  Alcotest.(check bool) "marked retired" true (N.node_retired net 0);
   N.send net ~src:0 ~dst:3 ~size_bytes:256 ~mode:N.Shortest (Ping 2);
   N.send net ~src:0 ~dst:3 ~size_bytes:256 ~mode:(N.Redundant 3) (Ping 3);
   Sim.Engine.run_until_quiescent engine;
@@ -712,13 +717,12 @@ let test_net_invalidate_routes_recomputes_same () =
   N.set_handler net 3 (fun _ -> incr received);
   N.send net ~src:0 ~dst:3 ~size_bytes:256 ~mode:N.Shortest (Ping 1);
   Sim.Engine.run_until_quiescent engine;
-  let before = N.current_route net ~src:0 ~dst:3 in
+  let before = links_used net in
   N.invalidate_routes net;
-  let after = N.current_route net ~src:0 ~dst:3 in
-  Alcotest.(check (option (list int))) "same route after invalidation" before
-    after;
   N.send net ~src:0 ~dst:3 ~size_bytes:256 ~mode:N.Shortest (Ping 2);
   Sim.Engine.run_until_quiescent engine;
+  Alcotest.(check (list (pair int int))) "same route after invalidation"
+    before (links_used net);
   Alcotest.(check int) "delivery unaffected" 2 !received
 
 (* An in-flight frame keeps the route captured at submit: invalidating
@@ -744,50 +748,6 @@ let wan_topo () =
     ~wan_latency_us:(fun sa sb -> 2_000 + (500 * (sa + sb)))
     ~lan_bandwidth_bps:10_000_000 ~wan_bandwidth_bps:1_000_000 ()
 
-(* The crossing ledger, under random traffic in all three dissemination
-   modes: only cross-shard pairs appear, in (src, dst) order, and the
-   per-pair rows add up to the advertised totals. *)
-let prop_wan_ledger_consistent =
-  QCheck.Test.make ~count:100 ~name:"wan ledger rows sum to totals"
-    QCheck.(list_of_size Gen.(1 -- 25) (pair small_nat small_nat))
-    (fun sends ->
-      let topo = wan_topo () in
-      let n = T.node_count topo in
-      let part =
-        Sim.Shard.make ~shards:(T.site_count topo) ~owner:(T.site_of topo)
-          ~nodes:n
-      in
-      let engine =
-        Sim.Engine.create ~seed:11L ~shards:(Sim.Shard.engine_shards part) ()
-      in
-      let net : net_msg N.t = N.create ~partition:part engine topo () in
-      List.iteri
-        (fun i (a, b) ->
-          let src = a mod n and dst = b mod n in
-          if src <> dst then
-            let mode =
-              match i mod 3 with
-              | 0 -> N.Shortest
-              | 1 -> N.Redundant 2
-              | _ -> N.Flood
-            in
-            N.send net ~src ~dst ~size_bytes:128 ~mode (Ping i))
-        sends;
-      Sim.Engine.run_until_quiescent engine;
-      let cs = N.wan_crossings net in
-      let keys =
-        List.map (fun (c : Sim.Shard.crossing) -> (c.src_shard, c.dst_shard)) cs
-      in
-      List.for_all
-        (fun (c : Sim.Shard.crossing) ->
-          c.src_shard <> c.dst_shard && c.frames > 0 && c.bytes >= c.frames)
-        cs
-      && keys = List.sort_uniq compare keys
-      && List.fold_left (fun acc (c : Sim.Shard.crossing) -> acc + c.frames) 0 cs
-         = N.wan_frames net
-      && List.fold_left (fun acc (c : Sim.Shard.crossing) -> acc + c.bytes) 0 cs
-         = N.wan_bytes net)
-
 (* Traffic that stays inside one site never crosses the boundary, and
    a singleton partition has no boundary to cross at all. *)
 let test_wan_ledger_intra_site_empty () =
@@ -807,9 +767,7 @@ let test_wan_ledger_intra_site_empty () =
   let net : net_msg N.t = N.create engine topo () in
   N.send net ~src:0 ~dst:(n - 1) ~size_bytes:128 ~mode:N.Flood (Ping 1);
   Sim.Engine.run_until_quiescent engine;
-  Alcotest.(check int) "singleton partition frames" 0 (N.wan_frames net);
-  Alcotest.(check int) "singleton partition rows" 0
-    (List.length (N.wan_crossings net))
+  Alcotest.(check int) "singleton partition frames" 0 (N.wan_frames net)
 
 let () =
   Alcotest.run "overlay"
@@ -890,7 +848,6 @@ let () =
         ] );
       ( "wan_boundary",
         [
-          QCheck_alcotest.to_alcotest prop_wan_ledger_consistent;
           Alcotest.test_case "intra-site traffic never crosses" `Quick
             test_wan_ledger_intra_site_empty;
         ] );

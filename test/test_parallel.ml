@@ -25,7 +25,7 @@ let fingerprint sys =
   let s = Overlay.Net.stats net in
   Printf.sprintf
     "exec=%s confirmed=%d submitted=%d processed=%d now=%d sub_b=%d del_b=%d \
-     drop_b=%d wan_f=%d wan_b=%d"
+     drop_b=%d wan_f=%d"
     (exec_digest sys)
     (Spire.System.confirmed_updates sys)
     (Spire.System.submitted_updates sys)
@@ -34,7 +34,6 @@ let fingerprint sys =
     s.Overlay.Net.submitted_bytes s.Overlay.Net.delivered_bytes
     s.Overlay.Net.dropped_bytes
     (Overlay.Net.wan_frames net)
-    (Overlay.Net.wan_bytes net)
 
 let run_instance ~seed ~duration_us =
   let cfg = { (Spire.System.default_config ()) with Spire.System.seed } in

@@ -267,7 +267,6 @@ type flood_snapshot = {
   f_events : int;
   f_ledger : (string * int * int) list;
   f_wan_frames : int;
-  f_wan_bytes : int;
   f_retransmissions : int;
   f_stats : Overlay.Net.stats;
 }
@@ -279,7 +278,6 @@ let flood_snapshot (sys, (r : Spire.Scenarios.latency_result)) =
     f_events = Sim.Engine.processed (Spire.System.engine sys);
     f_ledger = Spire.System.wire_traffic sys;
     f_wan_frames = Overlay.Net.wan_frames net;
-    f_wan_bytes = Overlay.Net.wan_bytes net;
     f_retransmissions = Overlay.Net.retransmissions net;
     f_stats = Overlay.Net.stats net;
   }
@@ -290,7 +288,6 @@ let check_flood_golden expected s =
   Alcotest.check ledger_testable "per-kind wire ledger" expected.f_ledger
     s.f_ledger;
   Alcotest.(check int) "WAN frames" expected.f_wan_frames s.f_wan_frames;
-  Alcotest.(check int) "WAN bytes" expected.f_wan_bytes s.f_wan_bytes;
   Alcotest.(check int)
     "retransmissions" expected.f_retransmissions s.f_retransmissions;
   List.iter
@@ -331,7 +328,6 @@ let golden_flood_attack =
         ("prime/suspect", 10, 500);
       ];
     f_wan_frames = 800_738;
-    f_wan_bytes = 76_833_069;
     f_retransmissions = 0;
     f_stats =
       {
@@ -370,7 +366,6 @@ let golden_flood_loss =
         ("prime/suspect", 10, 500);
       ];
     f_wan_frames = 905_867;
-    f_wan_bytes = 88_752_528;
     f_retransmissions = 6_919;
     f_stats =
       {
@@ -408,7 +403,6 @@ let golden_redundant_attack =
         ("prime/suspect", 10, 500);
       ];
     f_wan_frames = 57_544;
-    f_wan_bytes = 5_533_063;
     f_retransmissions = 0;
     f_stats =
       {

@@ -174,7 +174,8 @@ type harness = {
   exec_times : (int, (int * Bft.Update.t) list ref) Hashtbl.t;
 }
 
-let make_harness ?(n = 6) ?(quorum = quorum_6) ?(latency_us = 1_000) () =
+let make_harness ?(n = 6) ?(quorum = quorum_6) ?(latency_us = 1_000)
+    ?(on_deliver = fun ~from:_ _ -> ()) () =
   let engine = Sim.Engine.create ~seed:11L () in
   let exec_times = Hashtbl.create 7 in
   let cluster =
@@ -189,7 +190,9 @@ let make_harness ?(n = 6) ?(quorum = quorum_6) ?(latency_us = 1_000) () =
         in
         Prime.Replica.start r;
         r)
-      ~deliver:(fun r ~from msg -> Prime.Replica.handle r ~from msg)
+      ~deliver:(fun r ~from msg ->
+        on_deliver ~from msg;
+        Prime.Replica.handle r ~from msg)
   in
   { engine; cluster; exec_times }
 
@@ -485,6 +488,43 @@ let test_max_tat_reflects_leader_delay () =
     (Prime.Replica.view (Bft.Cluster.replica h.cluster 1));
   check_agreement h
 
+(* The view-0 leader delays each proposal by 50 ms. At 200 ms it takes
+   two Viewchange votes for view 1 (f + 1, so it votes too) that no
+   other replica sees. It is still in view 0 and still its leader, but
+   the proposals it cut in the 50 ms before must not reach anyone. *)
+let test_delayed_proposal_respects_mode () =
+  let cutoff_us = 200_000 in
+  let late = ref 0 in
+  let clock = ref (fun () -> 0) in
+  let h =
+    make_harness
+      ~on_deliver:(fun ~from msg ->
+        match msg with
+        | Prime.Msg.Preprepare _ when from = 0 && !clock () > cutoff_us + 1_000 ->
+          incr late
+        | _ -> ())
+      ()
+  in
+  (clock := fun () -> Sim.Engine.now h.engine);
+  let r0 = Bft.Cluster.replica h.cluster 0 in
+  (Prime.Replica.faults r0).Bft.Faults.proposal_delay_us <- 50_000;
+  for i = 1 to 40 do
+    submit_at h ~time_us:(i * 5_000) ~origin:(1 + (i mod 5))
+      (update ~client:4 ~seq:i)
+  done;
+  ignore
+    (Sim.Engine.schedule_at h.engine ~time_us:cutoff_us (fun () ->
+         List.iter
+           (fun from ->
+             Prime.Replica.handle r0 ~from
+               (Prime.Msg.Viewchange
+                  { new_view = 1; last_committed = 0; prepared = [] }))
+           [ 2; 3 ])
+      : Sim.Engine.timer);
+  Sim.Engine.run h.engine ~until_us:(cutoff_us + 60_000);
+  Alcotest.(check int) "view 0 throughout" 0 (Prime.Replica.view r0);
+  Alcotest.(check int) "no pre-prepare after leaving normal mode" 0 !late
+
 let test_stale_suspect_views_pruned () =
   (* Regression for the per-view table leak: suspicions, view-change
      votes and new-view evidence are keyed by view; entries below the
@@ -605,6 +645,8 @@ let () =
             test_max_tat_reflects_leader_delay;
           Alcotest.test_case "stale suspect views pruned" `Quick
             test_stale_suspect_views_pruned;
+          Alcotest.test_case "delayed proposal respects mode" `Quick
+            test_delayed_proposal_respects_mode;
           Alcotest.test_case "malformed pre-prepare ignored" `Quick
             test_malformed_preprepare_ignored;
           Alcotest.test_case "stale leader cannot replace a committed slot"

@@ -250,8 +250,10 @@ let test_rng_golden_stream () =
   Alcotest.(check bool) "bernoulli" true (Sim.Rng.bernoulli r 0.5);
   Alcotest.(check (float 0.)) "exponential" 0x1.fd10820751e47p+0
     (Sim.Rng.exponential r ~mean:2.);
-  Alcotest.(check (float 0.)) "gaussian" 0x1.e494f570e33d9p+3
-    (Sim.Rng.gaussian r ~mean:10. ~stddev:3.);
+  Alcotest.(check (float 0.)) "float again" 0x1.4b66879610ebcp-3
+    (Sim.Rng.float r 1.);
+  Alcotest.(check (float 0.)) "float once more" 0x1.289a69805c12p-4
+    (Sim.Rng.float r 1.);
   let s = Sim.Rng.split r in
   Alcotest.(check int64) "split stream" 8142295586719582393L (Sim.Rng.next_int64 s);
   Alcotest.(check int64) "root after split" 4526273042308876071L
@@ -313,26 +315,18 @@ let test_shard_make_validates () =
 let test_shard_boundary_ledger () =
   let p = shard_fixture () in
   let b = Sim.Shard.boundary p in
-  let record ~src ~dst ~bytes =
+  let record ~src ~dst =
     Sim.Shard.record b
       ~src_shard:(Sim.Shard.owner_of p src)
       ~dst_shard:(Sim.Shard.owner_of p dst)
-      ~bytes
   in
   (* Same-shard traffic (nodes 0 -> 1) never lands in the WAN ledger. *)
-  record ~src:0 ~dst:1 ~bytes:100;
-  record ~src:0 ~dst:2 ~bytes:40;
-  record ~src:0 ~dst:2 ~bytes:60;
-  record ~src:5 ~dst:0 ~bytes:7;
-  Alcotest.(check int) "cross frames" 3 (Sim.Shard.total_frames b);
-  Alcotest.(check int) "cross bytes" 107 (Sim.Shard.total_bytes b);
-  Alcotest.(check (list (pair (pair int int) (pair int int))))
-    "crossings ordered by (src, dst), zero rows omitted"
-    [ ((0, 1), (2, 100)); ((2, 0), (1, 7)) ]
-    (List.map
-       (fun (c : Sim.Shard.crossing) ->
-         ((c.src_shard, c.dst_shard), (c.frames, c.bytes)))
-       (Sim.Shard.crossings b))
+  record ~src:0 ~dst:1;
+  Alcotest.(check int) "same shard" 0 (Sim.Shard.total_frames b);
+  record ~src:0 ~dst:2;
+  record ~src:0 ~dst:2;
+  record ~src:5 ~dst:0;
+  Alcotest.(check int) "cross frames" 3 (Sim.Shard.total_frames b)
 
 (* ------------------------------------------------------------------ *)
 (* Multi-heap engine: shard tags partition storage, never order *)

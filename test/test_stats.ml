@@ -14,10 +14,7 @@ let test_summary_basic () =
   List.iter (Stats.Summary.add s) [ 1.; 2.; 3.; 4.; 5. ];
   Alcotest.(check int) "count" 5 (Stats.Summary.count s);
   check_float "mean" 3. (Stats.Summary.mean s);
-  check_float "variance" 2.5 (Stats.Summary.variance s);
-  check_float "min" 1. (Stats.Summary.min_value s);
-  check_float "max" 5. (Stats.Summary.max_value s);
-  check_float "total" 15. (Stats.Summary.total s)
+  check_float "max" 5. (Stats.Summary.max_value s)
 
 let test_summary_empty () =
   let s = Stats.Summary.create () in
@@ -27,9 +24,7 @@ let test_summary_empty () =
 let test_summary_single () =
   let s = Stats.Summary.create () in
   Stats.Summary.add s 7.;
-  check_float "mean" 7. (Stats.Summary.mean s);
-  Alcotest.(check bool) "variance nan" true
-    (Float.is_nan (Stats.Summary.variance s))
+  check_float "mean" 7. (Stats.Summary.mean s)
 
 let test_summary_merge () =
   let a = Stats.Summary.create () and b = Stats.Summary.create () in
@@ -39,8 +34,7 @@ let test_summary_merge () =
   let all = Stats.Summary.create () in
   List.iter (Stats.Summary.add all) [ 1.; 2.; 3.; 10.; 20. ];
   Alcotest.(check int) "count" (Stats.Summary.count all) (Stats.Summary.count m);
-  check_float "mean" (Stats.Summary.mean all) (Stats.Summary.mean m);
-  check_float "variance" (Stats.Summary.variance all) (Stats.Summary.variance m)
+  check_float "mean" (Stats.Summary.mean all) (Stats.Summary.mean m)
 
 let test_summary_merge_empty () =
   let a = Stats.Summary.create () and b = Stats.Summary.create () in
@@ -74,7 +68,6 @@ let test_histogram_percentiles () =
   check_float "p50" 50.5 (Stats.Histogram.percentile h 50.);
   check_float "p0" 1. (Stats.Histogram.percentile h 0.);
   check_float "p100" 100. (Stats.Histogram.percentile h 100.);
-  check_float "median" 50.5 (Stats.Histogram.median h);
   check_float "mean" 50.5 (Stats.Histogram.mean h)
 
 let test_histogram_empty_raises () =
@@ -165,7 +158,6 @@ let test_table_render () =
   let t = Stats.Table.create ~title:"demo" ~columns:[ "a"; "bb" ] in
   Stats.Table.add_row t [ "1"; "2" ];
   Stats.Table.add_row t [ "333"; "4" ];
-  Alcotest.(check int) "rows" 2 (Stats.Table.row_count t);
   let rendered = Format.asprintf "%a" Stats.Table.render t in
   let contains haystack needle =
     let nl = String.length needle and hl = String.length haystack in

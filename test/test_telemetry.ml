@@ -2,8 +2,8 @@
    sink lifecycle materialisation (clamping, missing milestones,
    pending-cap eviction), qcheck well-formedness of span trees under
    adversarial milestone orders, Chrome trace_event export goldens and
-   round-trips, bounded Sim.Trace retention, and an end-to-end E2
-   smoke asserting the attribution invariant on a real system run. *)
+   round-trips, and an end-to-end E2 smoke asserting the attribution
+   invariant on a real system run. *)
 
 module Ring = Telemetry.Ring
 module Span = Telemetry.Span
@@ -77,7 +77,6 @@ let test_disabled_sink_is_inert () =
   let id = Sink.open_span s ~phase:Span.Net_queue ~node:0 ~label:"x" ~now:1 () in
   Alcotest.(check int) "open returns -1" (-1) id;
   Sink.close_span s ~id ~now:2;
-  Sink.annotate s ~label:"y" ~now:3 ();
   let trace = Span.trace_id ~client:1 ~seq:1 in
   Sink.update_submitted s ~trace ~now:1;
   Sink.update_confirmed s ~trace ~now:2;
@@ -159,7 +158,7 @@ let test_missing_and_clamped_milestones () =
   in
   Alcotest.(check int) "children sum to e2e" (Span.duration root) sum;
   (* A milestone reported after confirmation time is clamped to it. *)
-  Sink.clear s;
+  let s = Sink.create ~enabled:true () in
   let t2 = Span.trace_id ~client:2 ~seq:2 in
   Sink.update_submitted s ~trace:t2 ~now:10;
   Sink.update_at_origin s ~trace:t2 ~now:9_999;
@@ -396,36 +395,6 @@ let prop_export_roundtrip =
       Export.spans_of_string (Export.to_string spans) = sorted_spans spans)
 
 (* ------------------------------------------------------------------ *)
-(* Sim.Trace retention bound *)
-
-let test_trace_bounded_retention () =
-  let t = Sim.Trace.create ~capacity:4 () in
-  Sim.Trace.enable t;
-  for i = 1 to 10 do
-    Sim.Trace.emit t ~time_us:i ~category:"c" (string_of_int i)
-  done;
-  Alcotest.(check int) "retains capacity" 4 (Sim.Trace.count t);
-  Alcotest.(check int) "counts shed records" 6 (Sim.Trace.dropped t);
-  Alcotest.(check (list string)) "keeps the newest"
-    [ "7"; "8"; "9"; "10" ]
-    (List.map (fun (r : Sim.Trace.record) -> r.Sim.Trace.message)
-       (Sim.Trace.records t))
-
-let test_trace_mirrors_to_sink () =
-  let t = Sim.Trace.create () in
-  let sink = Sink.create ~enabled:true () in
-  Sim.Trace.set_sink t sink;
-  Sim.Trace.emit t ~time_us:5 ~category:"net" "dropped while disabled";
-  Sim.Trace.enable t;
-  Sim.Trace.emit t ~time_us:7 ~category:"net" "frame lost";
-  Alcotest.(check int) "one annotation" 1 (Sink.closed sink);
-  let sp = List.hd (Sink.spans sink) in
-  Alcotest.(check string) "label carries category" "net: frame lost"
-    sp.Span.label;
-  Alcotest.(check int) "zero duration" 0 (Span.duration sp);
-  Alcotest.(check int) "at emit time" 7 sp.Span.t_start
-
-(* ------------------------------------------------------------------ *)
 (* End-to-end smoke: a real E2 run with telemetry on *)
 
 let smoke =
@@ -547,13 +516,6 @@ let () =
           Alcotest.test_case "golden round-trip" `Quick
             test_export_roundtrip_golden;
           QCheck_alcotest.to_alcotest prop_export_roundtrip;
-        ] );
-      ( "trace",
-        [
-          Alcotest.test_case "bounded drop-oldest retention" `Quick
-            test_trace_bounded_retention;
-          Alcotest.test_case "mirrors into telemetry sink" `Quick
-            test_trace_mirrors_to_sink;
         ] );
       ( "smoke",
         [
