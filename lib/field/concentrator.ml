@@ -17,6 +17,13 @@ let default_config =
 
 type frame = [ `Advert of Scada.Field_frame.advert | `Report of int ]
 
+(* Every report frame a scan can charge, built once: a tick raises at
+   most one event per input register and one per status bit. *)
+let reports : frame array =
+  Array.init
+    (Device.input_registers_count + Device.discrete_inputs_count + 1)
+    (fun n -> `Report n)
+
 type t = {
   id : int;
   config : config;
@@ -208,7 +215,7 @@ let scan_round (t : t) =
       t.adverts_sent <- t.adverts_sent + 1;
       let seq = t.last_seq.(i) in
       if seq >= 0 then begin
-        t.charge (`Report t.last_events.(i));
+        t.charge reports.(t.last_events.(i));
         t.report_frames <- t.report_frames + 1;
         ignore (Session.accept t.sessions i ~seq : bool)
       end
@@ -217,7 +224,7 @@ let scan_round (t : t) =
       if (t.round + i) mod 8 = 0 then integrity_poll t i;
       if n > 0 then begin
         let seq = Session.next_seq t.sessions i in
-        t.charge (`Report n);
+        t.charge reports.(n);
         t.report_frames <- t.report_frames + 1;
         t.last_seq.(i) <- seq;
         t.last_events.(i) <- n;

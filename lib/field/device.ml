@@ -28,11 +28,22 @@ type t = {
      slot [a] is input register [a], slot [6 + a] discrete input [a]. *)
   events : int array;
   mutable event_count : int;
+  (* [tick]'s scratch: each input register's walk-step bound, which
+     [Sim.Rng.Bank.draws] replaces by the step drawn. *)
+  walk : int array;
 }
 
 let get16 b k = Bytes.get_uint16_ne b (2 * k)
 let set16 b k v = Bytes.set_uint16_ne b (2 * k) v
-let param t k i = get16 t.analog ((params * k) + i)
+
+(* Unchecked: for [tick], whose one range check on the device bounds
+   every cell it touches. *)
+external unsafe_get16 : Bytes.t -> int -> int = "%caml_bytes_get16u"
+external unsafe_set16 : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
+
+let get16u b k = unsafe_get16 b (2 * k)
+let set16u b k v = unsafe_set16 b (2 * k) v
+let param t k i = get16u t.analog ((params * k) + i)
 
 (* Every device shares its 8 discrete-input, 4 coil and 4 holding-register
    descriptors; only the 6 analog input registers differ. So the map
@@ -68,6 +79,7 @@ let create ~concentrator ~first_device ~count ~seed =
       map_digests = Bytes.create (8 * count);
       events = Array.make (input_registers_count + discrete_inputs_count) 0;
       event_count = 0;
+      walk = Array.make input_registers_count 0;
     }
   in
   for d = 0 to count - 1 do
@@ -115,37 +127,50 @@ let advert t d =
 (* Probability a status bit flips on one tick. *)
 let flip_probability = 0.01
 
+(* At most [input_registers_count + discrete_inputs_count] pushes per
+   tick, the length of [events]. *)
 let push t slot value =
-  t.events.(t.event_count) <- (slot lsl 16) lor value;
+  Array.unsafe_set t.events t.event_count ((slot lsl 16) lor value);
   t.event_count <- t.event_count + 1
 
 let tick t d =
+  if d < 0 || d >= count t then invalid_arg "Device.tick: no such device";
   t.event_count <- 0;
+  (* One pass over device [d]'s stream draws the whole tick, in the
+     order of the single draws: a walk step per input register, then a
+     flip per status bit. *)
+  for address = 0 to input_registers_count - 1 do
+    let k = (d * input_registers_count) + address in
+    Array.unsafe_set t.walk address ((2 * param t k step) + 1)
+  done;
+  let flips =
+    Sim.Rng.Bank.draws t.rng d t.walk flip_probability discrete_inputs_count
+  in
   (* Analog process: bounded random walk with mean reversion, reported
      by exception when the drift since the last report crosses the
      point's deadband. *)
   for address = 0 to input_registers_count - 1 do
     let k = (d * input_registers_count) + address in
-    let step = param t k step in
-    let v = get16 t.input_registers k in
-    let drift = Sim.Rng.Bank.int t.rng d ((2 * step) + 1) - step in
+    let v = get16u t.input_registers k in
+    let drift = Array.unsafe_get t.walk address - param t k step in
     let walked = v + drift + ((param t k nominal - v) / 16) in
     let clamped = Int.max (param t k lo) (Int.min (param t k hi) walked) in
-    set16 t.input_registers k clamped;
-    if abs (clamped - get16 t.last_reported k) >= param t k deadband then begin
-      set16 t.last_reported k clamped;
+    set16u t.input_registers k clamped;
+    if abs (clamped - get16u t.last_reported k) >= param t k deadband then begin
+      set16u t.last_reported k clamped;
       push t address clamped
     end
   done;
   (* Status bits: rare spontaneous flips, always exception-reported. *)
-  for address = 0 to discrete_inputs_count - 1 do
-    if Sim.Rng.Bank.bernoulli t.rng d flip_probability then begin
-      let k = (d * discrete_inputs_count) + address in
-      let bit = 1 - get16 t.discrete_inputs k in
-      set16 t.discrete_inputs k bit;
-      push t (input_registers_count + address) bit
-    end
-  done;
+  if flips <> 0 then
+    for address = 0 to discrete_inputs_count - 1 do
+      if flips land (1 lsl address) <> 0 then begin
+        let k = (d * discrete_inputs_count) + address in
+        let bit = 1 - get16u t.discrete_inputs k in
+        set16u t.discrete_inputs k bit;
+        push t (input_registers_count + address) bit
+      end
+    done;
   t.event_count
 
 let events t =

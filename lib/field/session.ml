@@ -31,7 +31,7 @@ let step t i =
   | Up ->
     (* The keep-alive runs at scan cadence; a lost keep-alive (with
        probability [loss]) trips the link-down timeout. *)
-    if t.loss > 0. && Sim.Rng.Bank.bernoulli t.rng i t.loss then begin
+    if t.loss > 0. && Sim.Rng.Bank.draws t.rng i [||] t.loss 1 = 1 then begin
       t.state.(i) <- Down;
       t.churn <- t.churn + 1;
       `Offline

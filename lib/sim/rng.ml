@@ -43,6 +43,51 @@ module Bank = struct
 
   let[@inline] bernoulli b i p =
     if p <= 0. then false else if p >= 1. then true else float b i 1. < p
+
+  (* Unchecked accesses: [draws] checks [i] once for all of them. *)
+  external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+  external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+  (* One stream's run of draws with its state in a local: one load, one
+     store and no C call, where each single draw loads and stores the
+     state through a bounds check and [bernoulli] converts to float.
+     [bernoulli] tests [u /. 2^53 < p] for the draw's top 53 bits [u];
+     for 0 < p < 1 that is [u < ceil (p *. 2^53)], since [u], the
+     division and the product are all exact and an integer is below a
+     real iff it is below the real's ceiling. *)
+  let draws b i bounds p n =
+    if i < 0 || i >= length b then invalid_arg "Rng.Bank.draws: no such stream";
+    if n < 0 || n >= Sys.int_size then invalid_arg "Rng.Bank.draws: bad count";
+    let s = ref (get64u b (8 * i)) in
+    for j = 0 to Array.length bounds - 1 do
+      let bound = Array.unsafe_get bounds j in
+      if bound <= 0 then begin
+        set64u b (8 * i) !s;
+        invalid_arg "Rng.int: bound <= 0"
+      end;
+      s := Int64.add !s golden_gamma;
+      let r = Int64.to_int (Int64.shift_right_logical (mix !s) 2) in
+      Array.unsafe_set bounds j (r mod bound)
+    done;
+    let hits = ref 0 in
+    if p >= 1. then hits := (1 lsl n) - 1
+    else if not (p <= 0.) then begin
+      (* A nan [p] draws and never hits, as in [bernoulli]. *)
+      let threshold =
+        if p > 0. then
+          let x = p *. 9007199254740992. in
+          let c = Float.to_int x in
+          if Float.of_int c < x then c + 1 else c
+        else 0
+      in
+      for a = 0 to n - 1 do
+        s := Int64.add !s golden_gamma;
+        if Int64.to_int (Int64.shift_right_logical (mix !s) 11) < threshold then
+          hits := !hits lor (1 lsl a)
+      done
+    end;
+    set64u b (8 * i) !s;
+    !hits
 end
 
 type t = Bank.t

@@ -70,4 +70,13 @@ module Bank : sig
   val int : t -> int -> int -> int
 
   val bernoulli : t -> int -> float -> bool
+
+  (** [draws b i bounds p n] makes stream [i]'s next draws in one pass,
+      exactly as the single draws would: first [int b i bounds.(j)] for
+      each [j] in order, written back into [bounds.(j)], then [n] draws
+      of [bernoulli b i p], returned as a bit mask (bit [a] set iff draw
+      [a] is true). It allocates nothing.
+      @raise Invalid_argument if [i] is not a stream, [n] is negative or
+      not below [Sys.int_size], or a bound is [<= 0]. *)
+  val draws : t -> int -> int array -> float -> int -> int
 end

@@ -18,7 +18,6 @@ let category (phase : Span.phase) =
   | End_to_end | Batch_wait | Ingress | Preorder | Ordering | Execution | Reply ->
     "lifecycle"
   | Net_queue | Net_transmit | Net_arq | Net_propagate -> "net"
-  | Annotation -> "annotation"
 
 let sorted spans =
   List.stable_sort

@@ -10,9 +10,8 @@ type phase =
   | Net_transmit
   | Net_arq
   | Net_propagate
-  | Annotation
 
-let phase_count = 12
+let phase_count = 11
 
 let phase_index = function
   | End_to_end -> 0
@@ -26,7 +25,6 @@ let phase_index = function
   | Net_transmit -> 8
   | Net_arq -> 9
   | Net_propagate -> 10
-  | Annotation -> 11
 
 let all_phases =
   [|
@@ -41,7 +39,6 @@ let all_phases =
     Net_transmit;
     Net_arq;
     Net_propagate;
-    Annotation;
   |]
 
 let phase_name = function
@@ -56,7 +53,6 @@ let phase_name = function
   | Net_transmit -> "net.transmit"
   | Net_arq -> "net.arq"
   | Net_propagate -> "net.propagate"
-  | Annotation -> "annotation"
 
 let phase_of_name s =
   let rec find i =

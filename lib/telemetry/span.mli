@@ -29,7 +29,7 @@
     The [Net_*] phases are per-hop overlay detail (not part of the
     sum-to-end-to-end set): time spent queued behind other frames,
     occupying a link, waiting out ARQ retransmissions, and
-    propagating. [Annotation] marks a zero-duration point event. *)
+    propagating. *)
 type phase =
   | End_to_end
   | Batch_wait
@@ -42,7 +42,6 @@ type phase =
   | Net_transmit
   | Net_arq
   | Net_propagate
-  | Annotation
 
 val phase_count : int
 val phase_index : phase -> int

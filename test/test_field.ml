@@ -365,11 +365,11 @@ let test_fleet_trajectory_golden () =
 
 (* Deterministic allocation guard (a GC word count, not a timing): a
    scan round charges reports by event count and integrity polls by
-   their measured length, so it builds no frame and no Modbus string.
-   What is left per device-round is the boxed [`Report n] handed to
-   [charge] and the round's one aggregate operation, shared by all
-   2,500 devices. A scan that builds its frames and Modbus strings
-   allocates about 26. *)
+   their measured length, and hands [charge] one of its pre-built
+   report frames, so it builds no frame and no Modbus string. What is
+   left is the round's one aggregate operation, shared by all 2,500
+   devices. Boxing a fresh [`Report n] per report costs about 1.4 words
+   per device-round; building frames and Modbus strings about 26. *)
 let test_scan_round_allocation () =
   let devices = 2_500 and scan_interval_us = 200_000 and rounds = 40 in
   let engine = Sim.Engine.create ~seed:5L () in
@@ -399,8 +399,8 @@ let test_scan_round_allocation () =
   Alcotest.(check bool) "devices reported" true (s.Field.Concentrator.report_frames > 0);
   Alcotest.(check bool) "devices polled" true (s.Field.Concentrator.polls_sent > 0);
   let per_device_round = words /. float_of_int (devices * rounds) in
-  if per_device_round > 3. then
-    Alcotest.failf "%.2f minor words per device-round, over 3" per_device_round
+  if per_device_round > 0.5 then
+    Alcotest.failf "%.2f minor words per device-round, over 0.5" per_device_round
 
 let test_fleet_confirms_events_and_writes () =
   let sys, _ =

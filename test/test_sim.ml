@@ -261,15 +261,151 @@ let test_rng_golden_stream () =
   Alcotest.(check int64) "derive" 5418772724859825651L
     (Sim.Rng.derive ~seed:0x5EEDL ~index:3)
 
+(* [Bank.draws] against the single draws it replaces, which stay the
+   oracle. Its Bernoulli draws compare the top 53 bits [u] of a draw
+   with [ceil (p *. 2^53)] instead of testing [u /. 2^53 < p]; the two
+   can only disagree for a [u] next to [p *. 2^53], which random draws
+   almost never meet. So [seed_drawing u] inverts the SplitMix step and
+   output mix to give the seed whose first draw has top bits [u], and
+   the property puts the draw on each side of the boundary. *)
+
+let mix_inverse z =
+  let unshift z k =
+    (* Inverse of [z lxor (z lsr k)] for k >= 22: at most three terms. *)
+    let open Int64 in
+    logxor z
+      (logxor (shift_right_logical z k) (shift_right_logical z (2 * k)))
+  in
+  let inv c =
+    (* Multiplicative inverse of an odd constant mod 2^64 (Newton). *)
+    let x = ref c in
+    for _ = 1 to 6 do
+      x := Int64.mul !x (Int64.sub 2L (Int64.mul c !x))
+    done;
+    !x
+  in
+  let z = unshift z 31 in
+  let z = Int64.mul z (inv 0x94D049BB133111EBL) in
+  let z = unshift z 27 in
+  let z = Int64.mul z (inv 0xBF58476D1CE4E5B9L) in
+  unshift z 30
+
+let seed_drawing ~u ~low =
+  let out = Int64.logor (Int64.shift_left u 11) (Int64.of_int (low land 0x7FF)) in
+  Int64.sub (mix_inverse out) 0x9E3779B97F4A7C15L
+
+let test_rng_seed_drawing () =
+  List.iter
+    (fun u ->
+      let r = Sim.Rng.create (seed_drawing ~u ~low:0x5A5) in
+      Alcotest.(check int64) "top 53 bits" u
+        (Int64.shift_right_logical (Sim.Rng.next_int64 r) 11))
+    [ 0L; 1L; 0x1F_FFFF_FFFF_FFFFL; 0x10_0000_0000_0000L; 123456789L ]
+
+let two53 = 9007199254740992.
+
+(* Probabilities: random, the clamped ends, subnormals, 0.5, values
+   with [p *. 2^53] an integer and their float neighbours. *)
+let gen_p =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, float_range 0. 1.);
+        ( 1,
+          oneofl
+            [
+              0.; -0.; 1.; 0.5; -1.; 2.; Float.infinity; Float.nan;
+              Float.min_float; 0x1p-1074; 0x1.8p-1060; 0x1p-53;
+              0x1.fffffffffffffp-1;
+            ] );
+        ( 1,
+          map
+            (fun k -> Float.ldexp (Float.of_int k) (-1074))
+            (int_range 1 1_000_000) );
+        (2, map (fun k -> Float.of_int k /. two53) (int_range 1 ((1 lsl 53) - 1)));
+        ( 1,
+          map2
+            (fun k up ->
+              let p = Float.of_int k /. two53 in
+              if up then Float.succ p else Float.pred p)
+            (int_range 1 ((1 lsl 53) - 1))
+            bool );
+      ])
+
+let p_arb = QCheck.make ~print:(Printf.sprintf "%h") gen_p
+
+(* Twin banks, after the draws under test: the next draws of each
+   stream agree iff the two states are still in lockstep. *)
+let lockstep a b streams =
+  List.for_all
+    (fun i -> Sim.Rng.Bank.int a i max_int = Sim.Rng.Bank.int b i max_int)
+    streams
+
+let prop_rng_threshold_draw_is_bernoulli =
+  QCheck.Test.make ~count:2_000 ~name:"threshold draw = bernoulli"
+    QCheck.(triple p_arb (int_range (-1) 1) (int_bound 0x7FF))
+    (fun (p, side, low) ->
+      (* Put the first draw's top bits [u] at [floor (p *. 2^53)] + side,
+         so it lands on both sides of the threshold. *)
+      let u =
+        if p > 0. && p < 1. then
+          Int.max 0 (Int.min ((1 lsl 53) - 1) (Float.to_int (p *. two53) + side))
+        else low
+      in
+      let seed = seed_drawing ~u:(Int64.of_int u) ~low in
+      let a = Sim.Rng.Bank.create 1 (fun _ -> seed) in
+      let b = Sim.Rng.Bank.create 1 (fun _ -> seed) in
+      let same = ref true in
+      for _ = 1 to 8 do
+        let x = Sim.Rng.Bank.bernoulli a 0 p in
+        let y = Sim.Rng.Bank.draws b 0 [||] p 1 = 1 in
+        if x <> y then same := false
+      done;
+      !same && lockstep a b [ 0 ])
+
+let prop_rng_bank_draws_match_single_draws =
+  QCheck.Test.make ~count:1_000 ~name:"draws = the single draws"
+    QCheck.(
+      quad int64
+        (array_of_size Gen.(0 -- 8)
+           (oneof [ int_range 1 100; int_range 1 max_int; always 1 ]))
+        p_arb (int_bound 62))
+    (fun (seed, bounds, p, n) ->
+      (* Stream 1 of three draws; its neighbours must not move. *)
+      let bank () = Sim.Rng.Bank.create 3 (fun i -> Int64.add seed (Int64.of_int i)) in
+      let a = bank () and b = bank () in
+      let ints = Array.map (fun bound -> Sim.Rng.Bank.int a 1 bound) bounds in
+      let mask = ref 0 in
+      for k = 0 to n - 1 do
+        if Sim.Rng.Bank.bernoulli a 1 p then mask := !mask lor (1 lsl k)
+      done;
+      let drawn = Array.copy bounds in
+      let hits = Sim.Rng.Bank.draws b 1 drawn p n in
+      drawn = ints && hits = !mask && lockstep a b [ 0; 1; 2 ])
+
+let test_rng_bank_draws_rejects () =
+  let b = Sim.Rng.Bank.create 2 (fun _ -> 1L) in
+  Alcotest.check_raises "no such stream"
+    (Invalid_argument "Rng.Bank.draws: no such stream") (fun () ->
+      ignore (Sim.Rng.Bank.draws b 2 [||] 0.5 1 : int));
+  Alcotest.check_raises "bad count" (Invalid_argument "Rng.Bank.draws: bad count")
+    (fun () -> ignore (Sim.Rng.Bank.draws b 0 [||] 0.5 (-1) : int));
+  Alcotest.check_raises "zero bound" (Invalid_argument "Rng.int: bound <= 0")
+    (fun () -> ignore (Sim.Rng.Bank.draws b 0 [| 5; 0 |] 0.5 1 : int))
+
 (* Deterministic allocation guard (a GC word count, not a timing): the
    unboxed state and inlined step make the hot draws allocation-free. *)
 let test_rng_draws_allocate_nothing () =
   let r = Sim.Rng.create 1L in
   let acc = ref 0 in
+  let bank = Sim.Rng.Bank.create 4 (fun i -> Int64.of_int i) in
+  let bounds = Array.make 6 0 in
   let w0 = Gc.minor_words () in
-  for _ = 1 to 100_000 do
+  for k = 1 to 100_000 do
     acc := !acc + Sim.Rng.int r 1_000;
-    if Sim.Rng.bernoulli r 0.25 then incr acc
+    if Sim.Rng.bernoulli r 0.25 then incr acc;
+    Array.fill bounds 0 6 1_000;
+    acc := !acc + Sim.Rng.Bank.draws bank (k land 3) bounds 0.01 8 + bounds.(5)
   done;
   let words = Gc.minor_words () -. w0 in
   Alcotest.(check bool) "draws happened" true (!acc > 0);
@@ -1103,6 +1239,11 @@ let () =
           Alcotest.test_case "golden stream" `Quick test_rng_golden_stream;
           Alcotest.test_case "draws allocate nothing" `Quick
             test_rng_draws_allocate_nothing;
+          Alcotest.test_case "seed for a given draw" `Quick test_rng_seed_drawing;
+          QCheck_alcotest.to_alcotest prop_rng_threshold_draw_is_bernoulli;
+          QCheck_alcotest.to_alcotest prop_rng_bank_draws_match_single_draws;
+          Alcotest.test_case "bank draws reject bad arguments" `Quick
+            test_rng_bank_draws_rejects;
         ] );
       ( "shard",
         [

@@ -322,7 +322,7 @@ let golden_spans =
       Span.id = 3;
       parent = -1;
       trace = -1;
-      phase = Span.Annotation;
+      phase = Span.Net_queue;
       node = -1;
       label = "quoted \"label\"\twith\nescapes\\";
       t_start = 90;
@@ -332,7 +332,7 @@ let golden_spans =
 
 let golden_export =
   "{\"traceEvents\":[\n\
-   {\"name\":\"annotation\",\"cat\":\"annotation\",\"ph\":\"X\",\"ts\":90,\"dur\":0,\"pid\":0,\"tid\":0,\"args\":{\"id\":3,\"parent\":-1,\"trace\":-1,\"node\":-1,\"label\":\"quoted \\\"label\\\"\\twith\\nescapes\\\\\"}},\n\
+   {\"name\":\"net.queue\",\"cat\":\"net\",\"ph\":\"X\",\"ts\":90,\"dur\":0,\"pid\":0,\"tid\":0,\"args\":{\"id\":3,\"parent\":-1,\"trace\":-1,\"node\":-1,\"label\":\"quoted \\\"label\\\"\\twith\\nescapes\\\\\"}},\n\
    {\"name\":\"end_to_end\",\"cat\":\"lifecycle\",\"ph\":\"X\",\"ts\":100,\"dur\":300,\"pid\":0,\"tid\":7,\"args\":{\"id\":0,\"parent\":-1,\"trace\":12884901895,\"node\":-1,\"label\":\"\"}},\n\
    {\"name\":\"ingress\",\"cat\":\"lifecycle\",\"ph\":\"X\",\"ts\":100,\"dur\":80,\"pid\":0,\"tid\":7,\"args\":{\"id\":1,\"parent\":0,\"trace\":12884901895,\"node\":-1,\"label\":\"\"}},\n\
    {\"name\":\"net.transmit\",\"cat\":\"net\",\"ph\":\"X\",\"ts\":120,\"dur\":5,\"pid\":5,\"tid\":0,\"args\":{\"id\":2,\"parent\":-1,\"trace\":-1,\"node\":4,\"label\":\"link 4->5\"}}\n\
