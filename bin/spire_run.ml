@@ -116,7 +116,7 @@ let site_failure_cmd =
   (* Only a site of the default deployment: an out-of-range index
      would disconnect nothing and report a healthy run. *)
   let sites =
-    List.length (Spire.System.default_config ()).Spire.System.site_sizes
+    List.length (Spire.System.site_sizes (Spire.System.default_config ()))
   in
   let site =
     Arg.(

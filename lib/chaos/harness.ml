@@ -1,39 +1,27 @@
-type config = {
-  system : Spire.System.config;
-  budget : Schedule.budget option;
-  baseline_us : int;
-  turbulence_us : int;
-  settle_us : int;
-  post_us : int;
-  inflight_guard_us : int;
-  sample_interval_us : int;
-  calm_bound_ms : float;
-  turbulent_bound_ms : float;
-  recovery_factor : float;
-  recovery_slack_ms : float;
-}
+(* The soak deployment (the paper's wide-area system with 3
+   substations; each run overrides the seed) and the run's windows and
+   oracle bounds. *)
+let soak_system () =
+  { (Spire.System.default_config ()) with Spire.System.substations = 3 }
 
-let default_config () =
-  {
-    system =
-      { (Spire.System.default_config ()) with Spire.System.substations = 3 };
-    budget = None;
-    baseline_us = 3_000_000;
-    turbulence_us = 6_000_000;
-    (* Settle must outlast the worst client resubmission chain: an
-       update lost twice during turbulence retries under exponential
-       backoff (2 s then 4 s), and per-client FIFO successors drain
-       only once the head confirms — up to ~4 s after the last fault
-       heals. *)
-    settle_us = 4_500_000;
-    post_us = 4_000_000;
-    inflight_guard_us = 1_000_000;
-    sample_interval_us = 100_000;
-    calm_bound_ms = 250.;
-    turbulent_bound_ms = 20_000.;
-    recovery_factor = 3.;
-    recovery_slack_ms = 10.;
-  }
+let baseline_us = 3_000_000
+let turbulence_us = 6_000_000 (* the schedule horizon *)
+
+(* Settle must outlast the worst client resubmission chain: an update
+   lost twice during turbulence retries under exponential backoff (2 s
+   then 4 s), and per-client FIFO successors drain only once the head
+   confirms — up to ~4 s after the last fault heals. *)
+let settle_us = 4_500_000
+let post_us = 4_000_000
+
+(* Updates submitted this close before the turbulence window are held
+   to the relaxed bound too. *)
+let inflight_guard_us = 1_000_000
+let sample_interval_us = 100_000 (* agreement/quorum sampling cadence *)
+let calm_bound_ms = 250.
+let turbulent_bound_ms = 20_000.
+let recovery_factor = 3. (* post-heal p50 <= factor * baseline p50 *)
+let recovery_slack_ms = 10.
 
 type report = {
   seed : int64;
@@ -49,12 +37,18 @@ type report = {
   wire_decode_errors : int;
 }
 
-let clean r =
-  r.wire_decode_errors = 0
-  && List.for_all (fun (_, v) -> Oracle.Verdict.is_pass v) r.verdicts
+let all_pass verdicts =
+  List.for_all (fun (_, v) -> Oracle.Verdict.is_pass v) verdicts
+
+let clean r = r.wire_decode_errors = 0 && all_pass r.verdicts
 
 let failures r =
   List.filter (fun (_, v) -> not (Oracle.Verdict.is_pass v)) r.verdicts
+
+let pp_verdicts ppf verdicts =
+  List.iter
+    (fun (name, v) -> Format.fprintf ppf "  %-10s %a@," name Oracle.Verdict.pp v)
+    verdicts
 
 let pp_report ppf r =
   Format.fprintf ppf
@@ -67,10 +61,7 @@ let pp_report ppf r =
     r.post_p50_ms r.min_available r.worst_latency_ms;
   if r.wire_decode_errors > 0 then
     Format.fprintf ppf "  wire decode errors: %d@," r.wire_decode_errors;
-  List.iter
-    (fun (name, v) ->
-      Format.fprintf ppf "  %-10s %a@," name Oracle.Verdict.pp v)
-    r.verdicts;
+  pp_verdicts ppf r.verdicts;
   Format.fprintf ppf "@]"
 
 (* Availability as the quorum watchdog defines it: correct (no fault
@@ -121,25 +112,25 @@ let agreement_verdict agreement finality =
   Oracle.Verdict.combine
     [ Oracle.Slot_finality.verdict finality; Oracle.Agreement.verdict agreement ]
 
-let execute cfg ~seed sys (schedule : Schedule.t) =
+(* Post-heal progress floor: a third of the calm-window polls. *)
+let min_post_confirmed cfg =
+  cfg.Spire.System.substations * post_us / cfg.Spire.System.poll_interval_us / 3
+
+let execute ~seed sys (schedule : Schedule.t) =
+  let cfg = Spire.System.config sys in
   let engine = Spire.System.engine sys in
-  let turb_start = cfg.baseline_us in
+  let turb_start = baseline_us in
   let heal_us = turb_start + schedule.Schedule.horizon_us in
-  let calm_start = heal_us + cfg.settle_us in
-  let end_us = calm_start + cfg.post_us in
+  let calm_start = heal_us + settle_us in
+  let end_us = calm_start + post_us in
   (* Submissions inside [turb_window] are held to the relaxed bound:
      the guard also covers updates already in flight when the first
      fault lands. *)
-  let turbulent_from = turb_start - cfg.inflight_guard_us in
+  let turbulent_from = turb_start - inflight_guard_us in
   let agreement = Oracle.Agreement.create () in
   let finality = watch_finality sys in
-  let quorum_watch =
-    Oracle.Quorum_watch.create ~quorum:cfg.system.Spire.System.quorum
-  in
-  let sla =
-    Oracle.Sla.create ~turbulent_bound_ms:cfg.turbulent_bound_ms
-      ~calm_bound_ms:cfg.calm_bound_ms
-  in
+  let quorum_watch = Oracle.Quorum_watch.create ~quorum:cfg.Spire.System.quorum in
+  let sla = Oracle.Sla.create ~turbulent_bound_ms ~calm_bound_ms in
   let baseline_hist = Stats.Histogram.create () in
   let post_hist = Stats.Histogram.create () in
   let series = Spire.System.latency_series sys in
@@ -171,24 +162,18 @@ let execute cfg ~seed sys (schedule : Schedule.t) =
     drain_series ()
   in
   ignore
-    (Sim.Engine.periodic engine ~interval_us:cfg.sample_interval_us sample
+    (Sim.Engine.periodic engine ~interval_us:sample_interval_us sample
       : Sim.Engine.timer);
   Injector.apply sys ~offset_us:turb_start schedule;
   Spire.System.start sys;
   Spire.System.run sys ~duration_us:end_us;
   sample ();
   (* Post-heal recovery: service resumed and latency back near the
-     fault-free baseline. Expect at least a third of the calm-window
-     polls to have confirmed. *)
-  let min_confirmed =
-    cfg.system.Spire.System.substations * cfg.post_us
-    / cfg.system.Spire.System.poll_interval_us
-    / 3
-  in
+     fault-free baseline. *)
   let recovery =
-    Oracle.Recovery_check.check ~factor:cfg.recovery_factor
-      ~slack_ms:cfg.recovery_slack_ms ~min_confirmed ~baseline:baseline_hist
-      ~post:post_hist
+    Oracle.Recovery_check.check ~factor:recovery_factor
+      ~slack_ms:recovery_slack_ms ~min_confirmed:(min_post_confirmed cfg)
+      ~baseline:baseline_hist ~post:post_hist
   in
   {
     seed;
@@ -210,11 +195,22 @@ let execute cfg ~seed sys (schedule : Schedule.t) =
     wire_decode_errors = Spire.System.wire_decode_errors sys;
   }
 
-let build_system cfg ~seed =
-  Spire.System.create { cfg.system with Spire.System.seed }
+let run ?(system = soak_system ()) ~seed ~schedule () =
+  execute ~seed (Spire.System.create { system with Spire.System.seed }) schedule
 
-let run ?(config = default_config ()) ~seed ~schedule () =
-  execute config ~seed (build_system config ~seed) schedule
+(* A within-budget schedule for [sys], drawn from [seed] xor [salt]. *)
+let generate_schedule ~caller ~salt ~seed sys =
+  let profile = Injector.profile_of_system sys in
+  let budget = Schedule.budget_of_quorum profile.Schedule.quorum in
+  let schedule =
+    Schedule.generate ~profile ~budget ~seed:(Int64.logxor seed salt)
+      ~horizon_us:turbulence_us
+  in
+  (match Schedule.validate ~profile ~budget schedule with
+  | Ok () -> ()
+  | Error msg ->
+    failwith ("Chaos.Harness." ^ caller ^ ": generator emitted " ^ msg));
+  schedule
 
 (* ------------------------------------------------------------------ *)
 (* Reconfiguration soak: a within-budget fault schedule runs WHILE the
@@ -237,8 +233,7 @@ type reconfig_report = {
   rc_stale_frames : int;
 }
 
-let reconfig_clean r =
-  List.for_all (fun (_, v) -> Oracle.Verdict.is_pass v) r.rc_verdicts
+let reconfig_clean r = all_pass r.rc_verdicts
 
 let pp_reconfig_report ppf r =
   Format.fprintf ppf
@@ -250,45 +245,22 @@ let pp_reconfig_report ppf r =
     Schedule.pp r.rc_schedule r.rc_final_epoch
     (List.length r.rc_cutovers)
     r.rc_submitted r.rc_confirmed r.rc_stale_frames;
-  List.iter
-    (fun (name, v) ->
-      Format.fprintf ppf "  %-10s %a@," name Oracle.Verdict.pp v)
-    r.rc_verdicts;
+  pp_verdicts ppf r.rc_verdicts;
   Format.fprintf ppf "@]"
 
-let reconfig_soak ?(config = default_config ()) ~seed () =
-  let config =
-    {
-      config with
-      system =
-        {
-          config.system with
-          Spire.System.standby_site_sizes = [ 2 ];
-          seed;
-        };
-    }
+let reconfig_soak ~seed () =
+  let sys =
+    Spire.System.create
+      { (soak_system ()) with Spire.System.standby_site_sizes = [ 2 ]; seed }
   in
-  let sys = Spire.System.create config.system in
   let engine = Spire.System.engine sys in
-  let profile = Injector.profile_of_system sys in
-  let budget =
-    match config.budget with
-    | Some b -> b
-    | None -> Schedule.budget_of_quorum profile.Schedule.quorum
-  in
   let schedule =
-    Schedule.generate ~profile ~budget
-      ~seed:(Int64.logxor seed 0x0E11FACEL)
-      ~horizon_us:config.turbulence_us
+    generate_schedule ~caller:"reconfig_soak" ~salt:0x0E11FACEL ~seed sys
   in
-  (match Schedule.validate ~profile ~budget schedule with
-  | Ok () -> ()
-  | Error msg ->
-    failwith ("Chaos.Harness.reconfig_soak: generator emitted " ^ msg));
-  let turb_start = config.baseline_us in
+  let turb_start = baseline_us in
   let heal_us = turb_start + schedule.Schedule.horizon_us in
-  let calm_start = heal_us + config.settle_us in
-  let end_us = calm_start + config.post_us in
+  let calm_start = heal_us + settle_us in
+  let end_us = calm_start + post_us in
   let agreement = Oracle.Agreement.create () in
   let finality = watch_finality sys in
   let epoch_check = Oracle.Epoch_check.create () in
@@ -307,7 +279,7 @@ let reconfig_soak ?(config = default_config ()) ~seed () =
         | None -> max_int)
   in
   ignore
-    (Sim.Engine.periodic engine ~interval_us:config.sample_interval_us sample
+    (Sim.Engine.periodic engine ~interval_us:sample_interval_us sample
       : Sim.Engine.timer);
   Spire.System.on_epoch_change sys (fun e ->
       match
@@ -352,10 +324,7 @@ let reconfig_soak ?(config = default_config ()) ~seed () =
   | Some v -> Oracle.Epoch_check.note_violation epoch_check v
   | None -> ());
   let confirmed = Spire.System.confirmed_updates sys in
-  let min_confirmed =
-    config.system.Spire.System.substations * config.post_us
-    / config.system.Spire.System.poll_interval_us / 3
-  in
+  let min_confirmed = min_post_confirmed (Spire.System.config sys) in
   let progress =
     let post = confirmed - !confirmed_at_calm in
     if Spire.System.current_epoch sys < 2 then
@@ -381,28 +350,15 @@ let reconfig_soak ?(config = default_config ()) ~seed () =
     rc_stale_frames = Spire.System.stale_epoch_frames sys;
   }
 
-let soak ?(config = default_config ()) ~seed () =
-  let sys = build_system config ~seed in
-  let profile = Injector.profile_of_system sys in
-  let budget =
-    match config.budget with
-    | Some b -> b
-    | None -> Schedule.budget_of_quorum profile.Schedule.quorum
-  in
-  let schedule =
-    Schedule.generate ~profile ~budget
-      ~seed:(Int64.logxor seed 0x5EEDFACEL)
-      ~horizon_us:config.turbulence_us
-  in
-  (match Schedule.validate ~profile ~budget schedule with
-  | Ok () -> ()
-  | Error msg -> failwith ("Chaos.Harness.soak: generator emitted " ^ msg));
-  execute config ~seed sys schedule
+let soak ~seed () =
+  let sys = Spire.System.create { (soak_system ()) with Spire.System.seed } in
+  execute ~seed sys
+    (generate_schedule ~caller:"soak" ~salt:0x5EEDFACEL ~seed sys)
 
-let soak_many ?(config = default_config ()) ?domains ~seeds () =
+let soak_many ?domains ~seeds () =
   (* Each soak builds its own system from its seed — nothing is shared
      between jobs, so they satisfy the Sim.Parallel self-containment
      contract and the report list is identical for any domain count. *)
   let seeds = Array.of_list seeds in
   Array.to_list
-    (Sim.Parallel.map ?domains (fun seed -> soak ~config ~seed ()) seeds)
+    (Sim.Parallel.map ?domains (fun seed -> soak ~seed ()) seeds)

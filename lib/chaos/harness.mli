@@ -24,31 +24,17 @@
     - {b recovery}: after healing and settling, updates confirm again
       and median latency returns to within a factor of the baseline.
 
+    The windows and bounds are fixed: the paper's 6-replica wide-area
+    deployment with 3 substations, a 3 s baseline, 6 s of turbulence,
+    4.5 s of settle and 4 s post-heal (17.5 s virtual per run); a calm
+    bound of 250 ms and a turbulent bound of 20 s, with updates
+    submitted up to 1 s before the turbulence held to the latter;
+    oracles sampled every 100 ms; post-heal p50 within 3x the baseline
+    p50 plus 10 ms. The fault budget derives from the quorum
+    ({!Schedule.budget_of_quorum}).
+
     A report is reproducible from its seed: the same seed rebuilds the
     same system, the same schedule, and the same event interleaving. *)
-
-type config = {
-  system : Spire.System.config;  (** base deployment (seed overridden) *)
-  budget : Schedule.budget option;
-      (** fault budget for {!soak}; default derived from the quorum *)
-  baseline_us : int;
-  turbulence_us : int;  (** schedule horizon *)
-  settle_us : int;
-  post_us : int;
-  inflight_guard_us : int;
-      (** updates submitted this close before the turbulence window are
-          held to the relaxed bound too *)
-  sample_interval_us : int;  (** agreement/quorum sampling cadence *)
-  calm_bound_ms : float;
-  turbulent_bound_ms : float;
-  recovery_factor : float;  (** post-heal p50 <= factor * baseline p50 *)
-  recovery_slack_ms : float;
-}
-
-(** [default_config ()] is a quick-scale soak: the paper's 6-replica
-    wide-area deployment with 3 substations, 3s baseline, 6s of
-    turbulence, 4.5s settle, 4s post-heal (17.5s virtual per run). *)
-val default_config : unit -> config
 
 type report = {
   seed : int64;
@@ -77,11 +63,14 @@ val pp_report : Format.formatter -> report -> unit
 
 (** [soak ~seed ()] generates a within-budget schedule from [seed] and
     runs it; the chaos soak property asserts [clean] on the result. *)
-val soak : ?config:config -> seed:int64 -> unit -> report
+val soak : seed:int64 -> unit -> report
 
 (** [run ~seed ~schedule ()] runs an explicit schedule — including
-    deliberately over-budget ones, used to prove the oracles fire. *)
-val run : ?config:config -> seed:int64 -> schedule:Schedule.t -> unit -> report
+    deliberately over-budget ones, used to prove the oracles fire — on
+    [system] (default: the soak deployment) with its seed set to
+    [seed]. *)
+val run :
+  ?system:Spire.System.config -> seed:int64 -> schedule:Schedule.t -> unit -> report
 
 (** {1 Reconfiguration soak}
 
@@ -109,12 +98,11 @@ val reconfig_clean : reconfig_report -> bool
 val pp_reconfig_report : Format.formatter -> reconfig_report -> unit
 
 (** [reconfig_soak ~seed ()] — deterministic in [seed], like {!soak}.
-    The standby site is added to the config automatically. *)
-val reconfig_soak : ?config:config -> seed:int64 -> unit -> reconfig_report
+    It runs the soak deployment plus a standby site of 2 replicas. *)
+val reconfig_soak : seed:int64 -> unit -> reconfig_report
 
 (** [soak_many ~seeds ()] runs one {!soak} per seed, farmed across
     OCaml domains with {!Sim.Parallel} ([domains] defaults to the
     runtime's recommendation; [1] runs inline). Reports come back in
     seed-list order and are byte-identical regardless of domain count. *)
-val soak_many :
-  ?config:config -> ?domains:int -> seeds:int64 list -> unit -> report list
+val soak_many : ?domains:int -> seeds:int64 list -> unit -> report list

@@ -38,18 +38,19 @@ let minimal_n ~f ~k ~sites =
   done;
   !n
 
-let minimal_config ~f ~k ~sites ~control_centers =
-  if control_centers < 1 || control_centers > sites then
-    invalid_arg "Config_calc.minimal_config: bad control_centers";
-  let n = minimal_n ~f ~k ~sites in
-  let counts = distribute ~n ~sites in
+let spread ~f ~k ~n ~sites ~control_centers =
   let site_list =
     List.mapi
       (fun i size ->
         ((if i < control_centers then Control_center else Data_center), size))
-      counts
+      (distribute ~n ~sites)
   in
   { f; k; n; sites = site_list }
+
+let minimal_config ~f ~k ~sites ~control_centers =
+  if control_centers < 1 || control_centers > sites then
+    invalid_arg "Config_calc.minimal_config: bad control_centers";
+  spread ~f ~k ~n:(minimal_n ~f ~k ~sites) ~sites ~control_centers
 
 let standard_table () =
   List.concat_map

@@ -32,11 +32,17 @@ val quorum : f:int -> k:int -> int
     every site [s]. *)
 val tolerates_site_loss : configuration -> bool
 
+(** [spread ~f ~k ~n ~sites ~control_centers] lays [n] replicas over
+    [sites] sites as evenly as possible, larger shares first, the first
+    [control_centers] sites being control centers. It checks nothing:
+    the layout may leave a site empty or fail {!tolerates_site_loss}. *)
+val spread :
+  f:int -> k:int -> n:int -> sites:int -> control_centers:int -> configuration
+
 (** [minimal_config ~f ~k ~sites ~control_centers] builds the minimal
     configuration over [sites] sites: the smallest [n] that meets the
     resilience bound, tolerates the loss of any one site and puts at
-    least one replica on every site, spread as evenly as possible.
-    Control centers are listed first and receive the larger shares.
+    least one replica on every site, laid out by {!spread}.
     @raise Invalid_argument if [sites < 2] (one site can never tolerate
     its own loss) or [control_centers] is not in [1 .. sites]. *)
 val minimal_config :

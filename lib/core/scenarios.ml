@@ -145,8 +145,8 @@ let site_failure ~site ~fail_at_us ~restore_at_us ~duration_us () =
   System.run sys ~duration_us;
   finish sys ~duration_us
 
-let throughput ?(tweak = fun c -> c) ?(max_batch = 1) ?(batch_delay_us = 10_000)
-    ~substations ~poll_interval_us ~duration_us () =
+let throughput ?(tweak = fun c -> c) ?(max_batch = 1) ~substations
+    ~poll_interval_us ~duration_us () =
   let cfg =
     tweak
       {
@@ -154,7 +154,6 @@ let throughput ?(tweak = fun c -> c) ?(max_batch = 1) ?(batch_delay_us = 10_000)
         System.substations;
         poll_interval_us;
         max_batch;
-        batch_delay_us;
       }
   in
   let sys = System.create cfg in
@@ -204,10 +203,9 @@ let max_confirm_gap series ~from_us ~until_us =
    is admitted, growing the deployment to n = 3f+2k+1 = 8 for k = 2
    (epoch 3). Every membership change takes effect at a deterministic
    epoch-boundary execution count. *)
-let reconfiguration ?(tweak = fun c -> c) ~duration_us () =
+let reconfiguration ~duration_us () =
   let cfg =
-    tweak
-      { (System.default_config ()) with System.standby_site_sizes = [ 2 ] }
+    { (System.default_config ()) with System.standby_site_sizes = [ 2 ] }
   in
   let sys = System.create cfg in
   let engine = System.engine sys in
@@ -379,20 +377,19 @@ let intrusion_campaign ?(reactive_on = false) ~diversity_on ~recovery_on
   in
   (sys, result)
 
-let fleet ?(tweak = fun c -> c) ~concentrators ~devices ~duration_us () =
+let fleet ~concentrators ~devices ~duration_us () =
   let cfg =
-    tweak
-      {
-        (System.default_config ()) with
-        System.substations = 2;
-        hmis = 1;
-        (* A fleet this wide needs the end-to-end batch path: aggregates
-           from many concentrators pack into Client_batch frames. *)
-        max_batch = 8;
-        batch_delay_us = 5_000;
-        field_concentrators = concentrators;
-        field_devices = devices;
-      }
+    {
+      (System.default_config ()) with
+      System.substations = 2;
+      hmis = 1;
+      (* A fleet this wide needs the end-to-end batch path: aggregates
+         from many concentrators pack into Client_batch frames. *)
+      max_batch = 8;
+      batch_delay_us = 5_000;
+      field_concentrators = concentrators;
+      field_devices = devices;
+    }
   in
   let sys = System.create cfg in
   System.start sys;
@@ -429,16 +426,15 @@ let post_attack_p99 series ~from_us =
    for the attack actually running. Telemetry is on in every arm
    (including the static baselines) so the arms differ only in the
    controller. *)
-let adaptive ?(tweak = fun c -> c) ?(controller = true)
-    ?(mode = Overlay.Net.Shortest) ~attack ~attack_from_us ~duration_us () =
+let adaptive ?(controller = true) ?(mode = Overlay.Net.Shortest) ~attack
+    ~attack_from_us ~duration_us () =
   let cfg =
-    tweak
-      {
-        (System.default_config ()) with
-        System.dissemination = mode;
-        telemetry = true;
-        adaptive = controller;
-      }
+    {
+      (System.default_config ()) with
+      System.dissemination = mode;
+      telemetry = true;
+      adaptive = controller;
+    }
   in
   let sys = System.create cfg in
   System.start sys;

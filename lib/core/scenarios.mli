@@ -94,14 +94,13 @@ val site_failure :
 (** [throughput ~substations ~poll_interval_us ~duration_us ()] —
     experiment E8: one point of the scaling sweep; returns the offered
     and confirmed rates plus the latency distribution. [max_batch]
-    (default 1 = unbatched) and [batch_delay_us] (default 10 ms) set
-    the end-to-end batching policy for the batch-size sweep. [tweak]
-    (default identity) post-processes the scenario config — e.g. to
-    constrain the WAN budget for the E8 batch sweep. *)
+    (default 1 = unbatched) sets the end-to-end batching degree for the
+    batch-size sweep, with {!System}'s default 10 ms batch deadline.
+    [tweak] (default identity) post-processes the scenario config —
+    e.g. to flood the E8 batch sweep's protocol traffic. *)
 val throughput :
   ?tweak:(System.config -> System.config) ->
   ?max_batch:int ->
-  ?batch_delay_us:int ->
   substations:int ->
   poll_interval_us:int ->
   duration_us:int ->
@@ -136,10 +135,8 @@ type reconfig_result = {
     backup, remove dead site) cuts over to epoch 1; the healed site is
     re-admitted as epoch 2; a pre-provisioned standby data center is
     admitted as epoch 3, growing n from 6 to 8 (k: 1 -> 2). Use
-    [duration_us >= 50s] for all four phases. [tweak] post-processes
-    the config (the standby site is added before tweaking). *)
+    [duration_us >= 50s] for all four phases. *)
 val reconfiguration :
-  ?tweak:(System.config -> System.config) ->
   duration_us:int ->
   unit ->
   System.t * reconfig_result
@@ -177,11 +174,8 @@ val intrusion_campaign :
     data concentrators, with a reduced legacy workload (2 substations,
     1 HMI) so the ordered stream is dominated by fleet aggregates.
     Batching is on ([max_batch = 8]) — hierarchical aggregation plus
-    batching is what keeps BFT load independent of fleet size. [tweak]
-    (default identity) post-processes the config — e.g. to change the
-    seed or scan cadence. *)
+    batching is what keeps BFT load independent of fleet size. *)
 val fleet :
-  ?tweak:(System.config -> System.config) ->
   concentrators:int ->
   devices:int ->
   duration_us:int ->
@@ -225,7 +219,6 @@ val post_attack_p99 : Stats.Timeseries.t -> from_us:int -> float
     static baseline arm. Telemetry is always on so the arms differ
     only in the controller. *)
 val adaptive :
-  ?tweak:(System.config -> System.config) ->
   ?controller:bool ->
   ?mode:Overlay.Net.mode ->
   attack:adaptive_attack ->

@@ -9,15 +9,11 @@ open Wire.Message
 type config = {
   quorum : Bft.Quorum.t;
   protocol : protocol;
-  site_sizes : int list;
   standby_site_sizes : int list;
-  control_centers : int;
   substations : int;
   hmis : int;
   poll_interval_us : int;
   dissemination : Overlay.Net.mode;
-  lan_bandwidth_bps : int;
-  wan_bandwidth_bps : int;
   resubmit_timeout_us : int;
   max_batch : int;
   batch_delay_us : int;
@@ -45,26 +41,35 @@ type config = {
    configurable. *)
 let adapt_tick_us = 250_000
 
-(* One-way link latencies of the modelled deployment: intra-site LAN,
-   the east-coast WAN between sites, and each substation/HMI link to a
-   control center. *)
+(* One-way link latencies and bandwidths of the modelled deployment:
+   intra-site LAN, the east-coast WAN between sites, and each
+   substation/HMI link to a control center (WAN bandwidth). *)
 let lan_latency_us = 100
 let wan_latency_us = Overlay.Topology.east_coast_wan_us
 let client_link_latency_us = 2_000
+let lan_bandwidth_bps = 125_000_000 (* 1 Gbps *)
+let wan_bandwidth_bps = 12_500_000 (* 100 Mbps *)
+
+(* The active replicas spread over four sites, the first two of them
+   control centers, by [Config_calc]'s rule. *)
+let active_sites = 4
+let control_centers = 2
+
+let layout cfg =
+  let { Bft.Quorum.n; f; k } = cfg.quorum in
+  Config_calc.spread ~f ~k ~n ~sites:active_sites ~control_centers
+
+let site_sizes cfg = List.map snd (layout cfg).Config_calc.sites
 
 let default_config () =
   {
     quorum = Bft.Quorum.create ~n:6 ~f:1 ~k:1;
     protocol = Prime_protocol;
-    site_sizes = [ 2; 2; 1; 1 ];
     standby_site_sizes = [];
-    control_centers = 2;
     substations = 10;
     hmis = 1;
     poll_interval_us = 100_000;
     dissemination = Overlay.Net.Shortest;
-    lan_bandwidth_bps = 125_000_000;
-    wan_bandwidth_bps = 12_500_000;
     resubmit_timeout_us = 2_000_000;
     max_batch = 1;
     batch_delay_us = 10_000;
@@ -197,21 +202,20 @@ let site_members sizes =
     sizes
 
 let build_topology cfg =
-  let all_sizes = cfg.site_sizes @ cfg.standby_site_sizes in
+  let all_sizes = site_sizes cfg @ cfg.standby_site_sizes in
   let universe = List.fold_left ( + ) 0 all_sizes in
   let sites = List.length all_sizes in
   let clients = cfg.substations + cfg.hmis + cfg.field_concentrators in
   let topo =
     Overlay.Topology.multi_site ~nodes:(universe + clients)
-      ~site_sizes:all_sizes ~lan_latency_us ~wan_latency_us
-      ~lan_bandwidth_bps:cfg.lan_bandwidth_bps
-      ~wan_bandwidth_bps:cfg.wan_bandwidth_bps ()
+      ~site_sizes:all_sizes ~lan_latency_us ~wan_latency_us ~lan_bandwidth_bps
+      ~wan_bandwidth_bps ()
   in
   let site_members = site_members all_sizes in
   (* Clients: one node each, own site id, linked to the first node of
      every control-center site. *)
   let cc_gateways =
-    List.filteri (fun i _ -> i < cfg.control_centers) site_members
+    List.filteri (fun i _ -> i < control_centers) site_members
     |> List.filter_map (function gw :: _ -> Some gw | [] -> None)
   in
   for c = 0 to clients - 1 do
@@ -221,7 +225,7 @@ let build_topology cfg =
       (fun gw ->
         Overlay.Topology.add_link topo ~a:node ~b:gw
           ~latency_us:client_link_latency_us
-          ~bandwidth_bps:cfg.wan_bandwidth_bps)
+          ~bandwidth_bps:wan_bandwidth_bps)
       cc_gateways
   done;
   (topo, site_members)
@@ -234,11 +238,11 @@ let genesis_cert cfg =
       (fun i members ->
         let role =
           if i = 0 then Member.Cert.Active_cc
-          else if i < cfg.control_centers then Member.Cert.Backup_cc
+          else if i < control_centers then Member.Cert.Backup_cc
           else Member.Cert.Data_center
         in
         { Member.Cert.site_id = i; role; members })
-      (site_members cfg.site_sizes)
+      (site_members (site_sizes cfg))
   in
   Member.Cert.genesis ~f:cfg.quorum.Bft.Quorum.f ~k:cfg.quorum.Bft.Quorum.k
     ~sites
@@ -626,14 +630,13 @@ let controller_tick t =
 
 let validate cfg =
   let fail field = invalid_arg ("System.create: " ^ field) in
-  if List.exists (fun s -> s < 0) cfg.site_sizes then
-    fail "site_sizes has a negative entry";
+  let layout = layout cfg in
+  if
+    List.exists (fun (_, s) -> s = 0) layout.Config_calc.sites
+    || not (Config_calc.tolerates_site_loss layout)
+  then fail "quorum does not fill four sites or survive losing one";
   if List.exists (fun s -> s < 0) cfg.standby_site_sizes then
     fail "standby_site_sizes has a negative entry";
-  if List.fold_left ( + ) 0 cfg.site_sizes <> cfg.quorum.Bft.Quorum.n then
-    fail "site_sizes do not sum to quorum n";
-  if cfg.control_centers < 1 || cfg.control_centers > List.length cfg.site_sizes
-  then fail "bad control_centers";
   if cfg.substations < 0 then fail "substations < 0";
   if cfg.hmis < 0 then fail "hmis < 0";
   if cfg.poll_interval_us <= 0 then fail "poll_interval_us <= 0";
@@ -662,7 +665,7 @@ let create cfg =
      trailing "field" shard. The engine attributes events to one tag
      per shard plus the control tag ({!Sim.Shard.engine_shards}); the
      partition never affects event order — see the Shard/Engine docs. *)
-  let base_sites = List.length cfg.site_sizes + List.length cfg.standby_site_sizes in
+  let base_sites = active_sites + List.length cfg.standby_site_sizes in
   let part =
     Sim.Shard.make ~shards:(base_sites + 1)
       ~owner:(fun node ->

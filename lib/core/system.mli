@@ -28,8 +28,8 @@ type payload = Wire.Message.t
 
 type config = {
   quorum : Bft.Quorum.t;
+      (** also fixes the site layout: {!site_sizes} *)
   protocol : protocol;
-  site_sizes : int list;  (** replicas per site; control centers first *)
   standby_site_sizes : int list;
       (** pre-provisioned dark sites (laid out after the active ones):
           their replicas exist as inert placeholders with dead overlay
@@ -37,13 +37,10 @@ type config = {
           reconfiguration admits them into an epoch's membership.
           Default [[]] — an empty list reproduces the fixed-membership
           system bit-for-bit. *)
-  control_centers : int;
   substations : int;
   hmis : int;
   poll_interval_us : int;
   dissemination : Overlay.Net.mode;  (** how protocol traffic is routed *)
-  lan_bandwidth_bps : int;
-  wan_bandwidth_bps : int;
   resubmit_timeout_us : int;
   max_batch : int;
       (** end-to-end batching degree: client endpoints (proxies and
@@ -95,20 +92,24 @@ type config = {
 
 (** [default_config ()] is the paper's wide-area deployment shape:
     f=1, k=1, n=6 over 4 sites (2 control centers with 2 replicas, 2
-    data centers with 1), 100 µs LAN links, east-coast WAN latencies,
-    2 ms substation/HMI links to each control center, 10 substations
-    polling every 100 ms, 1 HMI, Prime protocol, shortest-path
-    dissemination. *)
+    data centers with 1), 100 µs 1 Gbps LAN links, east-coast WAN
+    latencies at 100 Mbps, 2 ms substation/HMI links to each control
+    center, 10 substations polling every 100 ms, 1 HMI, Prime
+    protocol, shortest-path dissemination. *)
 val default_config : unit -> config
+
+(** [site_sizes cfg] is the active replicas per site: the quorum's [n]
+    spread over four sites by {!Config_calc.spread}, the two control
+    centers first. *)
+val site_sizes : config -> int list
 
 type t
 
 (** [create cfg] builds the deployment.
     @raise Invalid_argument ["System.create: <field> …"] naming the
-    field if the config is garbage: a negative [site_sizes] or
-    [standby_site_sizes] entry, [site_sizes] not summing to the
-    quorum's [n], [control_centers] outside [1 .. List.length
-    site_sizes], [substations < 0], [hmis < 0],
+    field if the config is garbage: a [quorum] whose {!site_sizes}
+    leave a site empty or fail {!Config_calc.tolerates_site_loss}, a
+    negative [standby_site_sizes] entry, [substations < 0], [hmis < 0],
     [poll_interval_us <= 0], [resubmit_timeout_us <= 0],
     [max_batch < 1], [batch_delay_us < 0], [field_concentrators < 0],
     [field_devices < field_concentrators] (with concentrators),

@@ -1,53 +1,14 @@
-(* Work-stealing pool over a static job set.
+(* Shared-counter pool over a static job set.
 
-   Memory-model notes (OCaml 5): each results/errors slot is written by
-   exactly one worker (whichever executed that job — ownership of a job
-   index moves between workers only through a mutex-protected deque
-   operation, which orders the handoff), and the final reads happen
-   after Domain.join, which synchronises with domain termination. So
-   the arrays need no atomics. The steal counter is the only
-   cross-worker accumulator and uses Atomic. *)
-
-type stats = { domains : int; jobs : int; steals : int }
+   Memory-model notes (OCaml 5): the job counter hands each index to
+   exactly one domain, so each results/errors slot is written once, and
+   the final reads happen after Domain.join, which synchronises with
+   domain termination. So the arrays need no atomics. *)
 
 let default_domains () = Domain.recommended_domain_count ()
 let seed_of ~root ~index = Rng.derive ~seed:root ~index
 
-(* Per-worker deque of job indices. The job set is static, so capacity
-   is fixed at creation: the owner pops at [lo], thieves take at
-   [hi - 1]. A plain mutex per deque is plenty — contention is one lock
-   per job plus one per steal probe, dwarfed by any real job. *)
-type deque = {
-  lock : Mutex.t;
-  slots : int array;
-  mutable lo : int;
-  mutable hi : int;
-}
-
-let pop_own dq =
-  Mutex.lock dq.lock;
-  let j = if dq.lo < dq.hi then begin
-    let j = dq.slots.(dq.lo) in
-    dq.lo <- dq.lo + 1;
-    j
-  end
-  else -1
-  in
-  Mutex.unlock dq.lock;
-  j
-
-let steal_from dq =
-  Mutex.lock dq.lock;
-  let j = if dq.lo < dq.hi then begin
-    dq.hi <- dq.hi - 1;
-    dq.slots.(dq.hi)
-  end
-  else -1
-  in
-  Mutex.unlock dq.lock;
-  j
-
-let run_with_stats ?domains ~jobs f =
+let run ?domains ~jobs f =
   if jobs < 0 then invalid_arg "Parallel.run: jobs < 0";
   let domains =
     match domains with Some d -> d | None -> default_domains ()
@@ -55,72 +16,25 @@ let run_with_stats ?domains ~jobs f =
   let domains = max 1 (min domains jobs) in
   let results = Array.make jobs None in
   let errors = Array.make jobs None in
-  let steals = Atomic.make 0 in
-  let exec i =
-    match f i with
-    | v -> results.(i) <- Some v
-    | exception e -> errors.(i) <- Some e
+  let next = Atomic.make 0 in
+  let rec worker () =
+    let i = Atomic.fetch_and_add next 1 in
+    if i < jobs then begin
+      (match f i with
+      | v -> results.(i) <- Some v
+      | exception e -> errors.(i) <- Some e);
+      worker ()
+    end
   in
-  if domains <= 1 then
-    for i = 0 to jobs - 1 do
-      exec i
-    done
-  else begin
-    (* Deal jobs round-robin: worker w owns w, w + domains, ... — a
-       fixed assignment, so with zero steals the pool degenerates to a
-       static partition. *)
-    let share w = ((jobs - w) + domains - 1) / domains in
-    let deques =
-      Array.init domains (fun w ->
-          let n = share w in
-          let slots = Array.init n (fun k -> w + (k * domains)) in
-          { lock = Mutex.create (); slots; lo = 0; hi = n })
-    in
-    let worker w () =
-      let continue = ref true in
-      while !continue do
-        let j = pop_own deques.(w) in
-        if j >= 0 then exec j
-        else begin
-          (* Own deque empty: probe siblings, nearest first. The job
-             set is static, so one full empty sweep means no pending
-             work remains anywhere. *)
-          let stolen = ref (-1) in
-          let d = ref 1 in
-          while !stolen < 0 && !d < domains do
-            let j = steal_from deques.((w + !d) mod domains) in
-            if j >= 0 then stolen := j;
-            incr d
-          done;
-          if !stolen >= 0 then begin
-            Atomic.incr steals;
-            exec !stolen
-          end
-          else continue := false
-        end
-      done
-    in
-    let spawned =
-      Array.init (domains - 1) (fun k -> Domain.spawn (worker (k + 1)))
-    in
-    worker 0 ();
-    Array.iter Domain.join spawned
-  end;
+  let spawned = Array.init (domains - 1) (fun _ -> Domain.spawn worker) in
+  worker ();
+  Array.iter Domain.join spawned;
   (* Deterministic failure: re-raise the lowest-indexed job's exception
-     no matter which worker hit it first. *)
-  let first_error = ref None in
-  for i = jobs - 1 downto 0 do
-    match errors.(i) with Some e -> first_error := Some e | None -> ()
-  done;
-  (match !first_error with Some e -> raise e | None -> ());
-  let out =
-    Array.map
-      (function Some v -> v | None -> assert false (* every job ran *))
-      results
-  in
-  (out, { domains; jobs; steals = Atomic.get steals })
-
-let run ?domains ~jobs f = fst (run_with_stats ?domains ~jobs f)
+     no matter which domain hit it first. *)
+  Array.iter (function Some e -> raise e | None -> ()) errors;
+  Array.map
+    (function Some v -> v | None -> assert false (* every job ran *))
+    results
 
 let map ?domains f items =
   run ?domains ~jobs:(Array.length items) (fun i -> f items.(i))

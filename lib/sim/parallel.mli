@@ -1,4 +1,4 @@
-(** Work-stealing pool for independent scenario instances.
+(** Domain pool for independent scenario instances.
 
     Farms a static set of jobs — E8 sweep points, E10 chaos soak seeds,
     config sweeps — across OCaml 5 domains. Each job must be
@@ -14,17 +14,9 @@
     - [domains = 1] runs every job inline on the calling domain with no
       spawns — the mode used to pin golden trajectories.
 
-    Scheduling: jobs are dealt round-robin to per-worker deques; a
-    worker drains its own deque front-to-back and, when empty, steals
-    from the back of the longest-suffering sibling it finds. Stealing
-    rebalances skewed workloads (e.g. one slow chaos seed) without any
-    central queue contention. *)
-
-type stats = {
-  domains : int;  (** workers actually used (capped at job count) *)
-  jobs : int;
-  steals : int;  (** jobs executed by a non-home worker *)
-}
+    Scheduling: every domain pulls the next job index from one shared
+    atomic counter until the set is exhausted, so a slow job (e.g. one
+    slow chaos seed) holds up only the domain running it. *)
 
 (** [default_domains ()] is the runtime's recommended domain count for
     this machine. *)
@@ -41,10 +33,6 @@ val seed_of : root:int64 -> index:int -> int64
     have drained — deterministic even when several jobs fail.
     @raise Invalid_argument if [jobs < 0]. *)
 val run : ?domains:int -> jobs:int -> (int -> 'a) -> 'a array
-
-(** [run_with_stats] is {!run} plus scheduling statistics (the stats —
-    unlike the results — legitimately vary run to run). *)
-val run_with_stats : ?domains:int -> jobs:int -> (int -> 'a) -> 'a array * stats
 
 (** [map ~domains f items] is [run] over an array of inputs. *)
 val map : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array

@@ -7,12 +7,12 @@
 let quorum_6 = Bft.Quorum.create ~n:6 ~f:1 ~k:1
 
 (* The generator/validator profile of the default deployment, derived
-   from a real built system so the tests exercise the same topology the
-   soak runs on. *)
+   from a real built system so the tests exercise the same replica
+   topology the soak runs on. *)
 let profile =
   lazy
     (Chaos.Injector.profile_of_system
-       (Spire.System.create (Chaos.Harness.default_config ()).Chaos.Harness.system))
+       (Spire.System.create (Spire.System.default_config ())))
 
 let budget () = Chaos.Schedule.budget_of_quorum quorum_6
 
@@ -324,14 +324,14 @@ let test_soak_regression seed () =
    Every frame delivered during crashes, daemon churn and recovery
    storms is round-tripped through the binary codecs; a single decode
    mismatch fails [clean]. Pins down codec bugs that only bite on
-   recovery-path traffic (state-transfer chunks, view changes). *)
+   recovery-path traffic (state-transfer chunks, view changes). The
+   deployment is the soak's (3 substations) with wire_debug on. *)
 let test_wire_debug_under_turbulence () =
-  let config =
-    let c = Chaos.Harness.default_config () in
+  let system =
     {
-      c with
-      Chaos.Harness.system =
-        { c.Chaos.Harness.system with Spire.System.wire_debug = true };
+      (Spire.System.default_config ()) with
+      Spire.System.substations = 3;
+      wire_debug = true;
     }
   in
   let schedule =
@@ -351,7 +351,7 @@ let test_wire_debug_under_turbulence () =
           ];
       }
   in
-  let report = Chaos.Harness.run ~config ~seed:0x31BEL ~schedule () in
+  let report = Chaos.Harness.run ~system ~seed:0x31BEL ~schedule () in
   Alcotest.(check int)
     "no wire decode errors under turbulence" 0
     report.Chaos.Harness.wire_decode_errors;

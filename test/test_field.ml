@@ -473,8 +473,6 @@ let test_system_rejects_garbage_fields () =
     [
       ("substations < 0", fun c -> { c with Spire.System.substations = -1 });
       ("hmis < 0", fun c -> { c with Spire.System.hmis = -1 });
-      ( "site_sizes has a negative entry",
-        fun c -> { c with Spire.System.site_sizes = [ 3; -1; 2; 2 ] } );
       ( "standby_site_sizes has a negative entry",
         fun c -> { c with Spire.System.standby_site_sizes = [ 2; -1 ] } );
       ("poll_interval_us <= 0", fun c -> { c with Spire.System.poll_interval_us = 0 });

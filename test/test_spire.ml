@@ -85,6 +85,43 @@ let prop_minimal_n_is_minimal =
 let short_config () =
   { (Sys_.default_config ()) with Sys_.substations = 4; poll_interval_us = 50_000 }
 
+(* The deployment's site layout is the E1 minimal configuration. *)
+let test_default_layout_is_minimal () =
+  Alcotest.(check (list int)) "default sites = minimal f=1 k=1 over 4"
+    (List.map snd
+       (CC.minimal_config ~f:1 ~k:1 ~sites:4 ~control_centers:2).CC.sites)
+    (Sys_.site_sizes (Sys_.default_config ()))
+
+(* A quorum other than the default lays out by the same rule: f=1,
+   k=0 puts one replica on each of the four sites, and it orders. *)
+let test_system_four_replicas () =
+  let cfg =
+    { (short_config ()) with Sys_.quorum = Bft.Quorum.create ~n:4 ~f:1 ~k:0 }
+  in
+  Alcotest.(check (list int)) "one replica per site" [ 1; 1; 1; 1 ]
+    (Sys_.site_sizes cfg);
+  let sys = Sys_.create cfg in
+  Sys_.start sys;
+  Sys_.run sys ~duration_us:2_000_000;
+  Sys_.assert_agreement sys;
+  (* 4 substations x 20 polls/s x 2 s = 160 updates; allow in-flight tail. *)
+  Alcotest.(check bool) "most updates confirmed" true
+    (Sys_.confirmed_updates sys >= 140)
+
+(* One replica cannot cover four sites, let alone lose one. *)
+let test_system_rejects_single_replica () =
+  Alcotest.check_raises "n=1 rejected"
+    (Invalid_argument
+       "System.create: quorum does not fill four sites or survive losing one")
+    (fun () ->
+      ignore
+        (Sys_.create
+           {
+             (Sys_.default_config ()) with
+             Sys_.quorum = Bft.Quorum.create ~n:1 ~f:0 ~k:0;
+           }
+          : Sys_.t))
+
 let test_system_fault_free_end_to_end () =
   let sys = Sys_.create (short_config ()) in
   Sys_.start sys;
@@ -340,6 +377,8 @@ let () =
             test_minimal_n_site_constraint;
           Alcotest.test_case "table valid" `Quick test_minimal_config_valid;
           Alcotest.test_case "table shape" `Quick test_standard_table_shape;
+          Alcotest.test_case "default layout is minimal" `Quick
+            test_default_layout_is_minimal;
           QCheck_alcotest.to_alcotest prop_site_loss_bound;
           QCheck_alcotest.to_alcotest prop_minimal_n_is_minimal;
         ] );
@@ -347,6 +386,10 @@ let () =
         [
           Alcotest.test_case "fault-free end to end" `Quick
             test_system_fault_free_end_to_end;
+          Alcotest.test_case "four replicas over four sites" `Quick
+            test_system_four_replicas;
+          Alcotest.test_case "single replica rejected" `Quick
+            test_system_rejects_single_replica;
           Alcotest.test_case "hmi command reaches rtu" `Quick
             test_system_hmi_command_reaches_rtu;
           Alcotest.test_case "hmi burst ships one batch" `Quick
