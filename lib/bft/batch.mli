@@ -24,9 +24,9 @@ type policy = {
 val singleton : policy
 
 val create : ?max_delay_us:int -> max_batch:int -> unit -> policy
-val is_singleton : policy -> bool
 
-(** A live accumulator: the buffered generation and its policy. *)
+(** A live accumulator: the buffered generation and its policy, which
+    is fixed when the accumulator is made. *)
 type 'a acc
 
 val acc : policy -> 'a acc
@@ -41,24 +41,15 @@ type 'a action =
   | Wait  (** buffered; the generation's timer is already armed *)
 
 (** [add a ~now x] buffers [x] (arrival time [now]) and says what to do.
-    Under [max_batch = 1] with nothing buffered the item skips the queue
-    and the answer is [Solo]. *)
+    Under [max_batch = 1] the item skips the queue and the answer is
+    [Solo]. *)
 val add : 'a acc -> now:int -> 'a -> 'a action
 
-(** [due a ~now] drains the buffered generation if it is full or its
-    deadline has passed, and is [[]] otherwise. A generation timer that
-    fires after its generation already flushed on size finds the next
-    generation not yet due, so no item ships early or twice. *)
+(** [due a ~now] drains the buffered generation if its deadline has
+    passed, and is [[]] otherwise. A generation timer that fires after
+    its generation already flushed on size finds the next generation
+    not yet due, so no item ships early or twice. *)
 val due : 'a acc -> now:int -> 'a list
-
-(** [set_policy a p] swaps the live accumulator onto policy [p]
-    (validated), keeping the buffered items. A smaller [max_batch] or a
-    shorter [max_delay_us] can make the generation due at once: callers
-    then ship {!due}. A longer [max_delay_us] applies from the next
-    generation: the buffered one stays due at the deadline its timer
-    was armed for.
-    @raise Invalid_argument on an invalid policy. *)
-val set_policy : 'a acc -> policy -> unit
 
 (** [clear a] drops the buffered generation (state reset). *)
 val clear : 'a acc -> unit

@@ -240,11 +240,3 @@ let fleet_stats t : Field.Concentrator.stats =
 let latency_histogram t = t.hist
 let latency_series t = t.series
 let submitted t = !(t.submitted)
-
-let set_batch_policy t policy =
-  Array.iter
-    (fun p -> Scada.Endpoint.set_batch_policy (Scada.Proxy.endpoint p) policy)
-    t.proxies;
-  Array.iter
-    (fun h -> Scada.Endpoint.set_batch_policy (Scada.Hmi.endpoint h) policy)
-    t.hmis

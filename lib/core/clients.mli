@@ -45,7 +45,3 @@ val fleet_stats : t -> Field.Concentrator.stats
 val latency_histogram : t -> Stats.Histogram.t
 val latency_series : t -> Stats.Timeseries.t
 val submitted : t -> int
-
-(** [set_batch_policy t policy] swaps the proxies' and HMIs' endpoint
-    aggregation policy (concentrators keep theirs). *)
-val set_batch_policy : t -> Bft.Batch.policy -> unit

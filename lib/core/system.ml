@@ -113,8 +113,6 @@ type t = {
   mutable recovery_listeners :
     ([ `Begin | `Complete ] -> Bft.Types.replica -> unit) list;
   share_cost_us : int;
-  mutable reply_batch : Bft.Batch.policy;
-      (* live aggregation policy; hot-swapped through the knob plane *)
   reply_accs : Scada.Reply.t Bft.Batch.acc array;
   (* --- runtime tuning plane / adaptive controller --- *)
   knobs : Control.Knobs.t;
@@ -510,28 +508,6 @@ let standby_instance t =
    called when no knob change is issued, so a controller-less run
    never executes any of this code.                                    *)
 
-(* Swap the aggregation policy everywhere it is live: the per-replica
-   reply accumulators, the Prime pre-order accumulators, and the client
-   endpoints (proxies + HMIs). Each ships its buffered generation if
-   the swap made it due. (Field concentrators keep their
-   construction-time policy: their aggregation cadence is
-   scan-synchronous, not delay-driven. PBFT replicas hold no
-   accumulator.) *)
-let apply_batch_policy t policy =
-  t.reply_batch <- policy;
-  Array.iteri
-    (fun r acc ->
-      Bft.Batch.set_policy acc policy;
-      if epoch_of_replica t r >= 0 && not (crashed t r) then
-        flush_replies t r (Bft.Batch.due acc ~now:(Sim.Engine.now t.engine)))
-    t.reply_accs;
-  Array.iter
-    (function
-      | Instance.Prime_replica p -> Prime.Replica.set_batch_policy p policy
-      | Instance.Pbft_replica _ -> ())
-    t.replicas;
-  Clients.set_batch_policy t.clients policy
-
 (* Iterate the current epoch's live Prime instances. *)
 let iter_live_prime t f =
   Array.iter
@@ -552,34 +528,6 @@ let install_actuator t =
           | Control.Knobs.Kdisjoint k -> Overlay.Net.Redundant k
           | Control.Knobs.Flooding -> Overlay.Net.Flood);
         Ok ()
-      | Control.Knobs.Set_max_batch m ->
-        let policy =
-          if m <= 1 then Bft.Batch.singleton
-          else
-            Bft.Batch.create
-              ~max_delay_us:
-                (if t.reply_batch.Bft.Batch.max_delay_us > 0 then
-                   t.reply_batch.Bft.Batch.max_delay_us
-                 else t.cfg.batch_delay_us)
-              ~max_batch:m ()
-        in
-        apply_batch_policy t policy;
-        Ok ()
-      | Control.Knobs.Set_batch_delay_us d ->
-        if Bft.Batch.is_singleton t.reply_batch then
-          Error "batching disabled (max_batch = 1); set max_batch first"
-        else begin
-          apply_batch_policy t
-            (Bft.Batch.create ~max_delay_us:d
-               ~max_batch:t.reply_batch.Bft.Batch.max_batch ());
-          Ok ()
-        end
-      | Control.Knobs.Set_recovery_period_us p -> (
-        match t.scheduler with
-        | None -> Error "proactive recovery not enabled"
-        | Some s ->
-          Recovery.Scheduler.set_rotation_period s p;
-          Ok ())
       | Control.Knobs.Set_tat_threshold_us us -> (
         match t.cfg.protocol with
         | Pbft_protocol -> Error "TAT knobs require the Prime protocol"
@@ -641,6 +589,7 @@ let validate cfg =
   if cfg.hmis < 0 then fail "hmis < 0";
   if cfg.poll_interval_us <= 0 then fail "poll_interval_us <= 0";
   if cfg.resubmit_timeout_us <= 0 then fail "resubmit_timeout_us <= 0";
+  if cfg.diversity_variants < 1 then fail "diversity_variants < 1";
   if cfg.max_batch < 1 then fail "max_batch < 1";
   if cfg.batch_delay_us < 0 then fail "batch_delay_us < 0";
   if cfg.field_concentrators < 0 then fail "field_concentrators < 0";
@@ -763,7 +712,6 @@ let create cfg =
          slot_listeners = [];
          recovery_listeners = [];
          share_cost_us = Cryptosim.Threshold.default_cost.Cryptosim.Threshold.share_us;
-         reply_batch = batch_policy;
          reply_accs = Array.init universe (fun _ -> Bft.Batch.acc batch_policy);
          knobs = Control.Knobs.create ();
          locals = [||];

@@ -111,7 +111,7 @@ type t
     leave a site empty or fail {!Config_calc.tolerates_site_loss}, a
     negative [standby_site_sizes] entry, [substations < 0], [hmis < 0],
     [poll_interval_us <= 0], [resubmit_timeout_us <= 0],
-    [max_batch < 1], [batch_delay_us < 0], [field_concentrators < 0],
+    [diversity_variants < 1], [max_batch < 1], [batch_delay_us < 0], [field_concentrators < 0],
     [field_devices < field_concentrators] (with concentrators),
     [field_scan_interval_us <= 0], [field_loss] outside [0, 1] (nan
     included), or [adaptive] without [telemetry] (a controller that
@@ -135,18 +135,16 @@ val telemetry : t -> Telemetry.Sink.t
 
 (** {1 Runtime tuning plane}
 
-    Every live parameter change — controller-issued or manual — flows
-    through {!Control.Knobs.request} on [knobs t]; the installed
-    actuator translates validated requests onto the running components:
-    routing mode ({!Overlay.Net}, with route-cache invalidation;
-    in-flight frames keep their submit-time route), aggregation policy
-    (Prime pre-order accumulators, reply accumulators, client
-    endpoints — due generations drain immediately, stale timers
-    re-check their deadline), proactive-recovery rotation period
-    (re-staggered live), Prime TAT suspicion knobs, and leader
-    demotion (one suspicion per correct replica; rotation still needs
-    the [f+k+1] protocol quorum). The journal plus per-knob counters
-    are the complete audit trail. *)
+    Every live parameter change — issued by the adaptive controller or
+    by a test — flows through {!Control.Knobs.request} on [knobs t];
+    the installed actuator translates validated requests onto the
+    running components: routing mode ({!Overlay.Net}, with route-cache
+    invalidation; in-flight frames keep their submit-time route), Prime
+    TAT suspicion knobs, and leader demotion (one suspicion per correct
+    replica; rotation still needs the [f+k+1] protocol quorum). The
+    batching policy ([max_batch], [batch_delay_us]) and the recovery
+    rotation are fixed at {!create}. The journal plus the
+    applied/rejected counters are the complete audit trail. *)
 
 (** [knobs t] is the instance's tuning plane (always present; with no
     requests issued it never acts). *)

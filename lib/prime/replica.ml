@@ -939,10 +939,6 @@ let set_tat_violations_to_suspect t k =
   if k < 1 then invalid_arg "Replica.set_tat_violations_to_suspect: < 1";
   t.tat_violations_to_suspect <- k
 
-let set_batch_policy t p =
-  Batch.set_policy t.po_acc p;
-  if live t then flush_po t (Batch.due t.po_acc ~now:(t.env.Env.now_us ()))
-
 (* Controller-initiated leader demotion: suspect the current leader
    immediately, without waiting for [tat_violations_to_suspect] local
    TAT evidence. Same broadcast path as [maybe_suspect] — rotation

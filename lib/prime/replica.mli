@@ -92,9 +92,9 @@ val suspected : t -> bool
     control layer ({!Control}). Each setter validates its argument and
     takes effect from the next protocol step; none of them sends a
     frame, draws randomness or arms a timer by itself (except
-    [set_batch_policy] draining an already-due generation and
     [demote_leader], whose effects are documented), so with no
-    controller issuing changes the trajectory is untouched. *)
+    controller issuing changes the trajectory is untouched. The
+    pre-order batching policy is fixed at {!create}. *)
 
 (** [tat_threshold_us t] is the current (possibly hot-swapped)
     turnaround bound. *)
@@ -110,12 +110,6 @@ val set_tat_threshold : t -> int -> unit
     count that triggers suspicion.
     @raise Invalid_argument if [k < 1]. *)
 val set_tat_violations_to_suspect : t -> int -> unit
-
-(** [set_batch_policy t p] swaps the pre-order batching policy on the
-    live accumulator and, on a live replica, ships the buffered
-    generation if the swap made it due ({!Bft.Batch.due}).
-    @raise Invalid_argument on an invalid policy. *)
-val set_batch_policy : t -> Bft.Batch.policy -> unit
 
 (** [demote_leader t] suspects the current view's leader immediately
     (controller-initiated), bypassing the local TAT evidence count but

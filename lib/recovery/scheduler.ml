@@ -7,16 +7,12 @@ type config = {
 type t = {
   engine : Sim.Engine.t;
   config : config;
-  mutable rotation_period_us : int;
-      (* live copy of [config.rotation_period_us]; see
-         [set_rotation_period] *)
   n : int;
   on_begin : Bft.Types.replica -> unit;
   on_complete : Bft.Types.replica -> unit;
   recovering : (Bft.Types.replica, unit) Hashtbl.t;
   mutable started : int;
   mutable completed : int;
-  mutable timers : Sim.Engine.timer list;
   mutable running : bool;
 }
 
@@ -28,14 +24,12 @@ let create ~engine ~config ~n ~on_begin ~on_complete =
   {
     engine;
     config;
-    rotation_period_us = config.rotation_period_us;
     n;
     on_begin;
     on_complete;
     recovering = Hashtbl.create 7;
     started = 0;
     completed = 0;
-    timers = [];
     running = false;
   }
 
@@ -70,43 +64,20 @@ let trigger_now t r = begin_recovery t r
 let start t =
   if not t.running then begin
     t.running <- true;
-    let slot = t.rotation_period_us / t.n in
+    let period = t.config.rotation_period_us in
+    let slot = period / t.n in
     for r = 0 to t.n - 1 do
       (* Descending replica order: leader rotation moves views upward,
          so recovering downward avoids rejuvenating the current leader
          on every step (at most one leader recovery per rotation). *)
       let first = (t.n - r) * slot in
-      let timer =
-        Sim.Engine.schedule t.engine ~delay_us:first (fun () ->
-            if t.running then begin
-              ignore (begin_recovery t r : bool);
-              let periodic =
-                Sim.Engine.periodic t.engine
-                  ~interval_us:t.rotation_period_us (fun () ->
-                    if t.running then ignore (begin_recovery t r : bool))
-              in
-              t.timers <- periodic :: t.timers
-            end)
-      in
-      t.timers <- timer :: t.timers
+      ignore
+        (Sim.Engine.schedule t.engine ~delay_us:first (fun () ->
+             ignore (begin_recovery t r : bool);
+             ignore
+               (Sim.Engine.periodic t.engine ~interval_us:period (fun () ->
+                    ignore (begin_recovery t r : bool))
+                 : Sim.Engine.timer))
+          : Sim.Engine.timer)
     done
-  end
-
-let stop t =
-  t.running <- false;
-  List.iter Sim.Engine.cancel t.timers;
-  t.timers <- []
-
-(* Hot-swap the rotation period (runtime tuning plane). A running
-   rotation is torn down and re-staggered from now on the new cadence;
-   in-flight recoveries complete on their own timers, untouched by
-   [stop]. *)
-let set_rotation_period t period_us =
-  if period_us <= 0 then
-    invalid_arg "Scheduler.set_rotation_period: non-positive period";
-  if period_us <> t.rotation_period_us then begin
-    let was_running = t.running in
-    if was_running then stop t;
-    t.rotation_period_us <- period_us;
-    if was_running then start t
   end

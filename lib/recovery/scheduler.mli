@@ -30,20 +30,11 @@ val create :
   t
 
 (** [start t] schedules the staggered rotation: replica [i] first
-    recovers at [(i+1) * rotation_period / n], then periodically. *)
+    recovers at [(n - i) * (rotation_period / n)] (descending, so the
+    rising view's leader is rarely the one rejuvenated), then once per
+    rotation period for the rest of the run. A second [start] is a
+    no-op. *)
 val start : t -> unit
-
-(** [stop t] cancels future proactive recoveries (in-flight ones
-    complete). *)
-val stop : t -> unit
-
-(** [set_rotation_period t period_us] swaps the rotation period on a
-    live scheduler. If the rotation is running it is cancelled and
-    re-staggered from the current virtual time on the new cadence
-    (in-flight recoveries still complete). No-op when the period is
-    unchanged.
-    @raise Invalid_argument on a non-positive period. *)
-val set_rotation_period : t -> int -> unit
 
 (** [trigger_now t replica] requests an immediate (reactive) recovery;
     returns [false] if the replica is already recovering or the

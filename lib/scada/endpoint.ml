@@ -96,10 +96,6 @@ let flush_batch t = function
     List.iter (batched t) updates;
     t.submit_batch updates
 
-let set_batch_policy t p =
-  Bft.Batch.set_policy t.acc p;
-  flush_batch t (Bft.Batch.due t.acc ~now:(Sim.Engine.now t.engine))
-
 let send_op t op =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;

@@ -63,9 +63,3 @@ val client_id : t -> Bft.Types.client
 val pending_count : t -> int
 val completed_count : t -> int
 val resubmit_count : t -> int
-
-(** [set_batch_policy t p] swaps the aggregation policy on the live
-    endpoint (runtime tuning plane) and ships the buffered generation
-    if the swap made it due ({!Bft.Batch.due}).
-    @raise Invalid_argument on an invalid policy. *)
-val set_batch_policy : t -> Bft.Batch.policy -> unit

@@ -385,45 +385,12 @@ let test_batch_due_deadline () =
   Alcotest.(check (list int)) "stale timer ships nothing" [] (B.due a ~now:200);
   Alcotest.(check (list int)) "its own deadline" [ 3 ] (B.due a ~now:250)
 
-let test_batch_shrink_makes_due () =
-  let a = B.acc (B.create ~max_delay_us:1_000 ~max_batch:8 ()) in
-  List.iter (fun x -> ignore (B.add a ~now:0 x : int B.action)) [ 1; 2; 3 ];
-  Alcotest.(check (list int)) "not yet due" [] (B.due a ~now:1);
-  B.set_policy a (B.create ~max_delay_us:1_000 ~max_batch:2 ());
-  Alcotest.(check (list int)) "full under the smaller max" [ 1; 2; 3 ]
-    (B.due a ~now:1);
-  check_add "new generation" "arm 1000" a ~now:10 4;
-  B.set_policy a (B.create ~max_delay_us:5 ~max_batch:8 ());
-  Alcotest.(check (list int)) "shorter deadline passed" [ 4 ] (B.due a ~now:20);
-  Alcotest.check_raises "invalid policy" (Invalid_argument
-    "Bft.Batch.validate: max_batch must be >= 1") (fun () ->
-      B.set_policy a { B.max_batch = 0; max_delay_us = 0 })
-
 let test_batch_singleton_never_arms () =
   let a = B.acc { B.singleton with B.max_delay_us = 77_777 } in
   for i = 1 to 100 do
     check_add "flushes alone" "solo" a ~now:(i * 1_000) i;
     Alcotest.(check (list int)) "nothing buffered" [] (B.due a ~now:max_int)
-  done;
-  (* A swap down to one drains what the bigger policy had buffered. *)
-  let b = B.acc (B.create ~max_batch:4 ()) in
-  check_add "buffered" "arm 10000" b ~now:0 1;
-  B.set_policy b B.singleton;
-  Alcotest.(check (list int)) "drained by the swap" [ 1 ] (B.due b ~now:0);
-  check_add "then alone" "solo" b ~now:1 2
-
-(* A live swap that lengthens the delay must not strand the buffered
-   generation: its timer was armed for the old delay, so the old
-   deadline still holds for it. *)
-let test_batch_lengthened_delay_keeps_deadline () =
-  let a = B.acc (B.create ~max_delay_us:1_000 ~max_batch:8 ()) in
-  check_add "opens a generation" "arm 1000" a ~now:0 1;
-  B.set_policy a (B.create ~max_delay_us:5_000 ~max_batch:8 ());
-  Alcotest.(check (list int)) "the armed timer ships it" [ 1 ]
-    (B.due a ~now:1_000);
-  check_add "next generation arms the new delay" "arm 5000" a ~now:1_500 2;
-  Alcotest.(check (list int)) "not due at the old delay" [] (B.due a ~now:2_500);
-  Alcotest.(check (list int)) "due at the new one" [ 2 ] (B.due a ~now:6_500)
+  done
 
 let () =
   Alcotest.run "bft"
@@ -468,12 +435,8 @@ let () =
             test_batch_one_arm_per_generation;
           Alcotest.test_case "due before and after deadline" `Quick
             test_batch_due_deadline;
-          Alcotest.test_case "shrinking policy makes due" `Quick
-            test_batch_shrink_makes_due;
           Alcotest.test_case "max_batch=1 never arms" `Quick
             test_batch_singleton_never_arms;
-          Alcotest.test_case "lengthened delay keeps the armed deadline" `Quick
-            test_batch_lengthened_delay_keeps_deadline;
         ] );
       ( "cluster",
         [

@@ -20,22 +20,12 @@ let test_validate_bounds () =
   let accepted r = ok (K.request k ~now_us:0 ~source:"test" r) in
   let valid r = Alcotest.(check bool) "valid" true (accepted r) in
   let invalid r = Alcotest.(check bool) "invalid" false (accepted r) in
-  valid (K.Set_max_batch 1);
-  valid (K.Set_max_batch 1024);
-  invalid (K.Set_max_batch 0);
-  invalid (K.Set_max_batch 1025);
-  valid (K.Set_batch_delay_us 0);
-  valid (K.Set_batch_delay_us 1_000_000);
-  invalid (K.Set_batch_delay_us (-1));
-  invalid (K.Set_batch_delay_us 1_000_001);
   valid (K.Set_routing K.Shortest);
   valid (K.Set_routing K.Flooding);
   valid (K.Set_routing (K.Kdisjoint 2));
   valid (K.Set_routing (K.Kdisjoint 8));
   invalid (K.Set_routing (K.Kdisjoint 1));
   invalid (K.Set_routing (K.Kdisjoint 9));
-  valid (K.Set_recovery_period_us 100_000);
-  invalid (K.Set_recovery_period_us 99_999);
   valid (K.Set_tat_threshold_us K.min_tat_threshold_us);
   valid (K.Set_tat_threshold_us 60_000_000);
   invalid (K.Set_tat_threshold_us (K.min_tat_threshold_us - 1));
@@ -50,7 +40,7 @@ let test_no_actuator_rejects () =
   (* A valid request with no installed actuator must be rejected (and
      journalled), never silently dropped. *)
   Alcotest.(check bool) "rejected" false
-    (ok (K.request k ~now_us:0 ~source:"test" (K.Set_max_batch 4)));
+    (ok (K.request k ~now_us:0 ~source:"test" (K.Set_routing K.Flooding)));
   Alcotest.(check int) "rejected counted" 1 (K.total_rejected k);
   Alcotest.(check int) "nothing applied" 0 (K.total_applied k);
   Alcotest.(check int) "one journal line" 1 (List.length (K.journal k));
@@ -63,14 +53,11 @@ let test_counters_journal_reconcile () =
     | K.Set_tat_threshold_us _ -> Error "refused by deployment"
     | _ -> Ok ());
   let fire now_us r = ignore (K.request k ~now_us ~source:"test" r) in
-  fire 10 (K.Set_max_batch 8);
-  fire 20 (K.Set_max_batch 0) (* validation failure *);
+  fire 10 (K.Set_tat_violations 2);
+  fire 20 (K.Set_routing (K.Kdisjoint 0)) (* validation failure *);
   fire 30 (K.Set_routing K.Flooding);
   fire 40 (K.Set_tat_threshold_us 50_000) (* actuator failure *);
   fire 50 K.Demote_leader;
-  Alcotest.(check int) "max_batch applied" 1 (K.applied_count k K.Max_batch);
-  Alcotest.(check int) "routing applied" 1 (K.applied_count k K.Routing);
-  Alcotest.(check int) "demotion applied" 1 (K.applied_count k K.Demotion);
   Alcotest.(check int) "total applied" 3 (K.total_applied k);
   Alcotest.(check int) "total rejected" 2 (K.total_rejected k);
   Alcotest.(check int) "journal complete" 5 (List.length (K.journal k));
@@ -201,32 +188,6 @@ let test_system_routing_hot_swap () =
   Alcotest.(check bool) "journal reconciles" true
     (K.reconcile (Sys_.knobs sys))
 
-let test_system_batch_knobs_guarded () =
-  let sys = Sys_.create (short_config ()) in
-  Sys_.start sys;
-  let k = Sys_.knobs sys in
-  let outcomes = ref [] in
-  ignore
-    (Sim.Engine.schedule_at (Sys_.engine sys) ~time_us:1_000_000 (fun () ->
-         let fire r =
-           outcomes := ok (K.request k ~now_us:1_000_000 ~source:"test" r)
-                       :: !outcomes
-         in
-         (* Deadline knob before batching is on: deployment rejects it. *)
-         fire (K.Set_batch_delay_us 5_000);
-         fire (K.Set_max_batch 8);
-         fire (K.Set_batch_delay_us 5_000)));
-  Sys_.run sys ~duration_us:3_000_000;
-  Sys_.assert_agreement sys;
-  Alcotest.(check (list bool)) "guarded then applied" [ false; true; true ]
-    (List.rev !outcomes);
-  Alcotest.(check int) "batch_delay applied" 1 (K.applied_count k K.Batch_delay);
-  Alcotest.(check int) "batch_delay rejected" 1 (K.total_rejected k);
-  Alcotest.(check int) "max_batch applied" 1 (K.applied_count k K.Max_batch);
-  Alcotest.(check bool) "traffic survived the swap" true
-    (Sys_.confirmed_updates sys > 100);
-  Alcotest.(check bool) "journal reconciles" true (K.reconcile k)
-
 let test_system_demote_leader_advances_view () =
   let sys = Sys_.create (short_config ()) in
   Sys_.start sys;
@@ -246,16 +207,9 @@ let test_system_demote_leader_advances_view () =
     (Sys_.confirmed_updates sys > 100)
 
 let test_system_deployment_guards () =
-  (* Recovery knob without proactive recovery enabled: actuator refuses;
-     the rejection is journalled like any other. *)
-  let sys = Sys_.create (short_config ()) in
-  Sys_.start sys;
-  let k = Sys_.knobs sys in
-  Alcotest.(check bool) "recovery knob refused" false
-    (ok (K.request k ~now_us:0 ~source:"test" (K.Set_recovery_period_us 200_000)));
-  Alcotest.(check int) "rejection journalled" 1 (K.total_rejected k);
-  (* TAT knobs and demotion on a PBFT deployment: refused (PBFT has no
-     TAT machinery and its leader keeps the role — the E4 contrast). *)
+  (* TAT knobs and demotion on a PBFT deployment: the actuator refuses
+     (PBFT has no TAT machinery and its leader keeps the role — the E4
+     contrast), and each rejection is journalled like any other. *)
   let pbft =
     Sys_.create { (short_config ()) with Sys_.protocol = Sys_.Pbft_protocol }
   in
@@ -271,8 +225,9 @@ let test_system_deployment_guards () =
   Alcotest.(check bool) "journal reconciles" true (K.reconcile kp)
 
 let test_controller_off_plane_inert () =
-  (* adaptive = false (the default): the plane exists for operator use
-     but nothing touches it — the journal stays empty. *)
+  (* adaptive = false (the default): only the controller and tests
+     issue requests, so nothing touches the plane — the journal stays
+     empty. *)
   let sys = Sys_.create (short_config ()) in
   Sys_.start sys;
   Sys_.run sys ~duration_us:2_000_000;
@@ -332,8 +287,6 @@ let () =
         [
           Alcotest.test_case "routing hot-swap mid-run" `Quick
             test_system_routing_hot_swap;
-          Alcotest.test_case "batch knobs guarded and applied" `Quick
-            test_system_batch_knobs_guarded;
           Alcotest.test_case "demotion rotates the leader" `Quick
             test_system_demote_leader_advances_view;
           Alcotest.test_case "deployment guards journalled" `Quick

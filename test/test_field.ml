@@ -480,6 +480,10 @@ let test_system_rejects_garbage_fields () =
         fun c -> { c with Spire.System.poll_interval_us = -100_000 } );
       ( "resubmit_timeout_us <= 0",
         fun c -> { c with Spire.System.resubmit_timeout_us = 0 } );
+      ( "diversity_variants < 1",
+        fun c -> { c with Spire.System.diversity_variants = 0 } );
+      ( "diversity_variants < 1",
+        fun c -> { c with Spire.System.diversity_variants = -3 } );
       ("max_batch < 1", fun c -> { c with Spire.System.max_batch = 0 });
       ("max_batch < 1", fun c -> { c with Spire.System.max_batch = -4 });
       ("batch_delay_us < 0", fun c -> { c with Spire.System.batch_delay_us = -1 });

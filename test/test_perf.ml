@@ -157,11 +157,8 @@ let test_batched_phase_reconciliation () =
     "batch-wait is non-zero for deadline-flushed batches" true
     (!batch_waits > 0)
 
-(* Two more pinned trajectories: the batch path with a live policy
-   swap, and the PBFT baseline. The first runs E8's shape at max_batch
-   16 and shrinks the policy to 2 through the knob plane half-way, so
-   buffered generations drain on the swap; the second runs the E4
-   leader attack under PBFT, which no other golden covers. *)
+(* One more pinned trajectory: the E4 leader attack under the PBFT
+   baseline, which no other golden covers. *)
 let snapshot_of sys (r : Spire.Scenarios.latency_result) =
   {
     confirmed = r.Spire.Scenarios.confirmed;
@@ -175,53 +172,6 @@ let check_snapshot expected s =
   Alcotest.(check int) "max view" expected.max_view s.max_view;
   Alcotest.(check int) "events processed" expected.events s.events;
   Alcotest.check ledger_testable "per-kind wire ledger" expected.ledger s.ledger
-
-let golden_batch_swap =
-  {
-    confirmed = 15_620;
-    max_view = 0;
-    events = 439_310;
-    ledger =
-      [
-        ("replica_reply", 34512, 6143136);
-        ("prime/po_batch", 22810, 5610840);
-        ("replica_reply_batch", 15177, 4442829);
-        ("client_batch", 4800, 2170320);
-        ("prime/po_aru", 5470, 393840);
-        ("prime/checkpoint", 3650, 211700);
-        ("prime/po_request", 1920, 205440);
-        ("prime/prepare", 2945, 182590);
-        ("prime/commit", 2940, 182280);
-        ("prime/preprepare", 495, 104940);
-      ];
-  }
-
-let test_batch_swap_golden () =
-  let cfg =
-    {
-      (Spire.System.default_config ()) with
-      Spire.System.substations = 16;
-      poll_interval_us = 1_000;
-      max_batch = 16;
-    }
-  in
-  let sys = Spire.System.create cfg in
-  ignore
-    (Sim.Engine.schedule_at (Spire.System.engine sys) ~time_us:500_000
-       (fun () ->
-         match
-           Control.Knobs.request (Spire.System.knobs sys) ~now_us:500_000
-             ~source:"test" (Control.Knobs.Set_max_batch 2)
-         with
-         | Ok () -> ()
-         | Error e -> Alcotest.failf "Set_max_batch 2 refused: %s" e)
-      : Sim.Engine.timer);
-  Spire.System.start sys;
-  let duration_us = 1_000_000 in
-  Spire.System.run sys ~duration_us;
-  Spire.System.assert_agreement sys;
-  check_snapshot golden_batch_swap
-    (snapshot_of sys (Spire.Scenarios.result_of sys ~duration_us))
 
 let golden_pbft_attack =
   {
@@ -555,7 +505,6 @@ let () =
           Alcotest.test_case "reconfig-join state-transfer golden" `Slow
             test_reconfig_join_transfer_golden;
           Alcotest.test_case "E12 10k fleet golden" `Slow test_fleet_golden;
-          Alcotest.test_case "batch swap golden" `Slow test_batch_swap_golden;
           Alcotest.test_case "PBFT leader-attack golden" `Slow
             test_pbft_attack_golden;
         ] );

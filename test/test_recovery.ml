@@ -105,18 +105,6 @@ let test_scheduler_trigger_now () =
   Sim.Engine.run engine ~until_us:600_000;
   Alcotest.(check bool) "completed" true (not (S.is_recovering sched 3))
 
-let test_scheduler_stop () =
-  let engine = Sim.Engine.create () in
-  let events = ref [] in
-  let sched = make_sched engine events in
-  S.start sched;
-  Sim.Engine.run engine ~until_us:1_100_000;
-  let after_first = S.recoveries_started sched in
-  S.stop sched;
-  Sim.Engine.run engine ~until_us:20_000_000;
-  Alcotest.(check int) "no recoveries after stop" after_first
-    (S.recoveries_started sched)
-
 (* ------------------------------------------------------------------ *)
 (* State transfer *)
 
@@ -330,7 +318,6 @@ let () =
           Alcotest.test_case "concurrency cap" `Quick
             test_scheduler_respects_concurrency_cap;
           Alcotest.test_case "reactive trigger" `Quick test_scheduler_trigger_now;
-          Alcotest.test_case "stop" `Quick test_scheduler_stop;
         ] );
       ( "state_transfer",
         [

@@ -137,18 +137,14 @@ let test_system_fault_free_end_to_end () =
   Alcotest.(check int) "master knows all RTUs" 4
     (List.length (Scada.Master.known_rtus (Sys_.master sys 0)))
 
-(* HMIs batch like proxies: once the knob plane turns batching on, a
-   burst of operator commands fills one generation and ships as a single
-   Client_batch frame. No proxies run, so every client frame is the
-   HMI's. *)
+(* HMIs batch like proxies: with batching on, a burst of operator
+   commands fills one generation and ships as a single Client_batch
+   frame. No proxies run, so every client frame is the HMI's. *)
 let test_system_hmi_burst_ships_one_batch () =
-  let sys = Sys_.create { (short_config ()) with Sys_.substations = 0 } in
-  (match
-     Control.Knobs.request (Sys_.knobs sys) ~now_us:0 ~source:"test"
-       (Control.Knobs.Set_max_batch 8)
-   with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "Set_max_batch 8 refused: %s" e);
+  let sys =
+    Sys_.create
+      { (short_config ()) with Sys_.substations = 0; max_batch = 8 }
+  in
   Sys_.start sys;
   ignore
     (Sim.Engine.schedule_at (Sys_.engine sys) ~time_us:500_000 (fun () ->
