@@ -1,8 +1,13 @@
 type t = { n : int; f : int; k : int }
 
+(* Quorum milestones count replica sets as bits 0..61 of one native
+   int. *)
+let max_n = 62
+
 let create ~n ~f ~k =
   if f < 0 || k < 0 then invalid_arg "Quorum.create: negative f or k";
   if n < 1 then invalid_arg "Quorum.create: n < 1";
+  if n > max_n then invalid_arg "Quorum.create: n > 62";
   if n < (3 * f) + (2 * k) + 1 then
     invalid_arg "Quorum.create: n < 3f + 2k + 1";
   { n; f; k }

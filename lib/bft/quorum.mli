@@ -14,8 +14,13 @@
 
 type t = private { n : int; f : int; k : int }
 
+(** [max_n] is 62: quorum milestones count replica sets as the bits of
+    one native int, so no deployment, standby replicas included, may
+    hold more replicas. *)
+val max_n : int
+
 (** [create ~n ~f ~k] validates [n >= 3f + 2k + 1] (and [f >= 0],
-    [k >= 0], [n >= 1]).
+    [k >= 0], [1 <= n <= max_n]).
     @raise Invalid_argument when the resilience bound is violated. *)
 val create : n:int -> f:int -> k:int -> t
 
@@ -23,7 +28,7 @@ val create : n:int -> f:int -> k:int -> t
     This is the one place the sizing rule is written: configuration
     planning ({!Spire.Config_calc}) and membership certificates
     ({!Member.Cert}) read [n] and the thresholds below off it.
-    @raise Invalid_argument if [f < 0] or [k < 0]. *)
+    @raise Invalid_argument if [f < 0], [k < 0] or [n > max_n]. *)
 val minimal : f:int -> k:int -> t
 
 (** [quorum_size t] is [2f + k + 1]. *)

@@ -5,11 +5,12 @@
     [(client, client_seq)]; the pair is unique and lets replicas
     deduplicate retransmissions and multi-path deliveries. *)
 
-type t = {
+type t = private {
   client : Types.client;
   client_seq : int;  (** per-client monotonically increasing *)
   operation : string;  (** opaque application payload (encoded SCADA op) *)
   submitted_us : int;  (** virtual time the client created the update *)
+  digest : Cryptosim.Digest.t;  (** {!digest}, computed by {!create} *)
 }
 
 (** [create ~client ~client_seq ~operation ~submitted_us]. *)
@@ -20,7 +21,8 @@ val create :
 val key : t -> Types.client * int
 
 (** [digest u] hashes the identity and payload (not the submission
-    time, so retransmissions hash identically). *)
+    time, so retransmissions hash identically): the digest of
+    ["update:%d:%d:%s"] over client, sequence and operation. *)
 val digest : t -> Cryptosim.Digest.t
 
 val equal : t -> t -> bool

@@ -585,6 +585,10 @@ let validate cfg =
   then fail "quorum does not fill four sites or survive losing one";
   if List.exists (fun s -> s < 0) cfg.standby_site_sizes then
     fail "standby_site_sizes has a negative entry";
+  if
+    List.fold_left ( + ) cfg.quorum.Bft.Quorum.n cfg.standby_site_sizes
+    > Bft.Quorum.max_n
+  then fail "more than 62 active plus standby replicas";
   if cfg.substations < 0 then fail "substations < 0";
   if cfg.hmis < 0 then fail "hmis < 0";
   if cfg.poll_interval_us <= 0 then fail "poll_interval_us <= 0";

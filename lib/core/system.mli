@@ -109,7 +109,9 @@ type t
     @raise Invalid_argument ["System.create: <field> …"] naming the
     field if the config is garbage: a [quorum] whose {!site_sizes}
     leave a site empty or fail {!Config_calc.tolerates_site_loss}, a
-    negative [standby_site_sizes] entry, [substations < 0], [hmis < 0],
+    negative [standby_site_sizes] entry, more than
+    {!Bft.Quorum.max_n} active plus standby replicas (telemetry counts
+    replica sets as the bits of one int), [substations < 0], [hmis < 0],
     [poll_interval_us <= 0], [resubmit_timeout_us <= 0],
     [diversity_variants < 1], [max_batch < 1], [batch_delay_us < 0], [field_concentrators < 0],
     [field_devices < field_concentrators] (with concentrators),

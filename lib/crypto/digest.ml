@@ -24,6 +24,7 @@ let offset_lo = 0x84222325
 type acc = { mutable hi : int; mutable lo : int }
 
 let start () = { hi = offset_hi; lo = offset_lo }
+let copy a = { hi = a.hi; lo = a.lo }
 
 (* [c] is one byte, 0..255. *)
 let[@inline] mix a c =
@@ -49,16 +50,33 @@ let add_string a s =
   a.hi <- !hi;
   a.lo <- !lo
 
-(* Decimal digits of [m <= 0], most significant first. Working on the
-   non-positive side covers [min_int], whose magnitude has no int. *)
-let rec add_digits a m =
-  if m <= -10 then add_digits a (m / 10);
-  mix a (48 - (m mod 10))
+(* ["00".."99"]: the two digits of [r] are bytes [2r] and [2r + 1]. *)
+let pairs =
+  String.init 200 (fun i ->
+      Char.chr (48 + if i land 1 = 0 then i / 20 else i / 2 mod 10))
 
-(* Exactly [k] digits of [m <= 0], zero-padded on the left. *)
+(* The two digits of [r], 0..99. *)
+let[@inline] mix_pair a r =
+  mix a (Char.code (String.unsafe_get pairs (2 * r)));
+  mix a (Char.code (String.unsafe_get pairs ((2 * r) + 1)))
+
+(* The one or two digits of [r], 0..99, unpadded. *)
+let[@inline] mix_short a r = if r < 10 then mix a (48 + r) else mix_pair a r
+
+(* Decimal digits of [m <= 0], most significant first, two per
+   division. Working on the non-positive side covers [min_int], whose
+   magnitude has no int. *)
+let rec add_digits a m =
+  if m > -100 then mix_short a (-m)
+  else begin
+    add_digits a (m / 100);
+    mix_pair a (-(m mod 100))
+  end
+
+(* Exactly [k] digits of [m <= 0], [k] even, zero-padded on the left. *)
 let rec add_padded a m k =
-  if k > 1 then add_padded a (m / 10) (k - 1);
-  mix a (48 - (m mod 10))
+  if k > 2 then add_padded a (m / 100) (k - 2);
+  mix_pair a (-(m mod 100))
 
 let add_int a n = if n < 0 then (mix a 45; add_digits a n) else add_digits a (-n)
 

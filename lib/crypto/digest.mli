@@ -26,6 +26,10 @@ type acc
 (** [start ()] is a fresh accumulator over the empty sequence. *)
 val start : unit -> acc
 
+(** [copy a] is a fresh accumulator over the sequence fed to [a] so
+    far: a common prefix is hashed once and resumed per tag. *)
+val copy : acc -> acc
+
 (** [add_byte a c] feeds one byte. *)
 val add_byte : acc -> char -> unit
 

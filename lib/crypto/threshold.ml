@@ -2,6 +2,8 @@ type group = {
   group_id : int64;
   members : Keyring.principal list;
   threshold : int;
+  share_prefix : Digest.acc; (* fed ["share:<group_id>:"]; only copied *)
+  combined_prefix : Digest.acc; (* fed ["combined:<group_id>:"]; only copied *)
 }
 
 type share = {
@@ -32,15 +34,26 @@ let create_group ~seed ~members ~threshold =
     members;
   Digest.add_byte a ':';
   Digest.add_int a threshold;
-  { group_id = Digest.to_int64 (Digest.finish a); members; threshold }
+  let group_id = Digest.to_int64 (Digest.finish a) in
+  let prefix tag =
+    let a = Digest.start () in
+    Digest.add_string a tag;
+    Digest.add_int64 a group_id;
+    Digest.add_byte a ':';
+    a
+  in
+  {
+    group_id;
+    members;
+    threshold;
+    share_prefix = prefix "share:";
+    combined_prefix = prefix "combined:";
+  }
 
-(* The digest of ["share:%Ld:%d:%Ld"] (group, member, digest), streamed:
-   signed and verified once per reply share. *)
+(* The digest of ["share:%Ld:%d:%Ld"] (group, member, digest), streamed
+   from the group's prefix: signed and verified once per reply share. *)
 let share_tag g member digest =
-  let a = Digest.start () in
-  Digest.add_string a "share:";
-  Digest.add_int64 a g.group_id;
-  Digest.add_byte a ':';
+  let a = Digest.copy g.share_prefix in
   Digest.add_int a member;
   Digest.add_byte a ':';
   Digest.add_int64 a (Digest.to_int64 digest);
@@ -61,12 +74,10 @@ let verify_share g ~digest s =
 let share_repr s = (s.member, s.share_digest, s.tag)
 let share_of_repr ~member ~digest ~tag = { member; share_digest = digest; tag }
 
-(* The digest of ["combined:%Ld:%Ld"] (group, digest), streamed. *)
+(* The digest of ["combined:%Ld:%Ld"] (group, digest), streamed from
+   the group's prefix. *)
 let combined_tag g digest =
-  let a = Digest.start () in
-  Digest.add_string a "combined:";
-  Digest.add_int64 a g.group_id;
-  Digest.add_byte a ':';
+  let a = Digest.copy g.combined_prefix in
   Digest.add_int64 a (Digest.to_int64 digest);
   Digest.finish a
 

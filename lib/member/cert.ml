@@ -47,8 +47,8 @@ let n t = List.length (members t)
 (* Spire sizing comes from [Bft.Quorum]: the minimal system for the
    epoch's f and k gives the replica floor and the thresholds.  An epoch
    may over-provision (n larger than the floor) but never
-   under-provision.  Only defined for f, k >= 0, which [validate]
-   checks first. *)
+   under-provision.  Only defined for f, k >= 0 with a floor of at most
+   [Bft.Quorum.max_n], which [validate] checks first. *)
 let sizing t = Bft.Quorum.minimal ~f:t.f ~k:t.k
 let quorum_size t = Bft.Quorum.quorum_size (sizing t)
 let reply_threshold t = Bft.Quorum.reply_threshold (sizing t)
@@ -70,16 +70,25 @@ let validate t =
     <> List.length t.sites
   then Error "duplicate site id"
   else if List.exists (fun m -> m < 0) ms then Error "negative member id"
-  else if nm < (sizing t).Bft.Quorum.n then
-    Error
-      (Printf.sprintf "n=%d below the resilience floor %d" nm
-         (sizing t).Bft.Quorum.n)
-  else if not (List.exists (fun s -> s.role = Active_cc) t.sites) then
-    Error "no active control center"
-  else if
-    List.length (List.filter (fun s -> s.role = Active_cc) t.sites) > 1
-  then Error "multiple active control centers"
-  else Ok ()
+  else if nm > Bft.Quorum.max_n then
+    Error (Printf.sprintf "n=%d above %d replicas" nm Bft.Quorum.max_n)
+  else
+    match sizing t with
+    | exception Invalid_argument _ ->
+      Error
+        (Printf.sprintf "f=%d k=%d need more than %d replicas" t.f t.k
+           Bft.Quorum.max_n)
+    | floor when nm < floor.Bft.Quorum.n ->
+      Error
+        (Printf.sprintf "n=%d below the resilience floor %d" nm
+           floor.Bft.Quorum.n)
+    | _ ->
+      if not (List.exists (fun s -> s.role = Active_cc) t.sites) then
+        Error "no active control center"
+      else if
+        List.length (List.filter (fun s -> s.role = Active_cc) t.sites) > 1
+      then Error "multiple active control centers"
+      else Ok ()
 
 (* Canonical serialization feeding the chain digest.  Signers are part
    of the digested content so a transition cannot be re-attributed. *)

@@ -7,31 +7,37 @@
 
    The queue is one hierarchical timing wheel (Varghese & Lauck, SOSP
    1987): 4 levels of 64 slots, 1 us / 64 us / 4.1 ms / 262 ms wide, over
-   the 2^24 us block holding the clock. Each slot is a FIFO threaded
-   through the timers' [link] field. The wheel's cursor is the clock,
-   which is <= every wheel entry's time: an entry at time T sits at the
-   lowest level whose higher digits T shares with the clock, and when
-   the clock enters a new block the block's slot is cascaded one or more
-   levels down. Slots only ever append, so each holds its entries in
-   scheduling order, and the head of a level-0 slot is the earliest
-   [(time, seq)] entry of its microsecond: popping level 0 FIFO is the
-   binary heap's order exactly.
+   the 2^24 us block holding the wheel's cursor. Each slot is a FIFO
+   threaded through the timers' [link] field. The cursor is the wheel's
+   position, kept apart from the clock: it is >= the clock and <= every
+   wheel entry's time. An entry at time T sits at the lowest level whose
+   higher digits T shares with the cursor. When level 0 is empty, the
+   cursor moves to the start of the lowest level's first occupied slot
+   and that slot is cascaded one or more levels down, with no search for
+   its minimum; this repeats until level 0 holds an entry. Slots only
+   ever append, and a cascade only fills slots that are empty, so each
+   slot holds its entries in scheduling order and the head of a level-0
+   slot is the earliest [(time, seq)] entry of its microsecond: popping
+   level 0 FIFO is the binary heap's order exactly.
 
-   Entries outside the clock's 2^24 us block, and periodic re-arms that
-   land behind a clock moved by a nested [run], go to [far], a binary
-   heap keyed by time and scheduling order. Each of those was scheduled
-   before any wheel entry at the same time (far ones in an earlier
-   block, late ones behind the clock), so the heap wins ties.
+   Entries outside the cursor's 2^24 us block, and entries below the
+   cursor (periodic re-arms behind a clock moved by a nested [run], or
+   timers scheduled after a peek left the cursor ahead of the clock; a
+   [run] cascades no slot that starts past its horizon), go to [far], a binary heap keyed by time and scheduling
+   order. Each of those was scheduled before any wheel entry at the same
+   time (far ones in an earlier block; below the cursor there is no
+   wheel entry), so the heap wins ties.
 
    A timer's shard tag is attribution only: it picks the per-shard
    executed and queued counters, never where or when the timer fires. *)
 
 type t = {
   mutable clock_us : int;
+  mutable cursor_us : int; (* >= clock, <= every wheel entry's time *)
   heads : timer array; (* level * 64 + slot; [nil] when the slot is empty *)
   tails : timer array;
   occupied : int array; (* level * 2 + half: 32-bit slot-occupancy words *)
-  far : timer Event_heap.t; (* beyond the wheel's block, or behind the clock *)
+  far : timer Event_heap.t; (* beyond the wheel's block, or below the cursor *)
   root_rng : Rng.t;
   mutable processed : int;
   processed_by : int array; (* per-shard executed-event counters *)
@@ -72,6 +78,7 @@ let rec nil =
 and nil_engine =
   {
     clock_us = 0;
+    cursor_us = 0;
     heads = [||];
     tails = [||];
     occupied = [||];
@@ -88,7 +95,7 @@ and nil_engine =
 let levels = 4
 let slot_bits = 6
 
-(* Times sharing every digit above this many bits with the clock are
+(* Times sharing every digit above this many bits with the cursor are
    on the wheel. *)
 let span_bits = levels * slot_bits
 
@@ -96,6 +103,7 @@ let create ?(seed = 0xC0FFEEL) ?(shards = 1) () =
   if shards < 1 then invalid_arg "Engine.create: shards < 1";
   {
     clock_us = 0;
+    cursor_us = 0;
     heads = Array.make (levels lsl slot_bits) nil;
     tails = Array.make (levels lsl slot_bits) nil;
     occupied = Array.make (2 * levels) 0;
@@ -173,20 +181,20 @@ let[@inline] pop_slot t i =
   end;
   tm
 
-(* The level of a wheel time whose bits differ from the clock's in [x]
-   ([x = time lxor clock < 2^24]): the highest differing digit. *)
+(* The level of a wheel time whose bits differ from the cursor's in [x]
+   ([x = time lxor cursor < 2^24]): the highest differing digit. *)
 let[@inline] level_of x =
   if x < 64 then 0 else if x < 4096 then 1 else if x < 262_144 then 2 else 3
 
 let[@inline] slot_index level time =
   (level lsl slot_bits) lor ((time lsr (slot_bits * level)) land 63)
 
-(* Slot of a wheel time [time] (>= clock, in the clock's block). *)
-let[@inline] slot_of t time = slot_index (level_of (time lxor t.clock_us)) time
+(* Slot of a wheel time [time] (>= cursor, in the cursor's block). *)
+let[@inline] slot_of t time = slot_index (level_of (time lxor t.cursor_us)) time
 
 let enqueue t tm =
   let time = tm.next_at in
-  if time < t.clock_us || (time lxor t.clock_us) lsr span_bits <> 0 then
+  if time < t.cursor_us || (time lxor t.cursor_us) lsr span_bits <> 0 then
     Event_heap.push t.far ~time tm
   else append t (slot_of t time) tm;
   let s = tm.shard in
@@ -195,24 +203,27 @@ let enqueue t tm =
   if n > t.hi_water_by.(s) then t.hi_water_by.(s) <- n;
   t.queued <- t.queued + 1
 
-(* Move the clock forward to [time], no wheel entry lying before it.
+(* Re-file slot [i]'s entries against the cursor, keeping their order.
+   Every slot they land in is below [i]'s level and empty. *)
+let refile t i =
+  let e = ref (detach t i) in
+  while !e != nil do
+    let tm = !e in
+    e := tm.link;
+    tm.link <- nil;
+    append t (slot_of t tm.next_at) tm
+  done
+
+(* Move the cursor forward to [time], no wheel entry lying before it.
    Only the slot of the highest digit that changed can hold entries
    (every lower slot covered times now past), so that one slot is
-   re-filed against the new clock, keeping its order. *)
+   re-filed. *)
 let advance t time =
-  let x = time lxor t.clock_us in
-  t.clock_us <- time;
+  let x = time lxor t.cursor_us in
+  t.cursor_us <- time;
   if x >= 64 && x lsr span_bits = 0 then begin
     let i = slot_index (level_of x) time in
-    if t.heads.(i) != nil then begin
-      let e = ref (detach t i) in
-      while !e != nil do
-        let tm = !e in
-        e := tm.link;
-        tm.link <- nil;
-        append t (slot_of t tm.next_at) tm
-      done
-    end
+    if t.heads.(i) != nil then refile t i
   end
 
 (* ------------------------------------------------------------------ *)
@@ -300,34 +311,44 @@ let cancel timer =
     end
   end
 
-(* The wheel's earliest entry outside level 0, or [nil]: the lowest
-   occupied level's first occupied slot holds it, and the first entry
-   with that slot's minimum time is the one of lowest seq. *)
-let higher_min t =
-  let level = ref 1 in
-  while !level < levels && not (level_occupied t !level) do
-    incr level
-  done;
-  if !level = levels then nil
-  else begin
-    let best = ref t.heads.(first_slot t !level) in
-    let e = ref !best.link in
-    while !e != nil do
-      if !e.next_at < !best.next_at then best := !e;
-      e := !e.link
-    done;
-    !best
-  end
+(* The far heap holds an entry at or before [time]. *)
+let[@inline] far_due t time =
+  (not (Event_heap.is_empty t.far)) && Event_heap.min_time t.far <= time
 
-(* The earliest queued entry, cancelled or not, or [nil]. *)
-let next_entry t =
-  let w =
-    if level_occupied t 0 then t.heads.(first_slot t 0) else higher_min t
-  in
-  if Event_heap.is_empty t.far then w
-  else if w == nil || Event_heap.min_time t.far <= w.next_at then
-    Event_heap.min_event t.far
-  else w
+(* The earliest queued entry, cancelled or not, or [nil] when none is
+   due by [horizon]. While level 0 is empty, the lowest occupied level's
+   first occupied slot holds the wheel's earliest entries, all at or
+   after the slot's start: unless the far heap is due by then, or the
+   start lies past [horizon], the cursor moves to that start and the
+   slot cascades down, without a search for its minimum. *)
+let rec next_entry t ~horizon =
+  if level_occupied t 0 then begin
+    let w = t.heads.(first_slot t 0) in
+    if far_due t w.next_at then Event_heap.min_event t.far else w
+  end
+  else begin
+    let level = ref 1 in
+    while !level < levels && not (level_occupied t !level) do
+      incr level
+    done;
+    if !level = levels then
+      if Event_heap.is_empty t.far then nil else Event_heap.min_event t.far
+    else begin
+      let i = first_slot t !level in
+      let shift = slot_bits * !level in
+      let start =
+        ((t.cursor_us lsr (shift + slot_bits)) lsl (shift + slot_bits))
+        lor ((i land 63) lsl shift)
+      in
+      if far_due t start then Event_heap.min_event t.far
+      else if start > horizon then nil
+      else begin
+        t.cursor_us <- start;
+        refile t i;
+        next_entry t ~horizon
+      end
+    end
+  end
 
 (* Dequeue and execute [tm], the entry [next_entry] just returned. *)
 let take t tm =
@@ -335,7 +356,8 @@ let take t tm =
   let from_far =
     (not (Event_heap.is_empty t.far)) && Event_heap.min_event t.far == tm
   in
-  if time > t.clock_us then advance t time;
+  if time > t.cursor_us then advance t time;
+  if time > t.clock_us then t.clock_us <- time;
   ignore
     (if from_far then Event_heap.pop_min t.far else pop_slot t (time land 63)
       : timer);
@@ -366,19 +388,27 @@ let take t tm =
   end
 
 let step t =
-  let tm = next_entry t in
+  let tm = next_entry t ~horizon:max_int in
   if tm == nil then false
   else begin
     take t tm;
     true
   end
 
-let finish t ~until_us = if until_us > t.clock_us then advance t until_us
+(* Move the clock to the horizon [until_us], no entry being due by it;
+   the cursor follows when it is behind. *)
+let finish t ~until_us =
+  if until_us > t.clock_us then begin
+    t.clock_us <- until_us;
+    if until_us > t.cursor_us then advance t until_us
+  end
 
+(* The cascade stops at [until_us], so the cursor ends on the clock and
+   later schedules stay on the wheel. *)
 let run t ~until_us =
   let continue = ref true in
   while !continue do
-    let tm = next_entry t in
+    let tm = next_entry t ~horizon:until_us in
     if tm != nil && tm.next_at <= until_us then take t tm
     else continue := false
   done;
@@ -405,11 +435,11 @@ let heap_hi_water t shard =
 
 module Window = struct
   let peek_next t =
-    let tm = next_entry t in
+    let tm = next_entry t ~horizon:max_int in
     if tm == nil then None else Some (tm.shard, tm.next_at)
 
   let finish_run t ~until_us =
-    let tm = next_entry t in
+    let tm = next_entry t ~horizon:until_us in
     if tm != nil && tm.next_at <= until_us then
       invalid_arg "Engine.Window.finish_run: an event is due before the horizon";
     finish t ~until_us

@@ -7,10 +7,14 @@
 
     {b One queue.} Every timer lives in one hierarchical timing wheel
     (4 levels of 64 slots, 1 us to 262 ms wide, spanning the 2^24 us
-    block that holds the clock), with a binary heap for timers beyond
-    that block and for periodic re-arms left behind the clock by a
-    nested {!run}. Scheduling and popping are O(1) on the wheel, and
-    the executed stream is the [(time, scheduling order)] order.
+    block that holds the wheel's cursor), with a binary heap for timers
+    beyond that block and for timers below the cursor. The cursor is
+    the wheel's position, at or after the clock: when the lowest level
+    is empty it moves to the next occupied slot and cascades that slot
+    down, so it can run ahead of the clock after {!Window.peek_next}
+    ({!run} cascades no slot past its horizon). Scheduling and
+    popping are O(1) on the wheel, and the executed stream is the
+    [(time, scheduling order)] order.
 
     {b Sharding.} A timer may be tagged with an ownership shard (see
     {!Shard}). The tag is attribution only: it records {e which site's

@@ -140,10 +140,13 @@ let update_at_origin t ~trace ~now =
     if p.origin < 0 then p.origin <- now
   end
 
+(* Replica [r] is bit [r] of a native int, so 0..61 each have one.
+   The ids are global, active plus standby replicas; [System.create]
+   keeps their total within 62. *)
 let distinct_bit mask replica =
-  (* Replicas beyond the int bit width (never reached by simulated
-     deployments) share the top bit: counted once, not per replica. *)
-  let bit = 1 lsl min replica (Sys.int_size - 2) in
+  if replica > Sys.int_size - 2 then
+    invalid_arg "Telemetry.Sink: replica index above 61";
+  let bit = 1 lsl replica in
   if mask land bit = 0 then Some (mask lor bit) else None
 
 let update_body t ~trace ~replica ~now =

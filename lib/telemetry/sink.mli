@@ -56,7 +56,9 @@ val update_at_origin : t -> trace:int -> now:int -> unit
 
 (** [update_body]: a replica stored the pre-ordered body (Prime
     po_request / PBFT pre-prepare payload). The order-quorum-th
-    distinct replica sets the orderable milestone. *)
+    distinct replica sets the orderable milestone.
+    @raise Invalid_argument if [replica > 61] on an enabled sink:
+    replica sets are bits of one native int. *)
 val update_body : t -> trace:int -> replica:int -> now:int -> unit
 
 (** Explicit orderable milestone (PBFT leader takes the update up for
@@ -64,6 +66,9 @@ val update_body : t -> trace:int -> replica:int -> now:int -> unit
     wins. *)
 val update_orderable : t -> trace:int -> now:int -> unit
 
+(** [update_executed]: a replica executed the update. The
+    reply-quorum-th distinct replica sets the execution milestone.
+    @raise Invalid_argument if [replica > 61] on an enabled sink. *)
 val update_executed : t -> trace:int -> replica:int -> now:int -> unit
 
 (** Reply send by the reply-quorum-th executor [r*]; other replicas'

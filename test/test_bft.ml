@@ -17,6 +17,17 @@ let test_quorum_rejects_undersized () =
     (Invalid_argument "Quorum.create: n < 3f + 2k + 1") (fun () ->
       ignore (Q.create ~n:5 ~f:1 ~k:1))
 
+(* Replica sets are counted in one native int (Telemetry.Sink), whose
+   bits cover replicas 0..61. *)
+let test_quorum_rejects_oversized () =
+  ignore (Q.create ~n:62 ~f:1 ~k:1 : Q.t);
+  Alcotest.check_raises "n above 62"
+    (Invalid_argument "Quorum.create: n > 62") (fun () ->
+      ignore (Q.create ~n:63 ~f:1 ~k:1));
+  Alcotest.check_raises "minimal above 62"
+    (Invalid_argument "Quorum.create: n > 62") (fun () ->
+      ignore (Q.minimal ~f:21 ~k:0))
+
 let test_quorum_classic_pbft () =
   (* k = 0 degenerates to the classic 3f+1 bound. *)
   let q = Q.minimal ~f:1 ~k:0 in
@@ -69,8 +80,7 @@ let test_update_digest_distinguishes_content () =
 (* The pre-streaming formulation, kept as the oracle. *)
 let old_update_digest u =
   Cryptosim.Digest.of_string
-    ("update:" ^ string_of_int u.U.client ^ ":" ^ string_of_int u.U.client_seq
-   ^ ":" ^ u.U.operation)
+    (Printf.sprintf "update:%d:%d:%s" u.U.client u.U.client_seq u.U.operation)
 
 let prop_update_digest_matches_string =
   QCheck.Test.make ~count:1_000 ~name:"digest = digest of its string"
@@ -83,19 +93,41 @@ let prop_update_digest_matches_string =
       let u = U.create ~client ~client_seq ~operation ~submitted_us:0 in
       Cryptosim.Digest.equal (U.digest u) (old_update_digest u))
 
+(* The stored digest is recomputed by the decoder's [create], so it
+   survives the wire whatever the update's fields. *)
+let prop_update_digest_survives_codec =
+  QCheck.Test.make ~count:500 ~name:"digest survives a Wire.Codec round trip"
+    QCheck.(
+      quad (int_bound 0xffff) (int_bound 0xffff_ffff) string
+        (int_bound 1_000_000_000))
+    (fun (client, client_seq, operation, submitted_us) ->
+      let u = U.create ~client ~client_seq ~operation ~submitted_us in
+      match Wire.Codec.decode_update (Wire.Codec.encode_update u) with
+      | Ok u' ->
+        U.equal u u'
+        && Cryptosim.Digest.equal (U.digest u') (U.digest u)
+        && Cryptosim.Digest.equal (U.digest u') (old_update_digest u)
+      | Error _ -> false)
+
 let test_update_digest_allocation () =
-  let u =
-    U.create ~client:4_000_017 ~client_seq:123_456 ~operation:"open breaker 3"
-      ~submitted_us:0
-  in
+  let operation = "open breaker 3" in
   let calls = 10_000 in
+  let w0 = Gc.minor_words () in
+  for i = 1 to calls do
+    ignore
+      (Sys.opaque_identity
+         (U.create ~client:4_000_017 ~client_seq:i ~operation ~submitted_us:0))
+  done;
+  let created = (Gc.minor_words () -. w0) /. float_of_int calls in
+  (* The record, one accumulator and one boxed digest: 13 words. *)
+  if created > 13. then Alcotest.failf "Update.create allocates %.1f words" created;
+  let u = U.create ~client:4_000_017 ~client_seq:1 ~operation ~submitted_us:0 in
   let w0 = Gc.minor_words () in
   for _ = 1 to calls do
     ignore (Sys.opaque_identity (U.digest u))
   done;
-  let words = (Gc.minor_words () -. w0) /. float_of_int calls in
-  (* One accumulator and one boxed digest: 6 words. *)
-  if words > 8. then Alcotest.failf "Update.digest allocates %.1f words" words
+  let read = (Gc.minor_words () -. w0) /. float_of_int calls in
+  if read > 0. then Alcotest.failf "Update.digest allocates %.1f words" read
 
 (* ------------------------------------------------------------------ *)
 (* Exec log *)
@@ -400,6 +432,8 @@ let () =
           Alcotest.test_case "minimal" `Quick test_quorum_minimal;
           Alcotest.test_case "undersized rejected" `Quick
             test_quorum_rejects_undersized;
+          Alcotest.test_case "oversized rejected" `Quick
+            test_quorum_rejects_oversized;
           Alcotest.test_case "classic pbft bound" `Quick test_quorum_classic_pbft;
           Alcotest.test_case "tolerates" `Quick test_quorum_tolerates;
           Alcotest.test_case "leader rotation" `Quick test_leader_rotation;
@@ -413,6 +447,7 @@ let () =
           Alcotest.test_case "digest binds content" `Quick
             test_update_digest_distinguishes_content;
           QCheck_alcotest.to_alcotest prop_update_digest_matches_string;
+          QCheck_alcotest.to_alcotest prop_update_digest_survives_codec;
           Alcotest.test_case "digest allocation" `Quick
             test_update_digest_allocation;
         ] );

@@ -174,13 +174,27 @@ let prop_digest_combine_matches_reference =
 (* ------------------------------------------------------------------ *)
 (* Streaming accumulator and the tags built on it *)
 
-let int_specials = [ min_int; max_int; 0; 9; -9; 10; -10; 1; -1; 99; -100 ]
+let e18 = 1_000_000_000_000_000_000
+
+(* Every power of ten and its predecessor, both signs: each digit count
+   and each carry into one more digit. *)
+let int_specials =
+  let rec powers p acc =
+    let acc = p :: (p - 1) :: acc in
+    if p = e18 then acc else powers (p * 10) acc
+  in
+  min_int :: max_int :: List.concat_map (fun n -> [ n; -n ]) (powers 1 [])
 
 let int64_specials =
   let e18 = 1_000_000_000_000_000_000L in
   [
-    Int64.min_int; Int64.max_int; 0L; 9L; -9L; 10L; -10L; e18; Int64.neg e18;
+    Int64.min_int; Int64.max_int; 0L; 1L; -1L; 9L; -9L; 10L; -10L; 99L; -99L;
+    100L; -100L; e18; Int64.neg e18;
     Int64.pred e18; Int64.succ e18; Int64.neg (Int64.succ e18);
+    (* Above 10^18 the last 18 digits are zero-padded: all nines, nine
+       leading zeros, and nine trailing zeros. *)
+    Int64.pred (Int64.mul 2L e18); Int64.neg (Int64.pred (Int64.mul 2L e18));
+    Int64.add e18 999_999_999L; Int64.sub (Int64.mul 2L e18) 1_000_000_000L;
     Int64.of_int min_int; Int64.of_int max_int;
   ]
 
@@ -192,11 +206,47 @@ let streamed prefix add v =
   add a v;
   D.finish a
 
+(* The per-digit emitter [add_int] and [add_int64] replaced, kept as
+   the reference: one byte per recursive call, most significant first,
+   on the non-positive side so [min_int] has a magnitude. *)
+let rec reference_digits buf m =
+  if m <= -10 then reference_digits buf (m / 10);
+  Buffer.add_char buf (Char.chr (48 - (m mod 10)))
+
+let rec reference_padded buf m k =
+  if k > 1 then reference_padded buf (m / 10) (k - 1);
+  Buffer.add_char buf (Char.chr (48 - (m mod 10)))
+
+let reference_int n =
+  let buf = Buffer.create 20 in
+  if n < 0 then Buffer.add_char buf '-';
+  reference_digits buf (if n < 0 then n else -n);
+  Buffer.contents buf
+
+let reference_int64 v =
+  let e18 = Int64.of_int e18 in
+  let hi = Int64.to_int (Int64.div v e18) and lo = Int64.to_int (Int64.rem v e18) in
+  let buf = Buffer.create 20 in
+  if hi < 0 || lo < 0 then Buffer.add_char buf '-';
+  let hi = if hi > 0 then -hi else hi and lo = if lo > 0 then -lo else lo in
+  if hi = 0 then reference_digits buf lo
+  else begin
+    reference_digits buf hi;
+    reference_padded buf lo 18
+  end;
+  Buffer.contents buf
+
+(* The reference emits the bytes of [string_of_int] ([Int64.to_string]),
+   and the accumulator hashes exactly the reference's bytes. *)
 let add_int_matches n =
-  D.equal (streamed "k:" D.add_int n) (D.of_string ("k:" ^ string_of_int n))
+  let bytes = reference_int n in
+  String.equal bytes (string_of_int n)
+  && D.equal (streamed "k:" D.add_int n) (D.of_string ("k:" ^ bytes))
 
 let add_int64_matches v =
-  D.equal (streamed "k:" D.add_int64 v) (D.of_string ("k:" ^ Int64.to_string v))
+  let bytes = reference_int64 v in
+  String.equal bytes (Int64.to_string v)
+  && D.equal (streamed "k:" D.add_int64 v) (D.of_string ("k:" ^ bytes))
 
 let test_stream_specials () =
   List.iter
@@ -216,7 +266,10 @@ let test_stream_specials () =
 
 let prop_add_int_is_string_of_int =
   QCheck.Test.make ~count:2_000 ~name:"add_int = bytes of string_of_int"
-    QCheck.(oneof [ int; oneofl int_specials; int_range (-1000) 1000 ])
+    QCheck.(
+      oneof
+        [ int; oneofl int_specials; int_range (-1000) 1000;
+          int_range (-10_000_000) 10_000_000 ])
     add_int_matches
 
 let prop_add_int64_is_to_string =
@@ -246,12 +299,10 @@ let old_group_id seed members threshold =
           threshold))
 
 let old_share_tag gid member d =
-  D.of_string
-    ("share:" ^ Int64.to_string gid ^ ":" ^ string_of_int member ^ ":"
-   ^ Int64.to_string (D.to_int64 d))
+  D.of_string (Printf.sprintf "share:%Ld:%d:%Ld" gid member (D.to_int64 d))
 
 let old_combined_tag gid d =
-  D.of_string ("combined:" ^ Int64.to_string gid ^ ":" ^ Int64.to_string (D.to_int64 d))
+  D.of_string (Printf.sprintf "combined:%Ld:%Ld" gid (D.to_int64 d))
 
 let prop_auth_tags_match_strings =
   QCheck.Test.make ~count:500 ~name:"keyring/auth tags = their strings"

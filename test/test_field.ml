@@ -475,6 +475,8 @@ let test_system_rejects_garbage_fields () =
       ("hmis < 0", fun c -> { c with Spire.System.hmis = -1 });
       ( "standby_site_sizes has a negative entry",
         fun c -> { c with Spire.System.standby_site_sizes = [ 2; -1 ] } );
+      ( "more than 62 active plus standby replicas",
+        fun c -> { c with Spire.System.standby_site_sizes = [ 50; 7 ] } );
       ("poll_interval_us <= 0", fun c -> { c with Spire.System.poll_interval_us = 0 });
       ( "poll_interval_us <= 0",
         fun c -> { c with Spire.System.poll_interval_us = -100_000 } );

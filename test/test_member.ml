@@ -163,6 +163,40 @@ let test_action_semantics () =
     Alcotest.(check int) "failover quorum" 3 (Cert.quorum_size c)
   | Error e -> Alcotest.failf "atomic failover rejected: %s" e
 
+(* The codec carries f and k up to 255, but quorum milestones count
+   replica sets as the bits of one int: a resilience floor above
+   [Bft.Quorum.max_n] replicas is an Error, never an exception. *)
+let test_oversized_resilience () =
+  let prev = flagship () in
+  let apply actions =
+    Reconfig.apply prev actions ~signers:(Cert.members prev) ~boundary_exec:5
+  in
+  List.iter
+    (fun (f, k, msg) ->
+      Alcotest.(check (result reject string))
+        (Printf.sprintf "f=%d k=%d" f k) (Error msg)
+        (apply [ Reconfig.Set_resilience { f; k } ]))
+    [
+      (21, 0, "f=21 k=0 need more than 62 replicas");
+      (0, 31, "f=0 k=31 need more than 62 replicas");
+      (255, 255, "f=255 k=255 need more than 62 replicas");
+    ];
+  (* Floor 61 with six members: below the floor, as before. *)
+  Alcotest.(check (result reject string)) "f=20 k=0"
+    (Error "n=6 below the resilience floor 61")
+    (apply [ Reconfig.Set_resilience { f = 20; k = 0 } ]);
+  Alcotest.(check (result reject string)) "63 members"
+    (Error "n=63 above 62 replicas")
+    (apply
+       [
+         Reconfig.Add_site
+           {
+             site_id = 4;
+             role = Cert.Data_center;
+             members = List.init 57 (fun i -> 6 + i);
+           };
+       ])
+
 let gen_role =
   G.oneofl [ Cert.Active_cc; Cert.Backup_cc; Cert.Data_center ]
 
@@ -366,6 +400,11 @@ let test_add_site_outside_universe () =
             { site_id = 4; role = Cert.Data_center; members = [ 7; 8 ] };
         ])
 
+let test_oversized_resilience_noop () =
+  let sys = running_system () in
+  expect_reconfig_noop sys (fun () ->
+      Sys_.submit_reconfig sys [ Reconfig.Set_resilience { f = 21; k = 0 } ])
+
 let test_undecodable_reconfig () =
   let sys = running_system () in
   let payload = "\xff\x00 not a reconfiguration" in
@@ -430,6 +469,8 @@ let () =
       ( "reconfig",
         [
           Alcotest.test_case "action semantics" `Quick test_action_semantics;
+          Alcotest.test_case "oversized resilience rejected" `Quick
+            test_oversized_resilience;
           QCheck_alcotest.to_alcotest prop_reconfig_roundtrip;
           QCheck_alcotest.to_alcotest prop_reconfig_junk;
         ] );
@@ -446,6 +487,8 @@ let () =
             test_add_site_outside_universe;
           Alcotest.test_case "undecodable reconfig is a no-op" `Quick
             test_undecodable_reconfig;
+          Alcotest.test_case "oversized resilience is a no-op" `Quick
+            test_oversized_resilience_noop;
           Alcotest.test_case "stale frames dropped after a cutover" `Quick
             test_stale_frames_after_cutover;
         ] );

@@ -619,6 +619,51 @@ let test_engine_finish_run_refuses_due_event () =
   Sim.Engine.Window.finish_run e ~until_us:99;
   Alcotest.(check int) "clock moved up to the event" 99 (Sim.Engine.now e)
 
+(* The wheel's cursor runs ahead of the clock after a peek over an empty
+   level 0 (the peek cascades the wheel). Timers scheduled into that gap
+   go below the cursor and must still fire in [(time, seq)] order. A
+   [run] stopping short of a higher-level entry cascades nothing past
+   its horizon, and schedules into the gap that follows must keep the
+   same order. *)
+let test_engine_cursor_ahead_of_clock () =
+  let e = Sim.Engine.create () in
+  let log = ref [] in
+  let at label time =
+    ignore
+      (Sim.Engine.schedule_at e ~time_us:time (fun () ->
+           log := (label, Sim.Engine.now e) :: !log))
+  in
+  (* A level-2 entry, then a peek that cascades it down to level 0. *)
+  at "a" 5_000;
+  Alcotest.(check (option (pair int int))) "peek names the entry"
+    (Some (0, 5_000)) (Sim.Engine.Window.peek_next e);
+  Alcotest.(check int) "peek leaves the clock" 0 (Sim.Engine.now e);
+  at "b" 10;
+  at "c" 4_992;
+  at "d" 5_000;
+  at "b2" 10;
+  Alcotest.(check (option (pair int int))) "a later timer below the cursor"
+    (Some (0, 10)) (Sim.Engine.Window.peek_next e);
+  Sim.Engine.run e ~until_us:6_000;
+  Alcotest.(check (list (pair string int))) "peeked wheel"
+    [ ("b", 10); ("b2", 10); ("c", 4_992); ("a", 5_000); ("d", 5_000) ]
+    (List.rev !log);
+  (* Level-3 entries; the run stops short of them. *)
+  log := [];
+  at "x" 306_000;
+  at "y" 1_300_000;
+  Sim.Engine.run e ~until_us:6_100;
+  Alcotest.(check int) "clock at the horizon" 6_100 (Sim.Engine.now e);
+  at "z" 6_300;
+  at "w" 305_990;
+  at "v" 306_000;
+  at "u" 6_300;
+  Sim.Engine.run e ~until_us:2_000_000;
+  Alcotest.(check (list (pair string int))) "run horizon short of level 3"
+    [ ("z", 6_300); ("u", 6_300); ("w", 305_990); ("x", 306_000);
+      ("v", 306_000); ("y", 1_300_000) ]
+    (List.rev !log)
+
 (* ------------------------------------------------------------------ *)
 (* Event heap *)
 
@@ -978,8 +1023,10 @@ let test_engine_firing_order_golden () =
 
 (* Reference model: the engine's contract as a sorted [(time, seq)]
    list. Programs mix one-shots, periodics, cancels, nested [run]s
-   (which leave periodic re-arms behind the clock) and both stepping
-   paths; the engine must log the same (id, now) stream and clock. *)
+   (which leave periodic re-arms behind the clock), bare peeks (which
+   may cascade the wheel's cursor ahead of the clock, so later schedules
+   land between the two) and both stepping paths; the engine must log
+   the same (id, now) stream and clock. *)
 type model_action = A_nop | A_cancel of int | A_spawn of int | A_nested of int
 
 type model_op =
@@ -988,6 +1035,7 @@ type model_op =
   | P_cancel of int
   | P_run of int
   | P_step_to of int
+  | P_peek
 
 type 'h engine_api = {
   now : unit -> int;
@@ -996,6 +1044,7 @@ type 'h engine_api = {
   cancel : 'h -> unit;
   run : until_us:int -> unit;
   step_to : until_us:int -> unit;
+  peek : unit -> unit;
 }
 
 let play_model_program api prog =
@@ -1034,7 +1083,8 @@ let play_model_program api prog =
         add h
       | P_cancel k -> act (A_cancel k)
       | P_run dt -> api.run ~until_us:(api.now () + dt)
-      | P_step_to dt -> api.step_to ~until_us:(api.now () + dt))
+      | P_step_to dt -> api.step_to ~until_us:(api.now () + dt)
+      | P_peek -> api.peek ())
     prog;
   api.run ~until_us:(api.now () + (1 lsl 28));
   (List.rev !log, api.now ())
@@ -1092,6 +1142,7 @@ module Model = struct
       cancel = (fun tm -> tm.cancelled <- true);
       run = (fun ~until_us -> run m ~until_us);
       step_to = (fun ~until_us -> run m ~until_us);
+      peek = ignore;
     }
 end
 
@@ -1112,6 +1163,7 @@ let engine_api () =
     cancel = Sim.Engine.cancel;
     run = (fun ~until_us -> Sim.Engine.run e ~until_us);
     step_to;
+    peek = (fun () -> ignore (Sim.Engine.Window.peek_next e : (int * int) option));
   }
 
 let prop_engine_matches_model =
@@ -1149,6 +1201,7 @@ let prop_engine_matches_model =
         (2, map (fun k -> P_cancel k) nat);
         (1, map (fun d -> P_run d) delay);
         (1, map (fun d -> P_step_to d) delay);
+        (1, return P_peek);
       ]
   in
   let print_action = function
@@ -1165,6 +1218,7 @@ let prop_engine_matches_model =
     | P_cancel k -> Printf.sprintf "cancel %d" k
     | P_run d -> Printf.sprintf "run +%d" d
     | P_step_to d -> Printf.sprintf "step_to +%d" d
+    | P_peek -> "peek"
   in
   QCheck.Test.make ~count:300 ~name:"engine matches sorted (time, seq) model"
     (QCheck.make
@@ -1264,6 +1318,8 @@ let () =
             test_engine_stepping_matches_run;
           Alcotest.test_case "finish_run refuses a due event" `Quick
             test_engine_finish_run_refuses_due_event;
+          Alcotest.test_case "cursor ahead of the clock" `Quick
+            test_engine_cursor_ahead_of_clock;
         ] );
       ( "event_heap",
         [

@@ -141,6 +141,22 @@ let test_lifecycle_materialisation () =
   check_child Span.Execution 350 360 4;
   check_child Span.Reply 360 500 4
 
+(* Replica sets are bits of one native int: replica 61 is the last one
+   counted apart, and a higher index is refused rather than folded into
+   bit 61 (which would undercount the quorum). *)
+let test_replica_bits_bounded () =
+  let s = Sink.create ~enabled:true () in
+  Sink.set_quorums s ~order:2 ~reply:2;
+  let trace = Span.trace_id ~client:1 ~seq:1 in
+  Sink.update_submitted s ~trace ~now:0;
+  Sink.update_body s ~trace ~replica:61 ~now:10;
+  Alcotest.check_raises "body from replica 62"
+    (Invalid_argument "Telemetry.Sink: replica index above 61") (fun () ->
+      Sink.update_body s ~trace ~replica:62 ~now:20);
+  Alcotest.check_raises "execution at replica 62"
+    (Invalid_argument "Telemetry.Sink: replica index above 61") (fun () ->
+      Sink.update_executed s ~trace ~replica:62 ~now:30)
+
 let test_missing_and_clamped_milestones () =
   let s = Sink.create ~enabled:true () in
   (* Missing everything but submit and confirm: all middle phases
@@ -499,6 +515,8 @@ let () =
             test_disabled_sink_is_inert;
           Alcotest.test_case "lifecycle materialisation" `Quick
             test_lifecycle_materialisation;
+          Alcotest.test_case "replica bits bounded" `Quick
+            test_replica_bits_bounded;
           Alcotest.test_case "missing and clamped milestones" `Quick
             test_missing_and_clamped_milestones;
           Alcotest.test_case "confirm without milestones is a no-op" `Quick
