@@ -3,8 +3,8 @@
 # soak (1000 seeded within-budget schedules farmed across domains;
 # every oracle must stay green on every seed: 0/1000 dirty),
 # the telemetry and reconfiguration soaks, garbage-argument probes,
-# then a release-profile run of every bench experiment (E1..E13), two
-# repository benchmark runs (flood traced, fleet untraced) and the
+# then a release-profile run of every bench experiment (E1..E13), three
+# repository benchmark runs (wan and flood traced, fleet untraced) and the
 # PERF=1 wall-clock gates. It rewrites no tracked file. Each
 # experiment must exit zero, and its stdout minus the wall-time line
 # must match bench/expected/<ID>.txt byte for byte; E10 and E12 must
@@ -95,11 +95,13 @@ done
 check_table E10 PAR=4
 check_table E12 PAR=4
 
-# Repository benchmark, once on the flood path with per-layer tracing
-# and once on the field path: each exits nonzero unless the run passes
-# its own checks — agreement, traced-vs-untraced reproduction (flood),
-# confirmed field events (fleet), at least 1,000 confirmed updates and
-# the wire-decode run.
+# Repository benchmark, on the protocol hot path and the flood path
+# with per-layer tracing, and once on the field path: each exits
+# nonzero unless the run passes its own checks — agreement,
+# traced-vs-untraced reproduction (wan, flood), confirmed field events
+# (fleet), at least 1,000 confirmed updates and the wire-decode run.
+python3 perfbench/run.py --workload wan_steady --seed 9001 \
+  --seconds 5 --trace 1 > /dev/null
 python3 perfbench/run.py --workload flood_under_attack --seed 9001 \
   --seconds 10 --trace 1 > /dev/null
 python3 perfbench/run.py --workload fleet_100k --seed 9001 \

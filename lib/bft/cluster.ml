@@ -3,20 +3,20 @@ type ('r, 'm) t = {
   n : int;
   mutable instances : 'r array;
   deliver : 'r -> from:Types.replica -> 'm -> unit;
-  overrides : (Types.replica * Types.replica, int) Hashtbl.t;
+  overrides : int Tbl.Pair.t;
   base_latency : Types.replica -> Types.replica -> int;
-  mutable island : (Types.replica, unit) Hashtbl.t option;
+  mutable island : Replica_set.t option;
 }
 
 let delay t src dst =
-  match Hashtbl.find_opt t.overrides (src, dst) with
+  match Tbl.Pair.find_opt t.overrides (src, dst) with
   | Some d -> d
   | None -> t.base_latency src dst
 
 let crosses_partition t src dst =
   match t.island with
   | None -> false
-  | Some island -> Hashtbl.mem island src <> Hashtbl.mem island dst
+  | Some island -> Replica_set.mem island src <> Replica_set.mem island dst
 
 let create ~engine ~n ~latency_us ~make ~deliver =
   let t =
@@ -25,7 +25,7 @@ let create ~engine ~n ~latency_us ~make ~deliver =
       n;
       instances = [||];
       deliver;
-      overrides = Hashtbl.create 17;
+      overrides = Tbl.Pair.create 17;
       base_latency = latency_us;
       island = None;
     }
@@ -56,15 +56,11 @@ let replica t i =
   if i < 0 || i >= t.n then invalid_arg "Cluster.replica: out of range";
   t.instances.(i)
 
-let replicas t = Array.copy t.instances
 let size t = t.n
 
 let set_link_delay t ~src ~dst delay_us =
-  Hashtbl.replace t.overrides (src, dst) delay_us
+  Tbl.Pair.replace t.overrides (src, dst) delay_us
 
-let partition t ~island =
-  let h = Hashtbl.create 7 in
-  List.iter (fun r -> Hashtbl.replace h r ()) island;
-  t.island <- Some h
+let partition t ~island = t.island <- Some (Replica_set.of_list island)
 
 let heal t = t.island <- None

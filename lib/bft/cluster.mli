@@ -27,9 +27,6 @@ val create :
 (** [replica t i] is instance [i]. *)
 val replica : ('r, 'm) t -> Types.replica -> 'r
 
-(** [replicas t] is all instances, index-ordered. *)
-val replicas : ('r, 'm) t -> 'r array
-
 (** [size t] is [n]. *)
 val size : ('r, 'm) t -> int
 

@@ -1,20 +1,20 @@
 type client_state = {
   mutable expected : int;
-  buffer : (int, Update.t) Hashtbl.t;
+  buffer : Update.t Tbl.Int.t;
 }
 
-type t = { clients : (Types.client, client_state) Hashtbl.t }
+type t = { clients : client_state Tbl.Int.t }
 
 type state = (Types.client * int * Update.t list) list
 
-let create () = { clients = Hashtbl.create 97 }
+let create () = { clients = Tbl.Int.create 97 }
 
 let client_state t c =
-  match Hashtbl.find_opt t.clients c with
+  match Tbl.Int.find_opt t.clients c with
   | Some cs -> cs
   | None ->
-    let cs = { expected = 1; buffer = Hashtbl.create 3 } in
-    Hashtbl.replace t.clients c cs;
+    let cs = { expected = 1; buffer = Tbl.Int.create 3 } in
+    Tbl.Int.replace t.clients c cs;
     cs
 
 let offer t (update : Update.t) =
@@ -22,7 +22,7 @@ let offer t (update : Update.t) =
   let cs = client_state t c in
   if seq < cs.expected then []
   else if seq > cs.expected then begin
-    if not (Hashtbl.mem cs.buffer seq) then Hashtbl.replace cs.buffer seq update;
+    if not (Tbl.Int.mem cs.buffer seq) then Tbl.Int.replace cs.buffer seq update;
     []
   end
   else begin
@@ -31,9 +31,9 @@ let offer t (update : Update.t) =
     cs.expected <- cs.expected + 1;
     let continue = ref true in
     while !continue do
-      match Hashtbl.find_opt cs.buffer cs.expected with
+      match Tbl.Int.find_opt cs.buffer cs.expected with
       | Some u ->
-        Hashtbl.remove cs.buffer cs.expected;
+        Tbl.Int.remove cs.buffer cs.expected;
         released := u :: !released;
         cs.expected <- cs.expected + 1
       | None -> continue := false
@@ -42,26 +42,26 @@ let offer t (update : Update.t) =
   end
 
 let seen t (c, seq) =
-  match Hashtbl.find_opt t.clients c with
+  match Tbl.Int.find_opt t.clients c with
   | None -> false
-  | Some cs -> seq < cs.expected || Hashtbl.mem cs.buffer seq
+  | Some cs -> seq < cs.expected || Tbl.Int.mem cs.buffer seq
 
 let expected t c =
-  match Hashtbl.find_opt t.clients c with None -> 1 | Some cs -> cs.expected
+  match Tbl.Int.find_opt t.clients c with None -> 1 | Some cs -> cs.expected
 
 let buffered_count t =
-  Hashtbl.fold (fun _ cs acc -> acc + Hashtbl.length cs.buffer) t.clients 0
+  Tbl.Int.fold (fun _ cs acc -> acc + Tbl.Int.length cs.buffer) t.clients 0
 
 let state t =
-  Hashtbl.fold
+  Tbl.Int.fold
     (fun c cs acc ->
       let buffered =
-        Hashtbl.fold (fun _ u acc -> u :: acc) cs.buffer []
+        Tbl.Int.fold (fun _ u acc -> u :: acc) cs.buffer []
         |> List.sort Update.compare_key
       in
       (c, cs.expected, buffered) :: acc)
     t.clients []
-  |> List.sort (fun (a, _, _) (b, _, _) -> compare a b)
+  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
 
 (* Per client ["%d:%d["] (client, expected), ["%Ld;"] per buffered
    update digest, then [']'], streamed into one digest. *)
@@ -86,12 +86,12 @@ let digest_of_state st =
 let digest t = digest_of_state (state t)
 
 let install t st =
-  Hashtbl.reset t.clients;
+  Tbl.Int.reset t.clients;
   List.iter
     (fun (c, expected, buffered) ->
-      let cs = { expected; buffer = Hashtbl.create 3 } in
+      let cs = { expected; buffer = Tbl.Int.create 3 } in
       List.iter
-        (fun (u : Update.t) -> Hashtbl.replace cs.buffer u.Update.client_seq u)
+        (fun (u : Update.t) -> Tbl.Int.replace cs.buffer u.Update.client_seq u)
         buffered;
-      Hashtbl.replace t.clients c cs)
+      Tbl.Int.replace t.clients c cs)
     st

@@ -1,7 +1,6 @@
 type t = { n : int; f : int; k : int }
 
-(* Quorum milestones count replica sets as bits 0..61 of one native
-   int. *)
+(* Replica sets ([Replica_set]) are bits 0..61 of one native int. *)
 let max_n = 62
 
 let create ~n ~f ~k =

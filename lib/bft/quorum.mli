@@ -14,9 +14,10 @@
 
 type t = private { n : int; f : int; k : int }
 
-(** [max_n] is 62: quorum milestones count replica sets as the bits of
-    one native int, so no deployment, standby replicas included, may
-    hold more replicas. *)
+(** [max_n] is 62: replica sets ({!Replica_set.t} in Prime, PBFT and
+    the client share collector, and the telemetry milestone masks) are
+    the bits of one native int, so no deployment, standby replicas
+    included, may hold more replicas. *)
 val max_n : int
 
 (** [create ~n ~f ~k] validates [n >= 3f + 2k + 1] (and [f >= 0],

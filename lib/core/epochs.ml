@@ -36,8 +36,9 @@ type t = {
     Instance.t;
   directory : Member.Directory.t;
   epoch_of : int array; (* per global replica; -1 = standby or retired *)
-  rank_maps : (int, int array * int array) Hashtbl.t;
-      (* epoch -> (rank -> global id, global id -> rank or -1) *)
+  rank_maps : (int array * int array) Bft.Tbl.Int.t;
+      (* epoch -> (rank -> global id, global id -> rank or -1); read for
+         every received frame *)
   mutable groups : (int * Cryptosim.Threshold.group) list; (* epoch -> group *)
   mutable cur_epoch : int;
   mutable cur_members : int array; (* rank -> global, current epoch *)
@@ -60,8 +61,8 @@ let create ~engine ~net ~send ~telemetry ~seed ~universe ~genesis ~group
   let members = Array.of_list (Member.Cert.members genesis) in
   let rank_of = Array.make universe (-1) in
   Array.iteri (fun i g -> rank_of.(g) <- i) members;
-  let rank_maps = Hashtbl.create 7 in
-  Hashtbl.replace rank_maps 0 (members, rank_of);
+  let rank_maps = Bft.Tbl.Int.create 7 in
+  Bft.Tbl.Int.replace rank_maps 0 (members, rank_of);
   {
     engine;
     net;
@@ -98,7 +99,7 @@ let directory t = t.directory
 let current_epoch t = t.cur_epoch
 let epoch_of t r = t.epoch_of.(r)
 let members t = t.cur_members
-let members_of_epoch t e = Option.map fst (Hashtbl.find_opt t.rank_maps e)
+let members_of_epoch t e = Option.map fst (Bft.Tbl.Int.find_opt t.rank_maps e)
 let stale_epoch_frames t = t.stale_epoch_frames
 let cutovers t = List.rev t.cutovers
 let epoch_violation t = t.epoch_violation
@@ -109,11 +110,19 @@ let bump_stale_epoch t = t.stale_epoch_frames <- t.stale_epoch_frames + 1
 let latch_violation t msg =
   if t.epoch_violation = None then t.epoch_violation <- Some msg
 
+(* The group of epoch [e], with the int [=] rather than the polymorphic
+   compare of [List.assoc]: [group_for] runs once per reply sent. *)
+let group_of t (e : int) =
+  let rec find = function
+    | [] -> None
+    | (e', g) :: rest -> if e' = e then Some g else find rest
+  in
+  find t.groups
+
 let group_for t r =
-  let e = max 0 t.epoch_of.(r) in
-  match List.assoc_opt e t.groups with
+  match group_of t (max 0 t.epoch_of.(r)) with
   | Some g -> g
-  | None -> List.assoc 0 t.groups
+  | None -> Option.get (group_of t 0)
 
 let faults t r = Instance.faults (t.instance r)
 let crashed t r = (faults t r).Bft.Faults.crashed
@@ -149,7 +158,7 @@ let sender_rank t r ~from payload =
     -1
   end
   else
-    match Hashtbl.find_opt t.rank_maps epoch with
+    match Bft.Tbl.Int.find_opt t.rank_maps epoch with
     | None ->
       bump_stale_epoch t;
       -1
@@ -214,7 +223,7 @@ let resync t r =
   match (t.instance r, Member.Directory.cert_of_epoch t.directory e) with
   | Prime_replica prime, Some cert when not (Prime.Replica.halted prime) -> (
     let peers_of_epoch =
-      match Hashtbl.find_opt t.rank_maps e with
+      match Bft.Tbl.Int.find_opt t.rank_maps e with
       | Some (members, _) -> Array.to_list members
       | None -> []
     in
@@ -276,15 +285,15 @@ let resync t r =
 
 let rec ensure_epoch_state t cert ~announcer =
   let e = Member.Cert.epoch cert in
-  if not (Hashtbl.mem t.rank_maps e) then begin
+  if not (Bft.Tbl.Int.mem t.rank_maps e) then begin
     let members = Array.of_list (Member.Cert.members cert) in
     let rank_of = Array.make t.universe (-1) in
     Array.iteri
       (fun i g -> if g >= 0 && g < t.universe then rank_of.(g) <- i)
       members;
-    Hashtbl.replace t.rank_maps e (members, rank_of)
+    Bft.Tbl.Int.replace t.rank_maps e (members, rank_of)
   end;
-  if not (List.mem_assoc e t.groups) then
+  if Option.is_none (group_of t e) then
     t.groups <-
       ( e,
         Cryptosim.Threshold.create_group
@@ -296,10 +305,10 @@ let rec ensure_epoch_state t cert ~announcer =
 
 and promote_current t cert ~announcer =
   let e = Member.Cert.epoch cert in
-  let members, _ = Hashtbl.find t.rank_maps e in
+  let members, _ = Bft.Tbl.Int.find t.rank_maps e in
   t.cur_epoch <- e;
   t.cur_members <- members;
-  let group = List.assoc e t.groups in
+  let group = Option.get (group_of t e) in
   List.iter (fun f -> f group) t.group_listeners;
   if Telemetry.Sink.enabled t.telemetry then
     Telemetry.Sink.set_quorums t.telemetry
@@ -334,7 +343,7 @@ and reconcile t =
   let cert = Member.Directory.current t.directory in
   let e = Member.Cert.epoch cert in
   let now = Sim.Engine.now t.engine in
-  match Hashtbl.find_opt t.rank_maps e with
+  match Bft.Tbl.Int.find_opt t.rank_maps e with
   | None -> ()
   | Some (_, rank_of) ->
     for g = 0 to t.universe - 1 do
@@ -371,7 +380,7 @@ and begin_join t g =
   if not already then begin
     let cert = Member.Directory.current t.directory in
     let e = Member.Cert.epoch cert in
-    match Hashtbl.find_opt t.rank_maps e with
+    match Bft.Tbl.Int.find_opt t.rank_maps e with
     | None -> ()
     | Some (members, _) ->
       halt_instance t g;
@@ -472,7 +481,7 @@ and complete_join t s =
 and install_member_instance t r ~cert ~snap =
   let e = Member.Cert.epoch cert in
   ensure_epoch_state t cert ~announcer:r;
-  let members, rank_of = Hashtbl.find t.rank_maps e in
+  let members, rank_of = Bft.Tbl.Int.find t.rank_maps e in
   if rank_of.(r) < 0 then retire_replica t r
   else begin
     let inst =

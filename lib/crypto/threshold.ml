@@ -59,8 +59,12 @@ let share_tag g member digest =
   Digest.add_int64 a (Digest.to_int64 digest);
   Digest.finish a
 
+let threshold g = g.threshold
+let is_member g (member : Keyring.principal) =
+  List.exists (fun m -> m = member) g.members
+
 let sign_share g ~member digest =
-  if not (List.mem member g.members) then
+  if not (is_member g member) then
     invalid_arg "Threshold.sign_share: not a member";
   { member; share_digest = digest; tag = share_tag g member digest }
 
@@ -68,9 +72,10 @@ let corrupt_share s = { s with tag = Digest.combine s.tag s.tag }
 
 let verify_share g ~digest s =
   Digest.equal s.share_digest digest
-  && List.mem s.member g.members
+  && is_member g s.member
   && Digest.equal s.tag (share_tag g s.member digest)
 
+let share_member s = s.member
 let share_repr s = (s.member, s.share_digest, s.tag)
 let share_of_repr ~member ~digest ~tag = { member; share_digest = digest; tag }
 
@@ -84,7 +89,7 @@ let combined_tag g digest =
 let combine g ~digest shares =
   let valid = List.filter (verify_share g ~digest) shares in
   let distinct =
-    List.sort_uniq compare (List.map (fun s -> s.member) valid)
+    List.sort_uniq Int.compare (List.map (fun s -> s.member) valid)
   in
   if List.length distinct >= g.threshold then
     Some { combined_digest = digest; combined_tag = combined_tag g digest }

@@ -21,6 +21,10 @@ type combined
 val create_group :
   seed:int64 -> members:Keyring.principal list -> threshold:int -> group
 
+(** [threshold group] is the number of distinct valid shares that
+    combine. *)
+val threshold : group -> int
+
 (** [sign_share group ~member digest] produces [member]'s share.
     @raise Invalid_argument if [member] is not in the group. *)
 val sign_share : group -> member:Keyring.principal -> Digest.t -> share
@@ -31,6 +35,10 @@ val corrupt_share : share -> share
 
 (** [verify_share group ~digest share] checks a single share. *)
 val verify_share : group -> digest:Digest.t -> share -> bool
+
+(** [share_member share] is the member the share claims to come from;
+    only {!verify_share} says whether the claim holds. *)
+val share_member : share -> Keyring.principal
 
 (** [share_repr share] is the share's transportable representation:
     (claimed member, signed digest, share tag). Wire codecs serialise

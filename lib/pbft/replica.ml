@@ -21,20 +21,38 @@ let default_config quorum =
     watchdog_interval_us = 250_000;
   }
 
+(* A vote that arrived before the pre-prepare, waiting to be counted. *)
+type early = {
+  voter : Types.replica;
+  commit : bool;
+  early_view : Types.view;
+  early_digest : Cryptosim.Digest.t;
+}
+
 type slot = {
   mutable slot_view : Types.view;
   mutable proposal : Msg.proposal option;
   mutable digest : Cryptosim.Digest.t option;
-  prepares : (Types.replica, unit) Hashtbl.t;
-  commits : (Types.replica, unit) Hashtbl.t;
-  (* Votes that arrived before the pre-prepare, waiting to be counted. *)
-  buffered_prepares : (Types.replica, Types.view * Cryptosim.Digest.t) Hashtbl.t;
-  buffered_commits : (Types.replica, Types.view * Cryptosim.Digest.t) Hashtbl.t;
+  mutable prepares : Replica_set.t;
+  mutable commits : Replica_set.t;
+  (* At most one prepare and one commit per voter, the latest. *)
+  mutable early : early list;
   mutable prepared : bool;
   mutable committed : bool;
 }
 
+let buffer_vote s e =
+  s.early <-
+    (match s.early with
+    | [] -> [ e ]
+    | held ->
+      e :: List.filter (fun o -> o.voter <> e.voter || o.commit <> e.commit) held)
+
 type mode = Normal | View_changing of { target : Types.view; since_us : int }
+
+(* A match rather than [t.mode = Normal], the polymorphic compare, on
+   the per-message path. *)
+let normal_mode = function Normal -> true | View_changing _ -> false
 
 type t = {
   config : config;
@@ -43,7 +61,7 @@ type t = {
   faults : Faults.t;
   log : Exec_log.t;
   delivery : Delivery.t;
-  slots : (Types.seqno, slot) Hashtbl.t;
+  slots : slot Tbl.Int.t;
   pending : (Types.client * int, Update.t * int) Hashtbl.t;
   mutable assigned : (Types.client * int, Types.seqno) Hashtbl.t;
   mutable view : Types.view;
@@ -55,8 +73,9 @@ type t = {
     ( Types.view,
       (Types.replica, Types.seqno * Msg.prepared_entry list) Hashtbl.t )
     Hashtbl.t;
-  ckpt_votes :
-    (Types.seqno * Cryptosim.Digest.t, (Types.replica, unit) Hashtbl.t) Hashtbl.t;
+  (* Voters per (sequence, chain); entries at or below the stable
+     checkpoint are dropped when it advances. *)
+  ckpt_votes : (Types.seqno * Cryptosim.Digest.t, Replica_set.t) Hashtbl.t;
   mutable running : bool;
   (* One-way stop at an epoch boundary; see Prime.Replica.halt. *)
   mutable halted : bool;
@@ -81,7 +100,7 @@ let create config env ~execute =
     faults = Faults.honest ();
     log = Exec_log.create ();
     delivery = Delivery.create ();
-    slots = Hashtbl.create 997;
+    slots = Tbl.Int.create 997;
     pending = Hashtbl.create 97;
     assigned = Hashtbl.create 97;
     view = 0;
@@ -109,7 +128,7 @@ let send_to t dst msg =
 let broadcast t msg = List.iter (fun r -> send_to t r msg) (Env.others t.env)
 
 let slot t seq =
-  match Hashtbl.find_opt t.slots seq with
+  match Tbl.Int.find_opt t.slots seq with
   | Some s -> s
   | None ->
     let s =
@@ -117,15 +136,14 @@ let slot t seq =
         slot_view = -1;
         proposal = None;
         digest = None;
-        prepares = Hashtbl.create 7;
-        commits = Hashtbl.create 7;
-        buffered_prepares = Hashtbl.create 7;
-        buffered_commits = Hashtbl.create 7;
+        prepares = Replica_set.empty;
+        commits = Replica_set.empty;
+        early = [];
         prepared = false;
         committed = false;
       }
     in
-    Hashtbl.replace t.slots seq s;
+    Tbl.Int.replace t.slots seq s;
     s
 
 (* ------------------------------------------------------------------ *)
@@ -134,7 +152,7 @@ let slot t seq =
 
 let rec try_execute t =
   let seq = t.last_executed + 1 in
-  match Hashtbl.find_opt t.slots seq with
+  match Tbl.Int.find_opt t.slots seq with
   | Some s when s.committed ->
     t.last_executed <- seq;
     (match s.proposal with
@@ -162,42 +180,47 @@ let rec try_execute t =
 and record_checkpoint_vote t ~from ~seq ~chain =
   let key = (seq, chain) in
   let voters =
-    match Hashtbl.find_opt t.ckpt_votes key with
-    | Some v -> v
-    | None ->
-      let v = Hashtbl.create 7 in
-      Hashtbl.replace t.ckpt_votes key v;
-      v
+    Replica_set.add
+      (Option.value (Hashtbl.find_opt t.ckpt_votes key) ~default:Replica_set.empty)
+      from
   in
-  Hashtbl.replace voters from ();
-  if Hashtbl.length voters >= quorum_size t && seq > t.stable_seq then begin
+  Hashtbl.replace t.ckpt_votes key voters;
+  if Replica_set.cardinal voters >= quorum_size t && seq > t.stable_seq then begin
     t.stable_seq <- seq;
     let stale =
-      Hashtbl.fold
+      Tbl.Int.fold
         (fun s _ acc ->
           if s <= t.stable_seq && s <= t.last_executed then s :: acc else acc)
         t.slots []
     in
-    List.iter (Hashtbl.remove t.slots) stale
+    List.iter (Tbl.Int.remove t.slots) stale;
+    (* A certificate at or below the stable one can no longer advance
+       it, which is all a certificate does here. *)
+    Hashtbl.filter_map_inplace
+      (fun (s, _) v -> if s <= seq then None else Some v)
+      t.ckpt_votes
   end
+
+let retained_checkpoints t = Hashtbl.length t.ckpt_votes
 
 let rec maybe_prepared t seq =
   let s = slot t seq in
   if (not s.prepared) && Option.is_some s.proposal
-     && Hashtbl.length s.prepares >= quorum_size t
+     && Replica_set.cardinal s.prepares >= quorum_size t
   then begin
     s.prepared <- true;
     match s.digest with
     | None -> ()
     | Some digest ->
       broadcast t (Msg.Commit { view = s.slot_view; seq; digest });
-      Hashtbl.replace s.commits t.env.Env.self ();
+      s.commits <- Replica_set.add s.commits t.env.Env.self;
       maybe_committed t seq
   end
 
 and maybe_committed t seq =
   let s = slot t seq in
-  if (not s.committed) && s.prepared && Hashtbl.length s.commits >= quorum_size t
+  if (not s.committed) && s.prepared
+     && Replica_set.cardinal s.commits >= quorum_size t
   then begin
     s.committed <- true;
     try_execute t
@@ -210,14 +233,13 @@ let accept_preprepare t ~view ~(proposal : Msg.proposal) =
   let seq = proposal.Msg.seq in
   if seq > t.last_executed then begin
     let s = slot t seq in
-    let fresh = s.proposal = None || s.slot_view < view in
+    let fresh = Option.is_none s.proposal || s.slot_view < view in
     if fresh then begin
       s.slot_view <- view;
       s.proposal <- Some proposal;
       let digest = Msg.proposal_digest proposal in
       s.digest <- Some digest;
-      Hashtbl.reset s.prepares;
-      Hashtbl.reset s.commits;
+      s.commits <- Replica_set.empty;
       s.prepared <- false;
       List.iter
         (fun (u : Update.t) ->
@@ -235,22 +257,18 @@ let accept_preprepare t ~view ~(proposal : Msg.proposal) =
         proposal.Msg.updates;
       (* The pre-prepare stands for the proposer's prepare vote; our own
          prepare vote is implicit in the broadcast below. *)
-      Hashtbl.replace s.prepares (leader_of t view) ();
-      Hashtbl.replace s.prepares t.env.Env.self ();
+      s.prepares <-
+        Replica_set.(add (add empty (leader_of t view)) t.env.Env.self);
       broadcast t (Msg.Prepare { view; seq; digest });
       (* Count any votes that raced ahead of the pre-prepare. *)
-      Hashtbl.iter
-        (fun from (v, d) ->
-          if v = view && Cryptosim.Digest.equal d digest then
-            Hashtbl.replace s.prepares from ())
-        s.buffered_prepares;
-      Hashtbl.reset s.buffered_prepares;
-      Hashtbl.iter
-        (fun from (v, d) ->
-          if v = view && Cryptosim.Digest.equal d digest then
-            Hashtbl.replace s.commits from ())
-        s.buffered_commits;
-      Hashtbl.reset s.buffered_commits;
+      List.iter
+        (fun e ->
+          if e.early_view = view && Cryptosim.Digest.equal e.early_digest digest
+          then
+            if e.commit then s.commits <- Replica_set.add s.commits e.voter
+            else s.prepares <- Replica_set.add s.prepares e.voter)
+        s.early;
+      if s.early != [] then s.early <- [];
       maybe_prepared t seq
     end
   end
@@ -311,8 +329,10 @@ let propose t update =
 (* ------------------------------------------------------------------ *)
 (* View changes.                                                       *)
 
+(* Sorted by slot, so the report does not depend on the table's
+   layout. *)
 let prepared_entries t =
-  Hashtbl.fold
+  Tbl.Int.fold
     (fun seq s acc ->
       if s.prepared && seq > t.stable_seq then
         match s.proposal with
@@ -326,6 +346,7 @@ let prepared_entries t =
         | None -> acc
       else acc)
     t.slots []
+  |> List.sort (fun a b -> Int.compare a.Msg.entry_seq b.Msg.entry_seq)
 
 let rec start_view_change t target =
   let should =
@@ -488,28 +509,31 @@ let handle t ~from msg =
     | Msg.Preprepare { view; proposal } ->
       (* No ordering participation while view-changing: the prepared
          set reported in our view-change vote must stay frozen. *)
-      if t.mode = Normal && view = t.view && from = leader_of t view then
+      if normal_mode t.mode && view = t.view && from = leader_of t view then
         accept_preprepare t ~view ~proposal
     | Msg.Prepare { view; seq; digest } ->
-      if t.mode = Normal && seq > t.last_executed then begin
+      if normal_mode t.mode && seq > t.last_executed then begin
         let s = slot t seq in
         match s.digest with
         | Some d when view = s.slot_view ->
           if Cryptosim.Digest.equal d digest then begin
-            Hashtbl.replace s.prepares from ();
+            s.prepares <- Replica_set.add s.prepares from;
             maybe_prepared t seq
           end
         | Some _ | None ->
-          Hashtbl.replace s.buffered_prepares from (view, digest)
+          buffer_vote s
+            { voter = from; commit = false; early_view = view; early_digest = digest }
       end
     | Msg.Commit { view; seq; digest } ->
-      if t.mode = Normal && seq > t.last_executed then begin
+      if normal_mode t.mode && seq > t.last_executed then begin
         let s = slot t seq in
         match s.digest with
         | Some d when view = s.slot_view && Cryptosim.Digest.equal d digest ->
-          Hashtbl.replace s.commits from ();
+          s.commits <- Replica_set.add s.commits from;
           maybe_committed t seq
-        | Some _ | None -> Hashtbl.replace s.buffered_commits from (view, digest)
+        | Some _ | None ->
+          buffer_vote s
+            { voter = from; commit = true; early_view = view; early_digest = digest }
       end
     | Msg.Checkpoint { seq; chain } -> record_checkpoint_vote t ~from ~seq ~chain
     | Msg.Viewchange { new_view; last_stable; prepared } ->

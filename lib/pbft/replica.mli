@@ -67,6 +67,12 @@ val faults : t -> Bft.Faults.t
 val view : t -> Bft.Types.view
 val exec_log : t -> Bft.Exec_log.t
 
+(** [retained_checkpoints t] is the number of checkpoint certificates
+    (voter sets per sequence and chain, each a {!Bft.Replica_set.t})
+    currently held. Those at or below the stable checkpoint are dropped
+    when it advances. *)
+val retained_checkpoints : t -> int
+
 (** {1 Epoch cutover} *)
 
 (** [halt t] stops the instance one-way at an epoch boundary (no

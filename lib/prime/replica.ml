@@ -48,25 +48,55 @@ type phase =
       view : Types.view; matrix : Matrix.t; digest : Cryptosim.Digest.t;
     }
 
+(* A vote that arrived ahead of the matching proposal. *)
+type early = {
+  voter : Types.replica;
+  commit : bool;
+  early_view : Types.view;
+  early_digest : Cryptosim.Digest.t;
+}
+
 type slot = {
   mutable phase : phase;
   (* Votes for the [Voting] view and digest. *)
-  prepares : (Types.replica, unit) Hashtbl.t;
-  commits : (Types.replica, unit) Hashtbl.t;
-  (* Votes that arrived ahead of the matching proposal. *)
-  buffered_prepares : (Types.replica, Types.view * Cryptosim.Digest.t) Hashtbl.t;
-  buffered_commits : (Types.replica, Types.view * Cryptosim.Digest.t) Hashtbl.t;
-  (* Catch-up replies per matrix digest, counted until the slot
+  mutable prepares : Replica_set.t;
+  mutable commits : Replica_set.t;
+  (* At most one prepare and one commit per voter, the latest; empty
+     unless votes outran the pre-prepare. *)
+  mutable early : early list;
+  (* Catch-up repliers per matrix digest, counted until the slot
      commits. *)
-  replies : (Cryptosim.Digest.t, (Types.replica, unit) Hashtbl.t) Hashtbl.t;
+  mutable replies : (Cryptosim.Digest.t * Replica_set.t) list;
 }
 
-let vote_tally s = Hashtbl.length s.prepares + Hashtbl.length s.commits
+let vote_tally s = Replica_set.cardinal s.prepares + Replica_set.cardinal s.commits
+
+(* Keep [voter]'s latest early vote of each kind. *)
+let buffer_vote s e =
+  s.early <-
+    (match s.early with
+    | [] -> [ e ]
+    | held ->
+      e :: List.filter (fun o -> o.voter <> e.voter || o.commit <> e.commit) held)
+
+(* Add [from] to the repliers for [digest]; the updated set. *)
+let add_reply s digest from =
+  let same (d, _) = Cryptosim.Digest.equal d digest in
+  let held =
+    Option.fold ~none:Replica_set.empty ~some:snd (List.find_opt same s.replies)
+  in
+  let v = Replica_set.add held from in
+  s.replies <- (digest, v) :: List.filter (fun e -> not (same e)) s.replies;
+  v
 
 let set_phase s phase =
   match s.phase with Committed _ -> () | Open | Voting _ -> s.phase <- phase
 
 type mode = Normal | View_changing of { target : Types.view; since_us : int }
+
+(* A match rather than [t.mode = Normal], the polymorphic compare, on
+   the per-message path. *)
+let normal_mode = function Normal -> true | View_changing _ -> false
 
 type tat_probe = { target_total : int; sent_us : int }
 
@@ -97,13 +127,13 @@ type t = {
   mutable po_next_seq : int;  (* own origin counter; survives recovery *)
   po_acc : Update.t Batch.acc;
       (* own submissions awaiting a Po_batch flush (size/deadline) *)
-  po_store : (Types.replica * int, Update.t) Hashtbl.t;
+  po_store : Update.t Tbl.Pair.t;
   mutable recv : Matrix.vector;  (* contiguous received per origin *)
   mutable rows : Matrix.t;  (* latest reported vector per replica *)
   mutable aru_dirty : bool;
   mutable aru_heartbeat : int;
   (* --- ordering --- *)
-  slots : (Types.seqno, slot) Hashtbl.t;
+  slots : slot Tbl.Int.t;
   mutable view : Types.view;
   mutable mode : mode;
   mutable next_seq : Types.seqno;  (* leader: next proposal slot *)
@@ -133,19 +163,20 @@ type t = {
   mutable tat_violations : int;
   mutable max_tat_us : int;
   mutable suspected_view : Types.view;  (* highest view we suspected *)
-  suspects : (Types.view, (Types.replica, unit) Hashtbl.t) Hashtbl.t;
+  suspects : Replica_set.t Tbl.Int.t;
   (* --- view change --- *)
+  (* Reports per target view, per sender. The inner tables stay
+     [Hashtbl]s: [install_new_view] merges the reports in their order. *)
   vc_votes :
-    ( Types.view,
-      (Types.replica, Types.seqno * Msg.prepared_entry list) Hashtbl.t )
-    Hashtbl.t;
+    (Types.replica, Types.seqno * Msg.prepared_entry list) Hashtbl.t Tbl.Int.t;
   (* Evidence of higher views: a reconnecting replica that missed a
      Newview learns the installed view once f+1 distinct peers send
      ordering messages tagged with it. *)
-  view_evidence : (Types.view, (Types.replica, unit) Hashtbl.t) Hashtbl.t;
+  view_evidence : Replica_set.t Tbl.Int.t;
   (* --- checkpoints / catch-up --- *)
-  ckpt_votes :
-    (int * Cryptosim.Digest.t, (Types.replica, unit) Hashtbl.t) Hashtbl.t;
+  (* Voters per (execution count, chain); entries below the stable
+     checkpoint are dropped when it advances. *)
+  ckpt_votes : (int * Cryptosim.Digest.t, Replica_set.t) Hashtbl.t;
   mutable stable_exec : int;
   mutable on_fall_behind : unit -> unit;
   mutable on_apply : Types.seqno -> Cryptosim.Digest.t -> unit;
@@ -202,12 +233,12 @@ let create config env ~execute =
     delivery = Delivery.create ();
     po_next_seq = 1;
     po_acc = Batch.acc config.batch;
-    po_store = Hashtbl.create 4096;
+    po_store = Tbl.Pair.create 4096;
     recv = Matrix.empty_vector ~n:nn;
     rows = Matrix.empty ~n:nn;
     aru_dirty = false;
     aru_heartbeat = 0;
-    slots = Hashtbl.create 997;
+    slots = Tbl.Int.create 997;
     view = 0;
     mode = Normal;
     next_seq = 1;
@@ -230,9 +261,9 @@ let create config env ~execute =
     tat_violations = 0;
     max_tat_us = 0;
     suspected_view = -1;
-    suspects = Hashtbl.create 7;
-    vc_votes = Hashtbl.create 7;
-    view_evidence = Hashtbl.create 7;
+    suspects = Tbl.Int.create 7;
+    vc_votes = Tbl.Int.create 7;
+    view_evidence = Tbl.Int.create 7;
     ckpt_votes = Hashtbl.create 17;
     stable_exec = 0;
     on_fall_behind = (fun () -> ());
@@ -263,8 +294,8 @@ let vector_total v = Array.fold_left ( + ) 0 v
 
 let store_body t ~origin ~po_seq update =
   let key = (origin, po_seq) in
-  if not (Hashtbl.mem t.po_store key) then begin
-    Hashtbl.replace t.po_store key update;
+  if not (Tbl.Pair.mem t.po_store key) then begin
+    Tbl.Pair.replace t.po_store key update;
     (* Pre-order milestone: the order-quorum-th distinct replica to
        store this body makes the update orderable (sink-side count). *)
     if Telemetry.Sink.enabled t.env.Env.telemetry then
@@ -276,7 +307,7 @@ let store_body t ~origin ~po_seq update =
         ~now:(t.env.Env.now_us ());
     (* Advance the contiguous cursor for this origin. *)
     let advanced = ref false in
-    while Hashtbl.mem t.po_store (origin, t.recv.(origin) + 1) do
+    while Tbl.Pair.mem t.po_store (origin, t.recv.(origin) + 1) do
       t.recv.(origin) <- t.recv.(origin) + 1;
       advanced := true
     done;
@@ -295,31 +326,35 @@ let store_body t ~origin ~po_seq update =
    matrix yields an eligibility vector; newly eligible updates execute
    in deterministic (origin, po_seq) order.                            *)
 
-(* The voter set filed under [key], created empty on first use. *)
-let voters tbl key =
-  match Hashtbl.find_opt tbl key with
-  | Some v -> v
-  | None ->
-    let v = Hashtbl.create 7 in
-    Hashtbl.replace tbl key v;
-    v
+(* Add [from] to the voter set filed under [view]; the updated set. *)
+let add_voter tbl view from =
+  let v =
+    Replica_set.add
+      (Option.value (Tbl.Int.find_opt tbl view) ~default:Replica_set.empty)
+      from
+  in
+  Tbl.Int.replace tbl view v;
+  v
 
 let slot t seq =
-  match Hashtbl.find_opt t.slots seq with
+  match Tbl.Int.find_opt t.slots seq with
   | Some s -> s
   | None ->
-    let votes () = Hashtbl.create 7 in
     let s =
-      { phase = Open; prepares = votes (); commits = votes ();
-        buffered_prepares = votes (); buffered_commits = votes ();
-        replies = Hashtbl.create 1 }
+      { phase = Open; prepares = Replica_set.empty; commits = Replica_set.empty;
+        early = []; replies = [] }
     in
-    Hashtbl.replace t.slots seq s;
+    Tbl.Int.replace t.slots seq s;
     s
+
+let stalled_at t ~origin ~po_seq =
+  match t.stalled_on with
+  | Some (o, p) -> o = origin && p = po_seq
+  | None -> false
 
 let rec drain_exec t =
   let seq = t.last_applied + 1 in
-  match Hashtbl.find_opt t.slots seq with
+  match Tbl.Int.find_opt t.slots seq with
   | Some { phase = Committed { matrix = m; digest; _ }; _ } ->
     let merged = Matrix.merge t.cum_matrix m in
     let elig = Matrix.eligible merged ~threshold:(quorum_size t) in
@@ -335,11 +370,11 @@ let rec drain_exec t =
       let j = !origin in
       while (not !stalled) && (not t.halted) && t.cursor.(j) < elig.(j) do
         let po_seq = t.cursor.(j) + 1 in
-        match Hashtbl.find_opt t.po_store (j, po_seq) with
+        match Tbl.Pair.find_opt t.po_store (j, po_seq) with
         | None ->
           (* Body missing: stall and reconcile. A quorum acknowledged
              it, so at least one correct replica can supply it. *)
-          if t.stalled_on <> Some (j, po_seq) then begin
+          if not (stalled_at t ~origin:j ~po_seq) then begin
             t.stalled_on <- Some (j, po_seq);
             t.last_recon_us <- t.env.Env.now_us ();
             broadcast t (Msg.Recon_request { origin = j; po_seq })
@@ -376,37 +411,47 @@ and maybe_checkpoint t =
   end
 
 and record_checkpoint_vote t ~from ~executed ~chain =
-  let voters = voters t.ckpt_votes (executed, chain) in
-  Hashtbl.replace voters from ();
+  let key = (executed, chain) in
+  let voters =
+    Replica_set.add
+      (Option.value (Hashtbl.find_opt t.ckpt_votes key) ~default:Replica_set.empty)
+      from
+  in
+  Hashtbl.replace t.ckpt_votes key voters;
+  let votes = Replica_set.cardinal voters in
   (* A checkpoint certificate far beyond our own execution means the
      ordering history we need has been garbage-collected by our peers:
      slot retrieval cannot catch us up, state transfer is required. *)
   if
-    Hashtbl.length voters >= quorum_size t
+    votes >= quorum_size t
     && executed > Exec_log.length t.log + (2 * t.config.checkpoint_interval)
     && t.env.Env.now_us () - t.last_fall_behind_us > 2_000_000
   then begin
     t.last_fall_behind_us <- t.env.Env.now_us ();
     t.on_fall_behind ()
   end;
-  if Hashtbl.length voters >= quorum_size t && executed > t.stable_exec then begin
+  if votes >= quorum_size t && executed > t.stable_exec then begin
     t.stable_exec <- executed;
-    (* Garbage-collect: drop applied slots except a recent tail, and
-       pre-order bodies already executed everywhere. *)
+    (* Garbage-collect: drop applied slots except a recent tail,
+       pre-order bodies already executed everywhere, and certificates
+       below the new stable one. Those can no longer advance
+       [stable_exec], and any fall-behind they could still signal the
+       stable certificate, which is kept, signals too. *)
     let horizon = t.last_applied - 64 in
     let stale =
-      Hashtbl.fold
-        (fun s _ acc -> if s < horizon then s :: acc else acc)
-        t.slots []
+      Tbl.Int.fold (fun s _ acc -> if s < horizon then s :: acc else acc) t.slots []
     in
-    List.iter (Hashtbl.remove t.slots) stale;
+    List.iter (Tbl.Int.remove t.slots) stale;
     let dead_bodies =
-      Hashtbl.fold
+      Tbl.Pair.fold
         (fun (o, ps) _ acc ->
           if ps <= t.cursor.(o) - 16 then (o, ps) :: acc else acc)
         t.po_store []
     in
-    List.iter (Hashtbl.remove t.po_store) dead_bodies
+    List.iter (Tbl.Pair.remove t.po_store) dead_bodies;
+    Hashtbl.filter_map_inplace
+      (fun (e, _) v -> if e < executed then None else Some v)
+      t.ckpt_votes
   end
 
 (* ------------------------------------------------------------------ *)
@@ -415,17 +460,17 @@ and record_checkpoint_vote t ~from ~executed ~chain =
 let rec maybe_prepared t seq s =
   match s.phase with
   | Voting ({ prepared = false; _ } as v)
-    when Hashtbl.length s.prepares >= quorum_size t ->
+    when Replica_set.cardinal s.prepares >= quorum_size t ->
     set_phase s (Voting { v with prepared = true });
     broadcast t (Msg.Commit { view = v.view; seq; digest = v.digest });
-    Hashtbl.replace s.commits t.env.Env.self ();
+    s.commits <- Replica_set.add s.commits t.env.Env.self;
     maybe_committed t s
   | Open | Voting _ | Committed _ -> ()
 
 and maybe_committed t s =
   match s.phase with
   | Voting { prepared = true; view; matrix; digest }
-    when Hashtbl.length s.commits >= quorum_size t ->
+    when Replica_set.cardinal s.commits >= quorum_size t ->
     set_phase s (Committed { view; matrix; digest });
     drain_exec t
   | Open | Voting _ | Committed _ -> ()
@@ -433,7 +478,7 @@ and maybe_committed t s =
 (* [view] is always [t.view]: every caller checks it, or has just
    entered it. *)
 let accept_preprepare t ~view ~seq ~matrix =
-  match Hashtbl.find_opt t.slots seq with
+  match Tbl.Int.find_opt t.slots seq with
   | Some { phase = Committed c; _ } ->
     (* A later view re-proposes a slot we decided (and maybe applied).
        Its matrix is final, so vote for the re-proposal only when it
@@ -450,21 +495,18 @@ let accept_preprepare t ~view ~seq ~matrix =
     let s = slot t seq in
     let digest = Matrix.digest matrix in
     set_phase s (Voting { view; matrix; digest; prepared = false });
-    Hashtbl.reset s.prepares;
-    Hashtbl.reset s.commits;
-    Hashtbl.replace s.prepares (leader_of t view) ();
-    Hashtbl.replace s.prepares t.env.Env.self ();
+    s.prepares <-
+      Replica_set.(add (add empty (leader_of t view)) t.env.Env.self);
+    s.commits <- Replica_set.empty;
     broadcast t (Msg.Prepare { view; seq; digest });
-    let absorb buffered votes =
-      Hashtbl.iter
-        (fun from (v, d) ->
-          if v = view && Cryptosim.Digest.equal d digest then
-            Hashtbl.replace votes from ())
-        buffered;
-      Hashtbl.reset buffered
-    in
-    absorb s.buffered_prepares s.prepares;
-    absorb s.buffered_commits s.commits;
+    List.iter
+      (fun e ->
+        if e.early_view = view && Cryptosim.Digest.equal e.early_digest digest
+        then
+          if e.commit then s.commits <- Replica_set.add s.commits e.voter
+          else s.prepares <- Replica_set.add s.prepares e.voter)
+      s.early;
+    if s.early != [] then s.early <- [];
     maybe_prepared t seq s
 
 (* ------------------------------------------------------------------ *)
@@ -496,15 +538,10 @@ let process_tat_on_preprepare t matrix =
    view changes they only grow the tables. Called at every view
    advance. *)
 let prune_stale_views t =
-  let drop tbl =
-    let stale =
-      Hashtbl.fold (fun v _ acc -> if v < t.view then v :: acc else acc) tbl []
-    in
-    List.iter (Hashtbl.remove tbl) stale
-  in
-  drop t.suspects;
-  drop t.vc_votes;
-  drop t.view_evidence
+  let drop v x = if v < t.view then None else Some x in
+  Tbl.Int.filter_map_inplace drop t.suspects;
+  Tbl.Int.filter_map_inplace drop t.vc_votes;
+  Tbl.Int.filter_map_inplace drop t.view_evidence
 
 (* Install [view]: the one path by which a replica enters a view. *)
 let enter_view t view =
@@ -518,8 +555,11 @@ let enter_view t view =
 
 (* Retained per-view table count, for leak regression tests. *)
 let retained_suspect_views t =
-  Hashtbl.length t.suspects + Hashtbl.length t.vc_votes
-  + Hashtbl.length t.view_evidence
+  Tbl.Int.length t.suspects + Tbl.Int.length t.vc_votes
+  + Tbl.Int.length t.view_evidence
+
+(* Retained checkpoint certificate count, for leak regression tests. *)
+let retained_checkpoints t = Hashtbl.length t.ckpt_votes
 
 let rec maybe_suspect t =
   if
@@ -536,11 +576,11 @@ and suspect_leader t =
 
 and record_suspect t ~from ~view =
   if view = t.view then begin
-    let voters = voters t.suspects view in
-    Hashtbl.replace voters from ();
+    let voters = add_voter t.suspects view from in
     (* Enough suspicions that at least one comes from a correct,
        non-recovering replica: rotate the leader. *)
-    if Hashtbl.length voters >= Quorum.suspect_threshold t.config.quorum then
+    if Replica_set.cardinal voters >= Quorum.suspect_threshold t.config.quorum
+    then
       start_view_change t (view + 1)
   end
 
@@ -553,8 +593,9 @@ and prepared_entries t =
      applied: a slot committed at a single replica is prepared at a
      quorum, and the new leader must re-propose it with the same
      content or risk divergence (replicas that missed the commit would
-     otherwise fill the slot with a no-op). *)
-  Hashtbl.fold
+     otherwise fill the slot with a no-op). Sorted by slot, so the
+     report does not depend on the table's layout. *)
+  Tbl.Int.fold
     (fun seq s acc ->
       match s.phase with
       | Voting { prepared = true; view; matrix; _ } | Committed { view; matrix; _ }
@@ -562,6 +603,7 @@ and prepared_entries t =
         { Msg.entry_seq = seq; entry_view = view; entry_matrix = matrix } :: acc
       | Open | Voting _ -> acc)
     t.slots []
+  |> List.sort (fun a b -> Int.compare a.Msg.entry_seq b.Msg.entry_seq)
 
 and start_view_change t target =
   let should =
@@ -583,7 +625,14 @@ and start_view_change t target =
 
 and record_vc_vote t ~from ~target ~last_committed ~prepared =
   if target > t.view then begin
-    let votes = voters t.vc_votes target in
+    let votes =
+      match Tbl.Int.find_opt t.vc_votes target with
+      | Some v -> v
+      | None ->
+        let v = Hashtbl.create 7 in
+        Tbl.Int.replace t.vc_votes target v;
+        v
+    in
     Hashtbl.replace votes from (last_committed, prepared);
     if Hashtbl.length votes >= Quorum.reply_threshold t.config.quorum then
       start_view_change t target;
@@ -648,17 +697,16 @@ and install_new_view t target votes =
    replicas that were partitioned away during the view change). *)
 let note_view_evidence t ~from ~view =
   if view > t.view then begin
-    let voters = voters t.view_evidence view in
-    Hashtbl.replace voters from ();
-    if Hashtbl.length voters >= Quorum.reply_threshold t.config.quorum then
-      enter_view t view
+    let voters = add_voter t.view_evidence view from in
+    if Replica_set.cardinal voters >= Quorum.reply_threshold t.config.quorum
+    then enter_view t view
   end
 
 (* A Newview for the view we are in is still adopted when we reached
    that view through evidence, which carries no proposals; re-accepting
    a proposal we already hold is a no-op. *)
 let adopt_new_view t ~view ~proposals =
-  if view > t.view || (view = t.view && t.mode = Normal) then begin
+  if view > t.view || (view = t.view && normal_mode t.mode) then begin
     if view > t.view then enter_view t view;
     List.iter
       (fun (seq, matrix) -> accept_preprepare t ~view ~seq ~matrix)
@@ -678,7 +726,7 @@ let current_summary t =
    trying to leave. Checked when a proposal is cut and again when a
    delayed one is sent: a leader that voted for a view change, halted
    or crashed while the delay ran must not pre-prepare. *)
-let may_propose t = live t && is_leader t && t.mode = Normal
+let may_propose t = live t && is_leader t && normal_mode t.mode
 
 let proposal_tick t =
   if may_propose t then begin
@@ -787,7 +835,7 @@ let watchdog t =
         let ack, since = t.po_stall in
         if ack <> quorum_ack then t.po_stall <- (quorum_ack, now);
         for s = quorum_ack + 1 to min last_own (quorum_ack + 8) do
-          match Hashtbl.find_opt t.po_store (self, s) with
+          match Tbl.Pair.find_opt t.po_store (self, s) with
           | Some update ->
             broadcast t (Msg.Po_request { origin = self; po_seq = s; update })
           | None
@@ -822,7 +870,7 @@ let watchdog t =
     end;
     let next = t.last_applied + 1 in
     let next_uncommitted =
-      match Hashtbl.find_opt t.slots next with
+      match Tbl.Int.find_opt t.slots next with
       | Some { phase = Committed _; _ } -> false
       | Some _ | None -> true
     in
@@ -835,7 +883,7 @@ let watchdog t =
        whole deployment: slot retrieval only serves applied slots, and
        nobody can apply anything past the hole. *)
     if
-      is_leader t && t.mode = Normal && next_uncommitted
+      is_leader t && normal_mode t.mode && next_uncommitted
       && t.next_seq > next
       && now - max t.last_apply_us t.last_repair_us > t.config.recon_retry_us
     then begin
@@ -843,7 +891,7 @@ let watchdog t =
       let continue = ref true in
       let i = ref 0 in
       while !continue && !i < 8 do
-        (match Hashtbl.find_opt t.slots (next + !i) with
+        (match Tbl.Int.find_opt t.slots (next + !i) with
         | Some { phase = Voting { view; matrix; _ }; _ } when view = t.view ->
           broadcast t (Msg.Preprepare { view; seq = next + !i; matrix })
         | Some { phase = Committed { view; _ }; _ } when view = t.view -> ()
@@ -863,7 +911,7 @@ let watchdog t =
       t.last_recon_us <- now;
       broadcast t (Msg.Slot_request { seq = next });
       let tally =
-        match Hashtbl.find_opt t.slots next with Some s -> vote_tally s | None -> 0
+        match Tbl.Int.find_opt t.slots next with Some s -> vote_tally s | None -> 0
       in
       let slot', tally', _ = t.stuck in
       if (slot', tally') <> (next, tally) then t.stuck <- (next, tally, now)
@@ -977,7 +1025,7 @@ let carries_malformed_matrix t msg =
 (* Store a peer's body; resume execution if it was stalled on it. *)
 let receive_body t ~origin ~po_seq update =
   ignore (store_body t ~origin ~po_seq update : bool);
-  if t.stalled_on = Some (origin, po_seq) then drain_exec t
+  if stalled_at t ~origin ~po_seq then drain_exec t
 
 let handle t ~from msg =
   if live t && not (carries_malformed_matrix t msg) then begin
@@ -1001,7 +1049,7 @@ let handle t ~from msg =
          its reported prepared set is frozen — participating further in
          the old view's ordering would let slots commit without
          appearing in any view-change report. *)
-      if t.mode = Normal && view = t.view && from = leader_of t view then begin
+      if normal_mode t.mode && view = t.view && from = leader_of t view then begin
         process_tat_on_preprepare t matrix;
         accept_preprepare t ~view ~seq ~matrix
       end
@@ -1011,25 +1059,25 @@ let handle t ~from msg =
       note_view_evidence t ~from ~view;
       (* Votes count only in the current view: one for an older view
          could commit a slot that the view change re-filled. *)
-      if t.mode = Normal && view >= t.view && seq > t.last_applied then begin
+      if normal_mode t.mode && view >= t.view && seq > t.last_applied then begin
         let s = slot t seq in
         let prepare = match vote with Msg.Prepare _ -> true | _ -> false in
         match s.phase with
         | Voting v when v.view = view ->
           if Cryptosim.Digest.equal v.digest digest then
             if prepare then begin
-              Hashtbl.replace s.prepares from ();
+              s.prepares <- Replica_set.add s.prepares from;
               maybe_prepared t seq s
             end
             else begin
-              Hashtbl.replace s.commits from ();
+              s.commits <- Replica_set.add s.commits from;
               maybe_committed t s
             end
         | Committed _ -> ()
         | Open | Voting _ ->
-          Hashtbl.replace
-            (if prepare then s.buffered_prepares else s.buffered_commits)
-            from (view, digest)
+          buffer_vote s
+            { voter = from; commit = not prepare; early_view = view;
+              early_digest = digest }
       end
     | Msg.Suspect { view } -> record_suspect t ~from ~view
     | Msg.Viewchange { new_view; last_committed; prepared } ->
@@ -1037,15 +1085,15 @@ let handle t ~from msg =
     | Msg.Newview { view; proposals } ->
       if from = leader_of t view then adopt_new_view t ~view ~proposals
     | Msg.Recon_request { origin; po_seq } -> (
-      match Hashtbl.find_opt t.po_store (origin, po_seq) with
+      match Tbl.Pair.find_opt t.po_store (origin, po_seq) with
       | Some update -> send_to t from (Msg.Recon_reply { origin; po_seq; update })
       | None -> ())
     | Msg.Recon_reply { origin; po_seq; update } ->
       receive_body t ~origin ~po_seq update
     | Msg.Slot_request { seq } -> (
-      match Hashtbl.find_opt t.slots seq with
+      match Tbl.Int.find_opt t.slots seq with
       | Some ({ phase = Voting { view; digest; prepared; _ }; _ } as s)
-        when view = t.view && t.mode = Normal ->
+        when view = t.view && normal_mode t.mode ->
         (* The asker is stuck on a slot we hold open too. If its vote
            tally has not moved for a retry period since our own
            request, votes were lost, not delayed: catch-up serves only
@@ -1064,7 +1112,7 @@ let handle t ~from msg =
       let continue = ref true in
       let i = ref 0 in
       while !continue && !i < 8 do
-        (match Hashtbl.find_opt t.slots (seq + !i) with
+        (match Tbl.Int.find_opt t.slots (seq + !i) with
         | Some { phase = Committed { matrix; _ }; _ }
           when seq + !i <= t.last_applied ->
           send_to t from (Msg.Slot_reply { seq = seq + !i; matrix })
@@ -1078,9 +1126,8 @@ let handle t ~from msg =
         | Committed _ -> ()
         | (Open | Voting _) as phase ->
           let digest = Matrix.digest matrix in
-          let voters = voters s.replies digest in
-          Hashtbl.replace voters from ();
-          if Hashtbl.length voters >= Quorum.reply_threshold t.config.quorum
+          let voters = add_reply s digest from in
+          if Replica_set.cardinal voters >= Quorum.reply_threshold t.config.quorum
           then begin
             (* f+1 matching replies: at least one correct replica applied
                this matrix at this slot. Adopt it. *)
@@ -1147,8 +1194,8 @@ let install_snapshot t s =
   t.view <- max t.view s.snap_view;
   t.mode <- Normal;
   (* Transient protocol state is rebuilt from live traffic. *)
-  Hashtbl.reset t.slots;
-  Hashtbl.reset t.po_store;
+  Tbl.Int.reset t.slots;
+  Tbl.Pair.reset t.po_store;
   Batch.clear t.po_acc;
   t.recv <- Array.copy s.snap_cursor;
   t.rows <- Matrix.empty ~n:(n t);
@@ -1158,9 +1205,9 @@ let install_snapshot t s =
   Queue.clear t.pending_tats;
   t.tat_violations <- 0;
   t.suspected_view <- t.view - 1;
-  Hashtbl.reset t.suspects;
-  Hashtbl.reset t.vc_votes;
-  Hashtbl.reset t.view_evidence;
+  Tbl.Int.reset t.suspects;
+  Tbl.Int.reset t.vc_votes;
+  Tbl.Int.reset t.view_evidence;
   Hashtbl.reset t.ckpt_votes;
   t.stable_exec <- s.snap_exec_count;
   t.last_proposed <- Matrix.empty ~n:(n t);

@@ -22,7 +22,14 @@
     the cumulative PO-ARU exchange; signatures/certificates are carried
     by the authenticated transport; reconciliation fetches missing
     bodies by broadcast request. The timing-relevant message flow
-    matches the published protocol. *)
+    matches the published protocol.
+
+    Vote state is plain ints: a slot's prepares and commits, its
+    catch-up repliers per matrix digest, the suspicions and view
+    evidence per view and the voters of each checkpoint are
+    {!Bft.Replica_set.t} bitmasks, and the slot, pre-order and per-view
+    tables are {!Bft.Tbl} instances keyed by ints. Votes that outrun
+    their pre-prepare wait in a short per-slot list. *)
 
 type config = {
   quorum : Bft.Quorum.t;
@@ -124,6 +131,11 @@ val demote_leader : t -> bool
     Stale views are pruned at every view advance, so this stays bounded
     on long soaks — see the leak regression test. *)
 val retained_suspect_views : t -> int
+
+(** [retained_checkpoints t] is the number of checkpoint certificates
+    (voter sets per execution count and chain) currently held. Those
+    below the stable checkpoint are dropped when it advances. *)
+val retained_checkpoints : t -> int
 
 (** {1 Epoch cutover} *)
 

@@ -3,11 +3,7 @@ type pending = {
   submitted_us : int;
   mutable attempt : int;
   mutable last_sent_us : int;
-  (* Shares received so far, grouped by claimed digest. *)
-  shares :
-    ( Cryptosim.Digest.t,
-      (Bft.Types.replica, Cryptosim.Threshold.share) Hashtbl.t * Reply.body )
-    Hashtbl.t;
+  shares : Shares.t;
 }
 
 type t = {
@@ -17,14 +13,14 @@ type t = {
      newest epoch first.  Across a membership cutover, boundary-batch
      replies are still signed by the old epoch's group while new-epoch
      replies use the new one, so the endpoint keeps the last two.
-     [Threshold.combine] filters shares from foreign groups via share
-     verification, so trying each group is sound. *)
+     [Shares] counts each share only under the groups it verifies
+     against, so trying each group is sound. *)
   mutable groups : Cryptosim.Threshold.group list;
   resubmit_timeout_us : int;
   submit : attempt:int -> Bft.Update.t -> unit;
   submit_batch : Bft.Update.t list -> unit;  (* first attempts, >= 2 *)
   acc : Bft.Update.t Bft.Batch.acc;
-  pending : (int, pending) Hashtbl.t; (* client_seq -> pending *)
+  pending : pending Bft.Tbl.Int.t; (* client_seq -> pending *)
   mutable next_seq : int;
   mutable floor : int; (* lowest possibly-pending client_seq *)
   mutable completed : int;
@@ -49,7 +45,7 @@ let create ?(telemetry = Telemetry.Sink.null) ?(batch = Bft.Batch.singleton)
       | Some f -> f
       | None -> List.iter (fun u -> submit ~attempt:0 u));
     acc = Bft.Batch.acc batch;
-    pending = Hashtbl.create 97;
+    pending = Bft.Tbl.Int.create 97;
     next_seq = 1;
     floor = 1;
     completed = 0;
@@ -67,7 +63,7 @@ let client_id t = t.client_id
 let push_group t g =
   if not (List.memq g t.groups) then
     t.groups <- g :: (match t.groups with old :: _ -> [ old ] | [] -> [])
-let pending_count t = Hashtbl.length t.pending
+let pending_count t = Bft.Tbl.Int.length t.pending
 let completed_count t = t.completed
 let resubmit_count t = t.resubmits
 let set_on_complete t f = t.on_complete <- f
@@ -101,14 +97,9 @@ let send_op t op =
   t.next_seq <- seq + 1;
   let now = Sim.Engine.now t.engine in
   let update = Op.to_update op ~client:t.client_id ~client_seq:seq ~submitted_us:now in
-  Hashtbl.replace t.pending seq
-    {
-      update;
-      submitted_us = now;
-      attempt = 0;
-      last_sent_us = now;
-      shares = Hashtbl.create 7;
-    };
+  Bft.Tbl.Int.replace t.pending seq
+    { update; submitted_us = now; attempt = 0; last_sent_us = now;
+      shares = Shares.create () };
   if Telemetry.Sink.enabled t.telemetry then
     Telemetry.Sink.update_submitted t.telemetry
       ~trace:(Telemetry.Span.trace_id ~client:t.client_id ~seq)
@@ -128,35 +119,13 @@ let handle_reply t (reply : Reply.t) =
   let client, seq = reply.Reply.update_key in
   if client <> t.client_id then None
   else
-    match Hashtbl.find_opt t.pending seq with
+    match Bft.Tbl.Int.find_opt t.pending seq with
     | None -> None (* unknown or already confirmed *)
     | Some p ->
-      let by_replica, body =
-        match Hashtbl.find_opt p.shares reply.Reply.digest with
-        | Some entry -> entry
-        | None ->
-          let entry = (Hashtbl.create 7, reply.Reply.body) in
-          Hashtbl.replace p.shares reply.Reply.digest entry;
-          entry
-      in
-      Hashtbl.replace by_replica reply.Reply.replica reply.Reply.share;
-      let shares = Hashtbl.fold (fun _ s acc -> s :: acc) by_replica [] in
-      let combined_opt =
-        List.find_map
-          (fun g ->
-            match
-              Cryptosim.Threshold.combine g ~digest:reply.Reply.digest shares
-            with
-            | Some c when Cryptosim.Threshold.verify g ~digest:reply.Reply.digest c
-              ->
-              Some c
-            | Some _ | None -> None)
-          t.groups
-      in
-      (match combined_opt with
+      (match Shares.add p.shares ~groups:t.groups reply with
       | None -> None
-      | Some _ ->
-        Hashtbl.remove t.pending seq;
+      | Some body ->
+        Bft.Tbl.Int.remove t.pending seq;
         t.completed <- t.completed + 1;
         let now = Sim.Engine.now t.engine in
         if Telemetry.Sink.enabled t.telemetry then
@@ -177,13 +146,13 @@ let resubmit_window = 8
 
 let watchdog t =
   let now = Sim.Engine.now t.engine in
-  while t.floor < t.next_seq && not (Hashtbl.mem t.pending t.floor) do
+  while t.floor < t.next_seq && not (Bft.Tbl.Int.mem t.pending t.floor) do
     t.floor <- t.floor + 1
   done;
   let examined = ref 0 in
   let seq = ref t.floor in
   while !examined < resubmit_window && !seq < t.next_seq do
-    (match Hashtbl.find_opt t.pending !seq with
+    (match Bft.Tbl.Int.find_opt t.pending !seq with
     | None -> ()
     | Some p ->
       incr examined;

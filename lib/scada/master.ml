@@ -1,6 +1,17 @@
+(* Persistent maps, so [clone] shares them in O(1); int keys compare
+   with [Int.compare], never the polymorphic compare. *)
+module Int_map = Map.Make (Int)
+
+module Pair_map = Map.Make (struct
+  type t = int * int
+
+  let compare ((a, b) : t) ((c, d) : t) =
+    match Int.compare a c with 0 -> Int.compare b d | n -> n
+end)
+
 type t = {
-  mutable statuses : (int * Rtu.status) list;  (* assoc rtu -> last status *)
-  mutable intents : ((int * int) * Rtu.breaker_state) list;
+  mutable statuses : Rtu.status Int_map.t;  (* rtu -> last status *)
+  mutable intents : Rtu.breaker_state Pair_map.t;  (* (rtu, breaker) *)
   mutable applied : int;
   mutable field_events : int;  (* cumulative fleet exception events confirmed *)
   mutable field_writes : int;  (* cumulative fleet register writes confirmed *)
@@ -14,8 +25,8 @@ type effect =
 
 let create () =
   {
-    statuses = [];
-    intents = [];
+    statuses = Int_map.empty;
+    intents = Pair_map.empty;
     applied = 0;
     field_events = 0;
     field_writes = 0;
@@ -36,16 +47,14 @@ let apply t op =
   | Op.Status_report s ->
     let rtu = s.Rtu.rtu_id in
     let keep_newer =
-      match List.assoc_opt rtu t.statuses with
+      match Int_map.find_opt rtu t.statuses with
       | Some prev -> prev.Rtu.seq < s.Rtu.seq
       | None -> true
     in
-    if keep_newer then
-      t.statuses <- (rtu, s) :: List.remove_assoc rtu t.statuses;
+    if keep_newer then t.statuses <- Int_map.add rtu s t.statuses;
     No_effect
   | Op.Breaker_command { rtu; breaker; desired } ->
-    t.intents <-
-      ((rtu, breaker), desired) :: List.remove_assoc (rtu, breaker) t.intents;
+    t.intents <- Pair_map.add (rtu, breaker) desired t.intents;
     let action =
       match desired with Rtu.Open -> Dnp3.Trip | Rtu.Closed -> Dnp3.Close
     in
@@ -81,15 +90,15 @@ let apply t op =
     t.field_writes <- t.field_writes + 1;
     No_effect
 
-let last_status t ~rtu = List.assoc_opt rtu t.statuses
-let breaker_intent t ~rtu ~breaker = List.assoc_opt (rtu, breaker) t.intents
-let known_rtus t = List.sort compare (List.map fst t.statuses)
+let last_status t ~rtu = Int_map.find_opt rtu t.statuses
+let breaker_intent t ~rtu ~breaker = Pair_map.find_opt (rtu, breaker) t.intents
+let known_rtus t = List.map fst (Int_map.bindings t.statuses)
 
 let stale_rtus t ~now_seq ~window =
-  List.filter_map
-    (fun (rtu, s) -> if now_seq - s.Rtu.seq > window then Some rtu else None)
-    t.statuses
-  |> List.sort compare
+  Int_map.fold
+    (fun rtu s acc -> if now_seq - s.Rtu.seq > window then rtu :: acc else acc)
+    t.statuses []
+  |> List.rev
 
 let snapshot_digest = state_digest
 

@@ -4,7 +4,7 @@ type t = {
   engine : Sim.Engine.t;
   rtu : Rtu.t;
   endpoint : Endpoint.t;
-  group : Cryptosim.Threshold.group;
+  groups : Cryptosim.Threshold.group list;  (* the [group] given to [create] *)
   protocol : field_protocol;
   poll_interval_us : int;
   mutable polls_sent : int;
@@ -12,11 +12,9 @@ type t = {
   mutable running : bool;
   (* Device commands are confirmed independently of the endpoint's own
      pending updates: they carry the ISSUING client's update key (an
-     HMI), not ours. *)
-  command_shares :
-    ( (Bft.Types.client * int) * Cryptosim.Digest.t,
-      (Bft.Types.replica, Cryptosim.Threshold.share) Hashtbl.t )
-    Hashtbl.t;
+     HMI), not ours. One collector per update key, every claimed digest
+     inside it, dropped whole on actuation. *)
+  command_shares : Shares.t Bft.Tbl.Pair.t;
   actuated : (Bft.Types.client * int, unit) Hashtbl.t;
   (* Modbus transaction counter. Per-proxy, not module-level: a
      toplevel ref would be mutable state shared by every system
@@ -35,13 +33,13 @@ let create ?(field_protocol = `Dnp3) ?telemetry ?batch ?submit_batch ?(shard = 0
     endpoint =
       Endpoint.create ?telemetry ?batch ?submit_batch ~shard ~engine ~client_id
         ~group ~resubmit_timeout_us ~submit ();
-    group;
+    groups = [ group ];
     protocol = field_protocol;
     poll_interval_us;
     polls_sent = 0;
     commands_applied = 0;
     running = false;
-    command_shares = Hashtbl.create 17;
+    command_shares = Bft.Tbl.Pair.create 17;
     actuated = Hashtbl.create 17;
     next_txn = 0;
     shard;
@@ -286,27 +284,22 @@ let actuate t frame =
       | Dnp3.Operate_ack _ -> ()))
 
 let handle_command_share t (reply : Reply.t) ~frame =
-  let key = (reply.Reply.update_key, reply.Reply.digest) in
-  if not (Hashtbl.mem t.actuated reply.Reply.update_key) then begin
+  let key = reply.Reply.update_key in
+  if not (Hashtbl.mem t.actuated key) then begin
     let shares =
-      match Hashtbl.find_opt t.command_shares key with
+      match Bft.Tbl.Pair.find_opt t.command_shares key with
       | Some s -> s
       | None ->
-        let s = Hashtbl.create 7 in
-        Hashtbl.replace t.command_shares key s;
+        let s = Shares.create () in
+        Bft.Tbl.Pair.replace t.command_shares key s;
         s
     in
-    Hashtbl.replace shares reply.Reply.replica reply.Reply.share;
-    let all = Hashtbl.fold (fun _ s acc -> s :: acc) shares [] in
-    match Cryptosim.Threshold.combine t.group ~digest:reply.Reply.digest all with
+    match Shares.add shares ~groups:t.groups reply with
     | None -> ()
-    | Some combined ->
-      if Cryptosim.Threshold.verify t.group ~digest:reply.Reply.digest combined
-      then begin
-        Hashtbl.replace t.actuated reply.Reply.update_key ();
-        Hashtbl.remove t.command_shares key;
-        actuate t frame
-      end
+    | Some _ ->
+      Hashtbl.replace t.actuated key ();
+      Bft.Tbl.Pair.remove t.command_shares key;
+      actuate t frame
   end
 
 let handle_reply t (reply : Reply.t) =

@@ -57,6 +57,39 @@ let prop_quorum_always_available =
       let q = Q.minimal ~f ~k in
       q.Q.n - f - k >= Q.quorum_size q)
 
+(* ------------------------------------------------------------------ *)
+(* Replica_set, against a sorted-list model over 0..61 *)
+
+module RS = Bft.Replica_set
+
+let prop_replica_set_matches_model =
+  QCheck.Test.make ~count:1_000 ~name:"replica set matches a list model"
+    QCheck.(list (int_bound 61))
+    (fun adds ->
+      (* Each index is added twice, the second time after the rest:
+         [add] is idempotent, so the set is the model's. *)
+      let set = List.fold_left RS.add RS.empty (adds @ adds) in
+      let model = List.sort_uniq Int.compare adds in
+      RS.cardinal set = List.length model
+      && List.for_all (fun r -> RS.mem set r = List.mem r model)
+           (List.init 64 (fun r -> r - 1))
+      && (set :> int) = (RS.of_list model :> int))
+
+let test_replica_set_bounds () =
+  let top = RS.add RS.empty 61 in
+  Alcotest.(check bool) "bit 61 held" true (RS.mem top 61);
+  Alcotest.(check bool) "bit 60 not" false (RS.mem top 60);
+  Alcotest.(check int) "bit 61 counts once" 1 (RS.cardinal top);
+  Alcotest.(check int) "full set" 62 (RS.cardinal (RS.of_list (List.init 62 Fun.id)));
+  Alcotest.(check bool) "62 never a member" false (RS.mem top 62);
+  Alcotest.(check bool) "-1 never a member" false (RS.mem top (-1));
+  List.iter
+    (fun r ->
+      Alcotest.check_raises (Printf.sprintf "add %d" r)
+        (Invalid_argument "Replica_set.add: replica index outside 0..61")
+        (fun () -> ignore (RS.add RS.empty r : RS.t)))
+    [ 62; 63; -1 ]
+
 let test_leader_rotation () =
   Alcotest.(check int) "v0" 0 (Bft.Types.leader_of ~n:4 0);
   Alcotest.(check int) "v5" 1 (Bft.Types.leader_of ~n:4 5)
@@ -439,6 +472,8 @@ let () =
           Alcotest.test_case "leader rotation" `Quick test_leader_rotation;
           QCheck_alcotest.to_alcotest prop_quorum_intersection_contains_correct;
           QCheck_alcotest.to_alcotest prop_quorum_always_available;
+          QCheck_alcotest.to_alcotest prop_replica_set_matches_model;
+          Alcotest.test_case "replica set bounds" `Quick test_replica_set_bounds;
         ] );
       ( "update",
         [

@@ -159,6 +159,25 @@ let test_checkpoint_garbage_collection () =
   Sim.Engine.run h.engine ~until_us:10_000_000;
   check_all_executed_equally h ~expected_count:40
 
+(* Checkpoint certificates at or below the stable one are dropped:
+   after ten checkpoints (80 executions at interval 8) a replica holds
+   only those still collecting votes. *)
+let test_checkpoint_certificates_pruned () =
+  let h = make_harness () in
+  for i = 1 to 80 do
+    submit_at h ~time_us:(i * 5_000) ~replica:0 (update ~client:4 ~seq:i)
+  done;
+  Sim.Engine.run h.engine ~until_us:10_000_000;
+  check_all_executed_equally h ~expected_count:80;
+  for r = 0 to 3 do
+    let retained =
+      Pbft.Replica.retained_checkpoints (Bft.Cluster.replica h.cluster r)
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "replica %d retains %d certificates" r retained)
+      true (retained <= 2)
+  done
+
 let test_larger_cluster_f2 () =
   let quorum = Bft.Quorum.create ~n:7 ~f:2 ~k:0 in
   let h = make_harness ~n:7 ~quorum () in
@@ -226,6 +245,8 @@ let () =
             test_equivocating_leader_no_divergence;
           Alcotest.test_case "checkpoints + GC" `Quick
             test_checkpoint_garbage_collection;
+          Alcotest.test_case "checkpoint certificates pruned" `Quick
+            test_checkpoint_certificates_pruned;
           Alcotest.test_case "n=7 f=2 with crashes" `Quick
             test_larger_cluster_f2;
           Alcotest.test_case "duplicate submission executes once" `Quick

@@ -579,6 +579,80 @@ let test_stale_suspect_views_pruned () =
    stale, then pre-prepares slot 2 with another matrix. Once slot 1
    arrives, replica 5 must apply slot 2 with the matrix it committed.
    The other replicas are crashed, so only these frames reach it. *)
+(* Checkpoint certificates below the stable one are dropped: after ten
+   checkpoints (160 executions at interval 16) a replica holds only the
+   stable certificate and any still collecting votes. *)
+let test_checkpoint_certificates_pruned () =
+  let h = make_harness () in
+  for i = 1 to 160 do
+    submit_at h ~time_us:(i * 10_000) ~origin:(i mod 6) (update ~client:6 ~seq:i)
+  done;
+  Sim.Engine.run h.engine ~until_us:4_000_000;
+  check_agreement h;
+  List.iter
+    (fun c -> Alcotest.(check int) "all executed" 160 c)
+    (correct_execution_counts h ~skip:[]);
+  for r = 0 to 5 do
+    let retained =
+      Prime.Replica.retained_checkpoints (Bft.Cluster.replica h.cluster r)
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "replica %d retains %d certificates" r retained)
+      true (retained <= 2)
+  done
+
+(* Replica 5 alone (its peers crashed) is fed slot 1's votes by hand.
+   Votes that outrun the pre-prepare are held and counted when it
+   arrives; a duplicate counts once and a vote for another digest not
+   at all, so the slot commits at exactly the quorum of 4. *)
+let test_early_votes_commit_at_quorum () =
+  let h = make_harness () in
+  for i = 0 to 4 do
+    (Prime.Replica.faults (Bft.Cluster.replica h.cluster i)).Bft.Faults.crashed
+    <- true
+  done;
+  let r5 = Bft.Cluster.replica h.cluster 5 in
+  let applied = ref [] in
+  Prime.Replica.set_on_apply r5 (fun seq _ -> applied := seq :: !applied);
+  let matrix = M.empty ~n:6 in
+  let digest = M.digest matrix in
+  let other = Cryptosim.Digest.of_string "another matrix" in
+  let send from msg = Prime.Replica.handle r5 ~from msg in
+  let prepare from digest = send from (Prime.Msg.Prepare { view = 0; seq = 1; digest }) in
+  let commit from digest = send from (Prime.Msg.Commit { view = 0; seq = 1; digest }) in
+  prepare 1 digest;
+  prepare 1 digest;
+  prepare 2 other;
+  commit 1 digest;
+  commit 1 digest;
+  commit 2 digest;
+  commit 3 other;
+  send 0 (Prime.Msg.Preprepare { view = 0; seq = 1; matrix });
+  (* Prepares {0 (leader), 5 (self), 1}: one short of the quorum. *)
+  Alcotest.(check (list int)) "not committed on early votes" [] !applied;
+  prepare 3 digest;
+  (* Prepared: commits {1, 2, 5}, one short. *)
+  Alcotest.(check (list int)) "not committed at 3 commits" [] !applied;
+  commit 4 digest;
+  Alcotest.(check (list int)) "committed at the quorum" [ 1 ] !applied
+
+(* A vote that opens a slot allocates the slot record, its table
+   bucket and the held vote; the vote sets are ints. *)
+let test_slot_allocation () =
+  let h = make_harness () in
+  let r5 = Bft.Cluster.replica h.cluster 5 in
+  let calls = 10_000 in
+  let digest = M.digest (M.empty ~n:6) in
+  let votes =
+    Array.init calls (fun i -> Prime.Msg.Prepare { view = 0; seq = i + 1; digest })
+  in
+  let w0 = Gc.minor_words () in
+  Array.iter (fun msg -> Prime.Replica.handle r5 ~from:1 msg) votes;
+  let words = (Gc.minor_words () -. w0) /. float_of_int calls in
+  (* Slot record 6, bucket 4, held vote 5 and its list cell 3; the
+     half word covers the two boxed [Gc.minor_words] readings. *)
+  if words > 18.5 then Alcotest.failf "opening a slot allocates %.1f words" words
+
 let test_stale_leader_cannot_replace_committed_slot () =
   let h = make_harness () in
   for i = 0 to 4 do
@@ -645,6 +719,11 @@ let () =
             test_max_tat_reflects_leader_delay;
           Alcotest.test_case "stale suspect views pruned" `Quick
             test_stale_suspect_views_pruned;
+          Alcotest.test_case "checkpoint certificates pruned" `Quick
+            test_checkpoint_certificates_pruned;
+          Alcotest.test_case "early votes commit at the quorum" `Quick
+            test_early_votes_commit_at_quorum;
+          Alcotest.test_case "slot allocation" `Quick test_slot_allocation;
           Alcotest.test_case "delayed proposal respects mode" `Quick
             test_delayed_proposal_respects_mode;
           Alcotest.test_case "malformed pre-prepare ignored" `Quick

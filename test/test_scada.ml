@@ -514,6 +514,82 @@ let test_endpoint_corrupt_share_does_not_confirm () =
   Alcotest.(check bool) "corrupt share rejected" true
     (Scada.Endpoint.handle_reply ep bad = None)
 
+(* An ack reply from [replica] carrying [member]'s share under [group]. *)
+let ack_reply ~group ~key ~digest ?(member = -1) replica =
+  let member = if member < 0 then replica else member in
+  {
+    Scada.Reply.replica;
+    update_key = key;
+    exec_index = 1;
+    digest;
+    share = Cryptosim.Threshold.sign_share group ~member digest;
+    body = Scada.Reply.Ack;
+  }
+
+let test_endpoint_duplicate_share_counts_once () =
+  let engine = Sim.Engine.create () in
+  let group =
+    Cryptosim.Threshold.create_group ~seed:3L ~members:[ 0; 1; 2; 3 ] ~threshold:2
+  in
+  let ep =
+    Scada.Endpoint.create ~engine ~client_id:1 ~group
+      ~resubmit_timeout_us:1_000_000
+      ~submit:(fun ~attempt:_ _ -> ())
+      ()
+  in
+  let u = Scada.Endpoint.send_op ep (Scada.Op.Hmi_read { hmi_id = 1 }) in
+  let reply = ack_reply ~group ~key:(Bft.Update.key u) ~digest:(Cryptosim.Digest.of_string "d") in
+  Alcotest.(check bool) "first share" true (Scada.Endpoint.handle_reply ep (reply 0) = None);
+  Alcotest.(check bool) "same share again" true
+    (Scada.Endpoint.handle_reply ep (reply 0) = None);
+  Alcotest.(check bool) "replica 2 relaying member 0's share" true
+    (Scada.Endpoint.handle_reply ep (reply ~member:0 2) = None);
+  Alcotest.(check int) "still pending" 1 (Scada.Endpoint.pending_count ep);
+  Alcotest.(check bool) "second member confirms" true
+    (Scada.Endpoint.handle_reply ep (reply 1) <> None);
+  Alcotest.(check int) "one completion" 1 (Scada.Endpoint.completed_count ep)
+
+(* Across a membership cutover the endpoint accepts the outgoing and
+   the incoming epoch's groups, each on its own shares: the last
+   old-epoch replies still confirm an update, and the shares of two
+   groups never add up to one threshold. *)
+let test_endpoint_shares_across_cutover () =
+  let engine = Sim.Engine.create () in
+  let group seed members =
+    Cryptosim.Threshold.create_group ~seed ~members ~threshold:2
+  in
+  let g0 = group 3L [ 0; 1; 2; 3 ] and g1 = group 4L [ 4; 5; 6; 7 ] in
+  let ep =
+    Scada.Endpoint.create ~engine ~client_id:1 ~group:g0
+      ~resubmit_timeout_us:1_000_000
+      ~submit:(fun ~attempt:_ _ -> ())
+      ()
+  in
+  let op () = Bft.Update.key (Scada.Endpoint.send_op ep (Scada.Op.Hmi_read { hmi_id = 1 })) in
+  let digest = Cryptosim.Digest.of_string "d" in
+  let a = op () in
+  Alcotest.(check bool) "old share before the cutover" true
+    (Scada.Endpoint.handle_reply ep (ack_reply ~group:g0 ~key:a ~digest 0) = None);
+  Scada.Endpoint.push_group ep g1;
+  Alcotest.(check bool) "old share after the cutover confirms" true
+    (Scada.Endpoint.handle_reply ep (ack_reply ~group:g0 ~key:a ~digest 1) <> None);
+  let b = op () in
+  Alcotest.(check bool) "one old share" true
+    (Scada.Endpoint.handle_reply ep (ack_reply ~group:g0 ~key:b ~digest 2) = None);
+  Alcotest.(check bool) "plus one new share: no threshold" true
+    (Scada.Endpoint.handle_reply ep (ack_reply ~group:g1 ~key:b ~digest 4) = None);
+  Alcotest.(check bool) "second new share confirms" true
+    (Scada.Endpoint.handle_reply ep (ack_reply ~group:g1 ~key:b ~digest 5) <> None);
+  (* A second cutover retires the genesis group. *)
+  Scada.Endpoint.push_group ep (group 5L [ 8; 9; 10; 11 ]);
+  let c = op () in
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) "retired group's share" true
+        (Scada.Endpoint.handle_reply ep (ack_reply ~group:g0 ~key:c ~digest r) = None))
+    [ 0; 1; 2 ];
+  Alcotest.(check int) "two completions" 2 (Scada.Endpoint.completed_count ep)
+
 let test_endpoint_resubmits_on_timeout () =
   let engine = Sim.Engine.create () in
   let group =
@@ -610,6 +686,60 @@ let test_proxy_actuates_confirmed_command () =
   R.tick rtu;
   R.tick rtu;
   Alcotest.(check bool) "breaker open" true (R.breaker rtu ~index:0 = R.Open)
+
+(* Actuating a command drops every share held for its update, those a
+   Byzantine replica sent over another digest included. *)
+let test_proxy_drops_losing_digests () =
+  let engine = Sim.Engine.create () in
+  let group =
+    Cryptosim.Threshold.create_group ~seed:3L ~members:[ 0; 1; 2 ] ~threshold:2
+  in
+  let rtu = make_rtu ~id:3 () in
+  let proxy =
+    Scada.Proxy.create ~engine ~rtu ~client_id:3 ~poll_interval_us:100_000
+      ~group ~resubmit_timeout_us:10_000_000
+      ~submit:(fun ~attempt:_ _ -> ())
+      ()
+  in
+  (* A tap command: actuation changes no allocated RTU state. *)
+  let frame =
+    D3.encode
+      {
+        D3.dest = 3;
+        src = 0xF0;
+        app = D3.Operate { point = 0x100 + 16 + 2; action = D3.Close };
+      }
+  in
+  let reply replica digest =
+    {
+      Scada.Reply.replica;
+      update_key = (99, 1);
+      exec_index = 2;
+      digest;
+      share = Cryptosim.Threshold.sign_share group ~member:replica digest;
+      body = Scada.Reply.Command { rtu = 3; frame };
+    }
+  in
+  let good = Cryptosim.Digest.of_string "cmd" in
+  let size () = Obj.reachable_words (Obj.repr proxy) in
+  let before = size () in
+  Scada.Proxy.handle_reply proxy (reply 2 (Cryptosim.Digest.of_string "bogus"));
+  let held = size () in
+  Scada.Proxy.handle_reply proxy (reply 0 good);
+  Alcotest.(check int) "below threshold" 0 (Scada.Proxy.commands_applied proxy);
+  Scada.Proxy.handle_reply proxy (reply 1 good);
+  Scada.Proxy.handle_reply proxy (reply 2 good);
+  Alcotest.(check int) "actuated exactly once" 1 (Scada.Proxy.commands_applied proxy);
+  Alcotest.(check int) "tap moved" 2 (R.read_status rtu).R.tap_position;
+  let after = size () in
+  Alcotest.(check bool)
+    (Printf.sprintf "bogus share held (%d -> %d words)" before held)
+    true (held > before);
+  (* What stays is the actuated key: its bucket (4 words) and the key
+     pair (3). *)
+  Alcotest.(check bool)
+    (Printf.sprintf "all shares dropped (%d -> %d words)" before after)
+    true (after - before <= 7)
 
 let test_modbus_proxy_polls_and_reports () =
   let engine = Sim.Engine.create () in
@@ -763,6 +893,10 @@ let () =
             test_endpoint_confirms_at_threshold;
           Alcotest.test_case "corrupt share" `Quick
             test_endpoint_corrupt_share_does_not_confirm;
+          Alcotest.test_case "duplicate share counts once" `Quick
+            test_endpoint_duplicate_share_counts_once;
+          Alcotest.test_case "shares across an epoch cutover" `Quick
+            test_endpoint_shares_across_cutover;
           Alcotest.test_case "resubmission" `Quick test_endpoint_resubmits_on_timeout;
           QCheck_alcotest.to_alcotest prop_reply_digest_matches_old;
         ] );
@@ -771,6 +905,8 @@ let () =
           Alcotest.test_case "polls and reports" `Quick test_proxy_polls_and_reports;
           Alcotest.test_case "actuates confirmed command" `Quick
             test_proxy_actuates_confirmed_command;
+          Alcotest.test_case "losing digests dropped" `Quick
+            test_proxy_drops_losing_digests;
           Alcotest.test_case "modbus proxy polls" `Quick
             test_modbus_proxy_polls_and_reports;
           Alcotest.test_case "modbus proxy gateways commands" `Quick
