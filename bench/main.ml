@@ -13,9 +13,9 @@
    The experiments are one table of records ([experiments] at the end).
    A record's [run] prints its tables and returns the shape statement it
    checks plus its oracle failures. The driver prints the section header
-   and the shape line, reports each failure on stderr as
-   "E<ID> FAILED: <msg>", and exits 1 once the selection has run if any
-   experiment failed.
+   and the shape line, reports each failure (a [Failure] the run raises
+   is one) on stderr as "E<ID> FAILED: <msg>", and exits 1 once the
+   selection has run if any experiment failed.
 
    Absolute numbers depend on the simulated substrate; the properties
    that must match the paper are the *shapes*: who wins, by what rough
@@ -657,18 +657,15 @@ let e10 () =
      crashes) must both fail validation and trip the quorum watchdog
      when forced through anyway. *)
   let crash replica =
-    Chaos.Schedule.
+    Attack.Schedule.
       { at_us = 200_000; fault = Crash_restart { replica; down_us = 2_000_000 } }
   in
   let over =
-    { Chaos.Schedule.horizon_us = 3_000_000; events = List.map crash [ 0; 2; 4 ] }
+    { Attack.Schedule.horizon_us = 3_000_000; events = List.map crash [ 0; 2; 4 ] }
   in
-  let profile =
-    Chaos.Injector.profile_of_system (System.create (System.default_config ()))
-  in
-  let budget = Chaos.Schedule.budget_of_quorum profile.quorum in
+  let profile = Injector.profile_of_system (System.create (System.default_config ())) in
   let validated =
-    match Chaos.Schedule.validate ~profile ~budget over with
+    match Attack.Schedule.validate ~profile over with
     | Ok () ->
       Printf.printf "  over-budget schedule WRONGLY validated\n";
       [ "over-budget schedule passed validation" ]
@@ -928,8 +925,10 @@ let e13 () =
             adaptive_p99 best attack_name;
         (worst, adaptive_p99))
       [
-        ("leader slowdown 1s (the E4 attack)", Scenarios.Leader_slowdown 1_000_000);
-        ("primary-WAN delay 20x (the E6 attack)", Scenarios.Wan_delay 20.);
+        ( "leader slowdown 1s (the E4 attack)",
+          Attack.Schedule.Leader_delay { delay_us = 1_000_000; duration_us = duration } );
+        ( "primary-WAN delay 20x (the E6 attack)",
+          Attack.Schedule.Wan_delay { factor = 20.; duration_us = duration } );
       ]
   in
   (* Cross-attack comparison: a static configuration must be chosen
@@ -1026,7 +1025,7 @@ let () =
           Printf.printf "\n%s\n%s %s — %s\n%s\n%!" rule e.id
             (if scale_full then "[full scale]" else "[quick scale]")
             e.title rule;
-          let o = e.run () in
+          let o = try e.run () with Failure m -> { shape = "aborted"; failures = [ m ] } in
           Printf.printf "  shape: %s\n%!" o.shape;
           List.iter
             (fun msg ->

@@ -20,6 +20,12 @@ cd "$(dirname "$0")/.."
 dune build
 dune runtest
 
+# One fault writer: outside System's primitives, the epoch halt and the
+# injector, no lib/ file writes a Bft.Faults field or degrades a link.
+bad=$(grep -rnE 'Faults\.([a-z_]+ *<-|reset)|Overlay\.Net\.set_(latency|loss)' \
+  lib --include='*.ml' | grep -vE '^lib/core/(injector|(system|epochs)\.ml:.*Faults)' || true)
+[ -z "$bad" ] || { echo "fault injection outside Spire.Injector:"; echo "$bad"; exit 1; }
+
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 

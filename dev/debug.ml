@@ -37,7 +37,7 @@ module Case_chaos = struct
         else
           Format.printf "seed %Ld: clean (%d faults, %d confirmed, worst %.0fms)@."
             r.Chaos.Harness.seed
-            (List.length r.Chaos.Harness.schedule.Chaos.Schedule.events)
+            (List.length r.Chaos.Harness.schedule.Attack.Schedule.events)
             r.Chaos.Harness.confirmed r.Chaos.Harness.worst_latency_ms)
       reports;
     Format.printf "%d/%d dirty, %.1fs wall@." !dirty count
@@ -49,21 +49,19 @@ module Case_chaos2 = struct
   (* Bisect a dirty chaos schedule: rerun every subset of its events and
      report the minimal subsets that still violate an oracle.
      Usage: dune exec dev/debug.exe -- chaos2 <seed-int> *)
-  
   let run (args : string array) =
     let seed_int = int_arg ~default:9000027 ~usage:"chaos2 [seed]" args 1 in
     let seed = Int64.of_int seed_int in
     let full = Chaos.Harness.soak ~seed () in
     Format.printf "full run:@.%a@." Chaos.Harness.pp_report full;
-    let events = Array.of_list full.Chaos.Harness.schedule.Chaos.Schedule.events in
-    let horizon = full.Chaos.Harness.schedule.Chaos.Schedule.horizon_us in
+    let events = Array.of_list full.Chaos.Harness.schedule.Attack.Schedule.events in
     let m = Array.length events in
     let dirty_masks = ref [] in
     for mask = 1 to (1 lsl m) - 1 do
       let subset =
         List.filteri (fun i _ -> mask land (1 lsl i) <> 0) (Array.to_list events)
       in
-      let schedule = { Chaos.Schedule.horizon_us = horizon; events = subset } in
+      let schedule = { full.Chaos.Harness.schedule with events = subset } in
       let r = Chaos.Harness.run ~seed ~schedule () in
       if not (Chaos.Harness.clean r) then dirty_masks := (mask, r) :: !dirty_masks
     done;
@@ -81,11 +79,7 @@ module Case_chaos2 = struct
       ((1 lsl m) - 1)
 end
 
-let cases =
-  [
-    ("chaos", Case_chaos.run);
-    ("chaos2", Case_chaos2.run);
-  ]
+let cases = [ ("chaos", Case_chaos.run); ("chaos2", Case_chaos2.run) ]
 
 let () =
   match Array.to_list Sys.argv with

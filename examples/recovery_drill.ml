@@ -28,7 +28,6 @@ let () =
         {
           Attack.Campaign.exploit_development_us = 20_000_000;
           attempt_interval_us = 5_000_000;
-          retarget = `Largest_group;
         }
       ~on_compromise:(fun r ->
         Printf.printf "  [%6.1fs] ATTACKER compromises replica %d (variant %d)\n"

@@ -1,7 +1,6 @@
 type config = {
   exploit_development_us : int;
   attempt_interval_us : int;
-  retarget : [ `Cycle | `Largest_group ];
 }
 
 type t = {
@@ -14,7 +13,6 @@ type t = {
   compromised : (Bft.Types.replica, unit) Hashtbl.t;
   recovering : (Bft.Types.replica, unit) Hashtbl.t;
   mutable exploited_variant : Recovery.Diversity.variant option;
-  mutable next_cycle_variant : int;
   mutable exploits : int;
   mutable total_compromises : int;
   mutable max_simultaneous : int;
@@ -32,7 +30,6 @@ let create ~engine ~rng ~diversity ~config ~on_compromise ~on_cleanse =
     compromised = Hashtbl.create 7;
     recovering = Hashtbl.create 7;
     exploited_variant = None;
-    next_cycle_variant = 0;
     exploits = 0;
     total_compromises = 0;
     max_simultaneous = 0;
@@ -47,29 +44,23 @@ let max_simultaneous t = t.max_simultaneous
 let total_compromises t = t.total_compromises
 let exploits_developed t = t.exploits
 
+(* Aim at the variant shared by the most not-yet-compromised
+   replicas: the worst case. *)
 let pick_target t =
-  match t.config.retarget with
-  | `Cycle ->
-    let v = t.next_cycle_variant mod Recovery.Diversity.variant_space t.diversity in
-    t.next_cycle_variant <- t.next_cycle_variant + 1;
-    v
-  | `Largest_group ->
-    (* Aim at the variant shared by the most not-yet-compromised
-       replicas. *)
-    let best = ref 0 and best_count = ref (-1) in
-    for v = 0 to Recovery.Diversity.variant_space t.diversity - 1 do
-      let count =
-        List.length
-          (List.filter
-             (fun r -> not (Hashtbl.mem t.compromised r))
-             (Recovery.Diversity.replicas_running t.diversity v))
-      in
-      if count > !best_count then begin
-        best := v;
-        best_count := count
-      end
-    done;
-    !best
+  let best = ref 0 and best_count = ref (-1) in
+  for v = 0 to Recovery.Diversity.variant_space t.diversity - 1 do
+    let count =
+      List.length
+        (List.filter
+           (fun r -> not (Hashtbl.mem t.compromised r))
+           (Recovery.Diversity.replicas_running t.diversity v))
+    in
+    if count > !best_count then begin
+      best := v;
+      best_count := count
+    end
+  done;
+  !best
 
 let attempt t =
   match t.exploited_variant with

@@ -16,9 +16,6 @@ type config = {
   exploit_development_us : int;
       (** time to build an exploit for a newly-targeted variant *)
   attempt_interval_us : int;  (** cadence of intrusion attempts *)
-  retarget : [ `Cycle | `Largest_group ];
-      (** how the attacker picks the next variant: round-robin or
-          aim at the variant with most replicas (worst case) *)
 }
 
 type t

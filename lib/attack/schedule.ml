@@ -14,6 +14,10 @@ type fault =
   | Silence of { replica : int; duration_us : int }
   | Clock_skew of { replica : int; delay_us : int; duration_us : int }
   | Message_delay of { replica : int; factor : float; duration_us : int }
+  | Leader_delay of { delay_us : int; duration_us : int }
+  | Wan_delay of { factor : float; duration_us : int }
+  | Wan_loss of { loss : float; duration_us : int }
+  | Site_kill of { site : int; down_us : int }
 
 type event = { at_us : int; fault : fault }
 type t = { horizon_us : int; events : event list }
@@ -25,42 +29,42 @@ type profile = {
   wan_links : (int * int) list;
 }
 
-type budget = {
-  max_byzantine : int;
-  max_down : int;
-  max_link_cuts : int;
-  max_gray : int;
-  allow_partition : bool;
-}
+(* Concurrency limits that do not come from the quorum. *)
+let max_link_cuts = 1
+let max_gray = 3
 
-let budget_of_quorum (q : Bft.Quorum.t) =
-  {
-    max_byzantine = q.Bft.Quorum.f;
-    max_down = q.Bft.Quorum.k;
-    max_link_cuts = 1;
-    max_gray = 3;
-    allow_partition = true;
-  }
+let primary_links profile =
+  let gateways = List.map (fun (_, members) -> List.hd members) profile.sites in
+  List.filter
+    (fun (a, b) -> List.mem a gateways && List.mem b gateways)
+    profile.wan_links
 
 let duration_us = function
-  | Link_flap { down_us; _ } -> down_us
-  | Daemon_churn { down_us; _ } -> down_us
+  | Link_flap { down_us; _ }
+  | Daemon_churn { down_us; _ }
+  | Crash_restart { down_us; _ }
+  | Site_kill { down_us; _ } ->
+    down_us
   | Partition_site { heal_after_us; _ } -> heal_after_us
-  | Loss_ramp { ramp_us; hold_us; _ } -> ramp_us + hold_us
-  | Latency_ramp { ramp_us; hold_us; _ } -> ramp_us + hold_us
-  | Crash_restart { down_us; _ } -> down_us
-  | Silence { duration_us; _ } -> duration_us
-  | Clock_skew { duration_us; _ } -> duration_us
-  | Message_delay { duration_us; _ } -> duration_us
+  | Loss_ramp { ramp_us; hold_us; _ } | Latency_ramp { ramp_us; hold_us; _ } ->
+    ramp_us + hold_us
+  | Silence { duration_us; _ }
+  | Clock_skew { duration_us; _ }
+  | Message_delay { duration_us; _ }
+  | Leader_delay { duration_us; _ }
+  | Wan_delay { duration_us; _ }
+  | Wan_loss { duration_us; _ } ->
+    duration_us
 
 type category = Byzantine | Down | Link_cut | Gray | Partition
 
 let category = function
-  | Silence _ | Clock_skew _ -> Byzantine
+  | Silence _ | Clock_skew _ | Leader_delay _ -> Byzantine
   | Crash_restart _ | Daemon_churn _ -> Down
   | Link_flap _ -> Link_cut
-  | Loss_ramp _ | Latency_ramp _ | Message_delay _ -> Gray
-  | Partition_site _ -> Partition
+  | Loss_ramp _ | Latency_ramp _ | Message_delay _ | Wan_delay _ | Wan_loss _ ->
+    Gray
+  | Partition_site _ | Site_kill _ -> Partition
 
 (* Resources a fault occupies while active; two concurrent faults must
    not share a resource (last heal would clobber the other's state). *)
@@ -71,7 +75,7 @@ let norm_link a b = if a < b then Link (a, b) else Link (b, a)
 let targets profile = function
   | Link_flap { a; b; _ } -> [ norm_link a b ]
   | Daemon_churn { replica; _ } -> [ Replica replica ]
-  | Partition_site { site; _ } -> (
+  | Partition_site { site; _ } | Site_kill { site; _ } -> (
     Site site
     ::
     (match List.assoc_opt site profile.sites with
@@ -88,148 +92,128 @@ let targets profile = function
          (fun (a, b) ->
            if a = replica || b = replica then Some (norm_link a b) else None)
          profile.wan_links
+  | Wan_delay _ -> List.map (fun (a, b) -> norm_link a b) (primary_links profile)
+  | Wan_loss _ -> List.map (fun (a, b) -> norm_link a b) profile.wan_links
+  (* Whoever leads when it starts: unknown until then. *)
+  | Leader_delay _ -> []
+
+(* What a fault counts toward its category's limit: a WAN-wide fault
+   counts once per link, so bundling links cannot evade the budget. *)
+let weight profile fault =
+  match fault with
+  | Wan_delay _ | Wan_loss _ -> List.length (targets profile fault)
+  | _ -> 1
 
 let overlaps (s1, e1) (s2, e2) = s1 < e2 && s2 < e1
 
 let interval ev = (ev.at_us, ev.at_us + duration_us ev.fault)
 
-(* Count how many of [evs] are active at instant [t]. *)
-let active_at evs cat t =
-  List.length
-    (List.filter
-       (fun ev ->
-         category ev.fault = cat
-         &&
-         let s, e = interval ev in
-         s <= t && t < e)
-       evs)
+(* The weight of [evs] active at instant [t]. *)
+let active_at profile evs cat t =
+  List.fold_left
+    (fun n ev ->
+      let s, e = interval ev in
+      if category ev.fault = cat && s <= t && t < e then
+        n + weight profile ev.fault
+      else n)
+    0 evs
 
-let validate ~profile ~budget t =
-  let err fmt = Format.kasprintf (fun m -> Error m) fmt in
+let validate ~profile t =
+  let bad fmt = Format.kasprintf Option.some fmt in
   let events = t.events in
-  let check_one ev =
+  let q = profile.quorum in
+  let fk = q.Bft.Quorum.f + q.Bft.Quorum.k in
+  let fault_error ev =
     let s, e = interval ev in
-    if s < 0 then err "event at %dus starts before 0" ev.at_us
+    if s < 0 then bad "event at %dus starts before 0" ev.at_us
     else if e > t.horizon_us then
-      err "fault at %dus heals at %dus, after the %dus horizon" ev.at_us e
+      bad "fault at %dus heals at %dus, after the %dus horizon" ev.at_us e
         t.horizon_us
     else if duration_us ev.fault <= 0 then
-      err "fault at %dus has non-positive duration" ev.at_us
+      bad "fault at %dus has non-positive duration" ev.at_us
     else
       match ev.fault with
-      | Partition_site { site; _ } -> (
-        if not budget.allow_partition then
-          err "partition at %dus but budget forbids partitions" ev.at_us
-        else
-          match List.assoc_opt site profile.sites with
-          | None -> err "partition of unknown replica site %d" site
-          | Some members ->
-            let q = profile.quorum in
-            if List.length members > q.Bft.Quorum.f + q.Bft.Quorum.k then
-              err
-                "partition of site %d (%d replicas) exceeds the f+k=%d \
-                 unavailability budget"
-                site (List.length members)
-                (q.Bft.Quorum.f + q.Bft.Quorum.k)
-            else Ok ())
-      | Loss_ramp { peak; _ } ->
-        if peak < 0. || peak >= 1. then
-          err "loss ramp peak %.2f out of [0,1)" peak
-        else Ok ()
-      | Latency_ramp { peak_factor; _ } ->
-        if peak_factor < 1. then err "latency ramp factor %.2f < 1" peak_factor
-        else Ok ()
-      | Message_delay { factor; _ } ->
-        if factor < 1. then err "message delay factor %.2f < 1" factor
-        else Ok ()
-      | Link_flap _ | Daemon_churn _ | Crash_restart _ | Silence _
-      | Clock_skew _ ->
-        Ok ()
+      | Partition_site { site; _ } | Site_kill { site; _ } -> (
+        match List.assoc_opt site profile.sites with
+        | None -> bad "loss of unknown replica site %d" site
+        | Some members when List.length members > fk ->
+          bad
+            "loss of site %d (%d replicas) exceeds the f+k=%d \
+             unavailability budget"
+            site (List.length members) fk
+        | Some _ -> None)
+      (* The predicates [Overlay.Net] applies: NaN fails both. *)
+      | Loss_ramp { peak = p; _ } | Wan_loss { loss = p; _ }
+        when not (p >= 0. && p < 1.) ->
+        bad "loss %g out of [0,1)" p
+      | Latency_ramp { peak_factor = x; _ }
+      | Message_delay { factor = x; _ }
+      | Wan_delay { factor = x; _ }
+        when not (Float.is_finite x && x >= 1.) ->
+        bad "latency factor %g is not a finite factor >= 1" x
+      | _ -> None
   in
-  let rec first_error = function
-    | [] -> Ok ()
+  (* Concurrency budgets, sampled at every fault start. *)
+  let over (cat, limit, name) =
+    List.find_map
+      (fun ev ->
+        let n = active_at profile events cat ev.at_us in
+        if n > limit then
+          bad "budget exceeded at %dus: %d concurrent %s" ev.at_us n name
+        else None)
+      events
+  in
+  (* A lost site is exclusive with every non-gray fault: isolating or
+     killing a tolerated site already consumes the whole unavailability
+     budget, and a surviving correct path must remain. *)
+  let hard ev =
+    match category ev.fault with
+    | Byzantine | Down | Link_cut -> true
+    | Gray | Partition -> false
+  in
+  let site_loss_clash p =
+    if
+      category p.fault = Partition
+      && List.exists (fun h -> hard h && overlaps (interval p) (interval h)) events
+    then
+      bad
+        "site loss at %dus overlaps a Byzantine/down/link fault: the \
+         combination exceeds the tolerated simultaneous-fault budget"
+        p.at_us
+    else None
+  in
+  (* No two concurrent faults may share a target resource. *)
+  let rec shared = function
+    | [] -> None
     | ev :: rest -> (
-      match check_one ev with Ok () -> first_error rest | Error _ as e -> e)
+      let tv = targets profile ev.fault in
+      let conflict other =
+        overlaps (interval ev) (interval other)
+        && List.exists (fun tg -> List.mem tg (targets profile other.fault)) tv
+      in
+      match List.find_opt conflict rest with
+      | Some other ->
+        bad "faults at %dus and %dus target the same resource" ev.at_us
+          other.at_us
+      | None -> shared rest)
   in
-  match first_error events with
-  | Error _ as e -> e
-  | Ok () ->
-    (* Concurrency budgets, sampled at every fault start. *)
-    let starts = List.map (fun ev -> ev.at_us) events in
-    let over cat limit name =
-      List.find_map
-        (fun s ->
-          let n = active_at events cat s in
-          if n > limit then Some (s, n, name) else None)
-        starts
-    in
-    let budget_violation =
-      List.find_map
-        (fun x -> x)
-        [
-          over Byzantine budget.max_byzantine "Byzantine replicas";
-          over Down budget.max_down "down/recovering replicas";
-          over Link_cut budget.max_link_cuts "severed links";
-          over Gray budget.max_gray "gray failures";
-          over Partition 1 "site partitions";
-        ]
-    in
-    (match budget_violation with
-    | Some (s, n, name) ->
-      err "budget exceeded at %dus: %d concurrent %s" s n name
-    | None ->
-      (* A partition is exclusive with every non-gray fault: isolating
-         a tolerated site already consumes the whole unavailability
-         budget, and a surviving correct path must remain. *)
-      let partitions =
-        List.filter (fun ev -> category ev.fault = Partition) events
-      in
-      let hard =
-        List.filter
-          (fun ev ->
-            match category ev.fault with
-            | Byzantine | Down | Link_cut -> true
-            | Gray | Partition -> false)
-          events
-      in
-      let clash =
-        List.find_map
-          (fun p ->
-            List.find_map
-              (fun h ->
-                if overlaps (interval p) (interval h) then Some (p, h)
-                else None)
-              hard)
-          partitions
-      in
-      (match clash with
-      | Some (p, _) ->
-        err
-          "partition at %dus overlaps a Byzantine/down/link fault: the \
-           combination exceeds the tolerated simultaneous-fault budget"
-          p.at_us
-      | None ->
-        (* No two concurrent faults may share a target resource. *)
-        let rec pairwise = function
-          | [] -> Ok ()
-          | ev :: rest ->
-            let tv = targets profile ev.fault in
-            let conflict =
-              List.find_opt
-                (fun other ->
-                  overlaps (interval ev) (interval other)
-                  && List.exists
-                       (fun tg -> List.mem tg (targets profile other.fault))
-                       tv)
-                rest
-            in
-            (match conflict with
-            | Some other ->
-              err "faults at %dus and %dus target the same resource" ev.at_us
-                other.at_us
-            | None -> pairwise rest)
-        in
-        pairwise events))
+  List.find_map
+    (fun check -> check ())
+    [
+      (fun () -> List.find_map fault_error events);
+      (fun () ->
+        List.find_map over
+          [
+            (Byzantine, q.Bft.Quorum.f, "Byzantine replicas");
+            (Down, q.Bft.Quorum.k, "down/recovering replicas");
+            (Link_cut, max_link_cuts, "severed links");
+            (Gray, max_gray, "gray failures");
+            (Partition, 1, "site partitions");
+          ]);
+      (fun () -> List.find_map site_loss_clash events);
+      (fun () -> shared events);
+    ]
+  |> Option.fold ~none:(Ok ()) ~some:Result.error
 
 (* ------------------------------------------------------------------ *)
 (* Pretty printing: a schedule must be readable in a failure report.   *)
@@ -261,6 +245,17 @@ let pp_fault ppf = function
   | Message_delay { replica; factor; duration_us } ->
     Format.fprintf ppf "message-delay replica %d %.1fx for %dms" replica factor
       (duration_us / 1000)
+  | Leader_delay { delay_us; duration_us } ->
+    Format.fprintf ppf "leader-delay +%dms for %dms" (delay_us / 1000)
+      (duration_us / 1000)
+  | Wan_delay { factor; duration_us } ->
+    Format.fprintf ppf "wan-delay primary links %.1fx for %dms" factor
+      (duration_us / 1000)
+  | Wan_loss { loss; duration_us } ->
+    Format.fprintf ppf "wan-loss %.0f%% for %dms" (100. *. loss)
+      (duration_us / 1000)
+  | Site_kill { site; down_us } ->
+    Format.fprintf ppf "kill site %d down %dms" site (down_us / 1000)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>chaos schedule (horizon %dms, %d faults):"
@@ -275,7 +270,7 @@ let pp ppf t =
 (* ------------------------------------------------------------------ *)
 (* Generator: random-but-reproducible schedules within a budget.       *)
 
-let generate ~profile ~budget ~seed ~horizon_us =
+let generate ~profile ~seed ~horizon_us =
   let rng = Sim.Rng.create seed in
   let replicas = Array.init profile.n Fun.id in
   let wan = Array.of_list profile.wan_links in
@@ -300,7 +295,7 @@ let generate ~profile ~budget ~seed ~horizon_us =
              replica = Sim.Rng.pick rng replicas;
              down_us = range 200_000 800_000;
            })
-    | 2 when budget.allow_partition && Array.length partitionable > 0 ->
+    | 2 when Array.length partitionable > 0 ->
       let site, _ = Sim.Rng.pick rng partitionable in
       Some (Partition_site { site; heal_after_us = range 300_000 1_000_000 })
     | 3 when Array.length wan > 0 ->
@@ -368,7 +363,7 @@ let generate ~profile ~budget ~seed ~horizon_us =
       if dur < horizon_us then begin
         let at_us = Sim.Rng.int rng (horizon_us - dur) in
         let candidate = { horizon_us; events = { at_us; fault } :: !events } in
-        match validate ~profile ~budget candidate with
+        match validate ~profile candidate with
         | Ok () -> events := candidate.events
         | Error _ -> ()
       end

@@ -3,18 +3,20 @@
     A schedule is a list of timed fault injections over a finite
     horizon; every fault carries its own healing time, so a valid
     schedule is fully healed at the horizon. Faults compose — several
-    may be active at once — subject to a {!budget} that mirrors the
-    paper's resilience envelope: at most [f] Byzantine replicas, at
-    most [k] down/recovering, at most one severed link or one tolerated
-    site partition at a time, so at least one correct path and an
-    ordering quorum always survive.
+    may be active at once — subject to the paper's resilience envelope,
+    derived from the profile's quorum: at most [f] Byzantine replicas,
+    at most [k] down/recovering, at most one severed link, at most
+    three gray links, and at most one lost site of at most [f + k]
+    replicas at a time, so at least one correct path and an ordering
+    quorum always survive.
 
     The {!generate} sampler draws random schedules from a seed; the same
     seed always yields the same schedule, which is how a failing soak
     run is reproduced. {!validate} is the budget checker; the generator
     only emits schedules that validate, and hand-written over-budget
     schedules (used to prove the oracles are not vacuous) are exactly
-    the ones it rejects. *)
+    the ones it rejects. Every experiment's fault plan is a schedule
+    too, checked against the same budget. *)
 
 (** The fault repertoire. Replica indices and overlay nodes coincide
     for replicas (node [r] hosts replica [r]). *)
@@ -46,6 +48,18 @@ type fault =
           slowdown attack as produced by a skewed clock *)
   | Message_delay of { replica : int; factor : float; duration_us : int }
       (** every link adjacent to the replica delays by [factor]x *)
+  | Leader_delay of { delay_us : int; duration_us : int }
+      (** Byzantine: whichever replica leads when the fault starts
+          delays every proposal by [delay_us] (experiment E4) *)
+  | Wan_delay of { factor : float; duration_us : int }
+      (** gray: every {!primary_links} link delays by [factor]x — the
+          undetected delay attack of experiment E6 *)
+  | Wan_loss of { loss : float; duration_us : int }
+      (** gray: every [wan_links] link drops each transmission with
+          probability [loss] (experiment E6B) *)
+  | Site_kill of { site : int; down_us : int }
+      (** every replica of a site crashes at once; the heal restarts
+          them through state transfer (experiment E7) *)
 
 type event = { at_us : int; fault : fault }
 
@@ -59,35 +73,25 @@ type profile = {
   wan_links : (int * int) list;  (** inter-site links between replicas *)
 }
 
-(** Concurrency budget. A schedule within the budget must be survivable:
-    the chaos soak asserts that every oracle stays green under any
-    generated schedule. *)
-type budget = {
-  max_byzantine : int;  (** concurrent Silence/Clock_skew, <= f *)
-  max_down : int;  (** concurrent Crash_restart/Daemon_churn, <= k *)
-  max_link_cuts : int;  (** concurrent Link_flap *)
-  max_gray : int;  (** concurrent loss/latency/message-delay faults *)
-  allow_partition : bool;
-}
-
-(** [budget_of_quorum q] is the paper's envelope: [f] Byzantine, [k]
-    down, one link cut, partitions of tolerated sites allowed. *)
-val budget_of_quorum : Bft.Quorum.t -> budget
+(** [primary_links profile] are the [wan_links] joining the first
+    replica (the gateway) of two sites. *)
+val primary_links : profile -> (int * int) list
 
 (** [duration_us fault] is the fault's active span (injection to heal). *)
 val duration_us : fault -> int
 
-(** [validate ~profile ~budget t] checks that every fault heals within
-    the horizon, concurrency stays within the budget, a partition never
-    overlaps a Byzantine/down/link fault, no partitioned site exceeds
-    [f + k] replicas, and no two concurrent faults share a target
-    resource. *)
-val validate :
-  profile:profile -> budget:budget -> t -> (unit, string) result
+(** [validate ~profile t] checks that every fault heals within the
+    horizon and has finite parameters the overlay accepts (latency
+    factors >= 1, loss in [0,1)), concurrency stays within the budget
+    ([Wan_delay] and [Wan_loss] count once per link they touch), a lost
+    site ([Partition_site], [Site_kill]) never overlaps a
+    Byzantine/down/link fault and holds at most [f + k] replicas, and
+    no two concurrent faults share a target resource. *)
+val validate : profile:profile -> t -> (unit, string) result
 
-(** [generate ~profile ~budget ~seed ~horizon_us] samples a random
-    schedule that satisfies [validate]. Deterministic in [seed]. *)
-val generate :
-  profile:profile -> budget:budget -> seed:int64 -> horizon_us:int -> t
+(** [generate ~profile ~seed ~horizon_us] samples a random schedule of
+    the first nine kinds that satisfies [validate]. Deterministic in
+    [seed]. *)
+val generate : profile:profile -> seed:int64 -> horizon_us:int -> t
 
 val pp : Format.formatter -> t -> unit

@@ -25,7 +25,7 @@ let recovery_slack_ms = 10.
 
 type report = {
   seed : int64;
-  schedule : Schedule.t;
+  schedule : Attack.Schedule.t;
   verdicts : (string * Oracle.Verdict.t) list;
   submitted : int;
   confirmed : int;
@@ -57,7 +57,7 @@ let pp_report ppf r =
      min quorum availability %d; worst latency %.1fms@,"
     r.seed
     (if clean r then "CLEAN" else "VIOLATIONS")
-    Schedule.pp r.schedule r.submitted r.confirmed r.baseline_p50_ms
+    Attack.Schedule.pp r.schedule r.submitted r.confirmed r.baseline_p50_ms
     r.post_p50_ms r.min_available r.worst_latency_ms;
   if r.wire_decode_errors > 0 then
     Format.fprintf ppf "  wire decode errors: %d@," r.wire_decode_errors;
@@ -116,11 +116,11 @@ let agreement_verdict agreement finality =
 let min_post_confirmed cfg =
   cfg.Spire.System.substations * post_us / cfg.Spire.System.poll_interval_us / 3
 
-let execute ~seed sys (schedule : Schedule.t) =
+let execute ~seed sys (schedule : Attack.Schedule.t) =
   let cfg = Spire.System.config sys in
   let engine = Spire.System.engine sys in
   let turb_start = baseline_us in
-  let heal_us = turb_start + schedule.Schedule.horizon_us in
+  let heal_us = turb_start + schedule.Attack.Schedule.horizon_us in
   let calm_start = heal_us + settle_us in
   let end_us = calm_start + post_us in
   (* Submissions inside [turb_window] are held to the relaxed bound:
@@ -164,7 +164,7 @@ let execute ~seed sys (schedule : Schedule.t) =
   ignore
     (Sim.Engine.periodic engine ~interval_us:sample_interval_us sample
       : Sim.Engine.timer);
-  Injector.apply sys ~offset_us:turb_start schedule;
+  Spire.Injector.apply sys ~offset_us:turb_start schedule;
   Spire.System.start sys;
   Spire.System.run sys ~duration_us:end_us;
   sample ();
@@ -200,13 +200,12 @@ let run ?(system = soak_system ()) ~seed ~schedule () =
 
 (* A within-budget schedule for [sys], drawn from [seed] xor [salt]. *)
 let generate_schedule ~caller ~salt ~seed sys =
-  let profile = Injector.profile_of_system sys in
-  let budget = Schedule.budget_of_quorum profile.Schedule.quorum in
+  let profile = Spire.Injector.profile_of_system sys in
   let schedule =
-    Schedule.generate ~profile ~budget ~seed:(Int64.logxor seed salt)
+    Attack.Schedule.generate ~profile ~seed:(Int64.logxor seed salt)
       ~horizon_us:turbulence_us
   in
-  (match Schedule.validate ~profile ~budget schedule with
+  (match Attack.Schedule.validate ~profile schedule with
   | Ok () -> ()
   | Error msg ->
     failwith ("Chaos.Harness." ^ caller ^ ": generator emitted " ^ msg));
@@ -223,7 +222,7 @@ let generate_schedule ~caller ~salt ~seed sys =
 
 type reconfig_report = {
   rc_seed : int64;
-  rc_schedule : Schedule.t;
+  rc_schedule : Attack.Schedule.t;
   rc_verdicts : (string * Oracle.Verdict.t) list;
       (** ["agreement"; "epoch"; "progress"] *)
   rc_final_epoch : int;
@@ -242,7 +241,7 @@ let pp_reconfig_report ppf r =
      stale frames %d@,"
     r.rc_seed
     (if reconfig_clean r then "CLEAN" else "VIOLATIONS")
-    Schedule.pp r.rc_schedule r.rc_final_epoch
+    Attack.Schedule.pp r.rc_schedule r.rc_final_epoch
     (List.length r.rc_cutovers)
     r.rc_submitted r.rc_confirmed r.rc_stale_frames;
   pp_verdicts ppf r.rc_verdicts;
@@ -258,7 +257,7 @@ let reconfig_soak ~seed () =
     generate_schedule ~caller:"reconfig_soak" ~salt:0x0E11FACEL ~seed sys
   in
   let turb_start = baseline_us in
-  let heal_us = turb_start + schedule.Schedule.horizon_us in
+  let heal_us = turb_start + schedule.Attack.Schedule.horizon_us in
   let calm_start = heal_us + settle_us in
   let end_us = calm_start + post_us in
   let agreement = Oracle.Agreement.create () in
@@ -290,12 +289,12 @@ let reconfig_soak ~seed () =
           ~boundary_exec:(Member.Cert.boundary_exec c)
           ~digest:(Member.Cert.digest c)
       | None -> ());
-  Injector.apply sys ~offset_us:turb_start schedule;
+  Spire.Injector.apply sys ~offset_us:turb_start schedule;
   (* Mid-turbulence: control-center failover (same resilience, same n —
      the fault budget stays survivable throughout). *)
   ignore
     (Sim.Engine.schedule_at engine
-       ~time_us:(turb_start + (schedule.Schedule.horizon_us / 3))
+       ~time_us:(turb_start + (schedule.Attack.Schedule.horizon_us / 3))
        (fun () ->
          Spire.System.submit_reconfig sys [ Member.Reconfig.Promote 1 ])
       : Sim.Engine.timer);

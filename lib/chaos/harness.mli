@@ -31,14 +31,14 @@
     submitted up to 1 s before the turbulence held to the latter;
     oracles sampled every 100 ms; post-heal p50 within 3x the baseline
     p50 plus 10 ms. The fault budget derives from the quorum
-    ({!Schedule.budget_of_quorum}).
+    ({!Attack.Schedule.validate}).
 
     A report is reproducible from its seed: the same seed rebuilds the
     same system, the same schedule, and the same event interleaving. *)
 
 type report = {
   seed : int64;
-  schedule : Schedule.t;
+  schedule : Attack.Schedule.t;
   verdicts : (string * Oracle.Verdict.t) list;
       (** ["agreement"; "sla"; "quorum"; "recovery"] *)
   submitted : int;
@@ -70,7 +70,11 @@ val soak : seed:int64 -> unit -> report
     [system] (default: the soak deployment) with its seed set to
     [seed]. *)
 val run :
-  ?system:Spire.System.config -> seed:int64 -> schedule:Schedule.t -> unit -> report
+  ?system:Spire.System.config ->
+  seed:int64 ->
+  schedule:Attack.Schedule.t ->
+  unit ->
+  report
 
 (** {1 Reconfiguration soak}
 
@@ -84,7 +88,7 @@ val run :
 
 type reconfig_report = {
   rc_seed : int64;
-  rc_schedule : Schedule.t;
+  rc_schedule : Attack.Schedule.t;
   rc_verdicts : (string * Oracle.Verdict.t) list;
       (** ["agreement"; "epoch"; "progress"] *)
   rc_final_epoch : int;

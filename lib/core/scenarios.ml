@@ -30,6 +30,29 @@ let finish sys ~duration_us =
   System.assert_agreement sys;
   (sys, result_of sys ~duration_us)
 
+(* Every experiment's faults go through here, as [(at_us, fault)]
+   pairs. The validator's verdict must be the one the experiment
+   expects — within the paper's budget, or over it on purpose — before
+   the injector arms the plan; a mismatch raises [Failure], as
+   [System.assert_agreement] does. *)
+let inject sys ~expect faults =
+  let events =
+    List.map (fun (at_us, fault) -> { Attack.Schedule.at_us; fault }) faults
+  in
+  let plan = { Attack.Schedule.horizon_us = max_int; events } in
+  (match
+     (expect, Attack.Schedule.validate ~profile:(Injector.profile_of_system sys) plan)
+   with
+  | `Within_budget, Ok () | `Over_budget, Error _ -> ()
+  | `Within_budget, Error msg -> failwith ("fault plan over budget: " ^ msg)
+  | `Over_budget, Ok () ->
+    failwith "fault plan declared over budget passes the validator");
+  Injector.apply sys ~offset_us:0 plan
+
+(* The span of a fault the experiment never heals: [Sim.Engine.run]
+   fires events at exactly its end, so the heal lands past it. *)
+let whole_run ~duration_us = duration_us + 1
+
 let fault_free ?config ~duration_us () =
   let cfg =
     match config with Some c -> c | None -> System.default_config ()
@@ -44,10 +67,12 @@ let leader_attack ?(tweak = fun c -> c) ~protocol ~delay_us ~attack_from_us
   let cfg = tweak { (System.default_config ()) with System.protocol } in
   let sys = System.create cfg in
   System.start sys;
-  ignore
-    (Sim.Engine.schedule_at (System.engine sys) ~time_us:attack_from_us
-       (fun () -> System.set_leader_delay sys ~delay_us)
-      : Sim.Engine.timer);
+  inject sys ~expect:`Within_budget
+    [
+      ( attack_from_us,
+        Attack.Schedule.Leader_delay
+          { delay_us; duration_us = whole_run ~duration_us } );
+    ];
   System.run sys ~duration_us;
   (* Agreement must hold among correct replicas; the attacked leader is
      Byzantine and excluded by [assert_agreement]. *)
@@ -72,58 +97,28 @@ let proactive_recovery ~rotation_period_us ~recovery_duration_us ~duration_us
    stay up, so shortest-path routing keeps trusting their advertised
    latency. The redundant second-node links and the client access
    links stay clean, which is exactly what redundant/flooding
-   dissemination can exploit and single-path routing cannot. *)
-let congest_primary_wan sys factor =
-  let net = System.net sys in
-  let topo = Overlay.Net.topology net in
-  let n = System.replica_count sys in
-  let first_of_site = Hashtbl.create 7 in
-  for r = 0 to n - 1 do
-    let s = Overlay.Topology.site_of topo r in
-    if not (Hashtbl.mem first_of_site s) then Hashtbl.replace first_of_site s r
-  done;
-  let is_gateway node =
-    node < n
-    && Hashtbl.find_opt first_of_site (Overlay.Topology.site_of topo node)
-       = Some node
-  in
-  List.iter
-    (fun link ->
-      let a = link.Overlay.Topology.endpoint_a
-      and b = link.Overlay.Topology.endpoint_b in
-      if
-        is_gateway a && is_gateway b
-        && Overlay.Topology.site_of topo a <> Overlay.Topology.site_of topo b
-      then Overlay.Net.set_latency_factor net a b factor)
-    (Overlay.Topology.links topo)
-
+   dissemination can exploit and single-path routing cannot. Six
+   congested links are twice the gray budget: over on purpose. *)
 let link_degradation ?(tweak = fun c -> c) ~mode ~factor ~attack_from_us
     ~duration_us () =
   let cfg = tweak { (System.default_config ()) with System.dissemination = mode } in
   let sys = System.create cfg in
   System.start sys;
-  ignore
-    (Sim.Engine.schedule_at (System.engine sys) ~time_us:attack_from_us
-       (fun () -> congest_primary_wan sys factor)
-      : Sim.Engine.timer);
+  inject sys ~expect:`Over_budget
+    [
+      ( attack_from_us,
+        Attack.Schedule.Wan_delay { factor; duration_us = whole_run ~duration_us } );
+    ];
   System.run sys ~duration_us;
   finish sys ~duration_us
 
+(* Loss on all seven WAN links, from before the first send: over the
+   gray budget on purpose. *)
 let packet_loss ?(tweak = fun c -> c) ~mode ~loss ~duration_us () =
   let cfg = tweak { (System.default_config ()) with System.dissemination = mode } in
   let sys = System.create cfg in
-  let net = System.net sys in
-  let topo = Overlay.Net.topology net in
-  let n = System.replica_count sys in
-  List.iter
-    (fun link ->
-      let a = link.Overlay.Topology.endpoint_a
-      and b = link.Overlay.Topology.endpoint_b in
-      if
-        a < n && b < n
-        && Overlay.Topology.site_of topo a <> Overlay.Topology.site_of topo b
-      then Overlay.Net.set_loss_probability net a b loss)
-    (Overlay.Topology.links topo);
+  inject sys ~expect:`Over_budget
+    [ (0, Attack.Schedule.Wan_loss { loss; duration_us = whole_run ~duration_us }) ];
   System.start sys;
   System.run sys ~duration_us;
   finish sys ~duration_us
@@ -131,17 +126,13 @@ let packet_loss ?(tweak = fun c -> c) ~mode ~loss ~duration_us () =
 let site_failure ~site ~fail_at_us ~restore_at_us ~duration_us () =
   let sys = System.create (System.default_config ()) in
   System.start sys;
-  ignore
-    (Sim.Engine.schedule_at (System.engine sys) ~time_us:fail_at_us (fun () ->
-         System.kill_site sys site)
-      : Sim.Engine.timer);
-  (match restore_at_us with
-  | Some time_us ->
-    ignore
-      (Sim.Engine.schedule_at (System.engine sys) ~time_us (fun () ->
-           System.restore_site sys site)
-        : Sim.Engine.timer)
-  | None -> ());
+  let down_us =
+    match restore_at_us with
+    | Some time_us -> time_us - fail_at_us
+    | None -> whole_run ~duration_us
+  in
+  inject sys ~expect:`Within_budget
+    [ (fail_at_us, Attack.Schedule.Site_kill { site; down_us }) ];
   System.run sys ~duration_us;
   finish sys ~duration_us
 
@@ -232,7 +223,11 @@ let reconfiguration ~duration_us () =
       : Sim.Engine.timer);
   System.start sys;
   (* T1: the active control center dies under load. *)
-  at 10_000_000 (fun () -> System.kill_site sys 0);
+  inject sys ~expect:`Within_budget
+    [
+      ( 10_000_000,
+        Attack.Schedule.Site_kill { site = 0; down_us = whole_run ~duration_us } );
+    ];
   (* T2: failover — promote the backup, drop the dead site. *)
   at 14_000_000 (fun () ->
       System.submit_reconfig sys
@@ -314,6 +309,7 @@ let intrusion_campaign ?(reactive_on = false) ~diversity_on ~recovery_on
   let engine = System.engine sys in
   let f = cfg.System.quorum.Bft.Quorum.f in
   let compromised_since = Array.make (System.replica_count sys) 0 in
+  let silence replica = Attack.Schedule.Silence { replica; duration_us } in
   let held_total = ref 0 and held_count = ref 0 in
   let campaign =
     Attack.Campaign.create ~engine ~rng:(Sim.Engine.rng engine)
@@ -326,15 +322,14 @@ let intrusion_campaign ?(reactive_on = false) ~diversity_on ~recovery_on
              combine with the next one. *)
           Attack.Campaign.exploit_development_us = 2 * 3600 * 1_000_000;
           attempt_interval_us = 60 * 1_000_000;
-          retarget = `Largest_group;
         }
       ~on_compromise:(fun r ->
         compromised_since.(r) <- Sim.Engine.now engine;
-        (System.faults sys r).Bft.Faults.silent <- true)
+        ignore (Injector.start sys (silence r) : Attack.Schedule.fault))
       ~on_cleanse:(fun r ->
         held_total := !held_total + (Sim.Engine.now engine - compromised_since.(r));
         incr held_count;
-        (System.faults sys r).Bft.Faults.silent <- false)
+        Injector.heal sys (silence r))
   in
   if recovery_on then begin
     System.on_recovery_event sys (fun phase r ->
@@ -396,10 +391,6 @@ let fleet ~concentrators ~devices ~duration_us () =
   System.run sys ~duration_us;
   finish sys ~duration_us
 
-type adaptive_attack =
-  | Leader_slowdown of int  (* proposal delay, us (the E4 attack) *)
-  | Wan_delay of float (* primary-WAN latency factor (the E6 attack) *)
-
 type adaptive_result = {
   base : latency_result;
   post_attack_p99_ms : float;
@@ -438,13 +429,14 @@ let adaptive ?(controller = true) ?(mode = Overlay.Net.Shortest) ~attack
   in
   let sys = System.create cfg in
   System.start sys;
-  ignore
-    (Sim.Engine.schedule_at (System.engine sys) ~time_us:attack_from_us
-       (fun () ->
-         match attack with
-         | Leader_slowdown delay_us -> System.set_leader_delay sys ~delay_us
-         | Wan_delay factor -> congest_primary_wan sys factor)
-      : Sim.Engine.timer);
+  (* The leader attack is one Byzantine replica; the WAN attack is the
+     over-budget E6 one. *)
+  let expect =
+    match attack with
+    | Attack.Schedule.Leader_delay _ -> `Within_budget
+    | _ -> `Over_budget
+  in
+  inject sys ~expect [ (attack_from_us, attack) ];
   System.run sys ~duration_us;
   System.assert_agreement sys;
   let base = result_of sys ~duration_us in

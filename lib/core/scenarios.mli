@@ -4,7 +4,11 @@
     index); the benchmark harness and the runnable examples both call
     these, so the numbers printed by `bench/main.exe` are reproducible
     from the CLI as well. Every driver asserts replica agreement before
-    returning — a safety violation aborts the experiment loudly. *)
+    returning — a safety violation aborts the experiment loudly. An
+    experiment with faults states them as an {!Attack.Schedule.t} plan
+    and the budget verdict it expects (noted below); the plan is
+    validated before {!Injector} applies it, and a verdict mismatch
+    raises [Failure] the same way. *)
 
 type latency_result = {
   hist : Stats.Histogram.t;  (** confirmed-update latencies, ms *)
@@ -27,7 +31,7 @@ val fault_free :
     experiment E4: the leader delays every proposal by [delay_us]
     starting at [attack_from_us]. Under Prime the leader is suspected
     and rotated; under PBFT it keeps the role while latency balloons.
-    [tweak] (default identity) post-processes the scenario config —
+    Within budget: one Byzantine replica. [tweak] (default identity) post-processes the scenario config —
     e.g. to switch telemetry on. *)
 val leader_attack :
   ?tweak:(System.config -> System.config) ->
@@ -54,7 +58,8 @@ val proactive_recovery :
     link's latency is inflated by [factor] (an undetected delay attack:
     links stay "up" so shortest-path routing keeps using them).
     Compare [mode = Shortest] (suffers) against [Redundant 2] / [Flood]
-    (first copy wins over clean paths). [tweak] (default identity)
+    (first copy wins over clean paths). Over budget on purpose: six
+    gray links. [tweak] (default identity)
     post-processes the scenario config — e.g. to switch telemetry on. *)
 val link_degradation :
   ?tweak:(System.config -> System.config) ->
@@ -69,7 +74,8 @@ val link_degradation :
     WAN link between replica sites drops each transmission with
     probability [loss] for the whole run; the overlay's hop-by-hop ARQ
     retransmits. Measures how loss converts into latency per
-    dissemination mode. [tweak] post-processes the config as in
+    dissemination mode. Over budget on purpose: seven gray links.
+    [tweak] post-processes the config as in
     {!link_degradation}. *)
 val packet_loss :
   ?tweak:(System.config -> System.config) ->
@@ -80,9 +86,8 @@ val packet_loss :
   System.t * latency_result
 
 (** [site_failure ~site ~fail_at_us ~restore_at_us ~duration_us ()] —
-    experiment E7: a whole control center is disconnected, then
-    restored. Returns per-second mean latency buckets for the timeline
-    figure. *)
+    experiment E7: a whole control center crashes, then is restored
+    ([None]: never). Within budget: a 2-replica site, [f + k = 2]. *)
 val site_failure :
   site:int ->
   fail_at_us:int ->
@@ -135,7 +140,8 @@ type reconfig_result = {
     backup, remove dead site) cuts over to epoch 1; the healed site is
     re-admitted as epoch 2; a pre-provisioned standby data center is
     admitted as epoch 3, growing n from 6 to 8 (k: 1 -> 2). Use
-    [duration_us >= 50s] for all four phases. *)
+    [duration_us >= 50s] for all four phases. The site kill is within
+    budget. *)
 val reconfiguration :
   duration_us:int ->
   unit ->
@@ -160,7 +166,8 @@ type campaign_result = {
     variants; [reactive_on] (default false, requires recovery) adds
     accusation-based reactive recovery, which cleanses silent
     compromised replicas within seconds instead of waiting for their
-    rotation slot. *)
+    rotation slot. Compromises start and heal {!Injector} silences;
+    the verdict is the "at most f simultaneous" oracle on the result. *)
 val intrusion_campaign :
   ?reactive_on:bool ->
   diversity_on:bool ->
@@ -181,16 +188,6 @@ val fleet :
   duration_us:int ->
   unit ->
   System.t * latency_result
-
-(** The two attacks experiment E13 replays without telling the system
-    which one is running. *)
-type adaptive_attack =
-  | Leader_slowdown of int
-      (** the E4 attack: the leader delays every proposal by this many
-          microseconds *)
-  | Wan_delay of float
-      (** the E6 attack: primary inter-site WAN latency inflated by
-          this factor (links stay "up") *)
 
 type adaptive_result = {
   base : latency_result;
@@ -217,11 +214,13 @@ val post_attack_p99 : Stats.Timeseries.t -> from_us:int -> float
     post-attack p99 without knowing which attack is running; with
     [controller = false] and a [mode] (default [Shortest]) this is a
     static baseline arm. Telemetry is always on so the arms differ
-    only in the controller. *)
+    only in the controller. [attack] starts at [attack_from_us]: the
+    E4 [Leader_delay] (expected within budget) or the E6 [Wan_delay]
+    (expected over). *)
 val adaptive :
   ?controller:bool ->
   ?mode:Overlay.Net.mode ->
-  attack:adaptive_attack ->
+  attack:Attack.Schedule.fault ->
   attack_from_us:int ->
   duration_us:int ->
   unit ->

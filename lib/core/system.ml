@@ -941,10 +941,6 @@ let enable_reactive_recovery t ~silence_threshold_us ~poll_interval_us =
 (* ------------------------------------------------------------------ *)
 (* Attack / failure injection.                                         *)
 
-let set_leader_delay t ~delay_us =
-  let leader = current_leader t in
-  (faults t leader).Bft.Faults.proposal_delay_us <- delay_us
-
 let crash_replica t r =
   Overlay.Net.kill_node t.net (node_of_replica t r);
   (faults t r).Bft.Faults.crashed <- true
@@ -955,9 +951,6 @@ let restore_replica t r =
   Overlay.Net.restore_node t.net (node_of_replica t r);
   (faults t r).Bft.Faults.crashed <- false;
   if epoch_of_replica t r = current_epoch t then Epochs.resync t.epochs r
-
-let kill_site t site = List.iter (crash_replica t) (replicas_in_site t site)
-let restore_site t site = List.iter (restore_replica t) (replicas_in_site t site)
 
 (* Network-level site isolation: the site's overlay daemons go dark
    but the replica processes keep running (the paper's control-center

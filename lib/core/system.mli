@@ -239,18 +239,15 @@ val enable_reactive_recovery :
 val on_recovery_event :
   t -> ([ `Begin | `Complete ] -> Bft.Types.replica -> unit) -> unit
 
-(** {1 Attack and failure injection} *)
+(** {1 Failure primitives} {!Injector} builds every fault from these. *)
 
-(** [set_leader_delay t ~delay_us] makes the current leader delay every
-    proposal — the performance attack of experiment E4. *)
-val set_leader_delay : t -> delay_us:int -> unit
+(** [current_leader t] is the leader of the median view among the
+    current epoch's live members. *)
+val current_leader : t -> Bft.Types.replica
 
-(** [kill_site t site] takes a whole site down hard: overlay nodes down
-    AND replicas crashed. [restore_site] reverses it, resynchronising
-    the replicas by state transfer. *)
-val kill_site : t -> Overlay.Topology.site -> unit
-
-val restore_site : t -> Overlay.Topology.site -> unit
+(** [replicas_in_site t site] — the site's replicas, active and
+    standby. *)
+val replicas_in_site : t -> Overlay.Topology.site -> Bft.Types.replica list
 
 (** [isolate_site t site] models the paper's network attack precisely:
     the site's overlay daemons are unreachable but its replicas keep

@@ -7,7 +7,6 @@ let campaign_config =
   {
     C.exploit_development_us = 100_000;
     attempt_interval_us = 20_000;
-    retarget = `Largest_group;
   }
 
 let make_campaign ?(variants = 4) ?(n = 6) ?(config = campaign_config) engine =

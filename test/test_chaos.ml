@@ -11,46 +11,42 @@ let quorum_6 = Bft.Quorum.create ~n:6 ~f:1 ~k:1
    topology the soak runs on. *)
 let profile =
   lazy
-    (Chaos.Injector.profile_of_system
+    (Spire.Injector.profile_of_system
        (Spire.System.create (Spire.System.default_config ())))
-
-let budget () = Chaos.Schedule.budget_of_quorum quorum_6
 
 (* ------------------------------------------------------------------ *)
 (* Schedule generator and validator                                    *)
 
 let test_generator_deterministic () =
   let profile = Lazy.force profile in
-  let budget = budget () in
   for i = 0 to 9 do
     let seed = Int64.of_int ((i * 7_919) + 1) in
     let s1 =
-      Chaos.Schedule.generate ~profile ~budget ~seed ~horizon_us:6_000_000
+      Attack.Schedule.generate ~profile ~seed ~horizon_us:6_000_000
     in
     let s2 =
-      Chaos.Schedule.generate ~profile ~budget ~seed ~horizon_us:6_000_000
+      Attack.Schedule.generate ~profile ~seed ~horizon_us:6_000_000
     in
     Alcotest.(check string)
       (Printf.sprintf "seed %Ld reproduces the schedule" seed)
-      (Format.asprintf "%a" Chaos.Schedule.pp s1)
-      (Format.asprintf "%a" Chaos.Schedule.pp s2);
+      (Format.asprintf "%a" Attack.Schedule.pp s1)
+      (Format.asprintf "%a" Attack.Schedule.pp s2);
     if s1 <> s2 then Alcotest.fail "structurally different schedules"
   done
 
 let test_generator_within_budget () =
   let profile = Lazy.force profile in
-  let budget = budget () in
   for i = 0 to 24 do
     let seed = Int64.of_int ((i * 104_729) + 3) in
     let s =
-      Chaos.Schedule.generate ~profile ~budget ~seed ~horizon_us:6_000_000
+      Attack.Schedule.generate ~profile ~seed ~horizon_us:6_000_000
     in
-    (match Chaos.Schedule.validate ~profile ~budget s with
+    (match Attack.Schedule.validate ~profile s with
     | Ok () -> ()
     | Error msg ->
       Alcotest.failf "seed %Ld generated an invalid schedule: %s@.%a" seed msg
-        Chaos.Schedule.pp s);
-    if s.Chaos.Schedule.events = [] then
+        Attack.Schedule.pp s);
+    if s.Attack.Schedule.events = [] then
       Alcotest.failf "seed %Ld generated an empty schedule" seed
   done
 
@@ -58,7 +54,7 @@ let over_budget_schedule =
   (* Three simultaneous crashes: n - 3 = 3 available < quorum 4. One
      more than the f + k = 2 simultaneous failures the deployment
      tolerates. *)
-  Chaos.Schedule.
+  Attack.Schedule.
     {
       horizon_us = 3_000_000;
       events =
@@ -69,39 +65,107 @@ let over_budget_schedule =
         ];
     }
 
+(* Validator verdicts, one row per schedule: [None] must validate,
+   [Some m] must be rejected with a message containing [m]. *)
+let validator_cases =
+  let at at_us fault = { Attack.Schedule.at_us; fault } in
+  let plan ?(horizon_us = 3_000_000) events = { Attack.Schedule.horizon_us; events } in
+  let latency_ramp peak_factor =
+    Attack.Schedule.Latency_ramp
+      { a = 0; b = 2; peak_factor; ramp_us = 100_000; hold_us = 100_000 }
+  in
+  Attack.Schedule.
+    [
+      ("3 concurrent crashes", over_budget_schedule, Some "down/recovering");
+      ( "two faults on one replica",
+        plan
+          [
+            at 100_000 (Crash_restart { replica = 1; down_us = 500_000 });
+            at 300_000 (Silence { replica = 1; duration_us = 500_000 });
+          ],
+        Some "same resource" );
+      ( "a fault outliving the horizon",
+        plan ~horizon_us:1_000_000
+          [ at 800_000 (Daemon_churn { replica = 0; down_us = 400_000 }) ],
+        Some "horizon" );
+      ("latency ramp to nan", plan [ at 0 (latency_ramp nan) ], Some "factor");
+      ("latency ramp to infinity", plan [ at 0 (latency_ramp infinity) ], Some "factor");
+      ( "loss ramp to nan",
+        plan
+          [ at 0 (Loss_ramp { a = 0; b = 2; peak = nan; ramp_us = 1; hold_us = 1 }) ],
+        Some "loss" );
+      ( "message delay of nan",
+        plan [ at 0 (Message_delay { replica = 0; factor = nan; duration_us = 1 }) ],
+        Some "factor" );
+      ( "WAN delay of infinity",
+        plan [ at 0 (Wan_delay { factor = infinity; duration_us = 1 }) ],
+        Some "factor" );
+      ( "WAN loss of nan",
+        plan [ at 0 (Wan_loss { loss = nan; duration_us = 1 }) ],
+        Some "loss" );
+      ( "site kill of a 2-replica site alone",
+        plan [ at 100_000 (Site_kill { site = 0; down_us = 1_000_000 }) ],
+        None );
+      ( "site kill overlapping a crash-restart",
+        plan
+          [
+            at 100_000 (Site_kill { site = 0; down_us = 1_000_000 });
+            at 500_000 (Crash_restart { replica = 4; down_us = 1_000_000 });
+          ],
+        Some "overlaps" );
+      ( "leader delay concurrent with a silence exceeds f",
+        plan
+          [
+            at 100_000 (Leader_delay { delay_us = 500_000; duration_us = 1_000_000 });
+            at 500_000 (Silence { replica = 3; duration_us = 1_000_000 });
+          ],
+        Some "2 concurrent Byzantine" );
+      ( "WAN delay alone: 6 primary links against 3 gray",
+        plan [ at 0 (Wan_delay { factor = 20.; duration_us = 1_000_000 }) ],
+        Some "6 concurrent gray" );
+    ]
+
+let mentions msg part =
+  let n = String.length part in
+  let rec from i =
+    i + n <= String.length msg && (String.sub msg i n = part || from (i + 1))
+  in
+  from 0
+
 let test_validate_rejects_over_budget () =
   let profile = Lazy.force profile in
-  let budget = budget () in
-  (match Chaos.Schedule.validate ~profile ~budget over_budget_schedule with
-  | Ok () -> Alcotest.fail "validator accepted 3 concurrent crashes"
-  | Error _ -> ());
-  (* Same resource claimed by two concurrent faults. *)
-  let clash =
-    Chaos.Schedule.
-      {
-        horizon_us = 3_000_000;
-        events =
-          [
-            { at_us = 100_000; fault = Crash_restart { replica = 1; down_us = 500_000 } };
-            { at_us = 300_000; fault = Silence { replica = 1; duration_us = 500_000 } };
-          ];
-      }
+  List.iter
+    (fun (name, schedule, expected) ->
+      match (Attack.Schedule.validate ~profile schedule, expected) with
+      | Ok (), None -> ()
+      | Error msg, Some part when mentions msg part -> ()
+      | Ok (), Some part -> Alcotest.failf "%s: accepted, expected %S" name part
+      | Error msg, _ -> Alcotest.failf "%s: rejected with %S" name msg)
+    validator_cases
+
+(* The injector heals the replica a leader delay started on, even
+   after the leader role has moved away from it. *)
+let test_injector_leader_delay_heals_its_target () =
+  let sys = Spire.System.create (Spire.System.default_config ()) in
+  let faults r = Spire.System.faults sys r in
+  Spire.System.start sys;
+  Spire.System.run sys ~duration_us:500_000;
+  let first = Spire.System.current_leader sys in
+  let live =
+    Spire.Injector.start sys
+      (Attack.Schedule.Leader_delay { delay_us = 2_000_000; duration_us = 1 })
   in
-  (match Chaos.Schedule.validate ~profile ~budget clash with
-  | Ok () -> Alcotest.fail "validator accepted two faults on one replica"
-  | Error _ -> ());
-  (* A fault that heals after the horizon. *)
-  let late =
-    Chaos.Schedule.
-      {
-        horizon_us = 1_000_000;
-        events =
-          [ { at_us = 800_000; fault = Daemon_churn { replica = 0; down_us = 400_000 } } ];
-      }
-  in
-  match Chaos.Schedule.validate ~profile ~budget late with
-  | Ok () -> Alcotest.fail "validator accepted a fault outliving the horizon"
-  | Error _ -> ()
+  Alcotest.(check int) "the leader is delayed" 2_000_000
+    (faults first).Bft.Faults.proposal_delay_us;
+  (* Prime suspects the slow leader and moves to the next view. *)
+  Spire.System.run sys ~duration_us:6_000_000;
+  let next = Spire.System.current_leader sys in
+  Alcotest.(check bool) "the view changed away from it" true (next <> first);
+  Spire.Injector.heal sys live;
+  Alcotest.(check bool) "the delayed replica is honest again" false
+    (Bft.Faults.is_byzantine (faults first));
+  Alcotest.(check bool) "the new leader was never touched" false
+    (Bft.Faults.is_byzantine (faults next))
 
 (* ------------------------------------------------------------------ *)
 (* Oracles in isolation                                                *)
@@ -277,7 +341,7 @@ let test_over_budget_trips_quorum_oracle () =
    exact to the microsecond: the cascade is sensitive to sub-ms timing. *)
 let test_regression_seed_9000027 () =
   let schedule =
-    Chaos.Schedule.
+    Attack.Schedule.
       {
         horizon_us = 6_000_000;
         events =
@@ -335,7 +399,7 @@ let test_wire_debug_under_turbulence () =
     }
   in
   let schedule =
-    Chaos.Schedule.
+    Attack.Schedule.
       {
         horizon_us = 6_000_000;
         events =
@@ -370,6 +434,8 @@ let () =
             test_generator_within_budget;
           Alcotest.test_case "validator rejects over-budget schedules" `Quick
             test_validate_rejects_over_budget;
+          Alcotest.test_case "injector heals the replica a leader delay hit"
+            `Quick test_injector_leader_delay_heals_its_target;
         ] );
       ( "oracles",
         [

@@ -195,6 +195,11 @@ let test_system_pbft_baseline_works_fault_free () =
   Alcotest.(check bool) "pbft confirms updates" true
     (Sys_.confirmed_updates sys >= 200)
 
+(* [fault] starts at [at_us] and outlasts the run. *)
+let inject_at sys at_us fault =
+  Spire.Injector.apply sys ~offset_us:0
+    Attack.Schedule.{ horizon_us = max_int; events = [ { at_us; fault } ] }
+
 let test_system_crashed_replica_tolerated () =
   let sys = Sys_.create (short_config ()) in
   Sys_.start sys;
@@ -210,10 +215,7 @@ let test_system_crashed_replica_tolerated () =
 let test_system_site_failure_service_continues () =
   let sys = Sys_.create (short_config ()) in
   Sys_.start sys;
-  ignore
-    (Sim.Engine.schedule_at (Sys_.engine sys) ~time_us:1_000_000 (fun () ->
-         Sys_.kill_site sys 0)
-      : Sim.Engine.timer);
+  inject_at sys 1_000_000 (Site_kill { site = 0; down_us = 60_000_000 });
   Sys_.run sys ~duration_us:5_000_000;
   Sys_.assert_agreement sys;
   (* Losing control center 0 (2 replicas incl. the leader) must not stop
@@ -226,10 +228,8 @@ let test_system_site_failure_service_continues () =
 let test_system_leader_slowdown_prime_recovers () =
   let sys = Sys_.create (short_config ()) in
   Sys_.start sys;
-  ignore
-    (Sim.Engine.schedule_at (Sys_.engine sys) ~time_us:1_000_000 (fun () ->
-         Sys_.set_leader_delay sys ~delay_us:2_000_000)
-      : Sim.Engine.timer);
+  inject_at sys 1_000_000
+    (Leader_delay { delay_us = 2_000_000; duration_us = 60_000_000 });
   Sys_.run sys ~duration_us:8_000_000;
   Sys_.assert_agreement sys;
   (* Prime suspected and replaced the slow leader. *)

@@ -125,7 +125,9 @@ let run_system_stress seed =
          match action with
          | 0 -> Spire.System.crash_replica sys victim
          | 1 -> (Spire.System.faults sys victim).Bft.Faults.silent <- true
-         | _ -> Spire.System.set_leader_delay sys ~delay_us:400_000)
+         | _ ->
+           let slow = Attack.Schedule.Leader_delay { delay_us = 400_000; duration_us = 1 } in
+           ignore (Spire.Injector.start sys slow : Attack.Schedule.fault))
       : Sim.Engine.timer);
   if Sim.Rng.bool rng then
     ignore
