@@ -712,34 +712,18 @@ let e11 () =
          ])
        r.cutovers);
   emit_timeline ~experiment:"E11" r.base.series;
-  (* Replay the sampled per-epoch activity through the epoch-safety
-     oracle: at most one epoch quorate at any sampled instant, unique
-     certificate chain, no latched deployment violation. *)
-  let check = Oracle.Epoch_check.create () in
-  List.iter
-    (fun (s : Scenarios.activity_sample) ->
-      Oracle.Epoch_check.observe_activity check ~time_us:s.at_us
-        ~live:(List.map (fun (e, live, _) -> (e, live)) s.per_epoch)
-        ~quorum_of:(fun e ->
-          match List.find_opt (fun (e', _, _) -> e' = e) s.per_epoch with
-          | Some (_, _, q) -> q
-          | None -> max_int))
-    r.activity;
-  Option.iter (Oracle.Epoch_check.note_violation check) r.violation;
-  let verdict = Oracle.Epoch_check.verdict check in
   Printf.printf
     "  final epoch %d, n=%d; confirmed %d/%d; stale cross-epoch frames %d\n"
     r.final_epoch r.final_n r.base.confirmed r.base.submitted r.stale_frames;
   Format.printf "  epoch-safety oracle: %a (%d samples)@." Oracle.Verdict.pp
-    verdict
-    (Oracle.Epoch_check.observations check);
+    r.epoch_safety r.epoch_observations;
   Printf.printf "  max confirmation gap after first fault: %.2fs\n"
     (float_of_int r.max_confirm_gap_us /. 1e6);
   let failures =
     List.filter_map
       (fun (bad, msg) -> if bad then Some msg else None)
       [
-        (not (Oracle.Verdict.is_pass verdict), "epoch-safety oracle failed");
+        (not (Oracle.Verdict.is_pass r.epoch_safety), "epoch-safety oracle failed");
         (r.final_epoch <> 3, Printf.sprintf "final epoch %d, expected 3" r.final_epoch);
         ( r.max_confirm_gap_us > 8_000_000,
           Printf.sprintf "confirmation gap %.2fs over 8s"

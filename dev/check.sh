@@ -26,6 +26,14 @@ bad=$(grep -rnE 'Faults\.([a-z_]+ *<-|reset)|Overlay\.Net\.set_(latency|loss)' \
   lib --include='*.ml' | grep -vE '^lib/core/(injector|(system|epochs)\.ml:.*Faults)' || true)
 [ -z "$bad" ] || { echo "fault injection outside Spire.Injector:"; echo "$bad"; exit 1; }
 
+# One safety watch: outside Spire.Watch and System's agreement
+# observation (which assert_agreement makes too), no lib/ or bench/
+# file feeds an agreement, slot-finality or epoch-safety oracle.
+bad=$(grep -rnE '(Agreement|Slot_finality)\.observe([^_a-z]|$)|Epoch_check\.observe_' \
+  lib bench --include='*.ml' |
+  grep -vE '^lib/core/(watch\.ml|system\.ml:.*Agreement\.observe)' || true)
+[ -z "$bad" ] || { echo "safety oracle fed outside Spire.Watch:"; echo "$bad"; exit 1; }
+
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 

@@ -33,7 +33,6 @@ type report = {
   post_p50_ms : float;
   min_available : int;
   worst_latency_ms : float;
-  agreement_checks : int;
   wire_decode_errors : int;
 }
 
@@ -64,53 +63,16 @@ let pp_report ppf r =
   pp_verdicts ppf r.verdicts;
   Format.fprintf ppf "@]"
 
-(* Availability as the quorum watchdog defines it: correct (no fault
-   knob set), process up, and overlay daemon reachable. *)
+(* Availability as the quorum watchdog defines it: correct, and overlay
+   daemon reachable. *)
 let available_count sys =
-  let n = Spire.System.replica_count sys in
   let net = Spire.System.net sys in
   List.length
     (List.filter
        (fun r ->
-         let f = Spire.System.faults sys r in
-         (not f.Bft.Faults.crashed)
-         && (not (Bft.Faults.is_byzantine f))
+         Spire.System.correct sys r
          && Overlay.Net.node_alive net (Spire.System.node_of_replica sys r))
-       (List.init n Fun.id))
-
-(* A replica the system considers correct: process up and no fault
-   knob set. *)
-let correct sys r =
-  let f = Spire.System.faults sys r in
-  (not f.Bft.Faults.crashed) && not (Bft.Faults.is_byzantine f)
-
-(* One agreement observation over the correct replicas among
-   [0 .. count-1]. *)
-let observe_agreement agreement sys ~count =
-  let correct = List.filter (correct sys) (List.init count Fun.id) in
-  Oracle.Agreement.observe agreement
-    ~logs:(List.map (fun r -> (r, Spire.System.exec_log sys r)) correct)
-    ~states:
-      (List.map
-         (fun r ->
-           let m = Spire.System.master sys r in
-           (r, Scada.Master.applied_count m, Scada.Master.state_digest m))
-         correct)
-
-(* Slot finality, fed by every apply of a replica correct at that
-   moment. *)
-let watch_finality sys =
-  let finality = Oracle.Slot_finality.create () in
-  Spire.System.on_slot_applied sys (fun ~replica ~epoch ~seq ~digest ->
-      if correct sys replica then
-        Oracle.Slot_finality.observe finality ~epoch ~replica ~seq ~digest);
-  finality
-
-(* Slot finality reports under "agreement": it is the same safety
-   property, checked per slot at every apply, and it fires first. *)
-let agreement_verdict agreement finality =
-  Oracle.Verdict.combine
-    [ Oracle.Slot_finality.verdict finality; Oracle.Agreement.verdict agreement ]
+       (List.init (Spire.System.replica_count sys) Fun.id))
 
 (* Post-heal progress floor: a third of the calm-window polls. *)
 let min_post_confirmed cfg =
@@ -127,8 +89,7 @@ let execute ~seed sys (schedule : Attack.Schedule.t) =
      the guard also covers updates already in flight when the first
      fault lands. *)
   let turbulent_from = turb_start - inflight_guard_us in
-  let agreement = Oracle.Agreement.create () in
-  let finality = watch_finality sys in
+  let watch = Spire.Watch.create sys in
   let quorum_watch = Oracle.Quorum_watch.create ~quorum:cfg.Spire.System.quorum in
   let sla = Oracle.Sla.create ~turbulent_bound_ms ~calm_bound_ms in
   let baseline_hist = Stats.Histogram.create () in
@@ -155,9 +116,8 @@ let execute ~seed sys (schedule : Attack.Schedule.t) =
       fresh
   in
   let sample () =
-    let now = Sim.Engine.now engine in
-    observe_agreement agreement sys ~count:(Spire.System.replica_count sys);
-    Oracle.Quorum_watch.observe quorum_watch ~time_us:now
+    Spire.Watch.sample watch;
+    Oracle.Quorum_watch.observe quorum_watch ~time_us:(Sim.Engine.now engine)
       ~available:(available_count sys);
     drain_series ()
   in
@@ -180,7 +140,7 @@ let execute ~seed sys (schedule : Attack.Schedule.t) =
     schedule;
     verdicts =
       [
-        ("agreement", agreement_verdict agreement finality);
+        ("agreement", Spire.Watch.agreement watch);
         ("sla", Oracle.Sla.verdict sla);
         ("quorum", Oracle.Quorum_watch.verdict quorum_watch);
         ("recovery", recovery.Oracle.Recovery_check.verdict);
@@ -191,7 +151,6 @@ let execute ~seed sys (schedule : Attack.Schedule.t) =
     post_p50_ms = recovery.Oracle.Recovery_check.post_p50_ms;
     min_available = Oracle.Quorum_watch.min_available quorum_watch;
     worst_latency_ms = Oracle.Sla.worst_ms sla;
-    agreement_checks = Oracle.Agreement.checks agreement;
     wire_decode_errors = Spire.System.wire_decode_errors sys;
   }
 
@@ -260,35 +219,12 @@ let reconfig_soak ~seed () =
   let heal_us = turb_start + schedule.Attack.Schedule.horizon_us in
   let calm_start = heal_us + settle_us in
   let end_us = calm_start + post_us in
-  let agreement = Oracle.Agreement.create () in
-  let finality = watch_finality sys in
-  let epoch_check = Oracle.Epoch_check.create () in
+  let watch = Spire.Watch.create sys in
   let confirmed_at_calm = ref 0 in
-  let sample () =
-    let now = Sim.Engine.now engine in
-    (* Agreement over every provisioned replica — retired replicas keep
-       a valid prefix. *)
-    observe_agreement agreement sys ~count:(Spire.System.universe_count sys);
-    let dir = Spire.System.directory sys in
-    Oracle.Epoch_check.observe_activity epoch_check ~time_us:now
-      ~live:(Spire.System.epoch_activity sys)
-      ~quorum_of:(fun e ->
-        match Member.Directory.cert_of_epoch dir e with
-        | Some c -> Member.Cert.quorum_size c
-        | None -> max_int)
-  in
   ignore
-    (Sim.Engine.periodic engine ~interval_us:sample_interval_us sample
+    (Sim.Engine.periodic engine ~interval_us:sample_interval_us (fun () ->
+         Spire.Watch.sample watch)
       : Sim.Engine.timer);
-  Spire.System.on_epoch_change sys (fun e ->
-      match
-        Member.Directory.cert_of_epoch (Spire.System.directory sys) e
-      with
-      | Some c ->
-        Oracle.Epoch_check.observe_cutover epoch_check ~epoch:e
-          ~boundary_exec:(Member.Cert.boundary_exec c)
-          ~digest:(Member.Cert.digest c)
-      | None -> ());
   Spire.Injector.apply sys ~offset_us:turb_start schedule;
   (* Mid-turbulence: control-center failover (same resilience, same n —
      the fault budget stays survivable throughout). *)
@@ -318,10 +254,7 @@ let reconfig_soak ~seed () =
       : Sim.Engine.timer);
   Spire.System.start sys;
   Spire.System.run sys ~duration_us:end_us;
-  sample ();
-  (match Spire.System.epoch_violation sys with
-  | Some v -> Oracle.Epoch_check.note_violation epoch_check v
-  | None -> ());
+  Spire.Watch.sample watch;
   let confirmed = Spire.System.confirmed_updates sys in
   let min_confirmed = min_post_confirmed (Spire.System.config sys) in
   let progress =
@@ -338,8 +271,8 @@ let reconfig_soak ~seed () =
     rc_schedule = schedule;
     rc_verdicts =
       [
-        ("agreement", agreement_verdict agreement finality);
-        ("epoch", Oracle.Epoch_check.verdict epoch_check);
+        ("agreement", Spire.Watch.agreement watch);
+        ("epoch", Spire.Watch.epoch watch);
         ("progress", progress);
       ];
     rc_final_epoch = Spire.System.current_epoch sys;

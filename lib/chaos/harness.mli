@@ -9,11 +9,11 @@
     v}
 
     Oracles watched throughout:
-    - {b agreement}: every correct replica that applies an ordering
-      slot applies the same matrix there (slot finality, checked at
-      every apply), and correct replicas' execution logs stay
-      prefix-compatible and application states agree (sampled
-      periodically);
+    - {b agreement} ({!Spire.Watch}): every correct replica that
+      applies an ordering slot applies the same matrix there (slot
+      finality, checked at every apply), and correct replicas'
+      execution logs stay prefix-compatible and application states
+      agree (sampled periodically);
     - {b sla}: every confirmed update meets the bounded-delay SLA — the
       strict calm bound outside the turbulence window, a relaxed bound
       for updates submitted while faults were active (attribution is by
@@ -47,7 +47,6 @@ type report = {
   post_p50_ms : float;
   min_available : int;
   worst_latency_ms : float;
-  agreement_checks : int;
   wire_decode_errors : int;
       (** decode-on-delivery failures; always 0 unless the system config
           sets [wire_debug], and any non-zero value is a codec bug *)
@@ -81,10 +80,10 @@ val run :
     A within-budget fault schedule runs {e while} the membership is
     being reconfigured through the ordered stream: a control-center
     failover mid-turbulence, then growth into a pre-provisioned
-    standby data center during the settle window. Oracles: agreement
-    across the cutovers (slot finality per epoch included), the
-    epoch-safety check (at most one quorate epoch, unique certificate
-    chain), and post-heal progress. *)
+    standby data center during the settle window. Oracles: the
+    {!Spire.Watch}'s agreement across the cutovers (slot finality per
+    epoch included) and epoch safety (at most one quorate epoch, unique
+    certificate chain), and post-heal progress. *)
 
 type reconfig_report = {
   rc_seed : int64;

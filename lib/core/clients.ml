@@ -177,15 +177,19 @@ let create ~engine ~net ~send ~epochs ~telemetry ~group ~batch ~shard
           c)
     end
   in
-  (* Endpoints accept replies signed by the newest epoch's group (and
-     the one before it) from each cutover on. *)
+  (* Every client endpoint (proxies, HMIs and concentrators) accepts
+     replies signed by the newest epoch's group (and the one before it)
+     from each cutover on. *)
+  let endpoints =
+    Array.concat
+      [
+        Array.map Scada.Proxy.endpoint proxies;
+        Array.map Scada.Hmi.endpoint hmis;
+        Array.map Field.Concentrator.endpoint concentrators;
+      ]
+  in
   Epochs.on_group epochs (fun group ->
-      Array.iter
-        (fun p -> Scada.Endpoint.push_group (Scada.Proxy.endpoint p) group)
-        proxies;
-      Array.iter
-        (fun h -> Scada.Endpoint.push_group (Scada.Hmi.endpoint h) group)
-        hmis);
+      Array.iter (fun e -> Scada.Endpoint.push_group e group) endpoints);
   { proxies; hmis; concentrators; hist; series; submitted }
 
 let start t =

@@ -112,14 +112,6 @@ val throughput :
   unit ->
   System.t * latency_result
 
-(** One epoch-activity sample: per epoch, how many of its replicas are
-    live right now and what its ordering quorum is. The epoch-safety
-    oracle asserts at most one epoch is ever quorate. *)
-type activity_sample = {
-  at_us : int;
-  per_epoch : (int * int * int) list;  (** (epoch, live, quorum_size) *)
-}
-
 type reconfig_result = {
   base : latency_result;
   cutovers : (int * int * int) list;
@@ -127,11 +119,14 @@ type reconfig_result = {
   final_epoch : int;
   final_n : int;
   stale_frames : int;  (** cross-epoch protocol frames dropped *)
-  violation : string option;  (** latched epoch-safety violation, if any *)
+  epoch_safety : Oracle.Verdict.t;
+      (** the {!Watch}'s epoch verdict: at most one quorate epoch per
+          200 ms sample, one certificate per epoch, no latched
+          deployment violation *)
+  epoch_observations : int;  (** activity samples plus cutovers *)
   max_confirm_gap_us : int;
       (** longest confirmation silence from the first fault to the end
           of the run — the bounded-downtime metric *)
-  activity : activity_sample list;
 }
 
 (** [reconfiguration ~duration_us ()] — experiment E11: online
@@ -140,8 +135,9 @@ type reconfig_result = {
     backup, remove dead site) cuts over to epoch 1; the healed site is
     re-admitted as epoch 2; a pre-provisioned standby data center is
     admitted as epoch 3, growing n from 6 to 8 (k: 1 -> 2). Use
-    [duration_us >= 50s] for all four phases. The site kill is within
-    budget. *)
+    [duration_us >= 50s] for all four phases. The site kill (10 s to
+    22 s) is within budget. A {!Watch} samples every 200 ms; a failed
+    agreement verdict raises [Failure "SAFETY VIOLATION: ..."]. *)
 val reconfiguration :
   duration_us:int ->
   unit ->

@@ -801,41 +801,30 @@ let replicas_in_site t site =
     (fun r -> t.replica_sites.(r) = site)
     (List.init t.universe Fun.id)
 
-(* Boot a site's overlay daemons and processes WITHOUT state transfer:
-   used to heal a previously removed site so the reconciler can walk it
-   through a certified rejoin (any frames its stale instances emit are
-   dropped as stale-epoch traffic — retirement is orthogonal to being
-   up). *)
-let heal_site_nodes t site =
-  List.iter
-    (fun r ->
-      Overlay.Net.restore_node t.net (node_of_replica t r);
-      (faults t r).Bft.Faults.crashed <- false)
-    (replicas_in_site t site)
-
 (* ------------------------------------------------------------------ *)
 (* Safety check.                                                       *)
 
+(* The one definition of a correct replica: process up and no fault
+   knob set. *)
+let correct t r =
+  (not (crashed t r)) && not (Bft.Faults.is_byzantine (faults t r))
+
+let observe_agreement t oracle =
+  let correct = List.filter (correct t) (List.init t.universe Fun.id) in
+  Oracle.Agreement.observe oracle
+    ~logs:(List.map (fun r -> (r, exec_log t r)) correct)
+    ~states:
+      (List.map
+         (fun r ->
+           ( r,
+             Scada.Master.applied_count t.masters.(r),
+             Scada.Master.state_digest t.masters.(r) ))
+         correct)
+
 let assert_agreement t =
-  let correct =
-    List.filter
-      (fun r -> (not (crashed t r)) && not (Bft.Faults.is_byzantine (faults t r)))
-      (List.init t.universe Fun.id)
-  in
-  match
-    Oracle.Verdict.combine
-      [
-        Oracle.Agreement.check_logs
-          (List.map (fun r -> (r, exec_log t r)) correct);
-        Oracle.Agreement.check_states
-          (List.map
-             (fun r ->
-               ( r,
-                 Scada.Master.applied_count t.masters.(r),
-                 Scada.Master.state_digest t.masters.(r) ))
-             correct);
-      ]
-  with
+  let oracle = Oracle.Agreement.create () in
+  observe_agreement t oracle;
+  match Oracle.Agreement.verdict oracle with
   | Oracle.Verdict.Pass -> ()
   | Oracle.Verdict.Fail msg -> failwith ("SAFETY VIOLATION: " ^ msg)
 

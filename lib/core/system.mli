@@ -209,10 +209,19 @@ val wire_traffic : t -> (string * int * int) list
     a codec bug. *)
 val wire_decode_errors : t -> int
 
-(** [assert_agreement t] runs {!Oracle.Agreement}'s checks over every
-    pair of correct replicas: execution logs are prefix-compatible, and
-    masters that applied the same number of updates have equal state
-    digests. @raise Failure on divergence (a safety violation). *)
+(** [correct t r] — the one definition of a correct replica: its
+    process is up and no fault knob is set. Every safety oracle counts
+    only correct replicas. *)
+val correct : t -> Bft.Types.replica -> bool
+
+(** [observe_agreement t oracle] makes one {!Oracle.Agreement}
+    observation over the correct replicas of the universe: execution
+    logs are prefix-compatible, and masters that applied the same number
+    of updates have equal state digests. {!Watch} samples through it. *)
+val observe_agreement : t -> Oracle.Agreement.t -> unit
+
+(** [assert_agreement t] is one {!observe_agreement} on a fresh oracle.
+    @raise Failure on divergence (a safety violation). *)
 val assert_agreement : t -> unit
 
 (** {1 Proactive recovery} *)
@@ -316,12 +325,6 @@ val on_slot_applied :
     0's endpoint as an ordered client update.
     @raise Invalid_argument on the PBFT baseline or without an HMI. *)
 val submit_reconfig : t -> Member.Reconfig.action list -> unit
-
-(** [heal_site_nodes t site] boots a site's overlay daemons and clears
-    its crash flags WITHOUT state transfer — the reconciler then walks
-    its (retired or stale) replicas through a certified rejoin if the
-    current membership includes them. *)
-val heal_site_nodes : t -> Overlay.Topology.site -> unit
 
 (** [epoch_activity t] — instantaneous per-epoch live-replica counts
     [(epoch, live)], ascending by epoch. Fed to the epoch-safety

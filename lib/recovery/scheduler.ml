@@ -11,7 +11,6 @@ type t = {
   on_begin : Bft.Types.replica -> unit;
   on_complete : Bft.Types.replica -> unit;
   recovering : (Bft.Types.replica, unit) Hashtbl.t;
-  mutable started : int;
   mutable completed : int;
   mutable running : bool;
 }
@@ -28,7 +27,6 @@ let create ~engine ~config ~n ~on_begin ~on_complete =
     on_begin;
     on_complete;
     recovering = Hashtbl.create 7;
-    started = 0;
     completed = 0;
     running = false;
   }
@@ -36,7 +34,6 @@ let create ~engine ~config ~n ~on_begin ~on_complete =
 let in_progress t =
   Hashtbl.fold (fun r () acc -> r :: acc) t.recovering [] |> List.sort compare
 
-let recoveries_started t = t.started
 let recoveries_completed t = t.completed
 let is_recovering t r = Hashtbl.mem t.recovering r
 
@@ -46,7 +43,6 @@ let begin_recovery t r =
     && Hashtbl.length t.recovering < t.config.max_concurrent
   then begin
     Hashtbl.replace t.recovering r ();
-    t.started <- t.started + 1;
     t.on_begin r;
     ignore
       (Sim.Engine.schedule t.engine ~delay_us:t.config.recovery_duration_us

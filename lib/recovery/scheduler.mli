@@ -42,7 +42,6 @@ val start : t -> unit
 val trigger_now : t -> Bft.Types.replica -> bool
 
 val in_progress : t -> Bft.Types.replica list
-val recoveries_started : t -> int
 val recoveries_completed : t -> int
 
 (** [is_recovering t replica]. *)

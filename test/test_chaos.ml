@@ -292,6 +292,133 @@ let test_slot_finality_oracle () =
   | Oracle.Verdict.Fail _ -> ()
   | Oracle.Verdict.Pass -> Alcotest.fail "conflicting apply not caught"
 
+let expect_fail what verdict parts =
+  match verdict with
+  | Oracle.Verdict.Pass -> Alcotest.failf "%s passed" what
+  | Oracle.Verdict.Fail msg ->
+    List.iter
+      (fun part ->
+        if not (mentions msg part) then
+          Alcotest.failf "%s: %S does not mention %S" what msg part)
+      parts
+
+(* Two epochs, each with its own quorum of live replicas, at one
+   sample: two memberships could order conflicting updates. *)
+let test_epoch_check_two_quorate_epochs () =
+  let o = Oracle.Epoch_check.create () in
+  let quorum_of = function 0 -> 4 | _ -> 3 in
+  Oracle.Epoch_check.observe_activity o ~time_us:100 ~live:[ (0, 4); (1, 2) ]
+    ~quorum_of;
+  Alcotest.(check bool) "one quorate epoch passes" true
+    (Oracle.Verdict.is_pass (Oracle.Epoch_check.verdict o));
+  Oracle.Epoch_check.observe_activity o ~time_us:200 ~live:[ (0, 4); (1, 3) ]
+    ~quorum_of;
+  expect_fail "two quorate epochs" (Oracle.Epoch_check.verdict o)
+    [ "epochs 0,1"; "t=200us" ]
+
+(* One epoch observed with two boundaries, or two certificate digests,
+   is a fork of the certificate chain. *)
+let test_epoch_check_certificate_fork () =
+  let d1 = Cryptosim.Digest.of_string "cert one" in
+  let d2 = Cryptosim.Digest.of_string "cert two" in
+  let boundary = Oracle.Epoch_check.create () in
+  Oracle.Epoch_check.observe_cutover boundary ~epoch:1 ~boundary_exec:100
+    ~digest:d1;
+  Oracle.Epoch_check.observe_cutover boundary ~epoch:1 ~boundary_exec:100
+    ~digest:d1;
+  Alcotest.(check bool) "repeated cutover passes" true
+    (Oracle.Verdict.is_pass (Oracle.Epoch_check.verdict boundary));
+  Oracle.Epoch_check.observe_cutover boundary ~epoch:1 ~boundary_exec:101
+    ~digest:d1;
+  expect_fail "other boundary" (Oracle.Epoch_check.verdict boundary)
+    [ "epoch 1 certificate fork"; "100 vs 101" ];
+  let digest = Oracle.Epoch_check.create () in
+  Oracle.Epoch_check.observe_cutover digest ~epoch:2 ~boundary_exec:7 ~digest:d1;
+  Oracle.Epoch_check.observe_cutover digest ~epoch:2 ~boundary_exec:7 ~digest:d2;
+  expect_fail "other digest" (Oracle.Epoch_check.verdict digest)
+    [ "epoch 2 certificate fork" ]
+
+let test_epoch_check_violation_latches () =
+  let o = Oracle.Epoch_check.create () in
+  Oracle.Epoch_check.note_violation o "boundary disagreement";
+  Oracle.Epoch_check.observe_activity o ~time_us:100 ~live:[ (0, 6) ]
+    ~quorum_of:(fun _ -> 4);
+  Oracle.Epoch_check.observe_cutover o ~epoch:1 ~boundary_exec:5
+    ~digest:(Cryptosim.Digest.of_string "cert");
+  expect_fail "latched violation" (Oracle.Epoch_check.verdict o)
+    [ "boundary disagreement" ]
+
+(* The chain E11 walks: genesis, then three cutovers, each new epoch
+   quorate only once the previous one has lost its quorum. *)
+let test_epoch_check_clean_chain () =
+  let o = Oracle.Epoch_check.create () in
+  let quorum_of = function 0 | 2 -> 4 | 1 -> 3 | _ -> 5 in
+  let sample time_us live =
+    Oracle.Epoch_check.observe_activity o ~time_us ~live ~quorum_of
+  in
+  let cutover epoch boundary_exec =
+    Oracle.Epoch_check.observe_cutover o ~epoch ~boundary_exec
+      ~digest:(Cryptosim.Digest.of_string (Printf.sprintf "cert %d" epoch))
+  in
+  sample 0 [ (0, 6) ];
+  cutover 1 1315;
+  sample 1 [ (0, 2); (1, 4) ];
+  cutover 2 2597;
+  sample 2 [ (1, 1); (2, 6) ];
+  cutover 3 3793;
+  cutover 3 3793;
+  sample 3 [ (2, 3); (3, 8) ];
+  Alcotest.(check bool) "clean chain passes" true
+    (Oracle.Verdict.is_pass (Oracle.Epoch_check.verdict o));
+  Alcotest.(check int) "samples and cutovers counted" 8
+    (Oracle.Epoch_check.observations o)
+
+(* Watch wiring: site 0's replicas (0 and 1) run Prime with an ordering
+   quorum of one, and the site is cut off at 1 s. Leader 0 keeps
+   ordering on its own side, the other four change view and order the
+   same slots differently. No fault knob is set, so all six replicas
+   are correct, and the two sides' execution logs stay prefix-compatible:
+   only the slot-apply hook sees the conflict. *)
+let test_watch_catches_conflicting_applies () =
+  let built = ref 0 in
+  let weak_site_0 (c : Prime.Replica.config) =
+    (* System.create builds the genesis replicas in id order. *)
+    let r = !built in
+    incr built;
+    if r > 1 then c
+    else
+      { c with
+        Prime.Replica.quorum =
+          Bft.Quorum.create ~n:c.Prime.Replica.quorum.Bft.Quorum.n ~f:0 ~k:0 }
+  in
+  let sys =
+    Spire.System.create
+      { (Spire.System.default_config ()) with
+        Spire.System.tweak_prime = weak_site_0 }
+  in
+  Alcotest.(check (list int)) "site 0" [ 0; 1 ]
+    (Spire.System.replicas_in_site sys 0);
+  let watch = Spire.Watch.create sys in
+  Spire.System.start sys;
+  Spire.System.run sys ~duration_us:1_000_000;
+  Spire.Watch.sample watch;
+  Alcotest.(check bool) "agreement holds before the cut" true
+    (Oracle.Verdict.is_pass (Spire.Watch.agreement watch));
+  ignore
+    (Spire.Injector.start sys
+       (Attack.Schedule.Partition_site { site = 0; heal_after_us = 0 })
+      : Attack.Schedule.fault);
+  Spire.System.run sys ~duration_us:2_000_000;
+  Spire.Watch.sample watch;
+  Alcotest.(check bool) "every replica correct" true
+    (List.for_all (Spire.System.correct sys) (List.init 6 Fun.id));
+  Alcotest.(check bool) "logs stay prefix-compatible" true
+    (Oracle.Verdict.is_pass
+       (Oracle.Agreement.check_logs
+          (List.init 6 (fun r -> (r, Spire.System.exec_log sys r)))));
+  expect_fail "conflicting applies" (Spire.Watch.agreement watch)
+    [ "slot-finality violation"; "epoch 0" ]
+
 let test_verdict_combine () =
   let open Oracle.Verdict in
   Alcotest.(check bool) "all pass" true (is_pass (combine [ pass; pass ]));
@@ -445,6 +572,16 @@ let () =
           Alcotest.test_case "quorum watchdog" `Quick test_quorum_watch_oracle;
           Alcotest.test_case "post-heal recovery" `Quick test_recovery_oracle;
           Alcotest.test_case "verdict combine" `Quick test_verdict_combine;
+          Alcotest.test_case "epoch check: two quorate epochs" `Quick
+            test_epoch_check_two_quorate_epochs;
+          Alcotest.test_case "epoch check: certificate fork" `Quick
+            test_epoch_check_certificate_fork;
+          Alcotest.test_case "epoch check: violation latches" `Quick
+            test_epoch_check_violation_latches;
+          Alcotest.test_case "epoch check: clean chain" `Quick
+            test_epoch_check_clean_chain;
+          Alcotest.test_case "watch catches conflicting applies" `Quick
+            test_watch_catches_conflicting_applies;
         ] );
       ( "harness",
         [

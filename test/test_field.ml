@@ -420,6 +420,36 @@ let test_fleet_confirms_events_and_writes () =
        (fun (k, _, _) -> k = "field/report")
        (Spire.System.wire_traffic sys))
 
+(* A reconfiguration hands every client the new epoch's threshold
+   group. A concentrator left on the old group rejects every reply the
+   new epoch signs, so the fleet confirms nothing after the cutover. *)
+let test_fleet_confirms_after_reconfiguration () =
+  let sys =
+    Spire.System.create
+      {
+        (Spire.System.default_config ()) with
+        Spire.System.substations = 2;
+        hmis = 1;
+        max_batch = 8;
+        batch_delay_us = 5_000;
+        field_concentrators = 4;
+        field_devices = 400;
+      }
+  in
+  let confirmed () =
+    (Spire.System.fleet_stats sys).Field.Concentrator.confirmed_events
+  in
+  Spire.System.start sys;
+  Spire.System.run sys ~duration_us:5_000_000;
+  Spire.System.submit_reconfig sys [ Member.Reconfig.Promote 1 ];
+  Spire.System.run sys ~duration_us:5_000_000;
+  Alcotest.(check int) "cut over" 1 (Spire.System.current_epoch sys);
+  let at_10s = confirmed () in
+  Spire.System.run sys ~duration_us:8_000_000;
+  let after = confirmed () - at_10s in
+  if after < 1_000 then
+    Alcotest.failf "fleet confirmed %d events in the 8 s after the cutover" after
+
 let test_fleet_disabled_charges_nothing () =
   let sys, _ =
     Spire.Scenarios.fault_free ~duration_us:2_000_000 ()
@@ -657,6 +687,8 @@ let () =
           Alcotest.test_case "scan round allocation" `Quick test_scan_round_allocation;
           Alcotest.test_case "confirms events and writes" `Quick
             test_fleet_confirms_events_and_writes;
+          Alcotest.test_case "confirms after a reconfiguration" `Quick
+            test_fleet_confirms_after_reconfiguration;
           Alcotest.test_case "disabled fleet is silent" `Quick
             test_fleet_disabled_charges_nothing;
           Alcotest.test_case "report checksum" `Quick
