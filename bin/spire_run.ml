@@ -33,9 +33,19 @@ let int_in ?(max = max_int) min =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+(* Every time option is bounded by one horizon, 10^9 virtual seconds
+   (~32 years; the longest experiment, E3, runs 30 h). In microseconds
+   it is far below [max_int], so neither an option scaled to
+   microseconds nor the scenarios' arithmetic on it (5/8 of a run, say)
+   can wrap into a run that simulates nothing or an internal error; and
+   an interval or delay past it could never take effect. *)
+let horizon_s = 1_000_000_000
+let seconds_in min = int_in ~max:horizon_s min
+let ms_in min = int_in ~max:(horizon_s * 1_000) min
+
 let duration_arg =
   Arg.(
-    value & opt (int_in 1) 30
+    value & opt (seconds_in 1) 30
     & info [ "duration" ] ~docv:"SECONDS" ~doc:"Virtual duration in seconds.")
 
 let seed_arg =
@@ -64,7 +74,7 @@ let fault_free_cmd =
       value & opt (int_in 0) 10 & info [ "substations" ] ~doc:"Substation count.")
   in
   let poll =
-    Arg.(value & opt (int_in 1) 100 & info [ "poll-ms" ] ~doc:"Poll interval (ms).")
+    Arg.(value & opt (ms_in 1) 100 & info [ "poll-ms" ] ~doc:"Poll interval (ms).")
   in
   Cmd.v
     (Cmd.info "fault-free" ~doc:"Wide-area deployment, no faults (E2/E3).")
@@ -94,7 +104,7 @@ let leader_attack_cmd =
   in
   let delay =
     Arg.(
-      value & opt (int_in 0) 1000
+      value & opt (ms_in 0) 1000
       & info [ "delay-ms" ] ~doc:"Proposal delay injected at the leader (ms).")
   in
   Cmd.v
@@ -146,7 +156,7 @@ let recovery duration rotation_s =
 let recovery_cmd =
   let rotation =
     Arg.(
-      value & opt (int_in 1) 120
+      value & opt (seconds_in 1) 120
       & info [ "rotation" ] ~docv:"SECONDS" ~doc:"Full rotation period.")
   in
   Cmd.v
@@ -212,7 +222,10 @@ let campaign hours_ diversity recovery =
 
 let campaign_cmd =
   let hours_arg =
-    Arg.(value & opt (int_in 1) 6 & info [ "hours" ] ~doc:"Virtual hours to run.")
+    Arg.(
+      value
+      & opt (int_in ~max:(horizon_s / 3_600) 1) 6
+      & info [ "hours" ] ~doc:"Virtual hours to run.")
   in
   let diversity =
     Arg.(value & opt bool true & info [ "diversity" ] ~doc:"Diversity on/off.")

@@ -2,7 +2,9 @@
 # Pre-commit check: tier-1 build + test suites, a fixed-range chaos
 # soak (1000 seeded within-budget schedules farmed across domains;
 # every oracle must stay green on every seed: 0/1000 dirty),
-# the telemetry and reconfiguration soaks, garbage-argument probes,
+# the telemetry and reconfiguration soaks, garbage-argument probes
+# (dev probes and bench knobs exit 2; out-of-range or overflowing
+# scenario CLI integers exit 124),
 # then a release-profile run of every bench experiment (E1..E13), three
 # repository benchmark runs (wan and flood traced, fleet untraced) and the
 # PERF=1 wall-clock gates. It rewrites no tracked file. Each
@@ -77,10 +79,14 @@ done
 
 # The scenario CLI refuses out-of-range integers with a command-line
 # error (exit 124) instead of reporting a healthy run that disconnected
-# or simulated nothing, or failing with an internal error (exit 125).
+# or simulated nothing, or failing with an internal error (exit 125);
+# time options past the 10^9 s horizon would wrap once scaled to us.
 for args in "site-failure --site 9" "fault-free --duration=-3" \
   "leader-attack --delay-ms=-5" "fault-free --substations=-1" \
-  "fault-free --poll-ms=0"; do
+  "fault-free --poll-ms=0" "fault-free --duration 9223372036854" \
+  "campaign --hours 4611686018427" \
+  "fault-free --duration 1 --poll-ms 9223372036854" \
+  "recovery --duration 1 --rotation 9223372036854"; do
   rc=0
   dune exec bin/spire_run.exe -- $args > /dev/null 2>&1 || rc=$?
   if [ "$rc" -ne 124 ]; then

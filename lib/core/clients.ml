@@ -167,8 +167,7 @@ let create ~engine ~net ~send ~epochs ~telemetry ~group ~batch ~shard
               ~client_id:client ~first_device
               ~seed:(Sim.Rng.derive ~seed ~index:(0xF1E1D + i))
               ~group ~resubmit_timeout_us ~submit:(submit_of client)
-              ~charge:(fun frame ->
-                Send.charge_field_frame send ~node:(node_of_client client) frame)
+              ~charge:(Send.charge_field_frame send)
               ~config ()
           in
           Field.Concentrator.set_on_complete c record_latency;

@@ -99,16 +99,28 @@ let field_report_kind =
   Wire.Message.kind_index
     (Field_report { concentrator = 0; device = 0; seq = 0; events = [] })
 
+let field_advert_kind =
+  Wire.Message.kind_index
+    (Field_advert
+       {
+         concentrator = 0;
+         device = 0;
+         discrete_inputs = 0;
+         coils = 0;
+         input_registers = 0;
+         holding_registers = 0;
+         map_digest = Cryptosim.Digest.of_int64 0L;
+       })
+
 (* Field-link frames (the device <-> concentrator last mile) never ride
    the overlay — devices are not overlay nodes — but they are real wire
    traffic, so they are charged into the same per-kind ledger at
-   exact envelope size as every protocol frame. A report is charged by
-   its event count, the only thing its size depends on. *)
-let charge_field_frame t ~node (frame : Field.Concentrator.frame) =
+   exact envelope size as every protocol frame. An advert's size is a
+   constant, and a report's depends only on its event count, so neither
+   frame is built. *)
+let charge_field_frame t (frame : Field.Concentrator.frame) =
   match frame with
-  | `Advert a ->
-    let payload = Field_advert a in
-    charge t (Wire.Message.kind_index payload) (Wire.Envelope.size ~sender:node payload)
+  | `Advert -> charge t field_advert_kind Wire.Envelope.field_advert_size
   | `Report events ->
     charge t field_report_kind (Wire.Envelope.field_report_size ~events)
 

@@ -23,9 +23,9 @@ val trace_of_update : Bft.Update.t -> int
 (** [payload t ~src_node ~dst_node p] charges and sends one frame. *)
 val payload : t -> src_node:int -> dst_node:int -> Wire.Message.t -> unit
 
-(** [charge_field_frame t ~node frame] charges a device-link frame sent
-    by [node] without sending it. *)
-val charge_field_frame : t -> node:int -> Field.Concentrator.frame -> unit
+(** [charge_field_frame t frame] charges a device-link frame without
+    building or sending it (its size does not depend on the sender). *)
+val charge_field_frame : t -> Field.Concentrator.frame -> unit
 
 (** [check_delivery t ~sender p] round-trips a delivered payload
     through the wire codecs when [wire_debug] is set, counting

@@ -15,7 +15,7 @@ let default_config =
     keepalive_loss = 0.005;
   }
 
-type frame = [ `Advert of Scada.Field_frame.advert | `Report of int ]
+type frame = [ `Advert | `Report of int ]
 
 (* Every report frame a scan can charge, built once: a tick raises at
    most one event per input register and one per status bit. *)
@@ -132,7 +132,7 @@ let create ?telemetry ?batch ?submit_batch ?(shard = 0) ~engine ~id ~client_id
       shard;
       rng = Sim.Rng.create (Sim.Rng.derive ~seed ~index:0);
       devices =
-        Device.create ~concentrator:id ~first_device ~count:config.devices
+        Device.create ~first_device ~count:config.devices
           ~seed:(fun i -> Sim.Rng.derive ~seed ~index:(1 + i));
       sessions =
         Session.create ~count:config.devices
@@ -171,7 +171,7 @@ let set_on_complete t f = t.on_complete <- f
    transaction id: measured once, on a representative device. *)
 let poll_exchange_bytes body =
   let store =
-    Device.create ~concentrator:0 ~first_device:0 ~count:1 ~seed:(fun _ -> 0L)
+    Device.create ~first_device:0 ~count:1 ~seed:(fun _ -> 0L)
   in
   let req = { Scada.Modbus.transaction = 0; unit_id = 0; body } in
   String.length (Scada.Modbus.encode_request req)
@@ -211,7 +211,7 @@ let scan_round (t : t) =
       (* Capability-advertisement handshake, then replay of the last
          report frame (the device cannot know it was delivered). The
          concentrator's sequence high-watermark drops the duplicate. *)
-      t.charge (`Advert (Device.advert t.devices i));
+      t.charge `Advert;
       t.adverts_sent <- t.adverts_sent + 1;
       let seq = t.last_seq.(i) in
       if seq >= 0 then begin

@@ -42,10 +42,11 @@ type config = {
 
 val default_config : config
 
-(** A field-link frame to charge: a capability advertisement, or a
+(** A field-link frame to charge: a capability advertisement, whose
+    wire size [Wire.Envelope.field_advert_size] is a constant, or a
     report frame given by its event count (its wire size,
     [Wire.Envelope.field_report_size], depends on nothing else). *)
-type frame = [ `Advert of Scada.Field_frame.advert | `Report of int ]
+type frame = [ `Advert | `Report of int ]
 
 type t
 

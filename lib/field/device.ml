@@ -14,7 +14,6 @@ let params = 5
    [d*w .. d*w + w - 1], each a u16 (bits are 0 or 1; registers and
    point parameters are u16). *)
 type t = {
-  concentrator : int;
   first_device : int;
   rng : Sim.Rng.Bank.t;  (* stream [d]: device [d]'s process noise *)
   discrete_inputs : Bytes.t;
@@ -23,7 +22,6 @@ type t = {
   holding_registers : Bytes.t;
   last_reported : Bytes.t;  (* last value reported per input register *)
   analog : Bytes.t;  (* [params] cells per input register *)
-  map_digests : Bytes.t;  (* 8 bytes per device *)
   (* The last tick's events, oldest first, as [slot lsl 16 lor value]:
      slot [a] is input register [a], slot [6 + a] discrete input [a]. *)
   events : int array;
@@ -45,6 +43,49 @@ let get16u b k = unsafe_get16 b (2 * k)
 let set16u b k v = unsafe_set16 b (2 * k) v
 let param t k i = get16u t.analog ((params * k) + i)
 
+let create ~first_device ~count ~seed =
+  let u16_table width = Bytes.make (2 * count * width) '\000' in
+  let t =
+    {
+      first_device;
+      rng = Sim.Rng.Bank.create count seed;
+      discrete_inputs = u16_table discrete_inputs_count;
+      coils = u16_table coils_count;
+      input_registers = u16_table input_registers_count;
+      holding_registers = u16_table holding_registers_count;
+      last_reported = u16_table input_registers_count;
+      analog = u16_table (params * input_registers_count);
+      events = Array.make (input_registers_count + discrete_inputs_count) 0;
+      event_count = 0;
+      walk = Array.make input_registers_count 0;
+    }
+  in
+  (* Each input register draws its nominal, then its spread, and stores
+     the parameters {!Point.analog} derives from them; no point record
+     is built. *)
+  for d = 0 to count - 1 do
+    for address = 0 to input_registers_count - 1 do
+      let nom = 2_000 + Sim.Rng.Bank.int t.rng d 40_000 in
+      let spread = 400 + Sim.Rng.Bank.int t.rng d 4_000 in
+      let k = (d * input_registers_count) + address in
+      let cells = params * k in
+      set16 t.input_registers k nom;
+      set16 t.last_reported k nom;
+      set16 t.analog (cells + nominal) nom;
+      set16 t.analog (cells + step) (Point.step_of ~spread);
+      set16 t.analog (cells + deadband) (Point.deadband_of ~spread);
+      set16 t.analog (cells + lo) (Point.lo_of ~nominal:nom ~spread);
+      set16 t.analog (cells + hi) (Point.hi_of ~nominal:nom ~spread)
+    done;
+    for a = 0 to holding_registers_count - 1 do
+      set16 t.holding_registers ((d * holding_registers_count) + a) 0x800
+    done
+  done;
+  t
+
+let count t = Sim.Rng.Bank.length t.rng
+let id t d = t.first_device + d
+
 (* Every device shares its 8 discrete-input, 4 coil and 4 holding-register
    descriptors; only the 6 analog input registers differ. So the map
    digest chains the shared prefix once, and each device digests only
@@ -63,66 +104,23 @@ let holding_digests =
         (Point.analog ~table:Point.Holding_register ~address ~nominal:0x800
            ~spread:0x7FF))
 
-let create ~concentrator ~first_device ~count ~seed =
-  let u16_table width = Bytes.make (2 * count * width) '\000' in
-  let t =
-    {
-      concentrator;
-      first_device;
-      rng = Sim.Rng.Bank.create count seed;
-      discrete_inputs = u16_table discrete_inputs_count;
-      coils = u16_table coils_count;
-      input_registers = u16_table input_registers_count;
-      holding_registers = u16_table holding_registers_count;
-      last_reported = u16_table input_registers_count;
-      analog = u16_table (params * input_registers_count);
-      map_digests = Bytes.create (8 * count);
-      events = Array.make (input_registers_count + discrete_inputs_count) 0;
-      event_count = 0;
-      walk = Array.make input_registers_count 0;
-    }
-  in
-  for d = 0 to count - 1 do
-    let analog_digests =
-      Array.init input_registers_count (fun address ->
-          let nominal = 2_000 + Sim.Rng.Bank.int t.rng d 40_000 in
-          let spread = 400 + Sim.Rng.Bank.int t.rng d 4_000 in
-          let p = Point.analog ~table:Point.Input_register ~address ~nominal ~spread in
-          let k = (d * input_registers_count) + address in
-          set16 t.input_registers k nominal;
-          set16 t.last_reported k nominal;
-          List.iteri
-            (fun i v -> set16 t.analog ((params * k) + i) v)
-            [ nominal; p.Point.step; p.Point.deadband; Point.lo p; Point.hi p ];
-          Point.digest p)
-    in
-    let digest =
-      Array.fold_left Cryptosim.Digest.combine shared_prefix
-        (Array.append analog_digests holding_digests)
-    in
-    Bytes.set_int64_ne t.map_digests (8 * d) (Cryptosim.Digest.to_int64 digest);
-    for a = 0 to holding_registers_count - 1 do
-      set16 t.holding_registers ((d * holding_registers_count) + a) 0x800
-    done
-  done;
-  t
-
-let count t = Sim.Rng.Bank.length t.rng
-let id t d = t.first_device + d
+(* A drawn spread is at most 4,399 over a nominal of at most 41,999, so
+   [hi] is never clipped and [hi - nominal] is the spread ([lo] can clip
+   and is not used). *)
+let input_point t d ~address =
+  if d < 0 || d >= count t || address < 0 || address >= input_registers_count then
+    invalid_arg "Device.input_point: no such point";
+  let k = (d * input_registers_count) + address in
+  let nom = param t k nominal in
+  Point.analog ~table:Point.Input_register ~address ~nominal:nom
+    ~spread:(param t k hi - nom)
 
 let map_digest t d =
-  Cryptosim.Digest.of_int64 (Bytes.get_int64_ne t.map_digests (8 * d))
-
-let advert t d =
-  {
-    Scada.Field_frame.concentrator = t.concentrator;
-    device = id t d;
-    discrete_inputs = discrete_inputs_count;
-    coils = coils_count;
-    input_registers = input_registers_count;
-    holding_registers = holding_registers_count;
-    map_digest = map_digest t d;
-  }
+  let acc = ref shared_prefix in
+  for address = 0 to input_registers_count - 1 do
+    acc := Cryptosim.Digest.combine !acc (Point.digest (input_point t d ~address))
+  done;
+  Array.fold_left Cryptosim.Digest.combine !acc holding_digests
 
 (* Probability a status bit flips on one tick. *)
 let flip_probability = 0.01

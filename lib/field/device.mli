@@ -5,8 +5,8 @@
     RTU — discrete inputs, coils, input registers, holding registers —
     described by typed {!Point} descriptors. Each table is one flat
     buffer indexed [device * width + address], beside the analog point
-    parameters, last reported values and an 8-byte map digest per
-    device; no {!Point.t} is kept. Device [d] has id [first_device + d].
+    parameters and last reported values; no {!Point.t} and no map
+    digest is kept. Device [d] has id [first_device + d].
 
     Input registers follow a deterministic bounded random walk drawn
     from stream [d] of one {!Sim.Rng.Bank}, and report by exception
@@ -25,22 +25,31 @@ val coils_count : int
 val input_registers_count : int
 val holding_registers_count : int
 
-(** [create ~concentrator ~first_device ~count ~seed] builds [count]
+(** [create ~first_device ~count ~seed] builds [count]
     devices; device [d]'s register-map parameters (nominals, spreads,
-    deadbands) and process noise are a pure function of [seed d]. *)
-val create :
-  concentrator:int -> first_device:int -> count:int -> seed:(int -> int64) -> t
+    deadbands) and process noise are a pure function of [seed d]. It
+    writes the parameters straight into the store, allocating no
+    per-device value on the minor heap. *)
+val create : first_device:int -> count:int -> seed:(int -> int64) -> t
 
 val count : t -> int
 val id : t -> int -> int
 
-(** [map_digest t d] is the digest over device [d]'s point descriptors;
-    it identifies the register map in the capability advertisement. *)
-val map_digest : t -> int -> Cryptosim.Digest.t
+(** [input_point t d ~address] is the descriptor of device [d]'s input
+    register [address], rebuilt from the stored parameters: its nominal,
+    and [hi - nominal] as its spread (a drawn envelope never reaches
+    0xFFFF, so [hi] is never clipped).
+    @raise Invalid_argument unless [0 <= d < count t] and [address] is
+    an input register. *)
+val input_point : t -> int -> address:int -> Point.t
 
-(** [advert t d] is the capability-advertisement frame device [d] sends
-    when its session links up. *)
-val advert : t -> int -> Scada.Field_frame.advert
+(** [map_digest t d] is {!Point.map_digest} over device [d]'s point
+    descriptors (discrete inputs, coils, input registers, holding
+    registers), the register-map identity of its capability
+    advertisement. It is derived on demand from {!input_point}, since no
+    run reads it.
+    @raise Invalid_argument unless [0 <= d < count t]. *)
+val map_digest : t -> int -> Cryptosim.Digest.t
 
 (** [tick t d] advances device [d] one scan interval and returns how
     many exception events it raised; {!events} lists them, oldest

@@ -13,8 +13,12 @@ type t = {
   deadband : int;
 }
 
-let lo p = max 0 (p.nominal - p.spread)
-let hi p = min 0xFFFF (p.nominal + p.spread)
+let lo_of ~nominal ~spread = max 0 (nominal - spread)
+let hi_of ~nominal ~spread = min 0xFFFF (nominal + spread)
+let step_of ~spread = max 1 (spread / 8)
+let deadband_of ~spread = max 1 (spread / 4)
+let lo p = lo_of ~nominal:p.nominal ~spread:p.spread
+let hi p = hi_of ~nominal:p.nominal ~spread:p.spread
 
 let discrete ~table ~address =
   { table; address; nominal = 0; spread = 1; step = 1; deadband = 1 }
@@ -26,8 +30,8 @@ let analog ~table ~address ~nominal ~spread =
     address;
     nominal;
     spread;
-    step = max 1 (spread / 8);
-    deadband = max 1 (spread / 4);
+    step = step_of ~spread;
+    deadband = deadband_of ~spread;
   }
 
 let render p =

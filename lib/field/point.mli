@@ -28,6 +28,17 @@ val lo : t -> int
 
 val hi : t -> int
 
+(** The formulas behind {!analog}, {!lo} and {!hi}, for a store that
+    keeps an analog point's parameters instead of its record:
+    [lo_of]/[hi_of] are the envelope bounds of [nominal ± spread]
+    clipped to u16, [step_of]/[deadband_of] are [spread/8] and
+    [spread/4] floored at 1 (for a [spread >= 1]). *)
+val lo_of : nominal:int -> spread:int -> int
+
+val hi_of : nominal:int -> spread:int -> int
+val step_of : spread:int -> int
+val deadband_of : spread:int -> int
+
 (** [discrete ~table ~address] is a single-bit point descriptor. *)
 val discrete : table:table -> address:int -> t
 

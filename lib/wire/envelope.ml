@@ -69,6 +69,7 @@ let size ~sender:_ msg =
 
 (* [scheme_of] puts every field-link frame under [Hmac]. *)
 let field_report_size ~events = overhead Hmac + Measure.field_report_message ~events
+let field_advert_size = overhead Hmac + Measure.field_advert_message
 
 let decode s =
   Rw.run s (fun r ->

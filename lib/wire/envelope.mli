@@ -65,3 +65,8 @@ val size : sender:int -> Message.t -> int
     field report, computed from its event count alone, so the report
     need not be built. *)
 val field_report_size : events:int -> int
+
+(** [field_advert_size] = [size ~sender (Field_advert a)] for every
+    advert [a]: its fields are fixed-width, so the frame charged for a
+    capability advertisement is a constant. *)
+val field_advert_size : int

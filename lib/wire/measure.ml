@@ -80,8 +80,8 @@ let reply (t : Scada.Reply.t) =
 let chunk (c : Recovery.State_transfer.chunk) =
   u32 + u32 + u32 + digest + bytes c.Recovery.State_transfer.data
 
-let field_advert (_ : Scada.Field_frame.advert) =
-  u16 + u32 + u8 + u8 + u8 + u8 + digest
+(* An advert's fields are all fixed-width. *)
+let field_advert = u16 + u32 + u8 + u8 + u8 + u8 + digest
 
 (* Every event is a table tag, an address and a value, whatever their
    contents, so a report's size is a function of its event count. *)
@@ -114,7 +114,8 @@ let rec message (m : Message.t) =
   | Message.Reply_batch rs -> list reply rs
   | Message.Epoch_frame (_, inner) -> u32 + message inner
   | Message.Cert_frame c -> cert c
-  | Message.Field_advert a -> field_advert a
+  | Message.Field_advert _ -> field_advert
   | Message.Field_report rep -> field_report rep
 
 let field_report_message ~events = tag + field_report_events events
+let field_advert_message = tag + field_advert

@@ -25,3 +25,7 @@ val message : Message.t -> int
     every report [r] carrying [events] events: an event's size does not
     depend on its contents. *)
 val field_report_message : events:int -> int
+
+(** [field_advert_message] = [message (Field_advert a)] for every
+    advert [a]. *)
+val field_advert_message : int

@@ -416,6 +416,19 @@ let prop_field_report_size =
       size = Wire.Envelope.size ~sender msg
       && size = String.length (Wire.Envelope.encode ~sender msg))
 
+(* An advert is charged at one constant size, whatever its ids,
+   geometry and digest. *)
+let prop_field_advert_size =
+  QCheck.Test.make ~count:500
+    ~name:"measure law: field_advert_size = size (Field_advert a)"
+    (arb (G.pair gen_u16 gen_field_advert) (fun ppf (s, a) ->
+         Format.fprintf ppf "sender=%d %a" s Scada.Field_frame.pp_advert a))
+    (fun (sender, a) ->
+      let msg = Wire.Message.Field_advert a in
+      let size = Wire.Envelope.field_advert_size in
+      size = Wire.Envelope.size ~sender msg
+      && size = String.length (Wire.Envelope.encode ~sender msg))
+
 let test_kind_index_table () =
   Alcotest.(check int) "kind_count" 29 Wire.Message.kind_count;
   let names =
@@ -699,6 +712,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_measure_message;
           QCheck_alcotest.to_alcotest prop_measure_envelope;
           QCheck_alcotest.to_alcotest prop_field_report_size;
+          QCheck_alcotest.to_alcotest prop_field_advert_size;
           Alcotest.test_case "kind index table" `Quick test_kind_index_table;
           QCheck_alcotest.to_alcotest prop_kind_index_consistent;
         ] );
