@@ -53,20 +53,31 @@ let seed_arg =
 
 (* ------------------------------------------------------------------ *)
 
+(* A proxy polls first one interval after start, so an interval longer
+   than the run submits nothing: a command-line error, not a run that
+   reports zero updates and exits 0. *)
 let fault_free duration seed substations poll_ms =
-  let cfg =
-    {
-      (Spire.System.default_config ()) with
-      Spire.System.substations;
-      poll_interval_us = ms poll_ms;
-      seed = Int64.of_int seed;
-    }
-  in
-  let _, r =
-    Spire.Scenarios.fault_free ~config:cfg ~duration_us:(duration * 1_000_000) ()
-  in
-  print_result "fault-free wide-area" r;
-  0
+  if ms poll_ms > duration * 1_000_000 then
+    `Error
+      ( false,
+        Printf.sprintf "--poll-ms %d is longer than the %d s run: no poll fires"
+          poll_ms duration )
+  else begin
+    let cfg =
+      {
+        (Spire.System.default_config ()) with
+        Spire.System.substations;
+        poll_interval_us = ms poll_ms;
+        seed = Int64.of_int seed;
+      }
+    in
+    let _, r =
+      Spire.Scenarios.fault_free ~config:cfg ~duration_us:(duration * 1_000_000)
+        ()
+    in
+    print_result "fault-free wide-area" r;
+    `Ok 0
+  end
 
 let fault_free_cmd =
   let substations =
@@ -78,7 +89,7 @@ let fault_free_cmd =
   in
   Cmd.v
     (Cmd.info "fault-free" ~doc:"Wide-area deployment, no faults (E2/E3).")
-    Term.(const fault_free $ duration_arg $ seed_arg $ substations $ poll)
+    Term.(ret (const fault_free $ duration_arg $ seed_arg $ substations $ poll))
 
 let leader_attack duration protocol delay_ms =
   let duration_us = duration * 1_000_000 in

@@ -80,12 +80,14 @@ done
 # The scenario CLI refuses out-of-range integers with a command-line
 # error (exit 124) instead of reporting a healthy run that disconnected
 # or simulated nothing, or failing with an internal error (exit 125);
-# time options past the 10^9 s horizon would wrap once scaled to us.
+# time options past the 10^9 s horizon would wrap once scaled to us,
+# and a poll interval longer than the run would submit nothing.
 for args in "site-failure --site 9" "fault-free --duration=-3" \
   "leader-attack --delay-ms=-5" "fault-free --substations=-1" \
   "fault-free --poll-ms=0" "fault-free --duration 9223372036854" \
   "campaign --hours 4611686018427" \
   "fault-free --duration 1 --poll-ms 9223372036854" \
+  "fault-free --duration 1 --poll-ms 5000" \
   "recovery --duration 1 --rotation 9223372036854"; do
   rc=0
   dune exec bin/spire_run.exe -- $args > /dev/null 2>&1 || rc=$?

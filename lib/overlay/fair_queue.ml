@@ -4,15 +4,16 @@ type priority = Control | Bulk
    previous implementation rotated with [rest @ [source]], an O(n) list
    append (and n fresh cons cells) per pop; the ring does the same
    rotation with two index updates and no allocation in steady state.
-   The capacity stays a power of two, so indices wrap with a mask. *)
+   The capacity stays a power of two, so indices wrap with a mask; it
+   starts at 0, so a queue that never backs up allocates no ring. *)
 type ring = { mutable buf : int array; mutable head : int; mutable len : int }
 
-let ring_create () = { buf = Array.make 16 0; head = 0; len = 0 }
+let ring_create () = { buf = [||]; head = 0; len = 0 }
 
 let ring_push r v =
   let cap = Array.length r.buf in
   if r.len = cap then begin
-    let buf = Array.make (2 * cap) 0 in
+    let buf = Array.make (Int.max 16 (2 * cap)) 0 in
     for i = 0 to r.len - 1 do
       buf.(i) <- r.buf.((r.head + i) land (cap - 1))
     done;

@@ -66,12 +66,32 @@ type 'a frame = {
          [enqueue]) *)
 }
 
-(* Directed link runtime state. *)
+(* Directed link runtime state. A link serialises one frame at a time,
+   so one timer, created at its first transmission and re-armed, marks
+   the end of each transmission and of each ARQ wait; the frame on the
+   link and the leg's open span live here rather than in a per-copy
+   closure. [tx_frame] keeps the last frame after the link goes idle:
+   clearing it would cost a write barrier per completion. [net], [u]
+   and [v] let the timer's and a copy's arrival closure capture the
+   link alone. *)
 type 'a link_state = {
+  net : 'a t;
+  u : Topology.node;
+  v : Topology.node;
   latency_us : int;
   bandwidth_bps : int;
   queue : 'a frame Fair_queue.t;
+  mutable tx_timer : Sim.Engine.timer option; (* [None] until first used *)
   mutable busy : bool;
+  mutable tx_frame : 'a frame;
+  mutable tx_attempt : int; (* ARQ attempt of [tx_frame], from 0 *)
+  mutable tx_span : int; (* open Net_transmit or Net_arq span, or -1 *)
+  mutable in_arq : bool; (* [tx_timer] is timing an ARQ wait *)
+  mutable dups : int array;
+      (* known duplicates in flight: a ring of (arrival time, engine
+         order, bytes) triples, oldest first (see [transmitted]) *)
+  mutable dups_head : int; (* the oldest triple, before [slot]'s mask *)
+  mutable dups_len : int; (* triples held *)
   mutable latency_factor : float;
   mutable loss_probability : float;
       (* per-transmission drop probability; the hop-by-hop ARQ below
@@ -82,7 +102,7 @@ type 'a link_state = {
   mutable tx_busy_us : int; (* virtual time spent serialising frames *)
 }
 
-type 'a t = {
+and 'a t = {
   engine : Sim.Engine.t;
   rng : Sim.Rng.t;
   topo : Topology.t;
@@ -142,6 +162,22 @@ and counters = {
 
 let[@inline] norm_idx t a b = if a < b then (a * t.nodes) + b else (b * t.nodes) + a
 
+(* The links' frame slot before their first transmission. *)
+let blank_frame () =
+  {
+    src = -1;
+    dst = -1;
+    priority = Fair_queue.Control;
+    size_bytes = 0;
+    content = Junk "";
+    sent_us = 0;
+    hops = 0;
+    route = Path [];
+    delivered = None;
+    trace = -1;
+    queue_span = -1;
+  }
+
 let create ?(per_source_cap = 64) ?partition engine topo () =
   let n = Topology.node_count topo in
   let part =
@@ -184,19 +220,31 @@ let create ?(per_source_cap = 64) ?partition engine topo () =
         };
       per_source_cap;
       route_cache = Array.init n (fun _ -> Array.make n None);
-      kpath_cache = Hashtbl.create 997;
+      kpath_cache = Hashtbl.create 16;
       telemetry = Telemetry.Sink.null;
     }
   in
+  let blank = blank_frame () in
   List.iter
     (fun link ->
       let a = link.Topology.endpoint_a and b = link.Topology.endpoint_b in
-      let mk () =
+      let mk u v =
         {
+          net = t;
+          u;
+          v;
           latency_us = link.Topology.latency_us;
           bandwidth_bps = link.Topology.bandwidth_bps;
           queue = Fair_queue.create ~per_source_cap;
+          tx_timer = None;
           busy = false;
+          tx_frame = blank;
+          tx_attempt = 0;
+          tx_span = -1;
+          in_arq = false;
+          dups = [||];
+          dups_head = 0;
+          dups_len = 0;
           latency_factor = 1.0;
           loss_probability = 0.0;
           retransmissions = 0;
@@ -204,8 +252,8 @@ let create ?(per_source_cap = 64) ?partition engine topo () =
           tx_busy_us = 0;
         }
       in
-      t.links.(a).(b) <- Some (mk ());
-      t.links.(b).(a) <- Some (mk ());
+      t.links.(a).(b) <- Some (mk a b);
+      t.links.(b).(a) <- Some (mk b a);
       t.link_up.(norm_idx t a b) <- true)
     (Topology.links topo);
   t
@@ -218,8 +266,9 @@ let set_telemetry t sink = t.telemetry <- sink
 (* Per-hop telemetry. Traced frames ([frame.trace >= 0], sink enabled)
    get root-level spans for each thing that can cost them time on a
    link: waiting in the fair queue, occupying the link, waiting out an
-   ARQ retransmission, and propagating. Span ids are captured in the
-   transmission closures, so no per-link mutable state is needed. *)
+   ARQ retransmission, and propagating. The transmit and ARQ spans are
+   held by the link ([tx_span]), the propagation span by the arrival
+   closure. *)
 let traced t frame = frame.trace >= 0 && Telemetry.Sink.enabled t.telemetry
 
 let link_label u v = string_of_int u ^ "->" ^ string_of_int v
@@ -233,7 +282,6 @@ let close_hop_span t sid =
 
 let set_handler t node f = t.handlers.(node) <- Some f
 let[@inline] link_alive t a b = t.link_up.(norm_idx t a b)
-let node_alive t n = t.node_up.(n)
 let[@inline] usable t a b = link_alive t a b && t.node_up.(a) && t.node_up.(b)
 
 (* The raising arm lives out of line so [link_state] inlines into the
@@ -288,6 +336,87 @@ let deliver t node frame ~hops =
           })
   end
 
+(* Known duplicates. A flooded copy that leaves [u] for a [v] already
+   holding the frame can only, on arrival, count as a duplicate (link
+   and both nodes up) or as a link-down drop. Unless the copy is traced
+   (its arrival closes a propagation span), no arrival event is queued
+   for it: the link keeps the place the event would have taken,
+   and the copy is settled once the run has passed that place, under
+   the liveness then in force. Every liveness change settles what the
+   run has passed first, so a copy settled later still sees the
+   liveness of its arrival instant. *)
+let[@inline] known_duplicate frame v =
+  match frame.route with
+  | Flooding first_hops -> first_hops.(v) >= 0
+  | Path _ -> false
+
+let settle t u v bytes =
+  let c = t.ctrs in
+  if usable t u v then c.c_duplicates_suppressed <- c.c_duplicates_suppressed + 1
+  else begin
+    c.c_dropped_link_down <- c.c_dropped_link_down + 1;
+    c.c_dropped_bytes <- c.c_dropped_bytes + bytes
+  end
+
+(* The ring holds a power of two of triples; [slot ls i] is the index
+   of the [i]th oldest. *)
+let[@inline] slot ls i =
+  3 * ((ls.dups_head + i) land ((Array.length ls.dups / 3) - 1))
+
+let push_dup ls ~time_us ~order ~bytes =
+  let cap = Array.length ls.dups / 3 in
+  if ls.dups_len = cap then begin
+    let grown = Array.make (3 * Int.max 16 (2 * cap)) 0 in
+    for i = 0 to ls.dups_len - 1 do
+      Array.blit ls.dups (slot ls i) grown (3 * i) 3
+    done;
+    ls.dups <- grown;
+    ls.dups_head <- 0
+  end;
+  let b = slot ls ls.dups_len in
+  ls.dups.(b) <- time_us;
+  ls.dups.(b + 1) <- order;
+  ls.dups.(b + 2) <- bytes;
+  ls.dups_len <- ls.dups_len + 1
+
+(* Settle the oldest copies while the run has passed them: cheap, and it
+   bounds the ring by the copies in flight. *)
+let settle_oldest t u v ls =
+  let d = ls.dups in
+  while
+    ls.dups_len > 0
+    && Sim.Engine.passed t.engine ~time_us:d.(slot ls 0) ~order:d.(slot ls 0 + 1)
+  do
+    settle t u v d.(slot ls 0 + 2);
+    ls.dups_head <- ls.dups_head + 1;
+    ls.dups_len <- ls.dups_len - 1
+  done
+
+(* Settle every copy the run has passed. Arrival places need not follow
+   ring order (a link sped up again lands later copies first), so this
+   scans the whole ring and closes the gaps. *)
+let settle_passed t =
+  Array.iteri
+    (fun u row ->
+      Array.iteri
+        (fun v -> function
+          | Some ls when ls.dups_len > 0 ->
+            let d = ls.dups in
+            let kept = ref 0 in
+            for i = 0 to ls.dups_len - 1 do
+              let b = slot ls i in
+              if Sim.Engine.passed t.engine ~time_us:d.(b) ~order:d.(b + 1) then
+                settle t u v d.(b + 2)
+              else begin
+                Array.blit d b d (slot ls !kept) 3;
+                incr kept
+              end
+            done;
+            ls.dups_len <- !kept
+          | _ -> ())
+        row)
+    t.links
+
 (* Start transmitting the head frame of the (u,v) link if idle.
 
    Hop-by-hop reliability (ARQ): each transmission is lost with the
@@ -307,82 +436,115 @@ let rec maybe_transmit t u v ls =
     transmit_frame t u v ls frame 0
   end
 
+(* The transmit/ARQ legs of a (u, v) hop mutate [u]-owned link state,
+   so the link's timer is tagged with [u]'s shard; the propagation leg
+   ends in [arrive], which mutates [v]-owned state (its first-arrival
+   cell, handler, onward queues), so it is tagged with [v]'s shard. The
+   tags never affect event order — keys are engine-global — they only
+   attribute each callback to the site whose state it touches. *)
 and transmit_frame t u v ls frame attempt =
   ls.busy <- true;
-  (* The transmit/ARQ legs of a (u, v) hop mutate [u]-owned link state,
-     so those timers are tagged with [u]'s shard; the propagation leg
-     ends in [arrive], which mutates [v]-owned state (its first-arrival
-     cell, handler, onward queues), so it is tagged with [v]'s shard. The
-     tags never affect event order — keys are engine-global — they only
-     attribute each callback to the site whose state it touches. *)
-  let shard = Sim.Shard.engine_shard t.part u in
-  let dst_shard = Sim.Shard.engine_shard t.part v in
+  ls.tx_frame <- frame;
+  ls.tx_attempt <- attempt;
   let tx_us = Int.max 1 (frame.size_bytes * 1_000_000 / ls.bandwidth_bps) in
   ls.tx_bytes <- ls.tx_bytes + frame.size_bytes;
   ls.tx_busy_us <- ls.tx_busy_us + tx_us;
-  let tx_sid =
-    if traced t frame then
-      open_hop_span t ~phase:Telemetry.Span.Net_transmit ~node:u
-        ~label:(link_label u v) frame
-    else -1
-  in
-  ignore
-    (Sim.Engine.schedule ~shard t.engine ~delay_us:tx_us (fun () ->
-         if tx_sid >= 0 then close_hop_span t tx_sid;
-         let prop =
-           int_of_float (float_of_int ls.latency_us *. ls.latency_factor)
-         in
-         let lost =
-           ls.loss_probability > 0.
-           && Sim.Rng.bernoulli t.rng ls.loss_probability
-         in
-         if lost && attempt < max_retransmissions then begin
-           (* The sender detects the loss after ~one round trip and
-              retransmits; the link stays occupied meanwhile. *)
-           ls.retransmissions <- ls.retransmissions + 1;
-           let arq_sid =
-             if traced t frame then
-               open_hop_span t ~phase:Telemetry.Span.Net_arq ~node:u
-                 ~label:(link_label u v) frame
-             else -1
-           in
-           ignore
-             (Sim.Engine.schedule ~shard t.engine ~delay_us:(2 * prop) (fun () ->
-                  if arq_sid >= 0 then close_hop_span t arq_sid;
-                  transmit_frame t u v ls frame (attempt + 1))
-               : Sim.Engine.timer)
-         end
-         else begin
-           ls.busy <- false;
-           if lost then begin
-             (* All ARQ attempts failed: the frame is gone for good.
-                Surface the drop in stats and keep the queue draining —
-                a hot-loss link must not wedge its fair queue. *)
-             let c = t.ctrs in
-             c.c_dropped_arq_exhausted <- c.c_dropped_arq_exhausted + 1;
-             c.c_dropped_bytes <- c.c_dropped_bytes + frame.size_bytes
-           end
-           else begin
-             let prop_sid =
-               if traced t frame then
-                 open_hop_span t ~phase:Telemetry.Span.Net_propagate ~node:u
-                   ~label:(link_label u v) frame
-               else -1
-             in
-             ignore
-               (Sim.Engine.schedule ~shard:dst_shard t.engine ~delay_us:prop
-                  (fun () ->
-                    if prop_sid >= 0 then close_hop_span t prop_sid;
-                    arrive t u v frame)
-                 : Sim.Engine.timer)
-           end;
-           maybe_transmit t u v ls
-         end)
-      : Sim.Engine.timer)
+  ls.tx_span <-
+    (if traced t frame then
+       open_hop_span t ~phase:Telemetry.Span.Net_transmit ~node:u
+         ~label:(link_label u v) frame
+     else -1);
+  Sim.Engine.arm (tx_timer ls) ~delay_us:tx_us
 
-(* Frame arrives at node v over link (u,v). *)
+(* The link's timer, created at its first transmission: a link that
+   never carries a frame costs none. *)
+and tx_timer ls =
+  match ls.tx_timer with
+  | Some timer -> timer
+  | None ->
+    let timer =
+      Sim.Engine.one_shot
+        ~shard:(Sim.Shard.engine_shard ls.net.part ls.u)
+        ls.net.engine
+        (fun () -> link_timer ls)
+    in
+    ls.tx_timer <- Some timer;
+    timer
+
+(* The link's timer: the end of an ARQ wait, or of a transmission. *)
+and link_timer ls =
+  let t = ls.net and u = ls.u and v = ls.v in
+  if ls.tx_span >= 0 then close_hop_span t ls.tx_span;
+  if ls.in_arq then begin
+    ls.in_arq <- false;
+    transmit_frame t u v ls ls.tx_frame (ls.tx_attempt + 1)
+  end
+  else transmitted t u v ls
+
+and transmitted t u v ls =
+  let frame = ls.tx_frame in
+  let prop = int_of_float (float_of_int ls.latency_us *. ls.latency_factor) in
+  let lost =
+    ls.loss_probability > 0. && Sim.Rng.bernoulli t.rng ls.loss_probability
+  in
+  if lost && ls.tx_attempt < max_retransmissions then begin
+    (* The sender detects the loss after ~one round trip and
+       retransmits; the link stays occupied meanwhile. *)
+    ls.retransmissions <- ls.retransmissions + 1;
+    ls.tx_span <-
+      (if traced t frame then
+         open_hop_span t ~phase:Telemetry.Span.Net_arq ~node:u
+           ~label:(link_label u v) frame
+       else -1);
+    ls.in_arq <- true;
+    Sim.Engine.arm (tx_timer ls) ~delay_us:(2 * prop)
+  end
+  else begin
+    ls.busy <- false;
+    if lost then begin
+      (* All ARQ attempts failed: the frame is gone for good.
+         Surface the drop in stats and keep the queue draining —
+         a hot-loss link must not wedge its fair queue. *)
+      let c = t.ctrs in
+      c.c_dropped_arq_exhausted <- c.c_dropped_arq_exhausted + 1;
+      c.c_dropped_bytes <- c.c_dropped_bytes + frame.size_bytes
+    end
+    else if known_duplicate frame v && not (traced t frame) then begin
+      settle_oldest t u v ls;
+      let now = Sim.Engine.now t.engine in
+      let time_us = if prop > max_int - now then max_int else now + prop in
+      push_dup ls ~time_us
+        ~order:(Sim.Engine.reserve t.engine ~time_us)
+        ~bytes:frame.size_bytes
+    end
+    else begin
+      let arrival =
+        if traced t frame then begin
+          let prop_sid =
+            open_hop_span t ~phase:Telemetry.Span.Net_propagate ~node:u
+              ~label:(link_label u v) frame
+          in
+          fun () ->
+            close_hop_span t prop_sid;
+            arrive ls.net ls.u ls.v frame
+        end
+        else fun () -> arrive ls.net ls.u ls.v frame
+      in
+      ignore
+        (Sim.Engine.schedule
+           ~shard:(Sim.Shard.engine_shard t.part v)
+           t.engine ~delay_us:prop arrival
+          : Sim.Engine.timer)
+    end;
+    maybe_transmit t u v ls
+  end
+
+(* Frame arrives at node v over link (u,v). A later flooded copy of a
+   frame [v] already has is dropped before [deliver], as a duplicate or,
+   on a dead link or node, as a link-down drop. *)
 and arrive t u v frame =
-  if not (usable t u v) then begin
+  if known_duplicate frame v then settle t u v frame.size_bytes
+  else if not (usable t u v) then begin
     let c = t.ctrs in
     c.c_dropped_link_down <- c.c_dropped_link_down + 1;
     c.c_dropped_bytes <- c.c_dropped_bytes + frame.size_bytes
@@ -390,24 +552,16 @@ and arrive t u v frame =
   else
     match frame.route with
     | Flooding first_hops ->
-      if first_hops.(v) >= 0 then begin
-        (* A later copy of a frame [v] already has: constrained
-           flooding drops it here, before [deliver]. *)
-        let c = t.ctrs in
-        c.c_duplicates_suppressed <- c.c_duplicates_suppressed + 1
-      end
-      else begin
-        let hops = first_hops.(u) + 1 in
-        first_hops.(v) <- hops;
-        if v = frame.dst then deliver t v frame ~hops;
-        (* Constrained flooding: forward on all usable links except the
-           one the frame came in on. *)
-        let nbrs = t.neighbours.(v) in
-        for i = 0 to Array.length nbrs - 1 do
-          let w = nbrs.(i) in
-          if w <> u && usable t v w then enqueue t v w frame
-        done
-      end
+      let hops = first_hops.(u) + 1 in
+      first_hops.(v) <- hops;
+      if v = frame.dst then deliver t v frame ~hops;
+      (* Constrained flooding: forward on all usable links except the
+         one the frame came in on. *)
+      let nbrs = t.neighbours.(v) in
+      for i = 0 to Array.length nbrs - 1 do
+        let w = nbrs.(i) in
+        if w <> u && usable t v w then enqueue t v w frame
+      done
     | Path remaining -> (
       let hops = frame.hops + 1 in
       if v = frame.dst then deliver t v frame ~hops
@@ -579,34 +733,47 @@ let inject_junk_bytes t ~src ~dst ~bytes ~priority =
   submit t ~priority ~size_bytes:(String.length bytes) ~src ~dst ~mode:Shortest
     ~trace:(-1) (Junk bytes)
 
-let has_link t a b = t.links.(a).(b) <> None
+let valid_node t n = n >= 0 && n < t.nodes
+
+let has_link t a b =
+  valid_node t a && valid_node t b && Option.is_some t.links.(a).(b)
 
 let kill_link t a b =
   if not (has_link t a b) then invalid_arg "Net.kill_link: no such link";
+  settle_passed t;
   t.link_up.(norm_idx t a b) <- false;
   invalidate_routes t
 
 let restore_link t a b =
   if not (has_link t a b) then invalid_arg "Net.restore_link: no such link";
+  settle_passed t;
   t.link_up.(norm_idx t a b) <- true;
   invalidate_routes t
 
+let check_node t n name =
+  if not (valid_node t n) then invalid_arg ("Net." ^ name ^ ": no such node")
+
 let kill_node t n =
+  check_node t n "kill_node";
+  settle_passed t;
   t.node_up.(n) <- false;
   invalidate_routes t
 
 let restore_node t n =
+  check_node t n "restore_node";
+  settle_passed t;
   t.node_up.(n) <- true;
   invalidate_routes t
+
+let node_alive t n =
+  check_node t n "node_alive";
+  t.node_up.(n)
 
 (* Membership retirement is orthogonal to liveness: a retired node may
    still be up (its daemons keep running on stale state) but its
    frames are no longer admissible. *)
-let retire_node t n =
-  if n >= 0 && n < t.nodes then t.retired.(n) <- true
-
-let unretire_node t n =
-  if n >= 0 && n < t.nodes then t.retired.(n) <- false
+let retire_node t n = if valid_node t n then t.retired.(n) <- true
+let unretire_node t n = if valid_node t n then t.retired.(n) <- false
 
 let set_latency_factor t a b factor =
   if not (Float.is_finite factor) then
@@ -667,6 +834,7 @@ let link_reports t =
          | c -> c)
 
 let stats t =
+  settle_passed t;
   let c = t.ctrs in
   {
     submitted = c.c_submitted;

@@ -49,7 +49,9 @@ type stats = {
           (each node forwards only its first copy); in [Redundant k]
           mode, every copy reaching the destination after the first.
           Exact at any delay: no copy is ever forgotten and delivered
-          again. *)
+          again. Counted at the copy's arrival instant, as is a copy
+          lost to a link or node that is down when it arrives, even
+          where the copy queued no arrival event (see {!stats}). *)
   dropped_queue_full : int;
   dropped_link_down : int;
   dropped_no_route : int;
@@ -156,10 +158,17 @@ val kill_link : 'a t -> Topology.node -> Topology.node -> unit
 val restore_link : 'a t -> Topology.node -> Topology.node -> unit
 
 (** [kill_node t n] takes the daemon down: nothing is delivered to or
-    forwarded by [n]. *)
+    forwarded by [n].
+    @raise Invalid_argument ["Net.kill_node: no such node"] if [n] is
+    not a node of the topology. *)
 val kill_node : 'a t -> Topology.node -> unit
 
+(** @raise Invalid_argument ["Net.restore_node: no such node"] if [n]
+    is not a node of the topology. *)
 val restore_node : 'a t -> Topology.node -> unit
+
+(** @raise Invalid_argument ["Net.node_alive: no such node"] if [n] is
+    not a node of the topology. *)
 val node_alive : 'a t -> Topology.node -> bool
 
 (** [retire_node t n] marks [n]'s id inadmissible as a frame source:
@@ -214,4 +223,13 @@ val link_reports : 'a t -> link_report list
 
 (** {1 Introspection} *)
 
+(** [stats t] is the counters at this point of the run. A flooded copy
+    sent to a node that already holds the frame, untraced, queues no
+    arrival event: its link records the engine place the event would
+    have taken ({!Sim.Engine.reserve}), and the copy is counted, as a
+    duplicate or as a link-down drop by the liveness at that place,
+    once the run has passed it. [stats] settles every such copy the run
+    has passed first, as does every {!kill_link}, {!restore_link},
+    {!kill_node} and {!restore_node} before it changes liveness, so the
+    counters read the same as if each copy had been an event. *)
 val stats : 'a t -> stats

@@ -1,7 +1,13 @@
 (* Allocation-lean scheduler core: one timer record per scheduled
    callback is the only per-event allocation. A periodic timer is a
    single record re-queued at each firing (no fresh closure or event box
-   per period). Cancelled-but-queued entries are purged lazily once they
+   per period), and a one-shot that has fired can be re-armed, so a
+   component running one event at a time (a link's transmissions)
+   allocates nothing per event. Every queue entry takes the next
+   scheduling order, and the engine keeps the latest place [(time,
+   order)] its run has reached: a component that knows an event's only
+   effect can reserve the event's place instead of queueing it and
+   apply the effect once the run has passed that place. Cancelled-but-queued entries are purged lazily once they
    are numerous enough to matter, so cancel/re-arm-heavy workloads
    (client resubmit timers, chaos schedules) cannot bloat the queue.
 
@@ -45,6 +51,10 @@ type t = {
   hi_water_by : int array; (* per-shard peak of [queued_by] *)
   mutable queued : int; (* queued entries, all shards *)
   mutable cancelled_queued : int; (* cancelled entries still queued *)
+  mutable scheduled : int; (* scheduling orders handed out so far *)
+  mutable place_time : int; (* the latest place the run has reached, *)
+  mutable place_order : int; (* [(time, order)]: see [passed] *)
+  mutable reserved_until : int; (* latest reserved place's time *)
 }
 
 and timer = {
@@ -53,8 +63,8 @@ and timer = {
   interval_us : int; (* 0 = one-shot *)
   shard : int; (* attribution tag *)
   mutable next_at : int; (* scheduled firing time (cadence anchor) *)
+  mutable order : int; (* scheduling order of its queue entry; -1 = none *)
   mutable cancelled : bool;
-  mutable in_queue : bool; (* currently has a queue entry *)
   mutable link : timer; (* next entry of its wheel slot, or [nil] *)
 }
 
@@ -70,8 +80,8 @@ let rec nil =
     interval_us = 0;
     shard = 0;
     next_at = max_int;
+    order = -1;
     cancelled = true;
-    in_queue = false;
     link = nil;
   }
 
@@ -90,6 +100,10 @@ and nil_engine =
     hi_water_by = [||];
     queued = 0;
     cancelled_queued = 0;
+    scheduled = 0;
+    place_time = -1;
+    place_order = 0;
+    reserved_until = 0;
   }
 
 let levels = 4
@@ -115,6 +129,10 @@ let create ?(seed = 0xC0FFEEL) ?(shards = 1) () =
     hi_water_by = Array.make shards 0;
     queued = 0;
     cancelled_queued = 0;
+    scheduled = 0;
+    place_time = -1;
+    place_order = 0;
+    reserved_until = 0;
   }
 
 let now t = t.clock_us
@@ -193,6 +211,8 @@ let[@inline] slot_index level time =
 let[@inline] slot_of t time = slot_index (level_of (time lxor t.cursor_us)) time
 
 let enqueue t tm =
+  tm.order <- t.scheduled;
+  t.scheduled <- t.scheduled + 1;
   let time = tm.next_at in
   if time < t.cursor_us || (time lxor t.cursor_us) lsr span_bits <> 0 then
     Event_heap.push t.far ~time tm
@@ -228,45 +248,59 @@ let advance t time =
 
 (* ------------------------------------------------------------------ *)
 
-let schedule_at ?(shard = 0) t ~time_us f =
-  let timer =
-    {
-      engine = t;
-      callback = f;
-      interval_us = 0;
-      shard = clamp_shard t shard;
-      next_at = Int.max time_us t.clock_us;
-      cancelled = false;
-      in_queue = true;
-      link = nil;
-    }
-  in
-  enqueue t timer;
-  timer
+(* An unqueued timer. *)
+let[@inline] make t ~shard ~interval_us f =
+  {
+    engine = t;
+    callback = f;
+    interval_us;
+    shard = clamp_shard t shard;
+    next_at = max_int;
+    order = -1;
+    cancelled = false;
+    link = nil;
+  }
+
+let one_shot ?(shard = 0) t f = make t ~shard ~interval_us:0 f
+
+(* The one enqueue path: a fresh one-shot and a re-armed one are
+   appended at the same point, so reuse never changes the order. *)
+let[@inline] queue_at t tm time_us =
+  tm.next_at <- time_us;
+  enqueue t tm
 
 (* [clock + delay], saturating at [max_int] ("never"). *)
 let after t delay_us =
   if delay_us > max_int - t.clock_us then max_int else t.clock_us + delay_us
+
+let arm tm ~delay_us =
+  if tm.order >= 0 || tm.cancelled || tm.interval_us > 0 then
+    invalid_arg "Engine.arm: timer queued, cancelled or periodic";
+  let t = tm.engine in
+  queue_at t tm (after t (Int.max 0 delay_us))
+
+let schedule_at ?(shard = 0) t ~time_us f =
+  let tm = make t ~shard ~interval_us:0 f in
+  queue_at t tm (Int.max time_us t.clock_us);
+  tm
 
 let schedule ?shard t ~delay_us f =
   schedule_at ?shard t ~time_us:(after t (Int.max 0 delay_us)) f
 
 let periodic ?(shard = 0) t ~interval_us f =
   if interval_us <= 0 then invalid_arg "Engine.periodic: interval_us <= 0";
-  let timer =
-    {
-      engine = t;
-      callback = f;
-      interval_us;
-      shard = clamp_shard t shard;
-      next_at = after t interval_us;
-      cancelled = false;
-      in_queue = true;
-      link = nil;
-    }
-  in
-  enqueue t timer;
-  timer
+  let tm = make t ~shard ~interval_us f in
+  queue_at t tm (after t interval_us);
+  tm
+
+let reserve t ~time_us =
+  let order = t.scheduled in
+  t.scheduled <- order + 1;
+  if time_us > t.reserved_until then t.reserved_until <- time_us;
+  order
+
+let[@inline] passed t ~time_us ~order =
+  time_us < t.place_time || (time_us = t.place_time && order < t.place_order)
 
 let pending t = t.queued
 
@@ -304,7 +338,7 @@ let maybe_compact t =
 let cancel timer =
   if not timer.cancelled then begin
     timer.cancelled <- true;
-    if timer.in_queue then begin
+    if timer.order >= 0 then begin
       let e = timer.engine in
       e.cancelled_queued <- e.cancelled_queued + 1;
       maybe_compact e
@@ -361,7 +395,8 @@ let take t tm =
   ignore
     (if from_far then Event_heap.pop_min t.far else pop_slot t (time land 63)
       : timer);
-  tm.in_queue <- false;
+  let order = tm.order in
+  tm.order <- -1;
   let s = tm.shard in
   t.queued_by.(s) <- t.queued_by.(s) - 1;
   t.queued <- t.queued - 1;
@@ -369,6 +404,13 @@ let take t tm =
   else begin
     t.processed <- t.processed + 1;
     t.processed_by.(s) <- t.processed_by.(s) + 1;
+    (* Only a periodic re-armed behind the clock by a nested [run] comes
+       after a later place; the run has passed that place still. *)
+    if time > t.place_time || (time = t.place_time && order > t.place_order)
+    then begin
+      t.place_time <- time;
+      t.place_order <- order
+    end;
     tm.callback ();
     (* Re-arm relative to the firing's *scheduled* time, not the
        clock at callback return: a callback that advances the clock
@@ -382,22 +424,19 @@ let take t tm =
       && tm.next_at <= max_int - tm.interval_us
     then begin
       tm.next_at <- tm.next_at + tm.interval_us;
-      tm.in_queue <- true;
       enqueue t tm
     end
   end
 
-let step t =
-  let tm = next_entry t ~horizon:max_int in
-  if tm == nil then false
-  else begin
-    take t tm;
-    true
-  end
-
 (* Move the clock to the horizon [until_us], no entry being due by it;
-   the cursor follows when it is behind. *)
+   the cursor follows when it is behind. The run has passed every place
+   at or before the horizon handed out so far, and none handed out
+   later. *)
 let finish t ~until_us =
+  if until_us >= t.place_time then begin
+    t.place_time <- until_us;
+    t.place_order <- t.scheduled
+  end;
   if until_us > t.clock_us then begin
     t.clock_us <- until_us;
     if until_us > t.cursor_us then advance t until_us
@@ -413,6 +452,19 @@ let run t ~until_us =
     else continue := false
   done;
   finish t ~until_us
+
+(* An empty queue has run every event, and a reserved place stands for
+   an event it would have run: the clock ends on the latest of them. *)
+let step t =
+  let tm = next_entry t ~horizon:max_int in
+  if tm == nil then begin
+    finish t ~until_us:(Int.max t.clock_us t.reserved_until);
+    false
+  end
+  else begin
+    take t tm;
+    true
+  end
 
 let run_until_quiescent ?(max_events = 100_000_000) t =
   let budget = ref max_events in

@@ -54,10 +54,28 @@ val rng : t -> Rng.t
 (** [shards t] is the number of attribution shards (>= 1). *)
 val shards : t -> int
 
+(** [one_shot t f] is an unqueued one-shot timer that runs [f ()] each
+    time it is {!arm}ed and fires. A component that runs one event at a
+    time (a link's transmit completion) creates it once and re-arms it,
+    instead of allocating a timer and a closure per event. [shard] is
+    as for {!schedule}. *)
+val one_shot : ?shard:int -> t -> (unit -> unit) -> timer
+
+(** [arm timer ~delay_us] queues an unqueued one-shot timer to fire at
+    [now + delay_us], clamped and saturated as {!schedule}. It may be
+    called from the timer's own callback. The timer takes its place in
+    [(time, scheduling order)] exactly as a fresh {!schedule} made at the
+    same point would, so re-arming one timer and scheduling fresh ones
+    give the same event order and count.
+    @raise Invalid_argument if the timer is queued, cancelled or
+    periodic. *)
+val arm : timer -> delay_us:int -> unit
+
 (** [schedule t ~delay_us f] runs [f ()] at [now t + delay_us].
     Negative delays are clamped to 0 (run "now", after the current
     callback returns); a time past [max_int] saturates at [max_int].
-    Returns a cancellable timer handle. [shard] (default 0) tags the
+    Returns a cancellable timer handle: a {!one_shot} armed at once.
+    [shard] (default 0) tags the
     timer with its owning shard; out-of-range tags fall back to
     shard 0. *)
 val schedule : ?shard:int -> t -> delay_us:int -> (unit -> unit) -> timer
@@ -80,19 +98,45 @@ val periodic : ?shard:int -> t -> interval_us:int -> (unit -> unit) -> timer
 (** [cancel timer] prevents a pending event from firing; idempotent. *)
 val cancel : timer -> unit
 
+(** {1 Places}
+
+    An event's place is its [(time, scheduling order)] key: every timer
+    queued takes the next scheduling order, and the run executes events
+    in place order. A component that knows an event's only effect in
+    advance can skip queueing it, {!reserve} the place it would have
+    taken, and apply the effect once the run has {!passed} that place,
+    under the state then in force. *)
+
+(** [reserve t ~time_us] claims the scheduling order that a timer
+    scheduled now at [time_us] (at or after [now t]) would take, and
+    returns it; nothing is queued. An engine whose queue runs empty
+    ({!step}, {!run_until_quiescent}) moves its clock to the latest
+    reserved time if that is later, as the skipped events would
+    have. *)
+val reserve : t -> time_us:int -> int
+
+(** [passed t ~time_us ~order] holds when the run has passed the place
+    [(time_us, order)]: inside a callback, when the place precedes the
+    running event's; after {!run}, when it was handed out before the
+    run returned and [time_us] is at or before the horizon; after the
+    queue ran empty, for every place handed out by then. *)
+val passed : t -> time_us:int -> order:int -> bool
+
 (** [run t ~until_us] executes events in order until the queue is empty
     or the next event is after [until_us]; afterwards [now t = until_us]
     (time always advances to the horizon). *)
 val run : t -> until_us:int -> unit
 
 (** [step t] executes the single globally earliest pending event (or
-    pops one cancelled entry). Returns [false] when nothing is
-    queued. *)
+    pops one cancelled entry). Returns [false] when nothing is queued,
+    after moving the clock to the latest {!reserve}d time if that is
+    later. *)
 val step : t -> bool
 
 (** [run_until_quiescent t ?max_events ()] executes events until none
-    remain. @raise Failure if [max_events] is exceeded (runaway guard,
-    default 100 million). *)
+    remain; the clock then ends on the last event's time or the latest
+    {!reserve}d time, whichever is later. @raise Failure if
+    [max_events] is exceeded (runaway guard, default 100 million). *)
 val run_until_quiescent : ?max_events:int -> t -> unit
 
 (** [pending t] is the number of queued events, including cancelled

@@ -440,6 +440,27 @@ let test_net_node_down_no_delivery () =
   Sim.Engine.run_until_quiescent engine;
   Alcotest.(check int) "nothing delivered" 0 !received
 
+(* Node faults name a node of the topology; any other id is refused
+   with the operation's name, as a missing link is, also when its
+   endpoints are no nodes. *)
+let test_net_node_ops_reject_unknown_node () =
+  let _, net = make_net (diamond ()) in
+  List.iter
+    (fun n ->
+      Alcotest.check_raises "kill_node"
+        (Invalid_argument "Net.kill_node: no such node") (fun () ->
+          N.kill_node net n);
+      Alcotest.check_raises "restore_node"
+        (Invalid_argument "Net.restore_node: no such node") (fun () ->
+          N.restore_node net n);
+      Alcotest.check_raises "node_alive"
+        (Invalid_argument "Net.node_alive: no such node") (fun () ->
+          ignore (N.node_alive net n : bool));
+      Alcotest.check_raises "kill_link"
+        (Invalid_argument "Net.kill_link: no such link") (fun () ->
+          N.kill_link net 0 n))
+    [ -1; 4 ]
+
 let test_net_junk_does_not_reach_handlers () =
   let topo = diamond () in
   let engine, net = make_net topo in
@@ -741,6 +762,129 @@ let test_net_switch_preserves_in_flight () =
   Alcotest.(check int) "no route drops" 0 (N.stats net).N.dropped_no_route
 
 (* ------------------------------------------------------------------ *)
+(* Flood counters under faults, sampled mid-flight *)
+
+(* 300 floods over the east-coast topology, with copies in flight while
+   links and nodes die and come back. The 0-3 link runs 20x slow until
+   25 ms, so its queue of in-flight copies is long and, once restored,
+   no longer in arrival order. Faults come up front, from delivery
+   handlers, from a callback that schedules one, and from outside any
+   callback between runs. Two kills land on the exact microsecond of a
+   duplicate copy's arrival, each copy sent to a node that already held
+   its frame: 0-3 at 27,129 us, scheduled before the 3 -> 0 copy left
+   (the kill comes first, so the copy is lost), and 0-8 at 21,247 us,
+   scheduled after the 8 -> 0 copy left (it arrives first, as a
+   duplicate). [Net.stats] is sampled inside callbacks, between runs
+   and after quiescence, with the clock; every sample, and so the
+   digest of the whole trace, is pinned. *)
+let flood_fault_trace () =
+  let topo, _ = T.wide_area_east_coast () in
+  let engine = Sim.Engine.create ~seed:42L () in
+  let net : net_msg N.t = N.create engine topo () in
+  let buf = Buffer.create 4096 in
+  let samples = ref 0 in
+  let sample label =
+    incr samples;
+    let s = N.stats net in
+    Printf.bprintf buf "%s@%d:%d/%d/%d/%d/%d/%d\n" label (Sim.Engine.now engine)
+      s.N.delivered s.N.duplicates_suppressed s.N.dropped_link_down
+      s.N.dropped_queue_full s.N.dropped_bytes s.N.submitted
+  in
+  let at time f =
+    ignore (Sim.Engine.schedule_at engine ~time_us:time f : Sim.Engine.timer)
+  in
+  let after delay_us f =
+    ignore (Sim.Engine.schedule engine ~delay_us f : Sim.Engine.timer)
+  in
+  N.set_latency_factor net 0 3 20.0;
+  let delivered_at_9 = ref 0 in
+  N.set_handler net 9 (fun _ ->
+      incr delivered_at_9;
+      if !delivered_at_9 mod 5 = 0 then sample "h9";
+      if !delivered_at_9 = 7 then begin
+        N.kill_link net 7 9;
+        sample "h9k";
+        after 2_000 (fun () ->
+            N.restore_link net 7 9;
+            sample "h9r")
+      end);
+  for i = 0 to 299 do
+    let src = i * 3 mod 10 in
+    let dst = ((i * 7) + 1) mod 10 in
+    let dst = if dst = src then (dst + 1) mod 10 else dst in
+    at ((i * 100) + 1) (fun () ->
+        N.send net ~src ~dst ~size_bytes:(100 + (i * 137 mod 1400)) ~mode:N.Flood
+          (Ping i))
+  done;
+  at 8_000 (fun () ->
+      N.kill_node net 5;
+      sample "kn5");
+  at 25_000 (fun () -> N.set_latency_factor net 0 3 1.0);
+  at 14_000 (fun () ->
+      N.restore_node net 5;
+      sample "rn5");
+  at 27_129 (fun () ->
+      sample "t1-pre";
+      N.kill_link net 0 3;
+      sample "t1-post");
+  at 30_129 (fun () ->
+      N.restore_link net 0 3;
+      sample "t1-r");
+  at 20_500 (fun () ->
+      at 21_247 (fun () ->
+          sample "t2-pre";
+          N.kill_link net 0 8;
+          sample "t2-post";
+          after 2_500 (fun () ->
+              N.restore_link net 0 8;
+              sample "t2-r")));
+  let rec tick () =
+    sample "p";
+    if Sim.Engine.now engine < 60_000 then after 997 tick
+  in
+  at 500 tick;
+  Sim.Engine.run engine ~until_us:20_000;
+  sample "r1";
+  N.kill_link net 1 4;
+  sample "r1k";
+  Sim.Engine.run engine ~until_us:45_000;
+  sample "r2";
+  N.restore_link net 1 4;
+  Sim.Engine.run_until_quiescent engine;
+  sample "q1";
+  N.send net ~src:2 ~dst:8 ~size_bytes:700 ~mode:N.Flood (Ping 1000);
+  N.send net ~src:6 ~dst:1 ~size_bytes:300 ~mode:N.Flood (Ping 1001);
+  Sim.Engine.run engine ~until_us:(Sim.Engine.now engine + 3_000);
+  sample "r3";
+  N.kill_node net 7;
+  Sim.Engine.run_until_quiescent engine;
+  sample "q2";
+  (!samples, Buffer.contents buf)
+
+let test_net_flood_fault_trace () =
+  let samples, trace = flood_fault_trace () in
+  let line label =
+    List.find
+      (fun l -> String.starts_with ~prefix:(label ^ "@") l)
+      (String.split_on_char '\n' trace)
+  in
+  List.iter
+    (fun expected ->
+      let label = List.hd (String.split_on_char '@' expected) in
+      Alcotest.(check string) label expected (line label))
+    [
+      "t2-pre@21247:146/2237/57/0/45090/213";
+      "t2-r@23747:171/2619/105/0/85236/238";
+      "t1-pre@27129:205/3175/105/0/85236/272";
+      "t1-r@30129:234/3682/135/0/111476/300";
+      "q1@64942:288/5834/135/0/111476/300";
+      "q2@82159:290/5866/140/0/113776/302";
+    ];
+  Alcotest.(check int) "samples" 83 samples;
+  Alcotest.(check string) "trace digest" "3a2d62a902158de35372053111fc5409"
+    (Digest.to_hex (Digest.string trace))
+
+(* ------------------------------------------------------------------ *)
 (* WAN boundary ledger *)
 
 let wan_topo () =
@@ -822,6 +966,8 @@ let () =
           Alcotest.test_case "flood survives link loss" `Quick
             test_net_flood_survives_heavy_link_loss;
           Alcotest.test_case "node down" `Quick test_net_node_down_no_delivery;
+          Alcotest.test_case "node ops reject unknown node" `Quick
+            test_net_node_ops_reject_unknown_node;
           Alcotest.test_case "junk invisible" `Quick
             test_net_junk_does_not_reach_handlers;
           Alcotest.test_case "control beats junk flood" `Quick
@@ -845,6 +991,8 @@ let () =
             test_net_invalidate_routes_recomputes_same;
           Alcotest.test_case "switch preserves in-flight frames" `Quick
             test_net_switch_preserves_in_flight;
+          Alcotest.test_case "flood counters exact under faults" `Quick
+            test_net_flood_fault_trace;
         ] );
       ( "wan_boundary",
         [

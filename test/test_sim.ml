@@ -1026,26 +1026,52 @@ let test_engine_firing_order_golden () =
    (which leave periodic re-arms behind the clock), bare peeks (which
    may cascade the wheel's cursor ahead of the clock, so later schedules
    land between the two) and both stepping paths; the engine must log
-   the same (id, now) stream and clock. *)
-type model_action = A_nop | A_cancel of int | A_spawn of int | A_nested of int
+   the same (id, now) stream and clock.
+
+   Timers are re-armed: a fired one-shot from outside, or from its own
+   callback, and [arm] of a queued, cancelled or periodic timer must be
+   refused by both (logged as [(-2, accepted)]). Places are reserved
+   and queried inside callbacks and between runs: the model reserves a
+   place as a silent entry in its sorted list, passed once popped, and
+   [Engine.passed] must agree with it (logged as [(-3, passed)]). The
+   program ends by running to quiescence, where the engine's clock must
+   reach the model's, silent entries included. *)
+type model_action =
+  | A_nop
+  | A_cancel of int
+  | A_spawn of int
+  | A_nested of int
+  | A_rearm of int (* re-arm the firing timer after this delay *)
+  | A_arm of int * int (* arm handle k after a delay *)
+  | A_reserve of int
+  | A_passed of int (* query reservation k *)
 
 type model_op =
   | P_schedule of int * int * model_action (* delay, shard, on firing *)
   | P_periodic of int * int * int * model_action (* interval, shard, firings *)
-  | P_cancel of int
+  | P_one_shot of int * model_action (* shard, on firing; unqueued *)
+  | P_act of model_action (* between runs *)
   | P_run of int
   | P_step_to of int
   | P_peek
 
-type 'h engine_api = {
+type ('h, 'p) engine_api = {
   now : unit -> int;
   schedule : shard:int -> delay_us:int -> (unit -> unit) -> 'h;
   periodic : shard:int -> interval_us:int -> (unit -> unit) -> 'h;
+  one_shot : shard:int -> (unit -> unit) -> 'h;
+  arm : 'h -> delay_us:int -> bool; (* false: refused *)
   cancel : 'h -> unit;
+  reserve : delay_us:int -> 'p;
+  passed : 'p -> bool;
   run : until_us:int -> unit;
   step_to : until_us:int -> unit;
   peek : unit -> unit;
+  quiesce : unit -> unit;
 }
+
+(* Arms made by callbacks are capped so that re-arming chains end. *)
+let max_callback_arms = 60
 
 let play_model_program api prog =
   let log = ref [] in
@@ -1055,7 +1081,14 @@ let play_model_program api prog =
     Hashtbl.replace handles !created h;
     incr created
   in
-  let rec act = function
+  let places = Hashtbl.create 16 in
+  let reserved = ref 0 in
+  let arms = ref 0 in
+  let arm h delay_us =
+    incr arms;
+    log := (-2, Bool.to_int (api.arm h ~delay_us)) :: !log
+  in
+  let rec act ~self = function
     | A_nop -> ()
     | A_cancel k ->
       if !created > 0 then api.cancel (Hashtbl.find handles (k mod !created))
@@ -1063,9 +1096,25 @@ let play_model_program api prog =
       let id = !created in
       add (api.schedule ~shard:(id land 3) ~delay_us (fire id A_nop))
     | A_nested dt -> api.run ~until_us:(api.now () + dt)
+    | A_rearm delay_us -> (
+      match self with
+      | Some id when !arms < max_callback_arms ->
+        arm (Hashtbl.find handles id) delay_us
+      | _ -> ())
+    | A_arm (k, delay_us) ->
+      if !created > 0 && (self = None || !arms < max_callback_arms) then
+        arm (Hashtbl.find handles (k mod !created)) delay_us
+    | A_reserve delay_us ->
+      Hashtbl.replace places !reserved (api.reserve ~delay_us);
+      incr reserved
+    | A_passed k ->
+      if !reserved > 0 then
+        log :=
+          (-3, Bool.to_int (api.passed (Hashtbl.find places (k mod !reserved))))
+          :: !log
   and fire id action () =
     log := (id, api.now ()) :: !log;
-    act action
+    act ~self:(Some id) action
   in
   List.iter
     (function
@@ -1081,13 +1130,20 @@ let play_model_program api prog =
         in
         self := Some h;
         add h
-      | P_cancel k -> act (A_cancel k)
+      | P_one_shot (shard, action) ->
+        add (api.one_shot ~shard (fire !created action))
+      | P_act action -> act ~self:None action
       | P_run dt -> api.run ~until_us:(api.now () + dt)
       | P_step_to dt -> api.step_to ~until_us:(api.now () + dt)
       | P_peek -> api.peek ())
     prog;
   api.run ~until_us:(api.now () + (1 lsl 28));
-  (List.rev !log, api.now ())
+  let at_horizon = api.now () in
+  List.iter
+    (fun k -> act ~self:None (A_passed k))
+    (List.init !reserved Fun.id);
+  api.quiesce ();
+  (List.rev !log, at_horizon, api.now ())
 
 module Model = struct
   type timer = {
@@ -1095,6 +1151,7 @@ module Model = struct
     interval : int;
     mutable at : int;
     mutable cancelled : bool;
+    mutable queued : bool;
   }
 
   type t = { mutable clock : int; mutable queue : (int * timer) list }
@@ -1107,27 +1164,42 @@ module Model = struct
       | x :: rest -> x :: ins rest
       | [] -> [ (tm.at, tm) ]
     in
+    tm.queued <- true;
     m.queue <- ins m.queue
 
+  let timer ~at ~interval callback =
+    { callback; interval; at; cancelled = false; queued = false }
+
   let arm m ~at ~interval callback =
-    let tm = { callback; interval; at; cancelled = false } in
+    let tm = timer ~at ~interval callback in
     insert m tm;
     tm
+
+  let pop m at tm rest =
+    m.queue <- rest;
+    tm.queued <- false;
+    if at > m.clock then m.clock <- at;
+    if not tm.cancelled then begin
+      tm.callback ();
+      if tm.interval > 0 && not tm.cancelled then begin
+        tm.at <- tm.at + tm.interval;
+        insert m tm
+      end
+    end
 
   let rec run m ~until_us =
     match m.queue with
     | (at, tm) :: rest when at <= until_us ->
-      m.queue <- rest;
-      if at > m.clock then m.clock <- at;
-      if not tm.cancelled then begin
-        tm.callback ();
-        if tm.interval > 0 && not tm.cancelled then begin
-          tm.at <- tm.at + tm.interval;
-          insert m tm
-        end
-      end;
+      pop m at tm rest;
       run m ~until_us
     | _ -> m.clock <- max m.clock until_us
+
+  let rec quiesce m =
+    match m.queue with
+    | (at, tm) :: rest ->
+      pop m at tm rest;
+      quiesce m
+    | [] -> ()
 
   let api () =
     let m = { clock = 0; queue = [] } in
@@ -1139,10 +1211,30 @@ module Model = struct
       periodic =
         (fun ~shard:_ ~interval_us f ->
           arm m ~at:(m.clock + interval_us) ~interval:interval_us f);
+      one_shot = (fun ~shard:_ f -> timer ~at:0 ~interval:0 f);
+      arm =
+        (fun tm ~delay_us ->
+          if tm.queued || tm.cancelled || tm.interval > 0 then false
+          else begin
+            tm.at <- m.clock + max 0 delay_us;
+            insert m tm;
+            true
+          end);
       cancel = (fun tm -> tm.cancelled <- true);
+      (* A silent entry, passed once the run pops it. *)
+      reserve =
+        (fun ~delay_us ->
+          let popped = ref false in
+          ignore
+            (arm m ~at:(m.clock + max 0 delay_us) ~interval:0 (fun () ->
+                 popped := true)
+              : timer);
+          popped);
+      passed = (fun popped -> !popped);
       run = (fun ~until_us -> run m ~until_us);
       step_to = (fun ~until_us -> run m ~until_us);
       peek = ignore;
+      quiesce = (fun () -> quiesce m);
     }
 end
 
@@ -1160,10 +1252,22 @@ let engine_api () =
     schedule = (fun ~shard ~delay_us f -> Sim.Engine.schedule ~shard e ~delay_us f);
     periodic =
       (fun ~shard ~interval_us f -> Sim.Engine.periodic ~shard e ~interval_us f);
+    one_shot = (fun ~shard f -> Sim.Engine.one_shot ~shard e f);
+    arm =
+      (fun tm ~delay_us ->
+        match Sim.Engine.arm tm ~delay_us with
+        | () -> true
+        | exception Invalid_argument _ -> false);
     cancel = Sim.Engine.cancel;
+    reserve =
+      (fun ~delay_us ->
+        let time_us = Sim.Engine.now e + max 0 delay_us in
+        (time_us, Sim.Engine.reserve e ~time_us));
+    passed = (fun (time_us, order) -> Sim.Engine.passed e ~time_us ~order);
     run = (fun ~until_us -> Sim.Engine.run e ~until_us);
     step_to;
     peek = (fun () -> ignore (Sim.Engine.Window.peek_next e : (int * int) option));
+    quiesce = (fun () -> Sim.Engine.run_until_quiescent e);
   }
 
 let prop_engine_matches_model =
@@ -1177,6 +1281,9 @@ let prop_engine_matches_model =
             1 lsl 24; (1 lsl 24) + 1 ];
       ]
   in
+  (* Places mostly on a microsecond other entries share, where only the
+     scheduling order tells them apart. *)
+  let place_delay = frequency [ (3, int_bound 2); (1, delay) ] in
   let action =
     frequency
       [
@@ -1184,6 +1291,10 @@ let prop_engine_matches_model =
         (2, map (fun k -> A_cancel k) nat);
         (2, map (fun d -> A_spawn d) delay);
         (1, map (fun d -> A_nested d) delay);
+        (2, map (fun d -> A_rearm d) delay);
+        (1, map2 (fun k d -> A_arm (k, d)) nat delay);
+        (2, map (fun d -> A_reserve d) place_delay);
+        (2, map (fun k -> A_passed k) nat);
       ]
   in
   let interval =
@@ -1198,7 +1309,11 @@ let prop_engine_matches_model =
             (fun (i, s) (n, a) -> P_periodic (i, s, n, a))
             (pair interval (int_bound 3))
             (pair (int_range 1 4) action) );
-        (2, map (fun k -> P_cancel k) nat);
+        (2, map2 (fun s a -> P_one_shot (s, a)) (int_bound 3) action);
+        (2, map (fun k -> P_act (A_cancel k)) nat);
+        (2, map2 (fun k d -> P_act (A_arm (k, d))) nat delay);
+        (1, map (fun d -> P_act (A_reserve d)) place_delay);
+        (1, map (fun k -> P_act (A_passed k)) nat);
         (1, map (fun d -> P_run d) delay);
         (1, map (fun d -> P_step_to d) delay);
         (1, return P_peek);
@@ -1209,13 +1324,18 @@ let prop_engine_matches_model =
     | A_cancel k -> Printf.sprintf "cancel %d" k
     | A_spawn d -> Printf.sprintf "spawn %d" d
     | A_nested d -> Printf.sprintf "nested %d" d
+    | A_rearm d -> Printf.sprintf "rearm %d" d
+    | A_arm (k, d) -> Printf.sprintf "arm %d +%d" k d
+    | A_reserve d -> Printf.sprintf "reserve %d" d
+    | A_passed k -> Printf.sprintf "passed %d" k
   in
   let print_op = function
     | P_schedule (d, s, a) ->
       Printf.sprintf "schedule %d @%d (%s)" d s (print_action a)
     | P_periodic (i, s, n, a) ->
       Printf.sprintf "periodic %d @%d x%d (%s)" i s n (print_action a)
-    | P_cancel k -> Printf.sprintf "cancel %d" k
+    | P_one_shot (s, a) -> Printf.sprintf "one_shot @%d (%s)" s (print_action a)
+    | P_act a -> print_action a
     | P_run d -> Printf.sprintf "run +%d" d
     | P_step_to d -> Printf.sprintf "step_to +%d" d
     | P_peek -> "peek"
